@@ -16,10 +16,8 @@ from .primes import (
     cached_primes,
     chebyshev_check,
     prime_count,
-    read_prime_cache,
     sieve_primes,
     sieve_tables,
-    write_prime_cache,
 )
 from .prime_series import (
     CertifiedValue,

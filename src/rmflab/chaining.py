@@ -19,6 +19,9 @@ from . import rmf as rmf_mod
 from .primes import PrimeTable
 from .sequences import StepParams, step_sigma_ell
 
+_TAIL_REL_TOL = 1e-15  # chaining tail sums stop once a term falls below this share
+_GRID_CHUNK = 256  # sigma-grid rows per oscillation block
+
 
 @dataclass(frozen=True)
 class DyadicGrid:
@@ -79,16 +82,14 @@ class LambdaSchedule:
     def __call__(self, r: int) -> float:
         return sqrt(2.0 * self.c1 * r) / 2.0**r
 
-    def chaining_constant(self, rel_tol: float = 1e-15) -> float:
+    def chaining_constant(self) -> float:
         """2 sum_{r>=1} lambda_r = 2 sqrt(2 C1) sum sqrt(r)/2^r."""
-        return chaining_tail_sum(self, 0, rel_tol=rel_tol)
+        return chaining_tail_sum(self, 0)
 
 
-def chaining_tail_sum(
-    lam: Callable[[int], float], r_from_exclusive: int, rel_tol: float = 1e-15
-) -> float:
+def chaining_tail_sum(lam: Callable[[int], float], r_from_exclusive: int) -> float:
     """2 * sum_{r > r_from_exclusive} lambda_r, truncated when terms fall
-    below rel_tol of the running sum."""
+    below _TAIL_REL_TOL of the running sum."""
     total = 0.0
     r = r_from_exclusive + 1
     while r < r_from_exclusive + 20000:
@@ -96,24 +97,17 @@ def chaining_tail_sum(
         if term < 0:
             raise ValueError(f"schedule must be nonnegative, lambda({r}) = {term}")
         total += term
-        if term <= rel_tol * total:
+        if term <= _TAIL_REL_TOL * total:
             break
         r += 1
     return 2.0 * total
 
 
-def chaining_bound(
-    lam: Callable[[int], float],
-    a: float,
-    b: float,
-    s: float,
-    t: float,
-    rel_tol: float = 1e-15,
-) -> float:
+def chaining_bound(lam: Callable[[int], float], a: float, b: float, s: float, t: float) -> float:
     """The oscillation bound 2 sum_{r > R} lambda_r for the pair (s, t)."""
     if s == t:
         return 0.0
-    return chaining_tail_sum(lam, chaining_R(a, b, s, t), rel_tol=rel_tol)
+    return chaining_tail_sum(lam, chaining_R(a, b, s, t))
 
 
 @dataclass(frozen=True)
@@ -124,12 +118,22 @@ class ChainingReport:
     max_conclusion_excess: float
 
 
+def _first_violations(grid_values: np.ndarray, lambdas: np.ndarray) -> list[int | None]:
+    """Per column of `grid_values` (f on the depth-r_max grid down axis 0), the
+    first level r whose largest increment exceeds lambdas[r-1], or None."""
+    r_max = lambdas.size
+    first: list[int | None] = [None] * grid_values.shape[1]
+    for r in range(1, r_max + 1):
+        level = grid_values[:: 2 ** (r_max - r)]
+        inc = np.max(np.abs(np.diff(level, axis=0)), axis=0)
+        for j in np.flatnonzero(inc > lambdas[r - 1]):
+            if first[j] is None:
+                first[j] = r
+    return first
+
+
 def verify_chaining(
-    values: np.ndarray,
-    a: float,
-    b: float,
-    lambdas: Sequence[float],
-    extend_geometric: bool = True,
+    values: np.ndarray, a: float, b: float, lambdas: Sequence[float]
 ) -> ChainingReport:
     """Finite instantiation of the dyadic oscillation bound.
 
@@ -146,22 +150,13 @@ def verify_chaining(
         raise ValueError(f"need 2^{r_max}+1 values, got {values.size}")
     lambdas = np.asarray(lambdas, dtype=np.float64)
 
-    hypothesis_holds = True
-    first_violation = None
-    for r in range(1, r_max + 1):
-        level = values[:: 2 ** (r_max - r)]
-        inc = float(np.max(np.abs(np.diff(level)))) if level.size > 1 else 0.0
-        if inc > lambdas[r - 1]:
-            hypothesis_holds = False
-            if first_violation is None:
-                first_violation = r
-            break
+    first_violation = _first_violations(values[:, None], lambdas)[0]
 
     # suffix[i] = sum of lambda over levels i+1 .. r_max, so the finite part
     # of bound(R) = 2 * (lambda_{R+1} + .. + lambda_{r_max}) is 2 * suffix[R].
     suffix = np.zeros(r_max + 1)
     suffix[:-1] = np.cumsum(lambdas[::-1])[::-1]
-    ext_base = 2.0 * float(lambdas[-1]) if extend_geometric else 0.0
+    ext_base = 2.0 * float(lambdas[-1])
 
     width = b - a
     n = values.size
@@ -182,7 +177,7 @@ def verify_chaining(
     bounds = inner + ext
     excess = float(np.max(diffs - bounds)) if diffs.size else 0.0
     return ChainingReport(
-        hypothesis_holds=hypothesis_holds,
+        hypothesis_holds=first_violation is None,
         conclusion_holds=bool(excess <= 0.0),
         first_hypothesis_violation_r=first_violation,
         max_conclusion_excess=excess,
@@ -245,7 +240,6 @@ def _oscillation_core(
     r_max: int,
     limit: int,
     schedule: LambdaSchedule,
-    chunk: int = 256,
 ) -> list[OscillationResult]:
     if ell < 2:
         raise ValueError(f"ell must be >= 2, got {ell}")
@@ -263,21 +257,15 @@ def _oscillation_core(
     frac = np.arange(n_grid, dtype=np.float64) / (2.0**r_max)
     dsig = frac * (s_prev - s_ell)
     p_vals = np.empty((n_grid, weights.shape[1]))
-    for start in range(0, n_grid, chunk):
-        block = dsig[start : start + chunk]
+    for start in range(0, n_grid, _GRID_CHUNK):
+        block = dsig[start : start + _GRID_CHUNK]
         p_vals[start : start + block.size] = np.exp(-np.outer(block, logp)) @ weights
 
     osc = np.abs(p_vals - p_vals[0])
     max_osc = osc.max(axis=0)
 
     lambdas = np.array([schedule(r) for r in range(1, r_max + 1)])
-    first_violation: list[int | None] = [None] * len(seeds)
-    for r in range(1, r_max + 1):
-        level = p_vals[:: 2 ** (r_max - r)]
-        inc = np.max(np.abs(np.diff(level, axis=0)), axis=0)
-        for j in np.flatnonzero(inc > lambdas[r - 1]):
-            if first_violation[j] is None:
-                first_violation[j] = r
+    first_violation = _first_violations(p_vals, lambdas)
 
     paper_c = schedule.chaining_constant()
     if s_ell > 0.5:

@@ -72,7 +72,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         for row in rows:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+            # float() unwraps numpy scalars, whose repr is 'np.float64(...)'.
+            w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
 def _write_json(path: Path, obj) -> None:
@@ -375,6 +376,7 @@ def cmd_signchanges(args) -> int:
     run = _Run("signchanges", cfg)
     x_max = int(cfg["x_max"])
     n_seeds = int(cfg["seeds"])
+    first_seed = int(cfg["seed"])
     table = primes.cached_primes(max(x_max, 2))
 
     def one(seed: int) -> tuple[int, int, int]:
@@ -383,7 +385,7 @@ def cmd_signchanges(args) -> int:
         return seed, trace.count_changes(), trace.final_value
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        results = list(pool.map(one, range(n_seeds)))
+        results = list(pool.map(one, range(first_seed, first_seed + n_seeds)))
     results.sort(key=lambda r: r[0])
     _write_csv(
         run.path("table", "csv"),
@@ -416,8 +418,12 @@ def cmd_prime_sums(args) -> int:
     table = primes.cached_primes(int(cfg["claim1_n"]))
 
     sigmas = [round(0.51 + 0.01 * i, 2) for i in range(50)]
-    prime_series.write_claim1_grid_csv(
-        run.path("logsq-grid", "csv"), sigmas, n_cut=int(cfg["claim1_n"]), table=table
+    n_cut = int(cfg["claim1_n"])
+    grid = [prime_series.log_weighted_sum(s, n_cut=n_cut, table=table) for s in sigmas]
+    _write_csv(
+        run.path("logsq-grid", "csv"),
+        ["sigma", "estimate", "upper", "bound_rhs", "holds"],
+        [[s, r.value.estimate, r.value.upper, r.bound_rhs, r.holds] for s, r in zip(sigmas, grid)],
     )
 
     rows = []
@@ -498,7 +504,7 @@ def cmd_chaining(args) -> int:
     step = StepParams(float(cfg["epsilon"]))
     limit = int(cfg["prime_limit"])
     table = primes.cached_primes(limit)
-    seed_list = list(range(int(cfg["seeds"])))
+    seed_list = list(range(int(cfg["seed"]), int(cfg["seed"]) + int(cfg["seeds"])))
     rows = []
     for ell in cfg["ells"]:
         for res in chaining.oscillation_batch(

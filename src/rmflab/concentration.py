@@ -66,7 +66,7 @@ def mc_tail(
         raise ValueError(f"need at least 100 trials, got {trials}")
     if table is None:
         table = primes_mod.cached_primes(prime_limit)
-    seeds = np.asarray([rmf_mod.derive_seed(base_seed, i) for i in range(trials)], dtype=np.uint64)
+    seeds = rmf_mod.derive_seed(base_seed, np.arange(trials))
     values = rmf_mod.random_prime_sum_batch(seeds, sigma, prime_limit, table=table)
     freq = float(np.mean(values >= threshold))
     sum_sq = prime_series.truncated_variance(sigma, table, prime_limit)
@@ -211,20 +211,21 @@ def step2_experiment(
         raise ValueError(f"need at least 100 trials, got {trials}")
     if table is None:
         table = primes_mod.cached_primes(prime_limit)
-    seeds = np.asarray([rmf_mod.derive_seed(base_seed, i) for i in range(trials)], dtype=np.uint64)
+    seeds = rmf_mod.derive_seed(base_seed, np.arange(trials))
+    ells = [int(ell) for ell in ell_range]
+    sigmas = [step_sigma_ell(ell, step).sigma for ell in ells]
+    values = rmf_mod.random_prime_sum_batch(seeds, sigmas, prime_limit, table=table)
     rows = []
-    for ell in ell_range:
-        sig = step_sigma_ell(ell, step)
-        e_trunc = prime_series.truncated_variance(sig.sigma, table, prime_limit)
-        e_full = prime_series.variance_sum(sig.sigma).estimate
+    for j, (ell, sigma) in enumerate(zip(ells, sigmas)):
+        e_trunc = prime_series.truncated_variance(sigma, table, prime_limit)
+        e_full = prime_series.variance_sum(sigma).estimate
         tau = sqrt(2.0 * (1.0 + gamma) * e_trunc**step.epsilon)
         lam = tau * sqrt(e_trunc)  # raw threshold realizing the normalized event
-        values = rmf_mod.random_prime_sum_batch(seeds, sig.sigma, prime_limit, table=table)
-        freq = float(np.mean(values >= lam))
+        freq = float(np.mean(values[:, j] >= lam))
         rows.append(
             Step2Row(
-                ell=int(ell),
-                sigma=sig.sigma,
+                ell=ell,
+                sigma=sigma,
                 variance_trunc=e_trunc,
                 variance_deficit=e_full - e_trunc,
                 threshold=tau,

@@ -10,10 +10,8 @@ slack factor 1 + 1e-10 that dwarfs double-precision roundoff at these sizes.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from math import exp, log, log1p, sqrt
-from pathlib import Path
+from math import exp, fsum, log, log1p, sqrt
 
 import numpy as np
 
@@ -304,13 +302,7 @@ def euler_tail_constant(n_primes: int, table: PrimeTable | None = None) -> Certi
         p = table.primes[:n_primes].astype(np.float64)
     else:
         p = primes_mod.first_n_primes(n_primes).astype(np.float64)
-    terms = 1.0 / (p * (np.sqrt(p) - 1.0))
-    if n_primes >= 10**6:
-        import math
-
-        partial = math.fsum(terms)
-    else:
-        partial = float(np.sum(terms))
+    partial = fsum(1.0 / (p * (np.sqrt(p) - 1.0)))
     largest = float(p[-1])
     tail = (1.0 + 1.0 / (sqrt(largest) - 1.0)) * 2.0 / sqrt(largest)
     return _outward(partial, partial + tail, estimate=partial + 0.5 * tail)
@@ -329,20 +321,3 @@ def zetaasym_ratio(x: float) -> tuple[float, float]:
     ratio_logzeta = _log_zeta(x) / denom
     return ratio_sum, ratio_logzeta
 
-
-def write_claim1_grid_csv(
-    path: str | Path,
-    sigmas: list[float],
-    n_cut: int = 10**7,
-    table: PrimeTable | None = None,
-) -> list[LogWeightedSum]:
-    """Verification grid for the (log p)^2 bound: sigma, estimate, upper, bound_rhs, holds."""
-    if table is None:
-        table = primes_mod.cached_primes(n_cut)
-    rows = [log_weighted_sum(s, n_cut=n_cut, table=table) for s in sigmas]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["sigma", "estimate", "upper", "bound_rhs", "holds"])
-        for s, r in zip(sigmas, rows):
-            w.writerow([repr(s), repr(r.value.estimate), repr(r.value.upper), repr(r.bound_rhs), r.holds])
-    return rows

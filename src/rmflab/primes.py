@@ -8,18 +8,13 @@ safe for concurrent reads.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from math import isqrt, log
-from pathlib import Path
 
 import numpy as np
 
 DEFAULT_SEGMENT = 1 << 22
 SPF_HARD_CAP = 1 << 31
-
-_CACHE_MAGIC = b"RMFPRIME"
-_CACHE_VERSION = 1
 
 
 def _simple_sieve(limit: int) -> np.ndarray:
@@ -222,31 +217,6 @@ def factor_squarefree(
             raise ValueError(f"prime factor {m} of {n} exceeds table limit {table.limit}")
         factors.append(m)
     return factors, squarefree
-
-
-def write_prime_cache(path: str | Path, table: PrimeTable) -> None:
-    """Binary cache: header (magic, version u32, limit u64, count u64) then
-    little-endian u64 deltas between consecutive primes (first delta from 0)."""
-    deltas = np.diff(table.primes, prepend=np.int64(0)).astype("<u8")
-    header = struct.pack("<8sIQQ", _CACHE_MAGIC, _CACHE_VERSION, table.limit, table.count)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(deltas.tobytes())
-
-
-def read_prime_cache(path: str | Path) -> PrimeTable:
-    with open(path, "rb") as fh:
-        header = fh.read(struct.calcsize("<8sIQQ"))
-        magic, version, limit, count = struct.unpack("<8sIQQ", header)
-        if magic != _CACHE_MAGIC:
-            raise ValueError(f"not a prime cache file: bad magic {magic!r}")
-        if version != _CACHE_VERSION:
-            raise ValueError(f"unsupported prime cache version {version}")
-        deltas = np.frombuffer(fh.read(8 * count), dtype="<u8")
-    if deltas.size != count:
-        raise ValueError("truncated prime cache file")
-    primes = np.cumsum(deltas.astype(np.int64))
-    return PrimeTable(limit=int(limit), primes=primes)
 
 
 _table_cache: dict[int, PrimeTable] = {}

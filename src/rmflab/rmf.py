@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt, sqrt
+from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +31,8 @@ _PRIME_SALT = np.uint64(0xD1B54A32D192ED03)
 TRACE_SEGMENT = 1 << 22
 TRACE_VALUES_CAP = 10**7
 CHECKPOINT_STRIDE = 1 << 16
+_SEED_BLOCK = 256  # seeds hashed per sign-matrix block
+_T_CHUNK = 128  # t-grid rows per sup-scan block
 
 
 class ResourceLimitError(RuntimeError):
@@ -48,21 +51,19 @@ def mix64(x) -> np.ndarray:
     return z
 
 
-def derive_seed(base_seed: int, index: int) -> int:
-    """Per-trial seed: keyed hash of (base_seed, index)."""
+def derive_seed(base_seed: int, index: int | np.ndarray) -> int | np.ndarray:
+    """Per-trial seed: keyed hash of (base_seed, index).  An integer array of
+    indices gives the uint64 array of their seeds."""
+    if isinstance(index, int):  # Python ints may be negative or wider than 64 bits
+        index &= _MASK64
     with np.errstate(over="ignore"):
-        key = np.uint64(base_seed & _MASK64) ^ (np.uint64(index & _MASK64) * _GOLDEN)
-    return int(mix64(key)[()])
-
-
-def _signs_from_key(seed_key: np.uint64, primes: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        h = mix64(primes.astype(np.uint64) * _PRIME_SALT ^ seed_key)
-    return (1 - 2 * (h & np.uint64(1)).astype(np.int8)).astype(np.int8)
+        key = np.uint64(base_seed & _MASK64) ^ (np.asarray(index).astype(np.uint64) * _GOLDEN)
+    z = mix64(key)
+    return int(z) if z.ndim == 0 else z
 
 
 def sign_matrix(trial_seeds: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """Signs for many seeds at once: row t equals sample_signs(trial_seeds[t]).signs."""
+    """The sign hash: row t holds the +-1 signs of `primes` under trial_seeds[t]."""
     keys = mix64(np.asarray(trial_seeds, dtype=np.uint64))
     with np.errstate(over="ignore"):
         pk = primes.astype(np.uint64) * _PRIME_SALT
@@ -108,10 +109,8 @@ def sample_signs(seed: int, prime_limit: int, table: PrimeTable | None = None) -
     if table is None or table.limit < prime_limit:
         table = primes_mod.cached_primes(prime_limit)
     ps = table.upto(prime_limit)
-    seed_key = mix64(np.uint64(seed & _MASK64))[()]
-    return SignAssignment(
-        seed=seed, prime_limit=prime_limit, primes=ps, signs=_signs_from_key(seed_key, ps)
-    )
+    signs = sign_matrix([seed & _MASK64], ps)[0]
+    return SignAssignment(seed=seed, prime_limit=prime_limit, primes=ps, signs=signs)
 
 
 def signs_from_dict(values: dict[int, int], prime_limit: int) -> SignAssignment:
@@ -346,25 +345,32 @@ def random_prime_sum(
 
 def random_prime_sum_batch(
     trial_seeds: np.ndarray,
-    sigma: float,
+    sigma: float | Sequence[float],
     limit: int,
     table: PrimeTable | None = None,
-    block: int = 256,
 ) -> np.ndarray:
-    """Truncated P(sigma) values for many seeds at once (vectorized)."""
-    if sigma <= 0.5:
+    """Truncated P(sigma) values for many seeds at once, shape seeds + sigma.shape.
+
+    `sigma` is a scalar or a 1-D sequence.  Each block of seeds is hashed once
+    and serves every sigma through its own matvec, so column j equals the
+    scalar call at sigma[j] bit for bit.
+    """
+    sigmas = np.asarray(sigma, dtype=np.float64)
+    if np.any(sigmas <= 0.5):
         raise DivergenceError(f"P(sigma) requires sigma > 1/2, got {sigma}")
     if table is None:
         table = primes_mod.cached_primes(limit)
     ps = table.upto(limit)
-    weights = ps.astype(np.float64) ** (-sigma)
+    p = ps.astype(np.float64)
+    weights = [p ** (-s) for s in sigmas.ravel()]
     seeds = np.asarray(trial_seeds, dtype=np.uint64)
-    out = np.empty(seeds.size, dtype=np.float64)
-    for start in range(0, seeds.size, block):
-        chunk = seeds[start : start + block]
-        signs = sign_matrix(chunk, ps).astype(np.float64)
-        out[start : start + chunk.size] = signs @ weights
-    return out
+    out = np.empty((seeds.size, len(weights)), dtype=np.float64)
+    for start in range(0, seeds.size, _SEED_BLOCK):
+        block = seeds[start : start + _SEED_BLOCK]
+        signs = sign_matrix(block, ps).astype(np.float64)
+        for j, w in enumerate(weights):
+            out[start : start + block.size, j] = signs @ w
+    return out.reshape(seeds.shape + sigmas.shape)
 
 
 def series_and_product(
@@ -441,7 +447,6 @@ def sup_scan(
     t_max: float,
     grid_step: float = 0.01,
     limit: int | None = None,
-    chunk: int = 128,
 ) -> SupScanResult:
     """Grid maxima over t in {1, 1+step, ..., t_max} of the truncated sums
     sum_p sign(p) cos(t log p) p^(-sigma) and |prod_p (1 + sign(p) p^(-sigma-it))|.
@@ -467,8 +472,8 @@ def sup_scan(
     best_cos = -np.inf
     best_t = ts[0]
     best_logf = -np.inf
-    for start in range(0, ts.size, chunk):
-        tc = ts[start : start + chunk]
+    for start in range(0, ts.size, _T_CHUNK):
+        tc = ts[start : start + _T_CHUNK]
         c = np.cos(np.outer(tc, logp))
         cos_vals = c @ w
         i = int(np.argmax(cos_vals))

@@ -1,4 +1,7 @@
+import csv
 import json
+
+import pytest
 
 from rmflab import cli
 
@@ -225,3 +228,60 @@ def test_manifest_contents(tmp_path):
     for name, digest in manifest["results"].items():
         assert (out / name).exists()
         assert len(digest) == 64
+
+
+def test_signchanges_honours_seed(tmp_path):
+    tables = {}
+    for seed in ("0", "3"):
+        out = tmp_path / seed
+        assert run(["signchanges", "--seeds", "4", "--x-max", "5000", "--seed", seed,
+                    "--output-dir", str(out)]) == 0
+        with open(next(out.glob("signchanges-table-*.csv"))) as fh:
+            tables[seed] = list(csv.DictReader(fh))
+    assert [r["seed"] for r in tables["0"]] == ["0", "1", "2", "3"]
+    assert [r["seed"] for r in tables["3"]] == ["3", "4", "5", "6"]
+    assert tables["3"] != tables["0"]
+
+
+def test_chaining_honours_seed(tmp_path):
+    out = tmp_path / "ch"
+    assert run(["chaining", "--seeds", "2", "--ells", "3", "--prime-limit", "20000",
+                "--r-max", "4", "--seed", "5", "--output-dir", str(out)]) == 0
+    with open(next(out.glob("chaining-oscillation-*.csv"))) as fh:
+        assert [r["seed"] for r in csv.DictReader(fh)] == ["5", "6"]
+
+
+@pytest.fixture(scope="module")
+def prime_sums_out(tmp_path_factory):
+    out = tmp_path_factory.mktemp("ps")
+    assert run(["prime-sums", "--claim1-n", "100000", "--prime-limit", "100000",
+                "--output-dir", str(out)]) == 0
+    return out
+
+
+def test_prime_sums_logsq_grid(prime_sums_out):
+    with open(next(prime_sums_out.glob("prime-sums-logsq-grid-*.csv"))) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["sigma", "estimate", "upper", "bound_rhs", "holds"]
+    assert [r[0] for r in rows[1:]] == [repr(round(0.51 + 0.01 * i, 2)) for i in range(50)]
+    assert all(r[4] == "True" for r in rows[1:])
+
+
+def _float_cells(path):
+    with open(path) as fh:
+        rows = list(csv.reader(fh))[1:]
+    return [cell for row in rows for cell in row if cell not in ("True", "False")]
+
+
+def test_csv_float_cells_are_plain_numbers(prime_sums_out, tmp_path):
+    out = tmp_path / "cc"
+    assert run(["concentration", "--trials", "200", "--prime-limit", "10000", "--ell-max", "3",
+                "--output-dir", str(out)]) == 0
+    paths = [next(out.glob("concentration-step2-*.csv"))]
+    paths += [next(prime_sums_out.glob(f"prime-sums-{kind}-*.csv"))
+              for kind in ("prime-zeta", "zetaasym")]
+    for path in paths:
+        cells = _float_cells(path)
+        assert cells
+        for cell in cells:
+            float(cell)  # a numpy repr such as 'np.float64(1.5)' raises here

@@ -159,3 +159,19 @@ def test_step2_experiment_validation():
         cc.step2_experiment(step, 1.0, range(1, 3), trials=0, prime_limit=100, base_seed=0)
     with pytest.raises(ValueError):
         cc.step2_experiment(step, 0.0, range(1, 3), trials=200, prime_limit=100, base_seed=0)
+
+
+def test_step2_hashes_each_trial_once(monkeypatch):
+    hashed_rows = []
+    original = rmf.sign_matrix
+
+    def counting(trial_seeds, ps):
+        out = original(trial_seeds, ps)
+        hashed_rows.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(rmf, "sign_matrix", counting)
+    rows = cc.step2_experiment(StepParams(1.0), 1.0, range(1, 9), trials=600, prime_limit=10**4,
+                               base_seed=0)
+    assert len(rows) == 8
+    assert sum(hashed_rows) == 600

@@ -1,4 +1,3 @@
-import csv
 import math
 
 import mpmath as mp
@@ -229,12 +228,3 @@ def test_zetaasym_domain():
         with pytest.raises(ValueError):
             ps.zetaasym_ratio(x)
 
-
-def test_claim1_grid_csv(tmp_path):
-    path = tmp_path / "grid.csv"
-    rows = ps.write_claim1_grid_csv(path, [0.6, 0.8, 1.0], n_cut=10**5)
-    assert len(rows) == 3 and all(r.holds for r in rows)
-    with open(path) as fh:
-        data = list(csv.DictReader(fh))
-    assert [r["sigma"] for r in data] == ["0.6", "0.8", "1.0"]
-    assert all(r["holds"] == "True" for r in data)

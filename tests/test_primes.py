@@ -138,22 +138,6 @@ def test_factor_exceeding_limit_raises():
         primes.factor_squarefree(101, table, spf)  # prime above the table limit
 
 
-def test_prime_cache_round_trip(tmp_path):
-    table, _ = primes.sieve_tables(10**4)
-    path = tmp_path / "primes.bin"
-    primes.write_prime_cache(path, table)
-    loaded = primes.read_prime_cache(path)
-    assert loaded.limit == table.limit
-    assert np.array_equal(loaded.primes, table.primes)
-
-
-def test_prime_cache_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOTPRIME" + bytes(20))
-    with pytest.raises(ValueError):
-        primes.read_prime_cache(path)
-
-
 def test_first_n_primes():
     assert list(primes.first_n_primes(5)) == [2, 3, 5, 7, 11]
     p = primes.first_n_primes(10**4)

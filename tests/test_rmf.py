@@ -214,6 +214,19 @@ def test_random_prime_sum_batch_matches_single():
         assert batch[i] == pytest.approx(single.value, rel=1e-12)
 
 
+
+def test_random_prime_sum_batch_sigma_vector_matches_scalar():
+    table = primes.cached_primes(10**4)
+    seeds = np.arange(300, dtype=np.uint64)  # spans two seed blocks
+    sigmas = [0.55, 0.7, 1.3]
+    batch = rmf.random_prime_sum_batch(seeds, sigmas, 10**4, table=table)
+    assert batch.shape == (300, 3)
+    for j, sigma in enumerate(sigmas):
+        scalar = rmf.random_prime_sum_batch(seeds, sigma, 10**4, table=table)
+        assert np.array_equal(batch[:, j], scalar)
+    with pytest.raises(DivergenceError):
+        rmf.random_prime_sum_batch(seeds, [0.7, 0.5], 10**4, table=table)
+
 def test_normalized_sums_rarely_large():
     seeds = np.arange(1000, dtype=np.uint64)
     values = rmf.random_prime_sum_batch(seeds, 0.6, 10**6)
@@ -324,3 +337,39 @@ def test_derive_seed_stability():
     assert rmf.derive_seed(0, 0) == rmf.derive_seed(0, 0)
     assert rmf.derive_seed(0, 1) != rmf.derive_seed(0, 2)
     assert 0 <= rmf.derive_seed(12345, 67) < 2**64
+
+
+def test_derive_seed_array_matches_scalar():
+    seeds = rmf.derive_seed(17, np.arange(50))
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [rmf.derive_seed(17, i) for i in range(50)]
+
+
+# Golden vectors pinned from the original per-seed hash; any change to the
+# sign stream shows up here before it reaches a regression count.
+GOLDEN_SIGNS = {
+    0: [-1, -1, -1, -1, 1, 1, 1, -1, -1, -1, 1, -1, -1, -1, 1, 1],
+    1: [-1, -1, -1, 1, -1, 1, 1, 1, 1, -1, -1, -1, 1, 1, -1, -1],
+    2**63 + 5: [-1, 1, -1, -1, -1, 1, 1, -1, -1, 1, -1, 1, -1, -1, -1, -1],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_SIGNS))
+def test_sample_signs_golden_prefix(seed):
+    assert rmf.sample_signs(seed, 60).signs[:16].tolist() == GOLDEN_SIGNS[seed]
+
+
+def test_derive_seed_golden():
+    assert [rmf.derive_seed(0, i) for i in range(4)] == [
+        16294208416658607535,
+        7960286522194355700,
+        487617019471545679,
+        17909611376780542444,
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
+def test_sample_signs_is_sign_matrix_row(seed):
+    s = rmf.sample_signs(seed, 10**4)
+    row = rmf.sign_matrix(np.asarray([seed], dtype=np.uint64), s.primes)[0]
+    assert np.array_equal(s.signs, row)
