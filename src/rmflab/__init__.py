@@ -12,12 +12,10 @@ __version__ = "0.1.0"
 from .primes import (
     ChebyshevReport,
     PrimeTable,
-    SpfTable,
     cached_primes,
     chebyshev_check,
     prime_count,
     sieve_primes,
-    sieve_tables,
 )
 from .prime_series import (
     CertifiedValue,
@@ -39,15 +37,12 @@ from .rmf import (
     abel_identity_residual,
     abs_mellin,
     count_sign_changes,
-    f_value,
     partial_sum_trace,
     random_prime_sum,
     sample_signs,
     series_and_product,
     sign_change_points,
     signed_values,
-    signs_constant,
-    signs_from_dict,
     sup_scan,
 )
 from .sequences import (

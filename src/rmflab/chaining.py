@@ -16,7 +16,6 @@ import numpy as np
 from . import primes as primes_mod
 from . import prime_series
 from . import rmf as rmf_mod
-from .primes import PrimeTable
 from .sequences import StepParams, step_sigma_ell
 
 _TAIL_REL_TOL = 1e-15  # chaining tail sums stop once a term falls below this share
@@ -156,26 +155,14 @@ def verify_chaining(
     # of bound(R) = 2 * (lambda_{R+1} + .. + lambda_{r_max}) is 2 * suffix[R].
     suffix = np.zeros(r_max + 1)
     suffix[:-1] = np.cumsum(lambdas[::-1])[::-1]
-    ext_base = 2.0 * float(lambdas[-1])
 
-    width = b - a
-    n = values.size
-    di, dj = np.triu_indices(n, k=1)
-    grid = dyadic_grid(a, b, r_max).points
-    dist = np.abs(grid[dj] - grid[di])
-    q = width / dist
-    mant, expo = np.frexp(q)
-    big_r = expo - 1
-    over = dist > np.ldexp(width, -big_r)
-    big_r[over] -= 1
-    under = dist <= np.ldexp(width, -(big_r + 1))
-    big_r[under] += 1
-
-    diffs = np.abs(values[dj] - values[di])
-    inner = 2.0 * suffix[np.minimum(big_r, r_max)]
-    ext = ext_base * np.where(big_r >= r_max, 2.0 ** (r_max - big_r.astype(np.float64)), 1.0)
-    bounds = inner + ext
-    excess = float(np.max(diffs - bounds)) if diffs.size else 0.0
+    # Points d grid steps apart lie exactly d (b-a)/2^r_max apart, so
+    # 2^(r_max-R-1) < d <= 2^(r_max-R) fixes R = r_max - ceil(log2 d) without
+    # rounding; the geometric extension adds lambda_{r_max} to every bound.
+    excess = -np.inf
+    for d in range(1, values.size):
+        bound = 2.0 * float(suffix[r_max - (d - 1).bit_length()] + lambdas[-1])
+        excess = max(excess, float(np.max(np.abs(values[d:] - values[:-d]))) - bound)
     return ChainingReport(
         hypothesis_holds=first_violation is None,
         conclusion_holds=bool(excess <= 0.0),
@@ -220,14 +207,14 @@ def oscillation_batch(
     step: StepParams,
     r_max: int = 12,
     limit: int = 10**6,
-    table: PrimeTable | None = None,
     schedule: LambdaSchedule = LambdaSchedule(c1=4.0),
 ) -> list[OscillationResult]:
-    """Oscillation experiment for many seeds sharing one grid evaluation."""
-    if table is None:
-        table = primes_mod.cached_primes(limit)
-    ps = table.upto(limit)
-    rows = rmf_mod.sign_matrix(np.asarray(seeds, dtype=np.uint64), ps)
+    """Oscillation experiment for many seeds sharing one grid evaluation.
+
+    Seeds are Python ints of any sign; results report them as given."""
+    ps = primes_mod.cached_primes(limit).primes
+    keys = np.asarray([int(s) & rmf_mod._MASK64 for s in seeds], dtype=np.uint64)
+    rows = rmf_mod.sign_matrix(keys, ps)
     return _oscillation_core(rows, list(seeds), ps, ell, step, r_max, limit, schedule)
 
 

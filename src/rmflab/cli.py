@@ -182,6 +182,13 @@ def _load_config(args: argparse.Namespace, command: str) -> dict:
     return cfg
 
 
+def _positive_int(cfg: dict, key: str) -> int:
+    value = int(cfg[key])
+    if value < 1:
+        raise ValueError(f"{key} must be >= 1, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------- verify --
 
 
@@ -203,8 +210,7 @@ def _verify_constants(cfg: dict) -> list[dict]:
     )
 
     sigmas = [round(0.51 + 0.01 * i, 2) for i in range(50)]
-    table = primes.cached_primes(int(cfg["claim1_n"]))
-    grid = [prime_series.log_weighted_sum(s, n_cut=int(cfg["claim1_n"]), table=table) for s in sigmas]
+    grid = [prime_series.log_weighted_sum(s, n_cut=int(cfg["claim1_n"])) for s in sigmas]
     checks.append(
         {
             "name": "log-weighted-bound-grid",
@@ -328,8 +334,8 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args, "simulate")
+    x_max = _positive_int(cfg, "x_max")
     run = _Run("simulate", cfg)
-    x_max = int(cfg["x_max"])
     signs = rmf.sample_signs(int(cfg["seed"]), max(x_max, 2))
     trace = rmf.partial_sum_trace(signs, x_max)
 
@@ -373,14 +379,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_signchanges(args) -> int:
     cfg = _load_config(args, "signchanges")
+    x_max = _positive_int(cfg, "x_max")
+    n_seeds = _positive_int(cfg, "seeds")
     run = _Run("signchanges", cfg)
-    x_max = int(cfg["x_max"])
-    n_seeds = int(cfg["seeds"])
     first_seed = int(cfg["seed"])
-    table = primes.cached_primes(max(x_max, 2))
+    primes.cached_primes(max(x_max, 2))  # sieve once, before the threads share it
 
     def one(seed: int) -> tuple[int, int, int]:
-        signs = rmf.sample_signs(seed, max(x_max, 2), table=table)
+        signs = rmf.sample_signs(seed, max(x_max, 2))
         trace = rmf.partial_sum_trace(signs, x_max, keep_values=False)
         return seed, trace.count_changes(), trace.final_value
 
@@ -415,11 +421,10 @@ def cmd_signchanges(args) -> int:
 def cmd_prime_sums(args) -> int:
     cfg = _load_config(args, "prime-sums")
     run = _Run("prime-sums", cfg)
-    table = primes.cached_primes(int(cfg["claim1_n"]))
 
     sigmas = [round(0.51 + 0.01 * i, 2) for i in range(50)]
     n_cut = int(cfg["claim1_n"])
-    grid = [prime_series.log_weighted_sum(s, n_cut=n_cut, table=table) for s in sigmas]
+    grid = [prime_series.log_weighted_sum(s, n_cut=n_cut) for s in sigmas]
     _write_csv(
         run.path("logsq-grid", "csv"),
         ["sigma", "estimate", "upper", "bound_rhs", "holds"],
@@ -430,7 +435,7 @@ def cmd_prime_sums(args) -> int:
     for s in [1.001, 1.01, 1.1, 1.2, 1.5, 2.0, 3.0, 4.0, 8.0, 16.0, 32.0, 64.0]:
         acc = prime_series.prime_zeta(s, method="accelerated")
         direct = prime_series.prime_zeta(
-            s, method="direct", n_cut=min(int(cfg["prime_limit"]), table.limit), table=table
+            s, method="direct", n_cut=min(int(cfg["prime_limit"]), n_cut)
         )
         rows.append(
             [s, acc.estimate, acc.lower, acc.upper, direct.estimate, direct.lower, direct.upper,
@@ -458,12 +463,14 @@ def cmd_prime_sums(args) -> int:
 
 def cmd_sup_scan(args) -> int:
     cfg = _load_config(args, "sup-scan")
+    sigmas = [float(sigma) for sigma in cfg["sigma_grid"]]
+    if not all(sigma > 0.5 for sigma in sigmas):
+        raise ValueError(f"every sigma in sigma_grid must exceed 1/2, got {sigmas}")
     run = _Run("sup-scan", cfg)
     limit = int(cfg["prime_limit"])
     signs = rmf.sample_signs(int(cfg["seed"]), limit)
     rows = []
-    for sigma in cfg["sigma_grid"]:
-        sigma = float(sigma)
+    for sigma in sigmas:
         log_inv_gap = float(mp.log(1.0 / (mp.mpf(sigma) - 0.5)))
         t_max = 2.0 * log_inv_gap**2
         res = rmf.sup_scan(signs, sigma, max(1.0, t_max), float(cfg["grid_step"]), limit=limit)
@@ -500,15 +507,15 @@ def cmd_sup_scan(args) -> int:
 
 def cmd_chaining(args) -> int:
     cfg = _load_config(args, "chaining")
+    n_seeds = _positive_int(cfg, "seeds")
     run = _Run("chaining", cfg)
     step = StepParams(float(cfg["epsilon"]))
     limit = int(cfg["prime_limit"])
-    table = primes.cached_primes(limit)
-    seed_list = list(range(int(cfg["seed"]), int(cfg["seed"]) + int(cfg["seeds"])))
+    seed_list = list(range(int(cfg["seed"]), int(cfg["seed"]) + n_seeds))
     rows = []
     for ell in cfg["ells"]:
         for res in chaining.oscillation_batch(
-            seed_list, int(ell), step, r_max=int(cfg["r_max"]), limit=limit, table=table
+            seed_list, int(ell), step, r_max=int(cfg["r_max"]), limit=limit
         ):
             rows.append(
                 [

@@ -15,11 +15,9 @@ from typing import Sequence
 import mpmath as mp
 import numpy as np
 
-from . import primes as primes_mod
 from . import prime_series
 from . import rmf as rmf_mod
 from .prime_series import CertifiedValue
-from .primes import PrimeTable
 from .sequences import StepParams, step_sigma_ell
 
 
@@ -52,7 +50,6 @@ def mc_tail(
     threshold: float,
     trials: int,
     base_seed: int,
-    table: PrimeTable | None = None,
 ) -> TailExperiment:
     """Empirical frequency of {sum_{p<=prime_limit} sign(p) p^(-sigma) >= threshold}
     over `trials` independently seeded assignments, against the Hoeffding bound
@@ -64,12 +61,10 @@ def mc_tail(
         raise prime_series.DivergenceError(f"tail experiment requires sigma > 1/2, got {sigma}")
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
-    if table is None:
-        table = primes_mod.cached_primes(prime_limit)
     seeds = rmf_mod.derive_seed(base_seed, np.arange(trials))
-    values = rmf_mod.random_prime_sum_batch(seeds, sigma, prime_limit, table=table)
+    values = rmf_mod.random_prime_sum_batch(seeds, sigma, prime_limit)
     freq = float(np.mean(values >= threshold))
-    sum_sq = prime_series.truncated_variance(sigma, table, prime_limit)
+    sum_sq = prime_series.truncated_variance(sigma, prime_limit)
     bound = 1.0 if threshold <= 0 else hoeffding_bound(sum_sq, threshold)
     return TailExperiment(
         trials=trials,
@@ -195,7 +190,6 @@ def step2_experiment(
     trials: int,
     prime_limit: int,
     base_seed: int,
-    table: PrimeTable | None = None,
 ) -> list[Step2Row]:
     """Exceedance table for the normalized truncated prime sums at sigma_ell.
 
@@ -209,15 +203,13 @@ def step2_experiment(
         raise ValueError(f"gamma must be positive, got {gamma}")
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
-    if table is None:
-        table = primes_mod.cached_primes(prime_limit)
     seeds = rmf_mod.derive_seed(base_seed, np.arange(trials))
     ells = [int(ell) for ell in ell_range]
     sigmas = [step_sigma_ell(ell, step).sigma for ell in ells]
-    values = rmf_mod.random_prime_sum_batch(seeds, sigmas, prime_limit, table=table)
+    values = rmf_mod.random_prime_sum_batch(seeds, sigmas, prime_limit)
     rows = []
     for j, (ell, sigma) in enumerate(zip(ells, sigmas)):
-        e_trunc = prime_series.truncated_variance(sigma, table, prime_limit)
+        e_trunc = prime_series.truncated_variance(sigma, prime_limit)
         e_full = prime_series.variance_sum(sigma).estimate
         tau = sqrt(2.0 * (1.0 + gamma) * e_trunc**step.epsilon)
         lam = tau * sqrt(e_trunc)  # raw threshold realizing the normalized event

@@ -165,7 +165,6 @@ def prime_zeta(
     s: float,
     method: str = "accelerated",
     n_cut: int = 10**6,
-    table: PrimeTable | None = None,
 ) -> CertifiedValue:
     """Certified prime zeta P(s) = sum_p p^(-s) for s > 1.
 
@@ -181,7 +180,7 @@ def prime_zeta(
     if method == "direct":
         if n_cut < 2:
             raise ValueError(f"direct method needs a cutoff >= 2, got {n_cut}")
-        return _prime_zeta_direct(s, n_cut, table)
+        return _prime_zeta_direct(s, n_cut)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -206,10 +205,8 @@ def _prime_zeta_accelerated(s: float) -> CertifiedValue:
     return _outward(total - pad, total + pad, estimate=total)
 
 
-def _prime_zeta_direct(s: float, n_cut: int, table: PrimeTable | None) -> CertifiedValue:
-    if table is None or table.limit < n_cut:
-        table = primes_mod.cached_primes(n_cut)
-    p = table.upto(n_cut).astype(np.float64)
+def _prime_zeta_direct(s: float, n_cut: int) -> CertifiedValue:
+    p = primes_mod.cached_primes(n_cut).primes.astype(np.float64)
     partial = float(np.sum(p ** (-s)))
     tail = prime_power_tail_bound(s, n_cut, pi_cut=p.size)
     return _outward(partial, partial + tail, estimate=partial + 0.5 * tail)
@@ -225,11 +222,11 @@ def variance_sum(sigma: float, method: str = "accelerated", **kwargs) -> Certifi
     return prime_zeta(2.0 * sigma, method=method, **kwargs)
 
 
-def truncated_variance(sigma: float, table: PrimeTable, limit: int | None = None) -> float:
+def truncated_variance(sigma: float, limit: int) -> float:
     """Exact partial sum over primes p <= limit of p^(-2 sigma)."""
     if sigma <= 0.5:
         raise DivergenceError(f"truncated variance normalization needs sigma > 1/2 (sigma={sigma})")
-    p = table.upto(limit if limit is not None else table.limit).astype(np.float64)
+    p = primes_mod.cached_primes(limit).primes.astype(np.float64)
     return float(np.sum(p ** (-2.0 * sigma)))
 
 
@@ -290,7 +287,7 @@ def log_weighted_sum(
     return LogWeightedSum(value=value, bound_rhs=bound_rhs, holds=bool(value.upper <= bound_rhs))
 
 
-def euler_tail_constant(n_primes: int, table: PrimeTable | None = None) -> CertifiedValue:
+def euler_tail_constant(n_primes: int) -> CertifiedValue:
     """Certified sum_p 1/(p(sqrt(p)-1)) using the first n_primes primes.
 
     The tail over p > P is bounded by (1 + 1/(sqrt(P)-1)) * 2/sqrt(P), an
@@ -298,10 +295,7 @@ def euler_tail_constant(n_primes: int, table: PrimeTable | None = None) -> Certi
     """
     if n_primes < 1:
         raise ValueError("n_primes must be >= 1")
-    if table is not None and table.count >= n_primes:
-        p = table.primes[:n_primes].astype(np.float64)
-    else:
-        p = primes_mod.first_n_primes(n_primes).astype(np.float64)
+    p = primes_mod.first_n_primes(n_primes).astype(np.float64)
     partial = fsum(1.0 / (p * (np.sqrt(p) - 1.0)))
     largest = float(p[-1])
     tail = (1.0 + 1.0 / (sqrt(largest) - 1.0)) * 2.0 / sqrt(largest)

@@ -1,9 +1,9 @@
-"""Prime infrastructure: segmented sieve, smallest-prime-factor table,
+"""Prime infrastructure: segmented sieve, the process-wide prime table,
 prime counting, and the Chebyshev-type check pi(x) < 2x/log(x).
 
 Limits up to ~1.7e8 (enough for the first 9 million primes) run in bounded
-memory through segmentation.  Tables are immutable after construction and
-safe for concurrent reads.
+memory through segmentation.  `cached_primes` is the one source of prime
+tables; tables are immutable after construction and safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from math import isqrt, log
 import numpy as np
 
 DEFAULT_SEGMENT = 1 << 22
-SPF_HARD_CAP = 1 << 31
 
 
 def _simple_sieve(limit: int) -> np.ndarray:
@@ -88,51 +87,6 @@ class PrimeTable:
         return self.primes[:idx]
 
 
-@dataclass(frozen=True)
-class SpfTable:
-    """Smallest prime factor of every n in [2, limit]."""
-
-    limit: int
-    spf: np.ndarray  # index n -> smallest prime factor; entries 0, 1 unused
-
-    def __post_init__(self):
-        self.spf.flags.writeable = False
-
-    def smallest_factor(self, n: int) -> int:
-        if not 2 <= n <= self.limit:
-            raise ValueError(f"n={n} outside spf table range [2, {self.limit}]")
-        return int(self.spf[n])
-
-
-def _build_spf(limit: int, primes: np.ndarray) -> np.ndarray:
-    dtype = np.int32 if limit < SPF_HARD_CAP else np.int64
-    spf = np.zeros(limit + 1, dtype=dtype)
-    # Descending order: the last write to spf[n] comes from the smallest prime.
-    for p in primes[::-1]:
-        p = int(p)
-        spf[p::p] = p
-    return spf
-
-
-def sieve_tables(
-    limit: int,
-    spf_cutoff: int = SPF_HARD_CAP,
-    segment: int = DEFAULT_SEGMENT,
-) -> tuple[PrimeTable, SpfTable | None]:
-    """Prime table plus (when limit <= spf_cutoff) a smallest-prime-factor table.
-
-    Above the cutoff only the prime list is produced; factorization then
-    falls back to trial division by the sieved primes.
-    """
-    if limit < 2:
-        raise ValueError(f"limit must be >= 2, got {limit}")
-    primes = sieve_primes(limit, segment=segment)
-    table = PrimeTable(limit=limit, primes=primes)
-    if limit > min(spf_cutoff, SPF_HARD_CAP):
-        return table, None
-    return table, SpfTable(limit=limit, spf=_build_spf(limit, primes))
-
-
 def first_n_primes(n: int, segment: int = DEFAULT_SEGMENT) -> np.ndarray:
     """The first n primes, sieving up to the Rosser bound."""
     if n < 1:
@@ -177,58 +131,22 @@ def chebyshev_check(table: PrimeTable) -> ChebyshevReport:
     )
 
 
-def factor_squarefree(
-    n: int, table: PrimeTable, spf: SpfTable | None = None
-) -> tuple[list[int], bool]:
-    """Distinct prime factors of n and whether n is squarefree.
-
-    Uses the spf table when it covers n, otherwise trial division by the
-    sieved primes.  Raises if a prime factor exceeds the table limit.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    factors: list[int] = []
-    squarefree = True
-    if spf is not None and n <= spf.limit:
-        m = n
-        while m > 1:
-            p = int(spf.spf[m])
-            m //= p
-            if m % p == 0:
-                squarefree = False
-                while m % p == 0:
-                    m //= p
-            factors.append(p)
-        return factors, squarefree
-    m = n
-    for p in table.primes:
-        p = int(p)
-        if p * p > m:
-            break
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                squarefree = False
-                while m % p == 0:
-                    m //= p
-            factors.append(p)
-    if m > 1:
-        if m > table.limit:
-            raise ValueError(f"prime factor {m} of {n} exceeds table limit {table.limit}")
-        factors.append(m)
-    return factors, squarefree
-
-
-_table_cache: dict[int, PrimeTable] = {}
+_largest: PrimeTable | None = None
 
 
 def cached_primes(limit: int) -> PrimeTable:
-    """Memoized prime table; reused across experiments within a process."""
+    """The primes <= limit, from one table shared across the process.
+
+    The largest table sieved so far is kept; a smaller limit gets a read-only
+    view of it, so no limit is sieved twice.
+    """
+    global _largest
     limit = int(limit)
-    table = _table_cache.get(limit)
-    if table is None:
-        table = PrimeTable(limit=limit, primes=sieve_primes(limit))
-        if len(_table_cache) > 8:
-            _table_cache.clear()
-        _table_cache[limit] = table
-    return table
+    if limit < 2:
+        raise ValueError(f"sieve limit must be >= 2, got {limit}")
+    table = _largest
+    if table is None or table.limit < limit:
+        table = _largest = PrimeTable(limit=limit, primes=sieve_primes(limit))
+    if table.limit == limit:
+        return table
+    return PrimeTable(limit=limit, primes=table.upto(limit))

@@ -11,7 +11,6 @@ grid scans of sup_t of cosine-weighted prime sums all live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import isqrt, sqrt
 from typing import Sequence
 
@@ -19,7 +18,6 @@ import numpy as np
 
 from . import primes as primes_mod
 from . import prime_series
-from .primes import PrimeTable, SpfTable
 from .prime_series import DivergenceError
 
 _MASK64 = (1 << 64) - 1
@@ -84,10 +82,6 @@ class SignAssignment:
         self.primes.flags.writeable = False
         self.signs.flags.writeable = False
 
-    @cached_property
-    def table(self) -> PrimeTable:
-        return PrimeTable(limit=self.prime_limit, primes=self.primes)
-
     def sign(self, p: int) -> int:
         idx = int(np.searchsorted(self.primes, p))
         if idx >= self.primes.size or int(self.primes[idx]) != p:
@@ -102,59 +96,13 @@ class SignAssignment:
         return self.primes[:idx], self.signs[:idx]
 
 
-def sample_signs(seed: int, prime_limit: int, table: PrimeTable | None = None) -> SignAssignment:
+def sample_signs(seed: int, prime_limit: int) -> SignAssignment:
     """Reproducible +-1 assignment on the primes up to prime_limit."""
     if prime_limit < 2:
         raise ValueError(f"prime_limit must be >= 2, got {prime_limit}")
-    if table is None or table.limit < prime_limit:
-        table = primes_mod.cached_primes(prime_limit)
-    ps = table.upto(prime_limit)
+    ps = primes_mod.cached_primes(prime_limit).primes
     signs = sign_matrix([seed & _MASK64], ps)[0]
     return SignAssignment(seed=seed, prime_limit=prime_limit, primes=ps, signs=signs)
-
-
-def signs_from_dict(values: dict[int, int], prime_limit: int) -> SignAssignment:
-    """Explicit assignment for chosen primes (+1 elsewhere); handy in tests."""
-    table = primes_mod.cached_primes(prime_limit)
-    ps = table.upto(prime_limit)
-    signs = np.ones(ps.size, dtype=np.int8)
-    for p, s in values.items():
-        if s not in (-1, 1):
-            raise ValueError(f"sign for {p} must be +-1, got {s}")
-        idx = int(np.searchsorted(ps, p))
-        if idx >= ps.size or int(ps[idx]) != p:
-            raise ValueError(f"{p} is not a prime <= {prime_limit}")
-        signs[idx] = s
-    return SignAssignment(seed=-1, prime_limit=prime_limit, primes=ps, signs=signs)
-
-
-def signs_constant(value: int, prime_limit: int) -> SignAssignment:
-    """All-(+1) or all-(-1) assignment."""
-    if value not in (-1, 1):
-        raise ValueError("constant sign must be +-1")
-    table = primes_mod.cached_primes(prime_limit)
-    ps = table.upto(prime_limit)
-    return SignAssignment(
-        seed=-1,
-        prime_limit=prime_limit,
-        primes=ps,
-        signs=np.full(ps.size, value, dtype=np.int8),
-    )
-
-
-def f_value(signs: SignAssignment, n: int, spf: SpfTable | None = None) -> int:
-    """Multiplicative extension: product of sign(p) over p | n, zero unless squarefree."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n == 1:
-        return 1
-    factors, squarefree = primes_mod.factor_squarefree(n, signs.table, spf)
-    if not squarefree:
-        return 0
-    out = 1
-    for p in factors:
-        out *= signs.sign(p)
-    return out
 
 
 def _signed_block(signs: SignAssignment, lo: int, hi: int) -> np.ndarray:
@@ -347,7 +295,6 @@ def random_prime_sum_batch(
     trial_seeds: np.ndarray,
     sigma: float | Sequence[float],
     limit: int,
-    table: PrimeTable | None = None,
 ) -> np.ndarray:
     """Truncated P(sigma) values for many seeds at once, shape seeds + sigma.shape.
 
@@ -358,9 +305,7 @@ def random_prime_sum_batch(
     sigmas = np.asarray(sigma, dtype=np.float64)
     if np.any(sigmas <= 0.5):
         raise DivergenceError(f"P(sigma) requires sigma > 1/2, got {sigma}")
-    if table is None:
-        table = primes_mod.cached_primes(limit)
-    ps = table.upto(limit)
+    ps = primes_mod.cached_primes(limit).primes
     p = ps.astype(np.float64)
     weights = [p ** (-s) for s in sigmas.ravel()]
     seeds = np.asarray(trial_seeds, dtype=np.uint64)

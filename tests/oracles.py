@@ -1,0 +1,188 @@
+"""Slow reference paths that the library's fast paths are checked against.
+
+None of this is used by `rmflab` itself:
+
+- a smallest-prime-factor table and squarefree factorization, and the
+  multiplicative extension f(n) evaluated one n at a time from them, which
+  `rmf.signed_values` must reproduce;
+- hand-built sign assignments (chosen primes, or one constant sign);
+- the pair-by-pair brute force of the chaining conclusion, which
+  `chaining.verify_chaining` must reproduce.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from rmflab import primes as primes_mod
+from rmflab.chaining import ChainingReport, _first_violations
+from rmflab.primes import DEFAULT_SEGMENT, PrimeTable
+from rmflab.rmf import SignAssignment
+
+SPF_HARD_CAP = 1 << 31
+
+
+@dataclass(frozen=True)
+class SpfTable:
+    """Smallest prime factor of every n in [2, limit]."""
+
+    limit: int
+    spf: np.ndarray  # index n -> smallest prime factor; entries 0, 1 unused
+
+    def __post_init__(self):
+        self.spf.flags.writeable = False
+
+    def smallest_factor(self, n: int) -> int:
+        if not 2 <= n <= self.limit:
+            raise ValueError(f"n={n} outside spf table range [2, {self.limit}]")
+        return int(self.spf[n])
+
+
+def _build_spf(limit: int, primes: np.ndarray) -> np.ndarray:
+    dtype = np.int32 if limit < SPF_HARD_CAP else np.int64
+    spf = np.zeros(limit + 1, dtype=dtype)
+    # Descending order: the last write to spf[n] comes from the smallest prime.
+    for p in primes[::-1]:
+        p = int(p)
+        spf[p::p] = p
+    return spf
+
+
+def sieve_tables(
+    limit: int,
+    spf_cutoff: int = SPF_HARD_CAP,
+    segment: int = DEFAULT_SEGMENT,
+) -> tuple[PrimeTable, SpfTable | None]:
+    """Prime table plus (when limit <= spf_cutoff) a smallest-prime-factor table.
+
+    Above the cutoff only the prime list is produced; factorization then
+    falls back to trial division by the sieved primes.
+    """
+    if limit < 2:
+        raise ValueError(f"limit must be >= 2, got {limit}")
+    primes = primes_mod.sieve_primes(limit, segment=segment)
+    table = PrimeTable(limit=limit, primes=primes)
+    if limit > min(spf_cutoff, SPF_HARD_CAP):
+        return table, None
+    return table, SpfTable(limit=limit, spf=_build_spf(limit, primes))
+
+
+def factor_squarefree(
+    n: int, table: PrimeTable, spf: SpfTable | None = None
+) -> tuple[list[int], bool]:
+    """Distinct prime factors of n and whether n is squarefree.
+
+    Uses the spf table when it covers n, otherwise trial division by the
+    sieved primes.  Raises if a prime factor exceeds the table limit.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    factors: list[int] = []
+    squarefree = True
+    if spf is not None and n <= spf.limit:
+        m = n
+        while m > 1:
+            p = int(spf.spf[m])
+            m //= p
+            if m % p == 0:
+                squarefree = False
+                while m % p == 0:
+                    m //= p
+            factors.append(p)
+        return factors, squarefree
+    m = n
+    for p in table.primes:
+        p = int(p)
+        if p * p > m:
+            break
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                squarefree = False
+                while m % p == 0:
+                    m //= p
+            factors.append(p)
+    if m > 1:
+        if m > table.limit:
+            raise ValueError(f"prime factor {m} of {n} exceeds table limit {table.limit}")
+        factors.append(m)
+    return factors, squarefree
+
+
+def f_value(signs: SignAssignment, n: int, spf: SpfTable | None = None) -> int:
+    """Multiplicative extension: product of sign(p) over p | n, zero unless squarefree."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n == 1:
+        return 1
+    table = PrimeTable(limit=signs.prime_limit, primes=signs.primes)
+    factors, squarefree = factor_squarefree(n, table, spf)
+    if not squarefree:
+        return 0
+    out = 1
+    for p in factors:
+        out *= signs.sign(p)
+    return out
+
+
+def signs_from_dict(values: dict[int, int], prime_limit: int) -> SignAssignment:
+    """Explicit assignment for chosen primes (+1 elsewhere); handy in tests."""
+    table = primes_mod.cached_primes(prime_limit)
+    ps = table.upto(prime_limit)
+    signs = np.ones(ps.size, dtype=np.int8)
+    for p, s in values.items():
+        if s not in (-1, 1):
+            raise ValueError(f"sign for {p} must be +-1, got {s}")
+        idx = int(np.searchsorted(ps, p))
+        if idx >= ps.size or int(ps[idx]) != p:
+            raise ValueError(f"{p} is not a prime <= {prime_limit}")
+        signs[idx] = s
+    return SignAssignment(seed=-1, prime_limit=prime_limit, primes=ps, signs=signs)
+
+
+def signs_constant(value: int, prime_limit: int) -> SignAssignment:
+    """All-(+1) or all-(-1) assignment."""
+    if value not in (-1, 1):
+        raise ValueError("constant sign must be +-1")
+    table = primes_mod.cached_primes(prime_limit)
+    ps = table.upto(prime_limit)
+    return SignAssignment(
+        seed=-1,
+        prime_limit=prime_limit,
+        primes=ps,
+        signs=np.full(ps.size, value, dtype=np.int8),
+    )
+
+
+def verify_chaining_pairs(values, a: float, b: float, lambdas) -> ChainingReport:
+    """`chaining.verify_chaining` by brute force over every pair of grid points.
+
+    Memory is quadratic in the grid size, so keep r_max small.  Points i < j
+    lie (j - i) (b - a)/2^r_max apart, so R is the integer with
+    2^(r_max-R-1) < j - i <= 2^(r_max-R), found by halving.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    lambdas = np.asarray(lambdas, dtype=np.float64)
+    r_max = lambdas.size
+    first_violation = _first_violations(values[:, None], lambdas)[0]
+
+    di, dj = np.triu_indices(values.size, k=1)
+    steps = dj - di
+    big_r = np.full(steps.shape, r_max)
+    span = np.ones_like(steps)  # 2^(r_max - R)
+    while np.any(steps > span):
+        wider = steps > span
+        big_r[wider] -= 1
+        span[wider] *= 2
+    suffix = np.zeros(r_max + 1)
+    suffix[:-1] = np.cumsum(lambdas[::-1])[::-1]
+    bounds = 2.0 * (suffix[big_r] + lambdas[-1])
+    excess = float(np.max(np.abs(values[dj] - values[di]) - bounds))
+    return ChainingReport(
+        hypothesis_holds=first_violation is None,
+        conclusion_holds=bool(excess <= 0.0),
+        first_hypothesis_violation_r=first_violation,
+        max_conclusion_excess=excess,
+    )

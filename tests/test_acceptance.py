@@ -32,9 +32,8 @@ def test_c01_euler_tail_constant_reproduction():
 
 
 def test_c02_log_weighted_bound_grid():
-    table = primes.cached_primes(10**7)
     sigmas = [round(0.51 + 0.01 * i, 2) for i in range(50)]
-    results = [prime_series.log_weighted_sum(s, n_cut=10**7, table=table) for s in sigmas]
+    results = [prime_series.log_weighted_sum(s, n_cut=10**7) for s in sigmas]
     ok = all(r.holds for r in results)
     worst = min(r.bound_rhs - r.value.upper for r in results)
     report(
@@ -91,8 +90,11 @@ def test_c06_variance_match():
     p = table.primes.astype(np.float64)
     details = []
     ok = True
-    for sigma in (0.6, 0.75, 1.0):
-        values = rmf.random_prime_sum_batch(seeds, sigma, 10**6, table=table)
+    sigmas = (0.6, 0.75, 1.0)
+    # One hash pass for all three sigma; column j equals the scalar call.
+    batch = rmf.random_prime_sum_batch(seeds, sigmas, 10**6)
+    for j, sigma in enumerate(sigmas):
+        values = batch[:, j]
         a2 = p ** (-2.0 * sigma)
         v = float(np.sum(a2))
         mu4 = 3 * v * v - 2 * float(np.sum(a2 * a2))
@@ -199,14 +201,13 @@ def test_c11_sequences_and_intervals():
 
 def test_c12_chaining_oscillation_runs():
     step = StepParams(1.0)  # delta = 0.5
-    table = primes.cached_primes(10**6)
     seeds = list(range(20))
     hard_ok = True
     soft_failures = 0
     paper_c = chaining.LambdaSchedule(4.0).chaining_constant()
     worst = 0.0
     for ell in (3, 4, 5):
-        for res in chaining.oscillation_batch(seeds, ell, step, r_max=12, limit=10**6, table=table):
+        for res in chaining.oscillation_batch(seeds, ell, step, r_max=12, limit=10**6):
             worst = max(worst, res.max_osc)
             if res.max_osc > res.paper_c + res.truncation_std:
                 soft_failures += 1
@@ -220,10 +221,9 @@ def test_c12_chaining_oscillation_runs():
 
 
 def test_c13_sign_changes_exist():
-    table = primes.cached_primes(10**6)
     counts = []
     for seed in range(100):
-        signs = rmf.sample_signs(seed, 10**6, table=table)
+        signs = rmf.sample_signs(seed, 10**6)
         trace = rmf.partial_sum_trace(signs, 10**6, keep_values=False)
         counts.append(trace.count_changes())
     counts = np.asarray(counts)

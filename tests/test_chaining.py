@@ -8,6 +8,8 @@ from rmflab import chaining as ch
 from rmflab import rmf
 from rmflab.sequences import StepParams
 
+import oracles
+
 # 2 sqrt(8) * sum_{r>=1} sqrt(r)/2^r, frozen from a 30-digit mpmath summation.
 PAPER_C = 7.62121811630779
 
@@ -123,6 +125,36 @@ def test_verify_chaining_random_instances():
         assert rep.conclusion_holds, rep
 
 
+def test_verify_chaining_matches_pairwise_oracle():
+    rng = np.random.default_rng(7)
+    cases = [(ch.dyadic_grid(0, 1, 6).points.copy(), 0.0, 1.0, [2.0**-r for r in range(1, 7)])]
+    for _ in range(60):
+        r_max = int(rng.integers(1, 8))
+        a = float(rng.uniform(-5, 5))
+        b = a + float(rng.uniform(1e-3, 10))
+        values = np.cumsum(rng.normal(size=2**r_max + 1))
+        lams = observed_maxima(values, r_max)
+        if rng.integers(0, 2):
+            lams = list(rng.uniform(0, 2, size=r_max))  # hypothesis usually fails
+        cases.append((values, a, b, lams))
+    for values, a, b, lams in cases:
+        assert ch.verify_chaining(values, a, b, lams) == oracles.verify_chaining_pairs(
+            values, a, b, lams
+        )
+
+
+def test_verify_chaining_non_dyadic_interval_uses_exact_R():
+    # On [0.1, 0.7] the grid points 0 and 4 of depth 3 are exactly (b-a)/2
+    # apart, so R = 1 and the bound is 2 (lambda_2 + lambda_3 + lambda_3) = 6.
+    # Their float distance reads a hair above (b-a)/2, which would give R = 0
+    # and the looser bound 8.  Every other pair meets its bound.
+    values = np.array([0.0, 2.0, 4.0, 5.5, 7.0, 7.0, 7.0, 7.0, 7.0])
+    rep = ch.verify_chaining(values, 0.1, 0.7, [1.0, 1.0, 1.0])
+    assert not rep.conclusion_holds
+    assert rep.max_conclusion_excess == 1.0
+    assert rep == oracles.verify_chaining_pairs(values, 0.1, 0.7, [1.0, 1.0, 1.0])
+
+
 def test_verify_chaining_shape_validation():
     with pytest.raises(ValueError):
         ch.verify_chaining(np.zeros(10), 0, 1, [1.0, 1.0])
@@ -158,6 +190,14 @@ def test_oscillation_batch_matches_single():
     match = [r for r in batch if r.seed == 1][0]
     assert match.max_osc == pytest.approx(single.max_osc, rel=1e-12)
     assert match.first_violation_r == single.first_violation_r
+
+
+def test_oscillation_batch_accepts_negative_seed():
+    step = StepParams(1.0)
+    (row,) = ch.oscillation_batch([-1], 3, step, r_max=6, limit=10**4)
+    single = ch.oscillation_experiment(rmf.sample_signs(-1, 10**4), 3, step, r_max=6, limit=10**4)
+    assert row == single
+    assert row.seed == -1
 
 
 def test_oscillation_validation():

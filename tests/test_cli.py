@@ -285,3 +285,21 @@ def test_csv_float_cells_are_plain_numbers(prime_sums_out, tmp_path):
         assert cells
         for cell in cells:
             float(cell)  # a numpy repr such as 'np.float64(1.5)' raises here
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sup-scan", "--sigma-grid", "0.4", "--prime-limit", "1000"],
+        ["sup-scan", "--sigma-grid", "0.7,0.5", "--prime-limit", "1000"],
+        ["signchanges", "--seeds", "0", "--x-max", "1000"],
+        ["chaining", "--seeds", "0", "--prime-limit", "1000", "--r-max", "3"],
+        ["simulate", "--x-max", "0"],
+        ["signchanges", "--seeds", "2", "--x-max", "0"],
+    ],
+)
+def test_invalid_input_exits_2_before_any_work(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(argv + ["--output-dir", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rmflab import concentration as cc
-from rmflab import primes, rmf
+from rmflab import rmf
 from rmflab.prime_series import DivergenceError, truncated_variance
 from rmflab.sequences import StepParams
 
@@ -41,9 +41,8 @@ def test_mc_tail_trivial_threshold():
 
 
 def test_mc_tail_bound_formula():
-    table = primes.cached_primes(10**4)
-    r = cc.mc_tail(0.75, 10**4, 10.0, trials=200, base_seed=1, table=table)
-    e_t = truncated_variance(0.75, table, 10**4)
+    r = cc.mc_tail(0.75, 10**4, 10.0, trials=200, base_seed=1)
+    e_t = truncated_variance(0.75, 10**4)
     assert r.bound == pytest.approx(math.exp(-100.0 / (2.0 * e_t)), rel=1e-12)
     assert r.empirical_freq == 0.0
 
@@ -63,9 +62,8 @@ def test_mc_tail_moderate_threshold_bound_holds():
 
 def test_sign_flip_symmetry():
     # Frequencies of {P >= lam} and {P <= -lam} agree within 4 joint std errors.
-    table = primes.cached_primes(10**4)
     seeds = np.asarray([rmf.derive_seed(9, i) for i in range(6000)], dtype=np.uint64)
-    values = rmf.random_prime_sum_batch(seeds, 0.6, 10**4, table=table)
+    values = rmf.random_prime_sum_batch(seeds, 0.6, 10**4)
     lam = 1.5
     up = float(np.mean(values >= lam))
     down = float(np.mean(values <= -lam))
@@ -137,12 +135,11 @@ def test_three_series_check():
 
 def test_step2_experiment_rows():
     step = StepParams(1.0)
-    table = primes.cached_primes(10**5)
     rows = cc.step2_experiment(step, 1.0, range(1, 5), trials=2000, prime_limit=10**5,
-                               base_seed=0, table=table)
+                               base_seed=0)
     assert [r.ell for r in rows] == [1, 2, 3, 4]
     for r in rows:
-        e_t = truncated_variance(r.sigma, table, 10**5)
+        e_t = truncated_variance(r.sigma, 10**5)
         assert r.variance_trunc == pytest.approx(e_t, rel=1e-12)
         assert r.threshold == pytest.approx(math.sqrt(4.0 * e_t), rel=1e-12)
         assert r.hoeffding_bound == pytest.approx(math.exp(-2.0 * e_t), rel=1e-9)

@@ -65,9 +65,8 @@ def test_prime_zeta_dominant_term_at_64():
 
 
 def test_prime_zeta_direct_and_accelerated_intersect():
-    table = primes.cached_primes(10**6)
     for s in [1.1, 1.5, 2.0, 3.0, 8.0, 20.0, 64.0]:
-        d = ps.prime_zeta(s, method="direct", n_cut=10**6, table=table)
+        d = ps.prime_zeta(s, method="direct", n_cut=10**6)
         a = ps.prime_zeta(s, method="accelerated")
         assert d.intersects(a), (s, d, a)
 
@@ -106,7 +105,7 @@ def test_variance_sum():
 def test_truncated_variance_matches_direct_sum():
     table = primes.cached_primes(10**4)
     expect = sum(float(p) ** -1.5 for p in table.primes)
-    assert ps.truncated_variance(0.75, table) == pytest.approx(expect, rel=1e-12)
+    assert ps.truncated_variance(0.75, 10**4) == pytest.approx(expect, rel=1e-12)
 
 
 def test_log_weighted_bound_rhs_values():

@@ -3,6 +3,8 @@ import pytest
 
 from rmflab import primes
 
+import oracles
+
 
 def trial_division_primes(limit):
     out = []
@@ -17,13 +19,13 @@ def test_small_primes_by_definition():
 
 
 def test_prime_counts_against_trial_division():
-    table, _ = primes.sieve_tables(1000)
+    table, _ = oracles.sieve_tables(1000)
     assert table.count == len(trial_division_primes(1000)) == 168
     assert primes.prime_count(100, table) == 25
 
 
 def test_prime_count_edges():
-    table, _ = primes.sieve_tables(100)
+    table, _ = oracles.sieve_tables(100)
     assert primes.prime_count(10, table) == 4
     assert primes.prime_count(1.5, table) == 0
     assert primes.prime_count(2, table) == 1
@@ -35,7 +37,28 @@ def test_sieve_rejects_bad_limits():
     with pytest.raises(ValueError):
         primes.sieve_primes(1)
     with pytest.raises(ValueError):
-        primes.sieve_tables(0)
+        oracles.sieve_tables(0)
+
+
+def test_cached_primes_serves_smaller_limits_as_views(monkeypatch):
+    monkeypatch.setattr(primes, "_largest", None)
+    sieve = primes.sieve_primes
+    sieved = []
+
+    def counting_sieve(limit, **kw):
+        sieved.append(limit)
+        return sieve(limit, **kw)
+
+    monkeypatch.setattr(primes, "sieve_primes", counting_sieve)
+    big = primes.cached_primes(10**5)
+    small = primes.cached_primes(10**4)
+    assert sieved == [10**5]
+    assert small.limit == 10**4
+    assert np.shares_memory(small.primes, big.primes)
+    assert not small.primes.flags.writeable
+    assert np.array_equal(small.primes, sieve(10**4))
+    with pytest.raises(ValueError):
+        primes.cached_primes(1)
 
 
 def test_segmented_matches_monolithic():
@@ -45,14 +68,14 @@ def test_segmented_matches_monolithic():
 
 
 def test_spf_examples():
-    _, spf = primes.sieve_tables(100)
+    _, spf = oracles.sieve_tables(100)
     assert spf.smallest_factor(12) == 2
     assert spf.smallest_factor(9) == 3
     assert spf.smallest_factor(49) == 7
 
 
 def test_spf_random_samples_vs_trial_division():
-    table, spf = primes.sieve_tables(10**4)
+    table, spf = oracles.sieve_tables(10**4)
     rng = np.random.default_rng(1)
     for n in rng.integers(2, 10**4, size=300):
         n = int(n)
@@ -63,7 +86,7 @@ def test_spf_random_samples_vs_trial_division():
 
 
 def test_sieve_count_cross_check_random_x():
-    table, _ = primes.sieve_tables(10**5)
+    table, _ = oracles.sieve_tables(10**5)
     rng = np.random.default_rng(2)
     for x in rng.integers(2, 10**5, size=1000):
         x = int(x)
@@ -71,17 +94,17 @@ def test_sieve_count_cross_check_random_x():
 
 
 def test_spf_skipped_above_cutoff():
-    table, spf = primes.sieve_tables(10**4, spf_cutoff=10**3)
+    table, spf = oracles.sieve_tables(10**4, spf_cutoff=10**3)
     assert spf is None
     assert table.count == 1229
 
 
 def test_chebyshev_small_cases():
-    table, _ = primes.sieve_tables(10)
+    table, _ = oracles.sieve_tables(10)
     rep = primes.chebyshev_check(table)
     assert rep.holds
     assert primes.prime_count(10, table) == 4 < 2 * 10 / np.log(10)
-    table2, _ = primes.sieve_tables(2)
+    table2, _ = oracles.sieve_tables(2)
     rep2 = primes.chebyshev_check(table2)
     assert rep2.holds and rep2.max_ratio == pytest.approx(np.log(2) / 4)
 
@@ -111,11 +134,11 @@ def _factor_oracle(n):
 
 
 def test_factor_squarefree_spf_path():
-    table, spf = primes.sieve_tables(10**4)
+    table, spf = oracles.sieve_tables(10**4)
     rng = np.random.default_rng(3)
     for n in rng.integers(2, 10**4, size=200):
         n = int(n)
-        fs, sq = primes.factor_squarefree(n, table, spf)
+        fs, sq = oracles.factor_squarefree(n, table, spf)
         expected, squarefree = _factor_oracle(n)
         assert sorted(fs) == expected
         assert sq == squarefree
@@ -126,16 +149,16 @@ def test_factor_squarefree_trial_division_path():
     rng = np.random.default_rng(4)
     for n in rng.integers(2, 10**6, size=200):
         n = int(n)
-        fs, sq = primes.factor_squarefree(n, table, None)
+        fs, sq = oracles.factor_squarefree(n, table, None)
         expected, squarefree = _factor_oracle(n)
         assert sorted(fs) == expected
         assert sq == squarefree
 
 
 def test_factor_exceeding_limit_raises():
-    table, spf = primes.sieve_tables(10)
+    table, spf = oracles.sieve_tables(10)
     with pytest.raises(ValueError):
-        primes.factor_squarefree(101, table, spf)  # prime above the table limit
+        oracles.factor_squarefree(101, table, spf)  # prime above the table limit
 
 
 def test_first_n_primes():

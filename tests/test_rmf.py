@@ -6,6 +6,8 @@ import pytest
 from rmflab import primes, rmf
 from rmflab.prime_series import DivergenceError
 
+import oracles
+
 
 def brute_change_points(values):
     """Independent scan: count transitions between nonzero values of opposite sign."""
@@ -57,19 +59,19 @@ def test_sign_lookup_rejects_non_primes():
 
 
 def test_f_value_multiplicativity_examples():
-    s = rmf.signs_from_dict({2: 1, 3: -1}, 10)
-    assert rmf.f_value(s, 6) == -1
-    assert rmf.f_value(s, 1) == 1
-    assert rmf.f_value(s, 4) == 0
-    assert rmf.f_value(s, 12) == 0
+    s = oracles.signs_from_dict({2: 1, 3: -1}, 10)
+    assert oracles.f_value(s, 6) == -1
+    assert oracles.f_value(s, 1) == 1
+    assert oracles.f_value(s, 4) == 0
+    assert oracles.f_value(s, 12) == 0
 
 
 def test_f_value_out_of_range_factor():
     s = rmf.sample_signs(0, 10)
     with pytest.raises(ValueError):
-        rmf.f_value(s, 11)
+        oracles.f_value(s, 11)
     with pytest.raises(ValueError):
-        rmf.f_value(s, 22)
+        oracles.f_value(s, 22)
 
 
 def test_f_value_random_coprime_multiplicativity():
@@ -81,34 +83,34 @@ def test_f_value_random_coprime_multiplicativity():
         n = int(rng.integers(2, 100))
         if math.gcd(m, n) != 1:
             continue
-        assert rmf.f_value(s, m * n) == rmf.f_value(s, m) * rmf.f_value(s, n)
+        assert oracles.f_value(s, m * n) == oracles.f_value(s, m) * oracles.f_value(s, n)
         checked += 1
 
 
 def test_signed_values_match_f_value_and_mobius_square():
     s = rmf.sample_signs(5, 10**4)
     f = rmf.signed_values(s, 10**4)
-    table, spf = primes.sieve_tables(10**4)
+    table, spf = oracles.sieve_tables(10**4)
     rng = np.random.default_rng(1)
     for n in rng.integers(1, 10**4, size=300):
         n = int(n)
-        assert f[n - 1] == rmf.f_value(s, n, spf)
+        assert f[n - 1] == oracles.f_value(s, n, spf)
     # f(n) != 0 iff n squarefree
     for n in rng.integers(1, 10**4, size=300):
         n = int(n)
-        _, squarefree = primes.factor_squarefree(n, table, spf) if n > 1 else ([], True)
+        _, squarefree = oracles.factor_squarefree(n, table, spf) if n > 1 else ([], True)
         assert (f[n - 1] != 0) == squarefree
 
 
 def test_trace_crafted_example():
-    s = rmf.signs_from_dict({2: 1, 3: -1, 5: -1}, 10)
+    s = oracles.signs_from_dict({2: 1, 3: -1, 5: -1}, 10)
     tr = rmf.partial_sum_trace(s, 6)
     assert tr.values.tolist() == [1, 2, 1, 1, 0, -1]
     assert tr.change_points.tolist() == [6]
 
 
 def test_trace_all_plus_one():
-    s = rmf.signs_constant(1, 10)
+    s = oracles.signs_constant(1, 10)
     tr = rmf.partial_sum_trace(s, 4)
     assert tr.final_value == 3  # f(4) = 0
     assert tr.count_changes() == 0
@@ -191,10 +193,10 @@ def test_seed_zero_regression_value():
 
 
 def test_random_prime_sum_four_terms():
-    s = rmf.signs_constant(1, 10)
+    s = oracles.signs_constant(1, 10)
     r = rmf.random_prime_sum(s, 1.0, 10)
     assert r.value == pytest.approx(1 / 2 + 1 / 3 + 1 / 5 + 1 / 7)
-    neg = rmf.random_prime_sum(rmf.signs_constant(-1, 10), 1.0, 10)
+    neg = rmf.random_prime_sum(oracles.signs_constant(-1, 10), 1.0, 10)
     assert neg.value == pytest.approx(-r.value)
     assert r.normalized == pytest.approx(r.value / math.sqrt(0.45224742), rel=1e-4)
 
@@ -206,9 +208,8 @@ def test_random_prime_sum_divergence():
 
 
 def test_random_prime_sum_batch_matches_single():
-    table = primes.cached_primes(10**4)
     seeds = np.arange(8, dtype=np.uint64)
-    batch = rmf.random_prime_sum_batch(seeds, 0.7, 10**4, table=table)
+    batch = rmf.random_prime_sum_batch(seeds, 0.7, 10**4)
     for i, seed in enumerate(seeds):
         single = rmf.random_prime_sum(rmf.sample_signs(int(seed), 10**4), 0.7, 10**4)
         assert batch[i] == pytest.approx(single.value, rel=1e-12)
@@ -216,16 +217,15 @@ def test_random_prime_sum_batch_matches_single():
 
 
 def test_random_prime_sum_batch_sigma_vector_matches_scalar():
-    table = primes.cached_primes(10**4)
     seeds = np.arange(300, dtype=np.uint64)  # spans two seed blocks
     sigmas = [0.55, 0.7, 1.3]
-    batch = rmf.random_prime_sum_batch(seeds, sigmas, 10**4, table=table)
+    batch = rmf.random_prime_sum_batch(seeds, sigmas, 10**4)
     assert batch.shape == (300, 3)
     for j, sigma in enumerate(sigmas):
-        scalar = rmf.random_prime_sum_batch(seeds, sigma, 10**4, table=table)
+        scalar = rmf.random_prime_sum_batch(seeds, sigma, 10**4)
         assert np.array_equal(batch[:, j], scalar)
     with pytest.raises(DivergenceError):
-        rmf.random_prime_sum_batch(seeds, [0.7, 0.5], 10**4, table=table)
+        rmf.random_prime_sum_batch(seeds, [0.7, 0.5], 10**4)
 
 def test_normalized_sums_rarely_large():
     seeds = np.arange(1000, dtype=np.uint64)
@@ -240,7 +240,7 @@ def test_sample_variance_matches_coefficient_sum():
     table = primes.cached_primes(10**5)
     sigma = 0.75
     seeds = np.arange(500, dtype=np.uint64)
-    values = rmf.random_prime_sum_batch(seeds, sigma, 10**5, table=table)
+    values = rmf.random_prime_sum_batch(seeds, sigma, 10**5)
     p = table.primes.astype(np.float64)
     a2 = p ** (-2 * sigma)
     v = float(np.sum(a2))
@@ -257,7 +257,7 @@ def test_series_and_product_trivial():
 
 
 def test_series_all_plus_one_is_squarefree_sum():
-    s = rmf.signs_constant(1, 10**4)
+    s = oracles.signs_constant(1, 10**4)
     series, _ = rmf.series_and_product(s, 2.0, 10**4)
     f = rmf.signed_values(s, 10**4).astype(float)
     n = np.arange(1, 10**4 + 1, dtype=float)
