@@ -36,7 +36,6 @@ from .rmf import (
     SupScanResult,
     abel_identity_residual,
     abs_mellin,
-    count_sign_changes,
     partial_sum_trace,
     random_prime_sum,
     sample_signs,

@@ -85,13 +85,12 @@ def _write_json(path: Path, obj) -> None:
 class _Run:
     """Collects result files for one invocation and writes the manifest."""
 
-    def __init__(self, command: str, config: dict):
-        out = str(config.get("output_dir", "") or "")
-        if not out.strip():
+    def __init__(self, config: dict):
+        if not config["output_dir"].strip():
             raise ValueError("output_dir must be a non-empty path")
-        self.command = command
+        self.command = config["command"]
         self.config = config
-        self.dir = Path(out)
+        self.dir = Path(config["output_dir"])
         self.dir.mkdir(parents=True, exist_ok=True)
         self.digest = _config_digest(config)
         self.files: list[Path] = []
@@ -102,8 +101,7 @@ class _Run:
         return p
 
     def finish(self, extra: dict | None = None) -> None:
-        config_path = self.path("config", "json")
-        _write_json(config_path, self.config)
+        _write_json(self.path("config", "json"), self.config)
         manifest = {
             "command": self.command,
             "config": self.config,
@@ -120,10 +118,7 @@ class _Run:
             manifest.update(extra)
         stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
         n = 0
-        while True:
-            name = self.dir / f"manifest-{stamp}-{self.command}-{n:03d}.json"
-            if not name.exists():
-                break
+        while (name := self.dir / f"manifest-{stamp}-{self.command}-{n:03d}.json").exists():
             n += 1
         manifest["created_utc"] = stamp
         _write_json(name, manifest)
@@ -131,7 +126,11 @@ class _Run:
 
 @dataclass
 class ExperimentConfig:
-    """Flat experiment configuration; round-trips losslessly through JSON."""
+    """Flat experiment configuration; round-trips losslessly through JSON.
+
+    It is the one schema of the command line: every subcommand's flags, their
+    types and the kinds a config file may give are read from these fields.
+    """
 
     command: str = ""
     seed: int = 0
@@ -163,27 +162,67 @@ class ExperimentConfig:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
-def _load_config(args: argparse.Namespace, command: str) -> dict:
-    cfg = ExperimentConfig(command=command).to_dict()
-    if getattr(args, "config", None):
+# Each field's kind, read from its default: (int, float or str; whether a list).
+_KINDS = {
+    key: (type(v[0]), True) if isinstance(v, list) else (type(v), False)
+    for key, v in ExperimentConfig().to_dict().items()
+}
+
+
+def _cast(key: str, value):
+    kind, is_list = _KINDS[key]
+    return [kind(v) for v in value] if is_list else kind(value)
+
+
+def _has_kind(value, kind: type) -> bool:
+    if kind is str:
+        return isinstance(value, str)
+    # JSON true/false load as bool, a subclass of int; they are not numbers here.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return kind is float or isinstance(value, int) or value.is_integer()
+
+
+def _check_kind(key: str, value) -> None:
+    """Raise ValueError unless a config-file value has the kind of field `key`."""
+    kind, is_list = _KINDS[key]
+    want = {int: "an integral number", float: "a number", str: "a string"}[kind]
+    if is_list:
+        ok = isinstance(value, list) and len(value) > 0 and all(_has_kind(v, kind) for v in value)
+        want = f"a non-empty array, each item {want}"
+    else:
+        ok = _has_kind(value, kind)
+    if not ok:
+        raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
+
+
+def _load_config(args: argparse.Namespace) -> tuple[dict, ExperimentConfig]:
+    """The config echo (values as given) and the same values cast to their fields' kinds.
+
+    The echo is what `_Run` records and hashes, so an int field given as 1000.0
+    in a config file keeps that spelling there while the commands see 1000.
+    """
+    echo = ExperimentConfig(command=args.command).to_dict()
+    if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
         for key, value in data.items():
-            if key not in cfg:
+            if key not in echo:
                 raise ValueError(f"unknown config key {key!r}")
-            cfg[key] = value
-    for key in cfg:
+            _check_kind(key, value)
+            echo[key] = value
+    for key in echo:
         flag = getattr(args, key, None)
         if flag is not None:
-            cfg[key] = flag
-    cfg["command"] = command
-    return cfg
+            echo[key] = flag
+    echo["command"] = args.command
+    return echo, ExperimentConfig(**{key: _cast(key, value) for key, value in echo.items()})
 
 
-def _positive_int(cfg: dict, key: str) -> int:
-    value = int(cfg[key])
+def _positive(cfg: ExperimentConfig, key: str) -> int:
+    value = getattr(cfg, key)
     if value < 1:
         raise ValueError(f"{key} must be >= 1, got {value}")
     return value
@@ -192,16 +231,27 @@ def _positive_int(cfg: dict, key: str) -> int:
 # ---------------------------------------------------------------- verify --
 
 
-def _verify_constants(cfg: dict) -> list[dict]:
+def _logsq_grid(n_cut: int) -> list[tuple[float, prime_series.LogWeightedSum]]:
+    """Certified (log p)^2 sums up to n_cut at the 50 sigma 0.51, 0.52, ..., 1.00."""
+    sigmas = [round(0.51 + 0.01 * i, 2) for i in range(50)]
+    return [(s, prime_series.log_weighted_sum(s, n_cut=n_cut)) for s in sigmas]
+
+
+def _hoeffding_valid(rows: list[concentration.Step2Row]) -> bool:
+    """Every empirical frequency lies within 3 standard errors above its Hoeffding bound."""
+    return all(r.empirical_freq <= r.hoeffding_bound + 3.0 * r.std_err for r in rows)
+
+
+def _verify_constants(cfg: ExperimentConfig) -> list[dict]:
     checks = []
     t0 = time.monotonic()
-    ev = prime_series.euler_tail_constant(int(cfg["n_primes"]))
+    ev = prime_series.euler_tail_constant(cfg.n_primes)
     checks.append(
         {
             "name": "euler-tail-constant",
             "passed": 2.10 < ev.upper <= 2.1121,
             "detail": {
-                "n_primes": int(cfg["n_primes"]),
+                "n_primes": cfg.n_primes,
                 "estimate": ev.estimate,
                 "upper": ev.upper,
                 "seconds": round(time.monotonic() - t0, 3),
@@ -209,15 +259,14 @@ def _verify_constants(cfg: dict) -> list[dict]:
         }
     )
 
-    sigmas = [round(0.51 + 0.01 * i, 2) for i in range(50)]
-    grid = [prime_series.log_weighted_sum(s, n_cut=int(cfg["claim1_n"])) for s in sigmas]
+    grid = _logsq_grid(cfg.claim1_n)
     checks.append(
         {
             "name": "log-weighted-bound-grid",
-            "passed": all(r.holds for r in grid),
+            "passed": all(r.holds for _, r in grid),
             "detail": {
-                "n_cut": int(cfg["claim1_n"]),
-                "worst_margin": min(r.bound_rhs - r.value.upper for r in grid),
+                "n_cut": cfg.claim1_n,
+                "worst_margin": min(r.bound_rhs - r.value.upper for _, r in grid),
             },
         }
     )
@@ -233,13 +282,13 @@ def _verify_constants(cfg: dict) -> list[dict]:
         }
     )
 
-    rep = primes.chebyshev_check(primes.cached_primes(int(cfg["chebyshev_limit"])))
+    rep = primes.chebyshev_check(primes.cached_primes(cfg.chebyshev_limit))
     checks.append(
         {
             "name": "chebyshev-two-over-log",
             "passed": rep.holds,
             "detail": {
-                "limit": int(cfg["chebyshev_limit"]),
+                "limit": cfg.chebyshev_limit,
                 "max_ratio": rep.max_ratio,
                 "worst_prime": rep.worst_prime,
             },
@@ -248,9 +297,9 @@ def _verify_constants(cfg: dict) -> list[dict]:
     return checks
 
 
-def _verify_extras(cfg: dict) -> list[dict]:
+def _verify_extras(cfg: ExperimentConfig) -> list[dict]:
     checks = []
-    step = StepParams(float(cfg["epsilon"]))
+    step = StepParams(cfg.epsilon)
     scans = {
         d: sequences.subtraction_bound_scan(StepParams.from_delta(d), 10**5)
         for d in (0.25, 0.5, 0.75)
@@ -263,18 +312,18 @@ def _verify_extras(cfg: dict) -> list[dict]:
         }
     )
 
-    params = TheoremParams(c=float(cfg["c"]), a0=float(cfg["a0"]), a1=float(cfg["a1"]))
-    disjoint = [sequences.intervals_disjoint(k, params) for k in range(1, int(cfg["k_max"]) + 1)]
+    params = TheoremParams(c=cfg.c, a0=cfg.a0, a1=cfg.a1)
+    disjoint = [sequences.intervals_disjoint(k, params) for k in range(1, cfg.k_max + 1)]
     checks.append(
         {
             "name": "interval-disjointness",
             "passed": all(disjoint),
-            "detail": {"k_max": int(cfg["k_max"])},
+            "detail": {"k_max": cfg.k_max},
         }
     )
 
-    bc = concentration.borel_cantelli_partial("step2", 400, gamma=float(cfg["gamma"]), step=step)
-    bc2 = concentration.borel_cantelli_partial("step2", 800, gamma=float(cfg["gamma"]), step=step)
+    bc = concentration.borel_cantelli_partial("step2", 400, gamma=cfg.gamma, step=step)
+    bc2 = concentration.borel_cantelli_partial("step2", 800, gamma=cfg.gamma, step=step)
     bigterm_ok = all(
         concentration.borel_cantelli_partial(
             "bigterm", 300, step=StepParams.from_delta(d), ell=ell
@@ -293,50 +342,56 @@ def _verify_extras(cfg: dict) -> list[dict]:
 
     rng_rows = concentration.step2_experiment(
         step,
-        float(cfg["gamma"]),
-        range(int(cfg["ell_min"]), int(cfg["ell_max"]) + 1),
-        trials=max(100, int(cfg["trials"]) // 10),
-        prime_limit=min(int(cfg["prime_limit"]), 10**5),
-        base_seed=int(cfg["seed"]),
+        cfg.gamma,
+        range(cfg.ell_min, cfg.ell_max + 1),
+        trials=max(100, cfg.trials // 10),
+        prime_limit=min(cfg.prime_limit, 10**5),
+        base_seed=cfg.seed,
     )
     checks.append(
         {
             "name": "hoeffding-validity",
-            "passed": all(
-                r.empirical_freq <= r.hoeffding_bound + 3.0 * r.std_err for r in rng_rows
-            ),
+            "passed": _hoeffding_valid(rng_rows),
             "detail": {"rows": len(rng_rows)},
         }
     )
     return checks
 
 
-def cmd_verify(args) -> int:
-    cfg = _load_config(args, "verify")
-    target = args.target
-    if target not in ("constants", "all"):
-        raise ValueError(f"unknown verify target {target!r}")
-    run = _Run("verify", cfg)
+def cmd_verify(args, cfg: ExperimentConfig, echo: dict) -> int:
+    run = _Run(echo)
     checks = _verify_constants(cfg)
-    if target == "all":
+    if args.target == "all":  # the parser admits only "constants" and "all"
         checks += _verify_extras(cfg)
-    rows = [[c["name"], c["passed"]] for c in checks]
+    rows = [[check["name"], check["passed"]] for check in checks]
     _write_csv(run.path("checks", "csv"), ["check", "passed"], rows)
-    _write_json(run.path("checks", "json"), {"target": target, "checks": checks})
-    run.finish({"passed": all(c["passed"] for c in checks)})
-    for c in checks:
-        print(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {c['detail']}")
-    return 0 if all(c["passed"] for c in checks) else 1
+    _write_json(run.path("checks", "json"), {"target": args.target, "checks": checks})
+    passed = all(check["passed"] for check in checks)
+    run.finish({"passed": passed})
+    for check in checks:
+        print(f"{'PASS' if check['passed'] else 'FAIL'} {check['name']}: {check['detail']}")
+    return 0 if passed else 1
 
 
 # -------------------------------------------------------------- simulate --
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args, "simulate")
-    x_max = _positive_int(cfg, "x_max")
-    run = _Run("simulate", cfg)
-    signs = rmf.sample_signs(int(cfg["seed"]), max(x_max, 2))
+def _quantiles(values) -> dict:
+    """Median, quartiles and range of a sample, as plain floats."""
+    arr = np.asarray(values, dtype=np.float64)
+    return {
+        "median": float(np.median(arr)),
+        "q1": float(np.percentile(arr, 25)),
+        "q3": float(np.percentile(arr, 75)),
+        "min": float(arr.min()),
+        "max": float(arr.max()),
+    }
+
+
+def cmd_simulate(args, cfg: ExperimentConfig, echo: dict) -> int:
+    x_max = _positive(cfg, "x_max")
+    run = _Run(echo)
+    signs = rmf.sample_signs(cfg.seed, max(x_max, 2))
     trace = rmf.partial_sum_trace(signs, x_max)
 
     if trace.values is not None and x_max <= 10**5:
@@ -366,7 +421,7 @@ def cmd_simulate(args) -> int:
     _write_json(
         run.path("summary", "json"),
         {
-            "seed": int(cfg["seed"]),
+            "seed": cfg.seed,
             "x_max": x_max,
             "V_f": trace.count_changes(),
             "final_value": trace.final_value,
@@ -377,12 +432,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_signchanges(args) -> int:
-    cfg = _load_config(args, "signchanges")
-    x_max = _positive_int(cfg, "x_max")
-    n_seeds = _positive_int(cfg, "seeds")
-    run = _Run("signchanges", cfg)
-    first_seed = int(cfg["seed"])
+def cmd_signchanges(args, cfg: ExperimentConfig, echo: dict) -> int:
+    x_max = _positive(cfg, "x_max")
+    n_seeds = _positive(cfg, "seeds")
+    run = _Run(echo)
     primes.cached_primes(max(x_max, 2))  # sieve once, before the threads share it
 
     def one(seed: int) -> tuple[int, int, int]:
@@ -391,8 +444,8 @@ def cmd_signchanges(args) -> int:
         return seed, trace.count_changes(), trace.final_value
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        results = list(pool.map(one, range(first_seed, first_seed + n_seeds)))
-    results.sort(key=lambda r: r[0])
+        # map yields in seed order, whatever order the threads finish in.
+        results = list(pool.map(one, range(cfg.seed, cfg.seed + n_seeds)))
     _write_csv(
         run.path("table", "csv"),
         ["seed", "V_f", "final_M"],
@@ -402,11 +455,7 @@ def cmd_signchanges(args) -> int:
     summary = {
         "seeds": n_seeds,
         "x_max": x_max,
-        "median": float(np.median(counts)),
-        "q1": float(np.percentile(counts, 25)),
-        "q3": float(np.percentile(counts, 75)),
-        "min": float(counts.min()),
-        "max": float(counts.max()),
+        **_quantiles(counts),
         "fraction_with_change": float(np.mean(counts >= 1)),
     }
     _write_json(run.path("summary", "json"), summary)
@@ -418,24 +467,21 @@ def cmd_signchanges(args) -> int:
 # ------------------------------------------------------------ prime sums --
 
 
-def cmd_prime_sums(args) -> int:
-    cfg = _load_config(args, "prime-sums")
-    run = _Run("prime-sums", cfg)
+def cmd_prime_sums(args, cfg: ExperimentConfig, echo: dict) -> int:
+    run = _Run(echo)
 
-    sigmas = [round(0.51 + 0.01 * i, 2) for i in range(50)]
-    n_cut = int(cfg["claim1_n"])
-    grid = [prime_series.log_weighted_sum(s, n_cut=n_cut) for s in sigmas]
     _write_csv(
         run.path("logsq-grid", "csv"),
         ["sigma", "estimate", "upper", "bound_rhs", "holds"],
-        [[s, r.value.estimate, r.value.upper, r.bound_rhs, r.holds] for s, r in zip(sigmas, grid)],
+        [[s, r.value.estimate, r.value.upper, r.bound_rhs, r.holds]
+         for s, r in _logsq_grid(cfg.claim1_n)],
     )
 
     rows = []
     for s in [1.001, 1.01, 1.1, 1.2, 1.5, 2.0, 3.0, 4.0, 8.0, 16.0, 32.0, 64.0]:
         acc = prime_series.prime_zeta(s, method="accelerated")
         direct = prime_series.prime_zeta(
-            s, method="direct", n_cut=min(int(cfg["prime_limit"]), n_cut)
+            s, method="direct", n_cut=min(cfg.prime_limit, cfg.claim1_n)
         )
         rows.append(
             [s, acc.estimate, acc.lower, acc.upper, direct.estimate, direct.lower, direct.upper,
@@ -448,10 +494,8 @@ def cmd_prime_sums(args) -> int:
         rows,
     )
 
-    ratio_rows = []
-    for x in [1.5, 1.1, 1.05, 1.01, 1.005, 1.001]:
-        rs, rl = prime_series.zetaasym_ratio(x)
-        ratio_rows.append([x, rs, rl])
+    xs = [1.5, 1.1, 1.05, 1.01, 1.005, 1.001]
+    ratio_rows = [[x, *prime_series.zetaasym_ratio(x)] for x in xs]
     _write_csv(run.path("zetaasym", "csv"), ["x", "ratio_sum", "ratio_logzeta"], ratio_rows)
     run.finish()
     print("prime-sums: wrote grids")
@@ -461,35 +505,25 @@ def cmd_prime_sums(args) -> int:
 # -------------------------------------------------------------- sup scan --
 
 
-def cmd_sup_scan(args) -> int:
-    cfg = _load_config(args, "sup-scan")
-    sigmas = [float(sigma) for sigma in cfg["sigma_grid"]]
-    if not all(sigma > 0.5 for sigma in sigmas):
-        raise ValueError(f"every sigma in sigma_grid must exceed 1/2, got {sigmas}")
-    run = _Run("sup-scan", cfg)
-    limit = int(cfg["prime_limit"])
-    signs = rmf.sample_signs(int(cfg["seed"]), limit)
+def cmd_sup_scan(args, cfg: ExperimentConfig, echo: dict) -> int:
+    if not all(sigma > 0.5 for sigma in cfg.sigma_grid):
+        raise ValueError(f"every sigma in sigma_grid must exceed 1/2, got {cfg.sigma_grid}")
+    # Harper's bound checks c0, c2 and sigma < 3/2 before any output exists.
+    log_inv_gaps = [float(mp.log(1.0 / (mp.mpf(sigma) - 0.5))) for sigma in cfg.sigma_grid]
+    c1 = max(cfg.c1, 1.0 + 1e-9)
+    bounds = [
+        sequences.harper_lower_bound(sigma, cfg.c0, c1, cfg.c2, log_inv_gap=log_inv_gap)
+        for sigma, log_inv_gap in zip(cfg.sigma_grid, log_inv_gaps)
+    ]
+    run = _Run(echo)
+    signs = rmf.sample_signs(cfg.seed, cfg.prime_limit)
     rows = []
-    for sigma in sigmas:
-        log_inv_gap = float(mp.log(1.0 / (mp.mpf(sigma) - 0.5)))
-        t_max = 2.0 * log_inv_gap**2
-        res = rmf.sup_scan(signs, sigma, max(1.0, t_max), float(cfg["grid_step"]), limit=limit)
-        hb = sequences.harper_lower_bound(
-            sigma, float(cfg["c0"]), max(float(cfg["c1"]), 1.0 + 1e-9), float(cfg["c2"])
-        )
-        ek_threshold = log_inv_gap - float(cfg["c1"]) * float(mp.log(log_inv_gap))
+    for sigma, log_inv_gap, hb in zip(cfg.sigma_grid, log_inv_gaps, bounds):
+        res = rmf.sup_scan(signs, sigma, max(1.0, hb.t_max), cfg.grid_step, limit=cfg.prime_limit)
+        ek_threshold = log_inv_gap - cfg.c1 * float(mp.log(log_inv_gap))
         rows.append(
-            [
-                sigma,
-                t_max,
-                res.sup_cos,
-                res.argmax_t,
-                res.sup_abs_f,
-                ek_threshold,
-                res.sup_cos >= ek_threshold,
-                hb.lower,
-                float(mp.exp(hb.lower)),
-            ]
+            [sigma, hb.t_max, res.sup_cos, res.argmax_t, res.sup_abs_f, ek_threshold,
+             res.sup_cos >= ek_threshold, hb.lower, float(mp.exp(hb.lower))]
         )
     _write_csv(
         run.path("scan", "csv"),
@@ -505,29 +539,19 @@ def cmd_sup_scan(args) -> int:
 # -------------------------------------------------------------- chaining --
 
 
-def cmd_chaining(args) -> int:
-    cfg = _load_config(args, "chaining")
-    n_seeds = _positive_int(cfg, "seeds")
-    run = _Run("chaining", cfg)
-    step = StepParams(float(cfg["epsilon"]))
-    limit = int(cfg["prime_limit"])
-    seed_list = list(range(int(cfg["seed"]), int(cfg["seed"]) + n_seeds))
-    rows = []
-    for ell in cfg["ells"]:
+def cmd_chaining(args, cfg: ExperimentConfig, echo: dict) -> int:
+    n_seeds = _positive(cfg, "seeds")
+    run = _Run(echo)
+    step = StepParams(cfg.epsilon)
+    seed_list = list(range(cfg.seed, cfg.seed + n_seeds))
+    rows = [
+        [res.seed, res.ell, res.sigma_ell, res.max_osc, res.paper_c,
+         res.first_violation_r if res.first_violation_r is not None else "", res.truncation_std]
+        for ell in cfg.ells
         for res in chaining.oscillation_batch(
-            seed_list, int(ell), step, r_max=int(cfg["r_max"]), limit=limit
-        ):
-            rows.append(
-                [
-                    res.seed,
-                    res.ell,
-                    res.sigma_ell,
-                    res.max_osc,
-                    res.paper_c,
-                    res.first_violation_r if res.first_violation_r is not None else "",
-                    res.truncation_std,
-                ]
-            )
+            seed_list, ell, step, r_max=cfg.r_max, limit=cfg.prime_limit
+        )
+    ]
     _write_csv(
         run.path("oscillation", "csv"),
         ["seed", "ell", "sigma_ell", "max_osc", "paper_C", "first_violation_r", "truncation_std"],
@@ -541,17 +565,16 @@ def cmd_chaining(args) -> int:
 # --------------------------------------------------------- concentration --
 
 
-def cmd_concentration(args) -> int:
-    cfg = _load_config(args, "concentration")
-    run = _Run("concentration", cfg)
-    step = StepParams(float(cfg["epsilon"]))
+def cmd_concentration(args, cfg: ExperimentConfig, echo: dict) -> int:
+    run = _Run(echo)
+    step = StepParams(cfg.epsilon)
     rows = concentration.step2_experiment(
         step,
-        float(cfg["gamma"]),
-        range(int(cfg["ell_min"]), int(cfg["ell_max"]) + 1),
-        trials=int(cfg["trials"]),
-        prime_limit=int(cfg["prime_limit"]),
-        base_seed=int(cfg["seed"]),
+        cfg.gamma,
+        range(cfg.ell_min, cfg.ell_max + 1),
+        trials=cfg.trials,
+        prime_limit=cfg.prime_limit,
+        base_seed=cfg.seed,
     )
     _write_csv(
         run.path("step2", "csv"),
@@ -563,47 +586,37 @@ def cmd_concentration(args) -> int:
             for r in rows
         ],
     )
-    bc = concentration.borel_cantelli_partial(
-        "step2", 400, gamma=float(cfg["gamma"]), step=step
-    )
-    bigterm = {
-        str(ell): concentration.borel_cantelli_partial("bigterm", 300, step=step, ell=ell).closed_bound_holds
+    bc = concentration.borel_cantelli_partial("step2", 400, gamma=cfg.gamma, step=step)
+    bigterm_ok = all(
+        concentration.borel_cantelli_partial("bigterm", 300, step=step, ell=ell).closed_bound_holds
         for ell in range(1, 101)
-    }
+    )
     _write_json(
         run.path("series", "json"),
         {
             "step2_partial_400": bc.partial_sum,
             "step2_tail_400": bc.tail_estimate,
-            "bigterm_all_hold": all(bigterm.values()),
+            "bigterm_all_hold": bigterm_ok,
         },
     )
     run.finish()
-    ok = all(r.empirical_freq <= r.hoeffding_bound + 3.0 * r.std_err for r in rows)
-    print(f"concentration: {len(rows)} rows, hoeffding validity: {ok}")
+    print(f"concentration: {len(rows)} rows, hoeffding validity: {_hoeffding_valid(rows)}")
     return 0
 
 
 # ------------------------------------------------------------- sequences --
 
 
-def cmd_sequences(args) -> int:
-    cfg = _load_config(args, "sequences")
-    run = _Run("sequences", cfg)
-    params = TheoremParams(c=float(cfg["c"]), a0=float(cfg["a0"]), a1=float(cfg["a1"]))
+def cmd_sequences(args, cfg: ExperimentConfig, echo: dict) -> int:
+    run = _Run(echo)
+    params = TheoremParams(c=cfg.c, a0=cfg.a0, a1=cfg.a1)
     rows = []
-    for k in range(1, int(cfg["k_max"]) + 1):
+    for k in range(1, cfg.k_max + 1):
         sk = sequences.sigma_k(k, params)
         y_k, x_k = sequences.interval_endpoints(k, params)
         rows.append(
-            [
-                k,
-                sk.sigma,
-                sk.underflow,
-                mp.nstr(y_k.mantissa, 17) + f"@d{y_k.depth}",
-                mp.nstr(x_k.mantissa, 17) + f"@d{x_k.depth}",
-                sequences.intervals_disjoint(k, params),
-            ]
+            [k, sk.sigma, sk.underflow, mp.nstr(y_k.mantissa, 17) + f"@d{y_k.depth}",
+             mp.nstr(x_k.mantissa, 17) + f"@d{x_k.depth}", sequences.intervals_disjoint(k, params)]
         )
     _write_csv(
         run.path("table", "csv"),
@@ -618,16 +631,12 @@ def cmd_sequences(args) -> int:
 # ---------------------------------------------------------------- report --
 
 
-def cmd_report(args) -> int:
-    cfg = _load_config(args, "report")
-    out = Path(str(cfg["output_dir"]))
+def cmd_report(args, cfg: ExperimentConfig, echo: dict) -> int:
+    out = Path(cfg.output_dir)
     manifests = sorted(out.glob("manifest-*.json"))
     if not manifests:
         raise ValueError(f"no manifests found in {out}")
-    runs = []
-    for path in manifests:
-        with open(path) as fh:
-            runs.append(json.load(fh))
+    runs = [json.loads(path.read_text()) for path in manifests]
 
     summary: dict = {"runs": len(runs), "commands": {}, "verify_passed": None, "headline": {}}
     for r in runs:
@@ -638,28 +647,19 @@ def cmd_report(args) -> int:
     # Aggregate sign-change sweeps into quartiles.
     vf_values: list[float] = []
     for r in runs:
-        if r["command"] != "signchanges":
-            continue
-        digest = r["config_digest"]
-        table = out / f"signchanges-table-{digest}.csv"
-        if table.exists():
+        table = out / f"signchanges-table-{r['config_digest']}.csv"
+        if r["command"] == "signchanges" and table.exists():
             with open(table) as fh:
-                for row in csv.DictReader(fh):
-                    vf_values.append(float(row["V_f"]))
+                vf_values += [float(row["V_f"]) for row in csv.DictReader(fh)]
     if vf_values:
-        arr = np.asarray(vf_values)
+        q = _quantiles(vf_values)
         summary["headline"]["signchanges"] = {
-            "count": int(arr.size),
-            "median": float(np.median(arr)),
-            "q1": float(np.percentile(arr, 25)),
-            "q3": float(np.percentile(arr, 75)),
+            "count": len(vf_values), "median": q["median"], "q1": q["q1"], "q3": q["q3"]
         }
         _write_csv(
             out / "report-signchanges.csv",
             ["statistic", "value"],
-            [["count", int(arr.size)], ["median", float(np.median(arr))],
-             ["q1", float(np.percentile(arr, 25))], ["q3", float(np.percentile(arr, 75))],
-             ["min", float(arr.min())], ["max", float(arr.max())]],
+            [["count", len(vf_values)]] + [[k, v] for k, v in q.items()],
         )
 
     sup_files = sorted(p.name for p in out.glob("sup-scan-scan-*.csv"))
@@ -674,18 +674,31 @@ def cmd_report(args) -> int:
 # ------------------------------------------------------------------ main --
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--output-dir", dest="output_dir", default=None)
+# Subcommand: (handler, help text, the ExperimentConfig keys it takes as
+# flags).  Every subcommand also takes --config, --seed and --output-dir.
+COMMANDS = {
+    "verify": (cmd_verify, "run the constant-reproduction checks",
+               ("n_primes", "claim1_n", "chebyshev_limit", "trials", "prime_limit")),
+    "simulate": (cmd_simulate, "one partial-sum trace with sign changes", ("x_max",)),
+    "signchanges": (cmd_signchanges, "sign-change counts over a seed sweep", ("x_max", "seeds")),
+    "prime-sums": (cmd_prime_sums, "certified prime-series verification grids",
+                   ("claim1_n", "prime_limit")),
+    "sup-scan": (cmd_sup_scan, "grid suprema of cosine prime sums with overlays",
+                 ("prime_limit", "grid_step", "c0", "c1", "c2", "sigma_grid")),
+    "chaining": (cmd_chaining, "dyadic oscillation experiments",
+                 ("seeds", "r_max", "prime_limit", "epsilon", "ells")),
+    "concentration": (cmd_concentration, "Hoeffding tail tables and bound series",
+                      ("trials", "prime_limit", "ell_min", "ell_max", "gamma", "epsilon")),
+    "sequences": (cmd_sequences, "sigma_k / y_k / X_k tables at nested-log scale",
+                  ("k_max", "c", "a0", "a1")),
+    "report": (cmd_report, "aggregate manifests in an output directory", ()),
+}
 
 
-def _int_flag(p, name, **kw):
-    p.add_argument(name, dest=name.lstrip("-").replace("-", "_"), type=int, default=None, **kw)
-
-
-def _float_flag(p, name, **kw):
-    p.add_argument(name, dest=name.lstrip("-").replace("-", "_"), type=float, default=None, **kw)
+def _flag_type(key: str):
+    """The argparse type of field `key`; list fields take comma-separated values."""
+    kind, is_list = _KINDS[key]
+    return (lambda s: _cast(key, s.split(","))) if is_list else kind
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -694,82 +707,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Experiments on partial sums of Rademacher random multiplicative functions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="run the constant-reproduction checks")
-    p.add_argument("target", choices=["constants", "all"])
-    _add_common(p)
-    _int_flag(p, "--n-primes")
-    _int_flag(p, "--claim1-n")
-    _int_flag(p, "--chebyshev-limit")
-    _int_flag(p, "--trials")
-    _int_flag(p, "--prime-limit")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("simulate", help="one partial-sum trace with sign changes")
-    _add_common(p)
-    _int_flag(p, "--x-max")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("signchanges", help="sign-change counts over a seed sweep")
-    _add_common(p)
-    _int_flag(p, "--x-max")
-    _int_flag(p, "--seeds")
-    p.set_defaults(func=cmd_signchanges)
-
-    p = sub.add_parser("prime-sums", help="certified prime-series verification grids")
-    _add_common(p)
-    _int_flag(p, "--claim1-n")
-    _int_flag(p, "--prime-limit")
-    p.set_defaults(func=cmd_prime_sums)
-
-    p = sub.add_parser("sup-scan", help="grid suprema of cosine prime sums with overlays")
-    _add_common(p)
-    _int_flag(p, "--prime-limit")
-    _float_flag(p, "--grid-step")
-    _float_flag(p, "--c0")
-    _float_flag(p, "--c1")
-    _float_flag(p, "--c2")
-    p.add_argument(
-        "--sigma-grid",
-        dest="sigma_grid",
-        type=lambda s: [float(x) for x in s.split(",")],
-        default=None,
-    )
-    p.set_defaults(func=cmd_sup_scan)
-
-    p = sub.add_parser("chaining", help="dyadic oscillation experiments")
-    _add_common(p)
-    _int_flag(p, "--seeds")
-    _int_flag(p, "--r-max")
-    _int_flag(p, "--prime-limit")
-    _float_flag(p, "--epsilon")
-    p.add_argument(
-        "--ells", dest="ells", type=lambda s: [int(x) for x in s.split(",")], default=None
-    )
-    p.set_defaults(func=cmd_chaining)
-
-    p = sub.add_parser("concentration", help="Hoeffding tail tables and bound series")
-    _add_common(p)
-    _int_flag(p, "--trials")
-    _int_flag(p, "--prime-limit")
-    _int_flag(p, "--ell-min")
-    _int_flag(p, "--ell-max")
-    _float_flag(p, "--gamma")
-    _float_flag(p, "--epsilon")
-    p.set_defaults(func=cmd_concentration)
-
-    p = sub.add_parser("sequences", help="sigma_k / y_k / X_k tables at nested-log scale")
-    _add_common(p)
-    _int_flag(p, "--k-max")
-    _float_flag(p, "--c")
-    _float_flag(p, "--a0")
-    _float_flag(p, "--a1")
-    p.set_defaults(func=cmd_sequences)
-
-    p = sub.add_parser("report", help="aggregate manifests in an output directory")
-    _add_common(p)
-    p.set_defaults(func=cmd_report)
-
+    for name, (func, help_text, keys) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == "verify":
+            p.add_argument("target", choices=["constants", "all"])
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        for key in ("seed", "output_dir") + keys:
+            flag = "--" + key.replace("_", "-")
+            p.add_argument(flag, dest=key, type=_flag_type(key), default=None)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -777,7 +723,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        echo, cfg = _load_config(args)
+        return args.func(args, cfg, echo)
     except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

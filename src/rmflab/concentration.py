@@ -44,6 +44,28 @@ class TailExperiment:
             raise ValueError("frequency must lie in [0, 1]")
 
 
+def _exceedance(
+    sigmas: Sequence[float],
+    thresholds: Sequence[float],
+    trials: int,
+    prime_limit: int,
+    base_seed: int,
+) -> list[tuple[float, float]]:
+    """(frequency, standard error) of {sum_{p<=prime_limit} sign(p) p^(-sigma) >= threshold}
+    for each (sigma, threshold) pair, over `trials` sign assignments seeded from
+    base_seed.  Every pair reads the same hashed signs.
+    """
+    if trials < 100:
+        raise ValueError(f"need at least 100 trials, got {trials}")
+    seeds = rmf_mod.derive_seed(base_seed, np.arange(trials))
+    values = rmf_mod.random_prime_sum_batch(seeds, sigmas, prime_limit)
+    out = []
+    for j, lam in enumerate(thresholds):
+        freq = float(np.mean(values[:, j] >= lam))
+        out.append((freq, sqrt(freq * (1.0 - freq) / trials)))
+    return out
+
+
 def mc_tail(
     sigma: float,
     prime_limit: int,
@@ -59,18 +81,14 @@ def mc_tail(
     """
     if sigma <= 0.5:
         raise prime_series.DivergenceError(f"tail experiment requires sigma > 1/2, got {sigma}")
-    if trials < 100:
-        raise ValueError(f"need at least 100 trials, got {trials}")
-    seeds = rmf_mod.derive_seed(base_seed, np.arange(trials))
-    values = rmf_mod.random_prime_sum_batch(seeds, sigma, prime_limit)
-    freq = float(np.mean(values >= threshold))
+    [(freq, std_err)] = _exceedance([sigma], [threshold], trials, prime_limit, base_seed)
     sum_sq = prime_series.truncated_variance(sigma, prime_limit)
     bound = 1.0 if threshold <= 0 else hoeffding_bound(sum_sq, threshold)
     return TailExperiment(
         trials=trials,
         threshold=threshold,
         empirical_freq=freq,
-        std_err=sqrt(freq * (1.0 - freq) / trials),
+        std_err=std_err,
         bound=bound,
     )
 
@@ -201,32 +219,26 @@ def step2_experiment(
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    if trials < 100:
-        raise ValueError(f"need at least 100 trials, got {trials}")
-    seeds = rmf_mod.derive_seed(base_seed, np.arange(trials))
     ells = [int(ell) for ell in ell_range]
     sigmas = [step_sigma_ell(ell, step).sigma for ell in ells]
-    values = rmf_mod.random_prime_sum_batch(seeds, sigmas, prime_limit)
-    rows = []
-    for j, (ell, sigma) in enumerate(zip(ells, sigmas)):
-        e_trunc = prime_series.truncated_variance(sigma, prime_limit)
-        e_full = prime_series.variance_sum(sigma).estimate
-        tau = sqrt(2.0 * (1.0 + gamma) * e_trunc**step.epsilon)
-        lam = tau * sqrt(e_trunc)  # raw threshold realizing the normalized event
-        freq = float(np.mean(values[:, j] >= lam))
-        rows.append(
-            Step2Row(
-                ell=ell,
-                sigma=sigma,
-                variance_trunc=e_trunc,
-                variance_deficit=e_full - e_trunc,
-                threshold=tau,
-                empirical_freq=freq,
-                std_err=sqrt(freq * (1.0 - freq) / trials),
-                hoeffding_bound=hoeffding_bound(e_trunc, lam),
-                asymptotic_surrogate=exp(
-                    -(1.0 + gamma) * float(ell) ** ((1.0 - step.delta) * step.epsilon)
-                ),
-            )
+    e_trunc = [prime_series.truncated_variance(sigma, prime_limit) for sigma in sigmas]
+    taus = [sqrt(2.0 * (1.0 + gamma) * e**step.epsilon) for e in e_trunc]
+    # Raw thresholds realizing the normalized events.
+    lams = [tau * sqrt(e) for tau, e in zip(taus, e_trunc)]
+    tails = _exceedance(sigmas, lams, trials, prime_limit, base_seed)
+    return [
+        Step2Row(
+            ell=ell,
+            sigma=sigma,
+            variance_trunc=e,
+            variance_deficit=prime_series.variance_sum(sigma).estimate - e,
+            threshold=tau,
+            empirical_freq=freq,
+            std_err=err,
+            hoeffding_bound=hoeffding_bound(e, lam),
+            asymptotic_surrogate=exp(
+                -(1.0 + gamma) * float(ell) ** ((1.0 - step.delta) * step.epsilon)
+            ),
         )
-    return rows
+        for ell, sigma, e, tau, lam, (freq, err) in zip(ells, sigmas, e_trunc, taus, lams, tails)
+    ]

@@ -193,7 +193,7 @@ def _prime_zeta_accelerated(s: float) -> CertifiedValue:
         if mu[n] == 0:
             continue
         lz = _log_zeta(n * s)
-        total += mu[n] / n * lz
+        total += int(mu[n]) / n * lz  # int(): an np.int64 factor would make total np.float64
         abs_accum += abs(lz) / n
     # Tail over n > n_max: |log zeta(x)| <= 1.04 * 2^-x for x >= 64.
     tail = 1.04 * 2.0 ** (-(n_max + 1) * s) / ((n_max + 1) * (1.0 - 2.0 ** (-s)))

@@ -252,11 +252,6 @@ def partial_sum_trace(
     )
 
 
-def count_sign_changes(trace: PartialSumTrace, x: int) -> int:
-    """V_f(x): sign-change events at positions <= x."""
-    return trace.count_changes(x)
-
-
 @dataclass(frozen=True)
 class RandomPrimeSum:
     sigma: float

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 
@@ -296,10 +297,89 @@ def test_csv_float_cells_are_plain_numbers(prime_sums_out, tmp_path):
         ["chaining", "--seeds", "0", "--prime-limit", "1000", "--r-max", "3"],
         ["simulate", "--x-max", "0"],
         ["signchanges", "--seeds", "2", "--x-max", "0"],
+        # A dict stands for a config file with that content, passed as --config.
+        ["sup-scan", {"sigma_grid": 0.7}, "--prime-limit", "1000"],
+        ["chaining", {"ells": 3}, "--prime-limit", "1000", "--r-max", "3"],
+        ["concentration", {"trials": [1]}, "--prime-limit", "1000"],
+        ["simulate", {"x_max": "100"}],
+        ["chaining", {"ells": []}, "--prime-limit", "1000", "--r-max", "3"],
+        ["simulate", {"x_max": True}],
+        ["simulate", {"x_max": 1.5}],
+        ["simulate", {"seed": None}],
+        ["sup-scan", {"sigma_grid": [0.7, False]}, "--prime-limit", "1000"],
+        ["sup-scan", {"sigma_grid": ["0.7"]}, "--prime-limit", "1000"],
+        ["chaining", {"ells": [3.5]}, "--prime-limit", "1000", "--r-max", "3"],
+        ["concentration", {"gamma": "1"}, "--prime-limit", "1000"],
+        ["simulate", {"output_dir": 3}],
+        ["sup-scan", "--c0", "0.6", "--prime-limit", "1000"],
+        ["sup-scan", "--sigma-grid", "1.6", "--prime-limit", "1000"],
     ],
 )
 def test_invalid_input_exits_2_before_any_work(argv, tmp_path, capsys):
     out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            cfg.write_text(json.dumps(arg))
+            argv = argv[:i] + ["--config", str(cfg)] + argv[i + 1:]
     assert run(argv + ["--output-dir", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_config_integral_float_for_int_field_runs(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"x_max": 1000.0, "seed": 2, "gamma": 1, "ells": [3.0]}))
+    assert run(["simulate", "--config", str(cfg), "--output-dir", str(tmp_path / "a")]) == 0
+    summary = json.loads(next((tmp_path / "a").glob("simulate-summary-*.json")).read_text())
+    assert summary["x_max"] == 1000 and type(summary["x_max"]) is int
+    # The echo keeps the values as given, so the digest is that of the file's spelling.
+    echo = json.loads(next((tmp_path / "a").glob("simulate-config-*.json")).read_text())
+    assert echo["x_max"] == 1000.0 and type(echo["x_max"]) is float
+    assert echo["gamma"] == 1 and type(echo["gamma"]) is int
+    # Same run as with the flag spelling of the same values, apart from the digest.
+    assert run(["simulate", "--seed", "2", "--x-max", "1000", "--output-dir",
+                str(tmp_path / "b")]) == 0
+    trace_a = next((tmp_path / "a").glob("simulate-trace-*.csv")).read_bytes()
+    trace_b = next((tmp_path / "b").glob("simulate-trace-*.csv")).read_bytes()
+    assert trace_a == trace_b
+
+
+COMMON_FLAGS = ["--config", "--seed", "--output-dir"]
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("verify", ["--n-primes", "--claim1-n", "--chebyshev-limit", "--trials", "--prime-limit"]),
+        ("simulate", ["--x-max"]),
+        ("signchanges", ["--x-max", "--seeds"]),
+        ("prime-sums", ["--claim1-n", "--prime-limit"]),
+        ("sup-scan", ["--prime-limit", "--grid-step", "--c0", "--c1", "--c2", "--sigma-grid"]),
+        ("chaining", ["--seeds", "--r-max", "--prime-limit", "--epsilon", "--ells"]),
+        ("concentration", ["--trials", "--prime-limit", "--ell-min", "--ell-max", "--gamma",
+                           "--epsilon"]),
+        ("sequences", ["--k-max", "--c", "--a0", "--a1"]),
+        ("report", []),
+    ],
+)
+def test_subcommand_flag_sets(command, flags):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices[command]._actions
+    got = [s for a in actions for s in a.option_strings if s not in ("-h", "--help")]
+    assert sorted(got) == sorted(COMMON_FLAGS + flags)
+    positionals = [a.dest for a in actions if not a.option_strings]
+    assert positionals == (["target"] if command == "verify" else [])
+
+
+def test_flag_types_follow_config_fields():
+    parser = cli.build_parser()
+    args = parser.parse_args(["sup-scan", "--sigma-grid", "0.7,0.6", "--prime-limit", "1000",
+                              "--c1", "3", "--seed", "-2", "--output-dir", "o"])
+    assert args.sigma_grid == [0.7, 0.6] and args.prime_limit == 1000 and args.c1 == 3.0
+    assert type(args.c1) is float and args.seed == -2 and args.output_dir == "o"
+    args = parser.parse_args(["chaining", "--ells", "3,4"])
+    assert args.ells == [3, 4] and args.seeds is None
+    with pytest.raises(SystemExit):
+        parser.parse_args(["simulate", "--x-max", "1.5"])

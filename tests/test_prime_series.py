@@ -216,6 +216,18 @@ def test_zetaasym_ratio_values():
     assert math.isfinite(rs19)
 
 
+def test_accelerated_prime_zeta_returns_plain_floats():
+    # A numpy scalar here would print as 'np.float64(...)' in `rmflab verify` output.
+    for s in (1.001, 1.5, 4.0, 64.0):
+        v = ps.prime_zeta(s, method="accelerated")
+        assert type(v.estimate) is float
+        assert type(v.lower) is float
+        assert type(v.upper) is float
+    rs, rl = ps.zetaasym_ratio(1.1)
+    assert type(rs) is float
+    assert type(rl) is float
+
+
 def test_zetaasym_ratio_trend():
     gaps = [abs(ps.zetaasym_ratio(x)[0] - 1.0) for x in (1.5, 1.1, 1.01, 1.001)]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))

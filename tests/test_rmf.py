@@ -177,11 +177,11 @@ def test_trace_resource_error():
 def test_count_sign_changes():
     s = rmf.sample_signs(0, 10**4)
     tr = rmf.partial_sum_trace(s, 10**4)
-    assert rmf.count_sign_changes(tr, 10**4) == tr.change_points.size
+    assert tr.count_changes(10**4) == tr.change_points.size
     for x in (10, 100, 5000):
-        assert rmf.count_sign_changes(tr, x) == int(np.sum(tr.change_points <= x))
+        assert tr.count_changes(x) == int(np.sum(tr.change_points <= x))
     with pytest.raises(ValueError):
-        rmf.count_sign_changes(tr, 10**4 + 1)
+        tr.count_changes(10**4 + 1)
 
 
 def test_seed_zero_regression_value():
