@@ -30,14 +30,12 @@ from .prime_series import (
 )
 from .rmf import (
     PartialSumTrace,
-    RandomPrimeSum,
     ResourceLimitError,
     SignAssignment,
     SupScanResult,
     abel_identity_residual,
     abs_mellin,
     partial_sum_trace,
-    random_prime_sum,
     sample_signs,
     series_and_product,
     sign_change_points,
@@ -69,7 +67,6 @@ from .chaining import (
     chaining_bound,
     dyadic_grid,
     oscillation_batch,
-    oscillation_experiment,
     verify_chaining,
 )
 from .concentration import (
@@ -77,7 +74,8 @@ from .concentration import (
     Step2Row,
     TailExperiment,
     ThreeSeriesResult,
-    borel_cantelli_partial,
+    borel_cantelli_bigterm,
+    borel_cantelli_step2,
     hoeffding_bound,
     mc_tail,
     step2_experiment,

@@ -86,6 +86,9 @@ class LambdaSchedule:
         return chaining_tail_sum(self, 0)
 
 
+OSCILLATION_SCHEDULE = LambdaSchedule(c1=4.0)  # the lambda_r of the oscillation experiment
+
+
 def chaining_tail_sum(lam: Callable[[int], float], r_from_exclusive: int) -> float:
     """2 * sum_{r > r_from_exclusive} lambda_r, truncated when terms fall
     below _TAIL_REL_TOL of the running sum."""
@@ -185,49 +188,18 @@ class OscillationResult:
     r_max: int
 
 
-def oscillation_experiment(
-    signs: rmf_mod.SignAssignment,
-    ell: int,
-    step: StepParams,
-    r_max: int = 12,
-    limit: int | None = None,
-    schedule: LambdaSchedule = LambdaSchedule(c1=4.0),
-) -> OscillationResult:
-    """max over the depth-r_max dyadic grid of |P(sigma) - P(sigma_ell)| with
-    P truncated at `limit` primes, against the schedule's chaining constant."""
-    if limit is None:
-        limit = signs.prime_limit
-    ps, sg = signs.up_to(limit)
-    return _oscillation_core(sg.reshape(1, -1), [signs.seed], ps, ell, step, r_max, limit, schedule)[0]
-
-
 def oscillation_batch(
     seeds: Sequence[int],
     ell: int,
     step: StepParams,
     r_max: int = 12,
     limit: int = 10**6,
-    schedule: LambdaSchedule = LambdaSchedule(c1=4.0),
 ) -> list[OscillationResult]:
-    """Oscillation experiment for many seeds sharing one grid evaluation.
+    """max over the depth-r_max dyadic grid of |P(sigma) - P(sigma_ell)| with
+    P truncated at the primes <= `limit`, against the chaining constant of
+    OSCILLATION_SCHEDULE, for many seeds sharing one grid evaluation.
 
     Seeds are Python ints of any sign; results report them as given."""
-    ps = primes_mod.cached_primes(limit).primes
-    keys = np.asarray([int(s) & rmf_mod._MASK64 for s in seeds], dtype=np.uint64)
-    rows = rmf_mod.sign_matrix(keys, ps)
-    return _oscillation_core(rows, list(seeds), ps, ell, step, r_max, limit, schedule)
-
-
-def _oscillation_core(
-    sign_rows: np.ndarray,
-    seeds: list[int],
-    ps: np.ndarray,
-    ell: int,
-    step: StepParams,
-    r_max: int,
-    limit: int,
-    schedule: LambdaSchedule,
-) -> list[OscillationResult]:
     if ell < 2:
         raise ValueError(f"ell must be >= 2, got {ell}")
     if not 1 <= r_max <= 30:
@@ -235,6 +207,9 @@ def _oscillation_core(
     s_ell = step_sigma_ell(ell, step).sigma
     s_prev = step_sigma_ell(ell - 1, step).sigma
 
+    ps = primes_mod.cached_primes(limit).primes
+    keys = np.asarray([int(s) & rmf_mod._MASK64 for s in seeds], dtype=np.uint64)
+    sign_rows = rmf_mod.sign_matrix(keys, ps)
     p = ps.astype(np.float64)
     logp = np.log(p)
     base = p ** (-s_ell)
@@ -251,10 +226,10 @@ def _oscillation_core(
     osc = np.abs(p_vals - p_vals[0])
     max_osc = osc.max(axis=0)
 
-    lambdas = np.array([schedule(r) for r in range(1, r_max + 1)])
+    lambdas = np.array([OSCILLATION_SCHEDULE(r) for r in range(1, r_max + 1)])
     first_violation = _first_violations(p_vals, lambdas)
 
-    paper_c = schedule.chaining_constant()
+    paper_c = OSCILLATION_SCHEDULE.chaining_constant()
     if s_ell > 0.5:
         tail_var = prime_series.prime_power_tail_bound(2.0 * s_ell, limit, pi_cut=ps.size)
         trunc_std = sqrt(tail_var)
@@ -262,7 +237,7 @@ def _oscillation_core(
         trunc_std = float("inf")  # sigma underflowed to the divergence boundary
     return [
         OscillationResult(
-            seed=seeds[j],
+            seed=seed,
             ell=ell,
             sigma_ell=s_ell,
             sigma_prev=s_prev,
@@ -273,5 +248,5 @@ def _oscillation_core(
             limit=limit,
             r_max=r_max,
         )
-        for j in range(len(seeds))
+        for j, seed in enumerate(seeds)
     ]

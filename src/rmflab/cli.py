@@ -91,11 +91,13 @@ class _Run:
         self.command = config["command"]
         self.config = config
         self.dir = Path(config["output_dir"])
-        self.dir.mkdir(parents=True, exist_ok=True)
         self.digest = _config_digest(config)
         self.files: list[Path] = []
 
     def path(self, kind: str, ext: str) -> Path:
+        # The directory appears with the first result, so a run that fails
+        # before it has any leaves nothing behind.
+        self.dir.mkdir(parents=True, exist_ok=True)
         p = self.dir / f"{self.command}-{kind}-{self.digest}.{ext}"
         self.files.append(p)
         return p
@@ -322,12 +324,10 @@ def _verify_extras(cfg: ExperimentConfig) -> list[dict]:
         }
     )
 
-    bc = concentration.borel_cantelli_partial("step2", 400, gamma=cfg.gamma, step=step)
-    bc2 = concentration.borel_cantelli_partial("step2", 800, gamma=cfg.gamma, step=step)
+    bc = concentration.borel_cantelli_step2(400, cfg.gamma, step)
+    bc2 = concentration.borel_cantelli_step2(800, cfg.gamma, step)
     bigterm_ok = all(
-        concentration.borel_cantelli_partial(
-            "bigterm", 300, step=StepParams.from_delta(d), ell=ell
-        ).closed_bound_holds
+        concentration.borel_cantelli_bigterm(300, StepParams.from_delta(d), ell).closed_bound_holds
         for d in (0.25, 0.5, 0.9)
         for ell in range(1, 101)
     )
@@ -469,33 +469,36 @@ def cmd_signchanges(args, cfg: ExperimentConfig, echo: dict) -> int:
 
 def cmd_prime_sums(args, cfg: ExperimentConfig, echo: dict) -> int:
     run = _Run(echo)
+    # All three tables are computed before any is written, so a bad value
+    # leaves no partial output.
+    logsq_rows = [[s, r.value.estimate, r.value.upper, r.bound_rhs, r.holds]
+                  for s, r in _logsq_grid(cfg.claim1_n)]
 
-    _write_csv(
-        run.path("logsq-grid", "csv"),
-        ["sigma", "estimate", "upper", "bound_rhs", "holds"],
-        [[s, r.value.estimate, r.value.upper, r.bound_rhs, r.holds]
-         for s, r in _logsq_grid(cfg.claim1_n)],
-    )
-
-    rows = []
+    zeta_rows = []
     for s in [1.001, 1.01, 1.1, 1.2, 1.5, 2.0, 3.0, 4.0, 8.0, 16.0, 32.0, 64.0]:
         acc = prime_series.prime_zeta(s, method="accelerated")
         direct = prime_series.prime_zeta(
             s, method="direct", n_cut=min(cfg.prime_limit, cfg.claim1_n)
         )
-        rows.append(
+        zeta_rows.append(
             [s, acc.estimate, acc.lower, acc.upper, direct.estimate, direct.lower, direct.upper,
              acc.intersects(direct)]
         )
+
+    xs = [1.5, 1.1, 1.05, 1.01, 1.005, 1.001]
+    ratio_rows = [[x, *prime_series.zetaasym_ratio(x)] for x in xs]
+
+    _write_csv(
+        run.path("logsq-grid", "csv"),
+        ["sigma", "estimate", "upper", "bound_rhs", "holds"],
+        logsq_rows,
+    )
     _write_csv(
         run.path("prime-zeta", "csv"),
         ["s", "accelerated", "acc_lower", "acc_upper", "direct", "dir_lower", "dir_upper",
          "intervals_intersect"],
-        rows,
+        zeta_rows,
     )
-
-    xs = [1.5, 1.1, 1.05, 1.01, 1.005, 1.001]
-    ratio_rows = [[x, *prime_series.zetaasym_ratio(x)] for x in xs]
     _write_csv(run.path("zetaasym", "csv"), ["x", "ratio_sum", "ratio_logzeta"], ratio_rows)
     run.finish()
     print("prime-sums: wrote grids")
@@ -508,11 +511,10 @@ def cmd_prime_sums(args, cfg: ExperimentConfig, echo: dict) -> int:
 def cmd_sup_scan(args, cfg: ExperimentConfig, echo: dict) -> int:
     if not all(sigma > 0.5 for sigma in cfg.sigma_grid):
         raise ValueError(f"every sigma in sigma_grid must exceed 1/2, got {cfg.sigma_grid}")
-    # Harper's bound checks c0, c2 and sigma < 3/2 before any output exists.
+    # Harper's bound checks c0, c1, c2 and sigma < 3/2 before any output exists.
     log_inv_gaps = [float(mp.log(1.0 / (mp.mpf(sigma) - 0.5))) for sigma in cfg.sigma_grid]
-    c1 = max(cfg.c1, 1.0 + 1e-9)
     bounds = [
-        sequences.harper_lower_bound(sigma, cfg.c0, c1, cfg.c2, log_inv_gap=log_inv_gap)
+        sequences.harper_lower_bound(sigma, cfg.c0, cfg.c1, cfg.c2, log_inv_gap=log_inv_gap)
         for sigma, log_inv_gap in zip(cfg.sigma_grid, log_inv_gaps)
     ]
     run = _Run(echo)
@@ -586,9 +588,9 @@ def cmd_concentration(args, cfg: ExperimentConfig, echo: dict) -> int:
             for r in rows
         ],
     )
-    bc = concentration.borel_cantelli_partial("step2", 400, gamma=cfg.gamma, step=step)
+    bc = concentration.borel_cantelli_step2(400, cfg.gamma, step)
     bigterm_ok = all(
-        concentration.borel_cantelli_partial("bigterm", 300, step=step, ell=ell).closed_bound_holds
+        concentration.borel_cantelli_bigterm(300, step, ell).closed_bound_holds
         for ell in range(1, 101)
     )
     _write_json(

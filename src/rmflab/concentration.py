@@ -9,7 +9,7 @@ Kolmogorov three-series predicate for bounded terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, log, sqrt
+from math import exp, fsum, log, sqrt
 from typing import Sequence
 
 import mpmath as mp
@@ -103,70 +103,52 @@ class BorelCantelliPartial:
     ratio: float | None = None
 
 
-def borel_cantelli_partial(
-    series: str,
-    terms: int,
-    *,
-    gamma: float | None = None,
-    step: StepParams | None = None,
-    ell: int | None = None,
-    c1: float = 4.0,
-) -> BorelCantelliPartial:
-    """Partial sum plus tail estimate for the two summable bound series.
-
-    series="step2": terms exp(-(1+gamma) l^((1-delta) epsilon)) over l = 1..terms,
-    tail bounded by the integral of exp(-(1+gamma) t^beta) from `terms` on
-    (incomplete gamma closed form).
-
-    series="bigterm": terms q^r with q = exp(-ell^(2 delta) + log 2) over
-    r = 1..terms (geometric; the lambda_r schedule makes c1 cancel).  Also
-    evaluates the closed bound 16 exp(-ell^(2 delta)) for 2x the full sum,
-    which reduces to the ratio condition q < 3/4.
-    """
+def borel_cantelli_step2(terms: int, gamma: float, step: StepParams) -> BorelCantelliPartial:
+    """Partial sum of exp(-(1+gamma) l^((1-delta) epsilon)) over l = 1..terms,
+    with the tail bounded by the integral of exp(-(1+gamma) t^beta) from
+    `terms` on (incomplete gamma closed form)."""
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
-    if step is None:
-        raise ValueError("step parameters are required")
-    if series == "step2":
-        if gamma is None or gamma <= 0:
-            raise ValueError("step2 series needs gamma > 0")
-        import math
+    if gamma <= 0:
+        raise ValueError("step2 series needs gamma > 0")
+    a = 1.0 + gamma
+    beta = (1.0 - step.delta) * step.epsilon
+    ell_grid = np.arange(1, terms + 1, dtype=np.float64)
+    # fsum keeps the partial sums exactly Cauchy against the tail estimate.
+    partial = fsum(np.exp(-a * ell_grid**beta))
+    # Integral tail: (1/(beta a^(1/beta))) Gamma(1/beta, a * terms^beta).
+    inv_beta = 1.0 / beta
+    upper_gamma = mp.gammainc(inv_beta, a * mp.mpf(terms) ** beta, mp.inf)
+    tail = float(upper_gamma / (beta * mp.mpf(a) ** inv_beta))
+    return BorelCantelliPartial(partial_sum=partial, tail_estimate=tail, terms=terms)
 
-        a = 1.0 + gamma
-        beta = (1.0 - step.delta) * step.epsilon
-        ell_grid = np.arange(1, terms + 1, dtype=np.float64)
-        # fsum keeps the partial sums exactly Cauchy against the tail estimate.
-        partial = math.fsum(np.exp(-a * ell_grid**beta))
-        # Integral tail: (1/(beta a^(1/beta))) Gamma(1/beta, a * terms^beta).
-        inv_beta = 1.0 / beta
-        upper_gamma = mp.gammainc(inv_beta, a * mp.mpf(terms) ** beta, mp.inf)
-        tail = float(upper_gamma / (beta * mp.mpf(a) ** inv_beta))
-        return BorelCantelliPartial(partial_sum=partial, tail_estimate=tail, terms=terms)
-    if series == "bigterm":
-        if ell is None or ell < 1:
-            raise ValueError("bigterm series needs ell >= 1")
-        if c1 <= 0:
-            raise ValueError("C1 must be positive")
-        import math
 
-        x = float(ell) ** (2.0 * step.delta)
-        log_q = -x + log(2.0)
-        q = exp(log_q)
-        r = np.arange(1, terms + 1, dtype=np.float64)
-        partial = math.fsum(np.exp(log_q * r))
-        tail = 0.0 if q == 0.0 else q ** (terms + 1) / (1.0 - q)
-        closed = 16.0 * exp(-x)
-        # 2 * q/(1-q) <= 8 q = 16 e^-x  <=>  q <= 3/4; compare in log space.
-        holds = log_q <= log(0.75) and 2.0 * (partial + tail) <= closed
-        return BorelCantelliPartial(
-            partial_sum=partial,
-            tail_estimate=tail,
-            terms=terms,
-            closed_bound=closed,
-            closed_bound_holds=bool(holds),
-            ratio=q,
-        )
-    raise ValueError(f"unknown series {series!r}")
+def borel_cantelli_bigterm(terms: int, step: StepParams, ell: int) -> BorelCantelliPartial:
+    """Partial sum of q^r with q = exp(-ell^(2 delta) + log 2) over r = 1..terms
+    (geometric; the lambda_r schedule makes C1 cancel).  Also evaluates the
+    closed bound 16 exp(-ell^(2 delta)) for 2x the full sum, which reduces to
+    the ratio condition q < 3/4."""
+    if terms < 1:
+        raise ValueError(f"terms must be >= 1, got {terms}")
+    if ell < 1:
+        raise ValueError("bigterm series needs ell >= 1")
+    x = float(ell) ** (2.0 * step.delta)
+    log_q = -x + log(2.0)
+    q = exp(log_q)
+    r = np.arange(1, terms + 1, dtype=np.float64)
+    partial = fsum(np.exp(log_q * r))
+    tail = 0.0 if q == 0.0 else q ** (terms + 1) / (1.0 - q)
+    closed = 16.0 * exp(-x)
+    # 2 * q/(1-q) <= 8 q = 16 e^-x  <=>  q <= 3/4; compare in log space.
+    holds = log_q <= log(0.75) and 2.0 * (partial + tail) <= closed
+    return BorelCantelliPartial(
+        partial_sum=partial,
+        tail_estimate=tail,
+        terms=terms,
+        closed_bound=closed,
+        closed_bound_holds=bool(holds),
+        ratio=q,
+    )
 
 
 @dataclass(frozen=True)

@@ -212,14 +212,14 @@ def _prime_zeta_direct(s: float, n_cut: int) -> CertifiedValue:
     return _outward(partial, partial + tail, estimate=partial + 0.5 * tail)
 
 
-def variance_sum(sigma: float, method: str = "accelerated", **kwargs) -> CertifiedValue:
+def variance_sum(sigma: float) -> CertifiedValue:
     """E[P(sigma)^2] = sum_p p^(-2 sigma), certified; requires sigma > 1/2."""
     if sigma <= 0.5:
         raise DivergenceError(
             f"variance sum diverges for sigma <= 1/2 (sigma={sigma}); "
             "this is the three-series boundary"
         )
-    return prime_zeta(2.0 * sigma, method=method, **kwargs)
+    return prime_zeta(2.0 * sigma)
 
 
 def truncated_variance(sigma: float, limit: int) -> float:

@@ -87,11 +87,11 @@ class PrimeTable:
         return self.primes[:idx]
 
 
-def first_n_primes(n: int, segment: int = DEFAULT_SEGMENT) -> np.ndarray:
+def first_n_primes(n: int) -> np.ndarray:
     """The first n primes, sieving up to the Rosser bound."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    primes = sieve_primes(nth_prime_upper(n), segment=segment)
+    primes = sieve_primes(nth_prime_upper(n))
     if primes.size < n:  # pragma: no cover - bound is a theorem for n >= 6
         raise RuntimeError("prime bound underestimated; raise the sieve limit")
     return primes[:n]

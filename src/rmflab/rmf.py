@@ -3,21 +3,21 @@
 Signs on primes come from a counter-based keyed hash of (seed, prime), so an
 assignment is reproducible from (seed, prime_limit) alone, independent of
 evaluation order and thread count.  The multiplicative extension, partial
-sums M_f with sign-change events, the random prime sum P(sigma), truncated
-Dirichlet series / Euler products, the exact Abel-summation identity, and
-grid scans of sup_t of cosine-weighted prime sums all live here.
+sums M_f with sign-change events, the random prime sum P(sigma) over many
+seeds at once, truncated Dirichlet series / Euler products, the exact
+Abel-summation identity, and grid scans of sup_t of cosine-weighted prime
+sums all live here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt, sqrt
-from typing import Sequence
+from math import isqrt
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import primes as primes_mod
-from . import prime_series
 from .prime_series import DivergenceError
 
 _MASK64 = (1 << 64) - 1
@@ -152,16 +152,20 @@ def _signed_block(signs: SignAssignment, lo: int, hi: int) -> np.ndarray:
     return f
 
 
-def signed_values(signs: SignAssignment, x_max: int) -> np.ndarray:
-    """f(1..x_max) as an int8 array (index i holds f(i+1))."""
+def _segments(signs: SignAssignment, x_max: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (lo, f(lo..hi)) over consecutive TRACE_SEGMENT-long blocks that
+    cover 1..x_max; the range check runs at the first step."""
     if not 1 <= x_max <= signs.prime_limit:
         raise ResourceLimitError(
             f"x_max={x_max} outside the supported range [1, prime_limit={signs.prime_limit}]"
         )
-    blocks = [
-        _signed_block(signs, lo, min(lo + TRACE_SEGMENT - 1, x_max))
-        for lo in range(1, x_max + 1, TRACE_SEGMENT)
-    ]
+    for lo in range(1, x_max + 1, TRACE_SEGMENT):
+        yield lo, _signed_block(signs, lo, min(lo + TRACE_SEGMENT - 1, x_max))
+
+
+def signed_values(signs: SignAssignment, x_max: int) -> np.ndarray:
+    """f(1..x_max) as an int8 array (index i holds f(i+1))."""
+    blocks = [block for _, block in _segments(signs, x_max)]
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
@@ -212,10 +216,6 @@ def partial_sum_trace(
     signs: SignAssignment, x_max: int, keep_values: bool | None = None
 ) -> PartialSumTrace:
     """Exact M_f at every integer up to x_max, built segment by segment."""
-    if not 1 <= x_max <= signs.prime_limit:
-        raise ResourceLimitError(
-            f"x_max={x_max} outside the supported range [1, prime_limit={signs.prime_limit}]"
-        )
     if keep_values is None:
         keep_values = x_max <= TRACE_VALUES_CAP
 
@@ -225,9 +225,8 @@ def partial_sum_trace(
     kept: list[np.ndarray] = []
     cp_ns: list[int] = []
     cp_vals: list[int] = []
-    for lo in range(1, x_max + 1, TRACE_SEGMENT):
-        hi = min(lo + TRACE_SEGMENT - 1, x_max)
-        block = _signed_block(signs, lo, hi)
+    for lo, block in _segments(signs, x_max):
+        hi = lo + block.size - 1
         m = np.cumsum(block, dtype=np.int64)
         m += carry_value
         changes.append(sign_change_points(m, first_n=lo, carry=carry_sign))
@@ -249,40 +248,6 @@ def partial_sum_trace(
         checkpoint_ns=np.asarray(cp_ns, dtype=np.int64),
         checkpoint_values=np.asarray(cp_vals, dtype=np.int64),
         values=(kept[0] if len(kept) == 1 else np.concatenate(kept)) if keep_values else None,
-    )
-
-
-@dataclass(frozen=True)
-class RandomPrimeSum:
-    sigma: float
-    limit: int
-    value: float
-    tail_std: float
-    normalized: float
-
-
-def random_prime_sum(
-    signs: SignAssignment, sigma: float, limit: int | None = None
-) -> RandomPrimeSum:
-    """P(sigma) truncated at `limit`: sum of sign(p) p^(-sigma) over p <= limit.
-
-    tail_std bounds the standard deviation of the discarded tail; normalized
-    divides by the square root of the full variance sum.
-    """
-    if sigma <= 0.5:
-        raise DivergenceError(f"P(sigma) requires sigma > 1/2, got {sigma}")
-    if limit is None:
-        limit = signs.prime_limit
-    ps, sg = signs.up_to(limit)
-    value = float(np.sum(sg * ps.astype(np.float64) ** (-sigma)))
-    tail_var = prime_series.prime_power_tail_bound(2.0 * sigma, limit, pi_cut=ps.size)
-    variance = prime_series.variance_sum(sigma).estimate
-    return RandomPrimeSum(
-        sigma=sigma,
-        limit=limit,
-        value=value,
-        tail_std=sqrt(tail_var),
-        normalized=value / sqrt(variance),
     )
 
 

@@ -7,17 +7,22 @@ None of this is used by `rmflab` itself:
   `rmf.signed_values` must reproduce;
 - hand-built sign assignments (chosen primes, or one constant sign);
 - the pair-by-pair brute force of the chaining conclusion, which
-  `chaining.verify_chaining` must reproduce.
+  `chaining.verify_chaining` must reproduce;
+- the truncated P(sigma) of one sign assignment, which
+  `rmf.random_prime_sum_batch` must reproduce for every seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
+from rmflab import prime_series
 from rmflab import primes as primes_mod
 from rmflab.chaining import ChainingReport, _first_violations
+from rmflab.prime_series import DivergenceError
 from rmflab.primes import DEFAULT_SEGMENT, PrimeTable
 from rmflab.rmf import SignAssignment
 
@@ -185,4 +190,38 @@ def verify_chaining_pairs(values, a: float, b: float, lambdas) -> ChainingReport
         conclusion_holds=bool(excess <= 0.0),
         first_hypothesis_violation_r=first_violation,
         max_conclusion_excess=excess,
+    )
+
+
+@dataclass(frozen=True)
+class RandomPrimeSum:
+    sigma: float
+    limit: int
+    value: float
+    tail_std: float
+    normalized: float
+
+
+def random_prime_sum(
+    signs: SignAssignment, sigma: float, limit: int | None = None
+) -> RandomPrimeSum:
+    """P(sigma) truncated at `limit`: sum of sign(p) p^(-sigma) over p <= limit.
+
+    tail_std bounds the standard deviation of the discarded tail; normalized
+    divides by the square root of the full variance sum.
+    """
+    if sigma <= 0.5:
+        raise DivergenceError(f"P(sigma) requires sigma > 1/2, got {sigma}")
+    if limit is None:
+        limit = signs.prime_limit
+    ps, sg = signs.up_to(limit)
+    value = float(np.sum(sg * ps.astype(np.float64) ** (-sigma)))
+    tail_var = prime_series.prime_power_tail_bound(2.0 * sigma, limit, pi_cut=ps.size)
+    variance = prime_series.variance_sum(sigma).estimate
+    return RandomPrimeSum(
+        sigma=sigma,
+        limit=limit,
+        value=value,
+        tail_std=sqrt(tail_var),
+        normalized=value / sqrt(variance),
     )

@@ -150,15 +150,15 @@ def test_c08_dyadic_oscillation_property_suite():
 
 def test_c09_borel_cantelli_series():
     step = StepParams(1.0)
-    r400 = concentration.borel_cantelli_partial("step2", 400, gamma=1.0, step=step)
-    r800 = concentration.borel_cantelli_partial("step2", 800, gamma=1.0, step=step)
+    r400 = concentration.borel_cantelli_step2(400, 1.0, step)
+    r800 = concentration.borel_cantelli_step2(800, 1.0, step)
     cauchy = abs(r800.partial_sum - r400.partial_sum)
     step_ok = cauchy <= 1e-10 and r400.tail_estimate <= 1e-10
     bigterm_ok = True
     for delta in (0.25, 0.5, 0.9):
         sp = StepParams.from_delta(delta)
         for ell in range(1, 101):
-            r = concentration.borel_cantelli_partial("bigterm", 300, step=sp, ell=ell)
+            r = concentration.borel_cantelli_bigterm(300, sp, ell)
             bigterm_ok = bigterm_ok and r.partial_sum <= r.closed_bound and r.closed_bound_holds
     report(
         "09 borel-cantelli-series",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -5,7 +6,6 @@ import numpy as np
 import pytest
 
 from rmflab import chaining as ch
-from rmflab import rmf
 from rmflab.sequences import StepParams
 
 import oracles
@@ -161,8 +161,7 @@ def test_verify_chaining_shape_validation():
 
 
 def test_oscillation_experiment_basic():
-    signs = rmf.sample_signs(0, 10**5)
-    res = ch.oscillation_experiment(signs, 4, StepParams(1.0), r_max=8, limit=10**5)
+    res = ch.oscillation_batch([0], 4, StepParams(1.0), r_max=8, limit=10**5)[0]
     assert res.max_osc >= 0
     assert res.paper_c == pytest.approx(PAPER_C, rel=1e-12)
     assert res.max_osc < res.paper_c
@@ -170,23 +169,19 @@ def test_oscillation_experiment_basic():
 
 
 def test_oscillation_monotone_in_depth():
-    signs = rmf.sample_signs(0, 10**5)
-    r8 = ch.oscillation_experiment(signs, 4, StepParams(1.0), r_max=8, limit=10**5)
-    r10 = ch.oscillation_experiment(signs, 4, StepParams(1.0), r_max=10, limit=10**5)
+    r8 = ch.oscillation_batch([0], 4, StepParams(1.0), r_max=8, limit=10**5)[0]
+    r10 = ch.oscillation_batch([0], 4, StepParams(1.0), r_max=10, limit=10**5)[0]
     assert r8.max_osc <= r10.max_osc
 
 
 def test_oscillation_degenerate_interval():
-    signs = rmf.sample_signs(0, 10**4)
-    res = ch.oscillation_experiment(signs, 10**6, StepParams(1.0), r_max=4, limit=10**4)
+    res = ch.oscillation_batch([0], 10**6, StepParams(1.0), r_max=4, limit=10**4)[0]
     assert res.max_osc == 0.0  # sigma_ell == sigma_{ell-1} at float precision
 
 
 def test_oscillation_batch_matches_single():
     batch = ch.oscillation_batch([0, 1], 3, StepParams(1.0), r_max=6, limit=10**4)
-    single = ch.oscillation_experiment(
-        rmf.sample_signs(1, 10**4), 3, StepParams(1.0), r_max=6, limit=10**4
-    )
+    single = ch.oscillation_batch([1], 3, StepParams(1.0), r_max=6, limit=10**4)[0]
     match = [r for r in batch if r.seed == 1][0]
     assert match.max_osc == pytest.approx(single.max_osc, rel=1e-12)
     assert match.first_violation_r == single.first_violation_r
@@ -195,14 +190,13 @@ def test_oscillation_batch_matches_single():
 def test_oscillation_batch_accepts_negative_seed():
     step = StepParams(1.0)
     (row,) = ch.oscillation_batch([-1], 3, step, r_max=6, limit=10**4)
-    single = ch.oscillation_experiment(rmf.sample_signs(-1, 10**4), 3, step, r_max=6, limit=10**4)
-    assert row == single
+    single = ch.oscillation_batch([2**64 - 1], 3, step, r_max=6, limit=10**4)[0]
+    assert row == dataclasses.replace(single, seed=-1)
     assert row.seed == -1
 
 
 def test_oscillation_validation():
-    signs = rmf.sample_signs(0, 100)
     with pytest.raises(ValueError):
-        ch.oscillation_experiment(signs, 1, StepParams(1.0), r_max=4)
+        ch.oscillation_batch([0], 1, StepParams(1.0), r_max=4, limit=100)
     with pytest.raises(ValueError):
-        ch.oscillation_experiment(signs, 3, StepParams(1.0), r_max=0)
+        ch.oscillation_batch([0], 3, StepParams(1.0), r_max=0, limit=100)

@@ -313,6 +313,11 @@ def test_csv_float_cells_are_plain_numbers(prime_sums_out, tmp_path):
         ["simulate", {"output_dir": 3}],
         ["sup-scan", "--c0", "0.6", "--prime-limit", "1000"],
         ["sup-scan", "--sigma-grid", "1.6", "--prime-limit", "1000"],
+        ["sup-scan", "--c1", "0.5", "--prime-limit", "1000"],
+        ["sup-scan", "--grid-step", "0.5", "--prime-limit", "1000"],
+        ["concentration", "--trials", "10", "--prime-limit", "1000"],
+        ["chaining", "--r-max", "31", "--seeds", "1", "--prime-limit", "1000"],
+        ["prime-sums", "--prime-limit", "1", "--claim1-n", "100000"],
     ],
 )
 def test_invalid_input_exits_2_before_any_work(argv, tmp_path, capsys):

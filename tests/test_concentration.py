@@ -73,24 +73,24 @@ def test_sign_flip_symmetry():
 
 def test_borel_cantelli_step2():
     step = StepParams(1.0)
-    r400 = cc.borel_cantelli_partial("step2", 400, gamma=1.0, step=step)
+    r400 = cc.borel_cantelli_step2(400, 1.0, step)
     closed_tail = (math.sqrt(400) + 0.5) * math.exp(-2 * math.sqrt(400))
     assert r400.tail_estimate == pytest.approx(closed_tail, rel=1e-10)
     assert r400.tail_estimate < 1e-10
-    r800 = cc.borel_cantelli_partial("step2", 800, gamma=1.0, step=step)
+    r800 = cc.borel_cantelli_step2(800, 1.0, step)
     assert abs(r800.partial_sum - r400.partial_sum) <= r400.tail_estimate
 
 
 def test_borel_cantelli_step2_cauchy_doubling():
     step = StepParams(0.5)  # delta 0.25, beta 0.375
     for terms in (50, 100, 200):
-        a = cc.borel_cantelli_partial("step2", terms, gamma=0.5, step=step)
-        b = cc.borel_cantelli_partial("step2", 2 * terms, gamma=0.5, step=step)
+        a = cc.borel_cantelli_step2(terms, 0.5, step)
+        b = cc.borel_cantelli_step2(2 * terms, 0.5, step)
         assert abs(b.partial_sum - a.partial_sum) <= a.tail_estimate
 
 
 def test_borel_cantelli_bigterm_first_value():
-    r = cc.borel_cantelli_partial("bigterm", 200, step=StepParams(1.0), ell=1)
+    r = cc.borel_cantelli_bigterm(200, StepParams(1.0), 1)
     assert r.partial_sum == pytest.approx(2.0 / (math.e - 2.0), rel=1e-12)
     assert r.closed_bound == pytest.approx(16.0 / math.e, rel=1e-12)
     assert r.closed_bound_holds
@@ -101,7 +101,7 @@ def test_borel_cantelli_bigterm_ratio_below_three_quarters():
     for delta in (0.25, 0.5, 0.9):
         step = StepParams.from_delta(delta)
         for ell in (1, 2, 5, 10, 100):
-            r = cc.borel_cantelli_partial("bigterm", 300, step=step, ell=ell)
+            r = cc.borel_cantelli_bigterm(300, step, ell)
             assert r.ratio < 0.75
             assert r.closed_bound_holds
             assert 2.0 * (r.partial_sum + r.tail_estimate) <= r.closed_bound
@@ -110,15 +110,11 @@ def test_borel_cantelli_bigterm_ratio_below_three_quarters():
 def test_borel_cantelli_validation():
     step = StepParams(1.0)
     with pytest.raises(ValueError):
-        cc.borel_cantelli_partial("step2", 0, gamma=1.0, step=step)
+        cc.borel_cantelli_step2(0, 1.0, step)
     with pytest.raises(ValueError):
-        cc.borel_cantelli_partial("step2", 10, gamma=-1.0, step=step)
+        cc.borel_cantelli_step2(10, -1.0, step)
     with pytest.raises(ValueError):
-        cc.borel_cantelli_partial("bigterm", 10, step=step, ell=0)
-    with pytest.raises(ValueError):
-        cc.borel_cantelli_partial("nope", 10, step=step)
-    with pytest.raises(ValueError):
-        cc.borel_cantelli_partial("step2", 10, gamma=1.0, step=None)
+        cc.borel_cantelli_bigterm(10, step, 0)
 
 
 def test_three_series_check():

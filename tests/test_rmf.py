@@ -194,9 +194,9 @@ def test_seed_zero_regression_value():
 
 def test_random_prime_sum_four_terms():
     s = oracles.signs_constant(1, 10)
-    r = rmf.random_prime_sum(s, 1.0, 10)
+    r = oracles.random_prime_sum(s, 1.0, 10)
     assert r.value == pytest.approx(1 / 2 + 1 / 3 + 1 / 5 + 1 / 7)
-    neg = rmf.random_prime_sum(oracles.signs_constant(-1, 10), 1.0, 10)
+    neg = oracles.random_prime_sum(oracles.signs_constant(-1, 10), 1.0, 10)
     assert neg.value == pytest.approx(-r.value)
     assert r.normalized == pytest.approx(r.value / math.sqrt(0.45224742), rel=1e-4)
 
@@ -204,14 +204,14 @@ def test_random_prime_sum_four_terms():
 def test_random_prime_sum_divergence():
     s = rmf.sample_signs(0, 100)
     with pytest.raises(DivergenceError):
-        rmf.random_prime_sum(s, 0.5, 100)
+        oracles.random_prime_sum(s, 0.5, 100)
 
 
 def test_random_prime_sum_batch_matches_single():
     seeds = np.arange(8, dtype=np.uint64)
     batch = rmf.random_prime_sum_batch(seeds, 0.7, 10**4)
     for i, seed in enumerate(seeds):
-        single = rmf.random_prime_sum(rmf.sample_signs(int(seed), 10**4), 0.7, 10**4)
+        single = oracles.random_prime_sum(rmf.sample_signs(int(seed), 10**4), 0.7, 10**4)
         assert batch[i] == pytest.approx(single.value, rel=1e-12)
 
 
