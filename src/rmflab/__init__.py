@@ -34,10 +34,9 @@ from .rmf import (
     SignAssignment,
     SupScanResult,
     abel_identity_residual,
-    abs_mellin,
     partial_sum_trace,
     sample_signs,
-    series_and_product,
+    sign_change_counts,
     sign_change_points,
     signed_values,
     sup_scan,

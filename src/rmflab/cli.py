@@ -392,9 +392,9 @@ def cmd_simulate(args, cfg: ExperimentConfig, echo: dict) -> int:
     x_max = _positive(cfg, "x_max")
     run = _Run(echo)
     signs = rmf.sample_signs(cfg.seed, max(x_max, 2))
-    trace = rmf.partial_sum_trace(signs, x_max)
+    trace = rmf.partial_sum_trace(signs, x_max, keep_values=x_max <= 10**5)
 
-    if trace.values is not None and x_max <= 10**5:
+    if trace.values is not None:
         ns = np.arange(1, x_max + 1)
         ms = trace.values
     else:
@@ -436,22 +436,18 @@ def cmd_signchanges(args, cfg: ExperimentConfig, echo: dict) -> int:
     x_max = _positive(cfg, "x_max")
     n_seeds = _positive(cfg, "seeds")
     run = _Run(echo)
-    primes.cached_primes(max(x_max, 2))  # sieve once, before the threads share it
-
-    def one(seed: int) -> tuple[int, int, int]:
-        signs = rmf.sample_signs(seed, max(x_max, 2))
-        trace = rmf.partial_sum_trace(signs, x_max, keep_values=False)
-        return seed, trace.count_changes(), trace.final_value
-
+    rmf.squarefree_plan(x_max)  # sieve and factor once, before the threads share them
+    seeds = range(cfg.seed, cfg.seed + n_seeds)
+    chunks = [seeds[i : i + rmf.PACKED_SIGNS] for i in range(0, n_seeds, rmf.PACKED_SIGNS)]
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         # map yields in seed order, whatever order the threads finish in.
-        results = list(pool.map(one, range(cfg.seed, cfg.seed + n_seeds)))
+        results = np.vstack(list(pool.map(lambda c: rmf.sign_change_counts(c, x_max), chunks)))
     _write_csv(
         run.path("table", "csv"),
         ["seed", "V_f", "final_M"],
-        [list(r) for r in results],
+        [[seed, int(v), int(m)] for seed, (v, m) in zip(seeds, results)],
     )
-    counts = np.array([r[1] for r in results], dtype=np.float64)
+    counts = results[:, 0].astype(np.float64)
     summary = {
         "seeds": n_seeds,
         "x_max": x_max,
@@ -610,10 +606,11 @@ def cmd_concentration(args, cfg: ExperimentConfig, echo: dict) -> int:
 
 
 def cmd_sequences(args, cfg: ExperimentConfig, echo: dict) -> int:
+    k_max = _positive(cfg, "k_max")
     run = _Run(echo)
     params = TheoremParams(c=cfg.c, a0=cfg.a0, a1=cfg.a1)
     rows = []
-    for k in range(1, cfg.k_max + 1):
+    for k in range(1, k_max + 1):
         sk = sequences.sigma_k(k, params)
         y_k, x_k = sequences.interval_endpoints(k, params)
         rows.append(

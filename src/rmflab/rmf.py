@@ -4,15 +4,20 @@ Signs on primes come from a counter-based keyed hash of (seed, prime), so an
 assignment is reproducible from (seed, prime_limit) alone, independent of
 evaluation order and thread count.  The multiplicative extension, partial
 sums M_f with sign-change events, the random prime sum P(sigma) over many
-seeds at once, truncated Dirichlet series / Euler products, the exact
-Abel-summation identity, and grid scans of sup_t of cosine-weighted prime
-sums all live here.
+seeds at once, the exact Abel-summation identity, and grid scans of sup_t of
+cosine-weighted prime sums all live here.
+
+The multiplicative extension has one path.  A seed-independent plan lists the
+primes dividing each squarefree n; it is built per TRACE_SEGMENT-long block
+and cached process-wide for the largest x asked for so far, so the cache grows
+with that x.  The negative signs of 64 assignments are the bits of one uint64
+word per prime, and one XOR pass over the plan gives f(n) for all 64.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from math import isqrt
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -26,7 +31,8 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _PRIME_SALT = np.uint64(0xD1B54A32D192ED03)
 
-TRACE_SEGMENT = 1 << 22
+TRACE_SEGMENT = 1 << 17
+PACKED_SIGNS = 64  # sign assignments per uint64 word of the multiplicative extension
 TRACE_VALUES_CAP = 10**7
 CHECKPOINT_STRIDE = 1 << 16
 _SEED_BLOCK = 256  # seeds hashed per sign-matrix block
@@ -105,68 +111,97 @@ def sample_signs(seed: int, prime_limit: int) -> SignAssignment:
     return SignAssignment(seed=seed, prime_limit=prime_limit, primes=ps, signs=signs)
 
 
-def _signed_block(signs: SignAssignment, lo: int, hi: int) -> np.ndarray:
-    """f(n) for n in [lo, hi] as int8; requires hi <= prime_limit."""
-    length = hi - lo + 1
-    f = np.ones(length, dtype=np.int8)
-    ps, sg = signs.primes, signs.signs
+@dataclass(frozen=True)
+class SegmentPlan:
+    """Every squarefree n >= 2 in [lo, hi] as n - lo, ascending; the primes
+    dividing the k-th one are primes[prime_idx[starts[k]:starts[k + 1]]]."""
 
-    # Primes <= block length: strided sign flips and square zeroing.
-    small_end = int(np.searchsorted(ps, length, side="right"))
-    for i in np.flatnonzero(sg[:small_end] == -1):
-        p = int(ps[i])
-        start = ((lo + p - 1) // p) * p
-        if start <= hi:
-            f[start - lo :: p] *= np.int8(-1)
-
-    # Primes > block length: at most hi // (length+1) multiples each; walk by
-    # multiplier k and flip the negative ones in bulk.
-    k_max = hi // (length + 1) + 1
-    for k in range(1, k_max + 1):
-        p_lo = max(length + 1, (lo + k - 1) // k)
-        p_hi = hi // k
-        if p_lo > p_hi:
-            continue
-        a = int(np.searchsorted(ps, p_lo, side="left"))
-        b = int(np.searchsorted(ps, p_hi, side="right"))
-        if a >= b:
-            continue
-        block_ps = ps[a:b]
-        neg = block_ps[sg[a:b] == -1]
-        if neg.size:
-            f[(k * neg - lo).astype(np.int64)] *= np.int8(-1)
-
-    # Zero out multiples of squares.
-    for p in ps[: int(np.searchsorted(ps, isqrt(hi), side="right"))]:
-        q = int(p) * int(p)
-        start = ((lo + q - 1) // q) * q
-        if start > hi:
-            continue
-        if q <= length:
-            f[start - lo :: q] = 0
-        else:
-            f[np.arange(start, hi + 1, q) - lo] = 0
-
-    if lo == 1:
-        f[0] = 1
-    return f
+    lo: int
+    hi: int
+    squarefree: np.ndarray
+    starts: np.ndarray
+    prime_idx: np.ndarray
 
 
-def _segments(signs: SignAssignment, x_max: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (lo, f(lo..hi)) over consecutive TRACE_SEGMENT-long blocks that
-    cover 1..x_max; the range check runs at the first step."""
+def _build_plan(lo: int, hi: int) -> SegmentPlan:
+    ps = primes_mod.cached_primes(max(hi, 2)).primes
+    first = (lo - 1) // ps + 1  # k of the first multiple k*p >= lo
+    counts = hi // ps - first + 1
+    # One entry per multiple n = k*p in [lo, hi], prime by prime.
+    idx = np.repeat(np.arange(ps.size), counts)
+    k = np.arange(idx.size) - np.repeat(np.cumsum(counts) - counts, counts) + first[idx]
+    p = ps[idx]
+    rel = k * p - lo
+    squarefree = np.ones(hi - lo + 1, dtype=bool)
+    squarefree[rel[k % p == 0]] = False  # p^2 | n exactly when p | k
+    keep = squarefree[rel]
+    rel, idx = rel[keep], idx[keep]
+    per_n = np.bincount(rel, minlength=hi - lo + 1)
+    sq = np.flatnonzero(per_n)
+    starts = np.concatenate(([0], np.cumsum(per_n[sq]))).astype(np.int32)
+    return SegmentPlan(lo, hi, sq, starts, idx[np.argsort(rel, kind="stable")].astype(np.int32))
+
+
+_plans: tuple[int, int, list[SegmentPlan]] = (0, 0, [])  # (TRACE_SEGMENT, x covered, plans)
+_plans_lock = threading.Lock()
+
+
+def squarefree_plan(x_max: int) -> list[SegmentPlan]:
+    """Plans of the TRACE_SEGMENT-long blocks that cover 1..x_max, from one
+    process-wide set kept for the largest x_max asked for so far (about 14
+    bytes per integer).  A smaller x_max gets its blocks, the last one cut; a
+    larger one keeps every complete block and builds the rest."""
+    global _plans
+    with _plans_lock:
+        segment, covered, plans = _plans
+        if segment != TRACE_SEGMENT or covered < x_max:
+            plans = [p for p in plans if segment == TRACE_SEGMENT == p.hi - p.lo + 1]
+            for lo in range(len(plans) * TRACE_SEGMENT + 1, x_max + 1, TRACE_SEGMENT):
+                plans.append(_build_plan(lo, min(lo + TRACE_SEGMENT - 1, x_max)))
+            _plans = (TRACE_SEGMENT, x_max, plans)
+    out = plans[: (x_max - 1) // TRACE_SEGMENT + 1]
+    last = out[-1]
+    if last.hi > x_max:
+        k = int(np.searchsorted(last.squarefree, x_max - last.lo, side="right"))
+        out[-1] = SegmentPlan(last.lo, x_max, last.squarefree[:k], last.starts[: k + 1],
+                              last.prime_idx[: last.starts[k]])
+    return out
+
+
+def _packed(negative: list[np.ndarray]) -> np.ndarray:
+    """One uint64 per prime, bit j set where boolean row j of `negative` is."""
+    words = np.zeros((negative[0].size, 8), dtype=np.uint8)
+    words[:, : (len(negative) + 7) // 8] = np.packbits(negative, axis=0, bitorder="little").T
+    return words.view("<u8").ravel()
+
+
+def _signed_blocks(
+    words: np.ndarray, rows: int, x_max: int
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (j, lo, f(lo..hi)) block by block for the assignments j < rows
+    packed in `words`.  One XOR pass over a block's plan gives, for all rows,
+    whether each squarefree n has an odd number of negative primes."""
+    for plan in squarefree_plan(x_max):
+        odd = np.bitwise_xor.reduceat(words[plan.prime_idx], plan.starts[:-1]).view(np.uint8)
+        for j in range(rows):
+            f = np.zeros(plan.hi - plan.lo + 1, dtype=np.int8)
+            f[plan.squarefree] = 1 - 2 * ((odd[j // 8 :: 8] >> (j % 8)) & 1).view(np.int8)
+            if plan.lo == 1:
+                f[0] = 1
+            yield j, plan.lo, f
+
+
+def _negative(signs: SignAssignment, x_max: int) -> np.ndarray:
+    """Where the signs of the primes up to x_max are -1, after the range check."""
     if not 1 <= x_max <= signs.prime_limit:
-        raise ResourceLimitError(
-            f"x_max={x_max} outside the supported range [1, prime_limit={signs.prime_limit}]"
-        )
-    for lo in range(1, x_max + 1, TRACE_SEGMENT):
-        yield lo, _signed_block(signs, lo, min(lo + TRACE_SEGMENT - 1, x_max))
+        raise ResourceLimitError(f"x_max={x_max} outside [1, prime_limit={signs.prime_limit}]")
+    return signs.up_to(x_max)[1] < 0
 
 
 def signed_values(signs: SignAssignment, x_max: int) -> np.ndarray:
     """f(1..x_max) as an int8 array (index i holds f(i+1))."""
-    blocks = [block for _, block in _segments(signs, x_max)]
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    words = _packed([_negative(signs, x_max)])
+    return np.concatenate([f for _, _, f in _signed_blocks(words, 1, x_max)])
 
 
 def sign_change_points(values: np.ndarray, first_n: int = 1, carry: int = 0) -> np.ndarray:
@@ -174,11 +209,11 @@ def sign_change_points(values: np.ndarray, first_n: int = 1, carry: int = 0) -> 
     value appears.  Runs of zeros collapse; a terminal zero run adds nothing.
     `values[i]` is the value at n = first_n + i; `carry` is the sign of the
     last nonzero value before the array (0 if none)."""
-    values = np.asarray(values)
-    nz = np.flatnonzero(values)
+    signs = np.sign(np.asarray(values)).astype(np.int8)
+    nz = np.flatnonzero(signs)
     if nz.size == 0:
         return np.empty(0, dtype=np.int64)
-    s = np.sign(values[nz]).astype(np.int8)
+    s = signs[nz]
     flips = np.empty(nz.size, dtype=bool)
     flips[0] = carry != 0 and s[0] != carry
     flips[1:] = s[1:] != s[:-1]
@@ -212,43 +247,47 @@ class PartialSumTrace:
         return int(np.searchsorted(self.change_points, x, side="right"))
 
 
+def _traces(words: np.ndarray, rows: int, x_max: int, keep_values=False) -> list[PartialSumTrace]:
+    """partial_sum_trace of each assignment packed in `words`, carrying M and
+    the sign of its last nonzero value from block to block."""
+    value, sign = [0] * rows, [0] * rows
+    changes, checkpoints = [[] for _ in range(rows)], [[] for _ in range(rows)]
+    kept = [np.empty(x_max, dtype=np.int64) if keep_values else None for _ in range(rows)]
+    for j, lo, f in _signed_blocks(words, rows, x_max):
+        m = np.cumsum(f, dtype=np.int64, out=kept[j][lo - 1 :][: f.size] if keep_values else None)
+        m += value[j]
+        changes[j].append(sign_change_points(m, first_n=lo, carry=sign[j]))
+        checkpoints[j].append(m[-lo % CHECKPOINT_STRIDE :: CHECKPOINT_STRIDE].copy())
+        value[j] = int(m[-1])
+        nz = [m.size - 1] if value[j] else np.flatnonzero(m)  # M is rarely 0
+        sign[j] = int(np.sign(m[nz[-1]])) if len(nz) else sign[j]
+    cp_ns = np.arange(CHECKPOINT_STRIDE, x_max + 1, CHECKPOINT_STRIDE, dtype=np.int64)
+    return [
+        PartialSumTrace(x_max, np.concatenate(changes[j]), value[j], cp_ns,
+                        np.concatenate(checkpoints[j]), kept[j])
+        for j in range(rows)
+    ]
+
+
 def partial_sum_trace(
     signs: SignAssignment, x_max: int, keep_values: bool | None = None
 ) -> PartialSumTrace:
     """Exact M_f at every integer up to x_max, built segment by segment."""
     if keep_values is None:
         keep_values = x_max <= TRACE_VALUES_CAP
+    return _traces(_packed([_negative(signs, x_max)]), 1, x_max, keep_values)[0]
 
-    carry_value = 0
-    carry_sign = 0
-    changes: list[np.ndarray] = []
-    kept: list[np.ndarray] = []
-    cp_ns: list[int] = []
-    cp_vals: list[int] = []
-    for lo, block in _segments(signs, x_max):
-        hi = lo + block.size - 1
-        m = np.cumsum(block, dtype=np.int64)
-        m += carry_value
-        changes.append(sign_change_points(m, first_n=lo, carry=carry_sign))
-        first_cp = ((lo + CHECKPOINT_STRIDE - 1) // CHECKPOINT_STRIDE) * CHECKPOINT_STRIDE
-        for n in range(first_cp, hi + 1, CHECKPOINT_STRIDE):
-            cp_ns.append(n)
-            cp_vals.append(int(m[n - lo]))
-        carry_value = int(m[-1])
-        nz = np.flatnonzero(m)
-        if nz.size:
-            carry_sign = int(np.sign(m[nz[-1]]))
-        if keep_values:
-            kept.append(m)
 
-    return PartialSumTrace(
-        x_max=x_max,
-        change_points=np.concatenate(changes) if changes else np.empty(0, np.int64),
-        final_value=carry_value,
-        checkpoint_ns=np.asarray(cp_ns, dtype=np.int64),
-        checkpoint_values=np.asarray(cp_vals, dtype=np.int64),
-        values=(kept[0] if len(kept) == 1 else np.concatenate(kept)) if keep_values else None,
-    )
+def sign_change_counts(seeds: Sequence[int], x_max: int) -> np.ndarray:
+    """(count_changes(), final_value) of partial_sum_trace(sample_signs(seed,
+    max(x_max, 2)), x_max) for each seed, shape (len(seeds), 2).  Each
+    extension pass serves PACKED_SIGNS seeds."""
+    out = []
+    for start in range(0, len(seeds), PACKED_SIGNS):
+        block = seeds[start : start + PACKED_SIGNS]
+        words = _packed([_negative(sample_signs(seed, max(x_max, 2)), x_max) for seed in block])
+        out += [(t.count_changes(), t.final_value) for t in _traces(words, len(block), x_max)]
+    return np.array(out, dtype=np.int64).reshape(-1, 2)
 
 
 def random_prime_sum_batch(
@@ -278,29 +317,6 @@ def random_prime_sum_batch(
     return out.reshape(seeds.shape + sigmas.shape)
 
 
-def series_and_product(
-    signs: SignAssignment, s: complex, limit: int
-) -> tuple[complex, complex]:
-    """Truncated Dirichlet series sum_{n<=limit} f(n) n^(-s) and truncated
-    Euler product prod_{p<=limit} (1 + sign(p) p^(-s)).
-
-    No equality is claimed at finite truncation; compare with tail estimates.
-    """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    if limit > signs.prime_limit:
-        raise ValueError(f"limit {limit} exceeds prime_limit {signs.prime_limit}")
-    s = complex(s)
-    if limit == 1:
-        return 1 + 0j, 1 + 0j
-    f = signed_values(signs, limit).astype(np.float64)
-    n = np.arange(1, limit + 1, dtype=np.float64)
-    series = complex(np.sum(f * np.exp(-s * np.log(n))))
-    ps, sg = signs.up_to(limit)
-    product = complex(np.prod(1.0 + sg * np.exp(-s * np.log(ps.astype(np.float64)))))
-    return series, product
-
-
 def _step_weights(sigma: float, x: int) -> np.ndarray:
     """n^(-sigma) - (n+1)^(-sigma) for n = 1..x-1, computed cancellation-free."""
     n = np.arange(1, x, dtype=np.float64)
@@ -324,18 +340,6 @@ def abel_identity_residual(signs: SignAssignment, sigma: float, x: int) -> float
         return abs(lhs - boundary)
     integral = float(np.sum(m[:-1].astype(np.float64) * _step_weights(sigma, x)))
     return abs(lhs - boundary - integral)
-
-
-def abs_mellin(signs: SignAssignment, sigma: float, x: int) -> float:
-    """Exact piecewise integral of |M(u)| u^(-1-sigma) over [1, x]."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if x == 1:
-        return 0.0
-    f = signed_values(signs, x)
-    m = np.cumsum(f, dtype=np.int64)
-    weights = _step_weights(sigma, x) / sigma
-    return float(np.sum(np.abs(m[:-1]).astype(np.float64) * weights))
 
 
 @dataclass(frozen=True)

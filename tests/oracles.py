@@ -5,6 +5,13 @@ None of this is used by `rmflab` itself:
 - a smallest-prime-factor table and squarefree factorization, and the
   multiplicative extension f(n) evaluated one n at a time from them, which
   `rmf.signed_values` must reproduce;
+- `_signed_block`, the extension of one assignment over a block of n by
+  strided sign flips, as `rmf` computed it before the squarefree plan:
+  `rmf.signed_values`, `rmf.partial_sum_trace` and `rmf.sign_change_counts`
+  must reproduce it bit for bit for every seed, batch and segment length;
+- the truncated Dirichlet series and Euler product of one assignment
+  (`series_and_product`) and the Mellin integral of |M| (`abs_mellin`),
+  which no command uses;
 - hand-built sign assignments (chosen primes, or one constant sign);
 - the pair-by-pair brute force of the chaining conclusion, which
   `chaining.verify_chaining` must reproduce;
@@ -15,7 +22,7 @@ None of this is used by `rmflab` itself:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import isqrt, sqrt
 
 import numpy as np
 
@@ -24,7 +31,7 @@ from rmflab import primes as primes_mod
 from rmflab.chaining import ChainingReport, _first_violations
 from rmflab.prime_series import DivergenceError
 from rmflab.primes import DEFAULT_SEGMENT, PrimeTable
-from rmflab.rmf import SignAssignment
+from rmflab.rmf import SignAssignment, _step_weights, signed_values
 
 SPF_HARD_CAP = 1 << 31
 
@@ -225,3 +232,85 @@ def random_prime_sum(
         tail_std=sqrt(tail_var),
         normalized=value / sqrt(variance),
     )
+
+
+def _signed_block(signs: SignAssignment, lo: int, hi: int) -> np.ndarray:
+    """f(n) for n in [lo, hi] as int8; requires hi <= prime_limit."""
+    length = hi - lo + 1
+    f = np.ones(length, dtype=np.int8)
+    ps, sg = signs.primes, signs.signs
+
+    # Primes <= block length: strided sign flips and square zeroing.
+    small_end = int(np.searchsorted(ps, length, side="right"))
+    for i in np.flatnonzero(sg[:small_end] == -1):
+        p = int(ps[i])
+        start = ((lo + p - 1) // p) * p
+        if start <= hi:
+            f[start - lo :: p] *= np.int8(-1)
+
+    # Primes > block length: at most hi // (length+1) multiples each; walk by
+    # multiplier k and flip the negative ones in bulk.
+    k_max = hi // (length + 1) + 1
+    for k in range(1, k_max + 1):
+        p_lo = max(length + 1, (lo + k - 1) // k)
+        p_hi = hi // k
+        if p_lo > p_hi:
+            continue
+        a = int(np.searchsorted(ps, p_lo, side="left"))
+        b = int(np.searchsorted(ps, p_hi, side="right"))
+        if a >= b:
+            continue
+        block_ps = ps[a:b]
+        neg = block_ps[sg[a:b] == -1]
+        if neg.size:
+            f[(k * neg - lo).astype(np.int64)] *= np.int8(-1)
+
+    # Zero out multiples of squares.
+    for p in ps[: int(np.searchsorted(ps, isqrt(hi), side="right"))]:
+        q = int(p) * int(p)
+        start = ((lo + q - 1) // q) * q
+        if start > hi:
+            continue
+        if q <= length:
+            f[start - lo :: q] = 0
+        else:
+            f[np.arange(start, hi + 1, q) - lo] = 0
+
+    if lo == 1:
+        f[0] = 1
+    return f
+
+
+def series_and_product(
+    signs: SignAssignment, s: complex, limit: int
+) -> tuple[complex, complex]:
+    """Truncated Dirichlet series sum_{n<=limit} f(n) n^(-s) and truncated
+    Euler product prod_{p<=limit} (1 + sign(p) p^(-s)).
+
+    No equality is claimed at finite truncation; compare with tail estimates.
+    """
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    if limit > signs.prime_limit:
+        raise ValueError(f"limit {limit} exceeds prime_limit {signs.prime_limit}")
+    s = complex(s)
+    if limit == 1:
+        return 1 + 0j, 1 + 0j
+    f = signed_values(signs, limit).astype(np.float64)
+    n = np.arange(1, limit + 1, dtype=np.float64)
+    series = complex(np.sum(f * np.exp(-s * np.log(n))))
+    ps, sg = signs.up_to(limit)
+    product = complex(np.prod(1.0 + sg * np.exp(-s * np.log(ps.astype(np.float64)))))
+    return series, product
+
+
+def abs_mellin(signs: SignAssignment, sigma: float, x: int) -> float:
+    """Exact piecewise integral of |M(u)| u^(-1-sigma) over [1, x]."""
+    if sigma <= 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    if x == 1:
+        return 0.0
+    f = signed_values(signs, x)
+    m = np.cumsum(f, dtype=np.int64)
+    weights = _step_weights(sigma, x) / sigma
+    return float(np.sum(np.abs(m[:-1]).astype(np.float64) * weights))

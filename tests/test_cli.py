@@ -1,6 +1,10 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +93,28 @@ def test_signchanges_thread_count_independent(tmp_path, monkeypatch):
     assert run(["signchanges", "--seeds", "6", "--x-max", "10000", "--output-dir", str(out2)]) == 0
     t2 = next(out2.glob("signchanges-table-*.csv")).read_bytes()
     assert t1 == t2
+
+
+def test_signchanges_thread_count_independent_across_processes(tmp_path):
+    # 70 seeds make two chunks for the pool.  The same --output-dir name under
+    # two parents gives the same config digest, hence the same file names.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env_path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    results = []
+    for threads in ("1", "2"):
+        parent = tmp_path / f"threads{threads}"
+        parent.mkdir()
+        subprocess.run(
+            [sys.executable, "-m", "rmflab.cli", "signchanges", "--seeds", "70",
+             "--x-max", "20000", "--output-dir", "out"],
+            cwd=parent, env=dict(os.environ, RMFLAB_THREADS=threads, PYTHONPATH=env_path),
+            check=True, capture_output=True, timeout=300,
+        )
+        out = parent / "out"
+        results.append({p.name: p.read_bytes() for kind in ("table", "summary")
+                         for p in out.glob(f"signchanges-{kind}-*")})
+    assert len(results[0]) == 2
+    assert results[0] == results[1]
 
 
 def test_report_without_manifests(tmp_path):
@@ -318,6 +344,7 @@ def test_csv_float_cells_are_plain_numbers(prime_sums_out, tmp_path):
         ["concentration", "--trials", "10", "--prime-limit", "1000"],
         ["chaining", "--r-max", "31", "--seeds", "1", "--prime-limit", "1000"],
         ["prime-sums", "--prime-limit", "1", "--claim1-n", "100000"],
+        ["sequences", "--k-max", "0"],
     ],
 )
 def test_invalid_input_exits_2_before_any_work(argv, tmp_path, capsys):

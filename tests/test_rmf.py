@@ -151,6 +151,84 @@ def test_trace_segmented_consistency(monkeypatch):
     assert np.array_equal(full.checkpoint_values, seg.checkpoint_values)
 
 
+PLAN_SEEDS = [0, 1, 2**63 + 5, -1]
+PLAN_XS = [1, 2, 3, 4, 10**4, 2**18 - 1, 2**18, 2**18 + 1]
+
+
+def assert_matches_strided_flips(signs, x):
+    """signed_values and partial_sum_trace equal the strided-flip extension
+    (one block over 1..x) and its cumulative sum, bit for bit."""
+    f = oracles._signed_block(signs, 1, x)
+    values = rmf.signed_values(signs, x)
+    assert values.dtype == f.dtype and np.array_equal(values, f)
+    m = np.cumsum(f, dtype=np.int64)
+    tr = rmf.partial_sum_trace(signs, x)
+    assert tr.values.dtype == m.dtype and np.array_equal(tr.values, m)
+    assert np.array_equal(tr.change_points, rmf.sign_change_points(m))
+    assert tr.final_value == int(m[-1])
+    ns = np.arange(rmf.CHECKPOINT_STRIDE, x + 1, rmf.CHECKPOINT_STRIDE)
+    assert np.array_equal(tr.checkpoint_ns, ns)
+    assert np.array_equal(tr.checkpoint_values, m[ns - 1])
+
+
+@pytest.mark.parametrize("seed", PLAN_SEEDS)
+def test_plan_extension_matches_strided_flips(seed):
+    signs = rmf.sample_signs(seed, 2**18 + 1)
+    for x in PLAN_XS:
+        assert_matches_strided_flips(signs, x)
+
+
+@pytest.mark.parametrize("seed", PLAN_SEEDS)
+def test_plan_extension_matches_strided_flips_short_segments(seed, monkeypatch):
+    monkeypatch.setattr(rmf, "TRACE_SEGMENT", 777)
+    assert_matches_strided_flips(rmf.sample_signs(seed, 3 * 10**4), 3 * 10**4)
+
+
+@pytest.mark.parametrize(
+    "signs",
+    [
+        oracles.signs_from_dict({2: -1, 3: -1, 7: -1, 9973: -1}, 10**4),
+        oracles.signs_constant(1, 10**4),
+        oracles.signs_constant(-1, 10**4),
+    ],
+)
+def test_plan_extension_of_hand_built_assignments(signs):
+    for x in (1, 6, 10**4):
+        assert_matches_strided_flips(signs, x)
+
+
+def test_sign_change_counts_match_single_traces():
+    seeds = list(range(-3, 67))  # 70 seeds: two packed words, one of them partly filled
+    counts = rmf.sign_change_counts(seeds, 20000)
+    assert counts.shape == (70, 2)
+    for seed, (v, m) in zip(seeds, counts):
+        tr = rmf.partial_sum_trace(rmf.sample_signs(seed, 20000), 20000)
+        assert (v, m) == (tr.count_changes(), tr.final_value)
+    assert rmf.sign_change_counts([5], 1).tolist() == [[0, 1]]
+    with pytest.raises(rmf.ResourceLimitError):
+        rmf.sign_change_counts([5], 0)
+
+
+def test_squarefree_plan_cache_grows_and_cuts(monkeypatch):
+    monkeypatch.setattr(rmf, "TRACE_SEGMENT", 1000)
+    monkeypatch.setattr(rmf, "_plans", (0, 0, []))
+    first = rmf.squarefree_plan(2500)
+    assert [(p.lo, p.hi) for p in first] == [(1, 1000), (1001, 2000), (2001, 2500)]
+    cut = rmf.squarefree_plan(1200)
+    assert [(p.lo, p.hi) for p in cut] == [(1, 1000), (1001, 1200)]
+    assert cut[0] is first[0]
+    grown = rmf.squarefree_plan(3100)
+    assert [(p.lo, p.hi) for p in grown][2:] == [(2001, 3000), (3001, 3100)]
+    assert grown[0] is first[0] and grown[1] is first[1]
+    signs = rmf.sample_signs(4, 3100)
+    for x in (1200, 2500, 3100):
+        assert_matches_strided_flips(signs, x)
+    # A new segment length drops every block, even one as long as the new length.
+    monkeypatch.setattr(rmf, "TRACE_SEGMENT", 100)
+    assert [(p.lo, p.hi) for p in rmf.squarefree_plan(250)] == [(1, 100), (101, 200), (201, 250)]
+    assert_matches_strided_flips(signs, 250)
+
+
 def test_trace_checkpoints():
     s = rmf.sample_signs(1, 2 * 10**5)
     tr = rmf.partial_sum_trace(s, 2 * 10**5)
@@ -253,12 +331,12 @@ def test_sample_variance_matches_coefficient_sum():
 
 def test_series_and_product_trivial():
     s = rmf.sample_signs(0, 10)
-    assert rmf.series_and_product(s, 2.0, 1) == (1 + 0j, 1 + 0j)
+    assert oracles.series_and_product(s, 2.0, 1) == (1 + 0j, 1 + 0j)
 
 
 def test_series_all_plus_one_is_squarefree_sum():
     s = oracles.signs_constant(1, 10**4)
-    series, _ = rmf.series_and_product(s, 2.0, 10**4)
+    series, _ = oracles.series_and_product(s, 2.0, 10**4)
     f = rmf.signed_values(s, 10**4).astype(float)
     n = np.arange(1, 10**4 + 1, dtype=float)
     assert series.real == pytest.approx(float(np.sum(np.abs(f) / n**2)), rel=1e-12)
@@ -267,7 +345,7 @@ def test_series_all_plus_one_is_squarefree_sum():
 
 def test_series_close_to_product_at_s2():
     s = rmf.sample_signs(3, 10**4)
-    series, product = rmf.series_and_product(s, 2.0, 10**4)
+    series, product = oracles.series_and_product(s, 2.0, 10**4)
     tail = 10.0 * (1.0 / 10**4)  # crude bound on 10 * sum_{n > 1e4} n^-2
     assert abs(series - product) <= tail
 
@@ -275,7 +353,7 @@ def test_series_close_to_product_at_s2():
 def test_series_limit_validation():
     s = rmf.sample_signs(0, 10)
     with pytest.raises(ValueError):
-        rmf.series_and_product(s, 2.0, 100)
+        oracles.series_and_product(s, 2.0, 100)
 
 
 def test_abel_identity_trivial_and_small():
@@ -290,15 +368,15 @@ def test_abel_identity_trivial_and_small():
 
 def test_abs_mellin_values():
     s = rmf.sample_signs(0, 100)
-    assert rmf.abs_mellin(s, 0.7, 1) == 0.0
+    assert oracles.abs_mellin(s, 0.7, 1) == 0.0
     # M is 1 on [1, 2), so the x = 2 integral has the one-interval closed form.
     sigma = 0.7
-    assert rmf.abs_mellin(s, sigma, 2) == pytest.approx((1 - 2**-sigma) / sigma, rel=1e-12)
+    assert oracles.abs_mellin(s, sigma, 2) == pytest.approx((1 - 2**-sigma) / sigma, rel=1e-12)
 
 
 def test_abs_mellin_increases_as_sigma_decreases():
     s = rmf.sample_signs(4, 10**5)
-    vals = [rmf.abs_mellin(s, sigma, 10**5) for sigma in (0.7, 0.6, 0.55)]
+    vals = [oracles.abs_mellin(s, sigma, 10**5) for sigma in (0.7, 0.6, 0.55)]
     assert vals[0] < vals[1] < vals[2]
 
 
