@@ -1,10 +1,11 @@
 """rmflab: a desk-scale laboratory for partial sums of Rademacher random
 multiplicative functions.
 
-Subpackages: primes (sieves and counting), prime_series (certified prime
-sums), rmf (simulation, traces, sign changes), sequences (explicit parameter
-sequences at nested-log scale), chaining (dyadic oscillation bounds),
-concentration (Hoeffding / Borel-Cantelli experiments), cli (batch runner).
+Subpackages: primes (sieves and the shared prime table), prime_series
+(certified prime sums), rmf (simulation, traces, sign changes), sequences
+(explicit parameter sequences at nested-log scale), chaining (dyadic
+oscillation bounds), concentration (Hoeffding / Borel-Cantelli experiments),
+cli (batch runner and the acceptance check table).
 """
 
 __version__ = "0.1.0"
@@ -14,7 +15,6 @@ from .primes import (
     PrimeTable,
     cached_primes,
     chebyshev_check,
-    prime_count,
     sieve_primes,
 )
 from .prime_series import (
@@ -24,6 +24,7 @@ from .prime_series import (
     euler_tail_constant,
     log_weighted_sum,
     prime_zeta,
+    prime_zeta_direct,
     variance_sum,
     zeta,
     zetaasym_ratio,
@@ -49,7 +50,6 @@ from .sequences import (
     StepSigma,
     SubtractionScan,
     TheoremParams,
-    corollary_lower_bound,
     harper_lower_bound,
     interval_endpoints,
     intervals_disjoint,
@@ -59,24 +59,16 @@ from .sequences import (
 )
 from .chaining import (
     ChainingReport,
-    DyadicGrid,
     LambdaSchedule,
     OscillationResult,
-    chaining_R,
-    chaining_bound,
-    dyadic_grid,
     oscillation_batch,
     verify_chaining,
 )
 from .concentration import (
     BorelCantelliPartial,
     Step2Row,
-    TailExperiment,
-    ThreeSeriesResult,
     borel_cantelli_bigterm,
     borel_cantelli_step2,
     hoeffding_bound,
-    mc_tail,
     step2_experiment,
-    three_series_check,
 )

@@ -1,15 +1,15 @@
-"""Dyadic decomposition machinery: nested grids D_r, the deterministic
-oscillation bound |f(s) - f(t)| <= 2 sum_{r > R} lambda_r, the lambda_r^2 =
-2 C1 r / 4^r schedule with its chaining constant, and the empirical
-oscillation experiment max |P(sigma) - P(sigma_ell)| over [sigma_ell,
-sigma_{ell-1}].
+"""Dyadic chaining: the deterministic oscillation bound |f(s) - f(t)| <=
+2 sum_{r > R} lambda_r checked on the depth-r_max dyadic grid of an interval,
+the lambda_r^2 = 2 C1 r / 4^r schedule with its chaining constant, and the
+empirical oscillation experiment max |P(sigma) - P(sigma_ell)| over
+[sigma_ell, sigma_{ell-1}].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import frexp, ldexp, sqrt
-from typing import Callable, Sequence
+from math import sqrt
+from typing import Sequence
 
 import numpy as np
 
@@ -18,54 +18,8 @@ from . import prime_series
 from . import rmf as rmf_mod
 from .sequences import StepParams, step_sigma_ell
 
-_TAIL_REL_TOL = 1e-15  # chaining tail sums stop once a term falls below this share
+_TAIL_REL_TOL = 1e-15  # the chaining constant's sum stops once a term falls below this share
 _GRID_CHUNK = 256  # sigma-grid rows per oscillation block
-
-
-@dataclass(frozen=True)
-class DyadicGrid:
-    """Equidistant points tau_r(n) = a + (n/2^r)(b - a), n = 0..2^r.
-
-    The n/2^r fractions are exact dyadic floats, so the refinement identity
-    tau_{r+1}(2n) == tau_r(n) holds exactly in evaluation.
-    """
-
-    a: float
-    b: float
-    r: int
-    points: np.ndarray
-
-    def __post_init__(self):
-        self.points.flags.writeable = False
-
-
-def dyadic_grid(a: float, b: float, r: int) -> DyadicGrid:
-    if a >= b:
-        raise ValueError(f"need a < b, got a={a}, b={b}")
-    if not 0 <= r <= 30:
-        raise ValueError(f"r must lie in [0, 30], got {r}")
-    frac = np.arange(2**r + 1, dtype=np.float64) / (2.0**r)
-    points = a + frac * (b - a)
-    points[-1] = b  # endpoint exact; interior points keep the dyadic form
-    return DyadicGrid(a=a, b=b, r=r, points=points)
-
-
-def chaining_R(a: float, b: float, s: float, t: float) -> int:
-    """The unique integer R with (b-a)/2^(R+1) < |s-t| <= (b-a)/2^R."""
-    if s == t:
-        raise ValueError("R is undefined for s == t (zero distance)")
-    d = abs(s - t)
-    width = b - a
-    if width <= 0 or d > width:
-        raise ValueError("s, t must be distinct points of [a, b]")
-    mantissa, exponent = frexp(width / d)  # width/d = mantissa * 2^exponent
-    r = exponent - 1
-    # One corrective step absorbs the division rounding.
-    while d > ldexp(width, -r):
-        r -= 1
-    while r + 1 >= 1 and d <= ldexp(width, -(r + 1)):
-        r += 1
-    return r
 
 
 @dataclass(frozen=True)
@@ -82,34 +36,18 @@ class LambdaSchedule:
         return sqrt(2.0 * self.c1 * r) / 2.0**r
 
     def chaining_constant(self) -> float:
-        """2 sum_{r>=1} lambda_r = 2 sqrt(2 C1) sum sqrt(r)/2^r."""
-        return chaining_tail_sum(self, 0)
+        """2 sum_{r>=1} lambda_r = 2 sqrt(2 C1) sum sqrt(r)/2^r, summed until a
+        term falls below _TAIL_REL_TOL of the running sum."""
+        total = 0.0
+        for r in range(1, 20000):
+            term = self(r)
+            total += term
+            if term <= _TAIL_REL_TOL * total:
+                break
+        return 2.0 * total
 
 
 OSCILLATION_SCHEDULE = LambdaSchedule(c1=4.0)  # the lambda_r of the oscillation experiment
-
-
-def chaining_tail_sum(lam: Callable[[int], float], r_from_exclusive: int) -> float:
-    """2 * sum_{r > r_from_exclusive} lambda_r, truncated when terms fall
-    below _TAIL_REL_TOL of the running sum."""
-    total = 0.0
-    r = r_from_exclusive + 1
-    while r < r_from_exclusive + 20000:
-        term = lam(r)
-        if term < 0:
-            raise ValueError(f"schedule must be nonnegative, lambda({r}) = {term}")
-        total += term
-        if term <= _TAIL_REL_TOL * total:
-            break
-        r += 1
-    return 2.0 * total
-
-
-def chaining_bound(lam: Callable[[int], float], a: float, b: float, s: float, t: float) -> float:
-    """The oscillation bound 2 sum_{r > R} lambda_r for the pair (s, t)."""
-    if s == t:
-        return 0.0
-    return chaining_tail_sum(lam, chaining_R(a, b, s, t))
 
 
 @dataclass(frozen=True)

@@ -231,6 +231,11 @@ def _positive(cfg: ExperimentConfig, key: str) -> int:
 
 
 # ---------------------------------------------------------------- verify --
+#
+# One check per acceptance criterion that `verify` reproduces, each a function
+# check(cfg) -> (passed, detail).  The acceptance tests of c01-c04, c07 and
+# c09-c11 call these same functions with ExperimentConfig(), whose defaults
+# are the acceptance sizes.
 
 
 def _logsq_grid(n_cut: int) -> list[tuple[float, prime_series.LogWeightedSum]]:
@@ -244,86 +249,75 @@ def _hoeffding_valid(rows: list[concentration.Step2Row]) -> bool:
     return all(r.empirical_freq <= r.hoeffding_bound + 3.0 * r.std_err for r in rows)
 
 
-def _verify_constants(cfg: ExperimentConfig) -> list[dict]:
-    checks = []
+def _check_euler_tail_constant(cfg: ExperimentConfig) -> tuple[bool, dict]:
+    """c01: the certified upper value of sum_p 1/(p(sqrt(p)-1)) lies in (2.10, 2.1121]."""
     t0 = time.monotonic()
     ev = prime_series.euler_tail_constant(cfg.n_primes)
-    checks.append(
-        {
-            "name": "euler-tail-constant",
-            "passed": 2.10 < ev.upper <= 2.1121,
-            "detail": {
-                "n_primes": cfg.n_primes,
-                "estimate": ev.estimate,
-                "upper": ev.upper,
-                "seconds": round(time.monotonic() - t0, 3),
-            },
-        }
-    )
+    detail = {
+        "n_primes": cfg.n_primes,
+        "estimate": ev.estimate,
+        "upper": ev.upper,
+        "seconds": round(time.monotonic() - t0, 3),
+    }
+    return 2.10 < ev.upper <= 2.1121, detail
 
+
+def _check_log_weighted_bound_grid(cfg: ExperimentConfig) -> tuple[bool, dict]:
+    """c02: sum_p (log p)^2 p^(-2 sigma) <= 4/(2 sigma - 1)^2, certified on the 50-sigma grid."""
     grid = _logsq_grid(cfg.claim1_n)
-    checks.append(
-        {
-            "name": "log-weighted-bound-grid",
-            "passed": all(r.holds for _, r in grid),
-            "detail": {
-                "n_cut": cfg.claim1_n,
-                "worst_margin": min(r.bound_rhs - r.value.upper for _, r in grid),
-            },
-        }
-    )
+    worst = min(r.bound_rhs - r.value.upper for _, r in grid)
+    return all(r.holds for _, r in grid), {"n_cut": cfg.claim1_n, "worst_margin": worst}
 
+
+def _check_zeta_asymptotic_ratio(cfg: ExperimentConfig) -> tuple[bool, dict]:
+    """c03: |P(x)/log(1/(x-1)) - 1| strictly decreases as x -> 1+ and ends <= 0.1."""
     xs = [1.5, 1.1, 1.01, 1.001]
     ratios = [prime_series.zetaasym_ratio(x)[0] for x in xs]
     gaps = [abs(r - 1.0) for r in ratios]
-    checks.append(
-        {
-            "name": "zeta-asymptotic-ratio",
-            "passed": all(gaps[i] > gaps[i + 1] for i in range(len(gaps) - 1)) and gaps[-1] <= 0.1,
-            "detail": {"x": xs, "ratio_sum": ratios},
-        }
-    )
+    passed = all(a > b for a, b in zip(gaps, gaps[1:])) and gaps[-1] <= 0.1
+    return passed, {"x": xs, "ratio_sum": ratios}
 
+
+def _check_chebyshev(cfg: ExperimentConfig) -> tuple[bool, dict]:
+    """c04: pi(x) < 2x/log x at every prime x <= chebyshev_limit."""
     rep = primes.chebyshev_check(primes.cached_primes(cfg.chebyshev_limit))
-    checks.append(
-        {
-            "name": "chebyshev-two-over-log",
-            "passed": rep.holds,
-            "detail": {
-                "limit": cfg.chebyshev_limit,
-                "max_ratio": rep.max_ratio,
-                "worst_prime": rep.worst_prime,
-            },
-        }
-    )
-    return checks
+    detail = {
+        "limit": cfg.chebyshev_limit,
+        "max_ratio": rep.max_ratio,
+        "worst_prime": rep.worst_prime,
+    }
+    return rep.holds, detail
 
 
-def _verify_extras(cfg: ExperimentConfig) -> list[dict]:
-    checks = []
-    step = StepParams(cfg.epsilon)
+def _check_sigma_difference_scan(cfg: ExperimentConfig) -> tuple[bool, dict]:
+    """c10: for delta in {0.25, 0.5, 0.75} the step inequality holds from some ell1 <= 100
+    through ell = 10^5."""
     scans = {
         d: sequences.subtraction_bound_scan(StepParams.from_delta(d), 10**5)
         for d in (0.25, 0.5, 0.75)
     }
-    checks.append(
-        {
-            "name": "sigma-difference-bound-scan",
-            "passed": all(s.ell1 is not None and s.ell1 <= 100 for s in scans.values()),
-            "detail": {str(d): s.ell1 for d, s in scans.items()},
-        }
-    )
+    passed = all(s.holds_at_ell_max and s.ell1 <= 100 for s in scans.values())
+    return passed, {str(d): s.ell1 for d, s in scans.items()}
 
+
+def _check_intervals(cfg: ExperimentConfig) -> tuple[bool, dict]:
+    """c11: [y_k, X_k] and [y_{k+1}, X_{k+1}] are disjoint and loglog X_k = 2 exp(k^c)
+    to 1e-12, for k = 1..k_max."""
     params = TheoremParams(c=cfg.c, a0=cfg.a0, a1=cfg.a1)
-    disjoint = [sequences.intervals_disjoint(k, params) for k in range(1, cfg.k_max + 1)]
-    checks.append(
-        {
-            "name": "interval-disjointness",
-            "passed": all(disjoint),
-            "detail": {"k_max": cfg.k_max},
-        }
+    ks = range(1, cfg.k_max + 1)
+    disjoint = all(sequences.intervals_disjoint(k, params) for k in ks)
+    x_ends = [sequences.interval_endpoints(k, params)[1] for k in ks]
+    identity = all(
+        abs(float(x.mantissa / mp.exp(mp.mpf(k) ** cfg.c)) - 2.0) <= 1e-12
+        for k, x in zip(ks, x_ends)
     )
+    return disjoint and identity, {"k_max": cfg.k_max}
 
+
+def _check_borel_cantelli(cfg: ExperimentConfig) -> tuple[bool, dict]:
+    """c09: the step-2 series is Cauchy, |S800 - S400| <= 1e-10, with tail_400 <= 1e-10,
+    and every bigterm series meets its closed bound 16 exp(-ell^(2 delta))."""
+    step = StepParams(cfg.epsilon)
     bc = concentration.borel_cantelli_step2(400, cfg.gamma, step)
     bc2 = concentration.borel_cantelli_step2(800, cfg.gamma, step)
     bigterm_ok = all(
@@ -331,38 +325,47 @@ def _verify_extras(cfg: ExperimentConfig) -> list[dict]:
         for d in (0.25, 0.5, 0.9)
         for ell in range(1, 101)
     )
-    checks.append(
-        {
-            "name": "borel-cantelli-series",
-            "passed": abs(bc2.partial_sum - bc.partial_sum) <= max(bc.tail_estimate, 1e-10)
-            and bigterm_ok,
-            "detail": {"partial_400": bc.partial_sum, "tail_400": bc.tail_estimate},
-        }
-    )
+    cauchy = abs(bc2.partial_sum - bc.partial_sum)
+    passed = cauchy <= 1e-10 and bc.tail_estimate <= 1e-10 and bigterm_ok
+    return passed, {"partial_400": bc.partial_sum, "tail_400": bc.tail_estimate}
 
-    rng_rows = concentration.step2_experiment(
-        step,
+
+def _check_hoeffding(cfg: ExperimentConfig) -> tuple[bool, dict]:
+    """c07: every step-2 exceedance frequency over cfg.trials seeds lies within
+    3 standard errors above its Hoeffding bound."""
+    rows = concentration.step2_experiment(
+        StepParams(cfg.epsilon),
         cfg.gamma,
         range(cfg.ell_min, cfg.ell_max + 1),
-        trials=max(100, cfg.trials // 10),
+        trials=cfg.trials,
         prime_limit=min(cfg.prime_limit, 10**5),
         base_seed=cfg.seed,
     )
-    checks.append(
-        {
-            "name": "hoeffding-validity",
-            "passed": _hoeffding_valid(rng_rows),
-            "detail": {"rows": len(rng_rows)},
-        }
-    )
-    return checks
+    return _hoeffding_valid(rows), {"rows": len(rows)}
+
+
+# Check name -> check, in the order `verify` runs them.
+VERIFY_CHECKS = {
+    "euler-tail-constant": _check_euler_tail_constant,
+    "log-weighted-bound-grid": _check_log_weighted_bound_grid,
+    "zeta-asymptotic-ratio": _check_zeta_asymptotic_ratio,
+    "chebyshev-two-over-log": _check_chebyshev,
+    "sigma-difference-bound-scan": _check_sigma_difference_scan,
+    "interval-disjointness": _check_intervals,
+    "borel-cantelli-series": _check_borel_cantelli,
+    "hoeffding-validity": _check_hoeffding,
+}
+# verify's targets: the constants are the first four checks.
+VERIFY_TARGETS = {"constants": list(VERIFY_CHECKS)[:4], "all": list(VERIFY_CHECKS)}
 
 
 def cmd_verify(args, cfg: ExperimentConfig, echo: dict) -> int:
+    _positive(cfg, "k_max")
     run = _Run(echo)
-    checks = _verify_constants(cfg)
-    if args.target == "all":  # the parser admits only "constants" and "all"
-        checks += _verify_extras(cfg)
+    checks = []
+    for name in VERIFY_TARGETS[args.target]:
+        passed, detail = VERIFY_CHECKS[name](cfg)
+        checks.append({"name": name, "passed": passed, "detail": detail})
     rows = [[check["name"], check["passed"]] for check in checks]
     _write_csv(run.path("checks", "csv"), ["check", "passed"], rows)
     _write_json(run.path("checks", "json"), {"target": args.target, "checks": checks})
@@ -472,10 +475,8 @@ def cmd_prime_sums(args, cfg: ExperimentConfig, echo: dict) -> int:
 
     zeta_rows = []
     for s in [1.001, 1.01, 1.1, 1.2, 1.5, 2.0, 3.0, 4.0, 8.0, 16.0, 32.0, 64.0]:
-        acc = prime_series.prime_zeta(s, method="accelerated")
-        direct = prime_series.prime_zeta(
-            s, method="direct", n_cut=min(cfg.prime_limit, cfg.claim1_n)
-        )
+        acc = prime_series.prime_zeta(s)
+        direct = prime_series.prime_zeta_direct(s, min(cfg.prime_limit, cfg.claim1_n))
         zeta_rows.append(
             [s, acc.estimate, acc.lower, acc.upper, direct.estimate, direct.lower, direct.upper,
              acc.intersects(direct)]
@@ -676,7 +677,7 @@ def cmd_report(args, cfg: ExperimentConfig, echo: dict) -> int:
 # Subcommand: (handler, help text, the ExperimentConfig keys it takes as
 # flags).  Every subcommand also takes --config, --seed and --output-dir.
 COMMANDS = {
-    "verify": (cmd_verify, "run the constant-reproduction checks",
+    "verify": (cmd_verify, "run the acceptance checks: the constants, or all",
                ("n_primes", "claim1_n", "chebyshev_limit", "trials", "prime_limit")),
     "simulate": (cmd_simulate, "one partial-sum trace with sign changes", ("x_max",)),
     "signchanges": (cmd_signchanges, "sign-change counts over a seed sweep", ("x_max", "seeds")),
@@ -709,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (func, help_text, keys) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if name == "verify":
-            p.add_argument("target", choices=["constants", "all"])
+            p.add_argument("target", choices=list(VERIFY_TARGETS))
         p.add_argument("--config", help="JSON config file; flags override its values")
         for key in ("seed", "output_dir") + keys:
             flag = "--" + key.replace("_", "-")

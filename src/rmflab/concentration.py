@@ -1,9 +1,9 @@
 """Tail bounds and Monte Carlo concentration experiments.
 
-Hoeffding's inequality for +-1-weighted sums, empirical tail-frequency
-estimation with per-trial seeds derived from a base seed, partial sums of
-the summable bound series that feed Borel-Cantelli, and the reduced
-Kolmogorov three-series predicate for bounded terms.
+Hoeffding's inequality for +-1-weighted sums, the step-2 exceedance table
+(empirical tail frequencies over per-trial seeds derived from a base seed,
+against their Hoeffding bounds), and partial sums of the summable bound
+series that feed Borel-Cantelli.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 from . import prime_series
 from . import rmf as rmf_mod
-from .prime_series import CertifiedValue
 from .sequences import StepParams, step_sigma_ell
 
 
@@ -29,19 +28,6 @@ def hoeffding_bound(sum_sq_coeffs: float, lam: float) -> float:
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     return exp(-(lam * lam) / (2.0 * sum_sq_coeffs))
-
-
-@dataclass(frozen=True)
-class TailExperiment:
-    trials: int
-    threshold: float
-    empirical_freq: float
-    std_err: float
-    bound: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.empirical_freq <= 1.0:
-            raise ValueError("frequency must lie in [0, 1]")
 
 
 def _exceedance(
@@ -64,33 +50,6 @@ def _exceedance(
         freq = float(np.mean(values[:, j] >= lam))
         out.append((freq, sqrt(freq * (1.0 - freq) / trials)))
     return out
-
-
-def mc_tail(
-    sigma: float,
-    prime_limit: int,
-    threshold: float,
-    trials: int,
-    base_seed: int,
-) -> TailExperiment:
-    """Empirical frequency of {sum_{p<=prime_limit} sign(p) p^(-sigma) >= threshold}
-    over `trials` independently seeded assignments, against the Hoeffding bound
-    with sum_sq = the truncated sum of p^(-2 sigma).
-
-    A nonpositive threshold gets the trivial bound 1.
-    """
-    if sigma <= 0.5:
-        raise prime_series.DivergenceError(f"tail experiment requires sigma > 1/2, got {sigma}")
-    [(freq, std_err)] = _exceedance([sigma], [threshold], trials, prime_limit, base_seed)
-    sum_sq = prime_series.truncated_variance(sigma, prime_limit)
-    bound = 1.0 if threshold <= 0 else hoeffding_bound(sum_sq, threshold)
-    return TailExperiment(
-        trials=trials,
-        threshold=threshold,
-        empirical_freq=freq,
-        std_err=std_err,
-        bound=bound,
-    )
 
 
 @dataclass(frozen=True)
@@ -149,25 +108,6 @@ def borel_cantelli_bigterm(terms: int, step: StepParams, ell: int) -> BorelCante
         closed_bound_holds=bool(holds),
         ratio=q,
     )
-
-
-@dataclass(frozen=True)
-class ThreeSeriesResult:
-    converges: bool
-    variance: CertifiedValue | None
-
-
-def three_series_check(sigma: float) -> ThreeSeriesResult:
-    """Almost-sure convergence predicate for sum_p sign(p) p^(-sigma).
-
-    For bounded +-1 terms the three-series criterion reduces to finiteness
-    of the variance sum; that holds exactly on sigma > 1/2.
-    """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if sigma <= 0.5:
-        return ThreeSeriesResult(converges=False, variance=None)
-    return ThreeSeriesResult(converges=True, variance=prime_series.variance_sum(sigma))
 
 
 @dataclass(frozen=True)

@@ -56,10 +56,6 @@ class CertifiedValue:
         if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
             raise ValueError(f"certified interval must be finite: {self}")
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
     def contains(self, x: float) -> bool:
         return self.lower <= x <= self.upper
 
@@ -161,30 +157,12 @@ def prime_power_tail_bound(s: float, n_cut: int, pi_cut: int | None = None) -> f
     return max(min(integer_route, pi_route), 0.0)
 
 
-def prime_zeta(
-    s: float,
-    method: str = "accelerated",
-    n_cut: int = 10**6,
-) -> CertifiedValue:
-    """Certified prime zeta P(s) = sum_p p^(-s) for s > 1.
-
-    accelerated: Moebius expansion sum_{n>=1} mu(n)/n * log zeta(n*s),
-    truncated where n*s > 64, the remainder folded into the interval.
-    direct: sum over primes p <= n_cut with the tail bounded by
-    prime_power_tail_bound.  The two intervals always intersect.
-    """
+def prime_zeta(s: float) -> CertifiedValue:
+    """Certified prime zeta P(s) = sum_p p^(-s) for s > 1, from the Moebius
+    expansion sum_{n>=1} mu(n)/n * log zeta(n*s), truncated where n*s > 64,
+    the remainder folded into the interval."""
     if s <= 1:
         raise ValueError(f"prime zeta requires s > 1, got {s}")
-    if method == "accelerated":
-        return _prime_zeta_accelerated(s)
-    if method == "direct":
-        if n_cut < 2:
-            raise ValueError(f"direct method needs a cutoff >= 2, got {n_cut}")
-        return _prime_zeta_direct(s, n_cut)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _prime_zeta_accelerated(s: float) -> CertifiedValue:
     n_max = max(1, int(64.0 // s))
     mu = _mobius_upto(n_max)
     total = 0.0
@@ -205,7 +183,14 @@ def _prime_zeta_accelerated(s: float) -> CertifiedValue:
     return _outward(total - pad, total + pad, estimate=total)
 
 
-def _prime_zeta_direct(s: float, n_cut: int) -> CertifiedValue:
+def prime_zeta_direct(s: float, n_cut: int) -> CertifiedValue:
+    """Certified P(s) for s > 1 as the sum over primes p <= n_cut, with the
+    tail bounded by prime_power_tail_bound.  Its interval always intersects
+    that of prime_zeta(s)."""
+    if s <= 1:
+        raise ValueError(f"prime zeta requires s > 1, got {s}")
+    if n_cut < 2:
+        raise ValueError(f"direct prime zeta needs a cutoff >= 2, got {n_cut}")
     p = primes_mod.cached_primes(n_cut).primes.astype(np.float64)
     partial = float(np.sum(p ** (-s)))
     tail = prime_power_tail_bound(s, n_cut, pi_cut=p.size)
@@ -311,7 +296,7 @@ def zetaasym_ratio(x: float) -> tuple[float, float]:
     if not 1.0 < x < 2.0:
         raise ValueError(f"x must lie in (1, 2), got {x}")
     denom = log(1.0 / (x - 1.0))
-    ratio_sum = prime_zeta(x, method="accelerated").estimate / denom
+    ratio_sum = prime_zeta(x).estimate / denom
     ratio_logzeta = _log_zeta(x) / denom
     return ratio_sum, ratio_logzeta
 

@@ -1,5 +1,6 @@
-"""Prime infrastructure: segmented sieve, the process-wide prime table,
-prime counting, and the Chebyshev-type check pi(x) < 2x/log(x).
+"""Prime infrastructure: segmented sieve, the process-wide prime table
+(pi(x) is `table.upto(x).size`), and the Chebyshev-type check
+pi(x) < 2x/log(x).
 
 Limits up to ~1.7e8 (enough for the first 9 million primes) run in bounded
 memory through segmentation.  `cached_primes` is the one source of prime
@@ -95,15 +96,6 @@ def first_n_primes(n: int) -> np.ndarray:
     if primes.size < n:  # pragma: no cover - bound is a theorem for n >= 6
         raise RuntimeError("prime bound underestimated; raise the sieve limit")
     return primes[:n]
-
-
-def prime_count(x: float, table: PrimeTable) -> int:
-    """pi(x) = #{p <= x}, from the table."""
-    if x > table.limit:
-        raise ValueError(f"x={x} exceeds table limit {table.limit}")
-    if x < 2:
-        return 0
-    return int(np.searchsorted(table.primes, int(x), side="right"))
 
 
 @dataclass(frozen=True)

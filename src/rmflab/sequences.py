@@ -98,13 +98,6 @@ class NestedLogReal:
             d, m = 2, mp.log(m)
         return (2, m) if m > 0 else (0, mp.exp(m))
 
-    def loglog(self) -> mp.mpf:
-        """log log x; requires x > e."""
-        cls_, payload = self._key()
-        if cls_ != 2:
-            raise ValueError(f"loglog undefined for {self} (value <= e)")
-        return payload
-
     def to_float(self) -> float:
         d, m = self.depth, self.mantissa
         for _ in range(d):
@@ -184,16 +177,6 @@ def intervals_disjoint(k: int, params: TheoremParams) -> bool:
     _, x_k = interval_endpoints(k, params)
     y_next, _ = interval_endpoints(k + 1, params)
     return x_k < y_next
-
-
-def corollary_lower_bound(x: NestedLogReal, c: float, big_c: float) -> float:
-    """(log(7 loglog x))^(1/c) - C; the count lower bound evaluated at x."""
-    if not c > 2:
-        raise ValueError(f"c must exceed 2, got {c}")
-    ll = x.loglog()
-    if ll <= 0:
-        raise ValueError("loglog x must be positive")
-    return float(mp.log(7 * ll) ** (1.0 / c)) - big_c
 
 
 @dataclass(frozen=True)

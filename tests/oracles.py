@@ -14,7 +14,8 @@ None of this is used by `rmflab` itself:
   which no command uses;
 - hand-built sign assignments (chosen primes, or one constant sign);
 - the pair-by-pair brute force of the chaining conclusion, which
-  `chaining.verify_chaining` must reproduce;
+  `chaining.verify_chaining` must reproduce, and the float `chaining_R`,
+  the reference for the integer R that `verify_chaining` reads off grid steps;
 - the truncated P(sigma) of one sign assignment, which
   `rmf.random_prime_sum_batch` must reproduce for every seed.
 """
@@ -22,7 +23,7 @@ None of this is used by `rmflab` itself:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt, sqrt
+from math import frexp, isqrt, ldexp, sqrt
 
 import numpy as np
 
@@ -166,6 +167,24 @@ def signs_constant(value: int, prime_limit: int) -> SignAssignment:
         primes=ps,
         signs=np.full(ps.size, value, dtype=np.int8),
     )
+
+
+def chaining_R(a: float, b: float, s: float, t: float) -> int:
+    """The unique integer R with (b-a)/2^(R+1) < |s-t| <= (b-a)/2^R."""
+    if s == t:
+        raise ValueError("R is undefined for s == t (zero distance)")
+    d = abs(s - t)
+    width = b - a
+    if width <= 0 or d > width:
+        raise ValueError("s, t must be distinct points of [a, b]")
+    mantissa, exponent = frexp(width / d)  # width/d = mantissa * 2^exponent
+    r = exponent - 1
+    # One corrective step absorbs the division rounding.
+    while d > ldexp(width, -r):
+        r -= 1
+    while r + 1 >= 1 and d <= ldexp(width, -(r + 1)):
+        r += 1
+    return r
 
 
 def verify_chaining_pairs(values, a: float, b: float, lambdas) -> ChainingReport:

@@ -3,6 +3,11 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the full suite takes a few minutes (it sieves 1.7e8 for the first
 9 million primes and runs the larger Monte Carlo sweeps).
+
+c01-c04, c07 and c09-c11 run the check that `rmflab verify all` runs, at the
+defaults of ExperimentConfig (pinned below to the acceptance sizes), and
+assert the literal bounds of the criterion on the check's detail where it
+carries the quantity.
 """
 
 import math
@@ -10,8 +15,9 @@ import time
 
 import numpy as np
 
-from rmflab import chaining, concentration, primes, prime_series, rmf, sequences
-from rmflab.sequences import StepParams, TheoremParams
+from rmflab import chaining, primes, rmf
+from rmflab.cli import VERIFY_CHECKS, ExperimentConfig
+from rmflab.sequences import StepParams
 
 
 def report(name: str, passed: bool, detail: str) -> None:
@@ -19,49 +25,62 @@ def report(name: str, passed: bool, detail: str) -> None:
     assert passed, f"{name}: {detail}"
 
 
+def check(name: str) -> tuple[bool, dict]:
+    """Run verify's check `name` at the acceptance sizes."""
+    return VERIFY_CHECKS[name](ExperimentConfig())
+
+
+def test_config_defaults_are_the_acceptance_sizes():
+    cfg = ExperimentConfig()
+    assert (cfg.n_primes, cfg.claim1_n, cfg.chebyshev_limit) == (9_000_000, 10**7, 10**7)
+    assert (cfg.trials, cfg.seed) == (10**4, 0)
+    assert cfg.prime_limit >= 10**5  # c07 runs on the primes <= 10^5
+    assert (cfg.ell_min, cfg.ell_max, cfg.gamma, cfg.epsilon) == (1, 8, 1.0, 1.0)
+    assert (cfg.k_max, cfg.c, cfg.a0, cfg.a1) == (20, 3.0, 0.1, 1.1)
+
+
 def test_c01_euler_tail_constant_reproduction():
     t0 = time.monotonic()
-    cv = prime_series.euler_tail_constant(9_000_000)
+    passed, detail = check("euler-tail-constant")
     elapsed = time.monotonic() - t0
-    ok = 2.10 < cv.upper <= 2.1121 and elapsed < 60.0
+    upper = detail["upper"]
     report(
         "01 euler-tail-constant-2.112",
-        ok,
-        f"upper={cv.upper:.7f} in (2.10, 2.1121], runtime={elapsed:.1f}s < 60s",
+        passed and 2.10 < upper <= 2.1121 and elapsed < 60.0,
+        f"upper={upper:.7f} in (2.10, 2.1121], runtime={elapsed:.1f}s < 60s",
     )
 
 
 def test_c02_log_weighted_bound_grid():
-    sigmas = [round(0.51 + 0.01 * i, 2) for i in range(50)]
-    results = [prime_series.log_weighted_sum(s, n_cut=10**7) for s in sigmas]
-    ok = all(r.holds for r in results)
-    worst = min(r.bound_rhs - r.value.upper for r in results)
+    passed, detail = check("log-weighted-bound-grid")
+    worst = detail["worst_margin"]
     report(
         "02 log-weighted-sum-bound",
-        ok,
+        passed and worst > 0,
         f"certified upper <= 4/(2s-1)^2 for all 50 sigma, min margin={worst:.3g}",
     )
 
 
 def test_c03_zeta_asymptotic_ratio_trend():
     t0 = time.monotonic()
-    gaps = [abs(prime_series.zetaasym_ratio(x)[0] - 1.0) for x in (1.5, 1.1, 1.01, 1.001)]
+    passed, detail = check("zeta-asymptotic-ratio")
     elapsed = time.monotonic() - t0
-    ok = all(a > b for a, b in zip(gaps, gaps[1:])) and gaps[-1] <= 0.1 and elapsed < 5.0
+    gaps = [abs(r - 1.0) for r in detail["ratio_sum"]]
+    trend = all(a > b for a, b in zip(gaps, gaps[1:])) and gaps[-1] <= 0.1
     report(
         "03 zeta-asymptotic-ratio",
-        ok,
+        passed and trend and elapsed < 5.0,
         f"|ratio-1| strictly decreasing {['%.4f' % g for g in gaps]}, "
         f"last <= 0.1, runtime={elapsed:.2f}s < 5s",
     )
 
 
 def test_c04_chebyshev_bound_to_1e7():
-    rep = primes.chebyshev_check(primes.cached_primes(10**7))
+    passed, detail = check("chebyshev-two-over-log")
     report(
         "04 chebyshev-two-over-log",
-        rep.holds,
-        f"pi(x) < 2x/log x for all primes x <= 1e7, max_ratio={rep.max_ratio:.4f}",
+        passed and detail["max_ratio"] < 1.0,
+        f"pi(x) < 2x/log x for all primes x <= 1e7, max_ratio={detail['max_ratio']:.4f}",
     )
 
 
@@ -108,15 +127,11 @@ def test_c06_variance_match():
 
 
 def test_c07_hoeffding_validity_default_grid():
-    rows = concentration.step2_experiment(
-        StepParams(1.0), 1.0, range(1, 9), trials=10**4, prime_limit=10**5, base_seed=0
-    )
-    ok = all(r.empirical_freq <= r.hoeffding_bound + 3.0 * r.std_err for r in rows)
-    worst = max(r.empirical_freq - r.hoeffding_bound - 3.0 * r.std_err for r in rows)
+    passed, detail = check("hoeffding-validity")
     report(
         "07 hoeffding-validity",
-        ok,
-        f"freq <= bound + 3se on all {len(rows)} rows at 1e4 trials (worst slack {-worst:.3g})",
+        passed,
+        f"freq <= bound + 3se on all {detail['rows']} rows (ell 1..8) at 1e4 trials",
     )
 
 
@@ -149,53 +164,31 @@ def test_c08_dyadic_oscillation_property_suite():
 
 
 def test_c09_borel_cantelli_series():
-    step = StepParams(1.0)
-    r400 = concentration.borel_cantelli_step2(400, 1.0, step)
-    r800 = concentration.borel_cantelli_step2(800, 1.0, step)
-    cauchy = abs(r800.partial_sum - r400.partial_sum)
-    step_ok = cauchy <= 1e-10 and r400.tail_estimate <= 1e-10
-    bigterm_ok = True
-    for delta in (0.25, 0.5, 0.9):
-        sp = StepParams.from_delta(delta)
-        for ell in range(1, 101):
-            r = concentration.borel_cantelli_bigterm(300, sp, ell)
-            bigterm_ok = bigterm_ok and r.partial_sum <= r.closed_bound and r.closed_bound_holds
+    passed, detail = check("borel-cantelli-series")
     report(
         "09 borel-cantelli-series",
-        step_ok and bigterm_ok,
-        f"|S800-S400|={cauchy:.3g} <= 1e-10; bigterm partial <= 16 exp(-l^(2d)) "
-        "for l in [1,100], delta in {0.25, 0.5, 0.9}",
+        passed,
+        f"|S800-S400| <= 1e-10 and tail_400={detail['tail_400']:.3g} <= 1e-10; "
+        "bigterm partial <= 16 exp(-l^(2d)) for l in [1,100], delta in {0.25, 0.5, 0.9}",
     )
 
 
 def test_c10_sigma_difference_bound_scan():
-    results = {}
-    ok = True
-    for delta in (0.25, 0.5, 0.75):
-        scan = sequences.subtraction_bound_scan(StepParams.from_delta(delta), 10**5)
-        results[delta] = scan.ell1
-        ok = ok and scan.holds_at_ell_max and scan.ell1 is not None and scan.ell1 <= 100
+    passed, detail = check("sigma-difference-bound-scan")
     report(
         "10 sigma-difference-bound",
-        ok,
-        f"ell1={results} (finite, <= 100, inequality holds through 1e5)",
+        passed and all(ell1 is not None and ell1 <= 100 for ell1 in detail.values()),
+        f"ell1={detail} (finite, <= 100, inequality holds through 1e5)",
     )
 
 
 def test_c11_sequences_and_intervals():
-    import mpmath as mp
-
-    params = TheoremParams(c=3.0, a0=0.1, a1=1.1)
-    disjoint = all(sequences.intervals_disjoint(k, params) for k in range(1, 21))
-    identity = True
-    for k in range(1, 21):
-        _, x_k = sequences.interval_endpoints(k, params)
-        ratio = float(x_k.mantissa / mp.exp(mp.mpf(k) ** 3))
-        identity = identity and abs(ratio - 2.0) <= 1e-12
+    passed, detail = check("interval-disjointness")
     report(
         "11 interval-sequences",
-        disjoint and identity,
-        "disjoint for k in [1,20] at (3, 0.1, 1.1); loglog X_k = 2 exp(k^c) to 1e-12",
+        passed,
+        f"disjoint for k in [1,{detail['k_max']}] at (3, 0.1, 1.1); "
+        "loglog X_k = 2 exp(k^c) to 1e-12",
     )
 
 

@@ -22,31 +22,10 @@ def observed_maxima(values, r_max):
     return lams
 
 
-def test_dyadic_grid_small():
-    assert ch.dyadic_grid(0, 1, 1).points.tolist() == [0, 0.5, 1]
-    assert ch.dyadic_grid(0, 1, 2).points.tolist() == [0, 0.25, 0.5, 0.75, 1]
-    g0 = ch.dyadic_grid(0.3, 0.9, 0)
-    assert g0.points.tolist() == [0.3, 0.9]
-
-
-def test_dyadic_grid_refinement_identity_exact():
-    for a, b in ((0.0, 1.0), (-2.5, 7.25), (0.517, 0.523)):
-        coarse = ch.dyadic_grid(a, b, 2)
-        fine = ch.dyadic_grid(a, b, 3)
-        assert np.all(fine.points[::2] == coarse.points)
-
-
-def test_dyadic_grid_validation():
-    with pytest.raises(ValueError):
-        ch.dyadic_grid(1, 1, 2)
-    with pytest.raises(ValueError):
-        ch.dyadic_grid(0, 1, 31)
-
-
 def test_chaining_R_examples():
-    assert ch.chaining_R(0, 1, 0.3, 0.0) == 1
-    assert ch.chaining_R(0, 1, 0.5, 0.0) == 1  # boundary 0.25 < 0.5 <= 0.5
-    assert ch.chaining_R(0, 2, 0.3, 0.0) == 2
+    assert oracles.chaining_R(0, 1, 0.3, 0.0) == 1
+    assert oracles.chaining_R(0, 1, 0.5, 0.0) == 1  # boundary 0.25 < 0.5 <= 0.5
+    assert oracles.chaining_R(0, 2, 0.3, 0.0) == 2
 
 
 def test_chaining_R_sandwich_random():
@@ -57,19 +36,26 @@ def test_chaining_R_sandwich_random():
         s, t = rng.uniform(a, b, 2)
         if s == t:
             continue
-        r = ch.chaining_R(a, b, s, t)
+        r = oracles.chaining_R(a, b, s, t)
         d = abs(s - t)
         assert (b - a) / 2 ** (r + 1) < d <= (b - a) / 2**r
 
 
 def test_chaining_R_equal_points():
     with pytest.raises(ValueError):
-        ch.chaining_R(0, 1, 0.5, 0.5)
+        oracles.chaining_R(0, 1, 0.5, 0.5)
 
 
-def test_chaining_bound_geometric():
-    assert ch.chaining_bound(lambda r: 2.0**-r, 0, 1, 0.0, 0.3) == pytest.approx(1.0)
-    assert ch.chaining_bound(lambda r: 2.0**-r, 0, 1, 0.4, 0.4) == 0.0
+def test_chaining_R_matches_grid_step_formula():
+    # verify_chaining reads R off the step count d = |i - j| of two points of the
+    # depth-r_max grid on [a, b] as r_max - (d - 1).bit_length().
+    for r_max in range(1, 9):
+        n = 2**r_max
+        for i in range(n + 1):
+            for j in range(n + 1):
+                if i != j:
+                    expected = r_max - (abs(i - j) - 1).bit_length()
+                    assert oracles.chaining_R(0, 1, i / n, j / n) == expected, (r_max, i, j)
 
 
 def test_schedule_identity_and_constant():
@@ -89,9 +75,9 @@ def test_paper_constant_against_independent_summation():
 
 def test_verify_chaining_linear_slope_one():
     r_max = 6
-    pts = ch.dyadic_grid(0, 1, r_max).points
+    pts = np.linspace(0, 1, 2**r_max + 1)
     lams = [2.0**-r for r in range(1, r_max + 1)]
-    rep = ch.verify_chaining(pts.copy(), 0, 1, lams)
+    rep = ch.verify_chaining(pts, 0, 1, lams)
     assert rep.hypothesis_holds and rep.conclusion_holds
     # For the geometric schedule the finite sum plus extension telescopes to
     # the lemma's 2^(1-R), so |s - t| <= 2^-R sits at exactly half the bound.
@@ -127,7 +113,7 @@ def test_verify_chaining_random_instances():
 
 def test_verify_chaining_matches_pairwise_oracle():
     rng = np.random.default_rng(7)
-    cases = [(ch.dyadic_grid(0, 1, 6).points.copy(), 0.0, 1.0, [2.0**-r for r in range(1, 7)])]
+    cases = [(np.linspace(0, 1, 2**6 + 1), 0.0, 1.0, [2.0**-r for r in range(1, 7)])]
     for _ in range(60):
         r_max = int(rng.integers(1, 8))
         a = float(rng.uniform(-5, 5))

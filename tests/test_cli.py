@@ -146,28 +146,38 @@ def test_verify_constants_scaled_down(tmp_path):
     assert all(c["passed"] for c in checks)
 
 
+# verify all at scaled-down sizes.
+SCALED_VERIFY_ALL = [
+    "verify", "all",
+    "--n-primes", "1000000",
+    "--claim1-n", "1000000",
+    "--chebyshev-limit", "1000000",
+    "--trials", "2000",
+    "--prime-limit", "100000",
+]
+
+
 def test_verify_all_scaled_down(tmp_path):
     out = tmp_path / "va"
-    code = run(
-        [
-            "verify",
-            "all",
-            "--n-primes", "1000000",
-            "--claim1-n", "1000000",
-            "--chebyshev-limit", "1000000",
-            "--trials", "2000",
-            "--prime-limit", "100000",
-            "--output-dir", str(out),
-        ]
-    )
+    code = run(SCALED_VERIFY_ALL + ["--output-dir", str(out)])
     assert code == 0
     checks = json.loads(next(out.glob("verify-checks-*.json")).read_text())["checks"]
-    names = [c["name"] for c in checks]
-    assert "sigma-difference-bound-scan" in names
-    assert "interval-disjointness" in names
-    assert "borel-cantelli-series" in names
-    assert "hoeffding-validity" in names
+    assert [c["name"] for c in checks] == list(cli.VERIFY_CHECKS)
     assert all(c["passed"] for c in checks)
+
+
+def test_verify_all_gates_borel_cantelli_as_the_acceptance_test_does(tmp_path):
+    # At gamma = 0.1 the step-2 series converges slowly: |S800 - S400| = 1.05e-8
+    # and tail_400 = 1.06e-8, so c09's Cauchy test at 1e-10 fails.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gamma": 0.1}))
+    out = tmp_path / "va"
+    code = run(SCALED_VERIFY_ALL + ["--config", str(cfg), "--output-dir", str(out)])
+    assert code == 1
+    checks = json.loads(next(out.glob("verify-checks-*.json")).read_text())["checks"]
+    bc = next(c for c in checks if c["name"] == "borel-cantelli-series")
+    assert bc["passed"] is False
+    assert 1e-10 < bc["detail"]["tail_400"] < 1e-7
 
 
 def test_verify_fails_with_too_few_primes(tmp_path):
@@ -345,6 +355,8 @@ def test_csv_float_cells_are_plain_numbers(prime_sums_out, tmp_path):
         ["chaining", "--r-max", "31", "--seeds", "1", "--prime-limit", "1000"],
         ["prime-sums", "--prime-limit", "1", "--claim1-n", "100000"],
         ["sequences", "--k-max", "0"],
+        ["verify", "all", {"k_max": 0}, "--n-primes", "1000", "--claim1-n", "100000",
+         "--chebyshev-limit", "1000", "--trials", "100", "--prime-limit", "1000"],
     ],
 )
 def test_invalid_input_exits_2_before_any_work(argv, tmp_path, capsys):

@@ -5,10 +5,8 @@ import pytest
 
 from rmflab import concentration as cc
 from rmflab import rmf
-from rmflab.prime_series import DivergenceError, truncated_variance
+from rmflab.prime_series import truncated_variance
 from rmflab.sequences import StepParams
-
-PRIME_ZETA_4 = 0.07699313976425  # frozen 30-digit mpmath value
 
 
 def test_hoeffding_values():
@@ -31,33 +29,6 @@ def test_hoeffding_against_random_walk():
     freq = float(np.mean(walks >= 20))
     assert freq == pytest.approx(exact, abs=3e-3)
     assert freq <= cc.hoeffding_bound(100.0, 20.0)
-
-
-def test_mc_tail_trivial_threshold():
-    r = cc.mc_tail(0.75, 10**4, -1e9, trials=200, base_seed=1)
-    assert r.empirical_freq == 1.0
-    assert r.bound == 1.0
-    assert r.std_err == 0.0
-
-
-def test_mc_tail_bound_formula():
-    r = cc.mc_tail(0.75, 10**4, 10.0, trials=200, base_seed=1)
-    e_t = truncated_variance(0.75, 10**4)
-    assert r.bound == pytest.approx(math.exp(-100.0 / (2.0 * e_t)), rel=1e-12)
-    assert r.empirical_freq == 0.0
-
-
-def test_mc_tail_validation():
-    with pytest.raises(DivergenceError):
-        cc.mc_tail(0.5, 100, 1.0, trials=200, base_seed=0)
-    with pytest.raises(ValueError):
-        cc.mc_tail(0.75, 100, 1.0, trials=10, base_seed=0)
-
-
-def test_mc_tail_moderate_threshold_bound_holds():
-    r = cc.mc_tail(0.6, 10**4, 1.0, trials=4000, base_seed=5)
-    assert r.empirical_freq <= r.bound + 3.0 * r.std_err
-    assert 0.0 < r.empirical_freq < 1.0
 
 
 def test_sign_flip_symmetry():
@@ -115,18 +86,6 @@ def test_borel_cantelli_validation():
         cc.borel_cantelli_step2(10, -1.0, step)
     with pytest.raises(ValueError):
         cc.borel_cantelli_bigterm(10, step, 0)
-
-
-def test_three_series_check():
-    r = cc.three_series_check(0.6)
-    assert r.converges and r.variance is not None
-    assert r.variance.estimate == pytest.approx(1.519768313, abs=1e-8)
-    r5 = cc.three_series_check(0.5)
-    assert not r5.converges and r5.variance is None
-    r2 = cc.three_series_check(2.0)
-    assert r2.converges and r2.variance.estimate == pytest.approx(PRIME_ZETA_4, abs=1e-9)
-    with pytest.raises(ValueError):
-        cc.three_series_check(0.0)
 
 
 def test_step2_experiment_rows():

@@ -66,8 +66,8 @@ def test_prime_zeta_dominant_term_at_64():
 
 def test_prime_zeta_direct_and_accelerated_intersect():
     for s in [1.1, 1.5, 2.0, 3.0, 8.0, 20.0, 64.0]:
-        d = ps.prime_zeta(s, method="direct", n_cut=10**6)
-        a = ps.prime_zeta(s, method="accelerated")
+        d = ps.prime_zeta_direct(s, 10**6)
+        a = ps.prime_zeta(s)
         assert d.intersects(a), (s, d, a)
 
 
@@ -81,9 +81,9 @@ def test_prime_zeta_validation():
     with pytest.raises(ValueError):
         ps.prime_zeta(1.0)
     with pytest.raises(ValueError):
-        ps.prime_zeta(2.0, method="direct", n_cut=1)
+        ps.prime_zeta_direct(1.0, 10**6)
     with pytest.raises(ValueError):
-        ps.prime_zeta(2.0, method="nope")
+        ps.prime_zeta_direct(2.0, 1)
 
 
 def test_certified_value_invariants():
@@ -219,7 +219,7 @@ def test_zetaasym_ratio_values():
 def test_accelerated_prime_zeta_returns_plain_floats():
     # A numpy scalar here would print as 'np.float64(...)' in `rmflab verify` output.
     for s in (1.001, 1.5, 4.0, 64.0):
-        v = ps.prime_zeta(s, method="accelerated")
+        v = ps.prime_zeta(s)
         assert type(v.estimate) is float
         assert type(v.lower) is float
         assert type(v.upper) is float

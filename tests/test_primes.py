@@ -21,16 +21,16 @@ def test_small_primes_by_definition():
 def test_prime_counts_against_trial_division():
     table, _ = oracles.sieve_tables(1000)
     assert table.count == len(trial_division_primes(1000)) == 168
-    assert primes.prime_count(100, table) == 25
+    assert table.upto(100).size == 25
 
 
 def test_prime_count_edges():
     table, _ = oracles.sieve_tables(100)
-    assert primes.prime_count(10, table) == 4
-    assert primes.prime_count(1.5, table) == 0
-    assert primes.prime_count(2, table) == 1
+    assert table.upto(10).size == 4
+    assert table.upto(1.5).size == 0
+    assert table.upto(2).size == 1
     with pytest.raises(ValueError):
-        primes.prime_count(101, table)
+        table.upto(101)
 
 
 def test_sieve_rejects_bad_limits():
@@ -90,7 +90,7 @@ def test_sieve_count_cross_check_random_x():
     rng = np.random.default_rng(2)
     for x in rng.integers(2, 10**5, size=1000):
         x = int(x)
-        assert primes.prime_count(x, table) == int(np.searchsorted(table.primes, x, "right"))
+        assert table.upto(x).size == int(np.count_nonzero(table.primes <= x))
 
 
 def test_spf_skipped_above_cutoff():
@@ -103,7 +103,7 @@ def test_chebyshev_small_cases():
     table, _ = oracles.sieve_tables(10)
     rep = primes.chebyshev_check(table)
     assert rep.holds
-    assert primes.prime_count(10, table) == 4 < 2 * 10 / np.log(10)
+    assert table.upto(10).size == 4 < 2 * 10 / np.log(10)
     table2, _ = oracles.sieve_tables(2)
     rep2 = primes.chebyshev_check(table2)
     assert rep2.holds and rep2.max_ratio == pytest.approx(np.log(2) / 4)

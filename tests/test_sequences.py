@@ -80,27 +80,6 @@ def test_intervals_disjoint_degenerate_a0():
     assert not sq.intervals_disjoint(1, p)
 
 
-def test_corollary_lower_bound_values():
-    x = sq.NestedLogReal.from_real(1e10)
-    assert sq.corollary_lower_bound(x, 3.0, 0.0) == pytest.approx(1.456381725, abs=1e-8)
-    x2 = sq.NestedLogReal.from_loglog(100)
-    assert sq.corollary_lower_bound(x2, 3.0, 0.0) == pytest.approx(1.871131493, abs=1e-8)
-    first = sq.corollary_lower_bound(x, 3.0, 0.0)
-    assert sq.corollary_lower_bound(x, 3.0, first) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_corollary_lower_bound_monotone():
-    xs = [sq.NestedLogReal.from_real(v) for v in (1e2, 1e4, 1e8, 1e16)]
-    xs.append(sq.NestedLogReal.from_loglog(50))
-    vals = [sq.corollary_lower_bound(x, 3.0, 0.0) for x in xs]
-    assert all(a <= b for a, b in zip(vals, vals[1:]))
-
-
-def test_corollary_lower_bound_domain():
-    with pytest.raises(ValueError):
-        sq.corollary_lower_bound(sq.NestedLogReal.from_real(2.0), 3.0, 0.0)
-
-
 def test_nested_log_validation():
     with pytest.raises(ValueError):
         sq.NestedLogReal(3, 1.0)
