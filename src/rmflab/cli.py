@@ -4,8 +4,10 @@ One subcommand per experiment family: verify | simulate | signchanges |
 prime-sums | sup-scan | chaining | concentration | sequences | report.
 Configuration comes from an optional JSON file plus flags (flags win);
 results are deterministic given (config, seed) and independent of thread
-count.  Every run appends a timestamped manifest with the config echo and
-sha256 checksums of the result files it produced.
+count.  Each command computes and returns its result files; `main` hands them
+to one writer, which names them by a digest of the config (without
+`output_dir`), writes them and appends a timestamped manifest with the config
+echo and their sha256 checksums.  A run that fails writes nothing.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
 3 resource exhaustion.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -49,81 +52,82 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
-def _canonical_json(obj) -> str:
-    return json.dumps(
-        obj, sort_keys=True, separators=(",", ":"), allow_nan=True, default=_json_default
-    )
-
-
 def _config_digest(config: dict) -> str:
-    return hashlib.sha256(_canonical_json(config).encode()).hexdigest()[:12]
+    """Digest of the config echo without `output_dir`, so the same config run
+    into two directories names its result files alike."""
+    hashed = {key: value for key, value in config.items() if key != "output_dir"}
+    canonical = json.dumps(
+        hashed, sort_keys=True, separators=(",", ":"), allow_nan=True, default=_json_default
+    )
+    return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
+def _result_name(command: str, file: str, digest: str) -> str:
+    """File name of result `file` ('<kind>.<ext>') of a `command` run."""
+    kind, ext = file.rsplit(".", 1)
+    return f"{command}-{kind}-{digest}.{ext}"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            # float() unwraps numpy scalars, whose repr is 'np.float64(...)'.
-            w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+def _csv_text(header: list[str], rows: list[list]) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        # float() unwraps numpy scalars, whose repr is 'np.float64(...)'.
+        w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
 
 
-def _write_json(path: Path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2, default=_json_default)
-        fh.write("\n")
+def _json_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n"
 
 
-class _Run:
-    """Collects result files for one invocation and writes the manifest."""
+@dataclass
+class Result:
+    """What a command computed.  `files` maps '<kind>.<ext>' to a (header, rows)
+    table for .csv or a JSON object for .json; `message` goes to stdout."""
 
-    def __init__(self, config: dict):
-        if not config["output_dir"].strip():
-            raise ValueError("output_dir must be a non-empty path")
-        self.command = config["command"]
-        self.config = config
-        self.dir = Path(config["output_dir"])
-        self.digest = _config_digest(config)
-        self.files: list[Path] = []
+    files: dict
+    message: str
+    extra: dict = field(default_factory=dict)  # merged into the manifest
+    status: int = 0
 
-    def path(self, kind: str, ext: str) -> Path:
-        # The directory appears with the first result, so a run that fails
-        # before it has any leaves nothing behind.
-        self.dir.mkdir(parents=True, exist_ok=True)
-        p = self.dir / f"{self.command}-{kind}-{self.digest}.{ext}"
-        self.files.append(p)
-        return p
 
-    def finish(self, extra: dict | None = None) -> None:
-        _write_json(self.path("config", "json"), self.config)
-        manifest = {
-            "command": self.command,
-            "config": self.config,
-            "config_digest": self.digest,
-            "results": {p.name: _sha256_file(p) for p in self.files},
-            "versions": {
-                "python": sys.version.split()[0],
-                "numpy": np.__version__,
-                "mpmath": mp.__version__,
-                "rmflab": __version__,
-            },
-        }
-        if extra:
-            manifest.update(extra)
-        stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
-        n = 0
-        while (name := self.dir / f"manifest-{stamp}-{self.command}-{n:03d}.json").exists():
-            n += 1
-        manifest["created_utc"] = stamp
-        _write_json(name, manifest)
+def _write_run(echo: dict, result: Result) -> None:
+    """The one writer of a command's output: its result files and config echo,
+    then a timestamped manifest with the sha256 checksums of the bytes written.
+
+    Commands only compute, so a run that fails writes nothing.
+    """
+    command = echo["command"]
+    digest = _config_digest(echo)
+    out = Path(echo["output_dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    checksums = {}
+    for file, content in {**result.files, "config.json": echo}.items():
+        data = (_csv_text(*content) if file.endswith(".csv") else _json_text(content)).encode()
+        path = out / _result_name(command, file, digest)
+        path.write_bytes(data)
+        checksums[path.name] = hashlib.sha256(data).hexdigest()
+    manifest = {
+        "command": command,
+        "config": echo,
+        "config_digest": digest,
+        "results": checksums,
+        "versions": {
+            "python": sys.version.split()[0],
+            "numpy": np.__version__,
+            "mpmath": mp.__version__,
+            "rmflab": __version__,
+        },
+        **result.extra,
+    }
+    stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
+    n = 0
+    while (name := out / f"manifest-{stamp}-{command}-{n:03d}.json").exists():
+        n += 1
+    manifest["created_utc"] = stamp
+    name.write_text(_json_text(manifest))
 
 
 @dataclass
@@ -201,8 +205,9 @@ def _check_kind(key: str, value) -> None:
 def _load_config(args: argparse.Namespace) -> tuple[dict, ExperimentConfig]:
     """The config echo (values as given) and the same values cast to their fields' kinds.
 
-    The echo is what `_Run` records and hashes, so an int field given as 1000.0
-    in a config file keeps that spelling there while the commands see 1000.
+    The echo is what the manifest records and the digest hashes, so an int
+    field given as 1000.0 in a config file keeps that spelling there while the
+    commands see 1000.
     """
     echo = ExperimentConfig(command=args.command).to_dict()
     if args.config:
@@ -220,6 +225,8 @@ def _load_config(args: argparse.Namespace) -> tuple[dict, ExperimentConfig]:
         if flag is not None:
             echo[key] = flag
     echo["command"] = args.command
+    if args.command != "report" and not echo["output_dir"].strip():
+        raise ValueError("output_dir must be a non-empty path")
     return echo, ExperimentConfig(**{key: _cast(key, value) for key, value in echo.items()})
 
 
@@ -331,14 +338,14 @@ def _check_borel_cantelli(cfg: ExperimentConfig) -> tuple[bool, dict]:
 
 
 def _check_hoeffding(cfg: ExperimentConfig) -> tuple[bool, dict]:
-    """c07: every step-2 exceedance frequency over cfg.trials seeds lies within
-    3 standard errors above its Hoeffding bound."""
+    """c07: every step-2 exceedance frequency over cfg.trials seeds, on the primes
+    <= 10^5, lies within 3 standard errors above its Hoeffding bound."""
     rows = concentration.step2_experiment(
         StepParams(cfg.epsilon),
         cfg.gamma,
         range(cfg.ell_min, cfg.ell_max + 1),
         trials=cfg.trials,
-        prime_limit=min(cfg.prime_limit, 10**5),
+        prime_limit=10**5,
         base_seed=cfg.seed,
     )
     return _hoeffding_valid(rows), {"rows": len(rows)}
@@ -359,21 +366,27 @@ VERIFY_CHECKS = {
 VERIFY_TARGETS = {"constants": list(VERIFY_CHECKS)[:4], "all": list(VERIFY_CHECKS)}
 
 
-def cmd_verify(args, cfg: ExperimentConfig, echo: dict) -> int:
+def cmd_verify(args, cfg: ExperimentConfig) -> Result:
     _positive(cfg, "k_max")
-    run = _Run(echo)
+    names = VERIFY_TARGETS[args.target]
+    if "hoeffding-validity" in names and cfg.trials < concentration.MIN_TRIALS:
+        raise ValueError(f"need at least {concentration.MIN_TRIALS} trials, got {cfg.trials}")
     checks = []
-    for name in VERIFY_TARGETS[args.target]:
+    for name in names:
         passed, detail = VERIFY_CHECKS[name](cfg)
         checks.append({"name": name, "passed": passed, "detail": detail})
-    rows = [[check["name"], check["passed"]] for check in checks]
-    _write_csv(run.path("checks", "csv"), ["check", "passed"], rows)
-    _write_json(run.path("checks", "json"), {"target": args.target, "checks": checks})
     passed = all(check["passed"] for check in checks)
-    run.finish({"passed": passed})
-    for check in checks:
-        print(f"{'PASS' if check['passed'] else 'FAIL'} {check['name']}: {check['detail']}")
-    return 0 if passed else 1
+    return Result(
+        files={
+            "checks.csv": (["check", "passed"], [[c["name"], c["passed"]] for c in checks]),
+            "checks.json": {"target": args.target, "checks": checks},
+        },
+        message="\n".join(
+            f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {c['detail']}" for c in checks
+        ),
+        extra={"passed": passed},
+        status=0 if passed else 1,
+    )
 
 
 # -------------------------------------------------------------- simulate --
@@ -391,9 +404,8 @@ def _quantiles(values) -> dict:
     }
 
 
-def cmd_simulate(args, cfg: ExperimentConfig, echo: dict) -> int:
+def cmd_simulate(args, cfg: ExperimentConfig) -> Result:
     x_max = _positive(cfg, "x_max")
-    run = _Run(echo)
     signs = rmf.sample_signs(cfg.seed, max(x_max, 2))
     trace = rmf.partial_sum_trace(signs, x_max, keep_values=x_max <= 10**5)
 
@@ -403,53 +415,42 @@ def cmd_simulate(args, cfg: ExperimentConfig, echo: dict) -> int:
     else:
         ns = trace.checkpoint_ns
         ms = trace.checkpoint_values
-    _write_csv(run.path("trace", "csv"), ["n", "M"], [[int(n), int(m)] for n, m in zip(ns, ms)])
 
     cps = trace.change_points
     # M starts at M(1) = 1, so the first transition lands on a negative value.
     sign_after = [-1 if i % 2 else 1 for i in range(1, cps.size + 1)]
-    _write_csv(
-        run.path("changes", "csv"),
-        ["index", "sign_before", "sign_after"],
-        [[int(n), -s, s] for n, s in zip(cps, sign_after)],
-    )
 
     xs = [10**k for k in range(1, len(str(x_max)))] + [x_max]
     xs = sorted(set(x for x in xs if x <= x_max))
-    _write_csv(
-        run.path("vf", "csv"),
-        ["x", "V_f"],
-        [[x, trace.count_changes(x)] for x in xs],
-    )
-    _write_json(
-        run.path("summary", "json"),
-        {
-            "seed": cfg.seed,
-            "x_max": x_max,
-            "V_f": trace.count_changes(),
-            "final_value": trace.final_value,
+    return Result(
+        files={
+            "trace.csv": (["n", "M"], [[int(n), int(m)] for n, m in zip(ns, ms)]),
+            "changes.csv": (
+                ["index", "sign_before", "sign_after"],
+                [[int(n), -s, s] for n, s in zip(cps, sign_after)],
+            ),
+            "vf.csv": (["x", "V_f"], [[x, trace.count_changes(x)] for x in xs]),
+            "summary.json": {
+                "seed": cfg.seed,
+                "x_max": x_max,
+                "V_f": trace.count_changes(),
+                "final_value": trace.final_value,
+            },
         },
+        message=f"simulate: V_f({x_max}) = {trace.count_changes()}, "
+        f"M({x_max}) = {trace.final_value}",
     )
-    run.finish()
-    print(f"simulate: V_f({x_max}) = {trace.count_changes()}, M({x_max}) = {trace.final_value}")
-    return 0
 
 
-def cmd_signchanges(args, cfg: ExperimentConfig, echo: dict) -> int:
+def cmd_signchanges(args, cfg: ExperimentConfig) -> Result:
     x_max = _positive(cfg, "x_max")
     n_seeds = _positive(cfg, "seeds")
-    run = _Run(echo)
     rmf.squarefree_plan(x_max)  # sieve and factor once, before the threads share them
     seeds = range(cfg.seed, cfg.seed + n_seeds)
     chunks = [seeds[i : i + rmf.PACKED_SIGNS] for i in range(0, n_seeds, rmf.PACKED_SIGNS)]
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         # map yields in seed order, whatever order the threads finish in.
         results = np.vstack(list(pool.map(lambda c: rmf.sign_change_counts(c, x_max), chunks)))
-    _write_csv(
-        run.path("table", "csv"),
-        ["seed", "V_f", "final_M"],
-        [[seed, int(v), int(m)] for seed, (v, m) in zip(seeds, results)],
-    )
     counts = results[:, 0].astype(np.float64)
     summary = {
         "seeds": n_seeds,
@@ -457,19 +458,22 @@ def cmd_signchanges(args, cfg: ExperimentConfig, echo: dict) -> int:
         **_quantiles(counts),
         "fraction_with_change": float(np.mean(counts >= 1)),
     }
-    _write_json(run.path("summary", "json"), summary)
-    run.finish()
-    print(f"signchanges: median V_f({x_max}) = {summary['median']}")
-    return 0
+    return Result(
+        files={
+            "table.csv": (
+                ["seed", "V_f", "final_M"],
+                [[seed, int(v), int(m)] for seed, (v, m) in zip(seeds, results)],
+            ),
+            "summary.json": summary,
+        },
+        message=f"signchanges: median V_f({x_max}) = {summary['median']}",
+    )
 
 
 # ------------------------------------------------------------ prime sums --
 
 
-def cmd_prime_sums(args, cfg: ExperimentConfig, echo: dict) -> int:
-    run = _Run(echo)
-    # All three tables are computed before any is written, so a bad value
-    # leaves no partial output.
+def cmd_prime_sums(args, cfg: ExperimentConfig) -> Result:
     logsq_rows = [[s, r.value.estimate, r.value.upper, r.bound_rhs, r.holds]
                   for s, r in _logsq_grid(cfg.claim1_n)]
 
@@ -485,36 +489,31 @@ def cmd_prime_sums(args, cfg: ExperimentConfig, echo: dict) -> int:
     xs = [1.5, 1.1, 1.05, 1.01, 1.005, 1.001]
     ratio_rows = [[x, *prime_series.zetaasym_ratio(x)] for x in xs]
 
-    _write_csv(
-        run.path("logsq-grid", "csv"),
-        ["sigma", "estimate", "upper", "bound_rhs", "holds"],
-        logsq_rows,
+    return Result(
+        files={
+            "logsq-grid.csv": (["sigma", "estimate", "upper", "bound_rhs", "holds"], logsq_rows),
+            "prime-zeta.csv": (
+                ["s", "accelerated", "acc_lower", "acc_upper", "direct", "dir_lower",
+                 "dir_upper", "intervals_intersect"],
+                zeta_rows,
+            ),
+            "zetaasym.csv": (["x", "ratio_sum", "ratio_logzeta"], ratio_rows),
+        },
+        message="prime-sums: wrote grids",
     )
-    _write_csv(
-        run.path("prime-zeta", "csv"),
-        ["s", "accelerated", "acc_lower", "acc_upper", "direct", "dir_lower", "dir_upper",
-         "intervals_intersect"],
-        zeta_rows,
-    )
-    _write_csv(run.path("zetaasym", "csv"), ["x", "ratio_sum", "ratio_logzeta"], ratio_rows)
-    run.finish()
-    print("prime-sums: wrote grids")
-    return 0
 
 
 # -------------------------------------------------------------- sup scan --
 
 
-def cmd_sup_scan(args, cfg: ExperimentConfig, echo: dict) -> int:
+def cmd_sup_scan(args, cfg: ExperimentConfig) -> Result:
     if not all(sigma > 0.5 for sigma in cfg.sigma_grid):
         raise ValueError(f"every sigma in sigma_grid must exceed 1/2, got {cfg.sigma_grid}")
-    # Harper's bound checks c0, c1, c2 and sigma < 3/2 before any output exists.
     log_inv_gaps = [float(mp.log(1.0 / (mp.mpf(sigma) - 0.5))) for sigma in cfg.sigma_grid]
     bounds = [
         sequences.harper_lower_bound(sigma, cfg.c0, cfg.c1, cfg.c2, log_inv_gap=log_inv_gap)
         for sigma, log_inv_gap in zip(cfg.sigma_grid, log_inv_gaps)
     ]
-    run = _Run(echo)
     signs = rmf.sample_signs(cfg.seed, cfg.prime_limit)
     rows = []
     for sigma, log_inv_gap, hb in zip(cfg.sigma_grid, log_inv_gaps, bounds):
@@ -524,23 +523,17 @@ def cmd_sup_scan(args, cfg: ExperimentConfig, echo: dict) -> int:
             [sigma, hb.t_max, res.sup_cos, res.argmax_t, res.sup_abs_f, ek_threshold,
              res.sup_cos >= ek_threshold, hb.lower, float(mp.exp(hb.lower))]
         )
-    _write_csv(
-        run.path("scan", "csv"),
-        ["sigma", "t_max", "sup_cos", "argmax_t", "sup_absF", "ek_threshold", "exceeds",
-         "harper_L", "exp_harper_L"],
-        rows,
-    )
-    run.finish()
-    print(f"sup-scan: {len(rows)} sigma values recorded")
-    return 0
+    header = ["sigma", "t_max", "sup_cos", "argmax_t", "sup_absF", "ek_threshold", "exceeds",
+              "harper_L", "exp_harper_L"]
+    return Result(files={"scan.csv": (header, rows)},
+                  message=f"sup-scan: {len(rows)} sigma values recorded")
 
 
 # -------------------------------------------------------------- chaining --
 
 
-def cmd_chaining(args, cfg: ExperimentConfig, echo: dict) -> int:
+def cmd_chaining(args, cfg: ExperimentConfig) -> Result:
     n_seeds = _positive(cfg, "seeds")
-    run = _Run(echo)
     step = StepParams(cfg.epsilon)
     seed_list = list(range(cfg.seed, cfg.seed + n_seeds))
     rows = [
@@ -551,21 +544,16 @@ def cmd_chaining(args, cfg: ExperimentConfig, echo: dict) -> int:
             seed_list, ell, step, r_max=cfg.r_max, limit=cfg.prime_limit
         )
     ]
-    _write_csv(
-        run.path("oscillation", "csv"),
-        ["seed", "ell", "sigma_ell", "max_osc", "paper_C", "first_violation_r", "truncation_std"],
-        rows,
-    )
-    run.finish()
-    print(f"chaining: {len(rows)} oscillation runs recorded")
-    return 0
+    header = ["seed", "ell", "sigma_ell", "max_osc", "paper_C", "first_violation_r",
+              "truncation_std"]
+    return Result(files={"oscillation.csv": (header, rows)},
+                  message=f"chaining: {len(rows)} oscillation runs recorded")
 
 
 # --------------------------------------------------------- concentration --
 
 
-def cmd_concentration(args, cfg: ExperimentConfig, echo: dict) -> int:
-    run = _Run(echo)
+def cmd_concentration(args, cfg: ExperimentConfig) -> Result:
     step = StepParams(cfg.epsilon)
     rows = concentration.step2_experiment(
         step,
@@ -575,40 +563,37 @@ def cmd_concentration(args, cfg: ExperimentConfig, echo: dict) -> int:
         prime_limit=cfg.prime_limit,
         base_seed=cfg.seed,
     )
-    _write_csv(
-        run.path("step2", "csv"),
-        ["ell", "sigma", "E_trunc", "threshold", "emp_freq", "std_err", "hoeffding_bound",
-         "asymptotic_surrogate", "variance_deficit"],
-        [
-            [r.ell, r.sigma, r.variance_trunc, r.threshold, r.empirical_freq, r.std_err,
-             r.hoeffding_bound, r.asymptotic_surrogate, r.variance_deficit]
-            for r in rows
-        ],
-    )
     bc = concentration.borel_cantelli_step2(400, cfg.gamma, step)
     bigterm_ok = all(
         concentration.borel_cantelli_bigterm(300, step, ell).closed_bound_holds
         for ell in range(1, 101)
     )
-    _write_json(
-        run.path("series", "json"),
-        {
-            "step2_partial_400": bc.partial_sum,
-            "step2_tail_400": bc.tail_estimate,
-            "bigterm_all_hold": bigterm_ok,
+    return Result(
+        files={
+            "step2.csv": (
+                ["ell", "sigma", "E_trunc", "threshold", "emp_freq", "std_err",
+                 "hoeffding_bound", "asymptotic_surrogate", "variance_deficit"],
+                [
+                    [r.ell, r.sigma, r.variance_trunc, r.threshold, r.empirical_freq, r.std_err,
+                     r.hoeffding_bound, r.asymptotic_surrogate, r.variance_deficit]
+                    for r in rows
+                ],
+            ),
+            "series.json": {
+                "step2_partial_400": bc.partial_sum,
+                "step2_tail_400": bc.tail_estimate,
+                "bigterm_all_hold": bigterm_ok,
+            },
         },
+        message=f"concentration: {len(rows)} rows, hoeffding validity: {_hoeffding_valid(rows)}",
     )
-    run.finish()
-    print(f"concentration: {len(rows)} rows, hoeffding validity: {_hoeffding_valid(rows)}")
-    return 0
 
 
 # ------------------------------------------------------------- sequences --
 
 
-def cmd_sequences(args, cfg: ExperimentConfig, echo: dict) -> int:
+def cmd_sequences(args, cfg: ExperimentConfig) -> Result:
     k_max = _positive(cfg, "k_max")
-    run = _Run(echo)
     params = TheoremParams(c=cfg.c, a0=cfg.a0, a1=cfg.a1)
     rows = []
     for k in range(1, k_max + 1):
@@ -618,20 +603,15 @@ def cmd_sequences(args, cfg: ExperimentConfig, echo: dict) -> int:
             [k, sk.sigma, sk.underflow, mp.nstr(y_k.mantissa, 17) + f"@d{y_k.depth}",
              mp.nstr(x_k.mantissa, 17) + f"@d{x_k.depth}", sequences.intervals_disjoint(k, params)]
         )
-    _write_csv(
-        run.path("table", "csv"),
-        ["k", "sigma_k", "sigma_underflow", "y_k_mantissa", "X_k_mantissa", "disjoint_with_next"],
-        rows,
-    )
-    run.finish()
-    print(f"sequences: {len(rows)} rows")
-    return 0
+    header = ["k", "sigma_k", "sigma_underflow", "y_k_mantissa", "X_k_mantissa",
+              "disjoint_with_next"]
+    return Result(files={"table.csv": (header, rows)}, message=f"sequences: {len(rows)} rows")
 
 
 # ---------------------------------------------------------------- report --
 
 
-def cmd_report(args, cfg: ExperimentConfig, echo: dict) -> int:
+def cmd_report(args, cfg: ExperimentConfig) -> int:
     out = Path(cfg.output_dir)
     manifests = sorted(out.glob("manifest-*.json"))
     if not manifests:
@@ -647,7 +627,7 @@ def cmd_report(args, cfg: ExperimentConfig, echo: dict) -> int:
     # Aggregate sign-change sweeps into quartiles.
     vf_values: list[float] = []
     for r in runs:
-        table = out / f"signchanges-table-{r['config_digest']}.csv"
+        table = out / _result_name("signchanges", "table.csv", r["config_digest"])
         if r["command"] == "signchanges" and table.exists():
             with open(table) as fh:
                 vf_values += [float(row["V_f"]) for row in csv.DictReader(fh)]
@@ -656,17 +636,14 @@ def cmd_report(args, cfg: ExperimentConfig, echo: dict) -> int:
         summary["headline"]["signchanges"] = {
             "count": len(vf_values), "median": q["median"], "q1": q["q1"], "q3": q["q3"]
         }
-        _write_csv(
-            out / "report-signchanges.csv",
-            ["statistic", "value"],
-            [["count", len(vf_values)]] + [[k, v] for k, v in q.items()],
-        )
+        rows = [["count", len(vf_values)]] + [[k, v] for k, v in q.items()]
+        (out / "report-signchanges.csv").write_text(_csv_text(["statistic", "value"], rows))
 
     sup_files = sorted(p.name for p in out.glob("sup-scan-scan-*.csv"))
     if sup_files:
         summary["headline"]["sup_scan_files"] = sup_files
 
-    _write_json(out / "report-summary.json", summary)
+    (out / "report-summary.json").write_text(_json_text(summary))
     print(json.dumps(summary, sort_keys=True, indent=2))
     return 0
 
@@ -678,7 +655,7 @@ def cmd_report(args, cfg: ExperimentConfig, echo: dict) -> int:
 # flags).  Every subcommand also takes --config, --seed and --output-dir.
 COMMANDS = {
     "verify": (cmd_verify, "run the acceptance checks: the constants, or all",
-               ("n_primes", "claim1_n", "chebyshev_limit", "trials", "prime_limit")),
+               ("n_primes", "claim1_n", "chebyshev_limit", "trials")),
     "simulate": (cmd_simulate, "one partial-sum trace with sign changes", ("x_max",)),
     "signchanges": (cmd_signchanges, "sign-change counts over a seed sweep", ("x_max", "seeds")),
     "prime-sums": (cmd_prime_sums, "certified prime-series verification grids",
@@ -724,13 +701,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         echo, cfg = _load_config(args)
-        return args.func(args, cfg, echo)
+        if args.command == "report":
+            return cmd_report(args, cfg)
+        result = args.func(args, cfg)
+        _write_run(echo, result)
     except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MemoryError, ResourceLimitError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 3
+    print(result.message)
+    return result.status
 
 
 if __name__ == "__main__":

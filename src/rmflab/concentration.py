@@ -19,6 +19,8 @@ from . import prime_series
 from . import rmf as rmf_mod
 from .sequences import StepParams, step_sigma_ell
 
+MIN_TRIALS = 100  # fewest Monte Carlo trials a step-2 exceedance table accepts
+
 
 def hoeffding_bound(sum_sq_coeffs: float, lam: float) -> float:
     """One-sided bound exp(-lam^2 / (2 sum a_p^2)) for P(sum a_p eps_p >= lam)
@@ -28,28 +30,6 @@ def hoeffding_bound(sum_sq_coeffs: float, lam: float) -> float:
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     return exp(-(lam * lam) / (2.0 * sum_sq_coeffs))
-
-
-def _exceedance(
-    sigmas: Sequence[float],
-    thresholds: Sequence[float],
-    trials: int,
-    prime_limit: int,
-    base_seed: int,
-) -> list[tuple[float, float]]:
-    """(frequency, standard error) of {sum_{p<=prime_limit} sign(p) p^(-sigma) >= threshold}
-    for each (sigma, threshold) pair, over `trials` sign assignments seeded from
-    base_seed.  Every pair reads the same hashed signs.
-    """
-    if trials < 100:
-        raise ValueError(f"need at least 100 trials, got {trials}")
-    seeds = rmf_mod.derive_seed(base_seed, np.arange(trials))
-    values = rmf_mod.random_prime_sum_batch(seeds, sigmas, prime_limit)
-    out = []
-    for j, lam in enumerate(thresholds):
-        freq = float(np.mean(values[:, j] >= lam))
-        out.append((freq, sqrt(freq * (1.0 - freq) / trials)))
-    return out
 
 
 @dataclass(frozen=True)
@@ -141,13 +121,18 @@ def step2_experiment(
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
     ells = [int(ell) for ell in ell_range]
     sigmas = [step_sigma_ell(ell, step).sigma for ell in ells]
     e_trunc = [prime_series.truncated_variance(sigma, prime_limit) for sigma in sigmas]
     taus = [sqrt(2.0 * (1.0 + gamma) * e**step.epsilon) for e in e_trunc]
     # Raw thresholds realizing the normalized events.
     lams = [tau * sqrt(e) for tau, e in zip(taus, e_trunc)]
-    tails = _exceedance(sigmas, lams, trials, prime_limit, base_seed)
+    # Every ell reads the same hashed signs, one trial seed per row.
+    seeds = rmf_mod.derive_seed(base_seed, np.arange(trials))
+    values = rmf_mod.random_prime_sum_batch(seeds, sigmas, prime_limit)
+    freqs = [float(np.mean(values[:, j] >= lam)) for j, lam in enumerate(lams)]
     return [
         Step2Row(
             ell=ell,
@@ -156,11 +141,11 @@ def step2_experiment(
             variance_deficit=prime_series.variance_sum(sigma).estimate - e,
             threshold=tau,
             empirical_freq=freq,
-            std_err=err,
+            std_err=sqrt(freq * (1.0 - freq) / trials),
             hoeffding_bound=hoeffding_bound(e, lam),
             asymptotic_surrogate=exp(
                 -(1.0 + gamma) * float(ell) ** ((1.0 - step.delta) * step.epsilon)
             ),
         )
-        for ell, sigma, e, tau, lam, (freq, err) in zip(ells, sigmas, e_trunc, taus, lams, tails)
+        for ell, sigma, e, tau, lam, freq in zip(ells, sigmas, e_trunc, taus, lams, freqs)
     ]

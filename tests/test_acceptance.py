@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from rmflab import chaining, primes, rmf
+from rmflab import chaining, concentration, primes, rmf
 from rmflab.cli import VERIFY_CHECKS, ExperimentConfig
 from rmflab.sequences import StepParams
 
@@ -30,11 +30,15 @@ def check(name: str) -> tuple[bool, dict]:
     return VERIFY_CHECKS[name](ExperimentConfig())
 
 
-def test_config_defaults_are_the_acceptance_sizes():
+def test_config_defaults_are_the_acceptance_sizes(monkeypatch):
     cfg = ExperimentConfig()
     assert (cfg.n_primes, cfg.claim1_n, cfg.chebyshev_limit) == (9_000_000, 10**7, 10**7)
     assert (cfg.trials, cfg.seed) == (10**4, 0)
-    assert cfg.prime_limit >= 10**5  # c07 runs on the primes <= 10^5
+    # c07 runs on the primes <= 10^5.
+    calls = []
+    monkeypatch.setattr(concentration, "step2_experiment", lambda *a, **kw: calls.append(kw) or [])
+    VERIFY_CHECKS["hoeffding-validity"](cfg)
+    assert [kw["prime_limit"] for kw in calls] == [10**5]
     assert (cfg.ell_min, cfg.ell_max, cfg.gamma, cfg.epsilon) == (1, 8, 1.0, 1.0)
     assert (cfg.k_max, cfg.c, cfg.a0, cfg.a1) == (20, 3.0, 0.1, 1.1)
 
@@ -214,12 +218,8 @@ def test_c12_chaining_oscillation_runs():
 
 
 def test_c13_sign_changes_exist():
-    counts = []
-    for seed in range(100):
-        signs = rmf.sample_signs(seed, 10**6)
-        trace = rmf.partial_sum_trace(signs, 10**6, keep_values=False)
-        counts.append(trace.count_changes())
-    counts = np.asarray(counts)
+    # The batched path of `rmflab signchanges`; test_rmf pins it to single traces.
+    counts = rmf.sign_change_counts(range(100), 10**6)[:, 0]
     median = float(np.median(counts))
     with_change = int(np.sum(counts >= 1))
     ok = median >= 3.0 and with_change >= 95

@@ -153,7 +153,6 @@ SCALED_VERIFY_ALL = [
     "--claim1-n", "1000000",
     "--chebyshev-limit", "1000000",
     "--trials", "2000",
-    "--prime-limit", "100000",
 ]
 
 
@@ -194,6 +193,17 @@ def test_verify_fails_with_too_few_primes(tmp_path):
         ]
     )
     assert code == 1
+
+
+def test_verify_all_rejects_too_few_trials_before_any_check(tmp_path, monkeypatch, capsys):
+    ran = []
+    for name in list(cli.VERIFY_CHECKS)[: list(cli.VERIFY_CHECKS).index("hoeffding-validity")]:
+        monkeypatch.setitem(cli.VERIFY_CHECKS, name, lambda cfg, name=name: ran.append(name) or (True, {}))
+    out = tmp_path / "v"
+    assert run(["verify", "all", "--trials", "10", "--output-dir", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert ran == []
+    assert not out.exists()
 
 
 def test_sequences_command(tmp_path):
@@ -253,6 +263,33 @@ def test_concentration_command(tmp_path):
     assert len(rows) == 4
     series = json.loads(next(out.glob("concentration-series-*.json")).read_text())
     assert series["bigterm_all_hold"] is True
+
+
+def test_failing_run_writes_nothing(tmp_path, monkeypatch, capsys):
+    # The failure comes after the step-2 table is computed.
+    def fail(*args, **kwargs):
+        raise ValueError("bigterm series failed")
+
+    monkeypatch.setattr(cli.concentration, "borel_cantelli_bigterm", fail)
+    out = tmp_path / "cc"
+    assert run(["concentration", "--trials", "100", "--prime-limit", "1000", "--ell-max", "2",
+                "--output-dir", str(out)]) == 2
+    assert "bigterm series failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_result_names_do_not_depend_on_output_dir(tmp_path):
+    argv = ["chaining", "--seeds", "2", "--ells", "3", "--prime-limit", "20000", "--r-max", "4"]
+    results = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert run(argv + ["--output-dir", str(out)]) == 0
+        results.append({p.name: p.read_bytes() for p in out.glob("chaining-*")})
+    assert sorted(results[0]) == sorted(results[1])
+    assert len(results[0]) == 2  # the oscillation table and the config echo
+    for name in results[0]:
+        if not name.startswith("chaining-config-"):
+            assert results[0][name] == results[1][name]
 
 
 def test_manifest_contents(tmp_path):
@@ -356,7 +393,7 @@ def test_csv_float_cells_are_plain_numbers(prime_sums_out, tmp_path):
         ["prime-sums", "--prime-limit", "1", "--claim1-n", "100000"],
         ["sequences", "--k-max", "0"],
         ["verify", "all", {"k_max": 0}, "--n-primes", "1000", "--claim1-n", "100000",
-         "--chebyshev-limit", "1000", "--trials", "100", "--prime-limit", "1000"],
+         "--chebyshev-limit", "1000", "--trials", "100"],
     ],
 )
 def test_invalid_input_exits_2_before_any_work(argv, tmp_path, capsys):
@@ -395,7 +432,7 @@ COMMON_FLAGS = ["--config", "--seed", "--output-dir"]
 @pytest.mark.parametrize(
     "command, flags",
     [
-        ("verify", ["--n-primes", "--claim1-n", "--chebyshev-limit", "--trials", "--prime-limit"]),
+        ("verify", ["--n-primes", "--claim1-n", "--chebyshev-limit", "--trials"]),
         ("simulate", ["--x-max"]),
         ("signchanges", ["--x-max", "--seeds"]),
         ("prime-sums", ["--claim1-n", "--prime-limit"]),
