@@ -146,8 +146,7 @@ def oscillation_batch(
     s_prev = step_sigma_ell(ell - 1, step).sigma
 
     ps = primes_mod.cached_primes(limit).primes
-    keys = np.asarray([int(s) & rmf_mod._MASK64 for s in seeds], dtype=np.uint64)
-    sign_rows = rmf_mod.sign_matrix(keys, ps)
+    sign_rows = rmf_mod.sign_matrix(seeds, ps)
     p = ps.astype(np.float64)
     logp = np.log(p)
     base = p ** (-s_ell)

@@ -445,7 +445,7 @@ def cmd_simulate(args, cfg: ExperimentConfig) -> Result:
 def cmd_signchanges(args, cfg: ExperimentConfig) -> Result:
     x_max = _positive(cfg, "x_max")
     n_seeds = _positive(cfg, "seeds")
-    rmf.squarefree_plan(x_max)  # sieve and factor once, before the threads share them
+    primes.cached_primes(max(x_max, 2))  # sieve once, before the threads share the table
     seeds = range(cfg.seed, cfg.seed + n_seeds)
     chunks = [seeds[i : i + rmf.PACKED_SIGNS] for i in range(0, n_seeds, rmf.PACKED_SIGNS)]
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:

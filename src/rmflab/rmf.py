@@ -7,17 +7,17 @@ sums M_f with sign-change events, the random prime sum P(sigma) over many
 seeds at once, the exact Abel-summation identity, and grid scans of sup_t of
 cosine-weighted prime sums all live here.
 
-The multiplicative extension has one path.  A seed-independent plan lists the
-primes dividing each squarefree n; it is built per TRACE_SEGMENT-long block
-and cached process-wide for the largest x asked for so far, so the cache grows
-with that x.  The negative signs of 64 assignments are the bits of one uint64
-word per prime, and one XOR pass over the plan gives f(n) for all 64.
+The multiplicative extension has one path: 64 assignments' negative signs are
+the bits of one uint64 word per prime, and each TRACE_SEGMENT-long block is
+sieved afresh by the primes up to its square root.  A squarefree n has at most
+one prime factor above that, found by a transient 4-byte-per-integer prime
+index.  The prime table is the only cache kept across calls.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -31,7 +31,7 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _PRIME_SALT = np.uint64(0xD1B54A32D192ED03)
 
-TRACE_SEGMENT = 1 << 17
+TRACE_SEGMENT = 1 << 16
 PACKED_SIGNS = 64  # sign assignments per uint64 word of the multiplicative extension
 TRACE_VALUES_CAP = 10**7
 CHECKPOINT_STRIDE = 1 << 16
@@ -66,8 +66,12 @@ def derive_seed(base_seed: int, index: int | np.ndarray) -> int | np.ndarray:
     return int(z) if z.ndim == 0 else z
 
 
-def sign_matrix(trial_seeds: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """The sign hash: row t holds the +-1 signs of `primes` under trial_seeds[t]."""
+def sign_matrix(trial_seeds: np.ndarray | Sequence[int], primes: np.ndarray) -> np.ndarray:
+    """The sign hash: row t holds the +-1 signs of `primes` under trial_seeds[t].
+
+    Python int seeds are taken mod 2^64; an integer array is cast to uint64."""
+    if not isinstance(trial_seeds, np.ndarray):
+        trial_seeds = [int(s) & _MASK64 for s in trial_seeds]
     keys = mix64(np.asarray(trial_seeds, dtype=np.uint64))
     with np.errstate(over="ignore"):
         pk = primes.astype(np.uint64) * _PRIME_SALT
@@ -107,65 +111,8 @@ def sample_signs(seed: int, prime_limit: int) -> SignAssignment:
     if prime_limit < 2:
         raise ValueError(f"prime_limit must be >= 2, got {prime_limit}")
     ps = primes_mod.cached_primes(prime_limit).primes
-    signs = sign_matrix([seed & _MASK64], ps)[0]
+    signs = sign_matrix([seed], ps)[0]
     return SignAssignment(seed=seed, prime_limit=prime_limit, primes=ps, signs=signs)
-
-
-@dataclass(frozen=True)
-class SegmentPlan:
-    """Every squarefree n >= 2 in [lo, hi] as n - lo, ascending; the primes
-    dividing the k-th one are primes[prime_idx[starts[k]:starts[k + 1]]]."""
-
-    lo: int
-    hi: int
-    squarefree: np.ndarray
-    starts: np.ndarray
-    prime_idx: np.ndarray
-
-
-def _build_plan(lo: int, hi: int) -> SegmentPlan:
-    ps = primes_mod.cached_primes(max(hi, 2)).primes
-    first = (lo - 1) // ps + 1  # k of the first multiple k*p >= lo
-    counts = hi // ps - first + 1
-    # One entry per multiple n = k*p in [lo, hi], prime by prime.
-    idx = np.repeat(np.arange(ps.size), counts)
-    k = np.arange(idx.size) - np.repeat(np.cumsum(counts) - counts, counts) + first[idx]
-    p = ps[idx]
-    rel = k * p - lo
-    squarefree = np.ones(hi - lo + 1, dtype=bool)
-    squarefree[rel[k % p == 0]] = False  # p^2 | n exactly when p | k
-    keep = squarefree[rel]
-    rel, idx = rel[keep], idx[keep]
-    per_n = np.bincount(rel, minlength=hi - lo + 1)
-    sq = np.flatnonzero(per_n)
-    starts = np.concatenate(([0], np.cumsum(per_n[sq]))).astype(np.int32)
-    return SegmentPlan(lo, hi, sq, starts, idx[np.argsort(rel, kind="stable")].astype(np.int32))
-
-
-_plans: tuple[int, int, list[SegmentPlan]] = (0, 0, [])  # (TRACE_SEGMENT, x covered, plans)
-_plans_lock = threading.Lock()
-
-
-def squarefree_plan(x_max: int) -> list[SegmentPlan]:
-    """Plans of the TRACE_SEGMENT-long blocks that cover 1..x_max, from one
-    process-wide set kept for the largest x_max asked for so far (about 14
-    bytes per integer).  A smaller x_max gets its blocks, the last one cut; a
-    larger one keeps every complete block and builds the rest."""
-    global _plans
-    with _plans_lock:
-        segment, covered, plans = _plans
-        if segment != TRACE_SEGMENT or covered < x_max:
-            plans = [p for p in plans if segment == TRACE_SEGMENT == p.hi - p.lo + 1]
-            for lo in range(len(plans) * TRACE_SEGMENT + 1, x_max + 1, TRACE_SEGMENT):
-                plans.append(_build_plan(lo, min(lo + TRACE_SEGMENT - 1, x_max)))
-            _plans = (TRACE_SEGMENT, x_max, plans)
-    out = plans[: (x_max - 1) // TRACE_SEGMENT + 1]
-    last = out[-1]
-    if last.hi > x_max:
-        k = int(np.searchsorted(last.squarefree, x_max - last.lo, side="right"))
-        out[-1] = SegmentPlan(last.lo, x_max, last.squarefree[:k], last.starts[: k + 1],
-                              last.prime_idx[: last.starts[k]])
-    return out
 
 
 def _packed(negative: list[np.ndarray]) -> np.ndarray:
@@ -179,16 +126,28 @@ def _signed_blocks(
     words: np.ndarray, rows: int, x_max: int
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """Yield (j, lo, f(lo..hi)) block by block for the assignments j < rows
-    packed in `words`.  One XOR pass over a block's plan gives, for all rows,
-    whether each squarefree n has an odd number of negative primes."""
-    for plan in squarefree_plan(x_max):
-        odd = np.bitwise_xor.reduceat(words[plan.prime_idx], plan.starts[:-1]).view(np.uint8)
+    packed in `words`.  The primes p <= sqrt(hi) sieve each block: per n the
+    XOR of their words, their product, and whether some p^2 divides it.  What
+    is left of a squarefree n is 1 or its one prime factor above sqrt(hi)."""
+    ps = primes_mod.cached_primes(max(x_max, 2)).primes[: words.size]
+    index = np.full(x_max + 1, ps.size, dtype=np.int32)  # prime -> word; 1 -> the zero word
+    index[ps] = np.arange(ps.size, dtype=np.int32)
+    words = np.append(words, np.uint64(0))
+    for lo in range(1, x_max + 1, TRACE_SEGMENT):
+        hi = min(lo + TRACE_SEGMENT - 1, x_max)
+        odd = np.zeros(hi - lo + 1, dtype=np.uint64)
+        small = np.ones(hi - lo + 1, dtype=np.int64)
+        squarefree = np.ones(hi - lo + 1, dtype=bool)
+        for p, word in zip(ps[: np.searchsorted(ps, isqrt(hi), side="right")].tolist(), words):
+            odd[-lo % p :: p] ^= word
+            small[-lo % p :: p] *= p
+            squarefree[-lo % (p * p) :: p * p] = False
+        sq = np.flatnonzero(squarefree)
+        odd = (odd[sq] ^ words[index[(sq + lo) // small[sq]]]).view(np.uint8)
         for j in range(rows):
-            f = np.zeros(plan.hi - plan.lo + 1, dtype=np.int8)
-            f[plan.squarefree] = 1 - 2 * ((odd[j // 8 :: 8] >> (j % 8)) & 1).view(np.int8)
-            if plan.lo == 1:
-                f[0] = 1
-            yield j, plan.lo, f
+            f = np.zeros(hi - lo + 1, dtype=np.int8)
+            f[sq] = 1 - 2 * ((odd[j // 8 :: 8] >> (j % 8)) & 1).view(np.int8)
+            yield j, lo, f
 
 
 def _negative(signs: SignAssignment, x_max: int) -> np.ndarray:
@@ -291,11 +250,11 @@ def sign_change_counts(seeds: Sequence[int], x_max: int) -> np.ndarray:
 
 
 def random_prime_sum_batch(
-    trial_seeds: np.ndarray,
+    trial_seeds: np.ndarray | Sequence[int],
     sigma: float | Sequence[float],
     limit: int,
 ) -> np.ndarray:
-    """Truncated P(sigma) values for many seeds at once, shape seeds + sigma.shape.
+    """Truncated P(sigma) for many seeds at once, shape (len(seeds),) + sigma.shape.
 
     `sigma` is a scalar or a 1-D sequence.  Each block of seeds is hashed once
     and serves every sigma through its own matvec, so column j equals the
@@ -307,14 +266,12 @@ def random_prime_sum_batch(
     ps = primes_mod.cached_primes(limit).primes
     p = ps.astype(np.float64)
     weights = [p ** (-s) for s in sigmas.ravel()]
-    seeds = np.asarray(trial_seeds, dtype=np.uint64)
-    out = np.empty((seeds.size, len(weights)), dtype=np.float64)
-    for start in range(0, seeds.size, _SEED_BLOCK):
-        block = seeds[start : start + _SEED_BLOCK]
-        signs = sign_matrix(block, ps).astype(np.float64)
+    out = np.empty((len(trial_seeds), len(weights)), dtype=np.float64)
+    for start in range(0, len(trial_seeds), _SEED_BLOCK):
+        signs = sign_matrix(trial_seeds[start : start + _SEED_BLOCK], ps).astype(np.float64)
         for j, w in enumerate(weights):
-            out[start : start + block.size, j] = signs @ w
-    return out.reshape(seeds.shape + sigmas.shape)
+            out[start : start + signs.shape[0], j] = signs @ w
+    return out.reshape((len(trial_seeds),) + sigmas.shape)
 
 
 def _step_weights(sigma: float, x: int) -> np.ndarray:

@@ -6,9 +6,12 @@ None of this is used by `rmflab` itself:
   multiplicative extension f(n) evaluated one n at a time from them, which
   `rmf.signed_values` must reproduce;
 - `_signed_block`, the extension of one assignment over a block of n by
-  strided sign flips, as `rmf` computed it before the squarefree plan:
-  `rmf.signed_values`, `rmf.partial_sum_trace` and `rmf.sign_change_counts`
-  must reproduce it bit for bit for every seed, batch and segment length;
+  strided sign flips of every prime up to the block's end.  `rmf` instead
+  sieves each block by the primes up to its square root and finds the at
+  most one larger prime of a squarefree n in a transient 4-byte-per-integer
+  index, keeping no cache but the prime table; `rmf.signed_values`,
+  `rmf.partial_sum_trace` and `rmf.sign_change_counts` must reproduce
+  `_signed_block` bit for bit for every seed, batch and segment length;
 - the truncated Dirichlet series and Euler product of one assignment
   (`series_and_product`) and the Mellin integral of |M| (`abs_mellin`),
   which no command uses;

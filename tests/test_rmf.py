@@ -152,7 +152,18 @@ def test_trace_segmented_consistency(monkeypatch):
 
 
 PLAN_SEEDS = [0, 1, 2**63 + 5, -1]
-PLAN_XS = [1, 2, 3, 4, 10**4, 2**18 - 1, 2**18, 2**18 + 1]
+SEGMENT = rmf.TRACE_SEGMENT
+PLAN_XS = [1, 2, 3, 4, 10**4, SEGMENT - 1, SEGMENT, SEGMENT + 1, 4 * SEGMENT + 1]
+# TRACE_SEGMENT -> x.  Lengths 1-3 give one-element blocks, blocks below 4
+# (no sieving prime, so 2 and 3 are the cofactor) and blocks ending at p^2.
+SHORT_SEGMENTS = {
+    1: (1, 2, 3, 4, 2000),
+    2: (1, 2, 3, 4, 2000),
+    3: (1, 2, 3, 4, 2000),
+    100: (250,),
+    777: (3 * 10**4,),
+    1000: (1200, 2500, 3100),
+}
 
 
 def assert_matches_strided_flips(signs, x):
@@ -173,15 +184,18 @@ def assert_matches_strided_flips(signs, x):
 
 @pytest.mark.parametrize("seed", PLAN_SEEDS)
 def test_plan_extension_matches_strided_flips(seed):
-    signs = rmf.sample_signs(seed, 2**18 + 1)
+    signs = rmf.sample_signs(seed, max(PLAN_XS))
     for x in PLAN_XS:
         assert_matches_strided_flips(signs, x)
 
 
 @pytest.mark.parametrize("seed", PLAN_SEEDS)
 def test_plan_extension_matches_strided_flips_short_segments(seed, monkeypatch):
-    monkeypatch.setattr(rmf, "TRACE_SEGMENT", 777)
-    assert_matches_strided_flips(rmf.sample_signs(seed, 3 * 10**4), 3 * 10**4)
+    signs = rmf.sample_signs(seed, 3 * 10**4)
+    for segment, xs in SHORT_SEGMENTS.items():
+        monkeypatch.setattr(rmf, "TRACE_SEGMENT", segment)
+        for x in xs:
+            assert_matches_strided_flips(signs, x)
 
 
 @pytest.mark.parametrize(
@@ -190,6 +204,8 @@ def test_plan_extension_matches_strided_flips_short_segments(seed, monkeypatch):
         oracles.signs_from_dict({2: -1, 3: -1, 7: -1, 9973: -1}, 10**4),
         oracles.signs_constant(1, 10**4),
         oracles.signs_constant(-1, 10**4),
+        # n = k * 997 (k <= 10) has 997 as its large prime next to small ones.
+        oracles.signs_from_dict({997: -1, 101: -1}, 10**4),
     ],
 )
 def test_plan_extension_of_hand_built_assignments(signs):
@@ -207,26 +223,6 @@ def test_sign_change_counts_match_single_traces():
     assert rmf.sign_change_counts([5], 1).tolist() == [[0, 1]]
     with pytest.raises(rmf.ResourceLimitError):
         rmf.sign_change_counts([5], 0)
-
-
-def test_squarefree_plan_cache_grows_and_cuts(monkeypatch):
-    monkeypatch.setattr(rmf, "TRACE_SEGMENT", 1000)
-    monkeypatch.setattr(rmf, "_plans", (0, 0, []))
-    first = rmf.squarefree_plan(2500)
-    assert [(p.lo, p.hi) for p in first] == [(1, 1000), (1001, 2000), (2001, 2500)]
-    cut = rmf.squarefree_plan(1200)
-    assert [(p.lo, p.hi) for p in cut] == [(1, 1000), (1001, 1200)]
-    assert cut[0] is first[0]
-    grown = rmf.squarefree_plan(3100)
-    assert [(p.lo, p.hi) for p in grown][2:] == [(2001, 3000), (3001, 3100)]
-    assert grown[0] is first[0] and grown[1] is first[1]
-    signs = rmf.sample_signs(4, 3100)
-    for x in (1200, 2500, 3100):
-        assert_matches_strided_flips(signs, x)
-    # A new segment length drops every block, even one as long as the new length.
-    monkeypatch.setattr(rmf, "TRACE_SEGMENT", 100)
-    assert [(p.lo, p.hi) for p in rmf.squarefree_plan(250)] == [(1, 100), (101, 200), (201, 250)]
-    assert_matches_strided_flips(signs, 250)
 
 
 def test_trace_checkpoints():
@@ -444,6 +440,15 @@ def test_derive_seed_golden():
         487617019471545679,
         17909611376780542444,
     ]
+
+
+def test_negative_seed_is_taken_mod_2_64():
+    ps = primes.cached_primes(10**4).primes
+    assert np.array_equal(rmf.sign_matrix([-1], ps), rmf.sign_matrix([2**64 - 1], ps))
+    assert np.array_equal(
+        rmf.random_prime_sum_batch([-1], 0.6, 100), rmf.random_prime_sum_batch([2**64 - 1], 0.6, 100)
+    )
+    assert np.array_equal(rmf.sample_signs(-1, 100).signs, rmf.sign_matrix([-1], ps[:25])[0])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
