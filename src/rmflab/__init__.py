@@ -44,10 +44,8 @@ from .rmf import (
 )
 from .sequences import (
     HarperBound,
-    NestedLogReal,
     SigmaK,
     StepParams,
-    StepSigma,
     SubtractionScan,
     TheoremParams,
     harper_lower_bound,

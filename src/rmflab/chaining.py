@@ -142,8 +142,8 @@ def oscillation_batch(
         raise ValueError(f"ell must be >= 2, got {ell}")
     if not 1 <= r_max <= 30:
         raise ValueError(f"r_max must lie in [1, 30], got {r_max}")
-    s_ell = step_sigma_ell(ell, step).sigma
-    s_prev = step_sigma_ell(ell - 1, step).sigma
+    s_ell = step_sigma_ell(ell, step)
+    s_prev = step_sigma_ell(ell - 1, step)
 
     ps = primes_mod.cached_primes(limit).primes
     sign_rows = rmf_mod.sign_matrix(seeds, ps)

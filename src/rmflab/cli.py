@@ -313,10 +313,10 @@ def _check_intervals(cfg: ExperimentConfig) -> tuple[bool, dict]:
     params = TheoremParams(c=cfg.c, a0=cfg.a0, a1=cfg.a1)
     ks = range(1, cfg.k_max + 1)
     disjoint = all(sequences.intervals_disjoint(k, params) for k in ks)
-    x_ends = [sequences.interval_endpoints(k, params)[1] for k in ks]
+    loglog_xs = [sequences.interval_endpoints(k, params)[1] for k in ks]
     identity = all(
-        abs(float(x.mantissa / mp.exp(mp.mpf(k) ** cfg.c)) - 2.0) <= 1e-12
-        for k, x in zip(ks, x_ends)
+        abs(float(loglog_x / mp.exp(mp.mpf(k) ** cfg.c)) - 2.0) <= 1e-12
+        for k, loglog_x in zip(ks, loglog_xs)
     )
     return disjoint and identity, {"k_max": cfg.k_max}
 
@@ -369,8 +369,12 @@ VERIFY_TARGETS = {"constants": list(VERIFY_CHECKS)[:4], "all": list(VERIFY_CHECK
 def cmd_verify(args, cfg: ExperimentConfig) -> Result:
     _positive(cfg, "k_max")
     names = VERIFY_TARGETS[args.target]
-    if "hoeffding-validity" in names and cfg.trials < concentration.MIN_TRIALS:
-        raise ValueError(f"need at least {concentration.MIN_TRIALS} trials, got {cfg.trials}")
+    if "hoeffding-validity" in names:
+        if cfg.trials < concentration.MIN_TRIALS:
+            raise ValueError(f"need at least {concentration.MIN_TRIALS} trials, got {cfg.trials}")
+        _positive(cfg, "ell_min")
+        if cfg.ell_min > cfg.ell_max:
+            raise ValueError(f"ell_min {cfg.ell_min} exceeds ell_max {cfg.ell_max}")
     checks = []
     for name in names:
         passed, detail = VERIFY_CHECKS[name](cfg)
@@ -510,10 +514,7 @@ def cmd_sup_scan(args, cfg: ExperimentConfig) -> Result:
     if not all(sigma > 0.5 for sigma in cfg.sigma_grid):
         raise ValueError(f"every sigma in sigma_grid must exceed 1/2, got {cfg.sigma_grid}")
     log_inv_gaps = [float(mp.log(1.0 / (mp.mpf(sigma) - 0.5))) for sigma in cfg.sigma_grid]
-    bounds = [
-        sequences.harper_lower_bound(sigma, cfg.c0, cfg.c1, cfg.c2, log_inv_gap=log_inv_gap)
-        for sigma, log_inv_gap in zip(cfg.sigma_grid, log_inv_gaps)
-    ]
+    bounds = [sequences.harper_lower_bound(g, cfg.c0, cfg.c1, cfg.c2) for g in log_inv_gaps]
     signs = rmf.sample_signs(cfg.seed, cfg.prime_limit)
     rows = []
     for sigma, log_inv_gap, hb in zip(cfg.sigma_grid, log_inv_gaps, bounds):
@@ -592,16 +593,23 @@ def cmd_concentration(args, cfg: ExperimentConfig) -> Result:
 # ------------------------------------------------------------- sequences --
 
 
+def _nested_log_text(loglog: mp.mpf) -> str:
+    """An endpoint as `<loglog>@d2`, or as `<log>@d1` when its loglog is nonpositive."""
+    if loglog > 0:
+        return mp.nstr(loglog, 17) + "@d2"
+    return mp.nstr(mp.exp(loglog), 17) + "@d1"
+
+
 def cmd_sequences(args, cfg: ExperimentConfig) -> Result:
     k_max = _positive(cfg, "k_max")
     params = TheoremParams(c=cfg.c, a0=cfg.a0, a1=cfg.a1)
     rows = []
     for k in range(1, k_max + 1):
         sk = sequences.sigma_k(k, params)
-        y_k, x_k = sequences.interval_endpoints(k, params)
+        loglog_y, loglog_x = sequences.interval_endpoints(k, params)
         rows.append(
-            [k, sk.sigma, sk.underflow, mp.nstr(y_k.mantissa, 17) + f"@d{y_k.depth}",
-             mp.nstr(x_k.mantissa, 17) + f"@d{x_k.depth}", sequences.intervals_disjoint(k, params)]
+            [k, sk.sigma, sk.underflow, _nested_log_text(loglog_y), _nested_log_text(loglog_x),
+             sequences.intervals_disjoint(k, params)]
         )
     header = ["k", "sigma_k", "sigma_underflow", "y_k_mantissa", "X_k_mantissa",
               "disjoint_with_next"]

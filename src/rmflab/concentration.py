@@ -124,7 +124,9 @@ def step2_experiment(
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
     ells = [int(ell) for ell in ell_range]
-    sigmas = [step_sigma_ell(ell, step).sigma for ell in ells]
+    if not ells:
+        raise ValueError("ell range is empty")
+    sigmas = [step_sigma_ell(ell, step) for ell in ells]
     e_trunc = [prime_series.truncated_variance(sigma, prime_limit) for sigma in sigmas]
     taus = [sqrt(2.0 * (1.0 + gamma) * e**step.epsilon) for e in e_trunc]
     # Raw thresholds realizing the normalized events.

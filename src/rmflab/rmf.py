@@ -280,15 +280,16 @@ def _step_weights(sigma: float, x: int) -> np.ndarray:
     return n ** (-sigma) * (-np.expm1(-sigma * np.log1p(1.0 / n)))
 
 
-def abel_identity_residual(signs: SignAssignment, sigma: float, x: int) -> float:
-    """|sum_{n<=x} f(n) n^(-sigma) - M(x) x^(-sigma) - sigma * integral| with the
-    integral of M(u) u^(-1-sigma) over [1, x] evaluated exactly piecewise.
+def abel_identity_residual(f: np.ndarray, sigma: float) -> float:
+    """|sum_{n<=x} f(n) n^(-sigma) - M(x) x^(-sigma) - sigma * integral| for
+    f = f(1..x) as `signed_values` returns it, with the integral of
+    M(u) u^(-1-sigma) over [1, x] evaluated exactly piecewise.
 
     The identity is exact, so the value is floating-point noise.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    f = signed_values(signs, x)
+    x = f.size
     m = np.cumsum(f, dtype=np.int64)
     n = np.arange(1, x + 1, dtype=np.float64)
     lhs = float(np.sum(f * n ** (-sigma)))
@@ -333,8 +334,6 @@ def sup_scan(
     amp = p ** (-sigma)
     w = sg * amp
     ts = np.arange(1.0, t_max + grid_step * 0.5, grid_step)
-    if ts.size == 0:
-        ts = np.array([1.0])
     best_cos = -np.inf
     best_t = ts[0]
     best_logf = -np.inf

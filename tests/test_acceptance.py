@@ -98,7 +98,7 @@ def test_c05_abel_identity_residual():
             n = np.arange(1, x + 1, dtype=np.float64)
             for sigma in (0.6, 1.5):
                 scale = float(np.sum(np.abs(f) * n**-sigma))
-                rel = rmf.abel_identity_residual(signs, sigma, x) / scale
+                rel = rmf.abel_identity_residual(f, sigma) / scale
                 worst = max(worst, rel)
     report(
         "05 abel-summation-identity",

@@ -195,12 +195,19 @@ def test_verify_fails_with_too_few_primes(tmp_path):
     assert code == 1
 
 
-def test_verify_all_rejects_too_few_trials_before_any_check(tmp_path, monkeypatch, capsys):
+# A dict stands for a config file with that content: ell_min > ell_max leaves c07
+# no rows, and ell_min = 0 has no sigma_ell.
+@pytest.mark.parametrize("extra", [["--trials", "10"], {"ell_min": 9}, {"ell_min": 0}])
+def test_verify_all_rejects_too_few_trials_before_any_check(extra, tmp_path, monkeypatch, capsys):
     ran = []
     for name in list(cli.VERIFY_CHECKS)[: list(cli.VERIFY_CHECKS).index("hoeffding-validity")]:
         monkeypatch.setitem(cli.VERIFY_CHECKS, name, lambda cfg, name=name: ran.append(name) or (True, {}))
+    if isinstance(extra, dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(extra))
+        extra = ["--config", str(cfg)]
     out = tmp_path / "v"
-    assert run(["verify", "all", "--trials", "10", "--output-dir", str(out)]) == 2
+    assert run(["verify", "all", *extra, "--output-dir", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert ran == []
     assert not out.exists()
@@ -213,6 +220,20 @@ def test_sequences_command(tmp_path):
     assert rows[0].startswith("k,sigma_k")
     assert len(rows) == 7
     assert all(r.endswith("True") for r in rows[1:])
+
+
+def test_sequences_table_text(tmp_path):
+    # k = 1 has loglog y_1 < 0 (printed as log y_1 with @d1) and is not disjoint
+    # from k = 2; sigma_2 prints as 0.5 although its gap has not underflowed.
+    out = tmp_path / "s"
+    argv = ["sequences", "--k-max", "3", "--c", "2.5", "--a1", "5", "--output-dir", str(out)]
+    assert run(argv) == 0
+    assert next(out.glob("sequences-table-*.csv")).read_text() == (
+        "k,sigma_k,sigma_underflow,y_k_mantissa,X_k_mantissa,disjoint_with_next\n"
+        "1,0.5659880358453125,False,0.008842622201811725@d1,5.4365636569180902@d2,False\n"
+        "2,0.5,False,0.34040513797742378@d2,572.49352770878647@d2,True\n"
+        "3,0.5,True,588739.91554012336@d2,11776357.156529279@d2,True\n"
+    )
 
 
 def test_sup_scan_command(tmp_path):
@@ -394,6 +415,8 @@ def test_csv_float_cells_are_plain_numbers(prime_sums_out, tmp_path):
         ["sequences", "--k-max", "0"],
         ["verify", "all", {"k_max": 0}, "--n-primes", "1000", "--claim1-n", "100000",
          "--chebyshev-limit", "1000", "--trials", "100"],
+        ["concentration", "--ell-min", "5", "--ell-max", "3", "--trials", "100",
+         "--prime-limit", "1000"],
     ],
 )
 def test_invalid_input_exits_2_before_any_work(argv, tmp_path, capsys):

@@ -354,12 +354,12 @@ def test_series_limit_validation():
 
 def test_abel_identity_trivial_and_small():
     s = rmf.sample_signs(0, 10**4)
-    assert rmf.abel_identity_residual(s, 1.5, 1) == 0.0
     f = rmf.signed_values(s, 10**4)
+    assert rmf.abel_identity_residual(f[:1], 1.5) == 0.0
     n = np.arange(1, 10**4 + 1, dtype=float)
     for sigma in (0.6, 1.5):
         scale = float(np.sum(np.abs(f) * n**-sigma))
-        assert rmf.abel_identity_residual(s, sigma, 10**4) <= 1e-9 * scale
+        assert rmf.abel_identity_residual(f, sigma) <= 1e-9 * scale
 
 
 def test_abs_mellin_values():

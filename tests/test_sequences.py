@@ -51,21 +51,20 @@ def test_sigma_k_side_value_consistency():
 
 def test_interval_endpoints_first_values():
     p = sq.TheoremParams()  # c=3, A0=0.1, A1=1.1
-    y1, x1 = sq.interval_endpoints(1, p)
-    assert x1.depth == 2
-    assert float(x1.mantissa) == pytest.approx(2 * math.e, rel=1e-15)
-    # loglog y_1 = 0.1 e - 1.1 < 0: depth-1 fallback, log y_1 = exp(0.1 e - 1.1)
-    assert y1.depth == 1
-    assert float(y1.mantissa) == pytest.approx(math.exp(0.1 * math.e - 1.1), rel=1e-12)
-    _, x2 = sq.interval_endpoints(2, p)
-    assert float(x2.mantissa) == pytest.approx(5961.915974, abs=1e-5)
+    loglog_y1, loglog_x1 = sq.interval_endpoints(1, p)
+    assert isinstance(loglog_x1, mp.mpf) and isinstance(loglog_y1, mp.mpf)
+    assert float(loglog_x1) == pytest.approx(2 * math.e, rel=1e-15)
+    # loglog y_1 = 0.1 e - 1.1 < 0, so y_1 < e.
+    assert float(loglog_y1) == pytest.approx(0.1 * math.e - 1.1, rel=1e-12)
+    _, loglog_x2 = sq.interval_endpoints(2, p)
+    assert float(loglog_x2) == pytest.approx(5961.915974, abs=1e-5)
 
 
 def test_loglog_identity_exact_through_k20():
     p = sq.TheoremParams()
     for k in range(1, 21):
-        _, x_k = sq.interval_endpoints(k, p)
-        ratio = x_k.mantissa / mp.exp(mp.mpf(k) ** 3)
+        _, loglog_x = sq.interval_endpoints(k, p)
+        ratio = loglog_x / mp.exp(mp.mpf(k) ** 3)
         assert abs(float(ratio) - 2.0) <= 1e-12
 
 
@@ -80,53 +79,12 @@ def test_intervals_disjoint_degenerate_a0():
     assert not sq.intervals_disjoint(1, p)
 
 
-def test_nested_log_validation():
-    with pytest.raises(ValueError):
-        sq.NestedLogReal(3, 1.0)
-    with pytest.raises(ValueError):
-        sq.NestedLogReal(2, -1.0)
-
-
-def test_nested_log_total_order_consistency():
-    import random
-
-    rng = random.Random(7)
-    for _ in range(2000):
-        a = rng.uniform(-20, 60)
-        b = rng.uniform(-20, 60)
-        forms_a = [sq.NestedLogReal.from_real(a)]
-        forms_b = [sq.NestedLogReal.from_real(b)]
-        if a > 0:
-            forms_a.append(sq.NestedLogReal.from_log(math.log(a)))
-        if b > 0:
-            forms_b.append(sq.NestedLogReal.from_log(math.log(b)))
-        if a > math.e:
-            forms_a.append(sq.NestedLogReal.from_loglog(math.log(math.log(a))))
-        if b > math.e:
-            forms_b.append(sq.NestedLogReal.from_loglog(math.log(math.log(b))))
-        for fa in forms_a:
-            for fb in forms_b:
-                assert (fa < fb) == (a < b) or math.isclose(a, b, rel_tol=1e-12)
-
-
-def test_nested_log_equality_across_depths():
-    # mp.log at the working precision keeps both forms on the same value.
-    assert sq.NestedLogReal.from_real(100.0) == sq.NestedLogReal.from_log(mp.log(100.0))
-    assert sq.NestedLogReal.from_real(5.0) != sq.NestedLogReal.from_real(6.0)
-    assert sq.NestedLogReal.from_loglog(3.0) > sq.NestedLogReal.from_real(10.0)
-
-
-def test_nested_log_to_float():
-    assert sq.NestedLogReal.from_log(2.0).to_float() == pytest.approx(math.exp(2.0))
-    assert math.isinf(sq.NestedLogReal.from_loglog(1000.0).to_float())
-
-
 def test_step_sigma_values():
     s = sq.StepParams(epsilon=1.0)
-    assert sq.step_sigma_ell(1, s).sigma == pytest.approx(0.6839397206, abs=1e-9)
-    r16 = sq.step_sigma_ell(16, s)
-    assert r16.sigma == pytest.approx(0.5091578194, abs=1e-9)
-    assert r16.log_inv_two_gap == pytest.approx(4.0)
+    assert sq.step_sigma_ell(1, s) == pytest.approx(0.6839397206, abs=1e-9)
+    # ell^(1-delta) = 4 at ell = 16: sigma = 1/2 + exp(-4)/2.
+    assert sq.step_sigma_ell(16, s) == 0.5 + 0.5 * math.exp(-4.0)
+    assert sq.step_sigma_ell(16, s) == pytest.approx(0.5091578194, abs=1e-9)
     with pytest.raises(ValueError):
         sq.step_sigma_ell(0, s)
 
@@ -154,22 +112,22 @@ def test_subtraction_bound_scan_large():
 
 
 def test_harper_lower_bound_values():
-    sigma1 = sq.sigma_k(1, sq.TheoremParams()).sigma
-    hb = sq.harper_lower_bound(sigma1, 0.25, 1.5, -1.5)
+    log_inv_gap1 = sq.sigma_k(1, sq.TheoremParams()).log_inv_gap
+    hb = sq.harper_lower_bound(log_inv_gap1, 0.25, 1.5, -1.5)
     assert hb.t_max == pytest.approx(2 * math.e**2, rel=1e-9)
-    hb2 = sq.harper_lower_bound(0.6, 0.25, 1.5, -1.5, log_inv_gap=10.0)
+    hb2 = sq.harper_lower_bound(10.0, 0.25, 1.5, -1.5)
     assert hb2.lower == pytest.approx(2.5 - 1.5 * math.log(10.0) - 1.5, rel=1e-12)
     # substitution identity: log gap = e gives C0 e - C1 + C2
-    hb3 = sq.harper_lower_bound(0.6, 0.25, 1.5, -1.5, log_inv_gap=math.e)
+    hb3 = sq.harper_lower_bound(math.e, 0.25, 1.5, -1.5)
     assert hb3.lower == pytest.approx(0.25 * math.e - 1.5 - 1.5, rel=1e-12)
 
 
 def test_harper_lower_bound_validation():
     with pytest.raises(ValueError):
-        sq.harper_lower_bound(0.6, 0.6, 1.5, -1.5)
+        sq.harper_lower_bound(1.0, 0.6, 1.5, -1.5)
     with pytest.raises(ValueError):
-        sq.harper_lower_bound(0.6, 0.25, 0.9, -1.5)
+        sq.harper_lower_bound(1.0, 0.25, 0.9, -1.5)
     with pytest.raises(ValueError):
-        sq.harper_lower_bound(0.6, 0.25, 1.5, -2.0)
+        sq.harper_lower_bound(1.0, 0.25, 1.5, -2.0)
     with pytest.raises(ValueError):
-        sq.harper_lower_bound(0.4, 0.25, 1.5, -1.5)
+        sq.harper_lower_bound(0.0, 0.25, 1.5, -1.5)
