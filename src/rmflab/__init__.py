@@ -15,7 +15,6 @@ from .primes import (
     PrimeTable,
     cached_primes,
     chebyshev_check,
-    sieve_primes,
 )
 from .prime_series import (
     CertifiedValue,

@@ -126,6 +126,14 @@ class OscillationResult:
     r_max: int
 
 
+def check_grid(ells: Sequence[int], r_max: int) -> None:
+    """Raise ValueError unless every ell is >= 2 and r_max lies in [1, 30]."""
+    if any(ell < 2 for ell in ells):
+        raise ValueError(f"ell must be >= 2, got {min(ells)}")
+    if not 1 <= r_max <= 30:
+        raise ValueError(f"r_max must lie in [1, 30], got {r_max}")
+
+
 def oscillation_batch(
     seeds: Sequence[int],
     ell: int,
@@ -138,10 +146,7 @@ def oscillation_batch(
     OSCILLATION_SCHEDULE, for many seeds sharing one grid evaluation.
 
     Seeds are Python ints of any sign; results report them as given."""
-    if ell < 2:
-        raise ValueError(f"ell must be >= 2, got {ell}")
-    if not 1 <= r_max <= 30:
-        raise ValueError(f"r_max must lie in [1, 30], got {r_max}")
+    check_grid([ell], r_max)
     s_ell = step_sigma_ell(ell, step)
     s_prev = step_sigma_ell(ell - 1, step)
 

@@ -63,12 +63,10 @@ class CertifiedValue:
         return self.lower <= other.upper and other.lower <= self.upper
 
 
-def _outward(lower: float, upper: float, estimate: float | None = None) -> CertifiedValue:
+def _outward(lower: float, upper: float, estimate: float) -> CertifiedValue:
     """Pad an interval outward by the slack factor and wrap it up."""
     lo = lower - abs(lower) * _SLACK
     hi = upper + abs(upper) * _SLACK
-    if estimate is None:
-        estimate = 0.5 * (lower + upper)
     return CertifiedValue(estimate=estimate, upper=hi, lower=lo)
 
 
@@ -129,14 +127,10 @@ def _log_zeta(s: float) -> float:
 def _mobius_upto(n: int) -> np.ndarray:
     mu = np.ones(n + 1, dtype=np.int64)
     mu[0] = 0
-    for p in _small_primes(n):
+    for p in primes_mod.cached_primes(max(n, 2)).upto(n).tolist():
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
     return mu
-
-
-def _small_primes(n: int) -> list[int]:
-    return [int(p) for p in primes_mod._simple_sieve(n)] if n >= 2 else []
 
 
 def prime_power_tail_bound(s: float, n_cut: int, pi_cut: int | None = None) -> float:
@@ -189,8 +183,6 @@ def prime_zeta_direct(s: float, n_cut: int) -> CertifiedValue:
     that of prime_zeta(s)."""
     if s <= 1:
         raise ValueError(f"prime zeta requires s > 1, got {s}")
-    if n_cut < 2:
-        raise ValueError(f"direct prime zeta needs a cutoff >= 2, got {n_cut}")
     p = primes_mod.cached_primes(n_cut).primes.astype(np.float64)
     partial = float(np.sum(p ** (-s)))
     tail = prime_power_tail_bound(s, n_cut, pi_cut=p.size)
@@ -280,8 +272,11 @@ def euler_tail_constant(n_primes: int) -> CertifiedValue:
     """
     if n_primes < 1:
         raise ValueError("n_primes must be >= 1")
-    p = primes_mod.first_n_primes(n_primes).astype(np.float64)
-    partial = fsum(1.0 / (p * (np.sqrt(p) - 1.0)))
+    p = primes_mod.first_n_primes(n_primes)
+    t = np.sqrt(p, dtype=np.float64)  # the terms 1/(p(sqrt(p)-1)), in this one buffer
+    t -= 1.0
+    t *= p
+    partial = fsum(np.divide(1.0, t, out=t))
     largest = float(p[-1])
     tail = (1.0 + 1.0 / (sqrt(largest) - 1.0)) * 2.0 / sqrt(largest)
     return _outward(partial, partial + tail, estimate=partial + 0.5 * tail)

@@ -2,9 +2,11 @@
 (pi(x) is `table.upto(x).size`), and the Chebyshev-type check
 pi(x) < 2x/log(x).
 
-Limits up to ~1.7e8 (enough for the first 9 million primes) run in bounded
-memory through segmentation.  `cached_primes` is the one source of prime
-tables; tables are immutable after construction and safe for concurrent reads.
+`cached_primes` is the one prime source and the only caller of `sieve_primes`.
+It keeps the largest table sieved so far; smaller limits and `first_n_primes`
+are read-only views of it.  Tables are int32, exact up to the sieve's cap
+2^31 - 1: the 9.45 million primes below 1.69e8 take 38 MB.  Search a table
+with a key of its dtype, or numpy copies it to int64 on every search.
 """
 
 from __future__ import annotations
@@ -18,9 +20,7 @@ DEFAULT_SEGMENT = 1 << 22
 
 
 def _simple_sieve(limit: int) -> np.ndarray:
-    """Plain Eratosthenes up to `limit` inclusive, as an int64 array."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
+    """The base step of `sieve_primes`: Eratosthenes up to `limit` inclusive, as int64."""
     is_prime = np.ones(limit + 1, dtype=bool)
     is_prime[:2] = False
     for p in range(2, isqrt(limit) + 1):
@@ -30,30 +30,31 @@ def _simple_sieve(limit: int) -> np.ndarray:
 
 
 def sieve_primes(limit: int, segment: int = DEFAULT_SEGMENT) -> np.ndarray:
-    """All primes <= limit, ascending, via a segmented sieve.
+    """All primes <= limit, ascending, as a read-only int32 array.
 
-    Memory stays bounded by `segment` bools plus the output array.
+    Each segment's primes go straight into an output sized by Rosser and
+    Schoenfeld's pi(x) < 1.25506 x / log x, so memory is one segment of flags
+    plus the table: pages past the last prime are never touched.
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    if limit > 1 << 40:
-        raise ValueError(f"sieve limit {limit} exceeds the 2^40 support cap")
-    root = isqrt(limit)
-    base = _simple_sieve(root)
-    if root >= limit:
-        return base[base <= limit]
-    chunks = [base]
-    for lo in range(root + 1, limit + 1, segment):
+    if limit > np.iinfo(np.int32).max:
+        raise ValueError(f"sieve limit {limit} exceeds the int32 cap 2^31 - 1")
+    base = _simple_sieve(isqrt(limit)).tolist()
+    primes = np.empty(int(1.25506 * limit / log(limit)) + 1, dtype=np.int32)
+    count = 0
+    for lo in range(2, limit + 1, segment):
         hi = min(lo + segment - 1, limit)
         flags = np.ones(hi - lo + 1, dtype=bool)
         for p in base:
-            p = int(p)
             start = max(p * p, ((lo + p - 1) // p) * p)
             if start > hi:
                 continue
             flags[start - lo :: p] = False
-        chunks.append(np.flatnonzero(flags).astype(np.int64) + lo)
-    primes = np.concatenate(chunks)
+        found = np.flatnonzero(flags)
+        primes[count : count + found.size] = found + lo
+        count += found.size
+    primes = primes[:count]
     primes.flags.writeable = False
     return primes
 
@@ -84,18 +85,8 @@ class PrimeTable:
         """View of the primes <= x."""
         if x > self.limit:
             raise ValueError(f"x={x} exceeds table limit {self.limit}")
-        idx = int(np.searchsorted(self.primes, int(x), side="right"))
+        idx = int(np.searchsorted(self.primes, self.primes.dtype.type(int(x)), side="right"))
         return self.primes[:idx]
-
-
-def first_n_primes(n: int) -> np.ndarray:
-    """The first n primes, sieving up to the Rosser bound."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    primes = sieve_primes(nth_prime_upper(n))
-    if primes.size < n:  # pragma: no cover - bound is a theorem for n >= 6
-        raise RuntimeError("prime bound underestimated; raise the sieve limit")
-    return primes[:n]
 
 
 @dataclass(frozen=True)
@@ -142,3 +133,11 @@ def cached_primes(limit: int) -> PrimeTable:
     if table.limit == limit:
         return table
     return PrimeTable(limit=limit, primes=table.upto(limit))
+
+
+def first_n_primes(n: int) -> np.ndarray:
+    """The first n primes: a view of the cached table up to the Rosser bound,
+    which holds at least n primes by Rosser's theorem."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return cached_primes(nth_prime_upper(n)).primes[:n]

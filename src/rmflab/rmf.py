@@ -47,11 +47,11 @@ def mix64(x) -> np.ndarray:
     """SplitMix64 finalizer over uint64 scalars or arrays."""
     with np.errstate(over="ignore"):
         z = np.asarray(x, dtype=np.uint64) + _GOLDEN
-        z = z ^ (z >> np.uint64(30))
-        z = z * _MIX1
-        z = z ^ (z >> np.uint64(27))
-        z = z * _MIX2
-        z = z ^ (z >> np.uint64(31))
+        z ^= z >> np.uint64(30)
+        z *= _MIX1
+        z ^= z >> np.uint64(27)
+        z *= _MIX2
+        z ^= z >> np.uint64(31)
     return z
 
 
@@ -69,14 +69,17 @@ def derive_seed(base_seed: int, index: int | np.ndarray) -> int | np.ndarray:
 def sign_matrix(trial_seeds: np.ndarray | Sequence[int], primes: np.ndarray) -> np.ndarray:
     """The sign hash: row t holds the +-1 signs of `primes` under trial_seeds[t].
 
-    Python int seeds are taken mod 2^64; an integer array is cast to uint64."""
+    Python int seeds are taken mod 2^64; an integer array is cast to uint64.
+    Rows are hashed one at a time, so the uint64 scratch is one row long."""
     if not isinstance(trial_seeds, np.ndarray):
         trial_seeds = [int(s) & _MASK64 for s in trial_seeds]
     keys = mix64(np.asarray(trial_seeds, dtype=np.uint64))
     with np.errstate(over="ignore"):
         pk = primes.astype(np.uint64) * _PRIME_SALT
-        h = mix64(pk[None, :] ^ keys[:, None])
-    return (1 - 2 * (h & np.uint64(1)).astype(np.int8)).astype(np.int8)
+    out = np.empty((keys.size, primes.size), dtype=np.int8)
+    for row, key in zip(out, keys):
+        row[:] = 1 - 2 * (mix64(pk ^ key) & np.uint64(1)).astype(np.int8)
+    return out
 
 
 @dataclass(frozen=True)
@@ -92,30 +95,22 @@ class SignAssignment:
         self.primes.flags.writeable = False
         self.signs.flags.writeable = False
 
-    def sign(self, p: int) -> int:
-        idx = int(np.searchsorted(self.primes, p))
-        if idx >= self.primes.size or int(self.primes[idx]) != p:
-            raise ValueError(f"{p} is not a prime <= {self.prime_limit}")
-        return int(self.signs[idx])
-
     def up_to(self, limit: int) -> tuple[np.ndarray, np.ndarray]:
         """(primes, signs) views restricted to p <= limit."""
         if limit > self.prime_limit:
             raise ValueError(f"limit {limit} exceeds prime_limit {self.prime_limit}")
-        idx = int(np.searchsorted(self.primes, int(limit), side="right"))
+        idx = int(np.searchsorted(self.primes, self.primes.dtype.type(limit), side="right"))
         return self.primes[:idx], self.signs[:idx]
 
 
 def sample_signs(seed: int, prime_limit: int) -> SignAssignment:
     """Reproducible +-1 assignment on the primes up to prime_limit."""
-    if prime_limit < 2:
-        raise ValueError(f"prime_limit must be >= 2, got {prime_limit}")
     ps = primes_mod.cached_primes(prime_limit).primes
     signs = sign_matrix([seed], ps)[0]
     return SignAssignment(seed=seed, prime_limit=prime_limit, primes=ps, signs=signs)
 
 
-def _packed(negative: list[np.ndarray]) -> np.ndarray:
+def _packed(negative: np.ndarray) -> np.ndarray:
     """One uint64 per prime, bit j set where boolean row j of `negative` is."""
     words = np.zeros((negative[0].size, 8), dtype=np.uint8)
     words[:, : (len(negative) + 7) // 8] = np.packbits(negative, axis=0, bitorder="little").T
@@ -138,7 +133,8 @@ def _signed_blocks(
         odd = np.zeros(hi - lo + 1, dtype=np.uint64)
         small = np.ones(hi - lo + 1, dtype=np.int64)
         squarefree = np.ones(hi - lo + 1, dtype=bool)
-        for p, word in zip(ps[: np.searchsorted(ps, isqrt(hi), side="right")].tolist(), words):
+        root = ps.dtype.type(isqrt(hi))
+        for p, word in zip(ps[: np.searchsorted(ps, root, side="right")].tolist(), words):
             odd[-lo % p :: p] ^= word
             small[-lo % p :: p] *= p
             squarefree[-lo % (p * p) :: p * p] = False
@@ -151,15 +147,15 @@ def _signed_blocks(
 
 
 def _negative(signs: SignAssignment, x_max: int) -> np.ndarray:
-    """Where the signs of the primes up to x_max are -1, after the range check."""
+    """One row: where the signs of the primes up to x_max are -1, after the range check."""
     if not 1 <= x_max <= signs.prime_limit:
         raise ResourceLimitError(f"x_max={x_max} outside [1, prime_limit={signs.prime_limit}]")
-    return signs.up_to(x_max)[1] < 0
+    return signs.up_to(x_max)[1][None] < 0
 
 
 def signed_values(signs: SignAssignment, x_max: int) -> np.ndarray:
     """f(1..x_max) as an int8 array (index i holds f(i+1))."""
-    words = _packed([_negative(signs, x_max)])
+    words = _packed(_negative(signs, x_max))
     return np.concatenate([f for _, _, f in _signed_blocks(words, 1, x_max)])
 
 
@@ -234,17 +230,20 @@ def partial_sum_trace(
     """Exact M_f at every integer up to x_max, built segment by segment."""
     if keep_values is None:
         keep_values = x_max <= TRACE_VALUES_CAP
-    return _traces(_packed([_negative(signs, x_max)]), 1, x_max, keep_values)[0]
+    return _traces(_packed(_negative(signs, x_max)), 1, x_max, keep_values)[0]
 
 
 def sign_change_counts(seeds: Sequence[int], x_max: int) -> np.ndarray:
     """(count_changes(), final_value) of partial_sum_trace(sample_signs(seed,
     max(x_max, 2)), x_max) for each seed, shape (len(seeds), 2).  Each
-    extension pass serves PACKED_SIGNS seeds."""
+    extension pass serves PACKED_SIGNS seeds, hashed by one sign_matrix call."""
+    if x_max < 1:
+        raise ResourceLimitError(f"x_max={x_max} must be >= 1")
+    ps = primes_mod.cached_primes(max(x_max, 2)).upto(x_max)
     out = []
     for start in range(0, len(seeds), PACKED_SIGNS):
         block = seeds[start : start + PACKED_SIGNS]
-        words = _packed([_negative(sample_signs(seed, max(x_max, 2)), x_max) for seed in block])
+        words = _packed(sign_matrix(block, ps) < 0)
         out += [(t.count_changes(), t.final_value) for t in _traces(words, len(block), x_max)]
     return np.array(out, dtype=np.int64).reshape(-1, 2)
 

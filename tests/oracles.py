@@ -15,18 +15,21 @@ None of this is used by `rmflab` itself:
 - the truncated Dirichlet series and Euler product of one assignment
   (`series_and_product`) and the Mellin integral of |M| (`abs_mellin`),
   which no command uses;
-- hand-built sign assignments (chosen primes, or one constant sign);
+- hand-built sign assignments (chosen primes, or one constant sign), and
+  the sign of one prime under an assignment;
 - the pair-by-pair brute force of the chaining conclusion, which
   `chaining.verify_chaining` must reproduce, and the float `chaining_R`,
   the reference for the integer R that `verify_chaining` reads off grid steps;
 - the truncated P(sigma) of one sign assignment, which
-  `rmf.random_prime_sum_batch` must reproduce for every seed.
+  `rmf.random_prime_sum_batch` must reproduce for every seed;
+- the partial sum of `prime_series.euler_tail_constant` as one array
+  expression, which its in-place terms must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import frexp, isqrt, ldexp, sqrt
+from math import frexp, fsum, isqrt, ldexp, sqrt
 
 import numpy as np
 
@@ -127,6 +130,14 @@ def factor_squarefree(
     return factors, squarefree
 
 
+def sign_of(signs: SignAssignment, p: int) -> int:
+    """The sign of prime p under an assignment; ValueError unless p is one of its primes."""
+    idx = int(np.searchsorted(signs.primes, p))
+    if idx >= signs.primes.size or int(signs.primes[idx]) != p:
+        raise ValueError(f"{p} is not a prime <= {signs.prime_limit}")
+    return int(signs.signs[idx])
+
+
 def f_value(signs: SignAssignment, n: int, spf: SpfTable | None = None) -> int:
     """Multiplicative extension: product of sign(p) over p | n, zero unless squarefree."""
     if n < 1:
@@ -139,7 +150,7 @@ def f_value(signs: SignAssignment, n: int, spf: SpfTable | None = None) -> int:
         return 0
     out = 1
     for p in factors:
-        out *= signs.sign(p)
+        out *= sign_of(signs, p)
     return out
 
 
@@ -336,3 +347,9 @@ def abs_mellin(signs: SignAssignment, sigma: float, x: int) -> float:
     m = np.cumsum(f, dtype=np.int64)
     weights = _step_weights(sigma, x) / sigma
     return float(np.sum(np.abs(m[:-1]).astype(np.float64) * weights))
+
+
+def euler_tail_partial(n_primes: int) -> float:
+    """sum over the first n_primes primes of 1/(p(sqrt(p)-1)), correctly rounded."""
+    p = primes_mod.first_n_primes(n_primes).astype(np.float64)
+    return fsum(1.0 / (p * (np.sqrt(p) - 1.0)))

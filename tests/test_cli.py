@@ -268,6 +268,17 @@ def test_chaining_command(tmp_path):
     assert len(rows) == 5
 
 
+def test_chaining_rejects_a_late_bad_ell_before_any_work(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli.chaining, "oscillation_batch", lambda *a, **kw: calls.append(a) or [])
+    out = tmp_path / "ch"
+    assert run(["chaining", "--ells", "5,1", "--seeds", "20", "--prime-limit", "1000000",
+                "--output-dir", str(out)]) == 2
+    assert "ell must be >= 2, got 1" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 def test_concentration_command(tmp_path):
     out = tmp_path / "cc"
     assert run(

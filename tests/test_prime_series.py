@@ -7,6 +7,8 @@ import pytest
 from rmflab import prime_series as ps
 from rmflab import primes
 
+import oracles
+
 # High-precision oracle values, frozen from mpmath (independent evaluation).
 PRIME_ZETA = {
     1.2: 1.51976831282175,
@@ -199,6 +201,12 @@ def test_euler_tail_four_terms():
     partial = sum(1.0 / (p * (math.sqrt(p) - 1)) for p in (2, 3, 5, 7))
     assert partial == pytest.approx(1.911055584, abs=1e-8)
     assert cv.lower == pytest.approx(partial, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [10**4, 10**5])
+def test_euler_tail_in_place_terms_match_expression_form(n):
+    partial = oracles.euler_tail_partial(n)
+    assert ps.euler_tail_constant(n).lower == partial - abs(partial) * ps._SLACK
 
 
 def test_euler_tail_upper_monotone_nonincreasing():

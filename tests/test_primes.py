@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from rmflab import primes
+from rmflab import prime_series, primes
 
 import oracles
 
@@ -59,6 +61,33 @@ def test_cached_primes_serves_smaller_limits_as_views(monkeypatch):
     assert np.array_equal(small.primes, sieve(10**4))
     with pytest.raises(ValueError):
         primes.cached_primes(1)
+
+
+def test_cached_primes_is_the_one_prime_source(monkeypatch):
+    monkeypatch.setattr(primes, "_largest", None)
+    sieve = primes.sieve_primes
+    sieved = []
+
+    def counting_sieve(limit, **kw):
+        sieved.append(limit)
+        return sieve(limit, **kw)
+
+    monkeypatch.setattr(primes, "sieve_primes", counting_sieve)
+    prime_series.euler_tail_constant(10**4)  # first_n_primes: sieves to the Rosser bound 114,306
+    prime_series.log_weighted_sum(0.75, n_cut=10**5)
+    assert len(sieved) == 1
+    assert primes.cached_primes(10**5).primes.dtype == np.int32
+
+
+def test_sieve_refuses_limits_past_int32_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="int32 cap"):
+            primes.sieve_primes(2**31)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 15  # the base sieve to sqrt(2^31) alone would take 46 KB
 
 
 def test_segmented_matches_monolithic():
