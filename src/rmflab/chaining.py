@@ -2,13 +2,16 @@
 2 sum_{r > R} lambda_r checked on the depth-r_max dyadic grid of an interval,
 the lambda_r^2 = 2 C1 r / 4^r schedule with its chaining constant, and the
 empirical oscillation experiment max |P(sigma) - P(sigma_ell)| over
-[sigma_ell, sigma_{ell-1}].
+[sigma_ell, sigma_{ell-1}].  That experiment evaluates exactly only the grid
+blocks that a Taylor-moment approximation with an explicit error bound cannot
+rule out, and reads its results from their exact rows.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from math import sqrt
+from math import factorial, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +23,8 @@ from .sequences import StepParams, step_sigma_ell
 
 _TAIL_REL_TOL = 1e-15  # the chaining constant's sum stops once a term falls below this share
 _GRID_CHUNK = 256  # sigma-grid rows per oscillation block
+_TAYLOR_K = 40  # degree of the Taylor filter: remainder < 1e-60 sum|w| at |x| <= 0.86
+_U = 2.0**-53  # unit roundoff of float64
 
 
 @dataclass(frozen=True)
@@ -60,12 +65,12 @@ class ChainingReport:
 
 def _first_violations(grid_values: np.ndarray, lambdas: np.ndarray) -> list[int | None]:
     """Per column of `grid_values` (f on the depth-r_max grid down axis 0), the
-    first level r whose largest increment exceeds lambdas[r-1], or None."""
+    first level r whose largest increment exceeds lambdas[r-1], or None; NaN rows are skipped."""
     r_max = lambdas.size
     first: list[int | None] = [None] * grid_values.shape[1]
     for r in range(1, r_max + 1):
         level = grid_values[:: 2 ** (r_max - r)]
-        inc = np.max(np.abs(np.diff(level, axis=0)), axis=0)
+        inc = np.fmax.reduce(np.abs(np.diff(level, axis=0)), axis=0)
         for j in np.flatnonzero(inc > lambdas[r - 1]):
             if first[j] is None:
                 first[j] = r
@@ -126,12 +131,58 @@ class OscillationResult:
     r_max: int
 
 
-def check_grid(ells: Sequence[int], r_max: int) -> None:
-    """Raise ValueError unless every ell is >= 2 and r_max lies in [1, 30]."""
+def check_grid(ells: Sequence[int], r_max: int, n_seeds: int) -> None:
+    """Raise ValueError unless every ell is >= 2 and r_max lies in [1, 30], and
+    ResourceLimitError unless physical memory holds the grid's rows of n_seeds
+    values, max(K + 1 powers of f, n_seeds increments), f and its offset."""
     if any(ell < 2 for ell in ells):
         raise ValueError(f"ell must be >= 2, got {min(ells)}")
     if not 1 <= r_max <= 30:
         raise ValueError(f"r_max must lie in [1, 30], got {r_max}")
+    need = (2**r_max + 1) * (n_seeds + max(n_seeds, _TAYLOR_K + 1) + 2) * 8
+    if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise rmf_mod.ResourceLimitError(f"r_max={r_max}, {n_seeds} seeds: {need} B > physical RAM")
+
+
+def _taylor_grid(weights: np.ndarray, x: np.ndarray, frac: np.ndarray):
+    """(approx, eps): sum_p w_p exp(f x_p) at every f in `frac` (within [0, 1])
+    from the moments M_k = sum_p w_p x_p^k / k!, and per seed a bound on its
+    distance to every row's exact block value.  eps sums the Taylor remainder,
+    the roundoff of the moments (3k + P roundings) and of the polynomial (2K),
+    the exact block's (its basis and gemm), and 4 u for comparisons against
+    eps and for eps itself (Higham, Accuracy and Stability, ch. 3)."""
+    moments = np.empty((_TAYLOR_K + 1, weights.shape[1]))
+    term = np.ones_like(x)
+    for k in range(_TAYLOR_K + 1):
+        moments[k] = term @ weights
+        term *= x / (k + 1)
+    approx = np.vander(frac, _TAYLOR_K + 1, increasing=True) @ moments
+    g = 1.01 * _U  # gamma_n = n u / (1 - n u) <= n g while n u <= 0.01
+    big_x = float(np.max(np.abs(x)))
+    basis = np.expm1(2 * g * big_x) + 9 * _U  # two roundings in the exponent, exp to 4 ulps
+    scale = np.sum(np.abs(weights), axis=0) * np.exp(big_x)  # >= sum_k sum_p |w_p x_p^k| / k!
+    eps = scale * (big_x ** (_TAYLOR_K + 1) / factorial(_TAYLOR_K + 1)
+                   + (x.size + 3 * _TAYLOR_K) * g + basis + x.size * g * (1 + basis) + 4 * _U)
+    return approx, eps + 2 * _TAYLOR_K * g * np.sum(np.abs(moments), axis=0)
+
+
+def _blocks_to_recompute(approx: np.ndarray, eps: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+    """Block 0 and the _GRID_CHUNK-row blocks holding a row within 4 eps of a
+    seed's largest |approx_i - approx_0| or an endpoint of a level-r increment
+    within 4 eps of exceeding lambda_r: with approx within eps of the exact
+    rows, no other row decides max_osc or a first violation.  NaN or inf in
+    approx or eps selects every block."""
+    osc = np.abs(approx - approx[0])
+    need = ~np.all(osc < osc.max(axis=0) - 4.0 * eps, axis=1)
+    del osc
+    for r in range(1, lambdas.size + 1):
+        stride = 2 ** (lambdas.size - r)
+        inc = np.abs(np.diff(approx[::stride], axis=0))
+        close = ~np.all(inc < lambdas[r - 1] - 4.0 * eps, axis=1)
+        need[:-1:stride] |= close
+        need[stride::stride] |= close
+    need[0] = True
+    return np.unique(np.flatnonzero(need) // _GRID_CHUNK)
 
 
 def oscillation_batch(
@@ -146,7 +197,7 @@ def oscillation_batch(
     OSCILLATION_SCHEDULE, for many seeds sharing one grid evaluation.
 
     Seeds are Python ints of any sign; results report them as given."""
-    check_grid([ell], r_max)
+    check_grid([ell], r_max, len(seeds))
     s_ell = step_sigma_ell(ell, step)
     s_prev = step_sigma_ell(ell - 1, step)
 
@@ -160,15 +211,17 @@ def oscillation_batch(
     n_grid = 2**r_max + 1
     frac = np.arange(n_grid, dtype=np.float64) / (2.0**r_max)
     dsig = frac * (s_prev - s_ell)
-    p_vals = np.empty((n_grid, weights.shape[1]))
-    for start in range(0, n_grid, _GRID_CHUNK):
-        block = dsig[start : start + _GRID_CHUNK]
-        p_vals[start : start + block.size] = np.exp(-np.outer(block, logp)) @ weights
-
-    osc = np.abs(p_vals - p_vals[0])
-    max_osc = osc.max(axis=0)
-
     lambdas = np.array([OSCILLATION_SCHEDULE(r) for r in range(1, r_max + 1)])
+    blocks = _blocks_to_recompute(*_taylor_grid(weights, -(s_prev - s_ell) * logp, frac), lambdas)
+    p_vals = np.full((n_grid, weights.shape[1]), np.nan)  # rows outside `blocks` decide nothing
+    basis = np.empty((min(_GRID_CHUNK, n_grid), logp.size))  # outer, negation and exp in place
+    for start in blocks * _GRID_CHUNK:
+        block = dsig[start : start + _GRID_CHUNK]
+        buf = basis[: block.size]
+        np.negative(np.multiply.outer(block, logp, out=buf), out=buf)
+        p_vals[start : start + block.size] = np.exp(buf, out=buf) @ weights
+
+    max_osc = np.fmax.reduce(np.abs(p_vals - p_vals[0]), axis=0)
     first_violation = _first_violations(p_vals, lambdas)
 
     paper_c = OSCILLATION_SCHEDULE.chaining_constant()

@@ -535,7 +535,7 @@ def cmd_sup_scan(args, cfg: ExperimentConfig) -> Result:
 
 def cmd_chaining(args, cfg: ExperimentConfig) -> Result:
     n_seeds = _positive(cfg, "seeds")
-    chaining.check_grid(cfg.ells, cfg.r_max)  # every ell, before the first one runs
+    chaining.check_grid(cfg.ells, cfg.r_max, n_seeds)  # every ell, before the first one runs
     step = StepParams(cfg.epsilon)
     seed_list = list(range(cfg.seed, cfg.seed + n_seeds))
     rows = [

@@ -22,6 +22,10 @@ None of this is used by `rmflab` itself:
   the reference for the integer R that `verify_chaining` reads off grid steps;
 - the truncated P(sigma) of one sign assignment, which
   `rmf.random_prime_sum_batch` must reproduce for every seed;
+- the sigma grid of the oscillation experiment evaluated block by block on
+  every row (`oscillation_grid`, `oscillation_direct`), whose max_osc and
+  first violations `chaining.oscillation_batch` must reproduce bit for bit
+  from the blocks its Taylor filter selects;
 - the partial sum of `prime_series.euler_tail_constant` as one array
   expression, which its in-place terms must reproduce bit for bit.
 """
@@ -35,10 +39,11 @@ import numpy as np
 
 from rmflab import prime_series
 from rmflab import primes as primes_mod
-from rmflab.chaining import ChainingReport, _first_violations
+from rmflab.chaining import _GRID_CHUNK, OSCILLATION_SCHEDULE, ChainingReport, _first_violations
 from rmflab.prime_series import DivergenceError
 from rmflab.primes import DEFAULT_SEGMENT, PrimeTable
-from rmflab.rmf import SignAssignment, _step_weights, signed_values
+from rmflab.rmf import SignAssignment, _step_weights, sign_matrix, signed_values
+from rmflab.sequences import StepParams, step_sigma_ell
 
 SPF_HARD_CAP = 1 << 31
 
@@ -265,6 +270,38 @@ def random_prime_sum(
         tail_std=sqrt(tail_var),
         normalized=value / sqrt(variance),
     )
+
+
+def oscillation_inputs(seeds, ell: int, step: StepParams, limit: int):
+    """(log p, the (P, n_seeds) weights sign(p) p^(-sigma_ell), sigma_{ell-1} -
+    sigma_ell) of the oscillation experiment, by `oscillation_batch`'s expressions."""
+    s_ell = step_sigma_ell(ell, step)
+    s_prev = step_sigma_ell(ell - 1, step)
+    ps = primes_mod.cached_primes(limit).primes
+    p = ps.astype(np.float64)
+    weights = (sign_matrix(seeds, ps).astype(np.float64) * p ** (-s_ell)).T
+    return np.log(p), weights, s_prev - s_ell
+
+
+def oscillation_grid(seeds, ell: int, step: StepParams, r_max: int, limit: int) -> np.ndarray:
+    """P on every row of the depth-r_max grid over [sigma_ell, sigma_{ell-1}],
+    one exp(-dsig log p) @ weights block of _GRID_CHUNK rows at a time."""
+    logp, weights, gap = oscillation_inputs(seeds, ell, step, limit)
+    n_grid = 2**r_max + 1
+    dsig = np.arange(n_grid, dtype=np.float64) / (2.0**r_max) * gap
+    p_vals = np.empty((n_grid, weights.shape[1]))
+    for start in range(0, n_grid, _GRID_CHUNK):
+        block = dsig[start : start + _GRID_CHUNK]
+        p_vals[start : start + block.size] = np.exp(-np.outer(block, logp)) @ weights
+    return p_vals
+
+
+def oscillation_direct(seeds, ell: int, step: StepParams, r_max: int, limit: int):
+    """(max_osc per seed, first_violation_r per seed) read from every row of
+    `oscillation_grid`."""
+    p_vals = oscillation_grid(seeds, ell, step, r_max, limit)
+    lambdas = np.array([OSCILLATION_SCHEDULE(r) for r in range(1, r_max + 1)])
+    return np.abs(p_vals - p_vals[0]).max(axis=0), _first_violations(p_vals, lambdas)
 
 
 def _signed_block(signs: SignAssignment, lo: int, hi: int) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rmflab import chaining as ch
+from rmflab import rmf
 from rmflab.sequences import StepParams
 
 import oracles
@@ -186,3 +187,105 @@ def test_oscillation_validation():
         ch.oscillation_batch([0], 1, StepParams(1.0), r_max=4, limit=100)
     with pytest.raises(ValueError):
         ch.oscillation_batch([0], 3, StepParams(1.0), r_max=0, limit=100)
+
+
+SEEDS = list(range(20))
+
+
+def lambdas_of(r_max):
+    return np.array([ch.OSCILLATION_SCHEDULE(r) for r in range(1, r_max + 1)])
+
+
+def taylor_inputs(seeds, ell, r_max, limit):
+    """The Taylor grid and its bound, next to the oracle's exact grid."""
+    step = StepParams(1.0)
+    logp, weights, gap = oracles.oscillation_inputs(seeds, ell, step, limit)
+    frac = np.arange(2**r_max + 1, dtype=np.float64) / 2.0**r_max
+    approx, eps = ch._taylor_grid(weights, -gap * logp, frac)
+    return approx, eps, oracles.oscillation_grid(seeds, ell, step, r_max, limit)
+
+
+@pytest.mark.parametrize(
+    "ell, r_max, limit",
+    [(ell, r_max, limit) for ell in (2, 3, 4, 6) for r_max in (4, 8, 12)
+     for limit in (10**3, 10**5, 10**6)]
+    + [(10**6, 4, 10**4)],  # the degenerate interval of test_oscillation_degenerate_interval
+)
+def test_oscillation_batch_matches_direct_bit_for_bit(ell, r_max, limit):
+    step = StepParams(1.0)
+    max_osc, first = oracles.oscillation_direct(SEEDS, ell, step, r_max, limit)
+    res = ch.oscillation_batch(SEEDS, ell, step, r_max=r_max, limit=limit)
+    assert [r.max_osc for r in res] == max_osc.tolist()
+    assert [r.first_violation_r for r in res] == first
+
+
+def test_oscillation_batch_matches_direct_when_levels_are_violated(monkeypatch):
+    # With C1 = 0.01 some lambda_r fall below the grid's increments, so the
+    # first violations are decided on exact rows (every block, for some ell).
+    for module in (ch, oracles):
+        monkeypatch.setattr(module, "OSCILLATION_SCHEDULE", ch.LambdaSchedule(0.01))
+    step = StepParams(1.0)
+    firsts = []
+    for ell in (2, 3, 5):
+        max_osc, first = oracles.oscillation_direct(SEEDS, ell, step, 10, 10**5)
+        res = ch.oscillation_batch(SEEDS, ell, step, r_max=10, limit=10**5)
+        assert [r.max_osc for r in res] == max_osc.tolist()
+        assert [r.first_violation_r for r in res] == first
+        firsts += first
+    assert None in firsts and any(f is not None for f in firsts)
+
+
+def test_taylor_bound_dominates_measured_error():
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        seeds = [int(s) for s in rng.integers(0, 2**63, size=4, dtype=np.int64)]
+        ell = int(rng.integers(2, 12))
+        limit = int(rng.choice([10**3, 10**4, 10**5]))
+        approx, eps, exact = taylor_inputs(seeds, ell, 10, limit)
+        assert np.all(np.abs(approx - exact) <= eps), (seeds, ell, limit)
+        assert np.all(eps < 1e-6)  # small enough to decide
+    approx, eps, exact = taylor_inputs(SEEDS[:4], 2, 10, 10**6)  # the widest |x| of ell >= 2
+    assert np.all(np.abs(approx - exact) <= eps)
+
+
+def test_filter_recomputes_increments_near_lambda_and_keeps_first_violations():
+    # No realistic lambda schedule comes near an increment, so place lambda_r
+    # within 2 eps of a level's largest exact increment: the decision is then
+    # ambiguous from the Taylor grid and must be made on exact rows.
+    r_max = 12
+    approx, eps, exact = taylor_inputs(SEEDS, 3, r_max, 10**5)
+    rng = np.random.default_rng(5)
+    violated = 0
+    for _ in range(12):
+        r = int(rng.integers(1, r_max + 1))
+        j = int(rng.integers(len(SEEDS)))
+        stride = 2 ** (r_max - r)
+        inc = np.abs(np.diff(exact[::stride, j]))
+        i = int(np.argmax(inc))
+        lambdas = lambdas_of(r_max)
+        lambdas[r - 1] = inc[i] + rng.uniform(-2.0, 2.0) * eps[j]
+        blocks = ch._blocks_to_recompute(approx, eps, lambdas)
+        assert {i * stride // ch._GRID_CHUNK, (i + 1) * stride // ch._GRID_CHUNK} <= set(blocks)
+        grid = np.full_like(exact, np.nan)  # the exact rows oscillation_batch evaluates
+        rows = np.isin(np.arange(exact.shape[0]) // ch._GRID_CHUNK, blocks)
+        grid[rows] = exact[rows]
+        first = ch._first_violations(grid, lambdas)
+        assert first == ch._first_violations(exact, lambdas)
+        violated += first[j] == r
+    assert violated > 0
+
+
+def test_c12_configuration_recomputes_blocks_0_and_16(monkeypatch):
+    picked = []
+    pick = ch._blocks_to_recompute
+    monkeypatch.setattr(ch, "_blocks_to_recompute",
+                        lambda *a: picked.append(pick(*a)) or picked[-1])
+    for ell in (3, 4, 5):
+        ch.oscillation_batch(SEEDS, ell, StepParams(1.0), r_max=12, limit=10**6)
+    assert [b.tolist() for b in picked] == [[0, 16]] * 3
+
+
+def test_check_grid_refuses_a_grid_beyond_physical_memory():
+    with pytest.raises(rmf.ResourceLimitError):
+        ch.check_grid([3], 30, 20)
+    ch.check_grid([3, 4, 5], 12, 20)

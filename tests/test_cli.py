@@ -279,6 +279,46 @@ def test_chaining_rejects_a_late_bad_ell_before_any_work(tmp_path, monkeypatch, 
     assert not out.exists()
 
 
+def test_chaining_refuses_a_grid_beyond_memory_with_exit_3(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli.chaining, "oscillation_batch", lambda *a, **kw: calls.append(a) or [])
+    out = tmp_path / "ch"
+    assert run(["chaining", "--r-max", "30", "--seeds", "20", "--ells", "3",
+                "--prime-limit", "1000", "--output-dir", str(out)]) == 3
+    assert "resource error: r_max=30, 20 seeds" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+# `chaining --seeds 4 --ells 3,4 --r-max 8 --prime-limit 100000 --seed 0` as
+# written when every block of the sigma grid was evaluated exactly.  The gemm
+# bits of a block depend on the BLAS thread count, so these are one thread's.
+GOLDEN_OSCILLATION = (
+    b"seed,ell,sigma_ell,max_osc,paper_C,first_violation_r,truncation_std\n"
+    b"0,3,0.5884606031588822,0.10718031607490852,7.621218116307781,,0.3717805615213902\n"
+    b"1,3,0.5884606031588822,0.21014047973955696,7.621218116307781,,0.3717805615213902\n"
+    b"2,3,0.5884606031588822,0.026485671952267826,7.621218116307781,,0.3717805615213902\n"
+    b"3,3,0.5884606031588822,0.10264725762139415,7.621218116307781,,0.3717805615213902\n"
+    b"0,4,0.5676676416183064,0.06432922650333062,7.621218116307781,,0.5353724148392407\n"
+    b"1,4,0.5676676416183064,0.15994079535665784,7.621218116307781,,0.5353724148392407\n"
+    b"2,4,0.5676676416183064,0.015212750541839383,7.621218116307781,,0.5353724148392407\n"
+    b"3,4,0.5676676416183064,0.07636111954190095,7.621218116307781,,0.5353724148392407\n"
+)
+
+
+def test_chaining_oscillation_bytes_are_pinned(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env_path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    subprocess.run(
+        [sys.executable, "-m", "rmflab.cli", "chaining", "--seeds", "4", "--ells", "3,4",
+         "--r-max", "8", "--prime-limit", "100000", "--seed", "0", "--output-dir", "out"],
+        cwd=tmp_path, env=dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=env_path),
+        check=True, capture_output=True, timeout=300,
+    )
+    (table,) = (tmp_path / "out").glob("chaining-oscillation-*.csv")
+    assert table.read_bytes() == GOLDEN_OSCILLATION
+
+
 def test_concentration_command(tmp_path):
     out = tmp_path / "cc"
     assert run(
