@@ -122,13 +122,10 @@ class OscillationResult:
     seed: int
     ell: int
     sigma_ell: float
-    sigma_prev: float
     max_osc: float
     paper_c: float
     first_violation_r: int | None
     truncation_std: float
-    limit: int
-    r_max: int
 
 
 def check_grid(ells: Sequence[int], r_max: int, n_seeds: int) -> None:
@@ -214,12 +211,8 @@ def oscillation_batch(
     lambdas = np.array([OSCILLATION_SCHEDULE(r) for r in range(1, r_max + 1)])
     blocks = _blocks_to_recompute(*_taylor_grid(weights, -(s_prev - s_ell) * logp, frac), lambdas)
     p_vals = np.full((n_grid, weights.shape[1]), np.nan)  # rows outside `blocks` decide nothing
-    basis = np.empty((min(_GRID_CHUNK, n_grid), logp.size))  # outer, negation and exp in place
-    for start in blocks * _GRID_CHUNK:
-        block = dsig[start : start + _GRID_CHUNK]
-        buf = basis[: block.size]
-        np.negative(np.multiply.outer(block, logp, out=buf), out=buf)
-        p_vals[start : start + block.size] = np.exp(buf, out=buf) @ weights
+    for start, basis in rmf_mod._basis_blocks(dsig, -logp, np.exp, _GRID_CHUNK, blocks):
+        p_vals[start : start + len(basis)] = basis @ weights  # d (-log p) == -(d log p) exactly
 
     max_osc = np.fmax.reduce(np.abs(p_vals - p_vals[0]), axis=0)
     first_violation = _first_violations(p_vals, lambdas)
@@ -235,13 +228,10 @@ def oscillation_batch(
             seed=seed,
             ell=ell,
             sigma_ell=s_ell,
-            sigma_prev=s_prev,
             max_osc=float(max_osc[j]),
             paper_c=paper_c,
             first_violation_r=first_violation[j],
             truncation_std=trunc_std,
-            limit=limit,
-            r_max=r_max,
         )
         for j, seed in enumerate(seeds)
     ]

@@ -20,10 +20,8 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,16 +32,6 @@ from .rmf import ResourceLimitError
 from .sequences import StepParams, TheoremParams
 
 import mpmath as mp
-
-
-def _worker_count() -> int:
-    env = os.environ.get("RMFLAB_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(f"RMFLAB_THREADS must be an integer, got {env!r}") from exc
-    return min(8, os.cpu_count() or 1)
 
 
 def _json_default(obj):
@@ -449,12 +437,8 @@ def cmd_simulate(args, cfg: ExperimentConfig) -> Result:
 def cmd_signchanges(args, cfg: ExperimentConfig) -> Result:
     x_max = _positive(cfg, "x_max")
     n_seeds = _positive(cfg, "seeds")
-    primes.cached_primes(max(x_max, 2))  # sieve once, before the threads share the table
     seeds = range(cfg.seed, cfg.seed + n_seeds)
-    chunks = [seeds[i : i + rmf.PACKED_SIGNS] for i in range(0, n_seeds, rmf.PACKED_SIGNS)]
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        # map yields in seed order, whatever order the threads finish in.
-        results = np.vstack(list(pool.map(lambda c: rmf.sign_change_counts(c, x_max), chunks)))
+    results = rmf.sign_change_counts(seeds, x_max)
     counts = results[:, 0].astype(np.float64)
     summary = {
         "seeds": n_seeds,

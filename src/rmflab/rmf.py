@@ -5,7 +5,7 @@ assignment is reproducible from (seed, prime_limit) alone, independent of
 evaluation order and thread count.  The multiplicative extension, partial
 sums M_f with sign-change events, the random prime sum P(sigma) over many
 seeds at once, the exact Abel-summation identity, and grid scans of sup_t of
-cosine-weighted prime sums all live here.
+cosine-weighted prime sums on the one prime-grid kernel all live here.
 
 The multiplicative extension has one path: 64 assignments' negative signs are
 the bits of one uint64 word per prime, and each TRACE_SEGMENT-long block is
@@ -16,6 +16,8 @@ index.  The prime table is the only cache kept across calls.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator, Sequence
@@ -41,6 +43,18 @@ _T_CHUNK = 128  # t-grid rows per sup-scan block
 
 class ResourceLimitError(RuntimeError):
     """Requested computation exceeds the configured support limits."""
+
+
+def _worker_count() -> int:
+    """Threads for seed sweeps: RMFLAB_THREADS, else min(8, CPUs this process may use)."""
+    env = os.environ.get("RMFLAB_THREADS")
+    if env is not None:
+        try:
+            return max(1, int(env))
+        except ValueError as exc:
+            raise ValueError(f"RMFLAB_THREADS must be an integer, got {env!r}") from exc
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    return min(8, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
 def mix64(x) -> np.ndarray:
@@ -235,16 +249,20 @@ def partial_sum_trace(
 
 def sign_change_counts(seeds: Sequence[int], x_max: int) -> np.ndarray:
     """(count_changes(), final_value) of partial_sum_trace(sample_signs(seed,
-    max(x_max, 2)), x_max) for each seed, shape (len(seeds), 2).  Each
-    extension pass serves PACKED_SIGNS seeds, hashed by one sign_matrix call."""
+    max(x_max, 2)), x_max) for each seed, shape (len(seeds), 2).  Each extension
+    pass, on one of _worker_count() threads, serves PACKED_SIGNS seeds hashed by
+    one sign_matrix call."""
     if x_max < 1:
         raise ResourceLimitError(f"x_max={x_max} must be >= 1")
-    ps = primes_mod.cached_primes(max(x_max, 2)).upto(x_max)
-    out = []
-    for start in range(0, len(seeds), PACKED_SIGNS):
+    ps = primes_mod.cached_primes(max(x_max, 2)).upto(x_max)  # sieved before the threads share it
+
+    def counts(start: int) -> list[tuple[int, int]]:
         block = seeds[start : start + PACKED_SIGNS]
         words = _packed(sign_matrix(block, ps) < 0)
-        out += [(t.count_changes(), t.final_value) for t in _traces(words, len(block), x_max)]
+        return [(t.count_changes(), t.final_value) for t in _traces(words, len(block), x_max)]
+
+    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:  # map keeps seed order
+        out = [row for rows in pool.map(counts, range(0, len(seeds), PACKED_SIGNS)) for row in rows]
     return np.array(out, dtype=np.int64).reshape(-1, 2)
 
 
@@ -299,6 +317,20 @@ def abel_identity_residual(f: np.ndarray, sigma: float) -> float:
     return abs(lhs - boundary - integral)
 
 
+def _basis_blocks(grid, logp, fn, rows: int, blocks=None) -> Iterator[tuple[int, np.ndarray]]:
+    """The one prime-grid kernel: (start, ufunc fn of grid[start : start + rows] (x) logp) for
+    each block index in `blocks` (default all), built in place in one buffer that the next
+    block overwrites.  Fixed block boundaries fix the bits of a block's BLAS products."""
+    if blocks is None:
+        blocks = range(-(-grid.size // rows))
+    buf = np.empty((min(rows, grid.size), logp.size))
+    for b in blocks:
+        start = int(b) * rows
+        block = grid[start : start + rows]
+        out = buf[: block.size]
+        yield start, fn(np.multiply.outer(block, logp, out=out), out=out)
+
+
 @dataclass(frozen=True)
 class SupScanResult:
     sup_cos: float
@@ -317,7 +349,7 @@ def sup_scan(
     """Grid maxima over t in {1, 1+step, ..., t_max} of the truncated sums
     sum_p sign(p) cos(t log p) p^(-sigma) and |prod_p (1 + sign(p) p^(-sigma-it))|.
 
-    Grid maxima are lower bounds for the true suprema.
+    Grid maxima are lower bounds for the true suprema; ties go to the earliest t.
     """
     if sigma <= 0.5:
         raise DivergenceError(f"sup scan requires sigma > 1/2, got {sigma}")
@@ -329,26 +361,20 @@ def sup_scan(
         limit = signs.prime_limit
     ps, sg = signs.up_to(limit)
     p = ps.astype(np.float64)
-    logp = np.log(p)
     amp = p ** (-sigma)
     w = sg * amp
     ts = np.arange(1.0, t_max + grid_step * 0.5, grid_step)
-    best_cos = -np.inf
-    best_t = ts[0]
-    best_logf = -np.inf
-    for start in range(0, ts.size, _T_CHUNK):
-        tc = ts[start : start + _T_CHUNK]
-        c = np.cos(np.outer(tc, logp))
-        cos_vals = c @ w
-        i = int(np.argmax(cos_vals))
-        if cos_vals[i] > best_cos:
-            best_cos = float(cos_vals[i])
-            best_t = float(tc[i])
-        log_f = 0.5 * np.sum(np.log1p((2.0 * w) * c + amp * amp), axis=1)
-        best_logf = max(best_logf, float(np.max(log_f)))
+    cos_vals = np.empty(ts.size)
+    log_f = np.empty(ts.size)
+    for start, c in _basis_blocks(ts, np.log(p), np.cos, _T_CHUNK):
+        cos_vals[start : start + len(c)] = c @ w
+        c *= 2.0 * w  # log|1 + sign(p) p^(-sigma-it)|^2 = log1p(2 w cos + amp^2), in place
+        c += amp * amp
+        log_f[start : start + len(c)] = 0.5 * np.sum(np.log1p(c, out=c), axis=1)
+    i = int(np.argmax(cos_vals))
     return SupScanResult(
-        sup_cos=best_cos,
-        argmax_t=best_t,
-        sup_abs_f=float(np.exp(best_logf)),
+        sup_cos=float(cos_vals[i]),
+        argmax_t=float(ts[i]),
+        sup_abs_f=float(np.exp(np.max(log_f))),
         grid_size=int(ts.size),
     )

@@ -26,6 +26,9 @@ None of this is used by `rmflab` itself:
   every row (`oscillation_grid`, `oscillation_direct`), whose max_osc and
   first violations `chaining.oscillation_batch` must reproduce bit for bit
   from the blocks its Taylor filter selects;
+- the sup-scan t grid as fresh array expressions per _T_CHUNK-row block
+  with a running best (`sup_scan_direct`), which `rmf.sup_scan`, building
+  each block in place in one buffer, must reproduce bit for bit;
 - the partial sum of `prime_series.euler_tail_constant` as one array
   expression, which its in-place terms must reproduce bit for bit.
 """
@@ -42,7 +45,9 @@ from rmflab import primes as primes_mod
 from rmflab.chaining import _GRID_CHUNK, OSCILLATION_SCHEDULE, ChainingReport, _first_violations
 from rmflab.prime_series import DivergenceError
 from rmflab.primes import DEFAULT_SEGMENT, PrimeTable
-from rmflab.rmf import SignAssignment, _step_weights, sign_matrix, signed_values
+from rmflab.rmf import (
+    _T_CHUNK, SignAssignment, SupScanResult, _step_weights, sign_matrix, signed_values,
+)
 from rmflab.sequences import StepParams, step_sigma_ell
 
 SPF_HARD_CAP = 1 << 31
@@ -302,6 +307,30 @@ def oscillation_direct(seeds, ell: int, step: StepParams, r_max: int, limit: int
     p_vals = oscillation_grid(seeds, ell, step, r_max, limit)
     lambdas = np.array([OSCILLATION_SCHEDULE(r) for r in range(1, r_max + 1)])
     return np.abs(p_vals - p_vals[0]).max(axis=0), _first_violations(p_vals, lambdas)
+
+
+def sup_scan_direct(
+    signs: SignAssignment, sigma: float, t_max: float, grid_step: float, limit: int
+) -> SupScanResult:
+    """`rmf.sup_scan` with fresh temporaries per _T_CHUNK-row block and a
+    running best that only a strictly larger block maximum replaces."""
+    ps, sg = signs.up_to(limit)
+    p = ps.astype(np.float64)
+    logp = np.log(p)
+    amp = p ** (-sigma)
+    w = sg * amp
+    ts = np.arange(1.0, t_max + grid_step * 0.5, grid_step)
+    best_cos, best_t, best_logf = -np.inf, ts[0], -np.inf
+    for start in range(0, ts.size, _T_CHUNK):
+        tc = ts[start : start + _T_CHUNK]
+        c = np.cos(np.outer(tc, logp))
+        cos_vals = c @ w
+        i = int(np.argmax(cos_vals))
+        if cos_vals[i] > best_cos:
+            best_cos, best_t = float(cos_vals[i]), float(tc[i])
+        log_f = 0.5 * np.sum(np.log1p((2.0 * w) * c + amp * amp), axis=1)
+        best_logf = max(best_logf, float(np.max(log_f)))
+    return SupScanResult(best_cos, best_t, float(np.exp(best_logf)), int(ts.size))
 
 
 def _signed_block(signs: SignAssignment, lo: int, hi: int) -> np.ndarray:

@@ -218,7 +218,7 @@ def test_c12_chaining_oscillation_runs():
 
 
 def test_c13_sign_changes_exist():
-    # The batched path of `rmflab signchanges`; test_rmf pins it to single traces.
+    # `rmflab signchanges`'s one call, thread pool included; test_rmf pins it to single traces.
     counts = rmf.sign_change_counts(range(100), 10**6)[:, 0]
     median = float(np.median(counts))
     with_change = int(np.sum(counts >= 1))

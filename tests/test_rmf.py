@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -225,6 +226,20 @@ def test_sign_change_counts_match_single_traces():
         rmf.sign_change_counts([5], 0)
 
 
+def test_worker_count_follows_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("RMFLAB_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert rmf._worker_count() == 2  # two CPUs allowed on a 64-core host
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert rmf._worker_count() == 8
+    monkeypatch.setenv("RMFLAB_THREADS", "3")
+    assert rmf._worker_count() == 3
+    monkeypatch.setenv("RMFLAB_THREADS", "two")
+    with pytest.raises(ValueError, match="RMFLAB_THREADS"):
+        rmf._worker_count()
+
+
 def test_trace_checkpoints():
     s = rmf.sample_signs(1, 2 * 10**5)
     tr = rmf.partial_sum_trace(s, 2 * 10**5)
@@ -395,6 +410,23 @@ def test_sup_scan_dominates_single_point():
     at_one = float(np.sum(sg * np.cos(np.log(p)) * p**-0.6))
     assert res.sup_cos >= at_one - 1e-12
     assert res.sup_abs_f > 0
+
+
+# (limit, t-grid rows): one row, whole _T_CHUNK blocks, and a partial last block.
+# Below 2 no prime is summed, so every t ties and the earliest must win.
+SUP_SCAN_GRIDS = [(limit, rows) for limit in (10**3, 10**4, 10**5) for rows in (1, 256, 300)]
+SUP_SCAN_GRIDS += [(10**6, 1), (10**6, 129), (1, 300)]
+
+
+@pytest.mark.parametrize("limit, rows", SUP_SCAN_GRIDS)
+def test_sup_scan_matches_direct_bit_for_bit(limit, rows):
+    t_max = 1.0 + (rows - 1) * 0.01
+    for seed in (0, 1, 2) if limit <= 10**4 else (0,):
+        signs = rmf.sample_signs(seed, max(limit, 2))
+        for sigma in (0.55, 0.6, 0.7, 1.0):
+            res = rmf.sup_scan(signs, sigma, t_max, 0.01, limit=limit)
+            assert res.grid_size == rows
+            assert res == oracles.sup_scan_direct(signs, sigma, t_max, 0.01, limit)
 
 
 def test_sup_scan_validation():
