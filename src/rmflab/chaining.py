@@ -9,7 +9,6 @@ rule out, and reads its results from their exact rows.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import factorial, sqrt
 from typing import Sequence
@@ -137,8 +136,7 @@ def check_grid(ells: Sequence[int], r_max: int, n_seeds: int) -> None:
     if not 1 <= r_max <= 30:
         raise ValueError(f"r_max must lie in [1, 30], got {r_max}")
     need = (2**r_max + 1) * (n_seeds + max(n_seeds, _TAYLOR_K + 1) + 2) * 8
-    if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-        raise rmf_mod.ResourceLimitError(f"r_max={r_max}, {n_seeds} seeds: {need} B > physical RAM")
+    rmf_mod.check_memory(need, f"r_max={r_max}, {n_seeds} seeds")
 
 
 def _taylor_grid(weights: np.ndarray, x: np.ndarray, frac: np.ndarray):

@@ -225,12 +225,19 @@ def _positive(cfg: ExperimentConfig, key: str) -> int:
     return value
 
 
+def _extension_size(cfg: ExperimentConfig) -> int:
+    """cfg.x_max once it is >= 1 and the extension's int32 prime index fits in memory."""
+    x_max = _positive(cfg, "x_max")
+    rmf.check_memory(4 * (x_max + 1), f"x_max={x_max} prime index")
+    return x_max
+
+
 # ---------------------------------------------------------------- verify --
 #
-# One check per acceptance criterion that `verify` reproduces, each a function
-# check(cfg) -> (passed, detail).  The acceptance tests of c01-c04, c07 and
-# c09-c11 call these same functions with ExperimentConfig(), whose defaults
-# are the acceptance sizes.
+# One check per acceptance criterion c01-c13, each a function check(cfg) ->
+# (passed, detail) whose docstring starts with the criterion's id.  The
+# acceptance suite runs each of them with ExperimentConfig(), whose defaults
+# are the acceptance sizes; sizes that no config field holds are literals.
 
 
 def _logsq_grid(n_cut: int) -> list[tuple[float, prime_series.LogWeightedSum]]:
@@ -246,14 +253,8 @@ def _hoeffding_valid(rows: list[concentration.Step2Row]) -> bool:
 
 def _check_euler_tail_constant(cfg: ExperimentConfig) -> tuple[bool, dict]:
     """c01: the certified upper value of sum_p 1/(p(sqrt(p)-1)) lies in (2.10, 2.1121]."""
-    t0 = time.monotonic()
     ev = prime_series.euler_tail_constant(cfg.n_primes)
-    detail = {
-        "n_primes": cfg.n_primes,
-        "estimate": ev.estimate,
-        "upper": ev.upper,
-        "seconds": round(time.monotonic() - t0, 3),
-    }
+    detail = {"n_primes": cfg.n_primes, "estimate": ev.estimate, "upper": ev.upper}
     return 2.10 < ev.upper <= 2.1121, detail
 
 
@@ -339,6 +340,80 @@ def _check_hoeffding(cfg: ExperimentConfig) -> tuple[bool, dict]:
     return _hoeffding_valid(rows), {"rows": len(rows)}
 
 
+def _check_abel_identity(cfg: ExperimentConfig) -> tuple[bool, dict]:
+    """c05: the Abel-summation identity holds to relative residual <= 1e-8 for the 20
+    seeds derive_seed(521, i), at x in {10^4, x_max} and sigma in {0.6, 1.5}."""
+    xs, worst = sorted({10**4, cfg.x_max}), 0.0
+    for i in range(20):
+        f_max = rmf.signed_values(rmf.sample_signs(rmf.derive_seed(521, i), xs[-1]), xs[-1])
+        for x in xs:
+            f, n = f_max[:x], np.arange(1, x + 1, dtype=np.float64)
+            for sigma in (0.6, 1.5):
+                scale = float(np.sum(np.abs(f) * n**-sigma))
+                worst = max(worst, rmf.abel_identity_residual(f, sigma) / scale)
+    return worst <= 1e-8, {"max_rel_residual": worst}
+
+
+def _check_variance_match(cfg: ExperimentConfig) -> tuple[bool, dict]:
+    """c06: for sigma in {0.6, 0.75, 1.0} the sample variance of P(sigma) on the primes
+    <= prime_limit over seeds 0..1999 lies within 5 standard errors of sum_p p^(-2 sigma)."""
+    sigmas, n = np.array([0.6, 0.75, 1.0]), 2000
+    batch = rmf.random_prime_sum_batch(np.arange(n, dtype=np.uint64), sigmas, cfg.prime_limit)
+    a2 = primes.cached_primes(cfg.prime_limit).primes[:, None] ** (-2.0 * sigmas)
+    v = a2.sum(axis=0)  # the variance; its 4th moment is 3 v^2 - 2 sum_p p^(-4 sigma)
+    se = np.sqrt((3 * v * v - 2 * (a2 * a2).sum(axis=0) - v * v * (n - 3) / (n - 1)) / n)
+    deviations = np.abs(np.var(batch, axis=0, ddof=1) - v) / se
+    return bool(np.all(deviations <= 5.0)), {"sigma": sigmas.tolist(),
+                                             "deviation_se": deviations.tolist()}
+
+
+def _check_dyadic_property_suite(cfg: ExperimentConfig) -> tuple[bool, dict]:
+    """c08: the dyadic oscillation bound's hypothesis and conclusion hold, with zero
+    violations, on 1000 random instances from default_rng(2024) at their own lambda_r."""
+    rng = np.random.default_rng(2024)
+    violations = 0
+    for _ in range(1000):
+        r_max = int(rng.integers(3, 8))
+        kind, n = rng.integers(0, 3), 2**r_max + 1
+        if kind == 0:
+            values = np.cumsum(rng.normal(size=n))
+        elif kind == 1:
+            breaks = np.sort(rng.choice(n, size=4, replace=False))
+            values = np.interp(np.arange(n), breaks, rng.normal(scale=5.0, size=4))
+        else:
+            values = rng.uniform(-1, 1, size=n)
+        lams = [float(np.max(np.abs(np.diff(values[:: 2 ** (r_max - r)]))))
+                for r in range(1, r_max + 1)]
+        rep = chaining.verify_chaining(values, 0.0, 1.0, lams)
+        violations += not (rep.hypothesis_holds and rep.conclusion_holds)
+    return violations == 0, {"instances": 1000, "violations": violations}
+
+
+def _oscillation_runs(cfg: ExperimentConfig, n_seeds: int) -> list[chaining.OscillationResult]:
+    """oscillation_batch for n_seeds seeds from seed at every ell, all checked first."""
+    chaining.check_grid(cfg.ells, cfg.r_max, n_seeds)
+    seeds, step = list(range(cfg.seed, cfg.seed + n_seeds)), StepParams(cfg.epsilon)
+    return [res for ell in cfg.ells for res in chaining.oscillation_batch(
+        seeds, ell, step, r_max=cfg.r_max, limit=cfg.prime_limit)]
+
+
+def _check_chaining_oscillation(cfg: ExperimentConfig) -> tuple[bool, dict]:
+    """c12: max |P(sigma) - P(sigma_ell)| over the dyadic grid stays <= 2 C for 20 seeds
+    from seed at every ell; runs above C + truncation_std are counted, not gated."""
+    runs = _oscillation_runs(cfg, 20)
+    worst, two_c = max(r.max_osc for r in runs), 2.0 * runs[0].paper_c
+    above = sum(r.max_osc > r.paper_c + r.truncation_std for r in runs)
+    return worst <= two_c, {"runs": len(runs), "max_osc": worst, "two_c": two_c,
+                            "above_c_plus_std": above}
+
+
+def _check_sign_changes_exist(cfg: ExperimentConfig) -> tuple[bool, dict]:
+    """c13: over `signchanges`' seed sweep, the median V_f(x_max) is >= 3 and at least
+    95% of the seeds have V_f(x_max) >= 1."""
+    summary = cmd_signchanges(None, cfg).files["summary.json"]
+    return summary["median"] >= 3.0 and summary["fraction_with_change"] >= 0.95, summary
+
+
 # Check name -> check, in the order `verify` runs them.
 VERIFY_CHECKS = {
     "euler-tail-constant": _check_euler_tail_constant,
@@ -349,23 +424,32 @@ VERIFY_CHECKS = {
     "interval-disjointness": _check_intervals,
     "borel-cantelli-series": _check_borel_cantelli,
     "hoeffding-validity": _check_hoeffding,
+    "abel-summation-identity": _check_abel_identity,
+    "variance-match": _check_variance_match,
+    "dyadic-bound-property-suite": _check_dyadic_property_suite,
+    "chaining-oscillation": _check_chaining_oscillation,
+    "sign-changes-exist": _check_sign_changes_exist,
 }
 # verify's targets: the constants are the first four checks.
 VERIFY_TARGETS = {"constants": list(VERIFY_CHECKS)[:4], "all": list(VERIFY_CHECKS)}
 
 
 def cmd_verify(args, cfg: ExperimentConfig) -> Result:
-    _positive(cfg, "k_max")
-    names = VERIFY_TARGETS[args.target]
-    if "hoeffding-validity" in names:
+    if args.target == "all":  # the fields the checks past the constants read, before any runs
+        _positive(cfg, "k_max")
         if cfg.trials < concentration.MIN_TRIALS:
             raise ValueError(f"need at least {concentration.MIN_TRIALS} trials, got {cfg.trials}")
         _positive(cfg, "ell_min")
         if cfg.ell_min > cfg.ell_max:
             raise ValueError(f"ell_min {cfg.ell_min} exceeds ell_max {cfg.ell_max}")
-    checks = []
-    for name in names:
+        _extension_size(cfg)
+        _positive(cfg, "seeds")
+        chaining.check_grid(cfg.ells, cfg.r_max, 20)
+    checks, seconds = [], {}
+    for name in VERIFY_TARGETS[args.target]:
+        t0 = time.perf_counter()
         passed, detail = VERIFY_CHECKS[name](cfg)
+        seconds[name] = round(time.perf_counter() - t0, 3)
         checks.append({"name": name, "passed": passed, "detail": detail})
     passed = all(check["passed"] for check in checks)
     return Result(
@@ -373,10 +457,9 @@ def cmd_verify(args, cfg: ExperimentConfig) -> Result:
             "checks.csv": (["check", "passed"], [[c["name"], c["passed"]] for c in checks]),
             "checks.json": {"target": args.target, "checks": checks},
         },
-        message="\n".join(
-            f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {c['detail']}" for c in checks
-        ),
-        extra={"passed": passed},
+        message="\n".join(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {c['detail']}"
+                          for c in checks),
+        extra={"passed": passed, "seconds": seconds},
         status=0 if passed else 1,
     )
 
@@ -397,7 +480,7 @@ def _quantiles(values) -> dict:
 
 
 def cmd_simulate(args, cfg: ExperimentConfig) -> Result:
-    x_max = _positive(cfg, "x_max")
+    x_max = _extension_size(cfg)
     signs = rmf.sample_signs(cfg.seed, max(x_max, 2))
     trace = rmf.partial_sum_trace(signs, x_max, keep_values=x_max <= 10**5)
 
@@ -435,7 +518,7 @@ def cmd_simulate(args, cfg: ExperimentConfig) -> Result:
 
 
 def cmd_signchanges(args, cfg: ExperimentConfig) -> Result:
-    x_max = _positive(cfg, "x_max")
+    x_max = _extension_size(cfg)
     n_seeds = _positive(cfg, "seeds")
     seeds = range(cfg.seed, cfg.seed + n_seeds)
     results = rmf.sign_change_counts(seeds, x_max)
@@ -518,17 +601,10 @@ def cmd_sup_scan(args, cfg: ExperimentConfig) -> Result:
 
 
 def cmd_chaining(args, cfg: ExperimentConfig) -> Result:
-    n_seeds = _positive(cfg, "seeds")
-    chaining.check_grid(cfg.ells, cfg.r_max, n_seeds)  # every ell, before the first one runs
-    step = StepParams(cfg.epsilon)
-    seed_list = list(range(cfg.seed, cfg.seed + n_seeds))
     rows = [
         [res.seed, res.ell, res.sigma_ell, res.max_osc, res.paper_c,
          res.first_violation_r if res.first_violation_r is not None else "", res.truncation_std]
-        for ell in cfg.ells
-        for res in chaining.oscillation_batch(
-            seed_list, ell, step, r_max=cfg.r_max, limit=cfg.prime_limit
-        )
+        for res in _oscillation_runs(cfg, _positive(cfg, "seeds"))
     ]
     header = ["seed", "ell", "sigma_ell", "max_osc", "paper_C", "first_violation_r",
               "truncation_std"]
@@ -617,11 +693,11 @@ def cmd_report(args, cfg: ExperimentConfig) -> int:
         if r["command"] == "verify":
             summary["verify_passed"] = bool(r.get("passed"))
 
-    # Aggregate sign-change sweeps into quartiles.
+    # Aggregate sign-change sweeps into quartiles, each distinct config's table once.
     vf_values: list[float] = []
-    for r in runs:
-        table = out / _result_name("signchanges", "table.csv", r["config_digest"])
-        if r["command"] == "signchanges" and table.exists():
+    for digest in sorted({r["config_digest"] for r in runs if r["command"] == "signchanges"}):
+        table = out / _result_name("signchanges", "table.csv", digest)
+        if table.exists():
             with open(table) as fh:
                 vf_values += [float(row["V_f"]) for row in csv.DictReader(fh)]
     if vf_values:

@@ -45,6 +45,12 @@ class ResourceLimitError(RuntimeError):
     """Requested computation exceeds the configured support limits."""
 
 
+def check_memory(need: int, what: str) -> None:
+    """Raise ResourceLimitError if `need` bytes for `what` exceed physical memory."""
+    if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ResourceLimitError(f"{what}: {need} B > physical RAM")
+
+
 def _worker_count() -> int:
     """Threads for seed sweeps: RMFLAB_THREADS, else min(8, CPUs this process may use)."""
     env = os.environ.get("RMFLAB_THREADS")

@@ -71,9 +71,10 @@ def test_config_round_trip_lossless():
 
 def test_signchanges_and_report(tmp_path):
     out = tmp_path / "out"
-    assert run(
-        ["signchanges", "--seeds", "8", "--x-max", "20000", "--output-dir", str(out)]
-    ) == 0
+    for _ in range(2):  # the second run rewrites the same table and adds a manifest
+        assert run(
+            ["signchanges", "--seeds", "8", "--x-max", "20000", "--output-dir", str(out)]
+        ) == 0
     table = next(out.glob("signchanges-table-*.csv")).read_text().splitlines()
     assert table[0] == "seed,V_f,final_M"
     assert len(table) == 9
@@ -140,18 +141,21 @@ def test_report_without_manifests(tmp_path):
 
 
 def test_verify_constants_scaled_down(tmp_path):
+    # k_max is read only by `verify all`, so `verify constants` ignores a bad one.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k_max": 0}))
     out = tmp_path / "v"
-    code = run(
-        [
-            "verify",
-            "constants",
-            "--n-primes", "1000000",
-            "--claim1-n", "1000000",
-            "--chebyshev-limit", "1000000",
-            "--output-dir", str(out),
-        ]
-    )
-    assert code == 0
+    argv = [
+        "verify",
+        "constants",
+        "--config", str(cfg),
+        "--n-primes", "1000000",
+        "--claim1-n", "1000000",
+        "--chebyshev-limit", "1000000",
+        "--output-dir", str(out),
+    ]
+    assert run(argv) == 0
+    first = read_bytes_map(out, "verify-*")
     checks = json.loads(next(out.glob("verify-checks-*.json")).read_text())["checks"]
     assert [c["name"] for c in checks] == [
         "euler-tail-constant",
@@ -160,39 +164,47 @@ def test_verify_constants_scaled_down(tmp_path):
         "chebyshev-two-over-log",
     ]
     assert all(c["passed"] for c in checks)
+    # A second run rewrites byte-identical result files; wall times go to the manifests.
+    assert run(argv) == 0
+    assert len(first) == 3 and read_bytes_map(out, "verify-*") == first
+    for manifest in out.glob("manifest-*.json"):
+        assert sorted(json.loads(manifest.read_text())["seconds"]) == sorted(
+            c["name"] for c in checks)
 
 
-# verify all at scaled-down sizes.
-SCALED_VERIFY_ALL = [
-    "verify", "all",
-    "--n-primes", "1000000",
-    "--claim1-n", "1000000",
-    "--chebyshev-limit", "1000000",
-    "--trials", "2000",
-]
+# verify all at scaled-down sizes, from a config file.
+SCALED_VERIFY_ALL = {
+    "n_primes": 10**6, "claim1_n": 10**6, "chebyshev_limit": 10**6, "trials": 2000,
+    "x_max": 20000, "seeds": 10, "prime_limit": 10**5, "ells": [3], "r_max": 8,
+}
+
+
+def run_scaled_verify_all(tmp_path, **overrides):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SCALED_VERIFY_ALL | overrides))
+    out = tmp_path / "va"
+    code = run(["verify", "all", "--config", str(cfg), "--output-dir", str(out)])
+    return code, json.loads(next(out.glob("verify-checks-*.json")).read_text())["checks"]
 
 
 def test_verify_all_scaled_down(tmp_path):
-    out = tmp_path / "va"
-    code = run(SCALED_VERIFY_ALL + ["--output-dir", str(out)])
+    code, checks = run_scaled_verify_all(tmp_path)
     assert code == 0
-    checks = json.loads(next(out.glob("verify-checks-*.json")).read_text())["checks"]
     assert [c["name"] for c in checks] == list(cli.VERIFY_CHECKS)
+    assert len(checks) == 13
     assert all(c["passed"] for c in checks)
 
 
 def test_verify_all_gates_borel_cantelli_as_the_acceptance_test_does(tmp_path):
     # At gamma = 0.1 the step-2 series converges slowly: |S800 - S400| = 1.05e-8
     # and tail_400 = 1.06e-8, so c09's Cauchy test at 1e-10 fails.
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"gamma": 0.1}))
-    out = tmp_path / "va"
-    code = run(SCALED_VERIFY_ALL + ["--config", str(cfg), "--output-dir", str(out)])
+    code, checks = run_scaled_verify_all(tmp_path, gamma=0.1)
     assert code == 1
-    checks = json.loads(next(out.glob("verify-checks-*.json")).read_text())["checks"]
+    assert len(checks) == 13
     bc = next(c for c in checks if c["name"] == "borel-cantelli-series")
     assert bc["passed"] is False
     assert 1e-10 < bc["detail"]["tail_400"] < 1e-7
+    assert [c["name"] for c in checks if not c["passed"]] == ["borel-cantelli-series"]
 
 
 def test_verify_fails_with_too_few_primes(tmp_path):
@@ -212,11 +224,13 @@ def test_verify_fails_with_too_few_primes(tmp_path):
 
 
 # A dict stands for a config file with that content: ell_min > ell_max leaves c07
-# no rows, and ell_min = 0 has no sigma_ell.
-@pytest.mark.parametrize("extra", [["--trials", "10"], {"ell_min": 9}, {"ell_min": 0}])
+# no rows, ell_min = 0 has no sigma_ell, c13 needs seeds, c12 an ell >= 2 and
+# c05 and c13 an x_max >= 1.
+@pytest.mark.parametrize("extra", [["--trials", "10"], {"ell_min": 9}, {"ell_min": 0},
+                                   {"seeds": 0}, {"ells": [1]}, {"x_max": 0}])
 def test_verify_all_rejects_too_few_trials_before_any_check(extra, tmp_path, monkeypatch, capsys):
     ran = []
-    for name in list(cli.VERIFY_CHECKS)[: list(cli.VERIFY_CHECKS).index("hoeffding-validity")]:
+    for name in cli.VERIFY_CHECKS:
         monkeypatch.setitem(cli.VERIFY_CHECKS, name, lambda cfg, name=name: ran.append(name) or (True, {}))
     if isinstance(extra, dict):
         cfg = tmp_path / "cfg.json"
@@ -302,6 +316,26 @@ def test_chaining_refuses_a_grid_beyond_memory_with_exit_3(tmp_path, monkeypatch
     assert run(["chaining", "--r-max", "30", "--seeds", "20", "--ells", "3",
                 "--prime-limit", "1000", "--output-dir", str(out)]) == 3
     assert "resource error: r_max=30, 20 seeds" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+# Each run would build a prime index of 4 * (x_max + 1) bytes, 4 MB at the
+# default x_max = 10^6, on a machine stubbed to 1 MB of RAM.
+@pytest.mark.parametrize("argv", [["simulate"], ["signchanges", "--seeds", "2"], ["verify", "all"]])
+def test_extension_beyond_memory_is_refused_with_exit_3_before_any_sieve(
+        argv, tmp_path, monkeypatch, capsys):
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: 2**20 // sysconf("SC_PAGE_SIZE")
+                        if name == "SC_PHYS_PAGES" else sysconf(name))
+    calls = []
+    monkeypatch.setattr(cli.primes, "cached_primes", lambda *a: calls.append(a))
+    for name in cli.VERIFY_CHECKS:
+        monkeypatch.setitem(cli.VERIFY_CHECKS, name, lambda cfg: calls.append(cfg) or (True, {}))
+    out = tmp_path / "big"
+    assert run(argv + ["--output-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "resource error: x_max=1000000 prime index: 4000004 B > physical RAM" in err
     assert calls == []
     assert not out.exists()
 
