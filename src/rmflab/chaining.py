@@ -18,12 +18,12 @@ import numpy as np
 from . import primes as primes_mod
 from . import prime_series
 from . import rmf as rmf_mod
+from .rmf import _U
 from .sequences import StepParams, step_sigma_ell
 
 _TAIL_REL_TOL = 1e-15  # the chaining constant's sum stops once a term falls below this share
 _GRID_CHUNK = 256  # sigma-grid rows per oscillation block
 _TAYLOR_K = 40  # degree of the Taylor filter: remainder < 1e-60 sum|w| at |x| <= 0.86
-_U = 2.0**-53  # unit roundoff of float64
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,8 @@ def verify_chaining(
     `values` are f on the depth-r_max grid over [a, b] (length 2^r_max + 1);
     `lambdas[r-1]` is the allowance at level r.  The hypothesis is checked at
     every level; the conclusion |f(s)-f(t)| <= 2 sum_{r>R} lambda_r is checked
-    for every pair of grid points.  Beyond r_max the schedule is extended
+    for every pair of grid points in one array pass, so memory is quadratic
+    in the grid size.  Beyond r_max the schedule is extended
     geometrically (lambda_{r_max} / 2^(r - r_max)), which is exact for
     functions affine on each finest cell.
     """
@@ -101,13 +102,12 @@ def verify_chaining(
     suffix = np.zeros(r_max + 1)
     suffix[:-1] = np.cumsum(lambdas[::-1])[::-1]
 
-    # Points d grid steps apart lie exactly d (b-a)/2^r_max apart, so
+    # Points d = j - i grid steps apart lie exactly d (b-a)/2^r_max apart, so
     # 2^(r_max-R-1) < d <= 2^(r_max-R) fixes R = r_max - ceil(log2 d) without
     # rounding; the geometric extension adds lambda_{r_max} to every bound.
-    excess = -np.inf
-    for d in range(1, values.size):
-        bound = 2.0 * float(suffix[r_max - (d - 1).bit_length()] + lambdas[-1])
-        excess = max(excess, float(np.max(np.abs(values[d:] - values[:-d]))) - bound)
+    i, j = np.triu_indices(values.size, 1)
+    bound = 2.0 * (suffix[r_max - np.frexp(j - i - 1)[1]] + lambdas[-1])  # frexp: bit length
+    excess = float(np.max(np.abs(values[j] - values[i]) - bound))
     return ChainingReport(
         hypothesis_holds=first_violation is None,
         conclusion_holds=bool(excess <= 0.0),

@@ -218,17 +218,21 @@ def _load_config(args: argparse.Namespace) -> tuple[dict, ExperimentConfig]:
     return echo, ExperimentConfig(**{key: _cast(key, value) for key, value in echo.items()})
 
 
-def _positive(cfg: ExperimentConfig, key: str) -> int:
+def _at_least(cfg: ExperimentConfig, key: str, least: int = 1) -> int:
     value = getattr(cfg, key)
-    if value < 1:
-        raise ValueError(f"{key} must be >= 1, got {value}")
+    if value < least:
+        raise ValueError(f"{key} must be >= {least}, got {value}")
     return value
 
 
-def _extension_size(cfg: ExperimentConfig) -> int:
-    """cfg.x_max once it is >= 1 and the extension's int32 prime index fits in memory."""
-    x_max = _positive(cfg, "x_max")
-    rmf.check_memory(4 * (x_max + 1), f"x_max={x_max} prime index")
+def _extension_size(cfg: ExperimentConfig, seeds: int = 1) -> int:
+    """cfg.x_max once it is >= 1 and memory holds the extension's int32 prime index and, per
+    thread hashing PACKED_SIGNS of `seeds`, an int8 sign matrix, its mask and salted primes."""
+    x_max = _at_least(cfg, "x_max")
+    rows = min(seeds, rmf.PACKED_SIGNS)
+    hashing = min(rmf._worker_count(), -(-seeds // rows)) * (2 * rows + 8)
+    hashing *= primes.prime_count_bound(x_max)
+    rmf.check_memory(4 * (x_max + 1) + hashing, f"x_max={x_max} prime index and sign hash")
     return x_max
 
 
@@ -435,15 +439,18 @@ VERIFY_TARGETS = {"constants": list(VERIFY_CHECKS)[:4], "all": list(VERIFY_CHECK
 
 
 def cmd_verify(args, cfg: ExperimentConfig) -> Result:
-    if args.target == "all":  # the fields the checks past the constants read, before any runs
-        _positive(cfg, "k_max")
+    # The fields the checks read, before any runs; c02 needs claim1_n >= e^(1/0.51).
+    _at_least(cfg, "n_primes")
+    _at_least(cfg, "claim1_n", 8)
+    _at_least(cfg, "chebyshev_limit", 2)
+    if args.target == "all":
+        _at_least(cfg, "k_max")
         if cfg.trials < concentration.MIN_TRIALS:
             raise ValueError(f"need at least {concentration.MIN_TRIALS} trials, got {cfg.trials}")
-        _positive(cfg, "ell_min")
+        _at_least(cfg, "ell_min")
         if cfg.ell_min > cfg.ell_max:
             raise ValueError(f"ell_min {cfg.ell_min} exceeds ell_max {cfg.ell_max}")
-        _extension_size(cfg)
-        _positive(cfg, "seeds")
+        _extension_size(cfg, _at_least(cfg, "seeds"))
         chaining.check_grid(cfg.ells, cfg.r_max, 20)
     checks, seconds = [], {}
     for name in VERIFY_TARGETS[args.target]:
@@ -518,8 +525,8 @@ def cmd_simulate(args, cfg: ExperimentConfig) -> Result:
 
 
 def cmd_signchanges(args, cfg: ExperimentConfig) -> Result:
-    x_max = _extension_size(cfg)
-    n_seeds = _positive(cfg, "seeds")
+    n_seeds = _at_least(cfg, "seeds")
+    x_max = _extension_size(cfg, n_seeds)
     seeds = range(cfg.seed, cfg.seed + n_seeds)
     results = rmf.sign_change_counts(seeds, x_max)
     counts = results[:, 0].astype(np.float64)
@@ -580,8 +587,14 @@ def cmd_prime_sums(args, cfg: ExperimentConfig) -> Result:
 def cmd_sup_scan(args, cfg: ExperimentConfig) -> Result:
     if not all(sigma > 0.5 for sigma in cfg.sigma_grid):
         raise ValueError(f"every sigma in sigma_grid must exceed 1/2, got {cfg.sigma_grid}")
+    if not 0 < cfg.grid_step <= 0.01 + 1e-12:
+        raise ValueError("grid_step must lie in (0, 0.01]")
     log_inv_gaps = [float(mp.log(1.0 / (mp.mpf(sigma) - 0.5))) for sigma in cfg.sigma_grid]
     bounds = [sequences.harper_lower_bound(g, cfg.c0, cfg.c1, cfg.c2) for g in log_inv_gaps]
+    # sup_scan's peak before any hashing: 5 float64 rows per t and one _T_CHUNK-row block.
+    n_t = max(int((max(1.0, hb.t_max) - 1.0) / cfg.grid_step) + 2 for hb in bounds)
+    block = min(n_t, rmf._T_CHUNK) * primes.prime_count_bound(cfg.prime_limit)
+    rmf.check_memory(8 * (5 * n_t + block), f"sup-scan t grid of {n_t} rows")
     signs = rmf.sample_signs(cfg.seed, cfg.prime_limit)
     rows = []
     for sigma, log_inv_gap, hb in zip(cfg.sigma_grid, log_inv_gaps, bounds):
@@ -604,7 +617,7 @@ def cmd_chaining(args, cfg: ExperimentConfig) -> Result:
     rows = [
         [res.seed, res.ell, res.sigma_ell, res.max_osc, res.paper_c,
          res.first_violation_r if res.first_violation_r is not None else "", res.truncation_std]
-        for res in _oscillation_runs(cfg, _positive(cfg, "seeds"))
+        for res in _oscillation_runs(cfg, _at_least(cfg, "seeds"))
     ]
     header = ["seed", "ell", "sigma_ell", "max_osc", "paper_C", "first_violation_r",
               "truncation_std"]
@@ -662,7 +675,7 @@ def _nested_log_text(loglog: mp.mpf) -> str:
 
 
 def cmd_sequences(args, cfg: ExperimentConfig) -> Result:
-    k_max = _positive(cfg, "k_max")
+    k_max = _at_least(cfg, "k_max")
     params = TheoremParams(c=cfg.c, a0=cfg.a0, a1=cfg.a1)
     rows = []
     for k in range(1, k_max + 1):

@@ -29,11 +29,16 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(is_prime).astype(np.int64)
 
 
+def prime_count_bound(x: int) -> int:
+    """An integer >= pi(x): Rosser and Schoenfeld's pi(x) < 1.25506 x / log x for x > 1."""
+    return int(1.25506 * x / log(x)) + 1 if x > 1 else 0
+
+
 def sieve_primes(limit: int, segment: int = DEFAULT_SEGMENT) -> np.ndarray:
     """All primes <= limit, ascending, as a read-only int32 array.
 
-    Each segment's primes go straight into an output sized by Rosser and
-    Schoenfeld's pi(x) < 1.25506 x / log x, so memory is one segment of flags
+    Each segment's primes go straight into an output sized by
+    `prime_count_bound`, so memory is one segment of flags
     plus the table: pages past the last prime are never touched.
     """
     if limit < 2:
@@ -41,7 +46,7 @@ def sieve_primes(limit: int, segment: int = DEFAULT_SEGMENT) -> np.ndarray:
     if limit > np.iinfo(np.int32).max:
         raise ValueError(f"sieve limit {limit} exceeds the int32 cap 2^31 - 1")
     base = _simple_sieve(isqrt(limit)).tolist()
-    primes = np.empty(int(1.25506 * limit / log(limit)) + 1, dtype=np.int32)
+    primes = np.empty(prime_count_bound(limit), dtype=np.int32)
     count = 0
     for lo in range(2, limit + 1, segment):
         hi = min(lo + segment - 1, limit)

@@ -5,7 +5,8 @@ assignment is reproducible from (seed, prime_limit) alone, independent of
 evaluation order and thread count.  The multiplicative extension, partial
 sums M_f with sign-change events, the random prime sum P(sigma) over many
 seeds at once, the exact Abel-summation identity, and grid scans of sup_t of
-cosine-weighted prime sums on the one prime-grid kernel all live here.
+cosine-weighted prime sums on the one prime-grid kernel, run only on the t blocks
+that a certified Chebyshev-recurrence estimate cannot rule out, all live here.
 
 The multiplicative extension has one path: 64 assignments' negative signs are
 the bits of one uint64 word per prime, and each TRACE_SEGMENT-long block is
@@ -39,6 +40,8 @@ TRACE_VALUES_CAP = 10**7
 CHECKPOINT_STRIDE = 1 << 16
 _SEED_BLOCK = 256  # seeds hashed per sign-matrix block
 _T_CHUNK = 128  # t-grid rows per sup-scan block
+_EXACT_LOG1P = 10**4  # sup-scan estimates take the exact log1p for primes up to here
+_U = 2.0**-53  # unit roundoff of float64
 
 
 class ResourceLimitError(RuntimeError):
@@ -337,6 +340,63 @@ def _basis_blocks(grid, logp, fn, rows: int, blocks=None) -> Iterator[tuple[int,
         yield start, fn(np.multiply.outer(block, logp, out=out), out=out)
 
 
+def _chebyshev_blocks(ts, logp, rows: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, cos(ts[start : start + rows] (x) logp)) per _basis_blocks block, in one buffer:
+    rows 0, 1 by np.cos, then c_{k+1} = 2 cos(h logp) c_k - c_{k-1}, h = ts[1] - ts[0]."""
+    m = 2.0 * np.cos((ts[1] - ts[0] if ts.size > 1 else 0.0) * logp)
+    buf = np.empty((min(rows, ts.size), logp.size))
+    for start in range(0, ts.size, rows):
+        c = buf[: ts[start : start + rows].size]
+        np.cos(np.multiply.outer(ts[start : start + 2], logp, out=c[:2]), out=c[:2])
+        for k in range(2, len(c)):
+            np.subtract(np.multiply(c[k - 1], m, out=c[k]), c[k - 2], out=c[k])
+        yield start, c
+
+
+def _chebyshev_error(ts, logp, rows: int) -> float:
+    """A bound on |cell of _chebyshev_blocks - cell of _basis_blocks(ts, logp, np.cos, rows)|,
+    or inf past 1e-6, where the margins of 1.01 stop holding.  np.cos is trusted to 2 ulps
+    (4u).  An exact cell is off cos((ts[s] + k h) theta), row k of the block at s, by `start`
+    (rounding of t theta, then cos) plus theta times the measured distance `gap` of ts from
+    equispaced.  Through |U_n(cos h theta)| <= n + 1 the two start rows' errors and the step
+    error g (the multiplier's error and two roundings) grow to k (d_0 + d_1) + g k^2 / 2."""
+    big_k, h = min(rows, ts.size) - 1, ts[1] - ts[0] if ts.size > 1 else 0.0
+    k = np.arange(ts.size) % rows
+    gap = np.max(np.abs(ts - ts[np.arange(ts.size) - k] - k * h)) + 3 * _U * big_k * h
+    theta = float(np.max(logp, initial=0.0))
+    start = _U * ts[-1] * theta + 4 * _U
+    g = 2.02 * (_U * h * theta + 4 * _U) + 4 * _U
+    e = 1.01 * ((big_k + 2) * (2 * start + theta * gap) + g * big_k * big_k / 2)
+    return e if e < 1e-6 else np.inf
+
+
+def _sup_scan_estimates(ts, logp, w, amp) -> tuple[np.ndarray, np.ndarray]:
+    """(est, eps): est[0] the cos sum and est[1] log|F| = 0.5 sum_p log1p(x_p), x = 2 w c +
+    amp^2, at every t from _chebyshev_blocks, each within eps[i, 0] of sup_scan's exact row.
+    log1p runs for p <= _EXACT_LOG1P; above, x - x^2/2 from gemvs on c and c*c, and sum
+    |x|^3 / (3 (1 - |x|)) at |x| <= 2 amp + amp^2 bounds the rest.  eps adds the cell error
+    through Lipschitz bounds of log1p and x - x^2/2, np.log1p at 2 ulps, the rounding of x,
+    and gamma_n sum_p |term_p| for every sum (Higham, Accuracy and Stability, ch. 3)."""
+    aa, ns = amp * amp, int(np.searchsorted(logp, np.log(_EXACT_LOG1P)))
+    big, s1, s2 = np.stack([w[ns:], w[ns:] * aa[ns:]], axis=1), np.sum(aa[ns:]), aa[ns:] @ aa[ns:]
+    est = np.empty((2, ts.size))
+    for start, c in _chebyshev_blocks(ts, logp, _T_CHUNK):
+        cos_est, log_est = est[:, start : start + len(c)]
+        cos_est[:] = c @ w
+        small = np.sum(np.log1p(c[:, :ns] * (2.0 * w[:ns]) + aa[:ns]), axis=1)
+        lin, cross = (c[:, ns:] @ big).T
+        quad = np.square(c, out=c)[:, ns:] @ aa[ns:]  # sum x^2 = 4 quad + 4 cross + s2
+        log_est[:] = 0.5 * (small + 2.0 * lin + s1 - 2.0 * quad - 2.0 * cross - 0.5 * s2)
+    cell = _chebyshev_error(ts, logp, _T_CHUNK)
+    a1 = amp * (1.0 + cell)  # bounds |w c| on exact and estimated cells
+    xb, lam, lip = 2.0 * a1 + aa, -2.02 * np.log1p(-a1), 1.01 / (1.0 - a1) ** 2
+    gam = (amp.size + 8) * _U / (1 - (amp.size + 8) * _U)
+    rest = np.sum(xb[ns:] ** 3 / (3.0 * (1.0 - xb[ns:])))  # log1p(x) - (x - x^2/2) above ns
+    eps_log = (rest / 2 + cell * np.sum(amp * lip) + gam * np.sum(lam + xb + xb * xb)
+               + _U * np.sum(4 * lam + 1.01 * lip * (4 * a1 + aa)))
+    return est, 1.01 * np.array([[np.sum(amp) * (cell + 2.0 * gam)], [eps_log]])
+
+
 @dataclass(frozen=True)
 class SupScanResult:
     sup_cos: float
@@ -356,6 +416,8 @@ def sup_scan(
     sum_p sign(p) cos(t log p) p^(-sigma) and |prod_p (1 + sign(p) p^(-sigma-it))|.
 
     Grid maxima are lower bounds for the true suprema; ties go to the earliest t.
+    Only blocks whose _sup_scan_estimates + eps reach the best estimate - eps of any block,
+    for either maximum, run the exact cos and log1p: the maxima keep every block's bits.
     """
     if sigma <= 0.5:
         raise DivergenceError(f"sup scan requires sigma > 1/2, got {sigma}")
@@ -367,12 +429,15 @@ def sup_scan(
         limit = signs.prime_limit
     ps, sg = signs.up_to(limit)
     p = ps.astype(np.float64)
+    logp = np.log(p)
     amp = p ** (-sigma)
     w = sg * amp
     ts = np.arange(1.0, t_max + grid_step * 0.5, grid_step)
-    cos_vals = np.empty(ts.size)
-    log_f = np.empty(ts.size)
-    for start, c in _basis_blocks(ts, np.log(p), np.cos, _T_CHUNK):
+    est, eps = _sup_scan_estimates(ts, logp, w, amp)
+    top = np.maximum.reduceat(est, np.arange(0, ts.size, _T_CHUNK), axis=1)
+    need = ~np.all(top + eps < np.max(top - eps, axis=1, keepdims=True), axis=0)  # NaN: all
+    cos_vals, log_f = np.full((2, ts.size), -np.inf)  # rows outside `need` decide nothing
+    for start, c in _basis_blocks(ts, logp, np.cos, _T_CHUNK, np.flatnonzero(need)):
         cos_vals[start : start + len(c)] = c @ w
         c *= 2.0 * w  # log|1 + sign(p) p^(-sigma-it)|^2 = log1p(2 w cos + amp^2), in place
         c += amp * amp

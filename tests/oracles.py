@@ -17,8 +17,9 @@ None of this is used by `rmflab` itself:
   which no command uses;
 - hand-built sign assignments (chosen primes, or one constant sign), and
   the sign of one prime under an assignment;
-- the pair-by-pair brute force of the chaining conclusion, which
-  `chaining.verify_chaining` must reproduce, and the float `chaining_R`,
+- the pair-by-pair brute force of the chaining conclusion and its loop over
+  grid distances, which `chaining.verify_chaining`, one array pass over all
+  pairs, must reproduce bit for bit, and the float `chaining_R`,
   the reference for the integer R that `verify_chaining` reads off grid steps;
 - the truncated P(sigma) of one sign assignment, which
   `rmf.random_prime_sum_batch` must reproduce for every seed;
@@ -26,9 +27,10 @@ None of this is used by `rmflab` itself:
   every row (`oscillation_grid`, `oscillation_direct`), whose max_osc and
   first violations `chaining.oscillation_batch` must reproduce bit for bit
   from the blocks its Taylor filter selects;
-- the sup-scan t grid as fresh array expressions per _T_CHUNK-row block
-  with a running best (`sup_scan_direct`), which `rmf.sup_scan`, building
-  each block in place in one buffer, must reproduce bit for bit;
+- the sup-scan t grid as fresh array expressions on every row of every
+  _T_CHUNK-row block (`sup_scan_blocks`) with a running best
+  (`sup_scan_direct`), which `rmf.sup_scan`, evaluating exactly only the
+  blocks its Chebyshev filter selects, must reproduce bit for bit;
 - the partial sum of `prime_series.euler_tail_constant` as one array
   expression, which its in-place terms must reproduce bit for bit.
 """
@@ -243,6 +245,27 @@ def verify_chaining_pairs(values, a: float, b: float, lambdas) -> ChainingReport
     )
 
 
+def verify_chaining_loop(values, a: float, b: float, lambdas) -> ChainingReport:
+    """`chaining.verify_chaining` with the conclusion checked one grid distance
+    d at a time, against bound(R) at R = r_max - ceil(log2 d)."""
+    values = np.asarray(values, dtype=np.float64)
+    lambdas = np.asarray(lambdas, dtype=np.float64)
+    r_max = lambdas.size
+    first_violation = _first_violations(values[:, None], lambdas)[0]
+    suffix = np.zeros(r_max + 1)
+    suffix[:-1] = np.cumsum(lambdas[::-1])[::-1]
+    excess = -np.inf
+    for d in range(1, values.size):
+        bound = 2.0 * float(suffix[r_max - (d - 1).bit_length()] + lambdas[-1])
+        excess = max(excess, float(np.max(np.abs(values[d:] - values[:-d]))) - bound)
+    return ChainingReport(
+        hypothesis_holds=first_violation is None,
+        conclusion_holds=bool(excess <= 0.0),
+        first_hypothesis_violation_r=first_violation,
+        max_conclusion_excess=excess,
+    )
+
+
 @dataclass(frozen=True)
 class RandomPrimeSum:
     sigma: float
@@ -309,28 +332,35 @@ def oscillation_direct(seeds, ell: int, step: StepParams, r_max: int, limit: int
     return np.abs(p_vals - p_vals[0]).max(axis=0), _first_violations(p_vals, lambdas)
 
 
-def sup_scan_direct(
-    signs: SignAssignment, sigma: float, t_max: float, grid_step: float, limit: int
-) -> SupScanResult:
-    """`rmf.sup_scan` with fresh temporaries per _T_CHUNK-row block and a
-    running best that only a strictly larger block maximum replaces."""
+def sup_scan_blocks(signs: SignAssignment, sigma: float, t_max: float, grid_step: float,
+                    limit: int):
+    """(t, cos sums, log|F|) of each _T_CHUNK-row block of the sup-scan t grid
+    in turn, by fresh array expressions on every row."""
     ps, sg = signs.up_to(limit)
     p = ps.astype(np.float64)
     logp = np.log(p)
     amp = p ** (-sigma)
     w = sg * amp
     ts = np.arange(1.0, t_max + grid_step * 0.5, grid_step)
-    best_cos, best_t, best_logf = -np.inf, ts[0], -np.inf
     for start in range(0, ts.size, _T_CHUNK):
         tc = ts[start : start + _T_CHUNK]
         c = np.cos(np.outer(tc, logp))
-        cos_vals = c @ w
+        yield tc, c @ w, 0.5 * np.sum(np.log1p((2.0 * w) * c + amp * amp), axis=1)
+
+
+def sup_scan_direct(
+    signs: SignAssignment, sigma: float, t_max: float, grid_step: float, limit: int
+) -> SupScanResult:
+    """`rmf.sup_scan` from every block of `sup_scan_blocks` and a running best
+    that only a strictly larger block maximum replaces."""
+    best_cos, best_t, best_logf, size = -np.inf, 1.0, -np.inf, 0
+    for tc, cos_vals, log_f in sup_scan_blocks(signs, sigma, t_max, grid_step, limit):
         i = int(np.argmax(cos_vals))
         if cos_vals[i] > best_cos:
             best_cos, best_t = float(cos_vals[i]), float(tc[i])
-        log_f = 0.5 * np.sum(np.log1p((2.0 * w) * c + amp * amp), axis=1)
         best_logf = max(best_logf, float(np.max(log_f)))
-    return SupScanResult(best_cos, best_t, float(np.exp(best_logf)), int(ts.size))
+        size += tc.size
+    return SupScanResult(best_cos, best_t, float(np.exp(best_logf)), size)
 
 
 def _signed_block(signs: SignAssignment, lo: int, hi: int) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rmflab import chaining as ch
+from rmflab import cli
 from rmflab import rmf
 from rmflab.sequences import StepParams
 
@@ -128,6 +129,21 @@ def test_verify_chaining_matches_pairwise_oracle():
         assert ch.verify_chaining(values, a, b, lams) == oracles.verify_chaining_pairs(
             values, a, b, lams
         )
+
+
+def test_verify_chaining_matches_the_distance_loop_on_c08(monkeypatch):
+    reports = []
+
+    def spy(*args):
+        reports.append((args, verify(*args)))
+        return reports[-1][1]
+
+    verify = ch.verify_chaining
+    monkeypatch.setattr(cli.chaining, "verify_chaining", spy)
+    assert cli._check_dyadic_property_suite(cli.ExperimentConfig())[0]
+    assert len(reports) == 1000
+    for args, report in reports:
+        assert report == oracles.verify_chaining_loop(*args)
 
 
 def test_verify_chaining_non_dyadic_interval_uses_exact_R():

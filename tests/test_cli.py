@@ -243,6 +243,23 @@ def test_verify_all_rejects_too_few_trials_before_any_check(extra, tmp_path, mon
     assert not out.exists()
 
 
+# Each bad value used to surface only inside its check, after c01 had sieved to
+# 1.69e8; claim1_n below e^(1/0.51) fails c02's tail bound.
+@pytest.mark.parametrize("target", ["constants", "all"])
+@pytest.mark.parametrize("flag, value", [("--n-primes", "0"), ("--claim1-n", "7"),
+                                         ("--chebyshev-limit", "1")])
+def test_verify_rejects_a_bad_constant_size_before_any_check(
+        target, flag, value, tmp_path, monkeypatch, capsys):
+    ran = []
+    for name in cli.VERIFY_CHECKS:
+        monkeypatch.setitem(cli.VERIFY_CHECKS, name, lambda cfg, name=name: ran.append(name) or (True, {}))
+    out = tmp_path / "v"
+    assert run(["verify", target, flag, value, "--output-dir", str(out)]) == 2
+    assert f"must be >= {int(value) + 1}, got {value}" in capsys.readouterr().err
+    assert ran == []
+    assert not out.exists()
+
+
 def test_sequences_command(tmp_path):
     out = tmp_path / "s"
     assert run(["sequences", "--k-max", "6", "--output-dir", str(out)]) == 0
@@ -325,9 +342,7 @@ def test_chaining_refuses_a_grid_beyond_memory_with_exit_3(tmp_path, monkeypatch
 @pytest.mark.parametrize("argv", [["simulate"], ["signchanges", "--seeds", "2"], ["verify", "all"]])
 def test_extension_beyond_memory_is_refused_with_exit_3_before_any_sieve(
         argv, tmp_path, monkeypatch, capsys):
-    sysconf = os.sysconf
-    monkeypatch.setattr(os, "sysconf", lambda name: 2**20 // sysconf("SC_PAGE_SIZE")
-                        if name == "SC_PHYS_PAGES" else sysconf(name))
+    stub_ram(monkeypatch, 2**20)
     calls = []
     monkeypatch.setattr(cli.primes, "cached_primes", lambda *a: calls.append(a))
     for name in cli.VERIFY_CHECKS:
@@ -335,7 +350,48 @@ def test_extension_beyond_memory_is_refused_with_exit_3_before_any_sieve(
     out = tmp_path / "big"
     assert run(argv + ["--output-dir", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "resource error: x_max=1000000 prime index: 4000004 B > physical RAM" in err
+    assert "resource error: x_max=1000000 prime index and sign hash: " in err
+    assert "B > physical RAM" in err
+    assert calls == []
+    assert not out.exists()
+
+
+def stub_ram(monkeypatch, ram: int) -> None:
+    """Make os.sysconf report `ram` bytes of physical memory."""
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: ram // sysconf("SC_PAGE_SIZE")
+                        if name == "SC_PHYS_PAGES" else sysconf(name))
+
+
+def test_signchanges_counts_each_threads_sign_hash_before_any_sieve(tmp_path, monkeypatch, capsys):
+    # 128 seeds on 2 threads: each hashes 64 seeds, holding an int8 matrix and its
+    # bool mask of 64 rows and the uint64 salted primes.  8 MB of RAM holds the
+    # 4 MB prime index alone but not the two passes' 24.7 MB on top of it.
+    monkeypatch.setenv("RMFLAB_THREADS", "2")
+    stub_ram(monkeypatch, 8 * 2**20)
+    calls = []
+    monkeypatch.setattr(cli.primes, "cached_primes", lambda *a: calls.append(a))
+    out = tmp_path / "big"
+    assert run(["signchanges", "--seeds", "128", "--output-dir", str(out)]) == 3
+    need = 4 * (10**6 + 1) + 2 * (2 * 64 + 8) * cli.primes.prime_count_bound(10**6)
+    assert f"sign hash: {need} B > physical RAM" in capsys.readouterr().err
+    assert 4 * (10**6 + 1) < 8 * 2**20 < need
+    assert calls == []
+    assert not out.exists()
+
+
+def test_sup_scan_grid_beyond_memory_is_refused_before_any_hash(tmp_path, monkeypatch, capsys):
+    # sigma = 1/2 + 1e-7 scans t up to 2 log^2(10^7) = 519.6: at most 51,860 rows of
+    # five float64 values and a 128-row block of pi(1000) <= 182 primes, 2.26 MB.
+    stub_ram(monkeypatch, 2**20)
+    calls = []
+    monkeypatch.setattr(cli.primes, "cached_primes", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli.rmf, "sample_signs", lambda *a: calls.append(a))
+    out = tmp_path / "scan"
+    assert run(["sup-scan", "--sigma-grid", "0.7,0.5000001", "--prime-limit", "1000",
+                "--output-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "resource error: sup-scan t grid of 51860 rows: 2260768 B > physical RAM" in err
     assert calls == []
     assert not out.exists()
 

@@ -1,6 +1,7 @@
 import math
 import os
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -427,6 +428,72 @@ def test_sup_scan_matches_direct_bit_for_bit(limit, rows):
             res = rmf.sup_scan(signs, sigma, t_max, 0.01, limit=limit)
             assert res.grid_size == rows
             assert res == oracles.sup_scan_direct(signs, sigma, t_max, 0.01, limit)
+
+
+# (grid_step, t_max): a 1-row grid, three blocks with a partial last one, and
+# t up to 10, where the rounding of t log p grows.
+SUP_SCAN_EPS_GRIDS = [(0.01, 1.0), (0.01, 4.0), (0.003, 1.0), (0.003, 1.9), (0.01, 10.0)]
+
+
+@pytest.mark.parametrize("grid_step, t_max", SUP_SCAN_EPS_GRIDS)
+def test_sup_scan_eps_dominates_the_estimates_error(grid_step, t_max):
+    limit = 10**5  # exact log1p up to 10^4 and the x - x^2/2 gemvs above
+    for seed in np.random.default_rng(15).integers(0, 2**32, size=2).tolist():
+        signs = rmf.sample_signs(seed, limit)
+        p = signs.primes.astype(np.float64)
+        logp = np.log(p)
+        ts = np.arange(1.0, t_max + grid_step * 0.5, grid_step)
+        cell = rmf._chebyshev_error(ts, logp, rmf._T_CHUNK)
+        approx = rmf._chebyshev_blocks(ts, logp, rmf._T_CHUNK)
+        for (start, cheb), (start2, exact) in zip(approx, rmf._basis_blocks(
+                ts, logp, np.cos, rmf._T_CHUNK)):
+            assert start == start2
+            assert np.max(np.abs(cheb - exact)) <= cell
+        for sigma in (0.501, 0.55, 0.7, 1.0):
+            amp = p ** (-sigma)
+            est, eps = rmf._sup_scan_estimates(ts, logp, signs.signs * amp, amp)
+            blocks = list(oracles.sup_scan_blocks(signs, sigma, t_max, grid_step, limit))
+            for i in (0, 1):  # cos sums, then log|F|
+                exact = np.concatenate([b[i + 1] for b in blocks])
+                assert np.max(np.abs(est[i] - exact)) <= eps[i, 0]
+    # The stated allowance: numpy's cos within 4u of the cosine of its float argument,
+    # and log1p within 4u relative, on a sample of the cells' arguments.
+    args = np.multiply.outer(ts[:: max(1, ts.size // 8)], logp[::97]).ravel()
+    exact = [float(mp.cos(mp.mpf(x))) for x in args]
+    assert np.max(np.abs(np.cos(args) - exact)) <= 4 * 2.0**-53
+    xs = 2 * 0.7 * np.cos(args) + 0.5
+    exact = np.array([float(mp.log1p(mp.mpf(x))) for x in xs])
+    assert np.all(np.abs(np.log1p(xs) - exact) <= 4 * 2.0**-53 * np.abs(exact))
+
+
+def test_sup_scan_winner_in_the_last_partial_block():
+    # Cutting a grid at its first maximum, of the cos sums or of log|F|, makes that
+    # maximum the last row; unless it closes a full block, that block is partial.
+    cases = 0
+    for seed in (0, 1, 2):
+        signs = rmf.sample_signs(seed, 10**4)
+        for sigma in (0.55, 0.7):
+            blocks = list(oracles.sup_scan_blocks(signs, sigma, 7.0, 0.01, 10**4))
+            for rows in (np.concatenate([b[i] for b in blocks]) for i in (1, 2)):
+                size = int(np.argmax(rows)) + 1
+                if size % rmf._T_CHUNK == 0:
+                    continue
+                cases += size > rmf._T_CHUNK
+                t_max = 1.0 + (size - 1) * 0.01
+                res = rmf.sup_scan(signs, sigma, t_max, 0.01, limit=10**4)
+                assert res.grid_size == size
+                assert res == oracles.sup_scan_direct(signs, sigma, t_max, 0.01, 10**4)
+    assert cases >= 4  # winners past the first block
+
+
+@pytest.mark.parametrize("limit", [1, 10**4])
+def test_sup_scan_exact_ties_go_to_the_earliest_block(limit):
+    # At sigma = 1100 every p^(-sigma) underflows to 0, and limit 1 sums no prime, so
+    # every row of all three blocks ties at cos sum 0 and |F| = 1, with eps = 0.
+    signs = rmf.sample_signs(3, max(limit, 2))
+    res = rmf.sup_scan(signs, 1100.0, 3.99, 0.01, limit=limit)
+    assert (res.sup_cos, res.argmax_t, res.sup_abs_f, res.grid_size) == (0.0, 1.0, 1.0, 300)
+    assert res == oracles.sup_scan_direct(signs, 1100.0, 3.99, 0.01, limit)
 
 
 def test_sup_scan_validation():
