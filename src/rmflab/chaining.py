@@ -3,14 +3,14 @@
 the lambda_r^2 = 2 C1 r / 4^r schedule with its chaining constant, and the
 empirical oscillation experiment max |P(sigma) - P(sigma_ell)| over
 [sigma_ell, sigma_{ell-1}].  That experiment evaluates exactly only the grid
-blocks that a Taylor-moment approximation with an explicit error bound cannot
-rule out, and reads its results from their exact rows.
+blocks that rmf's low-rank estimate of sum_p w_p e^(f x_p), with its derived
+error bound, cannot rule out, and reads its results from their exact rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, sqrt
+from math import sqrt
 from typing import Sequence
 
 import numpy as np
@@ -18,12 +18,11 @@ import numpy as np
 from . import primes as primes_mod
 from . import prime_series
 from . import rmf as rmf_mod
-from .rmf import _U
+from .rmf import _G, _U
 from .sequences import StepParams, step_sigma_ell
 
 _TAIL_REL_TOL = 1e-15  # the chaining constant's sum stops once a term falls below this share
 _GRID_CHUNK = 256  # sigma-grid rows per oscillation block
-_TAYLOR_K = 40  # degree of the Taylor filter: remainder < 1e-60 sum|w| at |x| <= 0.86
 
 
 @dataclass(frozen=True)
@@ -127,38 +126,29 @@ class OscillationResult:
     truncation_std: float
 
 
-def check_grid(ells: Sequence[int], r_max: int, n_seeds: int) -> None:
-    """Raise ValueError unless every ell is >= 2 and r_max lies in [1, 30], and
-    ResourceLimitError unless physical memory holds the grid's rows of n_seeds
-    values, max(K + 1 powers of f, n_seeds increments), f and its offset."""
+def check_grid(ells: Sequence[int], r_max: int, n_seeds: int, limit: int = 10**6) -> int:
+    """Raise ValueError unless every ell is >= 2 and r_max lies in [1, 30], and ResourceLimitError
+    unless memory holds the bytes oscillation_batch allocates, returned: 4 n_seeds + 4 float64 per
+    grid row, int8 signs, 3 n_seeds + 8 float64 and a _GRID_CHUNK-row block per prime, 3 buffers."""
     if any(ell < 2 for ell in ells):
         raise ValueError(f"ell must be >= 2, got {min(ells)}")
     if not 1 <= r_max <= 30:
         raise ValueError(f"r_max must lie in [1, 30], got {r_max}")
-    need = (2**r_max + 1) * (n_seeds + max(n_seeds, _TAYLOR_K + 1) + 2) * 8
+    n_primes = primes_mod.prime_count_bound(limit)
+    rows = (2**r_max + 1) * (4 * n_seeds + 4) + 3 * rmf_mod._LOW_RANK_CELLS
+    need = n_seeds * n_primes + 8 * (rows + n_primes * (3 * n_seeds + 8 + _GRID_CHUNK))
     rmf_mod.check_memory(need, f"r_max={r_max}, {n_seeds} seeds")
+    return need
 
 
-def _taylor_grid(weights: np.ndarray, x: np.ndarray, frac: np.ndarray):
-    """(approx, eps): sum_p w_p exp(f x_p) at every f in `frac` (within [0, 1])
-    from the moments M_k = sum_p w_p x_p^k / k!, and per seed a bound on its
-    distance to every row's exact block value.  eps sums the Taylor remainder,
-    the roundoff of the moments (3k + P roundings) and of the polynomial (2K),
-    the exact block's (its basis and gemm), and 4 u for comparisons against
-    eps and for eps itself (Higham, Accuracy and Stability, ch. 3)."""
-    moments = np.empty((_TAYLOR_K + 1, weights.shape[1]))
-    term = np.ones_like(x)
-    for k in range(_TAYLOR_K + 1):
-        moments[k] = term @ weights
-        term *= x / (k + 1)
-    approx = np.vander(frac, _TAYLOR_K + 1, increasing=True) @ moments
-    g = 1.01 * _U  # gamma_n = n u / (1 - n u) <= n g while n u <= 0.01
-    big_x = float(np.max(np.abs(x)))
-    basis = np.expm1(2 * g * big_x) + 9 * _U  # two roundings in the exponent, exp to 4 ulps
-    scale = np.sum(np.abs(weights), axis=0) * np.exp(big_x)  # >= sum_k sum_p |w_p x_p^k| / k!
-    eps = scale * (big_x ** (_TAYLOR_K + 1) / factorial(_TAYLOR_K + 1)
-                   + (x.size + 3 * _TAYLOR_K) * g + basis + x.size * g * (1 + basis) + 4 * _U)
-    return approx, eps + 2 * _TAYLOR_K * g * np.sum(np.abs(moments), axis=0)
+def _grid_estimate(weights: np.ndarray, x: np.ndarray, frac: np.ndarray):
+    """(approx, eps): sum_p w_p exp(f x_p) at every f in `frac` by rmf's low-rank evaluator, and
+    per seed a bound on its distance to every exact row: the evaluator's eps, the exact block's
+    two exponent roundings, exp to 4 ulps, gamma_P for its gemm, and 4 u for comparisons."""
+    approx, eps = rmf_mod._low_rank_grid(x, weights, frac, False)
+    basis = np.expm1(2 * _G * float(np.max(np.abs(x), initial=0.0))) + 9 * _U
+    scale = np.sum(np.abs(weights), axis=0) * np.exp(max(0.0, float(np.max(x, initial=0.0))))
+    return approx, eps + scale * (basis + x.size * _G * (1 + basis) + 4 * _U)
 
 
 def _blocks_to_recompute(approx: np.ndarray, eps: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
@@ -192,7 +182,7 @@ def oscillation_batch(
     OSCILLATION_SCHEDULE, for many seeds sharing one grid evaluation.
 
     Seeds are Python ints of any sign; results report them as given."""
-    check_grid([ell], r_max, len(seeds))
+    check_grid([ell], r_max, len(seeds), limit)
     s_ell = step_sigma_ell(ell, step)
     s_prev = step_sigma_ell(ell - 1, step)
 
@@ -207,7 +197,7 @@ def oscillation_batch(
     frac = np.arange(n_grid, dtype=np.float64) / (2.0**r_max)
     dsig = frac * (s_prev - s_ell)
     lambdas = np.array([OSCILLATION_SCHEDULE(r) for r in range(1, r_max + 1)])
-    blocks = _blocks_to_recompute(*_taylor_grid(weights, -(s_prev - s_ell) * logp, frac), lambdas)
+    blocks = _blocks_to_recompute(*_grid_estimate(weights, -(s_prev - s_ell) * logp, frac), lambdas)
     p_vals = np.full((n_grid, weights.shape[1]), np.nan)  # rows outside `blocks` decide nothing
     for start, basis in rmf_mod._basis_blocks(dsig, -logp, np.exp, _GRID_CHUNK, blocks):
         p_vals[start : start + len(basis)] = basis @ weights  # d (-log p) == -(d log p) exactly

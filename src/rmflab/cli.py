@@ -395,7 +395,7 @@ def _check_dyadic_property_suite(cfg: ExperimentConfig) -> tuple[bool, dict]:
 
 def _oscillation_runs(cfg: ExperimentConfig, n_seeds: int) -> list[chaining.OscillationResult]:
     """oscillation_batch for n_seeds seeds from seed at every ell, all checked first."""
-    chaining.check_grid(cfg.ells, cfg.r_max, n_seeds)
+    chaining.check_grid(cfg.ells, cfg.r_max, n_seeds, cfg.prime_limit)
     seeds, step = list(range(cfg.seed, cfg.seed + n_seeds)), StepParams(cfg.epsilon)
     return [res for ell in cfg.ells for res in chaining.oscillation_batch(
         seeds, ell, step, r_max=cfg.r_max, limit=cfg.prime_limit)]
@@ -451,7 +451,7 @@ def cmd_verify(args, cfg: ExperimentConfig) -> Result:
         if cfg.ell_min > cfg.ell_max:
             raise ValueError(f"ell_min {cfg.ell_min} exceeds ell_max {cfg.ell_max}")
         _extension_size(cfg, _at_least(cfg, "seeds"))
-        chaining.check_grid(cfg.ells, cfg.r_max, 20)
+        chaining.check_grid(cfg.ells, cfg.r_max, 20, cfg.prime_limit)
     checks, seconds = [], {}
     for name in VERIFY_TARGETS[args.target]:
         t0 = time.perf_counter()
@@ -591,10 +591,9 @@ def cmd_sup_scan(args, cfg: ExperimentConfig) -> Result:
         raise ValueError("grid_step must lie in (0, 0.01]")
     log_inv_gaps = [float(mp.log(1.0 / (mp.mpf(sigma) - 0.5))) for sigma in cfg.sigma_grid]
     bounds = [sequences.harper_lower_bound(g, cfg.c0, cfg.c1, cfg.c2) for g in log_inv_gaps]
-    # sup_scan's peak before any hashing: 5 float64 rows per t and one _T_CHUNK-row block.
     n_t = max(int((max(1.0, hb.t_max) - 1.0) / cfg.grid_step) + 2 for hb in bounds)
-    block = min(n_t, rmf._T_CHUNK) * primes.prime_count_bound(cfg.prime_limit)
-    rmf.check_memory(8 * (5 * n_t + block), f"sup-scan t grid of {n_t} rows")
+    need = rmf.sup_scan_bytes(n_t, primes.prime_count_bound(cfg.prime_limit))
+    rmf.check_memory(need, f"sup-scan t grid of {n_t} rows")  # before any hashing
     signs = rmf.sample_signs(cfg.seed, cfg.prime_limit)
     rows = []
     for sigma, log_inv_gap, hb in zip(cfg.sigma_grid, log_inv_gaps, bounds):

@@ -6,7 +6,7 @@ evaluation order and thread count.  The multiplicative extension, partial
 sums M_f with sign-change events, the random prime sum P(sigma) over many
 seeds at once, the exact Abel-summation identity, and grid scans of sup_t of
 cosine-weighted prime sums on the one prime-grid kernel, run only on the t blocks
-that a certified Chebyshev-recurrence estimate cannot rule out, all live here.
+that the certified estimate of `_low_rank_grid` cannot rule out, all live here.
 
 The multiplicative extension has one path: 64 assignments' negative signs are
 the bits of one uint64 word per prime, and each TRACE_SEGMENT-long block is
@@ -17,10 +17,12 @@ index.  The prime table is the only cache kept across calls.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
+from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -41,17 +43,35 @@ CHECKPOINT_STRIDE = 1 << 16
 _SEED_BLOCK = 256  # seeds hashed per sign-matrix block
 _T_CHUNK = 128  # t-grid rows per sup-scan block
 _EXACT_LOG1P = 10**4  # sup-scan estimates take the exact log1p for primes up to here
+_LOW_RANK_CELLS = 1 << 20  # float64 cells per prime chunk or grid chunk of _low_rank_grid
 _U = 2.0**-53  # unit roundoff of float64
+_G = 1.01 * _U  # gamma_n = n u / (1 - n u) <= n _G while n u <= 0.01 (Higham, ch. 3)
 
 
 class ResourceLimitError(RuntimeError):
     """Requested computation exceeds the configured support limits."""
 
 
+def cgroup_limit(proc: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup") -> float:
+    """This process's cgroup memory limit in bytes, from memory.max (v2) or memory.limit_in_bytes
+    (v1) under `root`; files are only read, and "max" or a missing file mean inf."""
+    files, limits = {"": "memory.max", "memory": "memory.limit_in_bytes"}, []
+    with contextlib.suppress(OSError):
+        for line in Path(proc).read_text().splitlines():
+            _, kinds, path = line.split(":", 2)
+            kind = "memory" if "memory" in kinds.split(",") else kinds
+            if kind in files:
+                with contextlib.suppress(OSError, ValueError):
+                    limits.append(int(Path(root, kind, path.lstrip("/"), files[kind]).read_text()))
+    return float(min(limits, default=float("inf")))
+
+
 def check_memory(need: int, what: str) -> None:
-    """Raise ResourceLimitError if `need` bytes for `what` exceed physical memory."""
-    if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-        raise ResourceLimitError(f"{what}: {need} B > physical RAM")
+    """Raise ResourceLimitError if `need` bytes for `what` exceed physical or cgroup memory."""
+    ram, cgroup = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), cgroup_limit()
+    if need > min(ram, cgroup):
+        raise ResourceLimitError(
+            f"{what}: {need} B > {'physical RAM' if ram <= cgroup else 'cgroup memory limit'}")
 
 
 def _worker_count() -> int:
@@ -326,12 +346,10 @@ def abel_identity_residual(f: np.ndarray, sigma: float) -> float:
     return abs(lhs - boundary - integral)
 
 
-def _basis_blocks(grid, logp, fn, rows: int, blocks=None) -> Iterator[tuple[int, np.ndarray]]:
+def _basis_blocks(grid, logp, fn, rows: int, blocks) -> Iterator[tuple[int, np.ndarray]]:
     """The one prime-grid kernel: (start, ufunc fn of grid[start : start + rows] (x) logp) for
-    each block index in `blocks` (default all), built in place in one buffer that the next
-    block overwrites.  Fixed block boundaries fix the bits of a block's BLAS products."""
-    if blocks is None:
-        blocks = range(-(-grid.size // rows))
+    each block index in `blocks`, built in place in one buffer that the next block
+    overwrites.  Fixed block boundaries fix the bits of a block's BLAS products."""
     buf = np.empty((min(rows, grid.size), logp.size))
     for b in blocks:
         start = int(b) * rows
@@ -340,61 +358,115 @@ def _basis_blocks(grid, logp, fn, rows: int, blocks=None) -> Iterator[tuple[int,
         yield start, fn(np.multiply.outer(block, logp, out=out), out=out)
 
 
-def _chebyshev_blocks(ts, logp, rows: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(start, cos(ts[start : start + rows] (x) logp)) per _basis_blocks block, in one buffer:
-    rows 0, 1 by np.cos, then c_{k+1} = 2 cos(h logp) c_k - c_{k-1}, h = ts[1] - ts[0]."""
-    m = 2.0 * np.cos((ts[1] - ts[0] if ts.size > 1 else 0.0) * logp)
-    buf = np.empty((min(rows, ts.size), logp.size))
-    for start in range(0, ts.size, rows):
-        c = buf[: ts[start : start + rows].size]
-        np.cos(np.multiply.outer(ts[start : start + 2], logp, out=c[:2]), out=c[:2])
-        for k in range(2, len(c)):
-            np.subtract(np.multiply(c[k - 1], m, out=c[k]), c[k - 2], out=c[k])
-        yield start, c
+def _degree(a: float, osc: bool, floor: float) -> tuple[int, float, float]:
+    """(n, E, Lambda): the least degree n with (1 + Lambda) E <= floor.  E = min over rho of 4 M
+    rho^-n / (rho - 1) bounds |f - p_n| / max|f| on [-1, 1] for f(x) = e^(z k r x), |k| r <= a,
+    p_n its interpolant in n + 1 Chebyshev points, M = e^(a (rho - 1/rho) / 2) (osc) or e^(a
+    ((rho + 1/rho) / 2 - 1)); Lambda bounds the Lebesgue constant (ATAP Thms 8.2, 15.2)."""
+    rho = 1.0 + np.logspace(-3.0, 3.0, 241)
+    log_m = a * ((rho - 1 / rho) / 2 if osc else (rho + 1 / rho) / 2 - 1) + np.log(4 / (rho - 1))
+    for n in range(1, 2 * int(a) + 100):
+        lam = 1.02 * (2 / np.pi * np.log(n + 1) + 1)
+        e = float(np.exp(np.min(log_m - n * np.log(rho))))
+        if (1.0 + lam) * e <= floor:
+            break
+    return n, e, lam
 
 
-def _chebyshev_error(ts, logp, rows: int) -> float:
-    """A bound on |cell of _chebyshev_blocks - cell of _basis_blocks(ts, logp, np.cos, rows)|,
-    or inf past 1e-6, where the margins of 1.01 stop holding.  np.cos is trusted to 2 ulps
-    (4u).  An exact cell is off cos((ts[s] + k h) theta), row k of the block at s, by `start`
-    (rounding of t theta, then cos) plus theta times the measured distance `gap` of ts from
-    equispaced.  Through |U_n(cos h theta)| <= n + 1 the two start rows' errors and the step
-    error g (the multiplier's error and two roundings) grow to k (d_0 + d_1) + g k^2 / 2."""
-    big_k, h = min(rows, ts.size) - 1, ts[1] - ts[0] if ts.size > 1 else 0.0
-    k = np.arange(ts.size) % rows
-    gap = np.max(np.abs(ts - ts[np.arange(ts.size) - k] - k * h)) + 3 * _U * big_k * h
-    theta = float(np.max(logp, initial=0.0))
-    start = _U * ts[-1] * theta + 4 * _U
-    g = 2.02 * (_U * h * theta + 4 * _U) + 4 * _U
-    e = 1.01 * ((big_k + 2) * (2 * start + theta * gap) + g * big_k * big_k / 2)
-    return e if e < 1e-6 else np.inf
+def _low_rank_grid(theta, coef, ks, osc: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(values, eps): values[i, s] ~ sum_p coef[p, s] e^(z ks[i] theta_p), z = i (osc) or 1,
+    for real or complex (P, S) coef, and eps[s] >= its error on these float inputs.  With
+    theta_p = c + r x_p, x_p in [-1, 1], the kernel is interpolated in n + 1 Chebyshev points
+    x_j, so b_j = sum_p coef_p l_j(x_p) over a barycentric basis built in chunks of primes.
+    Per unit of G sum_p |coef_p|, G >= |e^(z k theta)|, eps adds (1 + Lambda_n) E of _degree,
+    n the least degree to bring it under gamma_{P+1}; the barycentric roundoff 2 alpha Lambda_n
+    max|p_n|, alpha = gamma_{3n+6} (Higham, IMA J. Numer. Anal. 24, 2004); gamma_{P+1} and
+    2 gamma_{n+3} for the sums; and the kernel at the nodes and the rounding of x_p."""
+    lo, hi = (float(theta.min()), float(theta.max())) if theta.size else (0.0, 0.0)
+    c, r = (lo + hi) / 2, (hi - lo) / 2
+    kmax = float(np.max(np.abs(ks), initial=0.0))
+    g = 1.0 if osc else float(np.exp(np.max(np.multiply.outer([ks.min(), ks.max()], [lo, hi]))))
+    gam_p = (theta.size + 1) * _G * (2 if np.iscomplexobj(coef) else 1)
+    n, interp, lam_n = _degree(kmax * r, osc, gam_p)
+    x_j = np.sin(np.pi * np.arange(n, -n - 1, -2) / (2 * n))  # Chebyshev points, symmetric
+    lam = 1.0 / np.prod(2.0 * np.subtract.outer(x_j, x_j) + np.eye(n + 1), axis=1)  # weights
+    ab = coef.view(np.float64) if np.iscomplexobj(coef) else coef
+    b = np.zeros((n + 1, ab.shape[1]))
+    rows = max(1, _LOW_RANK_CELLS // (n + 1))
+    buf = np.empty((n + 1, min(rows, theta.size)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(0, theta.size, rows):
+            x = np.clip((theta[i : i + rows] - c) / (r or 1.0), -1.0, 1.0)
+            q = np.subtract(x, x_j[:, None], out=buf[:, : x.size])
+            s = lam @ np.divide(1.0, q, out=q)
+            hit = np.flatnonzero(~np.isfinite(s))  # x_p on a node: l_j(x_p) = [x_j == x_p]
+            q[:, hit] = np.isinf(q[:, hit]) / lam[:, None]
+            s[hit] = 1.0
+            b += q @ (ab[i : i + rows] / s[:, None])
+    b = (b * lam[:, None]).view(coef.dtype)
+    z_j, values = (c + r * x_j) * (1j if osc else 1), np.empty((ks.size, b.shape[1]), b.dtype)
+    for i in range(0, ks.size, rows):  # values[i] = sum_j e^(z ks[i] theta_j) b_j
+        values[i : i + rows] = np.exp(np.multiply.outer(ks[i : i + rows], z_j)) @ b
+    alpha, node = (3 * n + 6) * _G, 1.01 * _U * (kmax * (2 * abs(c) + 3 * r) + (6 if osc else 9))
+    bary = 2 * alpha * lam_n * (1 + interp) / (1 - alpha * lam_n)
+    sums = (1 + node) * lam_n * (gam_p + 2 * (n + 3) * _G * (1 + gam_p))
+    shift = 3.03 * _U * kmax * (r + abs(lo) + abs(hi))
+    unit = (1 + lam_n) * interp + lam_n * node + bary + sums + shift
+    return values, 1.01 * g * np.sum(np.abs(coef), axis=0) * unit
 
 
 def _sup_scan_estimates(ts, logp, w, amp) -> tuple[np.ndarray, np.ndarray]:
     """(est, eps): est[0] the cos sum and est[1] log|F| = 0.5 sum_p log1p(x_p), x = 2 w c +
-    amp^2, at every t from _chebyshev_blocks, each within eps[i, 0] of sup_scan's exact row.
-    log1p runs for p <= _EXACT_LOG1P; above, x - x^2/2 from gemvs on c and c*c, and sum
-    |x|^3 / (3 (1 - |x|)) at |x| <= 2 amp + amp^2 bounds the rest.  eps adds the cell error
-    through Lipschitz bounds of log1p and x - x^2/2, np.log1p at 2 ulps, the rounding of x,
-    and gamma_n sum_p |term_p| for every sum (Higham, Accuracy and Stability, ch. 3)."""
+    amp^2, c = cos(t log p), at every t, each within eps[i, 0] of sup_scan's exact row.  On
+    the centred grid t = t0 + m h, primes p <= _EXACT_LOG1P take the exact log1p of cells
+    Re e^(i (t0 + (start - mid) h) log p) e^(i j h log p).  Above, one _low_rank_grid call in
+    theta = h log p at k = m and 2 m gives the cos sum and 0.5 (x - x^2/2) = w (1 - amp^2) c -
+    amp^2 cos(2 t log p) / 2 - amp^4 / 4, within sum |x|^3 / (3 (1 - |x|)) of log|F|.  eps adds
+    the distance of an exact cell (rounding of t log p, np.cos at 2 ulps, the gap of ts from
+    t0 + m h) and of an estimated cell or phase from cos(t log p) through Lipschitz bounds of
+    log1p, np.log1p at 2 ulps, the rounding of x, and gamma_n sum_p |term_p| (Higham, ch. 3)."""
+    h, mid = (ts[1] - ts[0] if ts.size > 1 else 0.0), (ts.size - 1) // 2
+    m = np.arange(ts.size, dtype=np.float64) - mid
     aa, ns = amp * amp, int(np.searchsorted(logp, np.log(_EXACT_LOG1P)))
-    big, s1, s2 = np.stack([w[ns:], w[ns:] * aa[ns:]], axis=1), np.sum(aa[ns:]), aa[ns:] @ aa[ns:]
-    est = np.empty((2, ts.size))
-    for start, c in _chebyshev_blocks(ts, logp, _T_CHUNK):
-        cos_est, log_est = est[:, start : start + len(c)]
-        cos_est[:] = c @ w
-        small = np.sum(np.log1p(c[:, :ns] * (2.0 * w[:ns]) + aa[:ns]), axis=1)
-        lin, cross = (c[:, ns:] @ big).T
-        quad = np.square(c, out=c)[:, ns:] @ aa[ns:]  # sum x^2 = 4 quad + 4 cross + s2
-        log_est[:] = 0.5 * (small + 2.0 * lin + s1 - 2.0 * quad - 2.0 * cross - 0.5 * s2)
-    cell = _chebyshev_error(ts, logp, _T_CHUNK)
-    a1 = amp * (1.0 + cell)  # bounds |w c| on exact and estimated cells
+    est, jh = np.empty((2, ts.size)), np.multiply.outer(np.arange(_T_CHUNK) * h, logp[:ns])
+    step_re, step_im = np.cos(jh), np.sin(jh)  # e^(i j h log p)
+    for start in range(0, ts.size, _T_CHUNK):  # in place: fresh temporaries cost page faults
+        base = np.exp(1j * (ts[mid] + (start - mid) * h) * logp[:ns])
+        c = step_re[: ts.size - start] * base.real
+        c -= step_im[: ts.size - start] * base.imag
+        est[0, start : start + len(c)] = c @ w[:ns]
+        c *= 2.0 * w[:ns]
+        c += aa[:ns]
+        est[1, start : start + len(c)] = 0.5 * np.sum(np.log1p(c, out=c), axis=1)
+    big, turn = slice(ns, None), np.exp(1j * ts[mid] * logp[ns:])
+    lin = w[big] * (1.0 - aa[big])
+    coef = np.stack([w[big] * turn, lin * turn, -0.5 * aa[big] * turn * turn], axis=1)
+    values, ev = _low_rank_grid(h * logp[big], coef, np.concatenate([m, 2 * m]), True)
+    const = np.sum(aa[big] * aa[big]) / 4
+    est[0] += values[: ts.size, 0].real
+    est[1] += values[: ts.size, 1].real + values[ts.size :, 2].real - const
+    tmax, theta = 1.01 * float(np.max(np.abs(ts))), float(np.max(logp, initial=0.0))
+    gap = float(np.max(np.abs(ts - (ts[mid] + m * h)))) + 4 * _U * tmax
+    cell = 4 * _U + _U * tmax * theta + theta * gap  # an exact cell against cos(t log p)
+    phase = 5.05 * _U * tmax * theta + 17 * _U  # an estimated cell or coefficient phase
+    a1 = amp * (1.0 + cell + phase)  # bounds |w c| on exact and estimated cells
     xb, lam, lip = 2.0 * a1 + aa, -2.02 * np.log1p(-a1), 1.01 / (1.0 - a1) ** 2
-    gam = (amp.size + 8) * _U / (1 - (amp.size + 8) * _U)
-    rest = np.sum(xb[ns:] ** 3 / (3.0 * (1.0 - xb[ns:])))  # log1p(x) - (x - x^2/2) above ns
-    eps_log = (rest / 2 + cell * np.sum(amp * lip) + gam * np.sum(lam + xb + xb * xb)
-               + _U * np.sum(4 * lam + 1.01 * lip * (4 * a1 + aa)))
-    return est, 1.01 * np.array([[np.sum(amp) * (cell + 2.0 * gam)], [eps_log]])
+    gam = (amp.size + 8) * _G
+    rest = np.sum(xb[big] ** 3 / (3.0 * (1.0 - xb[big])))  # log1p(x) - (x - x^2/2)
+    eps_cos = np.sum(amp) * (cell + phase) + 2 * gam * np.sum(a1) + ev[0]
+    eps_log = (rest / 2 + (cell + phase) * np.sum(amp * lip) + gam * np.sum(lam)
+               + _U * np.sum(4 * lam + lip * (4 * a1 + 2 * aa))
+               + (np.sum(np.abs(lin)) + np.sum(aa[big])) * phase
+               + ev[1] + ev[2] + const * (gam + 3 * _U))
+    return est, 1.01 * np.array([[eps_cos], [eps_log]])
+
+
+def sup_scan_bytes(n_t: int, n_primes: int) -> int:
+    """Bytes sup_scan allocates at most for n_t t rows over n_primes primes: 30 float64 values
+    and a _T_CHUNK-row exact block per prime, 24 per t, six _LOW_RANK_CELLS buffers of the
+    estimate and five _T_CHUNK-row tables of the primes up to _EXACT_LOG1P."""
+    small = 5 * _T_CHUNK * min(n_primes, primes_mod.prime_count_bound(_EXACT_LOG1P))
+    return 8 * ((30 + min(n_t, _T_CHUNK)) * n_primes + 24 * n_t + 6 * _LOW_RANK_CELLS + small)
 
 
 @dataclass(frozen=True)
@@ -415,9 +487,9 @@ def sup_scan(
     """Grid maxima over t in {1, 1+step, ..., t_max} of the truncated sums
     sum_p sign(p) cos(t log p) p^(-sigma) and |prod_p (1 + sign(p) p^(-sigma-it))|.
 
-    Grid maxima are lower bounds for the true suprema; ties go to the earliest t.
-    Only blocks whose _sup_scan_estimates + eps reach the best estimate - eps of any block,
-    for either maximum, run the exact cos and log1p: the maxima keep every block's bits.
+    Grid maxima are lower bounds for the true suprema; ties go to the earliest t.  Only
+    blocks with a row whose _sup_scan_estimates + eps reaches the best estimate - eps run the
+    exact cos, and log1p only on such rows of log|F|: the maxima keep every row's bits.
     """
     if sigma <= 0.5:
         raise DivergenceError(f"sup scan requires sigma > 1/2, got {sigma}")
@@ -434,14 +506,13 @@ def sup_scan(
     w = sg * amp
     ts = np.arange(1.0, t_max + grid_step * 0.5, grid_step)
     est, eps = _sup_scan_estimates(ts, logp, w, amp)
-    top = np.maximum.reduceat(est, np.arange(0, ts.size, _T_CHUNK), axis=1)
-    need = ~np.all(top + eps < np.max(top - eps, axis=1, keepdims=True), axis=0)  # NaN: all
-    cos_vals, log_f = np.full((2, ts.size), -np.inf)  # rows outside `need` decide nothing
+    keep = ~(est + eps < np.max(est - eps, axis=1, keepdims=True))  # rows that may decide; NaN: all
+    need = np.logical_or.reduceat(keep[0] | keep[1], np.arange(0, ts.size, _T_CHUNK))
+    cos_vals, log_f = np.full((2, ts.size), -np.inf)  # rows outside `keep` decide nothing
     for start, c in _basis_blocks(ts, logp, np.cos, _T_CHUNK, np.flatnonzero(need)):
         cos_vals[start : start + len(c)] = c @ w
-        c *= 2.0 * w  # log|1 + sign(p) p^(-sigma-it)|^2 = log1p(2 w cos + amp^2), in place
-        c += amp * amp
-        log_f[start : start + len(c)] = 0.5 * np.sum(np.log1p(c, out=c), axis=1)
+        rows = np.flatnonzero(keep[1, start : start + len(c)])  # log|1 + sign(p) p^(-sigma-it)|^2
+        log_f[start + rows] = [0.5 * np.sum(np.log1p(c[i] * (2.0 * w) + amp * amp)) for i in rows]
     i = int(np.argmax(cos_vals))
     return SupScanResult(
         sup_cos=float(cos_vals[i]),

@@ -26,11 +26,13 @@ None of this is used by `rmflab` itself:
 - the sigma grid of the oscillation experiment evaluated block by block on
   every row (`oscillation_grid`, `oscillation_direct`), whose max_osc and
   first violations `chaining.oscillation_batch` must reproduce bit for bit
-  from the blocks its Taylor filter selects;
+  from the blocks that `rmf`'s low-rank estimate (the kernel exp, interpolated
+  at Chebyshev points, with a four-part eps) selects;
 - the sup-scan t grid as fresh array expressions on every row of every
   _T_CHUNK-row block (`sup_scan_blocks`) with a running best
   (`sup_scan_direct`), which `rmf.sup_scan`, evaluating exactly only the
-  blocks its Chebyshev filter selects, must reproduce bit for bit;
+  blocks and log|F| rows that the same low-rank estimate (the kernel
+  e^(i k theta)) selects, must reproduce bit for bit;
 - the partial sum of `prime_series.euler_tail_constant` as one array
   expression, which its in-place terms must reproduce bit for bit.
 """

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from rmflab import chaining as ch
 from rmflab import cli
+from rmflab import primes
 from rmflab import rmf
 from rmflab.sequences import StepParams
 
@@ -212,12 +214,12 @@ def lambdas_of(r_max):
     return np.array([ch.OSCILLATION_SCHEDULE(r) for r in range(1, r_max + 1)])
 
 
-def taylor_inputs(seeds, ell, r_max, limit):
-    """The Taylor grid and its bound, next to the oracle's exact grid."""
+def estimate_inputs(seeds, ell, r_max, limit):
+    """The low-rank grid estimate and its bound, next to the oracle's exact grid."""
     step = StepParams(1.0)
     logp, weights, gap = oracles.oscillation_inputs(seeds, ell, step, limit)
     frac = np.arange(2**r_max + 1, dtype=np.float64) / 2.0**r_max
-    approx, eps = ch._taylor_grid(weights, -gap * logp, frac)
+    approx, eps = ch._grid_estimate(weights, -gap * logp, frac)
     return approx, eps, oracles.oscillation_grid(seeds, ell, step, r_max, limit)
 
 
@@ -251,25 +253,25 @@ def test_oscillation_batch_matches_direct_when_levels_are_violated(monkeypatch):
     assert None in firsts and any(f is not None for f in firsts)
 
 
-def test_taylor_bound_dominates_measured_error():
+def test_grid_estimate_bound_dominates_measured_error():
     rng = np.random.default_rng(11)
     for _ in range(8):
         seeds = [int(s) for s in rng.integers(0, 2**63, size=4, dtype=np.int64)]
         ell = int(rng.integers(2, 12))
         limit = int(rng.choice([10**3, 10**4, 10**5]))
-        approx, eps, exact = taylor_inputs(seeds, ell, 10, limit)
+        approx, eps, exact = estimate_inputs(seeds, ell, 10, limit)
         assert np.all(np.abs(approx - exact) <= eps), (seeds, ell, limit)
         assert np.all(eps < 1e-6)  # small enough to decide
-    approx, eps, exact = taylor_inputs(SEEDS[:4], 2, 10, 10**6)  # the widest |x| of ell >= 2
+    approx, eps, exact = estimate_inputs(SEEDS[:4], 2, 10, 10**6)  # the widest |x| of ell >= 2
     assert np.all(np.abs(approx - exact) <= eps)
 
 
 def test_filter_recomputes_increments_near_lambda_and_keeps_first_violations():
     # No realistic lambda schedule comes near an increment, so place lambda_r
     # within 2 eps of a level's largest exact increment: the decision is then
-    # ambiguous from the Taylor grid and must be made on exact rows.
+    # ambiguous from the estimated grid and must be made on exact rows.
     r_max = 12
-    approx, eps, exact = taylor_inputs(SEEDS, 3, r_max, 10**5)
+    approx, eps, exact = estimate_inputs(SEEDS, 3, r_max, 10**5)
     rng = np.random.default_rng(5)
     violated = 0
     for _ in range(12):
@@ -299,6 +301,17 @@ def test_c12_configuration_recomputes_blocks_0_and_16(monkeypatch):
     for ell in (3, 4, 5):
         ch.oscillation_batch(SEEDS, ell, StepParams(1.0), r_max=12, limit=10**6)
     assert [b.tolist() for b in picked] == [[0, 16]] * 3
+
+
+def test_check_grid_bounds_the_traced_peak_of_oscillation_batch():
+    primes.cached_primes(10**6)  # the prime table exists before the call
+    tracemalloc.start()
+    try:
+        ch.oscillation_batch(SEEDS, 3, StepParams(1.0), r_max=12, limit=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ch.check_grid([3], 12, len(SEEDS), 10**6)
 
 
 def test_check_grid_refuses_a_grid_beyond_physical_memory():

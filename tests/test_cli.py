@@ -382,7 +382,8 @@ def test_signchanges_counts_each_threads_sign_hash_before_any_sieve(tmp_path, mo
 
 def test_sup_scan_grid_beyond_memory_is_refused_before_any_hash(tmp_path, monkeypatch, capsys):
     # sigma = 1/2 + 1e-7 scans t up to 2 log^2(10^7) = 519.6: at most 51,860 rows of
-    # five float64 values and a 128-row block of pi(1000) <= 182 primes, 2.26 MB.
+    # 24 float64 values; 30 values, a 128-row block and five 128-row tables for each of
+    # pi(1000) <= 182 primes; and six 2^20-cell buffers of the estimate, 61.5 MB.
     stub_ram(monkeypatch, 2**20)
     calls = []
     monkeypatch.setattr(cli.primes, "cached_primes", lambda *a: calls.append(a))
@@ -391,7 +392,7 @@ def test_sup_scan_grid_beyond_memory_is_refused_before_any_hash(tmp_path, monkey
     assert run(["sup-scan", "--sigma-grid", "0.7,0.5000001", "--prime-limit", "1000",
                 "--output-dir", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "resource error: sup-scan t grid of 51860 rows: 2260768 B > physical RAM" in err
+    assert "resource error: sup-scan t grid of 51860 rows: 61450656 B > physical RAM" in err
     assert calls == []
     assert not out.exists()
 

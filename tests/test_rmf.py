@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -437,18 +438,12 @@ SUP_SCAN_EPS_GRIDS = [(0.01, 1.0), (0.01, 4.0), (0.003, 1.0), (0.003, 1.9), (0.0
 
 @pytest.mark.parametrize("grid_step, t_max", SUP_SCAN_EPS_GRIDS)
 def test_sup_scan_eps_dominates_the_estimates_error(grid_step, t_max):
-    limit = 10**5  # exact log1p up to 10^4 and the x - x^2/2 gemvs above
+    limit = 10**5  # exact log1p up to 10^4 and the low-rank polynomials above
     for seed in np.random.default_rng(15).integers(0, 2**32, size=2).tolist():
         signs = rmf.sample_signs(seed, limit)
         p = signs.primes.astype(np.float64)
         logp = np.log(p)
         ts = np.arange(1.0, t_max + grid_step * 0.5, grid_step)
-        cell = rmf._chebyshev_error(ts, logp, rmf._T_CHUNK)
-        approx = rmf._chebyshev_blocks(ts, logp, rmf._T_CHUNK)
-        for (start, cheb), (start2, exact) in zip(approx, rmf._basis_blocks(
-                ts, logp, np.cos, rmf._T_CHUNK)):
-            assert start == start2
-            assert np.max(np.abs(cheb - exact)) <= cell
         for sigma in (0.501, 0.55, 0.7, 1.0):
             amp = p ** (-sigma)
             est, eps = rmf._sup_scan_estimates(ts, logp, signs.signs * amp, amp)
@@ -456,14 +451,82 @@ def test_sup_scan_eps_dominates_the_estimates_error(grid_step, t_max):
             for i in (0, 1):  # cos sums, then log|F|
                 exact = np.concatenate([b[i + 1] for b in blocks])
                 assert np.max(np.abs(est[i] - exact)) <= eps[i, 0]
-    # The stated allowance: numpy's cos within 4u of the cosine of its float argument,
-    # and log1p within 4u relative, on a sample of the cells' arguments.
+    # The stated allowances: numpy's cos, sin and complex exp within 4u of the cosine and
+    # sine of their float argument, exp within 4 ulps, and log1p within 4u relative, on a
+    # sample of the cells' arguments.
     args = np.multiply.outer(ts[:: max(1, ts.size // 8)], logp[::97]).ravel()
-    exact = [float(mp.cos(mp.mpf(x))) for x in args]
-    assert np.max(np.abs(np.cos(args) - exact)) <= 4 * 2.0**-53
+    cis = np.exp(1j * args)
+    for got, f in ((np.cos(args), mp.cos), (np.sin(args), mp.sin), (cis.real, mp.cos),
+                   (cis.imag, mp.sin)):
+        assert np.max(np.abs(got - [float(f(mp.mpf(x))) for x in args])) <= 4 * 2.0**-53
+    exact = np.array([float(mp.exp(mp.mpf(x))) for x in -args / 100])
+    assert np.all(np.abs(np.exp(-args / 100) - exact) <= 8 * 2.0**-53 * exact)
     xs = 2 * 0.7 * np.cos(args) + 0.5
     exact = np.array([float(mp.log1p(mp.mpf(x))) for x in xs])
     assert np.all(np.abs(np.log1p(xs) - exact) <= 4 * 2.0**-53 * np.abs(exact))
+
+
+@pytest.mark.parametrize("osc", [True, False])
+def test_low_rank_eps_holds_where_interpolation_dominates(osc, monkeypatch):
+    # A degree chosen for a floor far above roundoff leaves an interpolation error of
+    # 5e-9 to 2e-4 sum|coef|, against 5e-12 sum|coef| for eps's other terms: eps must
+    # still bound it, so dropping the interpolation term from eps fails here.  For e^(i k theta) the grid is wide,
+    # k r = 200 as at sigma = 0.52; for e^(k theta) it is chaining's f in [0, 1].
+    rng = np.random.default_rng(16)
+    theta = np.sort(rng.uniform(0.0, 0.2, 3000)) if osc else -np.sort(rng.uniform(0, 3, 3000))
+    ks = np.arange(-2000.0, 2001.0) if osc else np.arange(4097.0) / 4096
+    coef = rng.standard_normal((3000, 2)) + (1j * rng.standard_normal((3000, 2)) if osc else 0)
+    exact = np.exp(np.multiply.outer(ks, 1j * theta if osc else theta)) @ coef
+    degree, scale = rmf._degree, np.sum(np.abs(coef), axis=0)
+    for floor in (1e-4, 1.0):
+        monkeypatch.setattr(rmf, "_degree", lambda a, osc, _: degree(a, osc, floor))
+        values, eps = rmf._low_rank_grid(theta, coef, ks, osc)
+        err = np.max(np.abs(values - exact), axis=0)
+        assert np.all(err <= eps)
+        assert np.all(err > 1e-10 * scale)
+    monkeypatch.setattr(rmf, "_degree", degree)
+    values, eps = rmf._low_rank_grid(theta, coef, ks, osc)  # the chosen degree
+    assert np.all(np.max(np.abs(values - exact), axis=0) <= eps)
+    assert np.all(eps < 1e-9 * scale)
+
+
+def test_sup_scan_bytes_bounds_the_traced_peak():
+    # sigma = 0.55 scans t up to 17.95; the prime table and the signs exist before.
+    signs = rmf.sample_signs(0, 10**5)
+    tracemalloc.start()
+    try:
+        res = rmf.sup_scan(signs, 0.55, 17.95, 0.01, limit=10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.grid_size == 1696
+    assert peak <= rmf.sup_scan_bytes(res.grid_size, primes.prime_count_bound(10**5))
+
+
+def test_cgroup_limit_reads_v2_and_v1_files(tmp_path):
+    proc = tmp_path / "cgroup"
+    proc.write_text("0::/user.slice/job\n")
+    limit = tmp_path / "user.slice" / "job" / "memory.max"
+    limit.parent.mkdir(parents=True)
+    limit.write_text("1048576\n")
+    assert rmf.cgroup_limit(str(proc), str(tmp_path)) == 1048576
+    limit.write_text("max\n")
+    assert rmf.cgroup_limit(str(proc), str(tmp_path)) == math.inf
+    limit.unlink()
+    assert rmf.cgroup_limit(str(proc), str(tmp_path)) == math.inf
+    proc.write_text("4:memory:/job\n1:cpu:/\n0::/\n")  # v1 memory controller
+    v1 = tmp_path / "memory" / "job" / "memory.limit_in_bytes"
+    v1.parent.mkdir(parents=True)
+    v1.write_text("2097152\n")
+    assert rmf.cgroup_limit(str(proc), str(tmp_path)) == 2097152
+    assert rmf.cgroup_limit(str(tmp_path / "missing"), str(tmp_path)) == math.inf
+
+
+def test_check_memory_honours_a_cgroup_limit_below_physical_memory(monkeypatch):
+    monkeypatch.setattr(rmf, "cgroup_limit", lambda: 2**20)
+    with pytest.raises(rmf.ResourceLimitError, match="B > cgroup memory limit"):
+        rmf.check_memory(2**20 + 1, "test")
+    rmf.check_memory(2**20, "test")
 
 
 def test_sup_scan_winner_in_the_last_partial_block():
