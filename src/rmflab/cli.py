@@ -247,7 +247,7 @@ def _extension_size(cfg: ExperimentConfig, seeds: int = 1) -> int:
 def _logsq_grid(n_cut: int) -> list[tuple[float, prime_series.LogWeightedSum]]:
     """Certified (log p)^2 sums up to n_cut at the 50 sigma 0.51, 0.52, ..., 1.00."""
     sigmas = [round(0.51 + 0.01 * i, 2) for i in range(50)]
-    return [(s, prime_series.log_weighted_sum(s, n_cut=n_cut)) for s in sigmas]
+    return list(zip(sigmas, prime_series.log_weighted_grid(sigmas, n_cut)))
 
 
 def _hoeffding_valid(rows: list[concentration.Step2Row]) -> bool:
@@ -348,13 +348,12 @@ def _check_abel_identity(cfg: ExperimentConfig) -> tuple[bool, dict]:
     """c05: the Abel-summation identity holds to relative residual <= 1e-8 for the 20
     seeds derive_seed(521, i), at x in {10^4, x_max} and sigma in {0.6, 1.5}."""
     xs, worst = sorted({10**4, cfg.x_max}), 0.0
-    for i in range(20):
-        f_max = rmf.signed_values(rmf.sample_signs(rmf.derive_seed(521, i), xs[-1]), xs[-1])
-        for x in xs:
-            f, n = f_max[:x], np.arange(1, x + 1, dtype=np.float64)
-            for sigma in (0.6, 1.5):
-                scale = float(np.sum(np.abs(f) * n**-sigma))
-                worst = max(worst, rmf.abel_identity_residual(f, sigma) / scale)
+    weights = {(x, sigma): rmf.abel_weights(sigma, x) for x in xs for sigma in (0.6, 1.5)}
+    for f_max in rmf.signed_value_rows([rmf.derive_seed(521, i) for i in range(20)], xs[-1]):
+        for (x, sigma), w in weights.items():
+            f = f_max[:x]
+            scale = float(np.sum(np.abs(f) * w[0]))
+            worst = max(worst, rmf.abel_identity_residual(f, sigma, w) / scale)
     return worst <= 1e-8, {"max_rel_residual": worst}
 
 

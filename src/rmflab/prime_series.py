@@ -1,7 +1,7 @@
-"""Certified evaluation of the deterministic prime series used throughout:
-prime zeta values P(s) = sum_p p^(-s), the variance sum at 2*sigma, the
-(log p)^2-weighted sum against its 4/(2s-1)^2 bound, the Euler-product tail
-constant sum_p 1/(p(sqrt(p)-1)), and the near-1 asymptotic ratios.
+"""Certified evaluation of the deterministic prime series used throughout: prime
+zeta values P(s) = sum_p p^(-s), the variance sum at 2*sigma, the (log p)^2-weighted
+sums against their 4/(2s-1)^2 bound on a sigma grid that casts and logs the primes
+once, the Euler-product tail constant sum_p 1/(p(sqrt(p)-1)), near-1 asymptotic ratios.
 
 Every truncated sum comes back as a CertifiedValue whose interval accounts
 for the truncation tail (explicit integral comparisons) plus a fixed outward
@@ -237,31 +237,33 @@ class LogWeightedSum:
     holds: bool
 
 
-def log_weighted_sum(
-    sigma: float, n_cut: int = 10**7, table: PrimeTable | None = None
-) -> LogWeightedSum:
-    """Certified sum_p (log p)^2 p^(-2 sigma) checked against 4/(2 sigma - 1)^2.
+def log_weighted_grid(sigmas: list[float], n_cut: int = 10**7) -> list[LogWeightedSum]:
+    """Certified sum_p (log p)^2 p^(-2 sigma) against 4/(2 sigma - 1)^2 at each sigma, all checked
+    before the sieve.  The tail is the smaller of the integer-comparison bound (valid once
+    n_cut >= e^(1/sigma)) and the prime-counting route, both explicit antiderivatives."""
+    for sigma in sigmas:
+        if not 0.5 < sigma <= 1.0:
+            raise ValueError(f"sigma must lie in (1/2, 1], got {sigma}")
+        if n_cut < exp(1.0 / sigma):
+            raise ValueError(f"cutoff {n_cut} below integral-comparison validity e^(1/sigma)")
+    p = primes_mod.cached_primes(n_cut).primes.astype(np.float64)  # cast and logged once
+    lp2 = np.log(p)
+    lp2 *= lp2
+    buf, sums = np.empty_like(p), []
+    for sigma in sigmas:
+        partial = float(np.sum(np.multiply(np.power(p, -2.0 * sigma, out=buf), lp2, out=buf)))
+        tail = min(_log_sq_integral_tail(sigma, float(n_cut)),
+                   max(_log_sq_pi_route_tail(sigma, float(n_cut), p.size), 0.0))
+        value = _outward(partial, partial + tail, estimate=partial + 0.5 * tail)
+        rhs = 4.0 / (2.0 * sigma - 1.0) ** 2
+        sums.append(LogWeightedSum(value=value, bound_rhs=rhs, holds=bool(value.upper <= rhs)))
+    return sums
 
-    The tail is the minimum of the integer-comparison bound (valid once
-    n_cut >= e^(1/sigma)) and the prime-counting route; both have explicit
-    antiderivatives.
-    """
-    if not 0.5 < sigma <= 1.0:
-        raise ValueError(f"sigma must lie in (1/2, 1], got {sigma}")
-    if n_cut < exp(1.0 / sigma):
-        raise ValueError(f"cutoff {n_cut} below integral-comparison validity e^(1/sigma)")
-    if table is None or table.limit < n_cut:
-        table = primes_mod.cached_primes(n_cut)
-    p = table.upto(n_cut).astype(np.float64)
-    lp = np.log(p)
-    partial = float(np.sum(lp * lp * p ** (-2.0 * sigma)))
-    tail = min(
-        _log_sq_integral_tail(sigma, float(n_cut)),
-        max(_log_sq_pi_route_tail(sigma, float(n_cut), p.size), 0.0),
-    )
-    value = _outward(partial, partial + tail, estimate=partial + 0.5 * tail)
-    bound_rhs = 4.0 / (2.0 * sigma - 1.0) ** 2
-    return LogWeightedSum(value=value, bound_rhs=bound_rhs, holds=bool(value.upper <= bound_rhs))
+
+def log_weighted_sum(sigma: float, n_cut: int = 10**7, table: PrimeTable | None = None):
+    """The LogWeightedSum of `log_weighted_grid` at one sigma.  `table` is not read; it
+    is kept for the benchmark tracer, which reads it by name."""
+    return log_weighted_grid([sigma], n_cut)[0]
 
 
 def euler_tail_constant(n_primes: int) -> CertifiedValue:

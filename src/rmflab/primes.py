@@ -1,6 +1,6 @@
-"""Prime infrastructure: segmented sieve, the process-wide prime table
-(pi(x) is `table.upto(x).size`), and the Chebyshev-type check
-pi(x) < 2x/log(x).
+"""Prime infrastructure: the odd-only segmented sieve (half the flags of a
+full one), the process-wide prime table (pi(x) is `table.upto(x).size`),
+and the Chebyshev-type check pi(x) < 2x/log(x).
 
 `cached_primes` is the one prime source and the only caller of `sieve_primes`.
 It keeps the largest table sieved so far; smaller limits and `first_n_primes`
@@ -16,17 +16,7 @@ from math import isqrt, log
 
 import numpy as np
 
-DEFAULT_SEGMENT = 1 << 22
-
-
-def _simple_sieve(limit: int) -> np.ndarray:
-    """The base step of `sieve_primes`: Eratosthenes up to `limit` inclusive, as int64."""
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
-    return np.flatnonzero(is_prime).astype(np.int64)
+DEFAULT_SEGMENT = 1 << 20  # flags (1 MB); larger segments raised the sieve's peak RSS
 
 
 def prime_count_bound(x: int) -> int:
@@ -37,27 +27,37 @@ def prime_count_bound(x: int) -> int:
 def sieve_primes(limit: int, segment: int = DEFAULT_SEGMENT) -> np.ndarray:
     """All primes <= limit, ascending, as a read-only int32 array.
 
-    Each segment's primes go straight into an output sized by
-    `prime_count_bound`, so memory is one segment of flags
-    plus the table: pages past the last prime are never touched.
+    Odd-only: flag i stands for 2i + 1, and 2 is written first.  Each segment of
+    `segment` flags is struck by the odd primes up to sqrt(limit), sieved the same
+    way, and writes its primes straight into an output sized by `prime_count_bound`,
+    so memory is one segment of flags plus the table.
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
     if limit > np.iinfo(np.int32).max:
         raise ValueError(f"sieve limit {limit} exceeds the int32 cap 2^31 - 1")
-    base = _simple_sieve(isqrt(limit)).tolist()
+    return _odd_sieve(limit, segment)
+
+
+def _odd_sieve(limit: int, segment: int) -> np.ndarray:
+    base = _odd_sieve(isqrt(limit), segment)[1:].tolist() if limit >= 9 else []
     primes = np.empty(prime_count_bound(limit), dtype=np.int32)
-    count = 0
-    for lo in range(2, limit + 1, segment):
-        hi = min(lo + segment - 1, limit)
-        flags = np.ones(hi - lo + 1, dtype=bool)
+    primes[0] = 2
+    count, flags_total = 1, (limit + 1) // 2
+    for lo in range(0, flags_total, segment):
+        hi = min(lo + segment, flags_total)
+        first, last = 2 * lo + 1, 2 * hi - 1
+        flags = np.ones(hi - lo, dtype=bool)
+        flags[0] = lo > 0  # flag 0 of the first segment is 1, not a prime
         for p in base:
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start > hi:
-                continue
-            flags[start - lo :: p] = False
+            if p * p > last:
+                break
+            start = max(p * p, (-(-first // p) | 1) * p)  # (| 1): the first odd multiple
+            flags[(start - first) // 2 :: p] = False
         found = np.flatnonzero(flags)
-        primes[count : count + found.size] = found + lo
+        out = primes[count : count + found.size]
+        np.multiply(found, 2, out=out, casting="unsafe")
+        out += first
         count += found.size
     primes = primes[:count]
     primes.flags.writeable = False

@@ -202,6 +202,16 @@ def signed_values(signs: SignAssignment, x_max: int) -> np.ndarray:
     return np.concatenate([f for _, _, f in _signed_blocks(words, 1, x_max)])
 
 
+def signed_value_rows(seeds: Sequence[int], x_max: int) -> np.ndarray:
+    """Row j: signed_values(sample_signs(seeds[j], x_max), x_max), for at most
+    PACKED_SIGNS seeds, from one extension pass."""
+    ps = primes_mod.cached_primes(max(x_max, 2)).upto(x_max)
+    out = np.empty((len(seeds), x_max), dtype=np.int8)
+    for j, lo, f in _signed_blocks(_packed(sign_matrix(seeds, ps) < 0), len(seeds), x_max):
+        out[j, lo - 1 : lo - 1 + f.size] = f
+    return out
+
+
 def sign_change_points(values: np.ndarray, first_n: int = 1, carry: int = 0) -> np.ndarray:
     """Indices n where a nonzero value of opposite sign to the previous nonzero
     value appears.  Runs of zeros collapse; a terminal zero run adds nothing.
@@ -320,29 +330,31 @@ def random_prime_sum_batch(
     return out.reshape((len(trial_seeds),) + sigmas.shape)
 
 
-def _step_weights(sigma: float, x: int) -> np.ndarray:
-    """n^(-sigma) - (n+1)^(-sigma) for n = 1..x-1, computed cancellation-free."""
-    n = np.arange(1, x, dtype=np.float64)
-    return n ** (-sigma) * (-np.expm1(-sigma * np.log1p(1.0 / n)))
+def abel_weights(sigma: float, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n^(-sigma) for n = 1..x, and n^(-sigma) - (n+1)^(-sigma) for n = 1..x-1 computed
+    cancellation-free): the weights of f and of M in `abel_identity_residual`."""
+    power = np.arange(1, x + 1, dtype=np.float64) ** (-sigma)
+    return power, power[:-1] * (-np.expm1(-sigma * np.log1p(1.0 / np.arange(1.0, x))))
 
 
-def abel_identity_residual(f: np.ndarray, sigma: float) -> float:
+def abel_identity_residual(f: np.ndarray, sigma: float, weights: tuple | None = None) -> float:
     """|sum_{n<=x} f(n) n^(-sigma) - M(x) x^(-sigma) - sigma * integral| for
     f = f(1..x) as `signed_values` returns it, with the integral of
-    M(u) u^(-1-sigma) over [1, x] evaluated exactly piecewise.
+    M(u) u^(-1-sigma) over [1, x] evaluated exactly piecewise.  `weights` is
+    `abel_weights(sigma, x)`, computed here when not given.
 
     The identity is exact, so the value is floating-point noise.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     x = f.size
+    power, steps = abel_weights(sigma, x) if weights is None else weights
     m = np.cumsum(f, dtype=np.int64)
-    n = np.arange(1, x + 1, dtype=np.float64)
-    lhs = float(np.sum(f * n ** (-sigma)))
+    lhs = float(np.sum(f * power))
     boundary = float(m[-1]) * x ** (-sigma)
     if x == 1:
         return abs(lhs - boundary)
-    integral = float(np.sum(m[:-1].astype(np.float64) * _step_weights(sigma, x)))
+    integral = float(np.sum(m[:-1].astype(np.float64) * steps))
     return abs(lhs - boundary - integral)
 
 

@@ -34,7 +34,12 @@ None of this is used by `rmflab` itself:
   blocks and log|F| rows that the same low-rank estimate (the kernel
   e^(i k theta)) selects, must reproduce bit for bit;
 - the partial sum of `prime_series.euler_tail_constant` as one array
-  expression, which its in-place terms must reproduce bit for bit.
+  expression, which its in-place terms must reproduce bit for bit;
+- the sieve over every integer from 2 (`sieve_direct`), whose array
+  `primes.sieve_primes`, flagging odd numbers only, must equal, and the
+  (log p)^2 sum of one sigma as one fresh array expression
+  (`log_weighted_direct`), which `prime_series.log_weighted_grid`, casting and
+  logging the primes once for all its sigma, must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from rmflab.chaining import _GRID_CHUNK, OSCILLATION_SCHEDULE, ChainingReport, _
 from rmflab.prime_series import DivergenceError
 from rmflab.primes import DEFAULT_SEGMENT, PrimeTable
 from rmflab.rmf import (
-    _T_CHUNK, SignAssignment, SupScanResult, _step_weights, sign_matrix, signed_values,
+    _T_CHUNK, SignAssignment, SupScanResult, abel_weights, sign_matrix, signed_values,
 )
 from rmflab.sequences import StepParams, step_sigma_ell
 
@@ -443,7 +448,7 @@ def abs_mellin(signs: SignAssignment, sigma: float, x: int) -> float:
         return 0.0
     f = signed_values(signs, x)
     m = np.cumsum(f, dtype=np.int64)
-    weights = _step_weights(sigma, x) / sigma
+    weights = abel_weights(sigma, x)[1] / sigma
     return float(np.sum(np.abs(m[:-1]).astype(np.float64) * weights))
 
 
@@ -451,3 +456,54 @@ def euler_tail_partial(n_primes: int) -> float:
     """sum over the first n_primes primes of 1/(p(sqrt(p)-1)), correctly rounded."""
     p = primes_mod.first_n_primes(n_primes).astype(np.float64)
     return fsum(1.0 / (p * (np.sqrt(p) - 1.0)))
+
+
+def _simple_sieve(limit: int) -> np.ndarray:
+    """Eratosthenes up to `limit` inclusive, as int64."""
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, isqrt(limit) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    return np.flatnonzero(is_prime).astype(np.int64)
+
+
+def sieve_direct(limit: int, segment: int = DEFAULT_SEGMENT) -> np.ndarray:
+    """All primes <= limit as a read-only int32 array, flagging every integer from 2
+    in segments of `segment` and striking each with every base prime <= sqrt(limit)
+    from `_simple_sieve`."""
+    if limit < 2:
+        raise ValueError(f"sieve limit must be >= 2, got {limit}")
+    base = _simple_sieve(isqrt(limit)).tolist()
+    primes = np.empty(primes_mod.prime_count_bound(limit), dtype=np.int32)
+    count = 0
+    for lo in range(2, limit + 1, segment):
+        hi = min(lo + segment - 1, limit)
+        flags = np.ones(hi - lo + 1, dtype=bool)
+        for p in base:
+            start = max(p * p, ((lo + p - 1) // p) * p)
+            if start > hi:
+                continue
+            flags[start - lo :: p] = False
+        found = np.flatnonzero(flags)
+        primes[count : count + found.size] = found + lo
+        count += found.size
+    primes = primes[:count]
+    primes.flags.writeable = False
+    return primes
+
+
+def log_weighted_direct(sigma: float, n_cut: int) -> prime_series.LogWeightedSum:
+    """Certified sum_p (log p)^2 p^(-2 sigma) with its terms as one fresh array expression,
+    which `prime_series.log_weighted_grid` must reproduce bit for bit at every sigma."""
+    p = primes_mod.cached_primes(n_cut).primes.astype(np.float64)
+    lp = np.log(p)
+    partial = float(np.sum(lp * lp * p ** (-2.0 * sigma)))
+    tail = min(
+        prime_series._log_sq_integral_tail(sigma, float(n_cut)),
+        max(prime_series._log_sq_pi_route_tail(sigma, float(n_cut), p.size), 0.0),
+    )
+    value = prime_series._outward(partial, partial + tail, estimate=partial + 0.5 * tail)
+    bound_rhs = 4.0 / (2.0 * sigma - 1.0) ** 2
+    return prime_series.LogWeightedSum(
+        value=value, bound_rhs=bound_rhs, holds=bool(value.upper <= bound_rhs))

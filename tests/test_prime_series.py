@@ -126,6 +126,17 @@ def test_log_weighted_domain():
             ps.log_weighted_sum(s)
 
 
+@pytest.mark.parametrize("n_cut", [10**5, 10**7])
+def test_log_weighted_grid_matches_direct_sum(n_cut):
+    sigmas = [round(0.51 + 0.01 * i, 2) for i in range(50)]
+    for sigma, grid in zip(sigmas, ps.log_weighted_grid(sigmas, n_cut)):
+        direct = oracles.log_weighted_direct(sigma, n_cut)
+        assert grid.value.estimate == direct.value.estimate, sigma
+        assert grid.value.lower == direct.value.lower, sigma
+        assert grid.value.upper == direct.value.upper, sigma
+        assert grid.holds == direct.holds and grid.bound_rhs == direct.bound_rhs, sigma
+
+
 def test_log_weighted_tail_antiderivative_symbolic():
     # Differentiating the closed-form tail in its lower limit must reproduce
     # -(log N)^2 N^(-2 sigma); checked symbolically, plus one quadrature spot.

@@ -42,41 +42,60 @@ def test_sieve_rejects_bad_limits():
         oracles.sieve_tables(0)
 
 
-def test_cached_primes_serves_smaller_limits_as_views(monkeypatch):
+@pytest.fixture
+def sieved(monkeypatch):
+    """The limits `sieve_primes` is called with, from an empty prime cache on."""
     monkeypatch.setattr(primes, "_largest", None)
-    sieve = primes.sieve_primes
-    sieved = []
+    sieve, limits = primes.sieve_primes, []
 
     def counting_sieve(limit, **kw):
-        sieved.append(limit)
+        limits.append(limit)
         return sieve(limit, **kw)
 
     monkeypatch.setattr(primes, "sieve_primes", counting_sieve)
+    return limits
+
+
+def test_sieve_matches_direct_on_every_small_limit():
+    for limit in range(2, 301):
+        assert np.array_equal(primes.sieve_primes(limit), oracles.sieve_direct(limit)), limit
+
+
+@pytest.mark.parametrize("limit", [16_777_259, 2**24])
+def test_sieve_matches_direct_across_default_segments(limit):
+    # 16,777,259 is prime; 2^24 is even, and its last odd number is a segment's last flag.
+    assert (limit + 1) // 2 > 2 * primes.DEFAULT_SEGMENT  # at least three default segments
+    a = primes.sieve_primes(limit)
+    assert np.array_equal(a, oracles.sieve_direct(limit))
+    assert a.dtype == np.int32 and not a.flags.writeable
+
+
+def test_cached_primes_serves_smaller_limits_as_views(sieved):
     big = primes.cached_primes(10**5)
     small = primes.cached_primes(10**4)
     assert sieved == [10**5]
     assert small.limit == 10**4
     assert np.shares_memory(small.primes, big.primes)
     assert not small.primes.flags.writeable
-    assert np.array_equal(small.primes, sieve(10**4))
+    assert np.array_equal(small.primes, oracles.sieve_direct(10**4))
     with pytest.raises(ValueError):
         primes.cached_primes(1)
 
 
-def test_cached_primes_is_the_one_prime_source(monkeypatch):
-    monkeypatch.setattr(primes, "_largest", None)
-    sieve = primes.sieve_primes
-    sieved = []
-
-    def counting_sieve(limit, **kw):
-        sieved.append(limit)
-        return sieve(limit, **kw)
-
-    monkeypatch.setattr(primes, "sieve_primes", counting_sieve)
+def test_cached_primes_is_the_one_prime_source(sieved):
     prime_series.euler_tail_constant(10**4)  # first_n_primes: sieves to the Rosser bound 114,306
     prime_series.log_weighted_sum(0.75, n_cut=10**5)
     assert len(sieved) == 1
     assert primes.cached_primes(10**5).primes.dtype == np.int32
+
+
+def test_log_weighted_grid_checks_every_sigma_before_sieving(sieved):
+    for sigmas, n_cut, match in (([0.75, 0.5], 10**5, "sigma must lie"),
+                                 ([0.75, 1.01], 10**5, "sigma must lie"),
+                                 ([1.0, 0.51], 7, "cutoff 7 below")):
+        with pytest.raises(ValueError, match=match):
+            prime_series.log_weighted_grid(sigmas, n_cut)
+    assert sieved == []
 
 
 def test_sieve_refuses_limits_past_int32_before_allocating():
@@ -91,9 +110,10 @@ def test_sieve_refuses_limits_past_int32_before_allocating():
 
 
 def test_segmented_matches_monolithic():
-    a = primes.sieve_primes(10**5, segment=997)
-    b = primes.sieve_primes(10**5)
-    assert np.array_equal(a, b)
+    direct = oracles.sieve_direct(10**5)
+    for segment in (1, 2, 997):
+        assert np.array_equal(primes.sieve_primes(10**5, segment=segment), direct), segment
+    assert np.array_equal(primes.sieve_primes(10**5), direct)
 
 
 def test_spf_examples():

@@ -379,6 +379,25 @@ def test_abel_identity_trivial_and_small():
         assert rmf.abel_identity_residual(f, sigma) <= 1e-9 * scale
 
 
+def test_signed_value_rows_match_one_seed_at_a_time():
+    seeds = [rmf.derive_seed(521, i) for i in range(3)] + [0, 2**64 - 1]
+    for x in (1, 2, 1000, 3 * rmf.TRACE_SEGMENT + 5):
+        rows = rmf.signed_value_rows(seeds, x)
+        assert rows.shape == (len(seeds), x) and rows.dtype == np.int8
+        for row, seed in zip(rows, seeds):
+            assert np.array_equal(row, rmf.signed_values(rmf.sample_signs(seed, max(x, 2)), x))
+
+
+def test_abel_weights_are_the_direct_expressions():
+    for x in (1, 2, 10**4):
+        n = np.arange(1, x + 1, dtype=np.float64)
+        for sigma in (0.6, 1.5):
+            power, steps = rmf.abel_weights(sigma, x)
+            assert np.array_equal(power, n ** (-sigma))
+            step = n[:-1] ** (-sigma) * (-np.expm1(-sigma * np.log1p(1.0 / n[:-1])))
+            assert np.array_equal(steps, step)
+
+
 def test_abs_mellin_values():
     s = rmf.sample_signs(0, 100)
     assert oracles.abs_mellin(s, 0.7, 1) == 0.0
