@@ -226,13 +226,14 @@ def _at_least(cfg: ExperimentConfig, key: str, least: int = 1) -> int:
 
 
 def _extension_size(cfg: ExperimentConfig, seeds: int = 1) -> int:
-    """cfg.x_max once it is >= 1 and memory holds the extension's int32 prime index and, per
-    thread hashing PACKED_SIGNS of `seeds`, an int8 sign matrix, its mask and salted primes."""
+    """cfg.x_max once it is >= 1 and memory holds, per thread extending PACKED_SIGNS of `seeds`,
+    its sign hash and packed words, its int32 prime index and 64 B an integer of block buffers."""
     x_max = _at_least(cfg, "x_max")
     rows = min(seeds, rmf.PACKED_SIGNS)
-    hashing = min(rmf._worker_count(), -(-seeds // rows)) * (2 * rows + 8)
-    hashing *= primes.prime_count_bound(x_max)
-    rmf.check_memory(4 * (x_max + 1) + hashing, f"x_max={x_max} prime index and sign hash")
+    need = (2 * rows + 24) * primes.prime_count_bound(x_max) + 4 * (x_max + 1)
+    need += 64 * min(rmf.TRACE_SEGMENT, x_max)
+    need *= min(rmf._worker_count(), -(-seeds // rows))
+    rmf.check_memory(need, f"x_max={x_max} prime index and sign hash")
     return x_max
 
 
@@ -330,17 +331,17 @@ def _check_borel_cantelli(cfg: ExperimentConfig) -> tuple[bool, dict]:
     return passed, {"partial_400": bc.partial_sum, "tail_400": bc.tail_estimate}
 
 
+def _step2_rows(cfg: ExperimentConfig, prime_limit: int) -> list[concentration.Step2Row]:
+    """The step-2 exceedance table at ell_min..ell_max over cfg.trials seeds derived from seed."""
+    return concentration.step2_experiment(
+        StepParams(cfg.epsilon), cfg.gamma, range(cfg.ell_min, cfg.ell_max + 1),
+        trials=cfg.trials, prime_limit=prime_limit, base_seed=cfg.seed)
+
+
 def _check_hoeffding(cfg: ExperimentConfig) -> tuple[bool, dict]:
     """c07: every step-2 exceedance frequency over cfg.trials seeds, on the primes
     <= 10^5, lies within 3 standard errors above its Hoeffding bound."""
-    rows = concentration.step2_experiment(
-        StepParams(cfg.epsilon),
-        cfg.gamma,
-        range(cfg.ell_min, cfg.ell_max + 1),
-        trials=cfg.trials,
-        prime_limit=10**5,
-        base_seed=cfg.seed,
-    )
+    rows = _step2_rows(cfg, 10**5)
     return _hoeffding_valid(rows), {"rows": len(rows)}
 
 
@@ -627,15 +628,7 @@ def cmd_chaining(args, cfg: ExperimentConfig) -> Result:
 
 
 def cmd_concentration(args, cfg: ExperimentConfig) -> Result:
-    step = StepParams(cfg.epsilon)
-    rows = concentration.step2_experiment(
-        step,
-        cfg.gamma,
-        range(cfg.ell_min, cfg.ell_max + 1),
-        trials=cfg.trials,
-        prime_limit=cfg.prime_limit,
-        base_seed=cfg.seed,
-    )
+    step, rows = StepParams(cfg.epsilon), _step2_rows(cfg, cfg.prime_limit)
     bc = concentration.borel_cantelli_step2(400, cfg.gamma, step)
     bigterm_ok = all(
         concentration.borel_cantelli_bigterm(300, step, ell).closed_bound_holds

@@ -36,6 +36,8 @@ def sieve_primes(limit: int, segment: int = DEFAULT_SEGMENT) -> np.ndarray:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
     if limit > np.iinfo(np.int32).max:
         raise ValueError(f"sieve limit {limit} exceeds the int32 cap 2^31 - 1")
+    if segment < 1:
+        raise ValueError(f"sieve segment must be >= 1, got {segment}")
     return _odd_sieve(limit, segment)
 
 

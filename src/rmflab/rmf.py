@@ -9,10 +9,10 @@ cosine-weighted prime sums on the one prime-grid kernel, run only on the t block
 that the certified estimate of `_low_rank_grid` cannot rule out, all live here.
 
 The multiplicative extension has one path: 64 assignments' negative signs are
-the bits of one uint64 word per prime, and each TRACE_SEGMENT-long block is
-sieved afresh by the primes up to its square root.  A squarefree n has at most
-one prime factor above that, found by a transient 4-byte-per-integer prime
-index.  The prime table is the only cache kept across calls.
+the bits of one uint64 word per prime; each TRACE_SEGMENT block, sieved afresh by
+the primes up to its square root (the one larger prime of a squarefree n is found
+in a transient 4-byte-per-integer index), yields only its squarefree n, over which
+M_f walks in int32 and looks for sign changes only right after its zeros.
 """
 
 from __future__ import annotations
@@ -160,13 +160,11 @@ def _packed(negative: np.ndarray) -> np.ndarray:
     return words.view("<u8").ravel()
 
 
-def _signed_blocks(
-    words: np.ndarray, rows: int, x_max: int
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (j, lo, f(lo..hi)) block by block for the assignments j < rows
-    packed in `words`.  The primes p <= sqrt(hi) sieve each block: per n the
-    XOR of their words, their product, and whether some p^2 divides it.  What
-    is left of a squarefree n is 1 or its one prime factor above sqrt(hi)."""
+def _signed_blocks(words: np.ndarray, x_max: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (lo, sq, w) per block lo..hi: the offsets sq of its squarefree n and at them the
+    packed words of f, bit j set where f = -1 under assignment j.  The primes p <= sqrt(hi)
+    sieve each block: per n the XOR of their words, their product, and whether some p^2
+    divides it.  What is left of a squarefree n is 1 or its one prime factor above sqrt(hi)."""
     ps = primes_mod.cached_primes(max(x_max, 2)).primes[: words.size]
     index = np.full(x_max + 1, ps.size, dtype=np.int32)  # prime -> word; 1 -> the zero word
     index[ps] = np.arange(ps.size, dtype=np.int32)
@@ -182,34 +180,44 @@ def _signed_blocks(
             small[-lo % p :: p] *= p
             squarefree[-lo % (p * p) :: p * p] = False
         sq = np.flatnonzero(squarefree)
-        odd = (odd[sq] ^ words[index[(sq + lo) // small[sq]]]).view(np.uint8)
-        for j in range(rows):
-            f = np.zeros(hi - lo + 1, dtype=np.int8)
-            f[sq] = 1 - 2 * ((odd[j // 8 :: 8] >> (j % 8)) & 1).view(np.int8)
-            yield j, lo, f
+        yield lo, sq, odd[sq] ^ words[index[(sq + lo) // small[sq]]]
 
 
-def _negative(signs: SignAssignment, x_max: int) -> np.ndarray:
-    """One row: where the signs of the primes up to x_max are -1, after the range check."""
+def _bits(w: np.ndarray, rows: int) -> Iterator[np.ndarray]:
+    """Bit j of the packed words `w` for j < rows in turn, in one int32 buffer.  The bytes are
+    transposed and widened once, so a bit takes two one-dtype ufuncs, which release the GIL."""
+    planes = w.view(np.uint8).reshape(-1, 8)[:, : (rows + 7) // 8].T.astype(np.int32, order="C")
+    out = np.empty(w.size, dtype=np.int32)
+    return (np.bitwise_and(np.right_shift(planes[j // 8], j % 8, out=out), 1, out=out)
+            for j in range(rows))
+
+
+def _words(signs: SignAssignment, x_max: int) -> np.ndarray:
+    """The packed words of one assignment on the primes up to x_max, after the range check."""
     if not 1 <= x_max <= signs.prime_limit:
         raise ResourceLimitError(f"x_max={x_max} outside [1, prime_limit={signs.prime_limit}]")
-    return signs.up_to(x_max)[1][None] < 0
+    return _packed(signs.up_to(x_max)[1][None] < 0)
+
+
+def _signed_rows(words: np.ndarray, rows: int, x_max: int) -> np.ndarray:
+    """f(1..x_max) of the assignments j < rows packed in `words`, one int8 row each."""
+    out = np.zeros((rows, x_max), dtype=np.int8)
+    for lo, sq, w in _signed_blocks(words, x_max):
+        for row, bit in zip(out, _bits(w, rows)):
+            row[lo - 1 + sq] = 1 - 2 * bit
+    return out
 
 
 def signed_values(signs: SignAssignment, x_max: int) -> np.ndarray:
     """f(1..x_max) as an int8 array (index i holds f(i+1))."""
-    words = _packed(_negative(signs, x_max))
-    return np.concatenate([f for _, _, f in _signed_blocks(words, 1, x_max)])
+    return _signed_rows(_words(signs, x_max), 1, x_max)[0]
 
 
 def signed_value_rows(seeds: Sequence[int], x_max: int) -> np.ndarray:
     """Row j: signed_values(sample_signs(seeds[j], x_max), x_max), for at most
     PACKED_SIGNS seeds, from one extension pass."""
     ps = primes_mod.cached_primes(max(x_max, 2)).upto(x_max)
-    out = np.empty((len(seeds), x_max), dtype=np.int8)
-    for j, lo, f in _signed_blocks(_packed(sign_matrix(seeds, ps) < 0), len(seeds), x_max):
-        out[j, lo - 1 : lo - 1 + f.size] = f
-    return out
+    return _signed_rows(_packed(sign_matrix(seeds, ps) < 0), len(seeds), x_max)
 
 
 def sign_change_points(values: np.ndarray, first_n: int = 1, carry: int = 0) -> np.ndarray:
@@ -255,26 +263,37 @@ class PartialSumTrace:
         return int(np.searchsorted(self.change_points, x, side="right"))
 
 
-def _traces(words: np.ndarray, rows: int, x_max: int, keep_values=False) -> list[PartialSumTrace]:
-    """partial_sum_trace of each assignment packed in `words`, carrying M and
-    the sign of its last nonzero value from block to block."""
-    value, sign = [0] * rows, [0] * rows
-    changes, checkpoints = [[] for _ in range(rows)], [[] for _ in range(rows)]
-    kept = [np.empty(x_max, dtype=np.int64) if keep_values else None for _ in range(rows)]
-    for j, lo, f in _signed_blocks(words, rows, x_max):
-        m = np.cumsum(f, dtype=np.int64, out=kept[j][lo - 1 :][: f.size] if keep_values else None)
-        m += value[j]
-        changes[j].append(sign_change_points(m, first_n=lo, carry=sign[j]))
-        checkpoints[j].append(m[-lo % CHECKPOINT_STRIDE :: CHECKPOINT_STRIDE].copy())
-        value[j] = int(m[-1])
-        nz = [m.size - 1] if value[j] else np.flatnonzero(m)  # M is rarely 0
-        sign[j] = int(np.sign(m[nz[-1]])) if len(nz) else sign[j]
+def _traces(words: np.ndarray, rows: int, x_max: int, keep_values: bool | None = None):
+    """[(change points, M(x_max))] of the assignments j < rows packed in `words`, or with
+    keep_values a bool the PartialSumTrace of the one assignment (M at every n if keep_values).
+    M walks the squarefree n in int32: after a block's k-th, the carried M + k - 2 (its -1
+    signs so far).  Its steps are +-1, so it changes sign only between a zero's neighbours."""
+    value, last, changes = [0] * rows, [0] * rows, [[np.empty(0, np.int64)] for _ in range(rows)]
+    checkpoints, kept = [np.empty(0, np.int64)], np.empty(x_max if keep_values else 0, np.int64)
+    for lo, sq, w in _signed_blocks(words, x_max):
+        step, path = np.arange(1, sq.size + 1, dtype=np.int32), np.empty(sq.size + 2, np.int32)
+        m = path[2:]  # path: the last nonzero M, M before the block, M at its entries (|M| < 2^31)
+        for j, bit in enumerate(_bits(w, rows)):
+            path[:2] = last[j], value[j]
+            np.cumsum(bit, out=m)  # not in place: an in-place cumsum holds the GIL
+            m *= -2
+            m += step
+            m += value[j]
+            z = 1 + np.flatnonzero(path[1:-1] == 0)
+            if z.size:
+                changes[j].append(lo + sq[z[path[z + 1] * path[z - 1] < 0] - 1])
+            value[j], last[j] = int(path[-1]), int(path[-1] or path[-2])
+        if keep_values is not None:  # M at n = lo + i is path[1 + the count of entries up to i]
+            n = min(TRACE_SEGMENT, x_max + 1 - lo)
+            at = np.arange(-lo % CHECKPOINT_STRIDE, n, CHECKPOINT_STRIDE)
+            checkpoints.append(path[1 + np.searchsorted(sq, at, "right")])
+            if keep_values:
+                kept[lo - 1 : lo - 1 + n] = np.repeat(path[1:], np.diff(sq, prepend=0, append=n))
+    if keep_values is None:
+        return [(np.concatenate(c), v) for c, v in zip(changes, value)]
     cp_ns = np.arange(CHECKPOINT_STRIDE, x_max + 1, CHECKPOINT_STRIDE, dtype=np.int64)
-    return [
-        PartialSumTrace(x_max, np.concatenate(changes[j]), value[j], cp_ns,
-                        np.concatenate(checkpoints[j]), kept[j])
-        for j in range(rows)
-    ]
+    return PartialSumTrace(x_max, np.concatenate(changes[0]), value[0], cp_ns,
+                           np.concatenate(checkpoints), kept if keep_values else None)
 
 
 def partial_sum_trace(
@@ -283,7 +302,7 @@ def partial_sum_trace(
     """Exact M_f at every integer up to x_max, built segment by segment."""
     if keep_values is None:
         keep_values = x_max <= TRACE_VALUES_CAP
-    return _traces(_packed(_negative(signs, x_max)), 1, x_max, keep_values)[0]
+    return _traces(_words(signs, x_max), 1, x_max, keep_values)
 
 
 def sign_change_counts(seeds: Sequence[int], x_max: int) -> np.ndarray:
@@ -298,7 +317,7 @@ def sign_change_counts(seeds: Sequence[int], x_max: int) -> np.ndarray:
     def counts(start: int) -> list[tuple[int, int]]:
         block = seeds[start : start + PACKED_SIGNS]
         words = _packed(sign_matrix(block, ps) < 0)
-        return [(t.count_changes(), t.final_value) for t in _traces(words, len(block), x_max)]
+        return [(changes.size, m) for changes, m in _traces(words, len(block), x_max)]
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:  # map keeps seed order
         out = [row for rows in pool.map(counts, range(0, len(seeds), PACKED_SIGNS)) for row in rows]
@@ -352,8 +371,6 @@ def abel_identity_residual(f: np.ndarray, sigma: float, weights: tuple | None = 
     m = np.cumsum(f, dtype=np.int64)
     lhs = float(np.sum(f * power))
     boundary = float(m[-1]) * x ** (-sigma)
-    if x == 1:
-        return abs(lhs - boundary)
     integral = float(np.sum(m[:-1].astype(np.float64) * steps))
     return abs(lhs - boundary - integral)
 

@@ -9,9 +9,14 @@ None of this is used by `rmflab` itself:
   strided sign flips of every prime up to the block's end.  `rmf` instead
   sieves each block by the primes up to its square root and finds the at
   most one larger prime of a squarefree n in a transient 4-byte-per-integer
-  index, keeping no cache but the prime table; `rmf.signed_values`,
-  `rmf.partial_sum_trace` and `rmf.sign_change_counts` must reproduce
-  `_signed_block` bit for bit for every seed, batch and segment length;
+  index, keeping no cache but the prime table; `rmf.signed_values` must
+  reproduce `_signed_block` bit for bit for every seed and segment length;
+- the int64 cumulative sum of `_signed_block` scanned by the general
+  `rmf.sign_change_points`, which no `rmflab` path calls any more: it is the
+  oracle of the walk of `rmf.partial_sum_trace` and `rmf.sign_change_counts`
+  over the squarefree n only, in int32, which looks for sign changes only
+  right after the zeros of M and must give the same change points, final
+  value, checkpoints and kept values for every seed, batch and segment length;
 - the truncated Dirichlet series and Euler product of one assignment
   (`series_and_product`) and the Mellin integral of |M| (`abs_mellin`),
   which no command uses;

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -365,19 +366,36 @@ def stub_ram(monkeypatch, ram: int) -> None:
 
 def test_signchanges_counts_each_threads_sign_hash_before_any_sieve(tmp_path, monkeypatch, capsys):
     # 128 seeds on 2 threads: each hashes 64 seeds, holding an int8 matrix and its
-    # bool mask of 64 rows and the uint64 salted primes.  8 MB of RAM holds the
-    # 4 MB prime index alone but not the two passes' 24.7 MB on top of it.
+    # bool mask of 64 rows, the uint64 salted primes and packed words, and then
+    # builds its own 4 MB prime index and block buffers.  8 MB of RAM holds one
+    # prime index but not the two passes' 44 MB.
     monkeypatch.setenv("RMFLAB_THREADS", "2")
     stub_ram(monkeypatch, 8 * 2**20)
     calls = []
     monkeypatch.setattr(cli.primes, "cached_primes", lambda *a: calls.append(a))
     out = tmp_path / "big"
     assert run(["signchanges", "--seeds", "128", "--output-dir", str(out)]) == 3
-    need = 4 * (10**6 + 1) + 2 * (2 * 64 + 8) * cli.primes.prime_count_bound(10**6)
+    need = (2 * 64 + 24) * cli.primes.prime_count_bound(10**6) + 4 * (10**6 + 1)
+    need = 2 * (need + 64 * cli.rmf.TRACE_SEGMENT)
     assert f"sign hash: {need} B > physical RAM" in capsys.readouterr().err
     assert 4 * (10**6 + 1) < 8 * 2**20 < need
     assert calls == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("x_max, seeds", [(2**16, 1), (2**16, 64), (10**6, 1), (10**6, 64)])
+def test_extension_size_bounds_the_traced_peak_of_sign_change_counts(x_max, seeds, monkeypatch):
+    needs = []
+    monkeypatch.setattr(cli.rmf, "check_memory", lambda need, what: needs.append(need))
+    assert cli._extension_size(cli.ExperimentConfig(x_max=x_max), seeds) == x_max
+    cli.primes.cached_primes(10**6)  # the prime table exists before the call
+    tracemalloc.start()
+    try:
+        cli.rmf.sign_change_counts(range(seeds), x_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= needs[0]
 
 
 def test_sup_scan_grid_beyond_memory_is_refused_before_any_hash(tmp_path, monkeypatch, capsys):

@@ -169,20 +169,24 @@ SHORT_SEGMENTS = {
 }
 
 
+def assert_trace_is(tr, m):
+    """Every field of a partial_sum_trace equals the reference M = m: the general scan's
+    change points, the final value, the checkpoints and the kept values."""
+    assert np.array_equal(tr.change_points, rmf.sign_change_points(m))
+    assert tr.final_value == int(m[-1])
+    ns = np.arange(rmf.CHECKPOINT_STRIDE, m.size + 1, rmf.CHECKPOINT_STRIDE)
+    assert np.array_equal(tr.checkpoint_ns, ns)
+    assert np.array_equal(tr.checkpoint_values, m[ns - 1])
+    assert tr.values.dtype == m.dtype and np.array_equal(tr.values, m)
+
+
 def assert_matches_strided_flips(signs, x):
     """signed_values and partial_sum_trace equal the strided-flip extension
     (one block over 1..x) and its cumulative sum, bit for bit."""
     f = oracles._signed_block(signs, 1, x)
     values = rmf.signed_values(signs, x)
     assert values.dtype == f.dtype and np.array_equal(values, f)
-    m = np.cumsum(f, dtype=np.int64)
-    tr = rmf.partial_sum_trace(signs, x)
-    assert tr.values.dtype == m.dtype and np.array_equal(tr.values, m)
-    assert np.array_equal(tr.change_points, rmf.sign_change_points(m))
-    assert tr.final_value == int(m[-1])
-    ns = np.arange(rmf.CHECKPOINT_STRIDE, x + 1, rmf.CHECKPOINT_STRIDE)
-    assert np.array_equal(tr.checkpoint_ns, ns)
-    assert np.array_equal(tr.checkpoint_values, m[ns - 1])
+    assert_trace_is(rmf.partial_sum_trace(signs, x), np.cumsum(f, dtype=np.int64))
 
 
 @pytest.mark.parametrize("seed", PLAN_SEEDS)
@@ -226,6 +230,58 @@ def test_sign_change_counts_match_single_traces():
     assert rmf.sign_change_counts([5], 1).tolist() == [[0, 1]]
     with pytest.raises(rmf.ResourceLimitError):
         rmf.sign_change_counts([5], 0)
+
+
+WALK_XS = (1, 2, 70_000, 131_072, 10**6)  # 70,000 and 131,072 end inside and at a block
+
+
+@pytest.mark.parametrize("first", [0, 1000])
+def test_walk_matches_the_oracle_scan(first):
+    """sign_change_counts and partial_sum_trace against the int64 cumsum of the strided-flip
+    extension and the general scan, at seeds first..first + 63."""
+    seeds, reference = list(range(first, first + 64)), {}
+    for seed in seeds:
+        signs = rmf.sample_signs(seed, max(WALK_XS))
+        m = np.cumsum(oracles._signed_block(signs, 1, max(WALK_XS)), dtype=np.int64)
+        for x in WALK_XS:  # the extension to x is the first x values of the one to 10^6
+            assert_trace_is(rmf.partial_sum_trace(signs, x), m[:x])
+            reference[seed, x] = [rmf.sign_change_points(m[:x]).size, int(m[x - 1])]
+    for x in WALK_XS:
+        assert rmf.sign_change_counts(seeds, x).tolist() == [reference[s, x] for s in seeds]
+
+
+def zero_at(seed: int, n: int, x: int) -> rmf.SignAssignment:
+    """sample_signs(seed, x) with primes in (n/2, n] of the sign of M(n) flipped, each moving
+    M(n) by 2 towards 0, until M(n) = 0 (the count of squarefree k <= n must be even)."""
+    signs = rmf.sample_signs(seed, x)
+    ps, sg = signs.primes, signs.signs.copy()
+    m = int(np.sum(oracles._signed_block(signs, 1, n), dtype=np.int64))
+    big = np.flatnonzero((ps > n // 2) & (ps <= n) & (sg == np.sign(m)))
+    sg[big[: abs(m) // 2]] *= -1
+    return rmf.SignAssignment(seed=-1, prime_limit=x, primes=ps, signs=sg)
+
+
+# (TRACE_SEGMENT, n with M(n) = 0, x).  M(65,535) = M(65,536) = 0 ends the first block at 0,
+# and the walk's next entry, the prime 65,537, is the first of a block.  243, 244 = 4 * 61 and
+# 245 = 5 * 7^2 are not squarefree, so the zero run 242..245 straddles the boundaries of
+# 242-, 243- and 244-long blocks, and 2-long blocks put two boundaries and an empty block in it.
+ZERO_RUNS = [(rmf.TRACE_SEGMENT, 65_535, 70_000), (rmf.TRACE_SEGMENT, 65_535, 65_536),
+             (242, 242, 3_000), (243, 242, 3_000), (244, 242, 3_000), (2, 242, 3_000)]
+
+
+@pytest.mark.parametrize("segment, n, x", ZERO_RUNS)
+def test_walk_carries_zero_runs_across_blocks(segment, n, x, monkeypatch):
+    monkeypatch.setattr(rmf, "TRACE_SEGMENT", segment)
+    crafted = [zero_at(seed, n, x) for seed in range(3)]
+    ms = [np.cumsum(oracles._signed_block(s, 1, x), dtype=np.int64) for s in crafted]
+    end = -(-n // segment) * segment
+    for s, m in zip(crafted, ms):
+        assert m[n - 1] == 0 and m[end - 1] == 0  # a block ends inside the zero run
+        assert_trace_is(rmf.partial_sum_trace(s, x), m)
+    words = rmf._packed(np.stack([s.signs < 0 for s in crafted]))
+    walked = rmf._traces(words, len(crafted), x)
+    for (cps, final), m in zip(walked, ms):
+        assert np.array_equal(cps, rmf.sign_change_points(m)) and final == int(m[-1])
 
 
 def test_worker_count_follows_cpu_affinity(monkeypatch):
