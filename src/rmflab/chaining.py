@@ -3,8 +3,8 @@
 the lambda_r^2 = 2 C1 r / 4^r schedule with its chaining constant, and the
 empirical oscillation experiment max |P(sigma) - P(sigma_ell)| over
 [sigma_ell, sigma_{ell-1}].  That experiment evaluates exactly only the grid
-blocks that rmf's low-rank estimate of sum_p w_p e^(f x_p), with its derived
-error bound, cannot rule out, and reads its results from their exact rows.
+rows that rmf's low-rank estimate of sum_p w_p e^(f x_p), with its derived
+error bound, cannot rule out, each inside its _GRID_CHUNK-row block's gemm.
 """
 
 from __future__ import annotations
@@ -151,12 +151,11 @@ def _grid_estimate(weights: np.ndarray, x: np.ndarray, frac: np.ndarray):
     return approx, eps + scale * (basis + x.size * _G * (1 + basis) + 4 * _U)
 
 
-def _blocks_to_recompute(approx: np.ndarray, eps: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
-    """Block 0 and the _GRID_CHUNK-row blocks holding a row within 4 eps of a
-    seed's largest |approx_i - approx_0| or an endpoint of a level-r increment
-    within 4 eps of exceeding lambda_r: with approx within eps of the exact
-    rows, no other row decides max_osc or a first violation.  NaN or inf in
-    approx or eps selects every block."""
+def _rows_to_recompute(approx: np.ndarray, eps: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+    """Row 0 and the rows within 4 eps of a seed's largest |approx_i - approx_0|
+    or at an endpoint of a level-r increment within 4 eps of exceeding lambda_r:
+    with approx within eps of the exact rows, no other row decides max_osc or a
+    first violation.  NaN or inf in approx or eps selects every row."""
     osc = np.abs(approx - approx[0])
     need = ~np.all(osc < osc.max(axis=0) - 4.0 * eps, axis=1)
     del osc
@@ -167,7 +166,7 @@ def _blocks_to_recompute(approx: np.ndarray, eps: np.ndarray, lambdas: np.ndarra
         need[:-1:stride] |= close
         need[stride::stride] |= close
     need[0] = True
-    return np.unique(np.flatnonzero(need) // _GRID_CHUNK)
+    return np.flatnonzero(need)
 
 
 def oscillation_batch(
@@ -197,10 +196,10 @@ def oscillation_batch(
     frac = np.arange(n_grid, dtype=np.float64) / (2.0**r_max)
     dsig = frac * (s_prev - s_ell)
     lambdas = np.array([OSCILLATION_SCHEDULE(r) for r in range(1, r_max + 1)])
-    blocks = _blocks_to_recompute(*_grid_estimate(weights, -(s_prev - s_ell) * logp, frac), lambdas)
-    p_vals = np.full((n_grid, weights.shape[1]), np.nan)  # rows outside `blocks` decide nothing
-    for start, basis in rmf_mod._basis_blocks(dsig, -logp, np.exp, _GRID_CHUNK, blocks):
-        p_vals[start : start + len(basis)] = basis @ weights  # d (-log p) == -(d log p) exactly
+    rows = _rows_to_recompute(*_grid_estimate(weights, -(s_prev - s_ell) * logp, frac), lambdas)
+    p_vals = np.full((n_grid, weights.shape[1]), np.nan)  # rows outside `rows` decide nothing
+    for start, at, basis in rmf_mod._basis_rows(dsig, -logp, np.exp, _GRID_CHUNK, rows):
+        p_vals[start + at] = (basis @ weights)[at]  # d (-log p) == -(d log p) exactly
 
     max_osc = np.fmax.reduce(np.abs(p_vals - p_vals[0]), axis=0)
     first_violation = _first_violations(p_vals, lambdas)

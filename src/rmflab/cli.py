@@ -227,11 +227,12 @@ def _at_least(cfg: ExperimentConfig, key: str, least: int = 1) -> int:
 
 def _extension_size(cfg: ExperimentConfig, seeds: int = 1) -> int:
     """cfg.x_max once it is >= 1 and memory holds, per thread extending PACKED_SIGNS of `seeds`,
-    its sign hash and packed words, its int32 prime index and 64 B an integer of block buffers."""
+    its sign hash and packed words, its int32 prime index, 64 B an integer of block buffers
+    and 64 KiB for the pool, the lists and the array headers."""
     x_max = _at_least(cfg, "x_max")
     rows = min(seeds, rmf.PACKED_SIGNS)
     need = (2 * rows + 24) * primes.prime_count_bound(x_max) + 4 * (x_max + 1)
-    need += 64 * min(rmf.TRACE_SEGMENT, x_max)
+    need += 64 * min(rmf.TRACE_SEGMENT, x_max) + (1 << 16)
     need *= min(rmf._worker_count(), -(-seeds // rows))
     rmf.check_memory(need, f"x_max={x_max} prime index and sign hash")
     return x_max

@@ -5,7 +5,7 @@ assignment is reproducible from (seed, prime_limit) alone, independent of
 evaluation order and thread count.  The multiplicative extension, partial
 sums M_f with sign-change events, the random prime sum P(sigma) over many
 seeds at once, the exact Abel-summation identity, and grid scans of sup_t of
-cosine-weighted prime sums on the one prime-grid kernel, run only on the t blocks
+cosine-weighted prime sums on the one prime-grid kernel, run only on the t rows
 that the certified estimate of `_low_rank_grid` cannot rule out, all live here.
 
 The multiplicative extension has one path: 64 assignments' negative signs are
@@ -375,16 +375,21 @@ def abel_identity_residual(f: np.ndarray, sigma: float, weights: tuple | None = 
     return abs(lhs - boundary - integral)
 
 
-def _basis_blocks(grid, logp, fn, rows: int, blocks) -> Iterator[tuple[int, np.ndarray]]:
-    """The one prime-grid kernel: (start, ufunc fn of grid[start : start + rows] (x) logp) for
-    each block index in `blocks`, built in place in one buffer that the next block
-    overwrites.  Fixed block boundaries fix the bits of a block's BLAS products."""
-    buf = np.empty((min(rows, grid.size), logp.size))
-    for b in blocks:
-        start = int(b) * rows
-        block = grid[start : start + rows]
-        out = buf[: block.size]
-        yield start, fn(np.multiply.outer(block, logp, out=out), out=out)
+def _basis_rows(grid, logp, fn, rows: int, picked) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The one prime-grid kernel: (start, at, block) for each `rows`-row block of `grid` holding
+    some of the sorted row indices `picked`, which are start + at there.  Row i of the block is
+    ufunc fn of grid[start + i] * logp for i in `at`, zero elsewhere: one buffer, zeroed once
+    per call, serves every block, and its picked rows are zeroed again after the caller's turn.
+    Fixed block boundaries fix the bits of a block's BLAS products, and a product row reads
+    only its own input row, so a picked row keeps the bits of the fully filled block."""
+    buf = np.zeros((min(rows, grid.size), logp.size))
+    for start in np.unique(picked // rows) * rows:
+        at = picked[np.searchsorted(picked, start) : np.searchsorted(picked, start + rows)] - start
+        block = buf[: min(rows, grid.size - start)]
+        for i in at:
+            fn(np.multiply(grid[start + i], logp, out=block[i]), out=block[i])
+        yield int(start), at, block
+        block[at] = 0.0
 
 
 def _degree(a: float, osc: bool, floor: float) -> tuple[int, float, float]:
@@ -516,9 +521,10 @@ def sup_scan(
     """Grid maxima over t in {1, 1+step, ..., t_max} of the truncated sums
     sum_p sign(p) cos(t log p) p^(-sigma) and |prod_p (1 + sign(p) p^(-sigma-it))|.
 
-    Grid maxima are lower bounds for the true suprema; ties go to the earliest t.  Only
-    blocks with a row whose _sup_scan_estimates + eps reaches the best estimate - eps run the
-    exact cos, and log1p only on such rows of log|F|: the maxima keep every row's bits.
+    Grid maxima are lower bounds for the true suprema; ties go to the earliest t.  Only rows
+    whose _sup_scan_estimates + eps reaches the best estimate - eps run the exact cos, inside
+    their _T_CHUNK-row block's gemv, and log1p only on such rows of log|F|: the maxima keep
+    every row's bits.
     """
     if sigma <= 0.5:
         raise DivergenceError(f"sup scan requires sigma > 1/2, got {sigma}")
@@ -536,12 +542,11 @@ def sup_scan(
     ts = np.arange(1.0, t_max + grid_step * 0.5, grid_step)
     est, eps = _sup_scan_estimates(ts, logp, w, amp)
     keep = ~(est + eps < np.max(est - eps, axis=1, keepdims=True))  # rows that may decide; NaN: all
-    need = np.logical_or.reduceat(keep[0] | keep[1], np.arange(0, ts.size, _T_CHUNK))
     cos_vals, log_f = np.full((2, ts.size), -np.inf)  # rows outside `keep` decide nothing
-    for start, c in _basis_blocks(ts, logp, np.cos, _T_CHUNK, np.flatnonzero(need)):
-        cos_vals[start : start + len(c)] = c @ w
-        rows = np.flatnonzero(keep[1, start : start + len(c)])  # log|1 + sign(p) p^(-sigma-it)|^2
-        log_f[start + rows] = [0.5 * np.sum(np.log1p(c[i] * (2.0 * w) + amp * amp)) for i in rows]
+    for start, at, c in _basis_rows(ts, logp, np.cos, _T_CHUNK, np.flatnonzero(keep[0] | keep[1])):
+        cos_vals[start + at] = (c @ w)[at]
+        at = at[keep[1, start + at]]  # log|1 + sign(p) p^(-sigma-it)|^2
+        log_f[start + at] = [0.5 * np.sum(np.log1p(c[i] * (2.0 * w) + amp * amp)) for i in at]
     i = int(np.argmax(cos_vals))
     return SupScanResult(
         sup_cos=float(cos_vals[i]),

@@ -6,7 +6,9 @@ None of this is used by `rmflab` itself:
   multiplicative extension f(n) evaluated one n at a time from them, which
   `rmf.signed_values` must reproduce;
 - `_signed_block`, the extension of one assignment over a block of n by
-  strided sign flips of every prime up to the block's end.  `rmf` instead
+  strided sign flips of the primes up to min(block length, 10^4) and flips
+  of the multiples k p of every larger prime, one multiplier k at a time,
+  which must equal `f_value` at every n.  `rmf` instead
   sieves each block by the primes up to its square root and finds the at
   most one larger prime of a squarefree n in a transient 4-byte-per-integer
   index, keeping no cache but the prime table; `rmf.signed_values` must
@@ -31,12 +33,12 @@ None of this is used by `rmflab` itself:
 - the sigma grid of the oscillation experiment evaluated block by block on
   every row (`oscillation_grid`, `oscillation_direct`), whose max_osc and
   first violations `chaining.oscillation_batch` must reproduce bit for bit
-  from the blocks that `rmf`'s low-rank estimate (the kernel exp, interpolated
+  from the rows that `rmf`'s low-rank estimate (the kernel exp, interpolated
   at Chebyshev points, with a four-part eps) selects;
 - the sup-scan t grid as fresh array expressions on every row of every
   _T_CHUNK-row block (`sup_scan_blocks`) with a running best
   (`sup_scan_direct`), which `rmf.sup_scan`, evaluating exactly only the
-  blocks and log|F| rows that the same low-rank estimate (the kernel
+  cos and log|F| rows that the same low-rank estimate (the kernel
   e^(i k theta)) selects, must reproduce bit for bit;
 - the partial sum of `prime_series.euler_tail_constant` as one array
   expression, which its in-place terms must reproduce bit for bit;
@@ -375,25 +377,29 @@ def sup_scan_direct(
     return SupScanResult(best_cos, best_t, float(np.exp(best_logf)), size)
 
 
+STRIDED_FLIPS = 10**4  # `_signed_block` flips the primes up to here by strided slices
+
+
 def _signed_block(signs: SignAssignment, lo: int, hi: int) -> np.ndarray:
     """f(n) for n in [lo, hi] as int8; requires hi <= prime_limit."""
     length = hi - lo + 1
     f = np.ones(length, dtype=np.int8)
     ps, sg = signs.primes, signs.signs
+    cut = min(length, STRIDED_FLIPS)
 
-    # Primes <= block length: strided sign flips and square zeroing.
-    small_end = int(np.searchsorted(ps, length, side="right"))
+    # Primes <= cut: strided sign flips.
+    small_end = int(np.searchsorted(ps, cut, side="right"))
     for i in np.flatnonzero(sg[:small_end] == -1):
         p = int(ps[i])
         start = ((lo + p - 1) // p) * p
         if start <= hi:
             f[start - lo :: p] *= np.int8(-1)
 
-    # Primes > block length: at most hi // (length+1) multiples each; walk by
-    # multiplier k and flip the negative ones in bulk.
-    k_max = hi // (length + 1) + 1
+    # Primes > cut: their multiples k p in the block have k <= hi // (cut + 1);
+    # walk by multiplier k and flip the negative ones in bulk.
+    k_max = hi // (cut + 1) + 1
     for k in range(1, k_max + 1):
-        p_lo = max(length + 1, (lo + k - 1) // k)
+        p_lo = max(cut + 1, (lo + k - 1) // k)
         p_hi = hi // k
         if p_lo > p_hi:
             continue

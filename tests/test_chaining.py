@@ -239,7 +239,7 @@ def test_oscillation_batch_matches_direct_bit_for_bit(ell, r_max, limit):
 
 def test_oscillation_batch_matches_direct_when_levels_are_violated(monkeypatch):
     # With C1 = 0.01 some lambda_r fall below the grid's increments, so the
-    # first violations are decided on exact rows (every block, for some ell).
+    # first violations are decided on exact rows (about a third of them at ell 2).
     for module in (ch, oracles):
         monkeypatch.setattr(module, "OSCILLATION_SCHEDULE", ch.LambdaSchedule(0.01))
     step = StepParams(1.0)
@@ -282,10 +282,9 @@ def test_filter_recomputes_increments_near_lambda_and_keeps_first_violations():
         i = int(np.argmax(inc))
         lambdas = lambdas_of(r_max)
         lambdas[r - 1] = inc[i] + rng.uniform(-2.0, 2.0) * eps[j]
-        blocks = ch._blocks_to_recompute(approx, eps, lambdas)
-        assert {i * stride // ch._GRID_CHUNK, (i + 1) * stride // ch._GRID_CHUNK} <= set(blocks)
+        rows = ch._rows_to_recompute(approx, eps, lambdas)
+        assert {i * stride, (i + 1) * stride} <= set(rows.tolist())
         grid = np.full_like(exact, np.nan)  # the exact rows oscillation_batch evaluates
-        rows = np.isin(np.arange(exact.shape[0]) // ch._GRID_CHUNK, blocks)
         grid[rows] = exact[rows]
         first = ch._first_violations(grid, lambdas)
         assert first == ch._first_violations(exact, lambdas)
@@ -293,14 +292,14 @@ def test_filter_recomputes_increments_near_lambda_and_keeps_first_violations():
     assert violated > 0
 
 
-def test_c12_configuration_recomputes_blocks_0_and_16(monkeypatch):
+def test_c12_configuration_recomputes_rows_0_and_4096(monkeypatch):
     picked = []
-    pick = ch._blocks_to_recompute
-    monkeypatch.setattr(ch, "_blocks_to_recompute",
+    pick = ch._rows_to_recompute
+    monkeypatch.setattr(ch, "_rows_to_recompute",
                         lambda *a: picked.append(pick(*a)) or picked[-1])
     for ell in (3, 4, 5):
         ch.oscillation_batch(SEEDS, ell, StepParams(1.0), r_max=12, limit=10**6)
-    assert [b.tolist() for b in picked] == [[0, 16]] * 3
+    assert [r.tolist() for r in picked] == [[0, 4096]] * 3
 
 
 def test_check_grid_bounds_the_traced_peak_of_oscillation_batch():

@@ -367,8 +367,8 @@ def stub_ram(monkeypatch, ram: int) -> None:
 def test_signchanges_counts_each_threads_sign_hash_before_any_sieve(tmp_path, monkeypatch, capsys):
     # 128 seeds on 2 threads: each hashes 64 seeds, holding an int8 matrix and its
     # bool mask of 64 rows, the uint64 salted primes and packed words, and then
-    # builds its own 4 MB prime index and block buffers.  8 MB of RAM holds one
-    # prime index but not the two passes' 44 MB.
+    # builds its own 4 MB prime index, block buffers and 64 KiB of pool, lists and
+    # array headers.  8 MB of RAM holds one prime index but not the two passes' 44 MB.
     monkeypatch.setenv("RMFLAB_THREADS", "2")
     stub_ram(monkeypatch, 8 * 2**20)
     calls = []
@@ -376,14 +376,15 @@ def test_signchanges_counts_each_threads_sign_hash_before_any_sieve(tmp_path, mo
     out = tmp_path / "big"
     assert run(["signchanges", "--seeds", "128", "--output-dir", str(out)]) == 3
     need = (2 * 64 + 24) * cli.primes.prime_count_bound(10**6) + 4 * (10**6 + 1)
-    need = 2 * (need + 64 * cli.rmf.TRACE_SEGMENT)
+    need = 2 * (need + 64 * cli.rmf.TRACE_SEGMENT + 2**16)
     assert f"sign hash: {need} B > physical RAM" in capsys.readouterr().err
     assert 4 * (10**6 + 1) < 8 * 2**20 < need
     assert calls == []
     assert not out.exists()
 
 
-@pytest.mark.parametrize("x_max, seeds", [(2**16, 1), (2**16, 64), (10**6, 1), (10**6, 64)])
+@pytest.mark.parametrize("x_max, seeds", [(1, 1), (2, 64), (1000, 64), (1000, 128), (2**16, 1),
+                                          (2**16, 64), (10**6, 1), (10**6, 64)])
 def test_extension_size_bounds_the_traced_peak_of_sign_change_counts(x_max, seeds, monkeypatch):
     needs = []
     monkeypatch.setattr(cli.rmf, "check_memory", lambda need, what: needs.append(need))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rmflab import primes, rmf
+from rmflab.chaining import _GRID_CHUNK
 from rmflab.prime_series import DivergenceError
 
 import oracles
@@ -103,6 +104,17 @@ def test_signed_values_match_f_value_and_mobius_square():
         n = int(n)
         _, squarefree = oracles.factor_squarefree(n, table, spf) if n > 1 else ([], True)
         assert (f[n - 1] != 0) == squarefree
+
+
+def test_strided_flip_oracle_matches_f_value(monkeypatch):
+    # Both flip paths of _signed_block: strided slices up to STRIDED_FLIPS, then multipliers.
+    spf = oracles.sieve_tables(10**4)[1]
+    for seed in (0, 1):
+        s = rmf.sample_signs(seed, 10**4)
+        expect = [oracles.f_value(s, n, spf) for n in range(1, 10**4 + 1)]
+        for cut in (oracles.STRIDED_FLIPS, 100):
+            monkeypatch.setattr(oracles, "STRIDED_FLIPS", cut)
+            assert oracles._signed_block(s, 1, 10**4).tolist() == expect
 
 
 def test_trace_crafted_example():
@@ -504,6 +516,23 @@ def test_sup_scan_matches_direct_bit_for_bit(limit, rows):
             res = rmf.sup_scan(signs, sigma, t_max, 0.01, limit=limit)
             assert res.grid_size == rows
             assert res == oracles.sup_scan_direct(signs, sigma, t_max, 0.01, limit)
+
+
+def test_block_products_keep_a_row_when_every_other_row_is_zero():
+    # The bit argument of _basis_rows: a row of a BLAS gemv or gemm reads only its own
+    # input row, in an order that the block's shape and the row's place fix, so zeroing
+    # the other rows keeps its bits.  Rows: first, middle, last, and in a partial block.
+    rng = np.random.default_rng(19)
+    n_p = primes.cached_primes(10**5).primes.size
+    for rows, right in ((rmf._T_CHUNK, rng.standard_normal(n_p)),
+                        (_GRID_CHUNK, rng.standard_normal((n_p, 20)))):
+        for size in (rows, rows - 85):
+            block = rng.uniform(-1.0, 1.0, (size, n_p))
+            full = block @ right
+            for i in (0, size // 2, size - 1):
+                lone = np.zeros_like(block)
+                lone[i] = block[i]
+                assert (lone @ right)[i].tobytes() == full[i].tobytes(), (rows, size, i)
 
 
 # (grid_step, t_max): a 1-row grid, three blocks with a partial last one, and
