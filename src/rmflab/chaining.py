@@ -129,14 +129,15 @@ class OscillationResult:
 def check_grid(ells: Sequence[int], r_max: int, n_seeds: int, limit: int = 10**6) -> int:
     """Raise ValueError unless every ell is >= 2 and r_max lies in [1, 30], and ResourceLimitError
     unless memory holds the bytes oscillation_batch allocates, returned: 4 n_seeds + 4 float64 per
-    grid row, int8 signs, 3 n_seeds + 8 float64 and a _GRID_CHUNK-row block per prime, 3 buffers."""
+    grid row, hash tile, 3 n_seeds + 8 float64 and a _GRID_CHUNK-row block per prime, 3 buffers."""
     if any(ell < 2 for ell in ells):
         raise ValueError(f"ell must be >= 2, got {min(ells)}")
     if not 1 <= r_max <= 30:
         raise ValueError(f"r_max must lie in [1, 30], got {r_max}")
     n_primes = primes_mod.prime_count_bound(limit)
     rows = (2**r_max + 1) * (4 * n_seeds + 4) + 3 * rmf_mod._LOW_RANK_CELLS
-    need = n_seeds * n_primes + 8 * (rows + n_primes * (3 * n_seeds + 8 + _GRID_CHUNK))
+    need = rmf_mod._hash_tile_bytes(n_seeds, n_primes)
+    need += 8 * (rows + n_primes * (3 * n_seeds + 8 + _GRID_CHUNK))
     rmf_mod.check_memory(need, f"r_max={r_max}, {n_seeds} seeds")
     return need
 
@@ -186,11 +187,10 @@ def oscillation_batch(
     s_prev = step_sigma_ell(ell - 1, step)
 
     ps = primes_mod.cached_primes(limit).primes
-    sign_rows = rmf_mod.sign_matrix(seeds, ps)
     p = ps.astype(np.float64)
     logp = np.log(p)
-    base = p ** (-s_ell)
-    weights = (sign_rows.astype(np.float64) * base).T  # (P, n_seeds)
+    weights = rmf_mod.sign_matrix(seeds, ps, out=np.empty((len(seeds), ps.size))).T  # (P, seeds)
+    weights *= (p ** (-s_ell))[:, None]
 
     n_grid = 2**r_max + 1
     frac = np.arange(n_grid, dtype=np.float64) / (2.0**r_max)

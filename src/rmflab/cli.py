@@ -227,11 +227,11 @@ def _at_least(cfg: ExperimentConfig, key: str, least: int = 1) -> int:
 
 def _extension_size(cfg: ExperimentConfig, seeds: int = 1) -> int:
     """cfg.x_max once it is >= 1 and memory holds, per thread extending PACKED_SIGNS of `seeds`,
-    its sign hash and packed words, its int32 prime index, 64 B an integer of block buffers
-    and 64 KiB for the pool, the lists and the array headers."""
+    its sign hash, hash tile and packed words, its int32 prime index, 64 B an integer of block
+    buffers and 64 KiB for the pool, the lists and the array headers."""
     x_max = _at_least(cfg, "x_max")
-    rows = min(seeds, rmf.PACKED_SIGNS)
-    need = (2 * rows + 24) * primes.prime_count_bound(x_max) + 4 * (x_max + 1)
+    rows, n_primes = min(seeds, rmf.PACKED_SIGNS), primes.prime_count_bound(x_max)
+    need = (2 * rows + 24) * n_primes + rmf._hash_tile_bytes(rows, n_primes) + 4 * (x_max + 1)
     need += 64 * min(rmf.TRACE_SEGMENT, x_max) + (1 << 16)
     need *= min(rmf._worker_count(), -(-seeds // rows))
     rmf.check_memory(need, f"x_max={x_max} prime index and sign hash")
@@ -334,8 +334,10 @@ def _check_borel_cantelli(cfg: ExperimentConfig) -> tuple[bool, dict]:
 
 def _step2_rows(cfg: ExperimentConfig, prime_limit: int) -> list[concentration.Step2Row]:
     """The step-2 exceedance table at ell_min..ell_max over cfg.trials seeds derived from seed."""
+    ells, n_primes = range(cfg.ell_min, cfg.ell_max + 1), primes.prime_count_bound(prime_limit)
+    rmf.check_memory(rmf.prime_sum_batch_bytes(cfg.trials, n_primes, len(ells)), "step-2 sums")
     return concentration.step2_experiment(
-        StepParams(cfg.epsilon), cfg.gamma, range(cfg.ell_min, cfg.ell_max + 1),
+        StepParams(cfg.epsilon), cfg.gamma, ells,
         trials=cfg.trials, prime_limit=prime_limit, base_seed=cfg.seed)
 
 
@@ -363,6 +365,8 @@ def _check_variance_match(cfg: ExperimentConfig) -> tuple[bool, dict]:
     """c06: for sigma in {0.6, 0.75, 1.0} the sample variance of P(sigma) on the primes
     <= prime_limit over seeds 0..1999 lies within 5 standard errors of sum_p p^(-2 sigma)."""
     sigmas, n = np.array([0.6, 0.75, 1.0]), 2000
+    need = rmf.prime_sum_batch_bytes(n, primes.prime_count_bound(cfg.prime_limit), sigmas.size)
+    rmf.check_memory(need, "variance-match prime sums")
     batch = rmf.random_prime_sum_batch(np.arange(n, dtype=np.uint64), sigmas, cfg.prime_limit)
     a2 = primes.cached_primes(cfg.prime_limit).primes[:, None] ** (-2.0 * sigmas)
     v = a2.sum(axis=0)  # the variance; its 4th moment is 3 v^2 - 2 sum_p p^(-4 sigma)

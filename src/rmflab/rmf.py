@@ -40,7 +40,8 @@ TRACE_SEGMENT = 1 << 16
 PACKED_SIGNS = 64  # sign assignments per uint64 word of the multiplicative extension
 TRACE_VALUES_CAP = 10**7
 CHECKPOINT_STRIDE = 1 << 16
-_SEED_BLOCK = 256  # seeds hashed per sign-matrix block
+_SEED_BLOCK = 256  # seeds per float64 sign block of random_prime_sum_batch
+_HASH_CELLS = 1 << 16  # uint64 cells per sign-hash tile
 _T_CHUNK = 128  # t-grid rows per sup-scan block
 _EXACT_LOG1P = 10**4  # sup-scan estimates take the exact log1p for primes up to here
 _LOW_RANK_CELLS = 1 << 20  # float64 cells per prime chunk or grid chunk of _low_rank_grid
@@ -86,15 +87,15 @@ def _worker_count() -> int:
     return min(8, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
-def mix64(x) -> np.ndarray:
-    """SplitMix64 finalizer over uint64 scalars or arrays."""
+def mix64(x, out=None, tmp=None) -> np.ndarray:
+    """SplitMix64 finalizer over uint64 scalars or arrays; in place in `out`, shifts in `tmp`."""
     with np.errstate(over="ignore"):
-        z = np.asarray(x, dtype=np.uint64) + _GOLDEN
-        z ^= z >> np.uint64(30)
+        z = np.add(np.asarray(x, dtype=np.uint64), _GOLDEN, out=out)
+        z ^= np.right_shift(z, np.uint64(30), out=tmp)
         z *= _MIX1
-        z ^= z >> np.uint64(27)
+        z ^= np.right_shift(z, np.uint64(27), out=tmp)
         z *= _MIX2
-        z ^= z >> np.uint64(31)
+        z ^= np.right_shift(z, np.uint64(31), out=tmp)
     return z
 
 
@@ -109,20 +110,33 @@ def derive_seed(base_seed: int, index: int | np.ndarray) -> int | np.ndarray:
     return int(z) if z.ndim == 0 else z
 
 
-def sign_matrix(trial_seeds: np.ndarray | Sequence[int], primes: np.ndarray) -> np.ndarray:
-    """The sign hash: row t holds the +-1 signs of `primes` under trial_seeds[t].
-
-    Python int seeds are taken mod 2^64; an integer array is cast to uint64.
-    Rows are hashed one at a time, so the uint64 scratch is one row long."""
+def sign_matrix(trial_seeds: np.ndarray | Sequence[int], primes: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """The sign hash: row t holds the +-1 signs of `primes` under trial_seeds[t], as int8, or as
+    float64 in `out`, a C-contiguous (len(trial_seeds), primes.size) array.  Python int seeds are
+    taken mod 2^64; an integer array is cast to uint64.  Tiles of max(1, _HASH_CELLS // P) rows
+    are hashed in place in `out` or in one uint64 tile."""
     if not isinstance(trial_seeds, np.ndarray):
         trial_seeds = [int(s) & _MASK64 for s in trial_seeds]
     keys = mix64(np.asarray(trial_seeds, dtype=np.uint64))
     with np.errstate(over="ignore"):
         pk = primes.astype(np.uint64) * _PRIME_SALT
-    out = np.empty((keys.size, primes.size), dtype=np.int8)
-    for row, key in zip(out, keys):
-        row[:] = 1 - 2 * (mix64(pk ^ key) & np.uint64(1)).astype(np.int8)
-    return out
+    signs = np.empty((keys.size, primes.size), dtype=np.int8) if out is None else out
+    rows = max(1, _HASH_CELLS // max(1, primes.size))
+    tile, tmp = np.empty((2, min(rows, keys.size), primes.size), dtype=np.uint64)
+    for start in range(0, keys.size, rows):
+        key = keys[start : start + rows, None]
+        z = tile[: key.size] if out is None else out[start : start + key.size].view(np.uint64)
+        mix64(np.bitwise_xor(pk, key, out=z), out=z, tmp=tmp[: key.size])
+        z <<= np.uint64(63)
+        z |= np.uint64(0x3FF0000000000000)  # hash bit 0 in the sign bit of 1.0: +-1.0
+        signs[start : start + key.size] = z.view(np.float64)  # no copy when z lies in `out`
+    return signs
+
+
+def _hash_tile_bytes(rows: int, n_primes: int) -> int:
+    """Bytes of sign_matrix's uint64 tile and shift temporary for `rows` seeds over n_primes."""
+    return 16 * max(n_primes, min(rows * n_primes, _HASH_CELLS))
 
 
 @dataclass(frozen=True)
@@ -331,9 +345,9 @@ def random_prime_sum_batch(
 ) -> np.ndarray:
     """Truncated P(sigma) for many seeds at once, shape (len(seeds),) + sigma.shape.
 
-    `sigma` is a scalar or a 1-D sequence.  Each block of seeds is hashed once
-    and serves every sigma through its own matvec, so column j equals the
-    scalar call at sigma[j] bit for bit.
+    `sigma` is a scalar or a 1-D sequence.  Each _SEED_BLOCK-row block of seeds is hashed once
+    into one reused float64 block and serves every sigma through its own matvec, so column j
+    equals the scalar call at sigma[j] bit for bit.
     """
     sigmas = np.asarray(sigma, dtype=np.float64)
     if np.any(sigmas <= 0.5):
@@ -342,11 +356,21 @@ def random_prime_sum_batch(
     p = ps.astype(np.float64)
     weights = [p ** (-s) for s in sigmas.ravel()]
     out = np.empty((len(trial_seeds), len(weights)), dtype=np.float64)
+    block = np.empty((min(_SEED_BLOCK, len(trial_seeds)), ps.size))  # reused: no page faults
     for start in range(0, len(trial_seeds), _SEED_BLOCK):
-        signs = sign_matrix(trial_seeds[start : start + _SEED_BLOCK], ps).astype(np.float64)
+        seeds = trial_seeds[start : start + _SEED_BLOCK]
+        signs = sign_matrix(seeds, ps, out=block[: len(seeds)])
         for j, w in enumerate(weights):
             out[start : start + signs.shape[0], j] = signs @ w
     return out.reshape((len(trial_seeds),) + sigmas.shape)
+
+
+def prime_sum_batch_bytes(n_seeds: int, n_primes: int, n_sigmas: int) -> int:
+    """Bytes random_prime_sum_batch allocates at most: n_sigmas + 2 float64 per seed and per
+    prime, a _SEED_BLOCK-row block, the hash tile, and 64 KiB of lists and array headers."""
+    rows = min(_SEED_BLOCK, n_seeds)
+    need = 8 * ((n_sigmas + 2) * (n_seeds + n_primes) + rows * n_primes) + (1 << 16)
+    return need + _hash_tile_bytes(rows, n_primes)
 
 
 def abel_weights(sigma: float, x: int) -> tuple[np.ndarray, np.ndarray]:

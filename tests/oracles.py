@@ -28,8 +28,15 @@ None of this is used by `rmflab` itself:
   grid distances, which `chaining.verify_chaining`, one array pass over all
   pairs, must reproduce bit for bit, and the float `chaining_R`,
   the reference for the integer R that `verify_chaining` reads off grid steps;
+- the sign hash one seed row at a time as int8 (`sign_matrix_direct`), which
+  `rmf.sign_matrix`, hashing tiles of max(1, 2^16 // P) rows in place and
+  turning hash bit 0 into the bits of +-1.0, must reproduce bit for bit as int8
+  and as float64;
 - the truncated P(sigma) of one sign assignment, which
-  `rmf.random_prime_sum_batch` must reproduce for every seed;
+  `rmf.random_prime_sum_batch` must reproduce for every seed, and the batch
+  as it was (`random_prime_sum_batch_direct`: each 256-seed block hashed to
+  int8 and cast to float64 before its matvecs), which it must reproduce bit
+  for bit from its one reused float64 block;
 - the sigma grid of the oscillation experiment evaluated block by block on
   every row (`oscillation_grid`, `oscillation_direct`), whose max_osc and
   first violations `chaining.oscillation_batch` must reproduce bit for bit
@@ -62,7 +69,8 @@ from rmflab.chaining import _GRID_CHUNK, OSCILLATION_SCHEDULE, ChainingReport, _
 from rmflab.prime_series import DivergenceError
 from rmflab.primes import DEFAULT_SEGMENT, PrimeTable
 from rmflab.rmf import (
-    _T_CHUNK, SignAssignment, SupScanResult, abel_weights, sign_matrix, signed_values,
+    _MASK64, _PRIME_SALT, _T_CHUNK, SignAssignment, SupScanResult, abel_weights,
+    mix64, signed_values,
 )
 from rmflab.sequences import StepParams, step_sigma_ell
 
@@ -314,14 +322,41 @@ def random_prime_sum(
     )
 
 
+def sign_matrix_direct(trial_seeds, primes: np.ndarray) -> np.ndarray:
+    """The int8 sign hash one seed row at a time: 1 - 2 (bit 0 of mix64(p salt ^ mix64(seed)))."""
+    if not isinstance(trial_seeds, np.ndarray):
+        trial_seeds = [int(s) & _MASK64 for s in trial_seeds]
+    keys = mix64(np.asarray(trial_seeds, dtype=np.uint64))
+    with np.errstate(over="ignore"):
+        pk = primes.astype(np.uint64) * _PRIME_SALT
+    out = np.empty((keys.size, primes.size), dtype=np.int8)
+    for row, key in zip(out, keys):
+        row[:] = 1 - 2 * (mix64(pk ^ key) & np.uint64(1)).astype(np.int8)
+    return out
+
+
+def random_prime_sum_batch_direct(trial_seeds, sigma, limit: int) -> np.ndarray:
+    """P(sigma) of every seed, a fresh float64 copy of each 256-row int8 block of
+    `sign_matrix_direct` serving every sigma through its own matvec."""
+    sigmas = np.asarray(sigma, dtype=np.float64)
+    ps = primes_mod.cached_primes(limit).primes
+    weights = [ps.astype(np.float64) ** (-s) for s in sigmas.ravel()]
+    out = np.empty((len(trial_seeds), len(weights)))
+    for start in range(0, len(trial_seeds), 256):
+        signs = sign_matrix_direct(trial_seeds[start : start + 256], ps).astype(np.float64)
+        for j, w in enumerate(weights):
+            out[start : start + signs.shape[0], j] = signs @ w
+    return out.reshape((len(trial_seeds),) + sigmas.shape)
+
+
 def oscillation_inputs(seeds, ell: int, step: StepParams, limit: int):
     """(log p, the (P, n_seeds) weights sign(p) p^(-sigma_ell), sigma_{ell-1} -
-    sigma_ell) of the oscillation experiment, by `oscillation_batch`'s expressions."""
+    sigma_ell) of the oscillation experiment, from the int8 `sign_matrix_direct`."""
     s_ell = step_sigma_ell(ell, step)
     s_prev = step_sigma_ell(ell - 1, step)
     ps = primes_mod.cached_primes(limit).primes
     p = ps.astype(np.float64)
-    weights = (sign_matrix(seeds, ps).astype(np.float64) * p ** (-s_ell)).T
+    weights = (sign_matrix_direct(seeds, ps).astype(np.float64) * p ** (-s_ell)).T
     return np.log(p), weights, s_prev - s_ell
 
 

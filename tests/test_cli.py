@@ -366,16 +366,17 @@ def stub_ram(monkeypatch, ram: int) -> None:
 
 def test_signchanges_counts_each_threads_sign_hash_before_any_sieve(tmp_path, monkeypatch, capsys):
     # 128 seeds on 2 threads: each hashes 64 seeds, holding an int8 matrix and its
-    # bool mask of 64 rows, the uint64 salted primes and packed words, and then
-    # builds its own 4 MB prime index, block buffers and 64 KiB of pool, lists and
-    # array headers.  8 MB of RAM holds one prime index but not the two passes' 44 MB.
+    # bool mask of 64 rows, a one-row uint64 hash tile and its shift temporary, the
+    # uint64 salted primes and packed words, and then builds its own 4 MB prime index,
+    # block buffers and 64 KiB of pool, lists and array headers.  8 MB of RAM holds one
+    # prime index but not the two passes' 47 MB.
     monkeypatch.setenv("RMFLAB_THREADS", "2")
     stub_ram(monkeypatch, 8 * 2**20)
     calls = []
     monkeypatch.setattr(cli.primes, "cached_primes", lambda *a: calls.append(a))
     out = tmp_path / "big"
     assert run(["signchanges", "--seeds", "128", "--output-dir", str(out)]) == 3
-    need = (2 * 64 + 24) * cli.primes.prime_count_bound(10**6) + 4 * (10**6 + 1)
+    need = (2 * 64 + 24 + 16) * cli.primes.prime_count_bound(10**6) + 4 * (10**6 + 1)
     need = 2 * (need + 64 * cli.rmf.TRACE_SEGMENT + 2**16)
     assert f"sign hash: {need} B > physical RAM" in capsys.readouterr().err
     assert 4 * (10**6 + 1) < 8 * 2**20 < need
@@ -414,6 +415,38 @@ def test_sup_scan_grid_beyond_memory_is_refused_before_any_hash(tmp_path, monkey
     assert "resource error: sup-scan t grid of 51860 rows: 61450656 B > physical RAM" in err
     assert calls == []
     assert not out.exists()
+
+
+def test_prime_sums_beyond_memory_are_refused_before_any_sieve_or_hash(
+        tmp_path, monkeypatch, capsys):
+    # concentration's 10^4 trials x 8 sigma over pi(10^6) <= 90,845 primes: a 256-row
+    # float64 block and 10 float64 per prime and per trial, a one-row hash tile and
+    # 64 KiB, 195.6 MB; c06 and c07 hold 2000 seeds at 10^6 and 10^4 at 10^5.
+    stub_ram(monkeypatch, 2**20)
+    calls = []
+    monkeypatch.setattr(cli.primes, "cached_primes", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli.rmf, "sign_matrix", lambda *a, **kw: calls.append(a))
+    out = tmp_path / "cc"
+    assert run(["concentration", "--output-dir", str(out)]) == 3
+    assert "resource error: step-2 sums: 195637216 B > physical RAM" in capsys.readouterr().err
+    for check in (cli._check_variance_match, cli._check_hoeffding):
+        with pytest.raises(cli.ResourceLimitError, match="B > physical RAM"):
+            check(cli.ExperimentConfig())
+    assert calls == []
+    assert not out.exists()
+
+
+def test_step2_preflight_bounds_the_traced_peak_of_the_step2_table(monkeypatch):
+    needs = []
+    monkeypatch.setattr(cli.rmf, "check_memory", lambda need, what: needs.append(need))
+    cli.primes.cached_primes(10**5)  # the prime table exists before the call
+    tracemalloc.start()
+    try:
+        cli._step2_rows(cli.ExperimentConfig(trials=600), 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= needs[0]
 
 
 # `chaining --seeds 4 --ells 3,4 --r-max 8 --prime-limit 100000 --seed 0` as

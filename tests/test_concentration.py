@@ -117,8 +117,8 @@ def test_step2_hashes_each_trial_once(monkeypatch):
     hashed_rows = []
     original = rmf.sign_matrix
 
-    def counting(trial_seeds, ps):
-        out = original(trial_seeds, ps)
+    def counting(trial_seeds, ps, out=None):
+        out = original(trial_seeds, ps, out=out)
         hashed_rows.append(out.shape[0])
         return out
 

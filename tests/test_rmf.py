@@ -375,6 +375,18 @@ def test_random_prime_sum_batch_matches_single():
 
 
 
+@pytest.mark.parametrize("limit", [10**3, 10**5])
+@pytest.mark.parametrize("trials", [100, 257, 600])
+def test_random_prime_sum_batch_matches_direct_bit_for_bit(trials, limit):
+    # 257 and 600 trials end on partial blocks of 1 and 88 seeds in the reused block.
+    seeds, sigmas = rmf.derive_seed(3, np.arange(trials)), [0.55, 0.7, 1.3]
+    assert np.array_equal(rmf.random_prime_sum_batch(seeds, sigmas, limit),
+                          oracles.random_prime_sum_batch_direct(seeds, sigmas, limit))
+    ints = list(range(-(trials // 2), trials - trials // 2))
+    assert np.array_equal(rmf.random_prime_sum_batch(ints, 0.6, limit),
+                          oracles.random_prime_sum_batch_direct(ints, 0.6, limit))
+
+
 def test_random_prime_sum_batch_sigma_vector_matches_scalar():
     seeds = np.arange(300, dtype=np.uint64)  # spans two seed blocks
     sigmas = [0.55, 0.7, 1.3]
@@ -607,6 +619,20 @@ def test_sup_scan_bytes_bounds_the_traced_peak():
     assert peak <= rmf.sup_scan_bytes(res.grid_size, primes.prime_count_bound(10**5))
 
 
+@pytest.mark.parametrize("trials, limit, n_sigmas", [(1, 2, 1), (5, 10**3, 1), (257, 10**3, 8),
+                                                     (600, 10**5, 3), (2000, 10**5, 8)])
+def test_prime_sum_batch_bytes_bounds_the_traced_peak(trials, limit, n_sigmas):
+    primes.cached_primes(limit)  # the prime table exists before the call
+    seeds = rmf.derive_seed(0, np.arange(trials))
+    tracemalloc.start()
+    try:
+        rmf.random_prime_sum_batch(seeds, np.linspace(0.6, 1.0, n_sigmas), limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= rmf.prime_sum_batch_bytes(trials, primes.prime_count_bound(limit), n_sigmas)
+
+
 def test_cgroup_limit_reads_v2_and_v1_files(tmp_path):
     proc = tmp_path / "cgroup"
     proc.write_text("0::/user.slice/job\n")
@@ -715,6 +741,21 @@ def test_negative_seed_is_taken_mod_2_64():
         rmf.random_prime_sum_batch([-1], 0.6, 100), rmf.random_prime_sum_batch([2**64 - 1], 0.6, 100)
     )
     assert np.array_equal(rmf.sample_signs(-1, 100).signs, rmf.sign_matrix([-1], ps[:25])[0])
+
+
+@pytest.mark.parametrize("n_primes", [1, 168, 9592, 65535, 65537, 78498])
+def test_sign_matrix_matches_direct_bit_for_bit(n_primes):
+    # Tiles of 2^16 // P rows: 65536, 390, 6, 1, 1 and 1, over 1, 5, 64 and 257 seeds.
+    ps = primes.cached_primes(10**6).primes[:n_primes]
+    for n in (1, 5, 64, 257):
+        ints = [(-1) ** i * (i << 61 | i) for i in range(n)]  # odd i: < 0; even i >= 8: >= 2^64
+        for seeds in (ints, rmf.derive_seed(11, np.arange(n))):
+            direct = oracles.sign_matrix_direct(seeds, ps)
+            signs = rmf.sign_matrix(seeds, ps)
+            assert signs.dtype == np.int8 and np.array_equal(signs, direct)
+            out = np.full((n, n_primes), np.nan)
+            assert rmf.sign_matrix(seeds, ps, out=out) is out
+            assert np.array_equal(out, direct)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
