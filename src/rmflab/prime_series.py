@@ -4,14 +4,17 @@ sums against their 4/(2s-1)^2 bound on a sigma grid that casts and logs the prim
 once, the Euler-product tail constant sum_p 1/(p(sqrt(p)-1)), near-1 asymptotic ratios.
 
 Every truncated sum comes back as a CertifiedValue whose interval accounts
-for the truncation tail (explicit integral comparisons) plus a fixed outward
-slack factor 1 + 1e-10 that dwarfs double-precision roundoff at these sizes.
+for the truncation tail (explicit integral comparisons) and for the roundoff
+of the float sum, derived from the roundings done (`_certified_sum`) and
+carried as the field `roundoff`.  Each endpoint is padded by the larger of
+that roundoff and a relative 1e-10, which is 12 to 13.5 times wider at the
+sizes the commands use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, fsum, log, log1p, sqrt
+from math import exp, log, log1p, sqrt
 
 import numpy as np
 
@@ -19,6 +22,10 @@ from . import primes as primes_mod
 from .primes import PrimeTable
 
 _SLACK = 1e-10
+_U = 2.0**-53  # unit roundoff of float64
+_G = 1.01 * _U  # gamma_n = n u / (1 - n u) <= n _G while n u <= 0.01 (Higham, ch. 3)
+_CHUNK = 2**16  # terms per np.sum in _certified_sum
+_TINY = 2.0**-1070  # per-term allowance for a result below the normal range
 
 # B_2 .. B_26, the even Bernoulli numbers used by the Euler-Maclaurin tail.
 _BERNOULLI = (
@@ -49,6 +56,7 @@ class CertifiedValue:
     estimate: float
     upper: float
     lower: float
+    roundoff: float = 0.0
 
     def __post_init__(self):
         if not (self.lower <= self.estimate <= self.upper):
@@ -63,11 +71,54 @@ class CertifiedValue:
         return self.lower <= other.upper and other.lower <= self.upper
 
 
-def _outward(lower: float, upper: float, estimate: float) -> CertifiedValue:
-    """Pad an interval outward by the slack factor and wrap it up."""
-    lo = lower - abs(lower) * _SLACK
-    hi = upper + abs(upper) * _SLACK
-    return CertifiedValue(estimate=estimate, upper=hi, lower=lo)
+def _outward(lower: float, upper: float, estimate: float, roundoff: float = 0.0) -> CertifiedValue:
+    """Pad each endpoint outward by max(roundoff, |endpoint| * _SLACK), so never by less than
+    the derived roundoff of the sum, and wrap it up."""
+    lo = lower - max(roundoff, abs(lower) * _SLACK)
+    hi = upper + max(roundoff, abs(upper) * _SLACK)
+    return CertifiedValue(estimate=estimate, upper=hi, lower=lo, roundoff=roundoff)
+
+
+def _certified_sum(x: np.ndarray, term, weight: float) -> tuple[float, float]:
+    """(partial, roundoff): the float sum of the non-negative terms that term(chunk, out) writes
+    into out for each chunk of x, and a bound on its distance to their exact sum.  Each term
+    must lie within a factor e^(+-weight _G) of its exact value, or within 2^-1070 of it below
+    the normal range.  Chunks of c <= 2^16 terms go through np.sum in one reused buffer, then
+    the k chunk sums do.  Whatever order np.sum adds in, that is within gamma_{c+k-2} sum t of
+    the exact sum of the float terms (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 4.2)."""
+    c = min(x.size, _CHUNK)
+    buf, sums = np.empty(c), np.empty(-(-x.size // c))
+    for j, lo in enumerate(range(0, x.size, c)):
+        sums[j] = np.sum(term(x[lo : lo + c], buf[: min(c, x.size - lo)]))
+    partial = float(np.sum(sums))
+    # 1.01 covers sum t <= partial / (1 - gamma), each exact term against its float one,
+    # and the roundings of these two lines.
+    rel = (c + sums.size - 2) * _G + float(np.expm1(weight * _G))
+    return partial, 1.01 * rel * partial + x.size * _TINY
+
+
+def _prime_power_sum(logp: np.ndarray, s: float, log_squared: bool = False) -> tuple[float, float]:
+    """_certified_sum of p^(-s), or of p^(-s) (log p)^2, as exp(-s log p) from logp = np.log(p).
+    numpy's exp and log are allowed 4 ulps (8 u) each.  x = -s log p takes log's error and its
+    own rounding, 9 u |x|, which exp turns into relative error; (log p)^2 adds 2 x 8 u for the
+    log and one rounding for each of its two products."""
+
+    def term(lp, out):
+        np.exp(np.multiply(lp, -s, out=out), out=out)
+        if log_squared:
+            out *= lp
+            out *= lp
+        return out
+
+    weight = 9.0 * s * float(logp[-1]) + 8.0 + (18.0 if log_squared else 0.0)
+    return _certified_sum(logp, term, weight)
+
+
+def _prime_logs(n_cut: int) -> np.ndarray:
+    """log p for the primes p <= n_cut, cast and logged in one float64 array."""
+    logp = primes_mod.cached_primes(n_cut).primes.astype(np.float64)
+    return np.log(logp, out=logp)
 
 
 def zeta(s: float) -> float:
@@ -183,10 +234,10 @@ def prime_zeta_direct(s: float, n_cut: int) -> CertifiedValue:
     that of prime_zeta(s)."""
     if s <= 1:
         raise ValueError(f"prime zeta requires s > 1, got {s}")
-    p = primes_mod.cached_primes(n_cut).primes.astype(np.float64)
-    partial = float(np.sum(p ** (-s)))
-    tail = prime_power_tail_bound(s, n_cut, pi_cut=p.size)
-    return _outward(partial, partial + tail, estimate=partial + 0.5 * tail)
+    logp = _prime_logs(n_cut)
+    partial, roundoff = _prime_power_sum(logp, s)
+    tail = prime_power_tail_bound(s, n_cut, pi_cut=logp.size)
+    return _outward(partial, partial + tail, estimate=partial + 0.5 * tail, roundoff=roundoff)
 
 
 def variance_sum(sigma: float) -> CertifiedValue:
@@ -246,15 +297,12 @@ def log_weighted_grid(sigmas: list[float], n_cut: int = 10**7) -> list[LogWeight
             raise ValueError(f"sigma must lie in (1/2, 1], got {sigma}")
         if n_cut < exp(1.0 / sigma):
             raise ValueError(f"cutoff {n_cut} below integral-comparison validity e^(1/sigma)")
-    p = primes_mod.cached_primes(n_cut).primes.astype(np.float64)  # cast and logged once
-    lp2 = np.log(p)
-    lp2 *= lp2
-    buf, sums = np.empty_like(p), []
+    logp, sums = _prime_logs(n_cut), []  # cast and logged once
     for sigma in sigmas:
-        partial = float(np.sum(np.multiply(np.power(p, -2.0 * sigma, out=buf), lp2, out=buf)))
+        partial, roundoff = _prime_power_sum(logp, 2.0 * sigma, log_squared=True)
         tail = min(_log_sq_integral_tail(sigma, float(n_cut)),
-                   max(_log_sq_pi_route_tail(sigma, float(n_cut), p.size), 0.0))
-        value = _outward(partial, partial + tail, estimate=partial + 0.5 * tail)
+                   max(_log_sq_pi_route_tail(sigma, float(n_cut), logp.size), 0.0))
+        value = _outward(partial, partial + tail, estimate=partial + 0.5 * tail, roundoff=roundoff)
         rhs = 4.0 / (2.0 * sigma - 1.0) ** 2
         sums.append(LogWeightedSum(value=value, bound_rhs=rhs, holds=bool(value.upper <= rhs)))
     return sums
@@ -266,6 +314,19 @@ def log_weighted_sum(sigma: float, n_cut: int = 10**7, table: PrimeTable | None 
     return log_weighted_grid([sigma], n_cut)[0]
 
 
+def _euler_terms(p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """1/(p(sqrt(p)-1)) for the primes p, in out."""
+    np.sqrt(p, out=out, dtype=np.float64)
+    out -= 1.0
+    out *= p
+    return np.divide(1.0, out, out=out)
+
+
+# sqrt's rounding, grown by sqrt(p)/(sqrt(p)-1) <= 2 + sqrt(2) (at p = 2) through the -1, and
+# one rounding each for the -1, the product and the division.
+_EULER_WEIGHT = 5.0 + sqrt(2.0)
+
+
 def euler_tail_constant(n_primes: int) -> CertifiedValue:
     """Certified sum_p 1/(p(sqrt(p)-1)) using the first n_primes primes.
 
@@ -275,13 +336,10 @@ def euler_tail_constant(n_primes: int) -> CertifiedValue:
     if n_primes < 1:
         raise ValueError("n_primes must be >= 1")
     p = primes_mod.first_n_primes(n_primes)
-    t = np.sqrt(p, dtype=np.float64)  # the terms 1/(p(sqrt(p)-1)), in this one buffer
-    t -= 1.0
-    t *= p
-    partial = fsum(np.divide(1.0, t, out=t))
+    partial, roundoff = _certified_sum(p, _euler_terms, _EULER_WEIGHT)
     largest = float(p[-1])
     tail = (1.0 + 1.0 / (sqrt(largest) - 1.0)) * 2.0 / sqrt(largest)
-    return _outward(partial, partial + tail, estimate=partial + 0.5 * tail)
+    return _outward(partial, partial + tail, estimate=partial + 0.5 * tail, roundoff=roundoff)
 
 
 def zetaasym_ratio(x: float) -> tuple[float, float]:

@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import primes as primes_mod
-from .prime_series import DivergenceError
+from .prime_series import _G, _U, DivergenceError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -45,8 +45,6 @@ _HASH_CELLS = 1 << 16  # uint64 cells per sign-hash tile
 _T_CHUNK = 128  # t-grid rows per sup-scan block
 _EXACT_LOG1P = 10**4  # sup-scan estimates take the exact log1p for primes up to here
 _LOW_RANK_CELLS = 1 << 20  # float64 cells per prime chunk or grid chunk of _low_rank_grid
-_U = 2.0**-53  # unit roundoff of float64
-_G = 1.01 * _U  # gamma_n = n u / (1 - n u) <= n _G while n u <= 0.01 (Higham, ch. 3)
 
 
 class ResourceLimitError(RuntimeError):

@@ -48,12 +48,15 @@ None of this is used by `rmflab` itself:
   cos and log|F| rows that the same low-rank estimate (the kernel
   e^(i k theta)) selects, must reproduce bit for bit;
 - the partial sum of `prime_series.euler_tail_constant` as one array
-  expression, which its in-place terms must reproduce bit for bit;
+  expression through `math.fsum`, which its chunked `np.sum` must match
+  within its derived roundoff;
 - the sieve over every integer from 2 (`sieve_direct`), whose array
   `primes.sieve_primes`, flagging odd numbers only, must equal, and the
-  (log p)^2 sum of one sigma as one fresh array expression
-  (`log_weighted_direct`), which `prime_series.log_weighted_grid`, casting and
-  logging the primes once for all its sigma, must reproduce bit for bit.
+  (log p)^2 sum of one sigma as one fresh array expression with `np.power`
+  (`log_weighted_partial`, `log_weighted_direct`), which
+  `prime_series.log_weighted_grid`, logging the primes once for all its sigma
+  and taking exp(-2 sigma log p) chunk by chunk, must match within its derived
+  roundoff plus this sum's own budget, with the same bound and verdict.
 """
 
 from __future__ import annotations
@@ -539,15 +542,23 @@ def sieve_direct(limit: int, segment: int = DEFAULT_SEGMENT) -> np.ndarray:
     return primes
 
 
-def log_weighted_direct(sigma: float, n_cut: int) -> prime_series.LogWeightedSum:
-    """Certified sum_p (log p)^2 p^(-2 sigma) with its terms as one fresh array expression,
-    which `prime_series.log_weighted_grid` must reproduce bit for bit at every sigma."""
+def log_weighted_partial(sigma: float, n_cut: int) -> float:
+    """sum over p <= n_cut of (log p)^2 p^(-2 sigma) as one fresh array expression: np.power
+    for the powers and one np.sum."""
     p = primes_mod.cached_primes(n_cut).primes.astype(np.float64)
     lp = np.log(p)
-    partial = float(np.sum(lp * lp * p ** (-2.0 * sigma)))
+    return float(np.sum(lp * lp * p ** (-2.0 * sigma)))
+
+
+def log_weighted_direct(sigma: float, n_cut: int) -> prime_series.LogWeightedSum:
+    """Certified sum_p (log p)^2 p^(-2 sigma) from `log_weighted_partial`, padded by the
+    relative slack alone, which `prime_series.log_weighted_grid` must match within the two
+    sums' roundoff budgets at every sigma, with the same bound and verdict."""
+    partial = log_weighted_partial(sigma, n_cut)
     tail = min(
         prime_series._log_sq_integral_tail(sigma, float(n_cut)),
-        max(prime_series._log_sq_pi_route_tail(sigma, float(n_cut), p.size), 0.0),
+        max(prime_series._log_sq_pi_route_tail(
+            sigma, float(n_cut), primes_mod.cached_primes(n_cut).count), 0.0),
     )
     value = prime_series._outward(partial, partial + tail, estimate=partial + 0.5 * tail)
     bound_rhs = 4.0 / (2.0 * sigma - 1.0) ** 2

@@ -95,6 +95,13 @@ def test_certified_value_invariants():
         ps.CertifiedValue(estimate=1.0, upper=math.inf, lower=0.0)
 
 
+def test_outward_pads_by_the_larger_of_roundoff_and_slack():
+    wide = ps._outward(1.0, 2.0, estimate=1.5, roundoff=1e-6)
+    assert (wide.lower, wide.upper, wide.roundoff) == (1.0 - 1e-6, 2.0 + 1e-6, 1e-6)
+    narrow = ps._outward(1.0, 2.0, estimate=1.5, roundoff=1e-300)
+    assert (narrow.lower, narrow.upper) == (1.0 - ps._SLACK, 2.0 + 2.0 * ps._SLACK)
+
+
 def test_variance_sum():
     v = ps.variance_sum(0.75)
     assert v.estimate == pytest.approx(PRIME_ZETA[1.5], abs=5e-9)
@@ -128,12 +135,22 @@ def test_log_weighted_domain():
 
 @pytest.mark.parametrize("n_cut", [10**5, 10**7])
 def test_log_weighted_grid_matches_direct_sum(n_cut):
+    # The grid's partial (exp(-2 sigma log p), chunked np.sum) lies within its derived
+    # roundoff of the oracle's (np.power, one np.sum), plus the oracle's own budget: 4 ulps
+    # for np.power and for np.log (twice), two products, and gamma_{P-1} for its sum.  The
+    # published lower end is that partial padded by max(roundoff, the slack), and the
+    # roundoff stays under the slack pad, so the endpoints move only in their last bits.
     sigmas = [round(0.51 + 0.01 * i, 2) for i in range(50)]
+    logp = ps._prime_logs(n_cut)
     for sigma, grid in zip(sigmas, ps.log_weighted_grid(sigmas, n_cut)):
         direct = oracles.log_weighted_direct(sigma, n_cut)
-        assert grid.value.estimate == direct.value.estimate, sigma
-        assert grid.value.lower == direct.value.lower, sigma
-        assert grid.value.upper == direct.value.upper, sigma
+        fast, roundoff = ps._prime_power_sum(logp, 2.0 * sigma, log_squared=True)
+        assert grid.value.roundoff == roundoff, sigma
+        assert grid.value.lower == fast - max(roundoff, fast * ps._SLACK), sigma
+        slow = oracles.log_weighted_partial(sigma, n_cut)
+        oracle_budget = 1.01 * (26 + logp.size - 1) * 2.0**-53 * slow
+        assert abs(fast - slow) <= roundoff + oracle_budget, sigma
+        assert roundoff <= fast * ps._SLACK, sigma
         assert grid.holds == direct.holds and grid.bound_rhs == direct.bound_rhs, sigma
 
 
@@ -216,8 +233,53 @@ def test_euler_tail_four_terms():
 
 @pytest.mark.parametrize("n", [10**4, 10**5])
 def test_euler_tail_in_place_terms_match_expression_form(n):
+    # The chunked np.sum lies within its derived roundoff of the correctly rounded fsum of
+    # the same terms, the published lower end is it padded by max(roundoff, the slack), and
+    # the roundoff stays under the slack pad.
+    cv = ps.euler_tail_constant(n)
+    fast, roundoff = ps._certified_sum(primes.first_n_primes(n), ps._euler_terms, ps._EULER_WEIGHT)
     partial = oracles.euler_tail_partial(n)
-    assert ps.euler_tail_constant(n).lower == partial - abs(partial) * ps._SLACK
+    assert cv.roundoff == roundoff
+    assert cv.lower == fast - max(roundoff, fast * ps._SLACK)
+    assert abs(fast - partial) <= roundoff
+    assert roundoff <= fast * ps._SLACK
+
+
+# mp.fsum at 30 digits of the exact terms at the float inputs: each float partial must lie
+# within its derived roundoff of it, and each published interval must contain it.
+def test_euler_tail_partial_contains_the_mpmath_sum():
+    p = primes.first_n_primes(10**4)
+    with mp.workdps(30):
+        exact = mp.fsum(1 / (q * (mp.sqrt(q) - 1)) for q in map(mp.mpf, p.tolist()))
+        fast, roundoff = ps._certified_sum(p, ps._euler_terms, ps._EULER_WEIGHT)
+        cv = ps.euler_tail_constant(10**4)
+        assert abs(fast - exact) <= roundoff
+        assert cv.lower <= exact <= cv.upper
+
+
+def test_log_weighted_grid_partials_contain_the_mpmath_sums():
+    sigmas = [0.51, 0.75, 1.0]
+    p = primes.cached_primes(10**5).primes
+    logp = ps._prime_logs(10**5)
+    with mp.workdps(30):
+        logs = [mp.log(q) for q in p.tolist()]
+        for sigma, grid in zip(sigmas, ps.log_weighted_grid(sigmas, 10**5)):
+            exact = mp.fsum(lq * lq * mp.exp(-2 * mp.mpf(sigma) * lq) for lq in logs)
+            fast, roundoff = ps._prime_power_sum(logp, 2.0 * sigma, log_squared=True)
+            assert abs(fast - exact) <= roundoff, sigma
+            assert grid.value.lower <= exact <= grid.value.upper, sigma
+
+
+def test_prime_zeta_direct_partials_contain_the_mpmath_sums():
+    p = primes.cached_primes(10**5).primes
+    logp = ps._prime_logs(10**5)
+    with mp.workdps(30):
+        for s in (1.1, 2.0):
+            exact = mp.fsum(mp.mpf(q) ** -mp.mpf(s) for q in p.tolist())
+            fast, roundoff = ps._prime_power_sum(logp, s)
+            d = ps.prime_zeta_direct(s, 10**5)
+            assert abs(fast - exact) <= roundoff, s
+            assert d.lower <= exact <= d.upper and d.contains(float(mp.primezeta(s))), s
 
 
 def test_euler_tail_upper_monotone_nonincreasing():
