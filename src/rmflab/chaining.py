@@ -1,10 +1,10 @@
-"""Dyadic chaining: the deterministic oscillation bound |f(s) - f(t)| <=
-2 sum_{r > R} lambda_r checked on the depth-r_max dyadic grid of an interval,
-the lambda_r^2 = 2 C1 r / 4^r schedule with its chaining constant, and the
-empirical oscillation experiment max |P(sigma) - P(sigma_ell)| over
-[sigma_ell, sigma_{ell-1}].  That experiment evaluates exactly only the grid
-rows that rmf's low-rank estimate of sum_p w_p e^(f x_p), with its derived
-error bound, cannot rule out, each inside its _GRID_CHUNK-row block's gemm.
+"""Dyadic chaining: the deterministic oscillation bound |f(s) - f(t)| <= 2 sum_{r > R} lambda_r
+checked on the depth-r_max dyadic grid of an interval, the lambda_r^2 = 2 C1 r / 4^r schedule
+with its chaining constant, and the empirical oscillation experiment max |P(sigma) -
+P(sigma_ell)| over [sigma_ell, sigma_{ell-1}].  That experiment evaluates exactly only the grid
+rows that rmf's low-rank estimate of sum_p w_p e^(f x_p), with its derived error bound, cannot
+rule out, each in its _GRID_CHUNK-row block's gemm with the other rows zero: the fixed block
+shape fixes the order in which a gemm row sums its own input row, so the row keeps its bits.
 """
 
 from __future__ import annotations
@@ -198,8 +198,13 @@ def oscillation_batch(
     lambdas = np.array([OSCILLATION_SCHEDULE(r) for r in range(1, r_max + 1)])
     rows = _rows_to_recompute(*_grid_estimate(weights, -(s_prev - s_ell) * logp, frac), lambdas)
     p_vals = np.full((n_grid, weights.shape[1]), np.nan)  # rows outside `rows` decide nothing
-    for start, at, basis in rmf_mod._basis_rows(dsig, -logp, np.exp, _GRID_CHUNK, rows):
-        p_vals[start + at] = (basis @ weights)[at]  # d (-log p) == -(d log p) exactly
+    block = np.zeros((min(_GRID_CHUNK, n_grid), ps.size))  # zeroed once: untouched pages stay free
+    for start in np.unique(rows // _GRID_CHUNK) * _GRID_CHUNK:
+        at = rows[(rows >= start) & (rows < start + _GRID_CHUNK)] - start
+        for i in at:  # (-d) log p == -(d log p) exactly
+            np.exp(np.multiply(-dsig[start + i], logp, out=block[i]), out=block[i])
+        p_vals[start + at] = (block[: n_grid - start] @ weights)[at]
+        block[at] = 0.0
 
     max_osc = np.fmax.reduce(np.abs(p_vals - p_vals[0]), axis=0)
     first_violation = _first_violations(p_vals, lambdas)

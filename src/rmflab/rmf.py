@@ -5,8 +5,8 @@ assignment is reproducible from (seed, prime_limit) alone, independent of
 evaluation order and thread count.  The multiplicative extension, partial
 sums M_f with sign-change events, the random prime sum P(sigma) over many
 seeds at once, the exact Abel-summation identity, and grid scans of sup_t of
-cosine-weighted prime sums on the one prime-grid kernel, run only on the t rows
-that the certified estimate of `_low_rank_grid` cannot rule out, all live here.
+cosine-weighted prime sums, summed exactly by numpy one t row at a time and only on
+the rows that the certified estimate of `_low_rank_grid` cannot rule out, all live here.
 
 The multiplicative extension has one path: 64 assignments' negative signs are
 the bits of one uint64 word per prime; each TRACE_SEGMENT block, sieved afresh by
@@ -42,7 +42,7 @@ TRACE_VALUES_CAP = 10**7
 CHECKPOINT_STRIDE = 1 << 16
 _SEED_BLOCK = 256  # seeds per float64 sign block of random_prime_sum_batch
 _HASH_CELLS = 1 << 16  # uint64 cells per sign-hash tile
-_T_CHUNK = 128  # t-grid rows per sup-scan block
+_T_CHUNK = 128  # t-grid rows per block of the sup-scan estimates
 _EXACT_LOG1P = 10**4  # sup-scan estimates take the exact log1p for primes up to here
 _LOW_RANK_CELLS = 1 << 20  # float64 cells per prime chunk or grid chunk of _low_rank_grid
 
@@ -113,7 +113,7 @@ def sign_matrix(trial_seeds: np.ndarray | Sequence[int], primes: np.ndarray,
     """The sign hash: row t holds the +-1 signs of `primes` under trial_seeds[t], as int8, or as
     float64 in `out`, a C-contiguous (len(trial_seeds), primes.size) array.  Python int seeds are
     taken mod 2^64; an integer array is cast to uint64.  Tiles of max(1, _HASH_CELLS // P) rows
-    are hashed in place in `out` or in one uint64 tile."""
+    are hashed in place in `out`, or without `out` in one uint64 tile."""
     if not isinstance(trial_seeds, np.ndarray):
         trial_seeds = [int(s) & _MASK64 for s in trial_seeds]
     keys = mix64(np.asarray(trial_seeds, dtype=np.uint64))
@@ -121,7 +121,8 @@ def sign_matrix(trial_seeds: np.ndarray | Sequence[int], primes: np.ndarray,
         pk = primes.astype(np.uint64) * _PRIME_SALT
     signs = np.empty((keys.size, primes.size), dtype=np.int8) if out is None else out
     rows = max(1, _HASH_CELLS // max(1, primes.size))
-    tile, tmp = np.empty((2, min(rows, keys.size), primes.size), dtype=np.uint64)
+    tmp = np.empty((min(rows, keys.size), primes.size), dtype=np.uint64)  # shift temporary
+    tile = np.empty_like(tmp) if out is None else None
     for start in range(0, keys.size, rows):
         key = keys[start : start + rows, None]
         z = tile[: key.size] if out is None else out[start : start + key.size].view(np.uint64)
@@ -397,23 +398,6 @@ def abel_identity_residual(f: np.ndarray, sigma: float, weights: tuple | None = 
     return abs(lhs - boundary - integral)
 
 
-def _basis_rows(grid, logp, fn, rows: int, picked) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The one prime-grid kernel: (start, at, block) for each `rows`-row block of `grid` holding
-    some of the sorted row indices `picked`, which are start + at there.  Row i of the block is
-    ufunc fn of grid[start + i] * logp for i in `at`, zero elsewhere: one buffer, zeroed once
-    per call, serves every block, and its picked rows are zeroed again after the caller's turn.
-    Fixed block boundaries fix the bits of a block's BLAS products, and a product row reads
-    only its own input row, so a picked row keeps the bits of the fully filled block."""
-    buf = np.zeros((min(rows, grid.size), logp.size))
-    for start in np.unique(picked // rows) * rows:
-        at = picked[np.searchsorted(picked, start) : np.searchsorted(picked, start + rows)] - start
-        block = buf[: min(rows, grid.size - start)]
-        for i in at:
-            fn(np.multiply(grid[start + i], logp, out=block[i]), out=block[i])
-        yield int(start), at, block
-        block[at] = 0.0
-
-
 def _degree(a: float, osc: bool, floor: float) -> tuple[int, float, float]:
     """(n, E, Lambda): the least degree n with (1 + Lambda) E <= floor.  E = min over rho of 4 M
     rho^-n / (rho - 1) bounds |f - p_n| / max|f| on [-1, 1] for f(x) = e^(z k r x), |k| r <= a,
@@ -519,10 +503,10 @@ def _sup_scan_estimates(ts, logp, w, amp) -> tuple[np.ndarray, np.ndarray]:
 
 def sup_scan_bytes(n_t: int, n_primes: int) -> int:
     """Bytes sup_scan allocates at most for n_t t rows over n_primes primes: 30 float64 values
-    and a _T_CHUNK-row exact block per prime, 24 per t, six _LOW_RANK_CELLS buffers of the
-    estimate and five _T_CHUNK-row tables of the primes up to _EXACT_LOG1P."""
+    per prime (one exact row with its temporaries among them), 24 per t, six _LOW_RANK_CELLS
+    buffers of the estimate and five _T_CHUNK-row tables of the primes up to _EXACT_LOG1P."""
     small = 5 * _T_CHUNK * min(n_primes, primes_mod.prime_count_bound(_EXACT_LOG1P))
-    return 8 * ((30 + min(n_t, _T_CHUNK)) * n_primes + 24 * n_t + 6 * _LOW_RANK_CELLS + small)
+    return 8 * (30 * n_primes + 24 * n_t + 6 * _LOW_RANK_CELLS + small)
 
 
 @dataclass(frozen=True)
@@ -544,9 +528,9 @@ def sup_scan(
     sum_p sign(p) cos(t log p) p^(-sigma) and |prod_p (1 + sign(p) p^(-sigma-it))|.
 
     Grid maxima are lower bounds for the true suprema; ties go to the earliest t.  Only rows
-    whose _sup_scan_estimates + eps reaches the best estimate - eps run the exact cos, inside
-    their _T_CHUNK-row block's gemv, and log1p only on such rows of log|F|: the maxima keep
-    every row's bits.
+    whose _sup_scan_estimates + eps reaches the best estimate - eps are summed exactly, one row
+    at a time by np.sum with no BLAS, and log1p only on such rows of log|F|: the maxima keep
+    every row's bits, at any thread count.
     """
     if sigma <= 0.5:
         raise DivergenceError(f"sup scan requires sigma > 1/2, got {sigma}")
@@ -565,10 +549,11 @@ def sup_scan(
     est, eps = _sup_scan_estimates(ts, logp, w, amp)
     keep = ~(est + eps < np.max(est - eps, axis=1, keepdims=True))  # rows that may decide; NaN: all
     cos_vals, log_f = np.full((2, ts.size), -np.inf)  # rows outside `keep` decide nothing
-    for start, at, c in _basis_rows(ts, logp, np.cos, _T_CHUNK, np.flatnonzero(keep[0] | keep[1])):
-        cos_vals[start + at] = (c @ w)[at]
-        at = at[keep[1, start + at]]  # log|1 + sign(p) p^(-sigma-it)|^2
-        log_f[start + at] = [0.5 * np.sum(np.log1p(c[i] * (2.0 * w) + amp * amp)) for i in at]
+    c = np.empty_like(logp)  # cos(t log p) of one row
+    for i in np.flatnonzero(keep[0] | keep[1]):
+        cos_vals[i] = np.sum(np.cos(np.multiply(ts[i], logp, out=c), out=c) * w)
+        if keep[1, i]:  # log|1 + sign(p) p^(-sigma-it)|^2
+            log_f[i] = 0.5 * np.sum(np.log1p(c * (2.0 * w) + amp * amp))
     i = int(np.argmax(cos_vals))
     return SupScanResult(
         sup_cos=float(cos_vals[i]),

@@ -43,10 +43,13 @@ None of this is used by `rmflab` itself:
   from the rows that `rmf`'s low-rank estimate (the kernel exp, interpolated
   at Chebyshev points, with a four-part eps) selects;
 - the sup-scan t grid as fresh array expressions on every row of every
-  _T_CHUNK-row block (`sup_scan_blocks`) with a running best
-  (`sup_scan_direct`), which `rmf.sup_scan`, evaluating exactly only the
-  cos and log|F| rows that the same low-rank estimate (the kernel
-  e^(i k theta)) selects, must reproduce bit for bit;
+  _T_CHUNK-row block, with numpy's row sums (`sup_scan_blocks`), and a
+  running best (`sup_scan_direct`), which `rmf.sup_scan`, summing exactly
+  only the cos and log|F| rows that the same low-rank estimate (the kernel
+  e^(i k theta)) selects, one row at a time, must reproduce bit for bit; and
+  the cos sums as each block's BLAS gemv took them before
+  (`sup_scan_cos_gemv`), which those row sums must match within 2 gamma_P
+  sum |w|;
 - the partial sum of `prime_series.euler_tail_constant` as one array
   expression through `math.fsum`, which its chunked `np.sum` must match
   within its derived roundoff;
@@ -384,10 +387,10 @@ def oscillation_direct(seeds, ell: int, step: StepParams, r_max: int, limit: int
     return np.abs(p_vals - p_vals[0]).max(axis=0), _first_violations(p_vals, lambdas)
 
 
-def sup_scan_blocks(signs: SignAssignment, sigma: float, t_max: float, grid_step: float,
+def _sup_scan_cells(signs: SignAssignment, sigma: float, t_max: float, grid_step: float,
                     limit: int):
-    """(t, cos sums, log|F|) of each _T_CHUNK-row block of the sup-scan t grid
-    in turn, by fresh array expressions on every row."""
+    """(t, cos(t log p), p^(-sigma), sign(p) p^(-sigma)) of each _T_CHUNK-row block of the
+    sup-scan t grid in turn."""
     ps, sg = signs.up_to(limit)
     p = ps.astype(np.float64)
     logp = np.log(p)
@@ -396,8 +399,23 @@ def sup_scan_blocks(signs: SignAssignment, sigma: float, t_max: float, grid_step
     ts = np.arange(1.0, t_max + grid_step * 0.5, grid_step)
     for start in range(0, ts.size, _T_CHUNK):
         tc = ts[start : start + _T_CHUNK]
-        c = np.cos(np.outer(tc, logp))
-        yield tc, c @ w, 0.5 * np.sum(np.log1p((2.0 * w) * c + amp * amp), axis=1)
+        yield tc, np.cos(np.outer(tc, logp)), amp, w
+
+
+def sup_scan_blocks(signs: SignAssignment, sigma: float, t_max: float, grid_step: float,
+                    limit: int):
+    """(t, cos sums, log|F|) of each _T_CHUNK-row block of the sup-scan t grid
+    in turn, by fresh array expressions and numpy's sum of each row."""
+    for tc, c, amp, w in _sup_scan_cells(signs, sigma, t_max, grid_step, limit):
+        yield tc, np.sum(c * w, axis=1), 0.5 * np.sum(np.log1p((2.0 * w) * c + amp * amp), axis=1)
+
+
+def sup_scan_cos_gemv(signs: SignAssignment, sigma: float, t_max: float, grid_step: float,
+                      limit: int) -> np.ndarray:
+    """The cos sums of every t row as one BLAS gemv per _T_CHUNK-row block, the way
+    `rmf.sup_scan` took them before it summed each row with numpy."""
+    cells = _sup_scan_cells(signs, sigma, t_max, grid_step, limit)
+    return np.concatenate([c @ w for _, c, _, w in cells])
 
 
 def sup_scan_direct(

@@ -531,20 +531,36 @@ def test_sup_scan_matches_direct_bit_for_bit(limit, rows):
 
 
 def test_block_products_keep_a_row_when_every_other_row_is_zero():
-    # The bit argument of _basis_rows: a row of a BLAS gemv or gemm reads only its own
+    # The bit argument of chaining's exact blocks: a row of a BLAS gemm reads only its own
     # input row, in an order that the block's shape and the row's place fix, so zeroing
     # the other rows keeps its bits.  Rows: first, middle, last, and in a partial block.
     rng = np.random.default_rng(19)
     n_p = primes.cached_primes(10**5).primes.size
-    for rows, right in ((rmf._T_CHUNK, rng.standard_normal(n_p)),
-                        (_GRID_CHUNK, rng.standard_normal((n_p, 20)))):
-        for size in (rows, rows - 85):
-            block = rng.uniform(-1.0, 1.0, (size, n_p))
-            full = block @ right
-            for i in (0, size // 2, size - 1):
-                lone = np.zeros_like(block)
-                lone[i] = block[i]
-                assert (lone @ right)[i].tobytes() == full[i].tobytes(), (rows, size, i)
+    right = rng.standard_normal((n_p, 20))
+    for size in (_GRID_CHUNK, _GRID_CHUNK - 85):
+        block = rng.uniform(-1.0, 1.0, (size, n_p))
+        full = block @ right
+        for i in (0, size // 2, size - 1):
+            lone = np.zeros_like(block)
+            lone[i] = block[i]
+            assert (lone @ right)[i].tobytes() == full[i].tobytes(), (size, i)
+
+
+@pytest.mark.parametrize("limit, rows", [(10**3, 300), (10**4, 300), (10**5, 300), (10**6, 129)])
+def test_sup_scan_row_sums_lie_within_two_gamma_p_of_the_block_gemv(limit, rows):
+    # Row sums and the gemv they replaced each lie within gamma_P sum|w| of the exact sum
+    # of the cos(t log p) w_p, whatever the order of summation (Higham, ch. 4.2).
+    signs = rmf.sample_signs(0, limit)
+    n_p = signs.primes.size
+    gamma = n_p * 2.0**-53 / (1 - n_p * 2.0**-53)
+    for sigma in (0.55, 1.0):
+        t_max = 1.0 + (rows - 1) * 0.01
+        row_sums = np.concatenate(
+            [b[1] for b in oracles.sup_scan_blocks(signs, sigma, t_max, 0.01, limit)])
+        gemv = oracles.sup_scan_cos_gemv(signs, sigma, t_max, 0.01, limit)
+        bound = 2 * gamma * np.sum(signs.primes.astype(np.float64) ** -sigma)
+        assert row_sums.size == gemv.size == rows
+        assert np.max(np.abs(row_sums - gemv)) <= bound
 
 
 # (grid_step, t_max): a 1-row grid, three blocks with a partial last one, and
@@ -756,6 +772,25 @@ def test_sign_matrix_matches_direct_bit_for_bit(n_primes):
             out = np.full((n, n_primes), np.nan)
             assert rmf.sign_matrix(seeds, ps, out=out) is out
             assert np.array_equal(out, direct)
+
+
+def test_sign_matrix_into_out_allocates_only_the_shift_temporary():
+    # At 256 seeds x 9,592 primes the tiles have 6 rows.  With `out`, the hash runs in place
+    # there: besides the 6-row uint64 shift temporary, only the salted primes and their cast
+    # are made, with 64 KiB for the seed keys and array headers.  No 6-row uint64 tile.
+    ps = primes.cached_primes(10**5).primes
+    seeds = rmf.derive_seed(0, np.arange(256))
+    out = np.empty((256, ps.size))
+    tracemalloc.start()
+    try:
+        rmf.sign_matrix(seeds, ps, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = rmf._HASH_CELLS // ps.size
+    assert rows == 6
+    assert peak <= 8 * (rows + 2) * ps.size + 2**16
+    assert np.array_equal(out, oracles.sign_matrix_direct(seeds, ps))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
