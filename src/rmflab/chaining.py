@@ -3,8 +3,8 @@ checked on the depth-r_max dyadic grid of an interval, the lambda_r^2 = 2 C1 r /
 with its chaining constant, and the empirical oscillation experiment max |P(sigma) -
 P(sigma_ell)| over [sigma_ell, sigma_{ell-1}].  That experiment evaluates exactly only the grid
 rows that rmf's low-rank estimate of sum_p w_p e^(f x_p), with its derived error bound, cannot
-rule out, each in its _GRID_CHUNK-row block's gemm with the other rows zero: the fixed block
-shape fixes the order in which a gemm row sums its own input row, so the row keeps its bits.
+rule out, each in its _GRID_CHUNK-row block's gemm: a gemm row reads only its own input row, in an
+order that the fixed block shape fixes, so no other row, zero or stale, changes a selected row.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ class OscillationResult:
 def check_grid(ells: Sequence[int], r_max: int, n_seeds: int, limit: int = 10**6) -> int:
     """Raise ValueError unless every ell is >= 2 and r_max lies in [1, 30], and ResourceLimitError
     unless memory holds the bytes oscillation_batch allocates, returned: 4 n_seeds + 4 float64 per
-    grid row, hash tile, 3 n_seeds + 8 float64 and a _GRID_CHUNK-row block per prime, 3 buffers."""
+    grid row, 3 n_seeds + 8 + _GRID_CHUNK float64 per prime, _hash_tile_bytes and 3 buffers."""
     if any(ell < 2 for ell in ells):
         raise ValueError(f"ell must be >= 2, got {min(ells)}")
     if not 1 <= r_max <= 30:
@@ -189,7 +189,7 @@ def oscillation_batch(
     ps = primes_mod.cached_primes(limit).primes
     p = ps.astype(np.float64)
     logp = np.log(p)
-    weights = rmf_mod.sign_matrix(seeds, ps, out=np.empty((len(seeds), ps.size))).T  # (P, seeds)
+    weights = rmf_mod.sign_matrix(seeds, ps).T  # (P, seeds)
     weights *= (p ** (-s_ell))[:, None]
 
     n_grid = 2**r_max + 1
@@ -204,7 +204,6 @@ def oscillation_batch(
         for i in at:  # (-d) log p == -(d log p) exactly
             np.exp(np.multiply(-dsig[start + i], logp, out=block[i]), out=block[i])
         p_vals[start + at] = (block[: n_grid - start] @ weights)[at]
-        block[at] = 0.0
 
     max_osc = np.fmax.reduce(np.abs(p_vals - p_vals[0]), axis=0)
     first_violation = _first_violations(p_vals, lambdas)

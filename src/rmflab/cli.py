@@ -226,15 +226,9 @@ def _at_least(cfg: ExperimentConfig, key: str, least: int = 1) -> int:
 
 
 def _extension_size(cfg: ExperimentConfig, seeds: int = 1) -> int:
-    """cfg.x_max once it is >= 1 and memory holds, per thread extending PACKED_SIGNS of `seeds`,
-    its sign hash, hash tile and packed words, its int32 prime index, 64 B an integer of block
-    buffers and 64 KiB for the pool, the lists and the array headers."""
+    """cfg.x_max once it is >= 1 and memory holds rmf.extension_bytes for `seeds` seeds."""
     x_max = _at_least(cfg, "x_max")
-    rows, n_primes = min(seeds, rmf.PACKED_SIGNS), primes.prime_count_bound(x_max)
-    need = (2 * rows + 24) * n_primes + rmf._hash_tile_bytes(rows, n_primes) + 4 * (x_max + 1)
-    need += 64 * min(rmf.TRACE_SEGMENT, x_max) + (1 << 16)
-    need *= min(rmf._worker_count(), -(-seeds // rows))
-    rmf.check_memory(need, f"x_max={x_max} prime index and sign hash")
+    rmf.check_memory(rmf.extension_bytes(x_max, seeds), f"x_max={x_max} prime index and sign hash")
     return x_max
 
 

@@ -9,7 +9,7 @@ cosine-weighted prime sums, summed exactly by numpy one t row at a time and only
 the rows that the certified estimate of `_low_rank_grid` cannot rule out, all live here.
 
 The multiplicative extension has one path: 64 assignments' negative signs are
-the bits of one uint64 word per prime; each TRACE_SEGMENT block, sieved afresh by
+the bits of one sign_words word per prime; each TRACE_SEGMENT block, sieved afresh by
 the primes up to its square root (the one larger prime of a squarefree n is found
 in a transient 4-byte-per-integer index), yields only its squarefree n, over which
 M_f walks in int32 and looks for sign changes only right after its zeros.
@@ -41,7 +41,7 @@ PACKED_SIGNS = 64  # sign assignments per uint64 word of the multiplicative exte
 TRACE_VALUES_CAP = 10**7
 CHECKPOINT_STRIDE = 1 << 16
 _SEED_BLOCK = 256  # seeds per float64 sign block of random_prime_sum_batch
-_HASH_CELLS = 1 << 16  # uint64 cells per sign-hash tile
+_HASH_CELLS = 1 << 16  # float64 cells per sign_matrix tile, each hashed in place as uint64
 _T_CHUNK = 128  # t-grid rows per block of the sup-scan estimates
 _EXACT_LOG1P = 10**4  # sup-scan estimates take the exact log1p for primes up to here
 _LOW_RANK_CELLS = 1 << 20  # float64 cells per prime chunk or grid chunk of _low_rank_grid
@@ -108,34 +108,51 @@ def derive_seed(base_seed: int, index: int | np.ndarray) -> int | np.ndarray:
     return int(z) if z.ndim == 0 else z
 
 
-def sign_matrix(trial_seeds: np.ndarray | Sequence[int], primes: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """The sign hash: row t holds the +-1 signs of `primes` under trial_seeds[t], as int8, or as
-    float64 in `out`, a C-contiguous (len(trial_seeds), primes.size) array.  Python int seeds are
-    taken mod 2^64; an integer array is cast to uint64.  Tiles of max(1, _HASH_CELLS // P) rows
-    are hashed in place in `out`, or without `out` in one uint64 tile."""
+def _salted(trial_seeds: np.ndarray | Sequence[int], primes: np.ndarray) -> tuple:
+    """The hash keys mix64(seed mod 2^64) and, made in place, the salted primes p * _PRIME_SALT."""
     if not isinstance(trial_seeds, np.ndarray):
         trial_seeds = [int(s) & _MASK64 for s in trial_seeds]
-    keys = mix64(np.asarray(trial_seeds, dtype=np.uint64))
-    with np.errstate(over="ignore"):
-        pk = primes.astype(np.uint64) * _PRIME_SALT
-    signs = np.empty((keys.size, primes.size), dtype=np.int8) if out is None else out
+    pk = primes.astype(np.uint64)
+    pk *= _PRIME_SALT
+    return mix64(np.asarray(trial_seeds, dtype=np.uint64)), pk
+
+
+def sign_matrix(trial_seeds: np.ndarray | Sequence[int], primes: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """The sign hash: row t holds the +-1.0 signs of `primes` under trial_seeds[t], in `out`, a
+    C-contiguous float64 (len(trial_seeds), primes.size) array, or in a new one.  Tiles of
+    max(1, _HASH_CELLS // P) rows are hashed in place there, hash bit 0 set where f(p) = -1."""
+    keys, pk = _salted(trial_seeds, primes)
+    out = np.empty((keys.size, primes.size)) if out is None else out
     rows = max(1, _HASH_CELLS // max(1, primes.size))
     tmp = np.empty((min(rows, keys.size), primes.size), dtype=np.uint64)  # shift temporary
-    tile = np.empty_like(tmp) if out is None else None
     for start in range(0, keys.size, rows):
         key = keys[start : start + rows, None]
-        z = tile[: key.size] if out is None else out[start : start + key.size].view(np.uint64)
+        z = out[start : start + key.size].view(np.uint64)
         mix64(np.bitwise_xor(pk, key, out=z), out=z, tmp=tmp[: key.size])
         z <<= np.uint64(63)
         z |= np.uint64(0x3FF0000000000000)  # hash bit 0 in the sign bit of 1.0: +-1.0
-        signs[start : start + key.size] = z.view(np.float64)  # no copy when z lies in `out`
-    return signs
+    return out
+
+
+def sign_words(seeds: np.ndarray | Sequence[int], primes: np.ndarray) -> np.ndarray:
+    """The sign hash of at most PACKED_SIGNS seeds as one uint64 word per prime: bit j is set
+    where row j of sign_matrix(seeds, primes) is -1.0.  Each seed is hashed into one buffer."""
+    if len(seeds) > PACKED_SIGNS:
+        raise ValueError(f"at most {PACKED_SIGNS} seeds share a sign word, got {len(seeds)}")
+    keys, pk = _salted(seeds, primes)
+    words, z, tmp = np.zeros_like(pk), np.empty_like(pk), np.empty_like(pk)
+    for j, key in enumerate(keys):
+        mix64(np.bitwise_xor(pk, key, out=z), out=z, tmp=tmp)
+        z &= np.uint64(1)
+        z <<= np.uint64(j)
+        words |= z
+    return words
 
 
 def _hash_tile_bytes(rows: int, n_primes: int) -> int:
-    """Bytes of sign_matrix's uint64 tile and shift temporary for `rows` seeds over n_primes."""
-    return 16 * max(n_primes, min(rows * n_primes, _HASH_CELLS))
+    """Bytes of sign_matrix's shift temporary and xor's two ufunc buffers, for `rows` seeds."""
+    return 8 * (max(n_primes, min(rows * n_primes, _HASH_CELLS)) + 2 * np.getbufsize())
 
 
 @dataclass(frozen=True)
@@ -160,17 +177,10 @@ class SignAssignment:
 
 
 def sample_signs(seed: int, prime_limit: int) -> SignAssignment:
-    """Reproducible +-1 assignment on the primes up to prime_limit."""
+    """Reproducible +-1.0 assignment on the primes up to prime_limit: a sign_matrix row."""
     ps = primes_mod.cached_primes(prime_limit).primes
     signs = sign_matrix([seed], ps)[0]
     return SignAssignment(seed=seed, prime_limit=prime_limit, primes=ps, signs=signs)
-
-
-def _packed(negative: np.ndarray) -> np.ndarray:
-    """One uint64 per prime, bit j set where boolean row j of `negative` is."""
-    words = np.zeros((negative[0].size, 8), dtype=np.uint8)
-    words[:, : (len(negative) + 7) // 8] = np.packbits(negative, axis=0, bitorder="little").T
-    return words.view("<u8").ravel()
 
 
 def _signed_blocks(words: np.ndarray, x_max: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -209,7 +219,7 @@ def _words(signs: SignAssignment, x_max: int) -> np.ndarray:
     """The packed words of one assignment on the primes up to x_max, after the range check."""
     if not 1 <= x_max <= signs.prime_limit:
         raise ResourceLimitError(f"x_max={x_max} outside [1, prime_limit={signs.prime_limit}]")
-    return _packed(signs.up_to(x_max)[1][None] < 0)
+    return (signs.up_to(x_max)[1] < 0).astype(np.uint64)
 
 
 def _signed_rows(words: np.ndarray, rows: int, x_max: int) -> np.ndarray:
@@ -230,7 +240,7 @@ def signed_value_rows(seeds: Sequence[int], x_max: int) -> np.ndarray:
     """Row j: signed_values(sample_signs(seeds[j], x_max), x_max), for at most
     PACKED_SIGNS seeds, from one extension pass."""
     ps = primes_mod.cached_primes(max(x_max, 2)).upto(x_max)
-    return _signed_rows(_packed(sign_matrix(seeds, ps) < 0), len(seeds), x_max)
+    return _signed_rows(sign_words(seeds, ps), len(seeds), x_max)
 
 
 def sign_change_points(values: np.ndarray, first_n: int = 1, carry: int = 0) -> np.ndarray:
@@ -322,19 +332,27 @@ def sign_change_counts(seeds: Sequence[int], x_max: int) -> np.ndarray:
     """(count_changes(), final_value) of partial_sum_trace(sample_signs(seed,
     max(x_max, 2)), x_max) for each seed, shape (len(seeds), 2).  Each extension
     pass, on one of _worker_count() threads, serves PACKED_SIGNS seeds hashed by
-    one sign_matrix call."""
+    one sign_words call."""
     if x_max < 1:
         raise ResourceLimitError(f"x_max={x_max} must be >= 1")
     ps = primes_mod.cached_primes(max(x_max, 2)).upto(x_max)  # sieved before the threads share it
 
     def counts(start: int) -> list[tuple[int, int]]:
         block = seeds[start : start + PACKED_SIGNS]
-        words = _packed(sign_matrix(block, ps) < 0)
-        return [(changes.size, m) for changes, m in _traces(words, len(block), x_max)]
+        return [(c.size, m) for c, m in _traces(sign_words(block, ps), len(block), x_max)]
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:  # map keeps seed order
         out = [row for rows in pool.map(counts, range(0, len(seeds), PACKED_SIGNS)) for row in rows]
     return np.array(out, dtype=np.int64).reshape(-1, 2)
+
+
+def extension_bytes(x_max: int, seeds: int = 1) -> int:
+    """Bytes sign_change_counts allocates at most, and partial_sum_trace for one seed: per thread
+    of PACKED_SIGNS seeds, sign_words' four uint64 arrays per prime, the int32 prime index, 64 B
+    an integer of block buffers, and 64 KiB for the pool, the lists and the array headers."""
+    need = 32 * primes_mod.prime_count_bound(x_max) + 4 * (x_max + 1)
+    need += 64 * min(TRACE_SEGMENT, x_max) + (1 << 16)
+    return need * min(_worker_count(), -(-seeds // PACKED_SIGNS))
 
 
 def random_prime_sum_batch(
@@ -366,7 +384,7 @@ def random_prime_sum_batch(
 
 def prime_sum_batch_bytes(n_seeds: int, n_primes: int, n_sigmas: int) -> int:
     """Bytes random_prime_sum_batch allocates at most: n_sigmas + 2 float64 per seed and per
-    prime, a _SEED_BLOCK-row block, the hash tile, and 64 KiB of lists and array headers."""
+    prime, a _SEED_BLOCK-row block, _hash_tile_bytes and 64 KiB of lists and array headers."""
     rows = min(_SEED_BLOCK, n_seeds)
     need = 8 * ((n_sigmas + 2) * (n_seeds + n_primes) + rows * n_primes) + (1 << 16)
     return need + _hash_tile_bytes(rows, n_primes)

@@ -29,9 +29,11 @@ None of this is used by `rmflab` itself:
   pairs, must reproduce bit for bit, and the float `chaining_R`,
   the reference for the integer R that `verify_chaining` reads off grid steps;
 - the sign hash one seed row at a time as int8 (`sign_matrix_direct`), which
-  `rmf.sign_matrix`, hashing tiles of max(1, 2^16 // P) rows in place and
-  turning hash bit 0 into the bits of +-1.0, must reproduce bit for bit as int8
-  and as float64;
+  `rmf.sign_matrix`, hashing tiles of max(1, 2^16 // P) rows in place in its
+  float64 output and turning hash bit 0 into the bits of +-1.0, must reproduce
+  bit for bit; and its negative signs packed by `np.packbits` into one uint64
+  per prime (`packed`), which `rmf.sign_words`, hashing one seed at a time and
+  or-ing hash bit 0 into bit j of each word, must equal;
 - the truncated P(sigma) of one sign assignment, which
   `rmf.random_prime_sum_batch` must reproduce for every seed, and the batch
   as it was (`random_prime_sum_batch_direct`: each 256-seed block hashed to
@@ -339,6 +341,13 @@ def sign_matrix_direct(trial_seeds, primes: np.ndarray) -> np.ndarray:
     for row, key in zip(out, keys):
         row[:] = 1 - 2 * (mix64(pk ^ key) & np.uint64(1)).astype(np.int8)
     return out
+
+
+def packed(negative: np.ndarray) -> np.ndarray:
+    """One uint64 per prime, bit j set where boolean row j of `negative` is."""
+    words = np.zeros((negative[0].size, 8), dtype=np.uint8)
+    words[:, : (len(negative) + 7) // 8] = np.packbits(negative, axis=0, bitorder="little").T
+    return words.view("<u8").ravel()
 
 
 def random_prime_sum_batch_direct(trial_seeds, sigma, limit: int) -> np.ndarray:

@@ -366,19 +366,19 @@ def stub_ram(monkeypatch, ram: int) -> None:
 
 
 def test_signchanges_counts_each_threads_sign_hash_before_any_sieve(tmp_path, monkeypatch, capsys):
-    # 128 seeds on 2 threads: each hashes 64 seeds, holding an int8 matrix and its
-    # bool mask of 64 rows, a one-row uint64 hash tile and its shift temporary, the
-    # uint64 salted primes and packed words, and then builds its own 4 MB prime index,
-    # block buffers and 64 KiB of pool, lists and array headers.  8 MB of RAM holds one
-    # prime index but not the two passes' 47 MB.
+    # 128 seeds on 2 threads: each hashes 64 seeds into four uint64 arrays per prime
+    # (salted primes, hash, shift temporary and packed words), and then builds its own
+    # 4 MB prime index, block buffers and 64 KiB of pool, lists and array headers.  8 MB
+    # of RAM holds one prime index but not the two passes' 22.3 MB.
     monkeypatch.setenv("RMFLAB_THREADS", "2")
     stub_ram(monkeypatch, 8 * 2**20)
     calls = []
     monkeypatch.setattr(cli.primes, "cached_primes", lambda *a: calls.append(a))
     out = tmp_path / "big"
     assert run(["signchanges", "--seeds", "128", "--output-dir", str(out)]) == 3
-    need = (2 * 64 + 24 + 16) * cli.primes.prime_count_bound(10**6) + 4 * (10**6 + 1)
+    need = 32 * cli.primes.prime_count_bound(10**6) + 4 * (10**6 + 1)
     need = 2 * (need + 64 * cli.rmf.TRACE_SEGMENT + 2**16)
+    assert need == 22_333_768
     assert f"sign hash: {need} B > physical RAM" in capsys.readouterr().err
     assert 4 * (10**6 + 1) < 8 * 2**20 < need
     assert calls == []
@@ -421,15 +421,16 @@ def test_sup_scan_grid_beyond_memory_is_refused_before_any_hash(tmp_path, monkey
 def test_prime_sums_beyond_memory_are_refused_before_any_sieve_or_hash(
         tmp_path, monkeypatch, capsys):
     # concentration's 10^4 trials x 8 sigma over pi(10^6) <= 90,845 primes: a 256-row
-    # float64 block and 10 float64 per prime and per trial, a one-row hash tile and
-    # 64 KiB, 195.6 MB; c06 and c07 hold 2000 seeds at 10^6 and 10^4 at 10^5.
+    # float64 block and 10 float64 per prime and per trial, a one-row shift temporary,
+    # two 8192-element ufunc buffers and 64 KiB, 195.0 MB; c06 and c07 hold 2000 seeds
+    # at 10^6 and 10^4 at 10^5.
     stub_ram(monkeypatch, 2**20)
     calls = []
     monkeypatch.setattr(cli.primes, "cached_primes", lambda *a: calls.append(a))
     monkeypatch.setattr(cli.rmf, "sign_matrix", lambda *a, **kw: calls.append(a))
     out = tmp_path / "cc"
     assert run(["concentration", "--output-dir", str(out)]) == 3
-    assert "resource error: step-2 sums: 195637216 B > physical RAM" in capsys.readouterr().err
+    assert "resource error: step-2 sums: 195041528 B > physical RAM" in capsys.readouterr().err
     for check in (cli._check_variance_match, cli._check_hoeffding):
         with pytest.raises(cli.ResourceLimitError, match="B > physical RAM"):
             check(cli.ExperimentConfig())

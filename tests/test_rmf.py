@@ -290,7 +290,7 @@ def test_walk_carries_zero_runs_across_blocks(segment, n, x, monkeypatch):
     for s, m in zip(crafted, ms):
         assert m[n - 1] == 0 and m[end - 1] == 0  # a block ends inside the zero run
         assert_trace_is(rmf.partial_sum_trace(s, x), m)
-    words = rmf._packed(np.stack([s.signs < 0 for s in crafted]))
+    words = oracles.packed(np.stack([s.signs < 0 for s in crafted]))
     walked = rmf._traces(words, len(crafted), x)
     for (cps, final), m in zip(walked, ms):
         assert np.array_equal(cps, rmf.sign_change_points(m)) and final == int(m[-1])
@@ -532,8 +532,10 @@ def test_sup_scan_matches_direct_bit_for_bit(limit, rows):
 
 def test_block_products_keep_a_row_when_every_other_row_is_zero():
     # The bit argument of chaining's exact blocks: a row of a BLAS gemm reads only its own
-    # input row, in an order that the block's shape and the row's place fix, so zeroing
-    # the other rows keeps its bits.  Rows: first, middle, last, and in a partial block.
+    # input row, in an order that the block's shape and the row's place fix, so the row keeps
+    # its bits whether the other rows hold data (`full`) or zeros (`lone`), and stale rows
+    # left from an earlier block cannot change it.  Rows: first, middle, last, and in a
+    # partial block.
     rng = np.random.default_rng(19)
     n_p = primes.cached_primes(10**5).primes.size
     right = rng.standard_normal((n_p, 20))
@@ -768,16 +770,33 @@ def test_sign_matrix_matches_direct_bit_for_bit(n_primes):
         for seeds in (ints, rmf.derive_seed(11, np.arange(n))):
             direct = oracles.sign_matrix_direct(seeds, ps)
             signs = rmf.sign_matrix(seeds, ps)
-            assert signs.dtype == np.int8 and np.array_equal(signs, direct)
+            assert signs.dtype == np.float64 and np.array_equal(signs, direct)
             out = np.full((n, n_primes), np.nan)
             assert rmf.sign_matrix(seeds, ps, out=out) is out
             assert np.array_equal(out, direct)
 
 
+@pytest.mark.parametrize("n_primes", [1, 168, 9592, 78498])
+def test_sign_words_pack_the_negative_signs_of_sign_matrix_direct(n_primes):
+    ps = primes.cached_primes(10**6).primes[:n_primes]
+    for n in (1, 5, 63, 64):
+        ints = [(-1) ** i * (i << 61 | i) for i in range(n)]  # odd i: < 0; even i >= 8: >= 2^64
+        for seeds in (ints, rmf.derive_seed(11, np.arange(n))):
+            words = rmf.sign_words(seeds, ps)
+            assert words.dtype == np.uint64
+            assert np.array_equal(words, oracles.packed(oracles.sign_matrix_direct(seeds, ps) < 0))
+
+
+def test_sign_words_refuse_more_seeds_than_a_word_has_bits():
+    ps = primes.cached_primes(10**3).primes
+    with pytest.raises(ValueError, match="at most 64 seeds"):
+        rmf.sign_words(range(65), ps)
+
+
 def test_sign_matrix_into_out_allocates_only_the_shift_temporary():
-    # At 256 seeds x 9,592 primes the tiles have 6 rows.  With `out`, the hash runs in place
-    # there: besides the 6-row uint64 shift temporary, only the salted primes and their cast
-    # are made, with 64 KiB for the seed keys and array headers.  No 6-row uint64 tile.
+    # At 256 seeds x 9,592 primes the tiles have 6 rows.  The hash runs in place in `out`:
+    # besides the 6-row uint64 shift temporary, only the salted primes are made, with 64 KiB
+    # for the seed keys and array headers.
     ps = primes.cached_primes(10**5).primes
     seeds = rmf.derive_seed(0, np.arange(256))
     out = np.empty((256, ps.size))
