@@ -488,14 +488,9 @@ def _quantiles(values) -> dict:
 def cmd_simulate(args, cfg: ExperimentConfig) -> Result:
     x_max = _extension_size(cfg)
     signs = rmf.sample_signs(cfg.seed, max(x_max, 2))
-    trace = rmf.partial_sum_trace(signs, x_max, keep_values=x_max <= 10**5)
-
-    if trace.values is not None:
-        ns = np.arange(1, x_max + 1)
-        ms = trace.values
-    else:
-        ns = trace.checkpoint_ns
-        ms = trace.checkpoint_values
+    stride = 1 if x_max <= 10**5 else 1 << 16  # trace.csv lists every n, or every 2^16-th
+    trace = rmf.partial_sum_trace(signs, x_max, stride)
+    ns = np.arange(stride, x_max + 1, stride)
 
     cps = trace.change_points
     # M starts at M(1) = 1, so the first transition lands on a negative value.
@@ -505,7 +500,7 @@ def cmd_simulate(args, cfg: ExperimentConfig) -> Result:
     xs = sorted(set(x for x in xs if x <= x_max))
     return Result(
         files={
-            "trace.csv": (["n", "M"], [[int(n), int(m)] for n, m in zip(ns, ms)]),
+            "trace.csv": (["n", "M"], [[int(n), int(m)] for n, m in zip(ns, trace.values)]),
             "changes.csv": (
                 ["index", "sign_before", "sign_after"],
                 [[int(n), -s, s] for n, s in zip(cps, sign_after)],

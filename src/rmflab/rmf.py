@@ -38,8 +38,6 @@ _PRIME_SALT = np.uint64(0xD1B54A32D192ED03)
 
 TRACE_SEGMENT = 1 << 16
 PACKED_SIGNS = 64  # sign assignments per uint64 word of the multiplicative extension
-TRACE_VALUES_CAP = 10**7
-CHECKPOINT_STRIDE = 1 << 16
 _SEED_BLOCK = 256  # seeds per float64 sign block of random_prime_sum_batch
 _HASH_CELLS = 1 << 16  # float64 cells per sign_matrix tile, each hashed in place as uint64
 _T_CHUNK = 128  # t-grid rows per block of the sup-scan estimates
@@ -231,14 +229,9 @@ def _signed_rows(words: np.ndarray, rows: int, x_max: int) -> np.ndarray:
     return out
 
 
-def signed_values(signs: SignAssignment, x_max: int) -> np.ndarray:
-    """f(1..x_max) as an int8 array (index i holds f(i+1))."""
-    return _signed_rows(_words(signs, x_max), 1, x_max)[0]
-
-
 def signed_value_rows(seeds: Sequence[int], x_max: int) -> np.ndarray:
-    """Row j: signed_values(sample_signs(seeds[j], x_max), x_max), for at most
-    PACKED_SIGNS seeds, from one extension pass."""
+    """Row j: f(1..x_max) under sample_signs(seeds[j], x_max) as int8 (index i holds f(i+1)),
+    for at most PACKED_SIGNS seeds, from one extension pass."""
     ps = primes_mod.cached_primes(max(x_max, 2)).upto(x_max)
     return _signed_rows(sign_words(seeds, ps), len(seeds), x_max)
 
@@ -261,19 +254,14 @@ def sign_change_points(values: np.ndarray, first_n: int = 1, carry: int = 0) -> 
 
 @dataclass(frozen=True)
 class PartialSumTrace:
-    """M_f(n) for n = 1..x_max with sign-change events.
-
-    Full values are kept when x_max <= TRACE_VALUES_CAP; above that only the
-    change points, checkpoints every CHECKPOINT_STRIDE steps, and the final
-    value are retained.
-    """
+    """M_f(n) for n = 1..x_max: its sign-change events, its final value, and
+    values[k] = M_f((k + 1) * stride) for every multiple of stride up to x_max."""
 
     x_max: int
     change_points: np.ndarray
     final_value: int
-    checkpoint_ns: np.ndarray
-    checkpoint_values: np.ndarray
-    values: np.ndarray | None
+    stride: int
+    values: np.ndarray
 
     def __post_init__(self):
         self.change_points.flags.writeable = False
@@ -286,16 +274,20 @@ class PartialSumTrace:
         return int(np.searchsorted(self.change_points, x, side="right"))
 
 
-def _traces(words: np.ndarray, rows: int, x_max: int, keep_values: bool | None = None):
-    """[(change points, M(x_max))] of the assignments j < rows packed in `words`, or with
-    keep_values a bool the PartialSumTrace of the one assignment (M at every n if keep_values).
+def _traces(words: np.ndarray, rows: int, x_max: int, stride: int):
+    """([(change points, M(x_max))] of the assignments j < rows packed in `words`, and their M
+    at n = stride, 2 stride, ... <= x_max as one int64 row each).
     M walks the squarefree n in int32: after a block's k-th, the carried M + k - 2 (its -1
     signs so far).  Its steps are +-1, so it changes sign only between a zero's neighbours."""
     value, last, changes = [0] * rows, [0] * rows, [[np.empty(0, np.int64)] for _ in range(rows)]
-    checkpoints, kept = [np.empty(0, np.int64)], np.empty(x_max if keep_values else 0, np.int64)
+    samples = np.empty((rows, x_max // stride), np.int64)
     for lo, sq, w in _signed_blocks(words, x_max):
+        hi = min(lo + TRACE_SEGMENT - 1, x_max)
         step, path = np.arange(1, sq.size + 1, dtype=np.int32), np.empty(sq.size + 2, np.int32)
         m = path[2:]  # path: the last nonzero M, M before the block, M at its entries (|M| < 2^31)
+        # M at n = lo + i is path[1 + the count of entries up to i]
+        at = 1 + np.searchsorted(sq, np.arange(-lo % stride, hi + 1 - lo, stride), "right")
+        first = (lo - 1) // stride  # the multiples of stride below lo
         for j, bit in enumerate(_bits(w, rows)):
             path[:2] = last[j], value[j]
             np.cumsum(bit, out=m)  # not in place: an in-place cumsum holds the GIL
@@ -306,31 +298,21 @@ def _traces(words: np.ndarray, rows: int, x_max: int, keep_values: bool | None =
             if z.size:
                 changes[j].append(lo + sq[z[path[z + 1] * path[z - 1] < 0] - 1])
             value[j], last[j] = int(path[-1]), int(path[-1] or path[-2])
-        if keep_values is not None:  # M at n = lo + i is path[1 + the count of entries up to i]
-            n = min(TRACE_SEGMENT, x_max + 1 - lo)
-            at = np.arange(-lo % CHECKPOINT_STRIDE, n, CHECKPOINT_STRIDE)
-            checkpoints.append(path[1 + np.searchsorted(sq, at, "right")])
-            if keep_values:
-                kept[lo - 1 : lo - 1 + n] = np.repeat(path[1:], np.diff(sq, prepend=0, append=n))
-    if keep_values is None:
-        return [(np.concatenate(c), v) for c, v in zip(changes, value)]
-    cp_ns = np.arange(CHECKPOINT_STRIDE, x_max + 1, CHECKPOINT_STRIDE, dtype=np.int64)
-    return PartialSumTrace(x_max, np.concatenate(changes[0]), value[0], cp_ns,
-                           np.concatenate(checkpoints), kept if keep_values else None)
+            samples[j, first : first + at.size] = path[at]
+    return [(np.concatenate(c), v) for c, v in zip(changes, value)], samples
 
 
-def partial_sum_trace(
-    signs: SignAssignment, x_max: int, keep_values: bool | None = None
-) -> PartialSumTrace:
-    """Exact M_f at every integer up to x_max, built segment by segment."""
-    if keep_values is None:
-        keep_values = x_max <= TRACE_VALUES_CAP
-    return _traces(_words(signs, x_max), 1, x_max, keep_values)
+def partial_sum_trace(signs: SignAssignment, x_max: int, stride: int) -> PartialSumTrace:
+    """Exact M_f up to x_max, built segment by segment, sampled at every stride-th n."""
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    [(changes, final)], values = _traces(_words(signs, x_max), 1, x_max, stride)
+    return PartialSumTrace(x_max, changes, final, stride, values[0])
 
 
 def sign_change_counts(seeds: Sequence[int], x_max: int) -> np.ndarray:
     """(count_changes(), final_value) of partial_sum_trace(sample_signs(seed,
-    max(x_max, 2)), x_max) for each seed, shape (len(seeds), 2).  Each extension
+    max(x_max, 2)), x_max, stride) for each seed, shape (len(seeds), 2).  Each extension
     pass, on one of _worker_count() threads, serves PACKED_SIGNS seeds hashed by
     one sign_words call."""
     if x_max < 1:
@@ -339,7 +321,8 @@ def sign_change_counts(seeds: Sequence[int], x_max: int) -> np.ndarray:
 
     def counts(start: int) -> list[tuple[int, int]]:
         block = seeds[start : start + PACKED_SIGNS]
-        return [(c.size, m) for c, m in _traces(sign_words(block, ps), len(block), x_max)]
+        walked = _traces(sign_words(block, ps), len(block), x_max, x_max + 1)[0]  # no samples
+        return [(c.size, m) for c, m in walked]
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:  # map keeps seed order
         out = [row for rows in pool.map(counts, range(0, len(seeds), PACKED_SIGNS)) for row in rows]
@@ -347,9 +330,10 @@ def sign_change_counts(seeds: Sequence[int], x_max: int) -> np.ndarray:
 
 
 def extension_bytes(x_max: int, seeds: int = 1) -> int:
-    """Bytes sign_change_counts allocates at most, and partial_sum_trace for one seed: per thread
-    of PACKED_SIGNS seeds, sign_words' four uint64 arrays per prime, the int32 prime index, 64 B
-    an integer of block buffers, and 64 KiB for the pool, the lists and the array headers."""
+    """Bytes sign_change_counts allocates at most, and partial_sum_trace for one seed besides its
+    x_max // stride int64 samples: per thread of PACKED_SIGNS seeds, sign_words' four uint64
+    arrays per prime, the int32 prime index, 64 B an integer of block buffers, and 64 KiB for
+    the pool, the lists and the array headers."""
     need = 32 * primes_mod.prime_count_bound(x_max) + 4 * (x_max + 1)
     need += 64 * min(TRACE_SEGMENT, x_max) + (1 << 16)
     return need * min(_worker_count(), -(-seeds // PACKED_SIGNS))
@@ -399,7 +383,7 @@ def abel_weights(sigma: float, x: int) -> tuple[np.ndarray, np.ndarray]:
 
 def abel_identity_residual(f: np.ndarray, sigma: float, weights: tuple | None = None) -> float:
     """|sum_{n<=x} f(n) n^(-sigma) - M(x) x^(-sigma) - sigma * integral| for
-    f = f(1..x) as `signed_values` returns it, with the integral of
+    f = f(1..x), a row of `signed_value_rows`, with the integral of
     M(u) u^(-1-sigma) over [1, x] evaluated exactly piecewise.  `weights` is
     `abel_weights(sigma, x)`, computed here when not given.
 

@@ -4,21 +4,23 @@ None of this is used by `rmflab` itself:
 
 - a smallest-prime-factor table and squarefree factorization, and the
   multiplicative extension f(n) evaluated one n at a time from them, which
-  `rmf.signed_values` must reproduce;
+  `signed_values` must reproduce;
 - `_signed_block`, the extension of one assignment over a block of n by
   strided sign flips of the primes up to min(block length, 10^4) and flips
   of the multiples k p of every larger prime, one multiplier k at a time,
   which must equal `f_value` at every n.  `rmf` instead
   sieves each block by the primes up to its square root and finds the at
   most one larger prime of a squarefree n in a transient 4-byte-per-integer
-  index, keeping no cache but the prime table; `rmf.signed_values` must
+  index, keeping no cache but the prime table; `signed_values`, one
+  assignment through the kernel of `rmf.signed_value_rows`, must
   reproduce `_signed_block` bit for bit for every seed and segment length;
 - the int64 cumulative sum of `_signed_block` scanned by the general
   `rmf.sign_change_points`, which no `rmflab` path calls any more: it is the
   oracle of the walk of `rmf.partial_sum_trace` and `rmf.sign_change_counts`
   over the squarefree n only, in int32, which looks for sign changes only
   right after the zeros of M and must give the same change points, final
-  value, checkpoints and kept values for every seed, batch and segment length;
+  value and M at every stride-th n for every seed, batch, stride and segment
+  length;
 - the truncated Dirichlet series and Euler product of one assignment
   (`series_and_product`) and the Mellin integral of |M| (`abs_mellin`),
   which no command uses;
@@ -77,8 +79,8 @@ from rmflab.chaining import _GRID_CHUNK, OSCILLATION_SCHEDULE, ChainingReport, _
 from rmflab.prime_series import DivergenceError
 from rmflab.primes import DEFAULT_SEGMENT, PrimeTable
 from rmflab.rmf import (
-    _MASK64, _PRIME_SALT, _T_CHUNK, SignAssignment, SupScanResult, abel_weights,
-    mix64, signed_values,
+    _MASK64, _PRIME_SALT, _T_CHUNK, SignAssignment, SupScanResult, _signed_rows, _words,
+    abel_weights, mix64,
 )
 from rmflab.sequences import StepParams, step_sigma_ell
 
@@ -440,6 +442,12 @@ def sup_scan_direct(
         best_logf = max(best_logf, float(np.max(log_f)))
         size += tc.size
     return SupScanResult(best_cos, best_t, float(np.exp(best_logf)), size)
+
+
+def signed_values(signs: SignAssignment, x_max: int) -> np.ndarray:
+    """f(1..x_max) of one assignment as int8 (index i holds f(i+1)), by the packed-word
+    extension of `rmf.signed_value_rows`."""
+    return _signed_rows(_words(signs, x_max), 1, x_max)[0]
 
 
 STRIDED_FLIPS = 10**4  # `_signed_block` flips the primes up to here by strided slices

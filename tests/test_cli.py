@@ -45,6 +45,17 @@ def test_simulate_trace_and_changes_files(tmp_path):
         assert first_change[1] == "1" and first_change[2] == "-1"
 
 
+def test_simulate_trace_lists_every_n_to_1e5_and_every_2_16th_beyond(tmp_path):
+    out = tmp_path / "out"
+    for x_max in (100000, 100001):
+        assert run(["simulate", "--seed", "0", "--x-max", str(x_max),
+                    "--output-dir", str(out / str(x_max))]) == 0
+    every = next((out / "100000").glob("simulate-trace-*.csv")).read_text().splitlines()
+    strided = next((out / "100001").glob("simulate-trace-*.csv")).read_text().splitlines()
+    assert len(every) == 100_001 and every[65_536].startswith("65536,")
+    assert strided == ["n,M", every[65_536]]
+
+
 def test_empty_output_dir_rejected(tmp_path, capsys):
     assert run(["simulate", "--seed", "0", "--x-max", "100", "--output-dir", ""]) == 2
 
@@ -399,6 +410,20 @@ def test_extension_size_bounds_the_traced_peak_of_sign_change_counts(x_max, seed
     finally:
         tracemalloc.stop()
     assert peak <= needs[0]
+
+
+@pytest.mark.parametrize("x_max, stride", [(10**5, 1), (10**6, 1 << 16)])
+def test_extension_size_bounds_the_traced_peak_of_simulate_traces(x_max, stride):
+    # simulate's two strides: every n up to 10^5, every 2^16-th n beyond.
+    cli.primes.cached_primes(10**6)  # the prime table exists before the call
+    signs = cli.rmf.sample_signs(0, x_max)
+    tracemalloc.start()
+    try:
+        cli.rmf.partial_sum_trace(signs, x_max, stride)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cli.rmf.extension_bytes(x_max, 1)
 
 
 def test_sup_scan_grid_beyond_memory_is_refused_before_any_hash(tmp_path, monkeypatch, capsys):

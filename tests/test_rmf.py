@@ -93,7 +93,7 @@ def test_f_value_random_coprime_multiplicativity():
 
 def test_signed_values_match_f_value_and_mobius_square():
     s = rmf.sample_signs(5, 10**4)
-    f = rmf.signed_values(s, 10**4)
+    f = oracles.signed_values(s, 10**4)
     table, spf = oracles.sieve_tables(10**4)
     rng = np.random.default_rng(1)
     for n in rng.integers(1, 10**4, size=300):
@@ -119,14 +119,14 @@ def test_strided_flip_oracle_matches_f_value(monkeypatch):
 
 def test_trace_crafted_example():
     s = oracles.signs_from_dict({2: 1, 3: -1, 5: -1}, 10)
-    tr = rmf.partial_sum_trace(s, 6)
+    tr = rmf.partial_sum_trace(s, 6, 1)
     assert tr.values.tolist() == [1, 2, 1, 1, 0, -1]
     assert tr.change_points.tolist() == [6]
 
 
 def test_trace_all_plus_one():
     s = oracles.signs_constant(1, 10)
-    tr = rmf.partial_sum_trace(s, 4)
+    tr = rmf.partial_sum_trace(s, 4, 1)
     assert tr.final_value == 3  # f(4) = 0
     assert tr.count_changes() == 0
 
@@ -141,8 +141,8 @@ def test_sign_change_points_example():
 
 def test_trace_increments_are_f():
     s = rmf.sample_signs(2, 10**4)
-    f = rmf.signed_values(s, 10**4)
-    tr = rmf.partial_sum_trace(s, 10**4)
+    f = oracles.signed_values(s, 10**4)
+    tr = rmf.partial_sum_trace(s, 10**4, 1)
     assert tr.values[0] == 1
     assert np.array_equal(np.diff(tr.values), f[1:].astype(np.int64))
     assert np.max(np.abs(np.diff(tr.values))) <= 1
@@ -151,19 +151,35 @@ def test_trace_increments_are_f():
 def test_trace_changes_match_brute_force():
     for seed in range(6):
         s = rmf.sample_signs(seed, 10**4)
-        tr = rmf.partial_sum_trace(s, 10**4)
+        tr = rmf.partial_sum_trace(s, 10**4, 1)
         assert tr.change_points.tolist() == brute_change_points(tr.values)
 
 
 def test_trace_segmented_consistency(monkeypatch):
     s = rmf.sample_signs(9, 3 * 10**4)
-    full = rmf.partial_sum_trace(s, 3 * 10**4)
+    full = rmf.partial_sum_trace(s, 3 * 10**4, 1)
     monkeypatch.setattr(rmf, "TRACE_SEGMENT", 777)
-    seg = rmf.partial_sum_trace(s, 3 * 10**4)
+    seg = rmf.partial_sum_trace(s, 3 * 10**4, 1)
     assert np.array_equal(full.values, seg.values)
     assert np.array_equal(full.change_points, seg.change_points)
-    assert np.array_equal(full.checkpoint_ns, seg.checkpoint_ns)
-    assert np.array_equal(full.checkpoint_values, seg.checkpoint_values)
+
+
+@pytest.mark.parametrize("segment", [777, 1 << 16])
+def test_trace_samples_every_stride_th_n_across_blocks(segment, monkeypatch):
+    """values[k] = M((k + 1) stride) against the int64 cumsum of the strided-flip extension,
+    with the stride's multiples at every offset of 777-long blocks and of 2^16-long ones."""
+    x = 150_001
+    signs = rmf.sample_signs(4, x)
+    m = np.cumsum(oracles._signed_block(signs, 1, x), dtype=np.int64)
+    monkeypatch.setattr(rmf, "TRACE_SEGMENT", segment)
+    for stride in (1, 1000, 1 << 16, x, x + 1):
+        tr = rmf.partial_sum_trace(signs, x, stride)
+        assert tr.stride == stride and tr.values.dtype == np.int64
+        assert np.array_equal(tr.values, m[stride - 1 :: stride])
+        assert np.array_equal(tr.change_points, rmf.sign_change_points(m))
+        assert tr.final_value == int(m[-1])
+    with pytest.raises(ValueError, match="stride"):
+        rmf.partial_sum_trace(signs, x, 0)
 
 
 PLAN_SEEDS = [0, 1, 2**63 + 5, -1]
@@ -183,22 +199,19 @@ SHORT_SEGMENTS = {
 
 def assert_trace_is(tr, m):
     """Every field of a partial_sum_trace equals the reference M = m: the general scan's
-    change points, the final value, the checkpoints and the kept values."""
+    change points, the final value and M at every stride-th n."""
     assert np.array_equal(tr.change_points, rmf.sign_change_points(m))
     assert tr.final_value == int(m[-1])
-    ns = np.arange(rmf.CHECKPOINT_STRIDE, m.size + 1, rmf.CHECKPOINT_STRIDE)
-    assert np.array_equal(tr.checkpoint_ns, ns)
-    assert np.array_equal(tr.checkpoint_values, m[ns - 1])
-    assert tr.values.dtype == m.dtype and np.array_equal(tr.values, m)
+    assert tr.values.dtype == m.dtype and np.array_equal(tr.values, m[tr.stride - 1 :: tr.stride])
 
 
 def assert_matches_strided_flips(signs, x):
     """signed_values and partial_sum_trace equal the strided-flip extension
     (one block over 1..x) and its cumulative sum, bit for bit."""
     f = oracles._signed_block(signs, 1, x)
-    values = rmf.signed_values(signs, x)
+    values = oracles.signed_values(signs, x)
     assert values.dtype == f.dtype and np.array_equal(values, f)
-    assert_trace_is(rmf.partial_sum_trace(signs, x), np.cumsum(f, dtype=np.int64))
+    assert_trace_is(rmf.partial_sum_trace(signs, x, 1), np.cumsum(f, dtype=np.int64))
 
 
 @pytest.mark.parametrize("seed", PLAN_SEEDS)
@@ -237,7 +250,7 @@ def test_sign_change_counts_match_single_traces():
     counts = rmf.sign_change_counts(seeds, 20000)
     assert counts.shape == (70, 2)
     for seed, (v, m) in zip(seeds, counts):
-        tr = rmf.partial_sum_trace(rmf.sample_signs(seed, 20000), 20000)
+        tr = rmf.partial_sum_trace(rmf.sample_signs(seed, 20000), 20000, 1)
         assert (v, m) == (tr.count_changes(), tr.final_value)
     assert rmf.sign_change_counts([5], 1).tolist() == [[0, 1]]
     with pytest.raises(rmf.ResourceLimitError):
@@ -256,7 +269,7 @@ def test_walk_matches_the_oracle_scan(first):
         signs = rmf.sample_signs(seed, max(WALK_XS))
         m = np.cumsum(oracles._signed_block(signs, 1, max(WALK_XS)), dtype=np.int64)
         for x in WALK_XS:  # the extension to x is the first x values of the one to 10^6
-            assert_trace_is(rmf.partial_sum_trace(signs, x), m[:x])
+            assert_trace_is(rmf.partial_sum_trace(signs, x, 1), m[:x])
             reference[seed, x] = [rmf.sign_change_points(m[:x]).size, int(m[x - 1])]
     for x in WALK_XS:
         assert rmf.sign_change_counts(seeds, x).tolist() == [reference[s, x] for s in seeds]
@@ -289,11 +302,12 @@ def test_walk_carries_zero_runs_across_blocks(segment, n, x, monkeypatch):
     end = -(-n // segment) * segment
     for s, m in zip(crafted, ms):
         assert m[n - 1] == 0 and m[end - 1] == 0  # a block ends inside the zero run
-        assert_trace_is(rmf.partial_sum_trace(s, x), m)
+        assert_trace_is(rmf.partial_sum_trace(s, x, 1), m)
     words = oracles.packed(np.stack([s.signs < 0 for s in crafted]))
-    walked = rmf._traces(words, len(crafted), x)
+    walked, samples = rmf._traces(words, len(crafted), x, 1)
     for (cps, final), m in zip(walked, ms):
         assert np.array_equal(cps, rmf.sign_change_points(m)) and final == int(m[-1])
+    assert np.array_equal(samples, np.stack(ms))
 
 
 def test_worker_count_follows_cpu_affinity(monkeypatch):
@@ -311,18 +325,18 @@ def test_worker_count_follows_cpu_affinity(monkeypatch):
 
 
 def test_trace_checkpoints():
+    # M at every 2^16-th n, as simulate samples it beyond 10^5.
     s = rmf.sample_signs(1, 2 * 10**5)
-    tr = rmf.partial_sum_trace(s, 2 * 10**5)
-    assert tr.checkpoint_ns.tolist() == [65536, 131072, 196608]
-    for n, v in zip(tr.checkpoint_ns, tr.checkpoint_values):
-        assert tr.values[n - 1] == v
+    tr = rmf.partial_sum_trace(s, 2 * 10**5, 1 << 16)
+    full = rmf.partial_sum_trace(s, 2 * 10**5, 1)
+    assert tr.values.tolist() == [full.values[n - 1] for n in (65536, 131072, 196608)]
 
 
 def test_trace_without_values():
     s = rmf.sample_signs(1, 10**4)
-    tr = rmf.partial_sum_trace(s, 10**4, keep_values=False)
-    full = rmf.partial_sum_trace(s, 10**4)
-    assert tr.values is None
+    tr = rmf.partial_sum_trace(s, 10**4, 10**4 + 1)
+    full = rmf.partial_sum_trace(s, 10**4, 1)
+    assert tr.values.size == 0
     assert np.array_equal(tr.change_points, full.change_points)
     assert tr.final_value == full.final_value
 
@@ -330,12 +344,12 @@ def test_trace_without_values():
 def test_trace_resource_error():
     s = rmf.sample_signs(0, 100)
     with pytest.raises(rmf.ResourceLimitError):
-        rmf.partial_sum_trace(s, 101)
+        rmf.partial_sum_trace(s, 101, 1)
 
 
 def test_count_sign_changes():
     s = rmf.sample_signs(0, 10**4)
-    tr = rmf.partial_sum_trace(s, 10**4)
+    tr = rmf.partial_sum_trace(s, 10**4, 1)
     assert tr.count_changes(10**4) == tr.change_points.size
     for x in (10, 100, 5000):
         assert tr.count_changes(x) == int(np.sum(tr.change_points <= x))
@@ -346,7 +360,7 @@ def test_count_sign_changes():
 def test_seed_zero_regression_value():
     # Pinned after the first full run of this simulation.
     s = rmf.sample_signs(0, 10**6)
-    tr = rmf.partial_sum_trace(s, 10**6, keep_values=False)
+    tr = rmf.partial_sum_trace(s, 10**6, 1 << 16)
     assert tr.count_changes() == 292
     assert tr.final_value == 640
 
@@ -430,7 +444,7 @@ def test_series_and_product_trivial():
 def test_series_all_plus_one_is_squarefree_sum():
     s = oracles.signs_constant(1, 10**4)
     series, _ = oracles.series_and_product(s, 2.0, 10**4)
-    f = rmf.signed_values(s, 10**4).astype(float)
+    f = oracles.signed_values(s, 10**4).astype(float)
     n = np.arange(1, 10**4 + 1, dtype=float)
     assert series.real == pytest.approx(float(np.sum(np.abs(f) / n**2)), rel=1e-12)
     assert series.imag == 0
@@ -451,7 +465,7 @@ def test_series_limit_validation():
 
 def test_abel_identity_trivial_and_small():
     s = rmf.sample_signs(0, 10**4)
-    f = rmf.signed_values(s, 10**4)
+    f = oracles.signed_values(s, 10**4)
     assert rmf.abel_identity_residual(f[:1], 1.5) == 0.0
     n = np.arange(1, 10**4 + 1, dtype=float)
     for sigma in (0.6, 1.5):
@@ -465,7 +479,7 @@ def test_signed_value_rows_match_one_seed_at_a_time():
         rows = rmf.signed_value_rows(seeds, x)
         assert rows.shape == (len(seeds), x) and rows.dtype == np.int8
         for row, seed in zip(rows, seeds):
-            assert np.array_equal(row, rmf.signed_values(rmf.sample_signs(seed, max(x, 2)), x))
+            assert np.array_equal(row, oracles.signed_values(rmf.sample_signs(seed, max(x, 2)), x))
 
 
 def test_abel_weights_are_the_direct_expressions():
