@@ -1,9 +1,9 @@
 """Dyadic chaining: the deterministic oscillation bound |f(s) - f(t)| <= 2 sum_{r > R} lambda_r
 checked on the depth-r_max dyadic grid of an interval, the lambda_r^2 = 2 C1 r / 4^r schedule
-with its chaining constant, and the empirical oscillation experiment max |P(sigma) -
-P(sigma_ell)| over [sigma_ell, sigma_{ell-1}].  That experiment evaluates exactly only the grid
-rows that rmf's low-rank estimate of sum_p w_p e^(f x_p), with its derived error bound, cannot
-rule out, each in its _GRID_CHUNK-row block's gemm: a gemm row reads only its own input row, in an
+with its chaining constant, and the empirical oscillation experiment max |P(sigma) - P(sigma_ell)|
+over [sigma_ell, sigma_{ell-1}] at every ell from one sign hash.  Per ell, only the grid rows that
+rmf's low-rank estimate of sum_p w_p e^(f x_p), with its derived error bound, cannot rule out are
+exact, each in its _GRID_CHUNK-row block's gemm: a gemm row reads only its own input row, in an
 order that the fixed block shape fixes, so no other row, zero or stale, changes a selected row.
 """
 
@@ -172,57 +172,57 @@ def _rows_to_recompute(approx: np.ndarray, eps: np.ndarray, lambdas: np.ndarray)
 
 def oscillation_batch(
     seeds: Sequence[int],
-    ell: int,
+    ells: Sequence[int],
     step: StepParams,
     r_max: int = 12,
     limit: int = 10**6,
 ) -> list[OscillationResult]:
-    """max over the depth-r_max dyadic grid of |P(sigma) - P(sigma_ell)| with
-    P truncated at the primes <= `limit`, against the chaining constant of
-    OSCILLATION_SCHEDULE, for many seeds sharing one grid evaluation.
+    """max over the depth-r_max dyadic grid of |P(sigma) - P(sigma_ell)| at every ell, with
+    P truncated at the primes <= `limit`, against the chaining constant of OSCILLATION_SCHEDULE,
+    for many seeds: one sign hash serves every ell, one grid evaluation every seed.
 
-    Seeds are Python ints of any sign; results report them as given."""
-    check_grid([ell], r_max, len(seeds), limit)
-    s_ell = step_sigma_ell(ell, step)
-    s_prev = step_sigma_ell(ell - 1, step)
-
+    Seeds are Python ints of any sign; results report them as given, ell by ell."""
+    check_grid(ells, r_max, len(seeds), limit)
     ps = primes_mod.cached_primes(limit).primes
     p = ps.astype(np.float64)
     logp = np.log(p)
-    weights = rmf_mod.sign_matrix(seeds, ps).T  # (P, seeds)
-    weights *= (p ** (-s_ell))[:, None]
-
+    weights = rmf_mod.sign_matrix(seeds, ps).T  # (P, seeds) +-1.0, signed per ell in place
     n_grid = 2**r_max + 1
     frac = np.arange(n_grid, dtype=np.float64) / (2.0**r_max)
-    dsig = frac * (s_prev - s_ell)
     lambdas = np.array([OSCILLATION_SCHEDULE(r) for r in range(1, r_max + 1)])
-    rows = _rows_to_recompute(*_grid_estimate(weights, -(s_prev - s_ell) * logp, frac), lambdas)
-    p_vals = np.full((n_grid, weights.shape[1]), np.nan)  # rows outside `rows` decide nothing
-    block = np.zeros((min(_GRID_CHUNK, n_grid), ps.size))  # zeroed once: untouched pages stay free
-    for start in np.unique(rows // _GRID_CHUNK) * _GRID_CHUNK:
-        at = rows[(rows >= start) & (rows < start + _GRID_CHUNK)] - start
-        for i in at:  # (-d) log p == -(d log p) exactly
-            np.exp(np.multiply(-dsig[start + i], logp, out=block[i]), out=block[i])
-        p_vals[start + at] = (block[: n_grid - start] @ weights)[at]
-
-    max_osc = np.fmax.reduce(np.abs(p_vals - p_vals[0]), axis=0)
-    first_violation = _first_violations(p_vals, lambdas)
-
     paper_c = OSCILLATION_SCHEDULE.chaining_constant()
-    if s_ell > 0.5:
-        tail_var = prime_series.prime_power_tail_bound(2.0 * s_ell, limit, pi_cut=ps.size)
-        trunc_std = sqrt(tail_var)
-    else:
-        trunc_std = float("inf")  # sigma underflowed to the divergence boundary
-    return [
-        OscillationResult(
-            seed=seed,
-            ell=ell,
-            sigma_ell=s_ell,
-            max_osc=float(max_osc[j]),
-            paper_c=paper_c,
-            first_violation_r=first_violation[j],
-            truncation_std=trunc_std,
-        )
-        for j, seed in enumerate(seeds)
-    ]
+    results = []
+    for ell in ells:
+        s_ell, s_prev = step_sigma_ell(ell, step), step_sigma_ell(ell - 1, step)
+        np.copysign((p ** (-s_ell))[:, None], weights, out=weights)  # the bits of +-1.0 * p^-s
+        rows = _rows_to_recompute(*_grid_estimate(weights, -(s_prev - s_ell) * logp, frac), lambdas)
+        dsig = frac * (s_prev - s_ell)
+        p_vals = np.full((n_grid, weights.shape[1]), np.nan)  # rows outside `rows` decide nothing
+        # zeroed once per ell: untouched pages stay free
+        block = np.zeros((min(_GRID_CHUNK, n_grid), ps.size))
+        for start in np.unique(rows // _GRID_CHUNK) * _GRID_CHUNK:
+            at = rows[(rows >= start) & (rows < start + _GRID_CHUNK)] - start
+            for i in at:  # (-d) log p == -(d log p) exactly
+                np.exp(np.multiply(-dsig[start + i], logp, out=block[i]), out=block[i])
+            p_vals[start + at] = (block[: n_grid - start] @ weights)[at]
+        max_osc = np.fmax.reduce(np.abs(p_vals - p_vals[0]), axis=0)
+        first_violation = _first_violations(p_vals, lambdas)
+        del block, p_vals  # one ell's grid at a time
+        if s_ell > 0.5:
+            tail_var = prime_series.prime_power_tail_bound(2.0 * s_ell, limit, pi_cut=ps.size)
+            trunc_std = sqrt(tail_var)
+        else:
+            trunc_std = float("inf")  # sigma underflowed to the divergence boundary
+        results += [
+            OscillationResult(
+                seed=seed,
+                ell=ell,
+                sigma_ell=s_ell,
+                max_osc=float(max_osc[j]),
+                paper_c=paper_c,
+                first_violation_r=first_violation[j],
+                truncation_std=trunc_std,
+            )
+            for j, seed in enumerate(seeds)
+        ]
+    return results

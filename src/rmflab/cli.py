@@ -342,6 +342,15 @@ def _check_hoeffding(cfg: ExperimentConfig) -> tuple[bool, dict]:
     return _hoeffding_valid(rows), {"rows": len(rows)}
 
 
+def _abel_bytes(x_max: int) -> int:
+    """Bytes c05 allocates at most at x = max(10^4, x_max): 20 int8 rows of f, four float64
+    weight arrays at x and at 10^4, the larger of the extension pass and the residual's two
+    8-byte temporaries per integer, two ufunc buffers and 64 KiB of lists and array headers."""
+    x = max(10**4, x_max)
+    need = 20 * x + 32 * (x + 10**4) + max(16 * x, rmf.extension_bytes(x, 20))
+    return need + 16 * np.getbufsize() + (1 << 16)
+
+
 def _check_abel_identity(cfg: ExperimentConfig) -> tuple[bool, dict]:
     """c05: the Abel-summation identity holds to relative residual <= 1e-8 for the 20
     seeds derive_seed(521, i), at x in {10^4, x_max} and sigma in {0.6, 1.5}."""
@@ -393,11 +402,9 @@ def _check_dyadic_property_suite(cfg: ExperimentConfig) -> tuple[bool, dict]:
 
 
 def _oscillation_runs(cfg: ExperimentConfig, n_seeds: int) -> list[chaining.OscillationResult]:
-    """oscillation_batch for n_seeds seeds from seed at every ell, all checked first."""
-    chaining.check_grid(cfg.ells, cfg.r_max, n_seeds, cfg.prime_limit)
+    """oscillation_batch for n_seeds seeds from seed at every ell."""
     seeds, step = list(range(cfg.seed, cfg.seed + n_seeds)), StepParams(cfg.epsilon)
-    return [res for ell in cfg.ells for res in chaining.oscillation_batch(
-        seeds, ell, step, r_max=cfg.r_max, limit=cfg.prime_limit)]
+    return chaining.oscillation_batch(seeds, cfg.ells, step, cfg.r_max, cfg.prime_limit)
 
 
 def _check_chaining_oscillation(cfg: ExperimentConfig) -> tuple[bool, dict]:
@@ -450,6 +457,7 @@ def cmd_verify(args, cfg: ExperimentConfig) -> Result:
         if cfg.ell_min > cfg.ell_max:
             raise ValueError(f"ell_min {cfg.ell_min} exceeds ell_max {cfg.ell_max}")
         _extension_size(cfg, _at_least(cfg, "seeds"))
+        rmf.check_memory(_abel_bytes(cfg.x_max), f"abel identity rows at x_max={cfg.x_max}")
         chaining.check_grid(cfg.ells, cfg.r_max, 20, cfg.prime_limit)
     checks, seconds = [], {}
     for name in VERIFY_TARGETS[args.target]:

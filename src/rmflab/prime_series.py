@@ -64,9 +64,6 @@ class CertifiedValue:
         if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
             raise ValueError(f"certified interval must be finite: {self}")
 
-    def contains(self, x: float) -> bool:
-        return self.lower <= x <= self.upper
-
     def intersects(self, other: "CertifiedValue") -> bool:
         return self.lower <= other.upper and other.lower <= self.upper
 
@@ -184,12 +181,12 @@ def _mobius_upto(n: int) -> np.ndarray:
     return mu
 
 
-def prime_power_tail_bound(s: float, n_cut: int, pi_cut: int | None = None) -> float:
+def prime_power_tail_bound(s: float, n_cut: int, pi_cut: int) -> float:
     """Rigorous upper bound for sum over primes p > n_cut of p^(-s), s > 1.
 
     Minimum of the integer-comparison bound n_cut^(1-s)/(s-1) and the
     pi(x) < 2x/log x route 2s/((s-1) log n_cut) * n_cut^(1-s), minus the
-    exactly-known boundary term pi(n_cut) * n_cut^(-s) on the latter.
+    exactly-known boundary term pi_cut * n_cut^(-s), pi_cut = pi(n_cut), on the latter.
     """
     if s <= 1:
         raise DivergenceError(f"prime power tail diverges for s <= 1 (s={s})")
@@ -197,8 +194,7 @@ def prime_power_tail_bound(s: float, n_cut: int, pi_cut: int | None = None) -> f
         raise ValueError("cutoff must be >= 2")
     integer_route = n_cut ** (1.0 - s) / (s - 1.0)
     pi_route = 2.0 * s / ((s - 1.0) * log(n_cut)) * n_cut ** (1.0 - s)
-    if pi_cut is not None:
-        pi_route -= pi_cut * n_cut ** (-s)
+    pi_route -= pi_cut * n_cut ** (-s)
     return max(min(integer_route, pi_route), 0.0)
 
 

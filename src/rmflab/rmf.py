@@ -341,21 +341,20 @@ def extension_bytes(x_max: int, seeds: int = 1) -> int:
 
 def random_prime_sum_batch(
     trial_seeds: np.ndarray | Sequence[int],
-    sigma: float | Sequence[float],
+    sigmas: Sequence[float],
     limit: int,
 ) -> np.ndarray:
-    """Truncated P(sigma) for many seeds at once, shape (len(seeds),) + sigma.shape.
+    """Truncated P(sigma) for many seeds at once at every sigma, shape (len(seeds), len(sigmas)).
 
-    `sigma` is a scalar or a 1-D sequence.  Each _SEED_BLOCK-row block of seeds is hashed once
-    into one reused float64 block and serves every sigma through its own matvec, so column j
-    equals the scalar call at sigma[j] bit for bit.
+    Each _SEED_BLOCK-row block of seeds is hashed once into one reused float64 block and serves
+    every sigma through its own matvec, so column j equals the one-sigma call at sigmas[j] bit
+    for bit.
     """
-    sigmas = np.asarray(sigma, dtype=np.float64)
-    if np.any(sigmas <= 0.5):
-        raise DivergenceError(f"P(sigma) requires sigma > 1/2, got {sigma}")
+    if any(sigma <= 0.5 for sigma in sigmas):
+        raise DivergenceError(f"P(sigma) requires sigma > 1/2, got {sigmas}")
     ps = primes_mod.cached_primes(limit).primes
     p = ps.astype(np.float64)
-    weights = [p ** (-s) for s in sigmas.ravel()]
+    weights = [p ** (-s) for s in sigmas]
     out = np.empty((len(trial_seeds), len(weights)), dtype=np.float64)
     block = np.empty((min(_SEED_BLOCK, len(trial_seeds)), ps.size))  # reused: no page faults
     for start in range(0, len(trial_seeds), _SEED_BLOCK):
@@ -363,7 +362,7 @@ def random_prime_sum_batch(
         signs = sign_matrix(seeds, ps, out=block[: len(seeds)])
         for j, w in enumerate(weights):
             out[start : start + signs.shape[0], j] = signs @ w
-    return out.reshape((len(trial_seeds),) + sigmas.shape)
+    return out
 
 
 def prime_sum_batch_bytes(n_seeds: int, n_primes: int, n_sigmas: int) -> int:
@@ -381,18 +380,17 @@ def abel_weights(sigma: float, x: int) -> tuple[np.ndarray, np.ndarray]:
     return power, power[:-1] * (-np.expm1(-sigma * np.log1p(1.0 / np.arange(1.0, x))))
 
 
-def abel_identity_residual(f: np.ndarray, sigma: float, weights: tuple | None = None) -> float:
+def abel_identity_residual(f: np.ndarray, sigma: float, weights: tuple) -> float:
     """|sum_{n<=x} f(n) n^(-sigma) - M(x) x^(-sigma) - sigma * integral| for
-    f = f(1..x), a row of `signed_value_rows`, with the integral of
-    M(u) u^(-1-sigma) over [1, x] evaluated exactly piecewise.  `weights` is
-    `abel_weights(sigma, x)`, computed here when not given.
+    f = f(1..x), a row of `signed_value_rows`, with the integral of M(u) u^(-1-sigma)
+    over [1, x] evaluated exactly piecewise; `weights` is `abel_weights(sigma, x)`.
 
     The identity is exact, so the value is floating-point noise.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     x = f.size
-    power, steps = abel_weights(sigma, x) if weights is None else weights
+    power, steps = weights
     m = np.cumsum(f, dtype=np.int64)
     lhs = float(np.sum(f * power))
     boundary = float(m[-1]) * x ** (-sigma)
@@ -523,8 +521,8 @@ def sup_scan(
     signs: SignAssignment,
     sigma: float,
     t_max: float,
-    grid_step: float = 0.01,
-    limit: int | None = None,
+    grid_step: float,
+    limit: int,
 ) -> SupScanResult:
     """Grid maxima over t in {1, 1+step, ..., t_max} of the truncated sums
     sum_p sign(p) cos(t log p) p^(-sigma) and |prod_p (1 + sign(p) p^(-sigma-it))|.
@@ -540,8 +538,6 @@ def sup_scan(
         raise ValueError("t_max must be >= 1")
     if not 0 < grid_step <= 0.01 + 1e-12:
         raise ValueError("grid_step must lie in (0, 0.01]")
-    if limit is None:
-        limit = signs.prime_limit
     ps, sg = signs.up_to(limit)
     p = ps.astype(np.float64)
     logp = np.log(p)

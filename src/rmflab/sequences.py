@@ -101,7 +101,6 @@ def step_sigma_ell(ell: int, step: StepParams) -> float:
 class SubtractionScan:
     ell1: int | None
     holds_at_ell_max: bool
-    failures: int
 
 
 def subtraction_bound_scan(step: StepParams, ell_max: int) -> SubtractionScan:
@@ -121,12 +120,11 @@ def subtraction_bound_scan(step: StepParams, ell_max: int) -> SubtractionScan:
     lhs = 0.5 * np.expm1(delta_exp)
     rhs = ell ** (-step.delta)
     ok = lhs <= rhs
-    failures = int(np.count_nonzero(~ok))
     if not ok[-1]:
-        return SubtractionScan(ell1=None, holds_at_ell_max=False, failures=failures)
+        return SubtractionScan(ell1=None, holds_at_ell_max=False)
     bad = np.flatnonzero(~ok)
     ell1 = 2 if bad.size == 0 else int(ell[bad[-1]]) + 1
-    return SubtractionScan(ell1=ell1, holds_at_ell_max=True, failures=failures)
+    return SubtractionScan(ell1=ell1, holds_at_ell_max=True)
 
 
 @dataclass(frozen=True)

@@ -352,18 +352,18 @@ def packed(negative: np.ndarray) -> np.ndarray:
     return words.view("<u8").ravel()
 
 
-def random_prime_sum_batch_direct(trial_seeds, sigma, limit: int) -> np.ndarray:
-    """P(sigma) of every seed, a fresh float64 copy of each 256-row int8 block of
-    `sign_matrix_direct` serving every sigma through its own matvec."""
-    sigmas = np.asarray(sigma, dtype=np.float64)
+def random_prime_sum_batch_direct(trial_seeds, sigmas, limit: int) -> np.ndarray:
+    """P(sigma) of every seed at every sigma, shape (len(seeds), len(sigmas)), a fresh float64
+    copy of each 256-row int8 block of `sign_matrix_direct` serving every sigma through its own
+    matvec."""
     ps = primes_mod.cached_primes(limit).primes
-    weights = [ps.astype(np.float64) ** (-s) for s in sigmas.ravel()]
+    weights = [ps.astype(np.float64) ** (-s) for s in sigmas]
     out = np.empty((len(trial_seeds), len(weights)))
     for start in range(0, len(trial_seeds), 256):
         signs = sign_matrix_direct(trial_seeds[start : start + 256], ps).astype(np.float64)
         for j, w in enumerate(weights):
             out[start : start + signs.shape[0], j] = signs @ w
-    return out.reshape((len(trial_seeds),) + sigmas.shape)
+    return out
 
 
 def oscillation_inputs(seeds, ell: int, step: StepParams, limit: int):

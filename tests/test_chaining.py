@@ -166,7 +166,7 @@ def test_verify_chaining_shape_validation():
 
 
 def test_oscillation_experiment_basic():
-    res = ch.oscillation_batch([0], 4, StepParams(1.0), r_max=8, limit=10**5)[0]
+    res = ch.oscillation_batch([0], [4], StepParams(1.0), r_max=8, limit=10**5)[0]
     assert res.max_osc >= 0
     assert res.paper_c == pytest.approx(PAPER_C, rel=1e-12)
     assert res.max_osc < res.paper_c
@@ -174,19 +174,19 @@ def test_oscillation_experiment_basic():
 
 
 def test_oscillation_monotone_in_depth():
-    r8 = ch.oscillation_batch([0], 4, StepParams(1.0), r_max=8, limit=10**5)[0]
-    r10 = ch.oscillation_batch([0], 4, StepParams(1.0), r_max=10, limit=10**5)[0]
+    r8 = ch.oscillation_batch([0], [4], StepParams(1.0), r_max=8, limit=10**5)[0]
+    r10 = ch.oscillation_batch([0], [4], StepParams(1.0), r_max=10, limit=10**5)[0]
     assert r8.max_osc <= r10.max_osc
 
 
 def test_oscillation_degenerate_interval():
-    res = ch.oscillation_batch([0], 10**6, StepParams(1.0), r_max=4, limit=10**4)[0]
+    res = ch.oscillation_batch([0], [10**6], StepParams(1.0), r_max=4, limit=10**4)[0]
     assert res.max_osc == 0.0  # sigma_ell == sigma_{ell-1} at float precision
 
 
 def test_oscillation_batch_matches_single():
-    batch = ch.oscillation_batch([0, 1], 3, StepParams(1.0), r_max=6, limit=10**4)
-    single = ch.oscillation_batch([1], 3, StepParams(1.0), r_max=6, limit=10**4)[0]
+    batch = ch.oscillation_batch([0, 1], [3], StepParams(1.0), r_max=6, limit=10**4)
+    single = ch.oscillation_batch([1], [3], StepParams(1.0), r_max=6, limit=10**4)[0]
     match = [r for r in batch if r.seed == 1][0]
     assert match.max_osc == pytest.approx(single.max_osc, rel=1e-12)
     assert match.first_violation_r == single.first_violation_r
@@ -194,17 +194,17 @@ def test_oscillation_batch_matches_single():
 
 def test_oscillation_batch_accepts_negative_seed():
     step = StepParams(1.0)
-    (row,) = ch.oscillation_batch([-1], 3, step, r_max=6, limit=10**4)
-    single = ch.oscillation_batch([2**64 - 1], 3, step, r_max=6, limit=10**4)[0]
+    (row,) = ch.oscillation_batch([-1], [3], step, r_max=6, limit=10**4)
+    single = ch.oscillation_batch([2**64 - 1], [3], step, r_max=6, limit=10**4)[0]
     assert row == dataclasses.replace(single, seed=-1)
     assert row.seed == -1
 
 
 def test_oscillation_validation():
     with pytest.raises(ValueError):
-        ch.oscillation_batch([0], 1, StepParams(1.0), r_max=4, limit=100)
+        ch.oscillation_batch([0], [1], StepParams(1.0), r_max=4, limit=100)
     with pytest.raises(ValueError):
-        ch.oscillation_batch([0], 3, StepParams(1.0), r_max=0, limit=100)
+        ch.oscillation_batch([0], [3], StepParams(1.0), r_max=0, limit=100)
 
 
 SEEDS = list(range(20))
@@ -232,7 +232,7 @@ def estimate_inputs(seeds, ell, r_max, limit):
 def test_oscillation_batch_matches_direct_bit_for_bit(ell, r_max, limit):
     step = StepParams(1.0)
     max_osc, first = oracles.oscillation_direct(SEEDS, ell, step, r_max, limit)
-    res = ch.oscillation_batch(SEEDS, ell, step, r_max=r_max, limit=limit)
+    res = ch.oscillation_batch(SEEDS, [ell], step, r_max=r_max, limit=limit)
     assert [r.max_osc for r in res] == max_osc.tolist()
     assert [r.first_violation_r for r in res] == first
 
@@ -246,11 +246,33 @@ def test_oscillation_batch_matches_direct_when_levels_are_violated(monkeypatch):
     firsts = []
     for ell in (2, 3, 5):
         max_osc, first = oracles.oscillation_direct(SEEDS, ell, step, 10, 10**5)
-        res = ch.oscillation_batch(SEEDS, ell, step, r_max=10, limit=10**5)
+        res = ch.oscillation_batch(SEEDS, [ell], step, r_max=10, limit=10**5)
         assert [r.max_osc for r in res] == max_osc.tolist()
         assert [r.first_violation_r for r in res] == first
         firsts += first
     assert None in firsts and any(f is not None for f in firsts)
+
+
+@pytest.mark.parametrize("ells, r_max, limit, c1", [
+    ([2, 3, 4, 6], 8, 10**5, 4.0),
+    ([2, 3, 5], 10, 10**5, 0.01),  # some lambda_r fall below the grid's increments
+    ([3, 10**6, 4], 4, 10**4, 4.0),  # the degenerate interval between two others
+])
+def test_oscillation_batch_over_ells_equals_per_ell_calls(ells, r_max, limit, c1, monkeypatch):
+    # One sign hash serves every ell, each re-signed in place from the last.
+    monkeypatch.setattr(ch, "OSCILLATION_SCHEDULE", ch.LambdaSchedule(c1))
+    hashes, sign_matrix = [], rmf.sign_matrix
+    monkeypatch.setattr(ch.rmf_mod, "sign_matrix",
+                        lambda *a, **kw: hashes.append(a) or sign_matrix(*a, **kw))
+    seeds, step = [0, 1, 2, 3], StepParams(1.0)
+    batch = ch.oscillation_batch(seeds, ells, step, r_max, limit)
+    assert len(hashes) == 1
+    per_ell = [r for ell in ells for r in ch.oscillation_batch(seeds, [ell], step, r_max, limit)]
+    assert batch == per_ell
+    assert len(hashes) == 1 + len(ells)
+    assert [(r.ell, r.seed) for r in batch] == [(ell, s) for ell in ells for s in seeds]
+    if c1 < 1:
+        assert any(r.first_violation_r is not None for r in batch)
 
 
 def test_grid_estimate_bound_dominates_measured_error():
@@ -297,8 +319,7 @@ def test_c12_configuration_recomputes_rows_0_and_4096(monkeypatch):
     pick = ch._rows_to_recompute
     monkeypatch.setattr(ch, "_rows_to_recompute",
                         lambda *a: picked.append(pick(*a)) or picked[-1])
-    for ell in (3, 4, 5):
-        ch.oscillation_batch(SEEDS, ell, StepParams(1.0), r_max=12, limit=10**6)
+    ch.oscillation_batch(SEEDS, [3, 4, 5], StepParams(1.0), r_max=12, limit=10**6)
     assert [r.tolist() for r in picked] == [[0, 4096]] * 3
 
 
@@ -306,11 +327,11 @@ def test_check_grid_bounds_the_traced_peak_of_oscillation_batch():
     primes.cached_primes(10**6)  # the prime table exists before the call
     tracemalloc.start()
     try:
-        ch.oscillation_batch(SEEDS, 3, StepParams(1.0), r_max=12, limit=10**6)
+        ch.oscillation_batch(SEEDS, [3, 4, 5], StepParams(1.0), r_max=12, limit=10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= ch.check_grid([3], 12, len(SEEDS), 10**6)
+    assert peak <= ch.check_grid([3, 4, 5], 12, len(SEEDS), 10**6)
 
 
 def test_check_grid_refuses_a_grid_beyond_physical_memory():

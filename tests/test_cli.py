@@ -328,9 +328,16 @@ def test_chaining_command(tmp_path):
     assert len(rows) == 5
 
 
-def test_chaining_rejects_a_late_bad_ell_before_any_work(tmp_path, monkeypatch, capsys):
+def stub_chaining_work(monkeypatch) -> list:
+    """Record, instead of doing, what oscillation_batch does after its grid check."""
     calls = []
-    monkeypatch.setattr(cli.chaining, "oscillation_batch", lambda *a, **kw: calls.append(a) or [])
+    monkeypatch.setattr(cli.chaining.primes_mod, "cached_primes", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli.chaining.rmf_mod, "sign_matrix", lambda *a, **kw: calls.append(a))
+    return calls
+
+
+def test_chaining_rejects_a_late_bad_ell_before_any_work(tmp_path, monkeypatch, capsys):
+    calls = stub_chaining_work(monkeypatch)
     out = tmp_path / "ch"
     assert run(["chaining", "--ells", "5,1", "--seeds", "20", "--prime-limit", "1000000",
                 "--output-dir", str(out)]) == 2
@@ -340,8 +347,7 @@ def test_chaining_rejects_a_late_bad_ell_before_any_work(tmp_path, monkeypatch, 
 
 
 def test_chaining_refuses_a_grid_beyond_memory_with_exit_3(tmp_path, monkeypatch, capsys):
-    calls = []
-    monkeypatch.setattr(cli.chaining, "oscillation_batch", lambda *a, **kw: calls.append(a) or [])
+    calls = stub_chaining_work(monkeypatch)
     out = tmp_path / "ch"
     assert run(["chaining", "--r-max", "30", "--seeds", "20", "--ells", "3",
                 "--prime-limit", "1000", "--output-dir", str(out)]) == 3
@@ -424,6 +430,40 @@ def test_extension_size_bounds_the_traced_peak_of_simulate_traces(x_max, stride)
     finally:
         tracemalloc.stop()
     assert peak <= cli.rmf.extension_bytes(x_max, 1)
+
+
+@pytest.mark.parametrize("x_max", [10**5, 10**6])
+def test_abel_bytes_bound_the_traced_peak_of_c05(x_max):
+    cli.primes.cached_primes(x_max)  # the prime table exists before the call
+    tracemalloc.start()
+    try:
+        passed, _ = cli._check_abel_identity(cli.ExperimentConfig(x_max=x_max))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert passed
+    assert peak <= cli._abel_bytes(x_max)
+
+
+def test_verify_all_refuses_c05_beyond_memory_before_any_check(tmp_path, monkeypatch, capsys):
+    # At x_max = 10^6 c05 holds 20 int8 rows of f and four float64 weight arrays, 68.5 MB
+    # with its temporaries, three times the 22.3 MB of the two threads' extension passes.
+    monkeypatch.setenv("RMFLAB_THREADS", "2")
+    need = cli._abel_bytes(10**6)
+    assert cli.rmf.extension_bytes(10**6, 100) < 32 * 2**20 < need
+    stub_ram(monkeypatch, 32 * 2**20)
+    calls = []
+    monkeypatch.setattr(cli.primes, "cached_primes", lambda *a: calls.append(a))
+    for name in cli.VERIFY_CHECKS:
+        monkeypatch.setitem(cli.VERIFY_CHECKS, name, lambda cfg: calls.append(cfg) or (True, {}))
+    config = tmp_path / "small-grid.json"  # c12's grid fits in 32 MB
+    config.write_text(json.dumps({"r_max": 4, "prime_limit": 1000}))
+    out = tmp_path / "c05"
+    assert run(["verify", "all", "--config", str(config), "--output-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"resource error: abel identity rows at x_max=1000000: {need} B > physical RAM" in err
+    assert calls == []
+    assert not out.exists()
 
 
 def test_sup_scan_grid_beyond_memory_is_refused_before_any_hash(tmp_path, monkeypatch, capsys):

@@ -34,7 +34,7 @@ def test_hoeffding_against_random_walk():
 def test_sign_flip_symmetry():
     # Frequencies of {P >= lam} and {P <= -lam} agree within 4 joint std errors.
     seeds = np.asarray([rmf.derive_seed(9, i) for i in range(6000)], dtype=np.uint64)
-    values = rmf.random_prime_sum_batch(seeds, 0.6, 10**4)
+    values = rmf.random_prime_sum_batch(seeds, [0.6], 10**4)[:, 0]
     lam = 1.5
     up = float(np.mean(values >= lam))
     down = float(np.mean(values <= -lam))

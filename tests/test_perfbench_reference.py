@@ -1,12 +1,16 @@
-"""`prime-sums` at its default config and the `sweep` workload's commands at seed 0 must
-reproduce the benchmark's seed-0 reference files `perfbench/ref/seed0/` under the benchmark's
-own comparison (`perfbench/workloads.same_file`: integers, booleans and strings exactly, floats
-to a relative 1e-12), so a change to the certified sums or to the sign hash and multiplicative
-extension that moves a published value further than that fails here, not only in a benchmark
-run.  Nothing under `perfbench/` is written.
+"""`prime-sums` at its default config, `verify constants` and the commands of every workload at
+seed 0 must reproduce the benchmark's seed-0 reference files `perfbench/ref/seed0/` under the
+benchmark's own comparison (`perfbench/workloads.same_file`: integers, booleans and strings
+exactly, floats to a relative 1e-12), so a change to the certified sums, the sign hash, the
+multiplicative extension or the batched prime-sum, chaining and sup-scan kernels that moves a
+published value further than that fails here, not only in a benchmark run.  Nothing under
+`perfbench/` is written.
 """
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,4 +42,19 @@ def test_prime_sums_match_the_benchmark_reference(tmp_path):
 @pytest.mark.parametrize("args", workloads.commands("sweep", 0), ids=lambda args: args[0])
 def test_sweep_matches_the_benchmark_reference(args, tmp_path):
     assert cli.main([*args, "--output-dir", str(tmp_path)]) == 0
+    assert_matches_reference(args[0], tmp_path)
+
+
+@pytest.mark.parametrize("args", [*workloads.commands("dense", 0), ["verify", "constants"]],
+                         ids=lambda args: args[0])
+def test_dense_and_constants_match_the_benchmark_reference(args, tmp_path):
+    argv = [*args, "--output-dir", str(tmp_path)]
+    if args[0] == "chaining":  # its gemm's bits follow the BLAS threads; the reference used 2
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env_path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        subprocess.run([sys.executable, "-m", "rmflab.cli", *argv], check=True,
+                       capture_output=True, timeout=300,
+                       env=dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=env_path))
+    else:
+        assert cli.main(argv) == 0
     assert_matches_reference(args[0], tmp_path)

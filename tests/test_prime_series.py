@@ -50,7 +50,7 @@ def test_prime_zeta_known_values():
     for s, ref in PRIME_ZETA.items():
         cv = ps.prime_zeta(s)
         assert cv.estimate == pytest.approx(ref, abs=5e-9)
-        assert cv.contains(ref)
+        assert cv.lower <= ref <= cv.upper
 
 
 def test_prime_zeta_intervals_contain_truth():
@@ -213,7 +213,7 @@ def test_prime_power_tail_bound_is_upper_bound():
         true_tail = float(np.sum(p[p > cut] ** (-s)))
         assert true_tail <= ps.prime_power_tail_bound(s, cut, pi_cut=n_inside)
     with pytest.raises(ps.DivergenceError):
-        ps.prime_power_tail_bound(1.0, 100)
+        ps.prime_power_tail_bound(1.0, 100, pi_cut=25)
 
 
 def test_euler_tail_first_term_closed_form():
@@ -279,7 +279,8 @@ def test_prime_zeta_direct_partials_contain_the_mpmath_sums():
             fast, roundoff = ps._prime_power_sum(logp, s)
             d = ps.prime_zeta_direct(s, 10**5)
             assert abs(fast - exact) <= roundoff, s
-            assert d.lower <= exact <= d.upper and d.contains(float(mp.primezeta(s))), s
+            assert d.lower <= exact <= d.upper, s
+            assert d.lower <= float(mp.primezeta(s)) <= d.upper, s
 
 
 def test_euler_tail_upper_monotone_nonincreasing():

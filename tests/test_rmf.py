@@ -382,7 +382,7 @@ def test_random_prime_sum_divergence():
 
 def test_random_prime_sum_batch_matches_single():
     seeds = np.arange(8, dtype=np.uint64)
-    batch = rmf.random_prime_sum_batch(seeds, 0.7, 10**4)
+    batch = rmf.random_prime_sum_batch(seeds, [0.7], 10**4)[:, 0]
     for i, seed in enumerate(seeds):
         single = oracles.random_prime_sum(rmf.sample_signs(int(seed), 10**4), 0.7, 10**4)
         assert batch[i] == pytest.approx(single.value, rel=1e-12)
@@ -397,8 +397,8 @@ def test_random_prime_sum_batch_matches_direct_bit_for_bit(trials, limit):
     assert np.array_equal(rmf.random_prime_sum_batch(seeds, sigmas, limit),
                           oracles.random_prime_sum_batch_direct(seeds, sigmas, limit))
     ints = list(range(-(trials // 2), trials - trials // 2))
-    assert np.array_equal(rmf.random_prime_sum_batch(ints, 0.6, limit),
-                          oracles.random_prime_sum_batch_direct(ints, 0.6, limit))
+    assert np.array_equal(rmf.random_prime_sum_batch(ints, [0.6], limit),
+                          oracles.random_prime_sum_batch_direct(ints, [0.6], limit))
 
 
 def test_random_prime_sum_batch_sigma_vector_matches_scalar():
@@ -407,14 +407,14 @@ def test_random_prime_sum_batch_sigma_vector_matches_scalar():
     batch = rmf.random_prime_sum_batch(seeds, sigmas, 10**4)
     assert batch.shape == (300, 3)
     for j, sigma in enumerate(sigmas):
-        scalar = rmf.random_prime_sum_batch(seeds, sigma, 10**4)
+        scalar = rmf.random_prime_sum_batch(seeds, [sigma], 10**4)[:, 0]
         assert np.array_equal(batch[:, j], scalar)
     with pytest.raises(DivergenceError):
         rmf.random_prime_sum_batch(seeds, [0.7, 0.5], 10**4)
 
 def test_normalized_sums_rarely_large():
     seeds = np.arange(1000, dtype=np.uint64)
-    values = rmf.random_prime_sum_batch(seeds, 0.6, 10**6)
+    values = rmf.random_prime_sum_batch(seeds, [0.6], 10**6)[:, 0]
     from rmflab.prime_series import variance_sum
 
     normalized = values / math.sqrt(variance_sum(0.6).estimate)
@@ -425,7 +425,7 @@ def test_sample_variance_matches_coefficient_sum():
     table = primes.cached_primes(10**5)
     sigma = 0.75
     seeds = np.arange(500, dtype=np.uint64)
-    values = rmf.random_prime_sum_batch(seeds, sigma, 10**5)
+    values = rmf.random_prime_sum_batch(seeds, [sigma], 10**5)[:, 0]
     p = table.primes.astype(np.float64)
     a2 = p ** (-2 * sigma)
     v = float(np.sum(a2))
@@ -466,11 +466,11 @@ def test_series_limit_validation():
 def test_abel_identity_trivial_and_small():
     s = rmf.sample_signs(0, 10**4)
     f = oracles.signed_values(s, 10**4)
-    assert rmf.abel_identity_residual(f[:1], 1.5) == 0.0
+    assert rmf.abel_identity_residual(f[:1], 1.5, rmf.abel_weights(1.5, 1)) == 0.0
     n = np.arange(1, 10**4 + 1, dtype=float)
     for sigma in (0.6, 1.5):
         scale = float(np.sum(np.abs(f) * n**-sigma))
-        assert rmf.abel_identity_residual(f, sigma) <= 1e-9 * scale
+        assert rmf.abel_identity_residual(f, sigma, rmf.abel_weights(sigma, 10**4)) <= 1e-9 * scale
 
 
 def test_signed_value_rows_match_one_seed_at_a_time():
@@ -724,11 +724,11 @@ def test_sup_scan_exact_ties_go_to_the_earliest_block(limit):
 def test_sup_scan_validation():
     s = rmf.sample_signs(0, 100)
     with pytest.raises(DivergenceError):
-        rmf.sup_scan(s, 0.5, 5.0)
+        rmf.sup_scan(s, 0.5, 5.0, 0.01, limit=100)
     with pytest.raises(ValueError):
-        rmf.sup_scan(s, 0.6, 0.5)
+        rmf.sup_scan(s, 0.6, 0.5, 0.01, limit=100)
     with pytest.raises(ValueError):
-        rmf.sup_scan(s, 0.6, 5.0, grid_step=0.5)
+        rmf.sup_scan(s, 0.6, 5.0, grid_step=0.5, limit=100)
 
 
 def test_derive_seed_stability():
@@ -770,7 +770,8 @@ def test_negative_seed_is_taken_mod_2_64():
     ps = primes.cached_primes(10**4).primes
     assert np.array_equal(rmf.sign_matrix([-1], ps), rmf.sign_matrix([2**64 - 1], ps))
     assert np.array_equal(
-        rmf.random_prime_sum_batch([-1], 0.6, 100), rmf.random_prime_sum_batch([2**64 - 1], 0.6, 100)
+        rmf.random_prime_sum_batch([-1], [0.6], 100),
+        rmf.random_prime_sum_batch([2**64 - 1], [0.6], 100),
     )
     assert np.array_equal(rmf.sample_signs(-1, 100).signs, rmf.sign_matrix([-1], ps[:25])[0])
 
