@@ -343,11 +343,11 @@ def _check_hoeffding(cfg: ExperimentConfig) -> tuple[bool, dict]:
 
 
 def _abel_bytes(x_max: int) -> int:
-    """Bytes c05 allocates at most at x = max(10^4, x_max): 20 int8 rows of f, four float64
-    weight arrays at x and at 10^4, the larger of the extension pass and the residual's two
+    """Bytes c05 allocates at most at x = max(10^4, x_max): 20 int8 rows of f, the larger of the
+    extension pass and one (x, sigma) pair's two float64 weight arrays with the residual's two
     8-byte temporaries per integer, two ufunc buffers and 64 KiB of lists and array headers."""
     x = max(10**4, x_max)
-    need = 20 * x + 32 * (x + 10**4) + max(16 * x, rmf.extension_bytes(x, 20))
+    need = 20 * x + max(32 * x, rmf.extension_bytes(x, 20))
     return need + 16 * np.getbufsize() + (1 << 16)
 
 
@@ -355,12 +355,13 @@ def _check_abel_identity(cfg: ExperimentConfig) -> tuple[bool, dict]:
     """c05: the Abel-summation identity holds to relative residual <= 1e-8 for the 20
     seeds derive_seed(521, i), at x in {10^4, x_max} and sigma in {0.6, 1.5}."""
     xs, worst = sorted({10**4, cfg.x_max}), 0.0
-    weights = {(x, sigma): rmf.abel_weights(sigma, x) for x in xs for sigma in (0.6, 1.5)}
-    for f_max in rmf.signed_value_rows([rmf.derive_seed(521, i) for i in range(20)], xs[-1]):
-        for (x, sigma), w in weights.items():
-            f = f_max[:x]
+    rows = rmf.signed_value_rows([rmf.derive_seed(521, i) for i in range(20)], xs[-1])
+    for x, sigma in [(x, sigma) for x in xs for sigma in (0.6, 1.5)]:
+        w = rmf.abel_weights(sigma, x)
+        for f in rows[:, :x]:
             scale = float(np.sum(np.abs(f) * w[0]))
             worst = max(worst, rmf.abel_identity_residual(f, sigma, w) / scale)
+        del w  # before the next pair's weights: one pair is alive at a time
     return worst <= 1e-8, {"max_rel_residual": worst}
 
 

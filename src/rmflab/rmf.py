@@ -35,6 +35,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _PRIME_SALT = np.uint64(0xD1B54A32D192ED03)
+_SIGN_FOLD = np.uint64(0x933111EB00000000)  # _MIX2 * (2^63 + 2^32) mod 2^64
 
 TRACE_SEGMENT = 1 << 16
 PACKED_SIGNS = 64  # sign assignments per uint64 word of the multiplicative extension
@@ -83,16 +84,23 @@ def _worker_count() -> int:
     return min(8, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
-def mix64(x, out=None, tmp=None) -> np.ndarray:
-    """SplitMix64 finalizer over uint64 scalars or arrays; in place in `out`, shifts in `tmp`."""
+def _sign_bit(x, out=None, tmp=None, last=_SIGN_FOLD) -> np.ndarray:
+    """mix64 up to its last multiply, which is by `last`, in place in `out` with shifts in `tmp`.
+    With _SIGN_FOLD, bit 63 holds bit 0 of mix64(x): with z = y * _MIX2, that bit of z ^ (z >> 31)
+    is z's bit 0 xor bit 31, which is bit 63 of z * (2^63 + 2^32)."""
     with np.errstate(over="ignore"):
         z = np.add(np.asarray(x, dtype=np.uint64), _GOLDEN, out=out)
         z ^= np.right_shift(z, np.uint64(30), out=tmp)
         z *= _MIX1
         z ^= np.right_shift(z, np.uint64(27), out=tmp)
-        z *= _MIX2
-        z ^= np.right_shift(z, np.uint64(31), out=tmp)
+        z *= last
     return z
+
+
+def mix64(x) -> np.ndarray:
+    """SplitMix64 finalizer over uint64 scalars or arrays."""
+    z = _sign_bit(x, last=_MIX2)
+    return z ^ (z >> np.uint64(31))
 
 
 def derive_seed(base_seed: int, index: int | np.ndarray) -> int | np.ndarray:
@@ -119,7 +127,7 @@ def sign_matrix(trial_seeds: np.ndarray | Sequence[int], primes: np.ndarray,
                 out: np.ndarray | None = None) -> np.ndarray:
     """The sign hash: row t holds the +-1.0 signs of `primes` under trial_seeds[t], in `out`, a
     C-contiguous float64 (len(trial_seeds), primes.size) array, or in a new one.  Tiles of
-    max(1, _HASH_CELLS // P) rows are hashed in place there, hash bit 0 set where f(p) = -1."""
+    max(1, _HASH_CELLS // P) rows go through _sign_bit in place, bit 63 set where f(p) = -1."""
     keys, pk = _salted(trial_seeds, primes)
     out = np.empty((keys.size, primes.size)) if out is None else out
     rows = max(1, _HASH_CELLS // max(1, primes.size))
@@ -127,22 +135,22 @@ def sign_matrix(trial_seeds: np.ndarray | Sequence[int], primes: np.ndarray,
     for start in range(0, keys.size, rows):
         key = keys[start : start + rows, None]
         z = out[start : start + key.size].view(np.uint64)
-        mix64(np.bitwise_xor(pk, key, out=z), out=z, tmp=tmp[: key.size])
-        z <<= np.uint64(63)
-        z |= np.uint64(0x3FF0000000000000)  # hash bit 0 in the sign bit of 1.0: +-1.0
+        _sign_bit(np.bitwise_xor(pk, key, out=z), out=z, tmp=tmp[: key.size])
+        z &= np.uint64(1 << 63)  # the hashed sign bit, then 1.0's exponent bits: +-1.0
+        z |= np.uint64(0x3FF0000000000000)
     return out
 
 
 def sign_words(seeds: np.ndarray | Sequence[int], primes: np.ndarray) -> np.ndarray:
     """The sign hash of at most PACKED_SIGNS seeds as one uint64 word per prime: bit j is set
-    where row j of sign_matrix(seeds, primes) is -1.0.  Each seed is hashed into one buffer."""
+    where row j of sign_matrix(seeds, primes) is -1.0, from bit 63 of seed j's _sign_bit."""
     if len(seeds) > PACKED_SIGNS:
         raise ValueError(f"at most {PACKED_SIGNS} seeds share a sign word, got {len(seeds)}")
     keys, pk = _salted(seeds, primes)
     words, z, tmp = np.zeros_like(pk), np.empty_like(pk), np.empty_like(pk)
     for j, key in enumerate(keys):
-        mix64(np.bitwise_xor(pk, key, out=z), out=z, tmp=tmp)
-        z &= np.uint64(1)
+        _sign_bit(np.bitwise_xor(pk, key, out=z), out=z, tmp=tmp)
+        z >>= np.uint64(63)
         z <<= np.uint64(j)
         words |= z
     return words

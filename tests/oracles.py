@@ -32,10 +32,12 @@ None of this is used by `rmflab` itself:
   the reference for the integer R that `verify_chaining` reads off grid steps;
 - the sign hash one seed row at a time as int8 (`sign_matrix_direct`), which
   `rmf.sign_matrix`, hashing tiles of max(1, 2^16 // P) rows in place in its
-  float64 output and turning hash bit 0 into the bits of +-1.0, must reproduce
-  bit for bit; and its negative signs packed by `np.packbits` into one uint64
-  per prime (`packed`), which `rmf.sign_words`, hashing one seed at a time and
-  or-ing hash bit 0 into bit j of each word, must equal;
+  float64 output and turning bit 63 of `rmf._sign_bit` (the folded multiply
+  that stands for bit 0 of the full `mix64` this oracle runs) into the bits of
+  +-1.0, must reproduce bit for bit; and its negative signs packed by
+  `np.packbits` into one uint64 per prime (`packed`), which `rmf.sign_words`,
+  hashing one seed at a time and or-ing that bit into bit j of each word, must
+  equal;
 - the truncated P(sigma) of one sign assignment, which
   `rmf.random_prime_sum_batch` must reproduce for every seed, and the batch
   as it was (`random_prime_sum_batch_direct`: each 256-seed block hashed to

@@ -446,8 +446,8 @@ def test_abel_bytes_bound_the_traced_peak_of_c05(x_max):
 
 
 def test_verify_all_refuses_c05_beyond_memory_before_any_check(tmp_path, monkeypatch, capsys):
-    # At x_max = 10^6 c05 holds 20 int8 rows of f and four float64 weight arrays, 68.5 MB
-    # with its temporaries, three times the 22.3 MB of the two threads' extension passes.
+    # At x_max = 10^6 c05 holds 20 int8 rows of f and one (x, sigma) pair's two float64 weight
+    # arrays, 52.2 MB with its temporaries, twice the 22.3 MB of the two threads' extension passes.
     monkeypatch.setenv("RMFLAB_THREADS", "2")
     need = cli._abel_bytes(10**6)
     assert cli.rmf.extension_bytes(10**6, 100) < 32 * 2**20 < need

@@ -1,6 +1,10 @@
+import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -806,6 +810,50 @@ def test_sign_words_refuse_more_seeds_than_a_word_has_bits():
     ps = primes.cached_primes(10**3).primes
     with pytest.raises(ValueError, match="at most 64 seeds"):
         rmf.sign_words(range(65), ps)
+
+
+def test_sign_bit_holds_bit_0_of_mix64_in_bit_63():
+    # The folded multiply that sign_matrix and sign_words hash with, against the full finalizer.
+    edges = np.array([0, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    x = np.concatenate([np.random.default_rng(0).integers(0, 2**64, 10**6, np.uint64), edges])
+    assert np.array_equal(rmf._sign_bit(x) >> np.uint64(63), rmf.mix64(x) & np.uint64(1))
+
+
+BATCH_DIGESTS = (
+    "import hashlib, json, numpy as np\n"
+    "from rmflab import rmf\n"
+    "print(json.dumps({n: hashlib.sha256(rmf.random_prime_sum_batch(\n"
+    "    np.arange(n), [0.6, 0.75, 1.0], 10**5).tobytes()).hexdigest() for n in range(2000, 2004)}))\n"
+)
+BATCH_GEMV = pytest.mark.xfail(
+    len(os.sched_getaffinity(0)) > 1, strict=True, raises=AssertionError,
+    reason="the batch's 256-row gemv bits follow OPENBLAS_NUM_THREADS at some seed counts "
+           "(ROADMAP item 3b)",
+)
+
+
+@pytest.fixture(scope="module")
+def batch_digests():
+    """{threads: {n: sha256 of random_prime_sum_batch(np.arange(n), [0.6, 0.75, 1.0], 10^5)}}
+    for n = 2000..2003, one process per OPENBLAS_NUM_THREADS of 1 and 2."""
+    src = str(Path(rmf.__file__).resolve().parents[1])
+    env_path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    return {threads: json.loads(subprocess.run(
+        [sys.executable, "-c", BATCH_DIGESTS], check=True, capture_output=True, text=True,
+        timeout=300, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=env_path),
+    ).stdout) for threads in ("1", "2")}
+
+
+@pytest.mark.parametrize("n", [2000, 2001, pytest.param(2002, marks=BATCH_GEMV),
+                               pytest.param(2003, marks=BATCH_GEMV)])
+def test_random_prime_sum_batch_bytes_across_blas_thread_counts(batch_digests, n):
+    assert batch_digests["1"][str(n)] == batch_digests["2"][str(n)]
+
+
+def test_random_prime_sum_batch_bytes_are_pinned(batch_digests):
+    # The 1-thread digest of the unfolded hash (mix64's bit 0), before _sign_bit.
+    assert batch_digests["1"]["2000"] == (
+        "7f4f6aeac5c6a60f342d7eb9cd1ea31f5108c36996250b9f6342a18c87656daf")
 
 
 def test_sign_matrix_into_out_allocates_only_the_shift_temporary():
