@@ -4,7 +4,7 @@ Signs on primes come from a counter-based keyed hash of (seed, prime), so an
 assignment is reproducible from (seed, prime_limit) alone, independent of
 evaluation order and thread count.  The multiplicative extension, partial
 sums M_f with sign-change events, the random prime sum P(sigma) over many
-seeds at once, the exact Abel-summation identity, and grid scans of sup_t of
+seeds at once with no BLAS, the exact Abel-summation identity, and grid scans of sup_t of
 cosine-weighted prime sums, summed exactly by numpy one t row at a time and only on
 the rows that the certified estimate of `_low_rank_grid` cannot rule out, all live here.
 
@@ -39,11 +39,11 @@ _SIGN_FOLD = np.uint64(0x933111EB00000000)  # _MIX2 * (2^63 + 2^32) mod 2^64
 
 TRACE_SEGMENT = 1 << 16
 PACKED_SIGNS = 64  # sign assignments per uint64 word of the multiplicative extension
-_SEED_BLOCK = 256  # seeds per float64 sign block of random_prime_sum_batch
 _HASH_CELLS = 1 << 16  # float64 cells per sign_matrix tile, each hashed in place as uint64
 _T_CHUNK = 128  # t-grid rows per block of the sup-scan estimates
 _EXACT_LOG1P = 10**4  # sup-scan estimates take the exact log1p for primes up to here
 _LOW_RANK_CELLS = 1 << 20  # float64 cells per prime chunk or grid chunk of _low_rank_grid
+_SUM_CELLS = 1 << 20  # float64 cells per sign block of random_prime_sum_batch
 
 
 class ResourceLimitError(RuntimeError):
@@ -354,31 +354,37 @@ def random_prime_sum_batch(
 ) -> np.ndarray:
     """Truncated P(sigma) for many seeds at once at every sigma, shape (len(seeds), len(sigmas)).
 
-    Each _SEED_BLOCK-row block of seeds is hashed once into one reused float64 block and serves
-    every sigma through its own matvec, so column j equals the one-sigma call at sigmas[j] bit
-    for bit.
-    """
+    Blocks of max(1, _SUM_CELLS // P) seeds are hashed once and summed at every sigma by one
+    einsum, numpy's own loop with no BLAS, on min(_worker_count(), blocks) threads, each in its
+    own reused block: a row's bits depend on neither its block nor the thread count."""
     if any(sigma <= 0.5 for sigma in sigmas):
         raise DivergenceError(f"P(sigma) requires sigma > 1/2, got {sigmas}")
     ps = primes_mod.cached_primes(limit).primes
-    p = ps.astype(np.float64)
-    weights = [p ** (-s) for s in sigmas]
-    out = np.empty((len(trial_seeds), len(weights)), dtype=np.float64)
-    block = np.empty((min(_SEED_BLOCK, len(trial_seeds)), ps.size))  # reused: no page faults
-    for start in range(0, len(trial_seeds), _SEED_BLOCK):
-        seeds = trial_seeds[start : start + _SEED_BLOCK]
-        signs = sign_matrix(seeds, ps, out=block[: len(seeds)])
-        for j, w in enumerate(weights):
-            out[start : start + signs.shape[0], j] = signs @ w
+    weights = np.empty((len(sigmas), ps.size))  # filled row by row: one temporary at a time
+    for w, sigma in zip(weights, sigmas):
+        w[:] = ps.astype(np.float64) ** (-sigma)
+    n, rows = len(trial_seeds), max(1, _SUM_CELLS // max(1, ps.size))
+    threads = max(1, min(_worker_count(), -(-n // rows)))
+    out = np.empty((n, len(sigmas)))
+    blocks = np.empty((threads, min(rows, n), ps.size))  # allocated here: pool threads keep pages
+
+    def sums(k: int) -> None:  # blocks k, k + threads, ... in blocks[k]
+        for start in range(k * rows, n, threads * rows):
+            signs = sign_matrix(trial_seeds[start : start + rows], ps, out=blocks[k, : n - start])
+            np.einsum("ip,sp->is", signs, weights, out=out[start : start + rows])
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(sums, range(threads)))
     return out
 
 
 def prime_sum_batch_bytes(n_seeds: int, n_primes: int, n_sigmas: int) -> int:
     """Bytes random_prime_sum_batch allocates at most: n_sigmas + 2 float64 per seed and per
-    prime, a _SEED_BLOCK-row block, _hash_tile_bytes and 64 KiB of lists and array headers."""
-    rows = min(_SEED_BLOCK, n_seeds)
-    need = 8 * ((n_sigmas + 2) * (n_seeds + n_primes) + rows * n_primes) + (1 << 16)
-    return need + _hash_tile_bytes(rows, n_primes)
+    prime, 64 KiB of headers, and per thread a block, its salted primes and _hash_tile_bytes."""
+    rows = min(max(1, _SUM_CELLS // max(1, n_primes)), n_seeds)
+    threads = max(1, min(_worker_count(), -(-n_seeds // max(1, rows))))
+    need = 8 * (n_sigmas + 2) * (n_seeds + n_primes) + (1 << 16)
+    return need + threads * (8 * (rows + 1) * n_primes + _hash_tile_bytes(rows, n_primes))
 
 
 def abel_weights(sigma: float, x: int) -> tuple[np.ndarray, np.ndarray]:

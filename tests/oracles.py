@@ -40,9 +40,10 @@ None of this is used by `rmflab` itself:
   equal;
 - the truncated P(sigma) of one sign assignment, which
   `rmf.random_prime_sum_batch` must reproduce for every seed, and the batch
-  as it was (`random_prime_sum_batch_direct`: each 256-seed block hashed to
-  int8 and cast to float64 before its matvecs), which it must reproduce bit
-  for bit from its one reused float64 block;
+  in one piece (`random_prime_sum_batch_direct`: every seed hashed to int8,
+  cast to float64 and summed by one einsum against all sigmas), which it must
+  reproduce bit for bit from its blocks of 2^20 // P seeds on any number of
+  threads;
 - the sigma grid of the oscillation experiment evaluated block by block on
   every row (`oscillation_grid`, `oscillation_direct`), whose max_osc and
   first violations `chaining.oscillation_batch` must reproduce bit for bit
@@ -355,17 +356,12 @@ def packed(negative: np.ndarray) -> np.ndarray:
 
 
 def random_prime_sum_batch_direct(trial_seeds, sigmas, limit: int) -> np.ndarray:
-    """P(sigma) of every seed at every sigma, shape (len(seeds), len(sigmas)), a fresh float64
-    copy of each 256-row int8 block of `sign_matrix_direct` serving every sigma through its own
-    matvec."""
+    """P(sigma) of every seed at every sigma, shape (len(seeds), len(sigmas)): one einsum of the
+    whole float64 `sign_matrix_direct` against the stacked weights, with no blocks or threads."""
     ps = primes_mod.cached_primes(limit).primes
-    weights = [ps.astype(np.float64) ** (-s) for s in sigmas]
-    out = np.empty((len(trial_seeds), len(weights)))
-    for start in range(0, len(trial_seeds), 256):
-        signs = sign_matrix_direct(trial_seeds[start : start + 256], ps).astype(np.float64)
-        for j, w in enumerate(weights):
-            out[start : start + signs.shape[0], j] = signs @ w
-    return out
+    weights = np.array([ps.astype(np.float64) ** (-s) for s in sigmas])
+    signs = sign_matrix_direct(trial_seeds, ps).astype(np.float64)
+    return np.einsum("ip,sp->is", signs, weights)
 
 
 def oscillation_inputs(seeds, ell: int, step: StepParams, limit: int):

@@ -485,17 +485,18 @@ def test_sup_scan_grid_beyond_memory_is_refused_before_any_hash(tmp_path, monkey
 
 def test_prime_sums_beyond_memory_are_refused_before_any_sieve_or_hash(
         tmp_path, monkeypatch, capsys):
-    # concentration's 10^4 trials x 8 sigma over pi(10^6) <= 90,845 primes: a 256-row
-    # float64 block and 10 float64 per prime and per trial, a one-row shift temporary,
-    # two 8192-element ufunc buffers and 64 KiB, 195.0 MB; c06 and c07 hold 2000 seeds
-    # at 10^6 and 10^4 at 10^5.
+    # concentration's 10^4 trials x 8 sigma over pi(10^6) <= 90,845 primes on 2 threads:
+    # 10 float64 per prime and per trial and 64 KiB, and per thread an 11-row float64 block,
+    # its salted primes, a one-row shift temporary and two 8192-element ufunc buffers,
+    # 27.3 MB; c06 and c07 hold 2000 seeds at 10^6 and 10^4 at 10^5.
+    monkeypatch.setenv("RMFLAB_THREADS", "2")
     stub_ram(monkeypatch, 2**20)
     calls = []
     monkeypatch.setattr(cli.primes, "cached_primes", lambda *a: calls.append(a))
     monkeypatch.setattr(cli.rmf, "sign_matrix", lambda *a, **kw: calls.append(a))
     out = tmp_path / "cc"
     assert run(["concentration", "--output-dir", str(out)]) == 3
-    assert "resource error: step-2 sums: 195041528 B > physical RAM" in capsys.readouterr().err
+    assert "resource error: step-2 sums: 27291040 B > physical RAM" in capsys.readouterr().err
     for check in (cli._check_variance_match, cli._check_hoeffding):
         with pytest.raises(cli.ResourceLimitError, match="B > physical RAM"):
             check(cli.ExperimentConfig())

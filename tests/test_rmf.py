@@ -393,10 +393,12 @@ def test_random_prime_sum_batch_matches_single():
 
 
 
-@pytest.mark.parametrize("limit", [10**3, 10**5])
-@pytest.mark.parametrize("trials", [100, 257, 600])
+@pytest.mark.parametrize("trials, limit", [(100, 10**3), (257, 10**3), (600, 10**3),
+                                           (13000, 10**3), (100, 10**5), (257, 10**5),
+                                           (600, 10**5)])
 def test_random_prime_sum_batch_matches_direct_bit_for_bit(trials, limit):
-    # 257 and 600 trials end on partial blocks of 1 and 88 seeds in the reused block.
+    # A block holds 2^20 // P seeds: 6241 at 10^3, so 13,000 trials take blocks of 6241, 6241
+    # and 518, and 109 at 10^5, so 257 and 600 trials end on partial blocks of 39 and 55 seeds.
     seeds, sigmas = rmf.derive_seed(3, np.arange(trials)), [0.55, 0.7, 1.3]
     assert np.array_equal(rmf.random_prime_sum_batch(seeds, sigmas, limit),
                           oracles.random_prime_sum_batch_direct(seeds, sigmas, limit))
@@ -405,16 +407,51 @@ def test_random_prime_sum_batch_matches_direct_bit_for_bit(trials, limit):
                           oracles.random_prime_sum_batch_direct(ints, [0.6], limit))
 
 
+def test_random_prime_sum_batch_bits_hold_on_more_threads_than_cores(monkeypatch):
+    # Five threads over ten 109-seed blocks at 10^5, each reusing its block for a second one,
+    # switching every microsecond: a lost or crossed write would break equality with the oracle.
+    monkeypatch.setenv("RMFLAB_THREADS", "5")
+    seeds, sigmas = rmf.derive_seed(7, np.arange(1000)), [0.6, 0.9]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        batch = rmf.random_prime_sum_batch(seeds, sigmas, 10**5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(batch, oracles.random_prime_sum_batch_direct(seeds, sigmas, 10**5))
+
+
 def test_random_prime_sum_batch_sigma_vector_matches_scalar():
-    seeds = np.arange(300, dtype=np.uint64)  # spans two seed blocks
+    seeds = np.arange(2000, dtype=np.uint64)  # spans three 853-seed blocks at 10^4
     sigmas = [0.55, 0.7, 1.3]
     batch = rmf.random_prime_sum_batch(seeds, sigmas, 10**4)
-    assert batch.shape == (300, 3)
+    assert batch.shape == (2000, 3)
     for j, sigma in enumerate(sigmas):
         scalar = rmf.random_prime_sum_batch(seeds, [sigma], 10**4)[:, 0]
         assert np.array_equal(batch[:, j], scalar)
     with pytest.raises(DivergenceError):
         rmf.random_prime_sum_batch(seeds, [0.7, 0.5], 10**4)
+
+
+@pytest.mark.parametrize("limit, trials", [(10**4, 2000), (10**6, 30)])
+def test_random_prime_sum_batch_lies_within_gamma_p_of_the_exact_sum(limit, trials):
+    # Any order of summing P terms is within gamma_P sum |w| of their exact sum (Higham, ch. 3),
+    # here math.fsum of the float64 terms +-p^(-sigma); the trials span blocks of 853 and 13.
+    seeds, sigmas = rmf.derive_seed(5, np.arange(trials)), [0.55, 0.75, 1.0]
+    batch = rmf.random_prime_sum_batch(seeds, sigmas, limit)
+    ps = primes.cached_primes(limit).primes
+    signs = oracles.sign_matrix_direct(seeds, ps)
+    gamma = ps.size * 2.0**-53 / (1 - ps.size * 2.0**-53)
+    for j, sigma in enumerate(sigmas):
+        w = ps.astype(np.float64) ** -sigma
+        exact = np.array([math.fsum(row * w) for row in signs])
+        assert np.all(np.abs(batch[:, j] - exact) <= gamma * math.fsum(w))
+
+
+def test_random_prime_sum_batch_of_no_seeds_is_empty():
+    for seeds in (np.empty(0, dtype=np.uint64), []):
+        assert rmf.random_prime_sum_batch(seeds, [0.6, 0.8], 10**3).shape == (0, 2)
+
 
 def test_normalized_sums_rarely_large():
     seeds = np.arange(1000, dtype=np.uint64)
@@ -656,17 +693,22 @@ def test_sup_scan_bytes_bounds_the_traced_peak():
 
 
 @pytest.mark.parametrize("trials, limit, n_sigmas", [(1, 2, 1), (5, 10**3, 1), (257, 10**3, 8),
-                                                     (600, 10**5, 3), (2000, 10**5, 8)])
-def test_prime_sum_batch_bytes_bounds_the_traced_peak(trials, limit, n_sigmas):
+                                                     (600, 10**5, 3), (2000, 10**5, 8),
+                                                     (2000, 10**6, 3)])
+def test_prime_sum_batch_bytes_bounds_the_traced_peak(monkeypatch, trials, limit, n_sigmas):
+    # At 1 and 2 threads; each thread hashes into its own block.  (2000, 10^6, 3) is c06's.
     primes.cached_primes(limit)  # the prime table exists before the call
     seeds = rmf.derive_seed(0, np.arange(trials))
-    tracemalloc.start()
-    try:
-        rmf.random_prime_sum_batch(seeds, np.linspace(0.6, 1.0, n_sigmas), limit)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= rmf.prime_sum_batch_bytes(trials, primes.prime_count_bound(limit), n_sigmas)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RMFLAB_THREADS", threads)
+        tracemalloc.start()
+        try:
+            rmf.random_prime_sum_batch(seeds, np.linspace(0.6, 1.0, n_sigmas), limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        need = rmf.prime_sum_batch_bytes(trials, primes.prime_count_bound(limit), n_sigmas)
+        assert peak <= need, threads
 
 
 def test_cgroup_limit_reads_v2_and_v1_files(tmp_path):
@@ -825,35 +867,31 @@ BATCH_DIGESTS = (
     "print(json.dumps({n: hashlib.sha256(rmf.random_prime_sum_batch(\n"
     "    np.arange(n), [0.6, 0.75, 1.0], 10**5).tobytes()).hexdigest() for n in range(2000, 2004)}))\n"
 )
-BATCH_GEMV = pytest.mark.xfail(
-    len(os.sched_getaffinity(0)) > 1, strict=True, raises=AssertionError,
-    reason="the batch's 256-row gemv bits follow OPENBLAS_NUM_THREADS at some seed counts "
-           "(ROADMAP item 3b)",
-)
 
 
 @pytest.fixture(scope="module")
 def batch_digests():
     """{threads: {n: sha256 of random_prime_sum_batch(np.arange(n), [0.6, 0.75, 1.0], 10^5)}}
-    for n = 2000..2003, one process per OPENBLAS_NUM_THREADS of 1 and 2."""
+    for n = 2000..2003, one process with OPENBLAS_NUM_THREADS and RMFLAB_THREADS both 1, and
+    one with both 2."""
     src = str(Path(rmf.__file__).resolve().parents[1])
     env_path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     return {threads: json.loads(subprocess.run(
         [sys.executable, "-c", BATCH_DIGESTS], check=True, capture_output=True, text=True,
-        timeout=300, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=env_path),
+        timeout=300, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, RMFLAB_THREADS=threads,
+                              PYTHONPATH=env_path),
     ).stdout) for threads in ("1", "2")}
 
 
-@pytest.mark.parametrize("n", [2000, 2001, pytest.param(2002, marks=BATCH_GEMV),
-                               pytest.param(2003, marks=BATCH_GEMV)])
+@pytest.mark.parametrize("n", [2000, 2001, 2002, 2003])
 def test_random_prime_sum_batch_bytes_across_blas_thread_counts(batch_digests, n):
     assert batch_digests["1"][str(n)] == batch_digests["2"][str(n)]
 
 
 def test_random_prime_sum_batch_bytes_are_pinned(batch_digests):
-    # The 1-thread digest of the unfolded hash (mix64's bit 0), before _sign_bit.
+    # The 1-thread digest of the einsum sums over 109-seed blocks (2^20 // 9,592 primes).
     assert batch_digests["1"]["2000"] == (
-        "7f4f6aeac5c6a60f342d7eb9cd1ea31f5108c36996250b9f6342a18c87656daf")
+        "0bcd73123025ad5d996138990b048d5971522bc976d3a68e2e22da25c8a47d20")
 
 
 def test_sign_matrix_into_out_allocates_only_the_shift_temporary():
