@@ -237,7 +237,8 @@ def _extension_size(cfg: ExperimentConfig, seeds: int = 1) -> int:
 # One check per acceptance criterion c01-c13, each a function check(cfg) ->
 # (passed, detail) whose docstring starts with the criterion's id.  The
 # acceptance suite runs each of them with ExperimentConfig(), whose defaults
-# are the acceptance sizes; sizes that no config field holds are literals.
+# are the acceptance sizes; other sizes are literals, or constants that verify's preflight reads.
+HOEFFDING_PRIMES = 10**5  # c07's prime limit
 
 
 def _logsq_grid(n_cut: int) -> list[tuple[float, prime_series.LogWeightedSum]]:
@@ -326,19 +327,24 @@ def _check_borel_cantelli(cfg: ExperimentConfig) -> tuple[bool, dict]:
     return passed, {"partial_400": bc.partial_sum, "tail_400": bc.tail_estimate}
 
 
-def _step2_rows(cfg: ExperimentConfig, prime_limit: int) -> list[concentration.Step2Row]:
-    """The step-2 exceedance table at ell_min..ell_max over cfg.trials seeds derived from seed."""
+def _step2_ells(cfg: ExperimentConfig, prime_limit: int) -> range:
+    """ell_min..ell_max once memory holds the step-2 sums of cfg.trials seeds at each of them."""
     ells, n_primes = range(cfg.ell_min, cfg.ell_max + 1), primes.prime_count_bound(prime_limit)
     rmf.check_memory(rmf.prime_sum_batch_bytes(cfg.trials, n_primes, len(ells)), "step-2 sums")
+    return ells
+
+
+def _step2_rows(cfg: ExperimentConfig, prime_limit: int) -> list[concentration.Step2Row]:
+    """The step-2 exceedance table at ell_min..ell_max over cfg.trials seeds derived from seed."""
     return concentration.step2_experiment(
-        StepParams(cfg.epsilon), cfg.gamma, ells,
+        StepParams(cfg.epsilon), cfg.gamma, _step2_ells(cfg, prime_limit),
         trials=cfg.trials, prime_limit=prime_limit, base_seed=cfg.seed)
 
 
 def _check_hoeffding(cfg: ExperimentConfig) -> tuple[bool, dict]:
     """c07: every step-2 exceedance frequency over cfg.trials seeds, on the primes
-    <= 10^5, lies within 3 standard errors above its Hoeffding bound."""
-    rows = _step2_rows(cfg, 10**5)
+    <= HOEFFDING_PRIMES, lies within 3 standard errors above its Hoeffding bound."""
+    rows = _step2_rows(cfg, HOEFFDING_PRIMES)
     return _hoeffding_valid(rows), {"rows": len(rows)}
 
 
@@ -460,6 +466,7 @@ def cmd_verify(args, cfg: ExperimentConfig) -> Result:
         _extension_size(cfg, _at_least(cfg, "seeds"))
         rmf.check_memory(_abel_bytes(cfg.x_max), f"abel identity rows at x_max={cfg.x_max}")
         chaining.check_grid(cfg.ells, cfg.r_max, 20, cfg.prime_limit)
+        _step2_ells(cfg, HOEFFDING_PRIMES)
     checks, seconds = [], {}
     for name in VERIFY_TARGETS[args.target]:
         t0 = time.perf_counter()
@@ -496,9 +503,8 @@ def _quantiles(values) -> dict:
 
 def cmd_simulate(args, cfg: ExperimentConfig) -> Result:
     x_max = _extension_size(cfg)
-    signs = rmf.sample_signs(cfg.seed, max(x_max, 2))
     stride = 1 if x_max <= 10**5 else 1 << 16  # trace.csv lists every n, or every 2^16-th
-    trace = rmf.partial_sum_trace(signs, x_max, stride)
+    [trace] = rmf.partial_sum_trace([cfg.seed], x_max, stride)
     ns = np.arange(stride, x_max + 1, stride)
 
     cps = trace.change_points
@@ -531,8 +537,8 @@ def cmd_signchanges(args, cfg: ExperimentConfig) -> Result:
     n_seeds = _at_least(cfg, "seeds")
     x_max = _extension_size(cfg, n_seeds)
     seeds = range(cfg.seed, cfg.seed + n_seeds)
-    results = rmf.sign_change_counts(seeds, x_max)
-    counts = results[:, 0].astype(np.float64)
+    traces = rmf.partial_sum_trace(seeds, x_max, x_max + 1)  # stride x_max + 1: no samples
+    counts = np.array([tr.count_changes() for tr in traces])
     summary = {
         "seeds": n_seeds,
         "x_max": x_max,
@@ -543,7 +549,7 @@ def cmd_signchanges(args, cfg: ExperimentConfig) -> Result:
         files={
             "table.csv": (
                 ["seed", "V_f", "final_M"],
-                [[seed, int(v), int(m)] for seed, (v, m) in zip(seeds, results)],
+                [[seed, tr.count_changes(), tr.final_value] for seed, tr in zip(seeds, traces)],
             ),
             "summary.json": summary,
         },

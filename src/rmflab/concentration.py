@@ -36,7 +36,6 @@ def hoeffding_bound(sum_sq_coeffs: float, lam: float) -> float:
 class BorelCantelliPartial:
     partial_sum: float
     tail_estimate: float
-    terms: int
     closed_bound: float | None = None
     closed_bound_holds: bool | None = None
     ratio: float | None = None
@@ -59,7 +58,7 @@ def borel_cantelli_step2(terms: int, gamma: float, step: StepParams) -> BorelCan
     inv_beta = 1.0 / beta
     upper_gamma = mp.gammainc(inv_beta, a * mp.mpf(terms) ** beta, mp.inf)
     tail = float(upper_gamma / (beta * mp.mpf(a) ** inv_beta))
-    return BorelCantelliPartial(partial_sum=partial, tail_estimate=tail, terms=terms)
+    return BorelCantelliPartial(partial_sum=partial, tail_estimate=tail)
 
 
 def borel_cantelli_bigterm(terms: int, step: StepParams, ell: int) -> BorelCantelliPartial:
@@ -83,7 +82,6 @@ def borel_cantelli_bigterm(terms: int, step: StepParams, ell: int) -> BorelCante
     return BorelCantelliPartial(
         partial_sum=partial,
         tail_estimate=tail,
-        terms=terms,
         closed_bound=closed,
         closed_bound_holds=bool(holds),
         ratio=q,

@@ -24,11 +24,11 @@ def prime_count_bound(x: int) -> int:
     return int(1.25506 * x / log(x)) + 1 if x > 1 else 0
 
 
-def sieve_primes(limit: int, segment: int = DEFAULT_SEGMENT) -> np.ndarray:
+def sieve_primes(limit: int) -> np.ndarray:
     """All primes <= limit, ascending, as a read-only int32 array.
 
     Odd-only: flag i stands for 2i + 1, and 2 is written first.  Each segment of
-    `segment` flags is struck by the odd primes up to sqrt(limit), sieved the same
+    DEFAULT_SEGMENT flags is struck by the odd primes up to sqrt(limit), sieved the same
     way, and writes its primes straight into an output sized by `prime_count_bound`,
     so memory is one segment of flags plus the table.
     """
@@ -36,18 +36,16 @@ def sieve_primes(limit: int, segment: int = DEFAULT_SEGMENT) -> np.ndarray:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
     if limit > np.iinfo(np.int32).max:
         raise ValueError(f"sieve limit {limit} exceeds the int32 cap 2^31 - 1")
-    if segment < 1:
-        raise ValueError(f"sieve segment must be >= 1, got {segment}")
-    return _odd_sieve(limit, segment)
+    return _odd_sieve(limit)
 
 
-def _odd_sieve(limit: int, segment: int) -> np.ndarray:
-    base = _odd_sieve(isqrt(limit), segment)[1:].tolist() if limit >= 9 else []
+def _odd_sieve(limit: int) -> np.ndarray:
+    base = _odd_sieve(isqrt(limit))[1:].tolist() if limit >= 9 else []
     primes = np.empty(prime_count_bound(limit), dtype=np.int32)
     primes[0] = 2
     count, flags_total = 1, (limit + 1) // 2
-    for lo in range(0, flags_total, segment):
-        hi = min(lo + segment, flags_total)
+    for lo in range(0, flags_total, DEFAULT_SEGMENT):
+        hi = min(lo + DEFAULT_SEGMENT, flags_total)
         first, last = 2 * lo + 1, 2 * hi - 1
         flags = np.ones(hi - lo, dtype=bool)
         flags[0] = lo > 0  # flag 0 of the first segment is 1, not a prime

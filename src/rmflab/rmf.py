@@ -8,11 +8,11 @@ seeds at once with no BLAS, the exact Abel-summation identity, and grid scans of
 cosine-weighted prime sums, summed exactly by numpy one t row at a time and only on
 the rows that the certified estimate of `_low_rank_grid` cannot rule out, all live here.
 
-The multiplicative extension has one path: 64 assignments' negative signs are
-the bits of one sign_words word per prime; each TRACE_SEGMENT block, sieved afresh by
-the primes up to its square root (the one larger prime of a squarefree n is found
-in a transient 4-byte-per-integer index), yields only its squarefree n, over which
-M_f walks in int32 and looks for sign changes only right after its zeros.
+The multiplicative extension has one path, and partial_sum_trace is its one entry for M_f:
+64 seeds' negative signs are the bits of one sign_words word per prime; each TRACE_SEGMENT
+block, sieved afresh by the primes up to its square root (the one larger prime of a
+squarefree n is found in a transient 4-byte-per-integer index), yields only its squarefree
+n, over which M_f walks in int32 and looks for sign changes only right after its zeros.
 """
 
 from __future__ import annotations
@@ -189,8 +189,8 @@ def sample_signs(seed: int, prime_limit: int) -> SignAssignment:
     return SignAssignment(seed=seed, prime_limit=prime_limit, primes=ps, signs=signs)
 
 
-def _signed_blocks(words: np.ndarray, x_max: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (lo, sq, w) per block lo..hi: the offsets sq of its squarefree n and at them the
+def _signed_blocks(words: np.ndarray, x_max: int) -> Iterator[tuple]:
+    """Yield (lo, hi, sq, w) per block lo..hi: the offsets sq of its squarefree n and at them the
     packed words of f, bit j set where f = -1 under assignment j.  The primes p <= sqrt(hi)
     sieve each block: per n the XOR of their words, their product, and whether some p^2
     divides it.  What is left of a squarefree n is 1 or its one prime factor above sqrt(hi)."""
@@ -209,7 +209,7 @@ def _signed_blocks(words: np.ndarray, x_max: int) -> Iterator[tuple[int, np.ndar
             small[-lo % p :: p] *= p
             squarefree[-lo % (p * p) :: p * p] = False
         sq = np.flatnonzero(squarefree)
-        yield lo, sq, odd[sq] ^ words[index[(sq + lo) // small[sq]]]
+        yield lo, hi, sq, odd[sq] ^ words[index[(sq + lo) // small[sq]]]
 
 
 def _bits(w: np.ndarray, rows: int) -> Iterator[np.ndarray]:
@@ -221,17 +221,10 @@ def _bits(w: np.ndarray, rows: int) -> Iterator[np.ndarray]:
             for j in range(rows))
 
 
-def _words(signs: SignAssignment, x_max: int) -> np.ndarray:
-    """The packed words of one assignment on the primes up to x_max, after the range check."""
-    if not 1 <= x_max <= signs.prime_limit:
-        raise ResourceLimitError(f"x_max={x_max} outside [1, prime_limit={signs.prime_limit}]")
-    return (signs.up_to(x_max)[1] < 0).astype(np.uint64)
-
-
 def _signed_rows(words: np.ndarray, rows: int, x_max: int) -> np.ndarray:
     """f(1..x_max) of the assignments j < rows packed in `words`, one int8 row each."""
     out = np.zeros((rows, x_max), dtype=np.int8)
-    for lo, sq, w in _signed_blocks(words, x_max):
+    for lo, _, sq, w in _signed_blocks(words, x_max):
         for row, bit in zip(out, _bits(w, rows)):
             row[lo - 1 + sq] = 1 - 2 * bit
     return out
@@ -289,8 +282,7 @@ def _traces(words: np.ndarray, rows: int, x_max: int, stride: int):
     signs so far).  Its steps are +-1, so it changes sign only between a zero's neighbours."""
     value, last, changes = [0] * rows, [0] * rows, [[np.empty(0, np.int64)] for _ in range(rows)]
     samples = np.empty((rows, x_max // stride), np.int64)
-    for lo, sq, w in _signed_blocks(words, x_max):
-        hi = min(lo + TRACE_SEGMENT - 1, x_max)
+    for lo, hi, sq, w in _signed_blocks(words, x_max):
         step, path = np.arange(1, sq.size + 1, dtype=np.int32), np.empty(sq.size + 2, np.int32)
         m = path[2:]  # path: the last nonzero M, M before the block, M at its entries (|M| < 2^31)
         # M at n = lo + i is path[1 + the count of entries up to i]
@@ -310,38 +302,30 @@ def _traces(words: np.ndarray, rows: int, x_max: int, stride: int):
     return [(np.concatenate(c), v) for c, v in zip(changes, value)], samples
 
 
-def partial_sum_trace(signs: SignAssignment, x_max: int, stride: int) -> PartialSumTrace:
-    """Exact M_f up to x_max, built segment by segment, sampled at every stride-th n."""
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    [(changes, final)], values = _traces(_words(signs, x_max), 1, x_max, stride)
-    return PartialSumTrace(x_max, changes, final, stride, values[0])
-
-
-def sign_change_counts(seeds: Sequence[int], x_max: int) -> np.ndarray:
-    """(count_changes(), final_value) of partial_sum_trace(sample_signs(seed,
-    max(x_max, 2)), x_max, stride) for each seed, shape (len(seeds), 2).  Each extension
-    pass, on one of _worker_count() threads, serves PACKED_SIGNS seeds hashed by
-    one sign_words call."""
+def partial_sum_trace(seeds: Sequence[int], x_max: int, stride: int) -> list[PartialSumTrace]:
+    """Exact M_f up to x_max under sample_signs(seed, max(x_max, 2)), sampled at every stride-th
+    n, for each seed in order.  Each extension pass, on one of _worker_count() threads, serves
+    PACKED_SIGNS seeds hashed by one sign_words call; stride x_max + 1 samples nothing."""
     if x_max < 1:
         raise ResourceLimitError(f"x_max={x_max} must be >= 1")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     ps = primes_mod.cached_primes(max(x_max, 2)).upto(x_max)  # sieved before the threads share it
 
-    def counts(start: int) -> list[tuple[int, int]]:
+    def traces(start: int) -> list[PartialSumTrace]:
         block = seeds[start : start + PACKED_SIGNS]
-        walked = _traces(sign_words(block, ps), len(block), x_max, x_max + 1)[0]  # no samples
-        return [(c.size, m) for c, m in walked]
+        walked, values = _traces(sign_words(block, ps), len(block), x_max, stride)
+        return [PartialSumTrace(x_max, c, m, stride, v) for (c, m), v in zip(walked, values)]
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:  # map keeps seed order
-        out = [row for rows in pool.map(counts, range(0, len(seeds), PACKED_SIGNS)) for row in rows]
-    return np.array(out, dtype=np.int64).reshape(-1, 2)
+        return [tr for trs in pool.map(traces, range(0, len(seeds), PACKED_SIGNS)) for tr in trs]
 
 
 def extension_bytes(x_max: int, seeds: int = 1) -> int:
-    """Bytes sign_change_counts allocates at most, and partial_sum_trace for one seed besides its
-    x_max // stride int64 samples: per thread of PACKED_SIGNS seeds, sign_words' four uint64
-    arrays per prime, the int32 prime index, 64 B an integer of block buffers, and 64 KiB for
-    the pool, the lists and the array headers."""
+    """Bytes partial_sum_trace allocates at most for `seeds` seeds besides their x_max // stride
+    int64 samples each: per thread of PACKED_SIGNS seeds, sign_words' four uint64 arrays per
+    prime, the int32 prime index, 64 B an integer of block buffers, and 64 KiB for the pool,
+    the lists and the array headers."""
     need = 32 * primes_mod.prime_count_bound(x_max) + 4 * (x_max + 1)
     need += 64 * min(TRACE_SEGMENT, x_max) + (1 << 16)
     return need * min(_worker_count(), -(-seeds // PACKED_SIGNS))

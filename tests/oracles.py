@@ -16,11 +16,12 @@ None of this is used by `rmflab` itself:
   reproduce `_signed_block` bit for bit for every seed and segment length;
 - the int64 cumulative sum of `_signed_block` scanned by the general
   `rmf.sign_change_points`, which no `rmflab` path calls any more: it is the
-  oracle of the walk of `rmf.partial_sum_trace` and `rmf.sign_change_counts`
-  over the squarefree n only, in int32, which looks for sign changes only
-  right after the zeros of M and must give the same change points, final
-  value and M at every stride-th n for every seed, batch, stride and segment
-  length;
+  oracle of the walk of `rmf.partial_sum_trace` over the squarefree n only,
+  in int32, which looks for sign changes only right after the zeros of M and
+  must give the same change points, final value and M at every stride-th n
+  for every seed, pass of PACKED_SIGNS seeds, stride and segment length;
+  `trace` walks one assignment of any kind, hand-built ones included, by
+  that walk (`packed_signs`: its negative signs as bit 0 of one word per prime);
 - the truncated Dirichlet series and Euler product of one assignment
   (`series_and_product`) and the Mellin integral of |M| (`abs_mellin`),
   which no command uses;
@@ -82,8 +83,8 @@ from rmflab.chaining import _GRID_CHUNK, OSCILLATION_SCHEDULE, ChainingReport, _
 from rmflab.prime_series import DivergenceError
 from rmflab.primes import DEFAULT_SEGMENT, PrimeTable
 from rmflab.rmf import (
-    _MASK64, _PRIME_SALT, _T_CHUNK, SignAssignment, SupScanResult, _signed_rows, _words,
-    abel_weights, mix64,
+    _MASK64, _PRIME_SALT, _T_CHUNK, PartialSumTrace, SignAssignment, SupScanResult, _signed_rows,
+    _traces, abel_weights, mix64,
 )
 from rmflab.sequences import StepParams, step_sigma_ell
 
@@ -119,7 +120,6 @@ def _build_spf(limit: int, primes: np.ndarray) -> np.ndarray:
 def sieve_tables(
     limit: int,
     spf_cutoff: int = SPF_HARD_CAP,
-    segment: int = DEFAULT_SEGMENT,
 ) -> tuple[PrimeTable, SpfTable | None]:
     """Prime table plus (when limit <= spf_cutoff) a smallest-prime-factor table.
 
@@ -128,7 +128,7 @@ def sieve_tables(
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
-    primes = primes_mod.sieve_primes(limit, segment=segment)
+    primes = primes_mod.sieve_primes(limit)
     table = PrimeTable(limit=limit, primes=primes)
     if limit > min(spf_cutoff, SPF_HARD_CAP):
         return table, None
@@ -442,10 +442,21 @@ def sup_scan_direct(
     return SupScanResult(best_cos, best_t, float(np.exp(best_logf)), size)
 
 
+def packed_signs(signs: SignAssignment, x_max: int) -> np.ndarray:
+    """The packed words of one assignment on the primes up to x_max: bit 0 set where f(p) = -1."""
+    return (signs.up_to(x_max)[1] < 0).astype(np.uint64)
+
+
+def trace(signs: SignAssignment, x_max: int, stride: int) -> PartialSumTrace:
+    """M_f of one assignment, hand-built or sampled, by the walk of `rmf.partial_sum_trace`."""
+    [(changes, final)], values = _traces(packed_signs(signs, x_max), 1, x_max, stride)
+    return PartialSumTrace(x_max, changes, final, stride, values[0])
+
+
 def signed_values(signs: SignAssignment, x_max: int) -> np.ndarray:
     """f(1..x_max) of one assignment as int8 (index i holds f(i+1)), by the packed-word
     extension of `rmf.signed_value_rows`."""
-    return _signed_rows(_words(signs, x_max), 1, x_max)[0]
+    return _signed_rows(packed_signs(signs, x_max), 1, x_max)[0]
 
 
 STRIDED_FLIPS = 10**4  # `_signed_block` flips the primes up to here by strided slices

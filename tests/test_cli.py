@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -54,6 +55,23 @@ def test_simulate_trace_lists_every_n_to_1e5_and_every_2_16th_beyond(tmp_path):
     strided = next((out / "100001").glob("simulate-trace-*.csv")).read_text().splitlines()
     assert len(every) == 100_001 and every[65_536].startswith("65536,")
     assert strided == ["n,M", every[65_536]]
+
+
+# sha256 of each result file of `simulate --x-max 100000 --seed 3`, whose trace lists every n.
+SIMULATE_SEED3_SHA256 = {
+    "changes.csv": "9b1b94aaa01abba0fdfdb4a8b4e88a48d4433458f9a5bafe25f64af50b961aeb",
+    "summary.json": "90ce8efa551a436443354f2ce74cb693e1354a56d107e05f2cb2ea514d6b3350",
+    "trace.csv": "eec92192b81f0e0e20cda0658b04a35306a8780dcf49976b9ec568266b64aa4d",
+    "vf.csv": "25cd87faf074a9d94edcf4966e1b037d85af8476f8070653343d00d2e9627750",
+}
+
+
+def test_simulate_at_stride_one_keeps_its_result_bytes(tmp_path):
+    assert run(["simulate", "--x-max", "100000", "--seed", "3", "--output-dir", str(tmp_path)]) == 0
+    for kind, digest in SIMULATE_SEED3_SHA256.items():
+        name, ext = kind.split(".")
+        [path] = tmp_path.glob(f"simulate-{name}-*.{ext}")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, kind
 
 
 def test_empty_output_dir_rejected(tmp_path, capsys):
@@ -411,7 +429,7 @@ def test_extension_size_bounds_the_traced_peak_of_sign_change_counts(x_max, seed
     cli.primes.cached_primes(10**6)  # the prime table exists before the call
     tracemalloc.start()
     try:
-        cli.rmf.sign_change_counts(range(seeds), x_max)
+        cli.rmf.partial_sum_trace(range(seeds), x_max, x_max + 1)  # signchanges' call
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -422,10 +440,9 @@ def test_extension_size_bounds_the_traced_peak_of_sign_change_counts(x_max, seed
 def test_extension_size_bounds_the_traced_peak_of_simulate_traces(x_max, stride):
     # simulate's two strides: every n up to 10^5, every 2^16-th n beyond.
     cli.primes.cached_primes(10**6)  # the prime table exists before the call
-    signs = cli.rmf.sample_signs(0, x_max)
     tracemalloc.start()
     try:
-        cli.rmf.partial_sum_trace(signs, x_max, stride)
+        cli.rmf.partial_sum_trace([0], x_max, stride)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -463,6 +480,27 @@ def test_verify_all_refuses_c05_beyond_memory_before_any_check(tmp_path, monkeyp
     err = capsys.readouterr().err
     assert f"resource error: abel identity rows at x_max=1000000: {need} B > physical RAM" in err
     assert calls == []
+    assert not out.exists()
+
+
+def test_verify_all_refuses_c07_beyond_memory_before_any_check(tmp_path, monkeypatch, capsys):
+    # 2e9 trials of c07's step-2 sums over pi(10^5) primes at its 8 ells need 160 GB, which
+    # used to be refused only once the seven checks before c07 had run.
+    monkeypatch.setenv("RMFLAB_THREADS", "2")
+    stub_ram(monkeypatch, 32 * 2**20)
+    ran = []
+    for name, check in cli.VERIFY_CHECKS.items():
+        monkeypatch.setitem(cli.VERIFY_CHECKS, name,
+                            lambda cfg, name=name, check=check: ran.append(name) or check(cfg))
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps({"n_primes": 1000, "claim1_n": 10**4, "chebyshev_limit": 10**4,
+                                  "x_max": 10**4, "prime_limit": 10**4, "seeds": 4, "r_max": 6}))
+    out = tmp_path / "c07"
+    assert run(["verify", "all", "--config", str(config), "--trials", "2000000000",
+                "--output-dir", str(out)]) == 3
+    need = cli.rmf.prime_sum_batch_bytes(2 * 10**9, cli.primes.prime_count_bound(10**5), 8)
+    assert f"resource error: step-2 sums: {need} B > physical RAM" in capsys.readouterr().err
+    assert ran == []
     assert not out.exists()
 
 

@@ -109,24 +109,12 @@ def test_sieve_refuses_limits_past_int32_before_allocating():
     assert peak < 1 << 15  # the base sieve to sqrt(2^31) alone would take 46 KB
 
 
-def test_sieve_refuses_segments_below_one_before_allocating():
-    tracemalloc.start()
-    try:
-        for limit in (100, 10**6):
-            for segment in (-5, 0):  # -5 used to return [2], and 0 to fail inside range()
-                with pytest.raises(ValueError, match="segment must be >= 1, got"):
-                    primes.sieve_primes(limit, segment=segment)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 15  # the output to 10^6 alone would take 363 KB
-
-
-def test_segmented_matches_monolithic():
+def test_segmented_matches_monolithic(monkeypatch):
     direct = oracles.sieve_direct(10**5)
-    for segment in (1, 2, 997):
-        assert np.array_equal(primes.sieve_primes(10**5, segment=segment), direct), segment
     assert np.array_equal(primes.sieve_primes(10**5), direct)
+    for segment in (1, 2, 997):
+        monkeypatch.setattr(primes, "DEFAULT_SEGMENT", segment)
+        assert np.array_equal(primes.sieve_primes(10**5), direct), segment
 
 
 def test_spf_examples():

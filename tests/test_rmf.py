@@ -123,14 +123,14 @@ def test_strided_flip_oracle_matches_f_value(monkeypatch):
 
 def test_trace_crafted_example():
     s = oracles.signs_from_dict({2: 1, 3: -1, 5: -1}, 10)
-    tr = rmf.partial_sum_trace(s, 6, 1)
+    tr = oracles.trace(s, 6, 1)
     assert tr.values.tolist() == [1, 2, 1, 1, 0, -1]
     assert tr.change_points.tolist() == [6]
 
 
 def test_trace_all_plus_one():
     s = oracles.signs_constant(1, 10)
-    tr = rmf.partial_sum_trace(s, 4, 1)
+    tr = oracles.trace(s, 4, 1)
     assert tr.final_value == 3  # f(4) = 0
     assert tr.count_changes() == 0
 
@@ -146,24 +146,21 @@ def test_sign_change_points_example():
 def test_trace_increments_are_f():
     s = rmf.sample_signs(2, 10**4)
     f = oracles.signed_values(s, 10**4)
-    tr = rmf.partial_sum_trace(s, 10**4, 1)
+    [tr] = rmf.partial_sum_trace([2], 10**4, 1)
     assert tr.values[0] == 1
     assert np.array_equal(np.diff(tr.values), f[1:].astype(np.int64))
     assert np.max(np.abs(np.diff(tr.values))) <= 1
 
 
 def test_trace_changes_match_brute_force():
-    for seed in range(6):
-        s = rmf.sample_signs(seed, 10**4)
-        tr = rmf.partial_sum_trace(s, 10**4, 1)
+    for tr in rmf.partial_sum_trace(range(6), 10**4, 1):
         assert tr.change_points.tolist() == brute_change_points(tr.values)
 
 
 def test_trace_segmented_consistency(monkeypatch):
-    s = rmf.sample_signs(9, 3 * 10**4)
-    full = rmf.partial_sum_trace(s, 3 * 10**4, 1)
+    [full] = rmf.partial_sum_trace([9], 3 * 10**4, 1)
     monkeypatch.setattr(rmf, "TRACE_SEGMENT", 777)
-    seg = rmf.partial_sum_trace(s, 3 * 10**4, 1)
+    [seg] = rmf.partial_sum_trace([9], 3 * 10**4, 1)
     assert np.array_equal(full.values, seg.values)
     assert np.array_equal(full.change_points, seg.change_points)
 
@@ -177,13 +174,13 @@ def test_trace_samples_every_stride_th_n_across_blocks(segment, monkeypatch):
     m = np.cumsum(oracles._signed_block(signs, 1, x), dtype=np.int64)
     monkeypatch.setattr(rmf, "TRACE_SEGMENT", segment)
     for stride in (1, 1000, 1 << 16, x, x + 1):
-        tr = rmf.partial_sum_trace(signs, x, stride)
+        [tr] = rmf.partial_sum_trace([4], x, stride)
         assert tr.stride == stride and tr.values.dtype == np.int64
         assert np.array_equal(tr.values, m[stride - 1 :: stride])
         assert np.array_equal(tr.change_points, rmf.sign_change_points(m))
         assert tr.final_value == int(m[-1])
     with pytest.raises(ValueError, match="stride"):
-        rmf.partial_sum_trace(signs, x, 0)
+        rmf.partial_sum_trace([4], x, 0)
 
 
 PLAN_SEEDS = [0, 1, 2**63 + 5, -1]
@@ -209,20 +206,20 @@ def assert_trace_is(tr, m):
     assert tr.values.dtype == m.dtype and np.array_equal(tr.values, m[tr.stride - 1 :: tr.stride])
 
 
-def assert_matches_strided_flips(signs, x):
-    """signed_values and partial_sum_trace equal the strided-flip extension
-    (one block over 1..x) and its cumulative sum, bit for bit."""
+def assert_matches_strided_flips(signs, x, tr):
+    """signed_values of `signs` and its trace `tr` to x at stride 1 equal the strided-flip
+    extension (one block over 1..x) and its cumulative sum, bit for bit."""
     f = oracles._signed_block(signs, 1, x)
     values = oracles.signed_values(signs, x)
     assert values.dtype == f.dtype and np.array_equal(values, f)
-    assert_trace_is(rmf.partial_sum_trace(signs, x, 1), np.cumsum(f, dtype=np.int64))
+    assert_trace_is(tr, np.cumsum(f, dtype=np.int64))
 
 
 @pytest.mark.parametrize("seed", PLAN_SEEDS)
 def test_plan_extension_matches_strided_flips(seed):
     signs = rmf.sample_signs(seed, max(PLAN_XS))
     for x in PLAN_XS:
-        assert_matches_strided_flips(signs, x)
+        assert_matches_strided_flips(signs, x, rmf.partial_sum_trace([seed], x, 1)[0])
 
 
 @pytest.mark.parametrize("seed", PLAN_SEEDS)
@@ -231,7 +228,7 @@ def test_plan_extension_matches_strided_flips_short_segments(seed, monkeypatch):
     for segment, xs in SHORT_SEGMENTS.items():
         monkeypatch.setattr(rmf, "TRACE_SEGMENT", segment)
         for x in xs:
-            assert_matches_strided_flips(signs, x)
+            assert_matches_strided_flips(signs, x, rmf.partial_sum_trace([seed], x, 1)[0])
 
 
 @pytest.mark.parametrize(
@@ -246,19 +243,28 @@ def test_plan_extension_matches_strided_flips_short_segments(seed, monkeypatch):
 )
 def test_plan_extension_of_hand_built_assignments(signs):
     for x in (1, 6, 10**4):
-        assert_matches_strided_flips(signs, x)
+        assert_matches_strided_flips(signs, x, oracles.trace(signs, x, 1))
 
 
-def test_sign_change_counts_match_single_traces():
-    seeds = list(range(-3, 67))  # 70 seeds: two packed words, one of them partly filled
-    counts = rmf.sign_change_counts(seeds, 20000)
-    assert counts.shape == (70, 2)
-    for seed, (v, m) in zip(seeds, counts):
-        tr = rmf.partial_sum_trace(rmf.sample_signs(seed, 20000), 20000, 1)
-        assert (v, m) == (tr.count_changes(), tr.final_value)
-    assert rmf.sign_change_counts([5], 1).tolist() == [[0, 1]]
+POOLED_SEEDS = list(range(-3, 67))  # 70 seeds: two passes, the second partly filled
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_pooled_traces_match_the_oracle_scan(threads, monkeypatch):
+    """Each seed's trace from one partial_sum_trace call over POOLED_SEEDS, samples included,
+    equals the general scan of the int64 cumsum of its own strided-flip extension, bit for bit
+    on one thread and on two."""
+    monkeypatch.setenv("RMFLAB_THREADS", threads)
+    traces = rmf.partial_sum_trace(POOLED_SEEDS, 20_000, 7)
+    assert len(traces) == len(POOLED_SEEDS)
+    for seed, tr in zip(POOLED_SEEDS, traces):
+        f = oracles._signed_block(rmf.sample_signs(seed, 20_000), 1, 20_000)
+        assert tr.x_max == 20_000 and tr.stride == 7
+        assert_trace_is(tr, np.cumsum(f, dtype=np.int64))
+    [tr] = rmf.partial_sum_trace([5], 1, 2)
+    assert (tr.count_changes(), tr.final_value, tr.values.size) == (0, 1, 0)
     with pytest.raises(rmf.ResourceLimitError):
-        rmf.sign_change_counts([5], 0)
+        rmf.partial_sum_trace([5], 0, 1)
 
 
 WALK_XS = (1, 2, 70_000, 131_072, 10**6)  # 70,000 and 131,072 end inside and at a block
@@ -266,17 +272,19 @@ WALK_XS = (1, 2, 70_000, 131_072, 10**6)  # 70,000 and 131,072 end inside and at
 
 @pytest.mark.parametrize("first", [0, 1000])
 def test_walk_matches_the_oracle_scan(first):
-    """sign_change_counts and partial_sum_trace against the int64 cumsum of the strided-flip
-    extension and the general scan, at seeds first..first + 63."""
+    """partial_sum_trace, one seed at a time and for all at once, against the int64 cumsum of
+    the strided-flip extension and the general scan, at seeds first..first + 63."""
     seeds, reference = list(range(first, first + 64)), {}
     for seed in seeds:
         signs = rmf.sample_signs(seed, max(WALK_XS))
         m = np.cumsum(oracles._signed_block(signs, 1, max(WALK_XS)), dtype=np.int64)
         for x in WALK_XS:  # the extension to x is the first x values of the one to 10^6
-            assert_trace_is(rmf.partial_sum_trace(signs, x, 1), m[:x])
+            assert_trace_is(rmf.partial_sum_trace([seed], x, 1)[0], m[:x])
             reference[seed, x] = [rmf.sign_change_points(m[:x]).size, int(m[x - 1])]
     for x in WALK_XS:
-        assert rmf.sign_change_counts(seeds, x).tolist() == [reference[s, x] for s in seeds]
+        pooled = rmf.partial_sum_trace(seeds, x, x + 1)
+        assert [[tr.count_changes(), tr.final_value] for tr in pooled] == [
+            reference[s, x] for s in seeds]
 
 
 def zero_at(seed: int, n: int, x: int) -> rmf.SignAssignment:
@@ -306,7 +314,7 @@ def test_walk_carries_zero_runs_across_blocks(segment, n, x, monkeypatch):
     end = -(-n // segment) * segment
     for s, m in zip(crafted, ms):
         assert m[n - 1] == 0 and m[end - 1] == 0  # a block ends inside the zero run
-        assert_trace_is(rmf.partial_sum_trace(s, x, 1), m)
+        assert_trace_is(oracles.trace(s, x, 1), m)
     words = oracles.packed(np.stack([s.signs < 0 for s in crafted]))
     walked, samples = rmf._traces(words, len(crafted), x, 1)
     for (cps, final), m in zip(walked, ms):
@@ -330,30 +338,21 @@ def test_worker_count_follows_cpu_affinity(monkeypatch):
 
 def test_trace_checkpoints():
     # M at every 2^16-th n, as simulate samples it beyond 10^5.
-    s = rmf.sample_signs(1, 2 * 10**5)
-    tr = rmf.partial_sum_trace(s, 2 * 10**5, 1 << 16)
-    full = rmf.partial_sum_trace(s, 2 * 10**5, 1)
+    [tr] = rmf.partial_sum_trace([1], 2 * 10**5, 1 << 16)
+    [full] = rmf.partial_sum_trace([1], 2 * 10**5, 1)
     assert tr.values.tolist() == [full.values[n - 1] for n in (65536, 131072, 196608)]
 
 
 def test_trace_without_values():
-    s = rmf.sample_signs(1, 10**4)
-    tr = rmf.partial_sum_trace(s, 10**4, 10**4 + 1)
-    full = rmf.partial_sum_trace(s, 10**4, 1)
+    [tr] = rmf.partial_sum_trace([1], 10**4, 10**4 + 1)
+    [full] = rmf.partial_sum_trace([1], 10**4, 1)
     assert tr.values.size == 0
     assert np.array_equal(tr.change_points, full.change_points)
     assert tr.final_value == full.final_value
 
 
-def test_trace_resource_error():
-    s = rmf.sample_signs(0, 100)
-    with pytest.raises(rmf.ResourceLimitError):
-        rmf.partial_sum_trace(s, 101, 1)
-
-
 def test_count_sign_changes():
-    s = rmf.sample_signs(0, 10**4)
-    tr = rmf.partial_sum_trace(s, 10**4, 1)
+    [tr] = rmf.partial_sum_trace([0], 10**4, 1)
     assert tr.count_changes(10**4) == tr.change_points.size
     for x in (10, 100, 5000):
         assert tr.count_changes(x) == int(np.sum(tr.change_points <= x))
@@ -363,8 +362,7 @@ def test_count_sign_changes():
 
 def test_seed_zero_regression_value():
     # Pinned after the first full run of this simulation.
-    s = rmf.sample_signs(0, 10**6)
-    tr = rmf.partial_sum_trace(s, 10**6, 1 << 16)
+    [tr] = rmf.partial_sum_trace([0], 10**6, 1 << 16)
     assert tr.count_changes() == 292
     assert tr.final_value == 640
 
