@@ -200,7 +200,8 @@ def oscillation_batch(
         p_vals = np.full((n_grid, weights.shape[1]), np.nan)  # rows outside `rows` decide nothing
         # zeroed once per ell: untouched pages stay free
         block = np.zeros((min(_GRID_CHUNK, n_grid), ps.size))
-        for start in np.unique(rows // _GRID_CHUNK) * _GRID_CHUNK:
+        chunk = rows // _GRID_CHUNK  # rows is sorted: a chunk starts where chunk changes
+        for start in chunk[np.diff(chunk, prepend=-1) != 0] * _GRID_CHUNK:
             at = rows[(rows >= start) & (rows < start + _GRID_CHUNK)] - start
             for i in at:  # (-d) log p == -(d log p) exactly
                 np.exp(np.multiply(-dsig[start + i], logp, out=block[i]), out=block[i])

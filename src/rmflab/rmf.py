@@ -9,10 +9,11 @@ cosine-weighted prime sums, summed exactly by numpy one t row at a time and only
 the rows that the certified estimate of `_low_rank_grid` cannot rule out, all live here.
 
 The multiplicative extension has one path, and partial_sum_trace is its one entry for M_f:
-64 seeds' negative signs are the bits of one sign_words word per prime; each TRACE_SEGMENT
-block, sieved afresh by the primes up to its square root (the one larger prime of a
-squarefree n is found in a transient 4-byte-per-integer index), yields only its squarefree
-n, over which M_f walks in int32 and looks for sign changes only right after its zeros.
+up to 64 seeds' negative signs are the bits of one sign_words word per prime; each
+TRACE_SEGMENT block, sieved afresh by the primes up to its square root (the one larger prime
+of a squarefree n is found in a transient 4-byte-per-integer index), yields only its
+squarefree n, whose -1 signs one uint64 cumsum counts for four seeds at once in 16-bit lanes;
+M_f walks them in int32 and looks for sign changes only right after its zeros.
 """
 
 from __future__ import annotations
@@ -212,21 +213,12 @@ def _signed_blocks(words: np.ndarray, x_max: int) -> Iterator[tuple]:
         yield lo, hi, sq, odd[sq] ^ words[index[(sq + lo) // small[sq]]]
 
 
-def _bits(w: np.ndarray, rows: int) -> Iterator[np.ndarray]:
-    """Bit j of the packed words `w` for j < rows in turn, in one int32 buffer.  The bytes are
-    transposed and widened once, so a bit takes two one-dtype ufuncs, which release the GIL."""
-    planes = w.view(np.uint8).reshape(-1, 8)[:, : (rows + 7) // 8].T.astype(np.int32, order="C")
-    out = np.empty(w.size, dtype=np.int32)
-    return (np.bitwise_and(np.right_shift(planes[j // 8], j % 8, out=out), 1, out=out)
-            for j in range(rows))
-
-
 def _signed_rows(words: np.ndarray, rows: int, x_max: int) -> np.ndarray:
     """f(1..x_max) of the assignments j < rows packed in `words`, one int8 row each."""
     out = np.zeros((rows, x_max), dtype=np.int8)
     for lo, _, sq, w in _signed_blocks(words, x_max):
-        for row, bit in zip(out, _bits(w, rows)):
-            row[lo - 1 + sq] = 1 - 2 * bit
+        for j, row in enumerate(out):
+            row[lo - 1 + sq] = 1 - 2 * (w >> j & 1).astype(np.int8)
     return out
 
 
@@ -279,7 +271,10 @@ def _traces(words: np.ndarray, rows: int, x_max: int, stride: int):
     """([(change points, M(x_max))] of the assignments j < rows packed in `words`, and their M
     at n = stride, 2 stride, ... <= x_max as one int64 row each).
     M walks the squarefree n in int32: after a block's k-th, the carried M + k - 2 (its -1
-    signs so far).  Its steps are +-1, so it changes sign only between a zero's neighbours."""
+    signs so far).  Its steps are +-1, so it changes sign only between a zero's neighbours.
+    One uint64 cumsum counts the -1 signs of j, j + 16, j + 32 and j + 48 in its four 16-bit
+    lanes, which never carry: none of a block's TRACE_SEGMENT // 4 multiples of 4 is
+    squarefree, so a lane counts at most TRACE_SEGMENT - TRACE_SEGMENT // 4 < 2^16 signs."""
     value, last, changes = [0] * rows, [0] * rows, [[np.empty(0, np.int64)] for _ in range(rows)]
     samples = np.empty((rows, x_max // stride), np.int64)
     for lo, hi, sq, w in _signed_blocks(words, x_max):
@@ -288,46 +283,54 @@ def _traces(words: np.ndarray, rows: int, x_max: int, stride: int):
         # M at n = lo + i is path[1 + the count of entries up to i]
         at = 1 + np.searchsorted(sq, np.arange(-lo % stride, hi + 1 - lo, stride), "right")
         first = (lo - 1) // stride  # the multiples of stride below lo
-        for j, bit in enumerate(_bits(w, rows)):
-            path[:2] = last[j], value[j]
-            np.cumsum(bit, out=m)  # not in place: an in-place cumsum holds the GIL
-            m *= -2
-            m += step
-            m += value[j]
-            z = 1 + np.flatnonzero(path[1:-1] == 0)
-            if z.size:
-                changes[j].append(lo + sq[z[path[z + 1] * path[z - 1] < 0] - 1])
-            value[j], last[j] = int(path[-1]), int(path[-1] or path[-2])
-            samples[j, first : first + at.size] = path[at]
+        lanes, counts = np.empty_like(w), np.empty_like(w)
+        for j0 in range(min(rows, 16)):
+            np.bitwise_and(np.right_shift(w, j0, out=lanes), 0x0001000100010001, out=lanes)
+            np.cumsum(lanes, out=counts)  # not in place: an in-place cumsum holds the GIL
+            for j, count in zip(range(j0, rows, 16), counts.view(np.uint16).reshape(-1, 4).T):
+                path[:2] = last[j], value[j]
+                np.multiply(count, np.int32(-2), out=m)  # uint16 lane to int32
+                m += step
+                m += value[j]
+                z = 1 + np.flatnonzero(path[1:-1] == 0)
+                if z.size:
+                    changes[j].append(lo + sq[z[path[z + 1] * path[z - 1] < 0] - 1])
+                value[j], last[j] = int(path[-1]), int(path[-1] or path[-2])
+                samples[j, first : first + at.size] = path[at]
     return [(np.concatenate(c), v) for c, v in zip(changes, value)], samples
 
 
 def partial_sum_trace(seeds: Sequence[int], x_max: int, stride: int) -> list[PartialSumTrace]:
     """Exact M_f up to x_max under sample_signs(seed, max(x_max, 2)), sampled at every stride-th
-    n, for each seed in order.  Each extension pass, on one of _worker_count() threads, serves
-    PACKED_SIGNS seeds hashed by one sign_words call; stride x_max + 1 samples nothing."""
+    n, for each seed in order.  The n seeds split into the fewest extension passes of at most
+    PACKED_SIGNS seeds, ceil(n / passes) seeds each but the last, each hashed by one sign_words
+    call on one of _worker_count() threads; stride x_max + 1 samples nothing."""
     if x_max < 1:
         raise ResourceLimitError(f"x_max={x_max} must be >= 1")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     ps = primes_mod.cached_primes(max(x_max, 2)).upto(x_max)  # sieved before the threads share it
+    passes = -(-len(seeds) // PACKED_SIGNS)
+    size = -(-len(seeds) // passes) if passes else 1  # seeds per pass
 
     def traces(start: int) -> list[PartialSumTrace]:
-        block = seeds[start : start + PACKED_SIGNS]
+        block = seeds[start : start + size]
         walked, values = _traces(sign_words(block, ps), len(block), x_max, stride)
         return [PartialSumTrace(x_max, c, m, stride, v) for (c, m), v in zip(walked, values)]
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:  # map keeps seed order
-        return [tr for trs in pool.map(traces, range(0, len(seeds), PACKED_SIGNS)) for tr in trs]
+        return [tr for trs in pool.map(traces, range(0, len(seeds), size)) for tr in trs]
 
 
 def extension_bytes(x_max: int, seeds: int = 1) -> int:
     """Bytes partial_sum_trace allocates at most for `seeds` seeds besides their x_max // stride
-    int64 samples each: per thread of PACKED_SIGNS seeds, sign_words' four uint64 arrays per
-    prime, the int32 prime index, 64 B an integer of block buffers, and 64 KiB for the pool,
-    the lists and the array headers."""
+    int64 samples each: per thread walking a pass, sign_words' four uint64 arrays per prime,
+    the int32 prime index, 64 KiB for the pool, the lists and the array headers, and 85 B an
+    integer of block buffers: the next block's sieve holds 17 B per integer and 40 B per
+    squarefree n while the last block's walk holds its own 40 B per squarefree n and its
+    sampled offsets, at most 8 B per integer; no more than 3/4 of a block is squarefree."""
     need = 32 * primes_mod.prime_count_bound(x_max) + 4 * (x_max + 1)
-    need += 64 * min(TRACE_SEGMENT, x_max) + (1 << 16)
+    need += 85 * min(TRACE_SEGMENT, x_max) + (1 << 16)
     return need * min(_worker_count(), -(-seeds // PACKED_SIGNS))
 
 

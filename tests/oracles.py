@@ -17,9 +17,10 @@ None of this is used by `rmflab` itself:
 - the int64 cumulative sum of `_signed_block` scanned by the general
   `rmf.sign_change_points`, which no `rmflab` path calls any more: it is the
   oracle of the walk of `rmf.partial_sum_trace` over the squarefree n only,
-  in int32, which looks for sign changes only right after the zeros of M and
-  must give the same change points, final value and M at every stride-th n
-  for every seed, pass of PACKED_SIGNS seeds, stride and segment length;
+  in int32 from the -1 counts of four seeds per uint64 cumsum, which looks for
+  sign changes only right after the zeros of M and must give the same change
+  points, final value and M at every stride-th n for every seed, pass of up
+  to PACKED_SIGNS seeds, stride and segment length;
   `trace` walks one assignment of any kind, hand-built ones included, by
   that walk (`packed_signs`: its negative signs as bit 0 of one word per prime);
 - the truncated Dirichlet series and Euler product of one assignment

@@ -404,7 +404,7 @@ def test_signchanges_counts_each_threads_sign_hash_before_any_sieve(tmp_path, mo
     # 128 seeds on 2 threads: each hashes 64 seeds into four uint64 arrays per prime
     # (salted primes, hash, shift temporary and packed words), and then builds its own
     # 4 MB prime index, block buffers and 64 KiB of pool, lists and array headers.  8 MB
-    # of RAM holds one prime index but not the two passes' 22.3 MB.
+    # of RAM holds one prime index but not the two passes' 25.1 MB.
     monkeypatch.setenv("RMFLAB_THREADS", "2")
     stub_ram(monkeypatch, 8 * 2**20)
     calls = []
@@ -412,8 +412,8 @@ def test_signchanges_counts_each_threads_sign_hash_before_any_sieve(tmp_path, mo
     out = tmp_path / "big"
     assert run(["signchanges", "--seeds", "128", "--output-dir", str(out)]) == 3
     need = 32 * cli.primes.prime_count_bound(10**6) + 4 * (10**6 + 1)
-    need = 2 * (need + 64 * cli.rmf.TRACE_SEGMENT + 2**16)
-    assert need == 22_333_768
+    need = 2 * (need + 85 * cli.rmf.TRACE_SEGMENT + 2**16)
+    assert need == 25_086_280
     assert f"sign hash: {need} B > physical RAM" in capsys.readouterr().err
     assert 4 * (10**6 + 1) < 8 * 2**20 < need
     assert calls == []
@@ -464,7 +464,7 @@ def test_abel_bytes_bound_the_traced_peak_of_c05(x_max):
 
 def test_verify_all_refuses_c05_beyond_memory_before_any_check(tmp_path, monkeypatch, capsys):
     # At x_max = 10^6 c05 holds 20 int8 rows of f and one (x, sigma) pair's two float64 weight
-    # arrays, 52.2 MB with its temporaries, twice the 22.3 MB of the two threads' extension passes.
+    # arrays, 52.2 MB with its temporaries, twice the 25.1 MB of the two threads' extension passes.
     monkeypatch.setenv("RMFLAB_THREADS", "2")
     need = cli._abel_bytes(10**6)
     assert cli.rmf.extension_bytes(10**6, 100) < 32 * 2**20 < need

@@ -246,7 +246,7 @@ def test_plan_extension_of_hand_built_assignments(signs):
         assert_matches_strided_flips(signs, x, oracles.trace(signs, x, 1))
 
 
-POOLED_SEEDS = list(range(-3, 67))  # 70 seeds: two passes, the second partly filled
+POOLED_SEEDS = list(range(-3, 67))  # 70 seeds: two passes of 35
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -320,6 +320,54 @@ def test_walk_carries_zero_runs_across_blocks(segment, n, x, monkeypatch):
     for (cps, final), m in zip(walked, ms):
         assert np.array_equal(cps, rmf.sign_change_points(m)) and final == int(m[-1])
     assert np.array_equal(samples, np.stack(ms))
+
+
+def test_sign_count_lanes_cannot_carry():
+    # A block's multiples of 4 are not squarefree, so a 16-bit lane counts fewer than 2^16 signs.
+    assert rmf.TRACE_SEGMENT - rmf.TRACE_SEGMENT // 4 < 1 << 16
+
+
+LANE_X = 2 * rmf.TRACE_SEGMENT + 1000  # three blocks, the last one short
+
+
+def assert_walks_are(walked, samples, m):
+    """Every row of a _traces result at stride 1 equals the oracle scan of M = m."""
+    for (cps, final), values in zip(walked, samples, strict=True):
+        assert np.array_equal(cps, rmf.sign_change_points(m)) and final == int(m[-1])
+        assert np.array_equal(values, m)
+
+
+@pytest.mark.parametrize("rows", [1, 17, 50, 64])
+def test_walk_of_all_negative_words_matches_the_oracle_scan(rows, monkeypatch):
+    """Words with every f(p) = -1 walk as the int64 cumsum of the Moebius function.  With the
+    blocks' words then set to all ones, f(n) = -1 for every squarefree n, and every lane counts
+    its block's full squarefree count, above 2^15."""
+    words = np.full(primes.cached_primes(LANE_X).upto(LANE_X).size, (1 << rows) - 1, np.uint64)
+    mu = oracles._signed_block(oracles.signs_constant(-1, LANE_X), 1, LANE_X)
+    walked, samples = rmf._traces(words, rows, LANE_X, 1)
+    assert len(walked) == rows
+    assert_walks_are(walked, samples, np.cumsum(mu, dtype=np.int64))
+    blocks = rmf._signed_blocks
+    monkeypatch.setattr(rmf, "_signed_blocks", lambda words, x: (
+        (lo, hi, sq, np.full_like(w, ~np.uint64(0))) for lo, hi, sq, w in blocks(words, x)))
+    walked, samples = rmf._traces(words, rows, LANE_X, 1)
+    assert_walks_are(walked, samples, np.cumsum(-np.abs(mu), dtype=np.int64))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_passes_split_the_seeds_evenly_in_seed_order(threads, monkeypatch):
+    monkeypatch.setenv("RMFLAB_THREADS", threads)
+    sizes, sign_words = [], rmf.sign_words
+    monkeypatch.setattr(rmf, "sign_words", lambda block, ps: sizes.append(len(block)) or
+                        sign_words(block, ps))
+    x = 2000
+    finals = [int(np.sum(oracles._signed_block(rmf.sample_signs(s, x), 1, x), dtype=np.int64))
+              for s in range(129)]
+    for n, expected in [(64, [64]), (65, [33, 32]), (100, [50, 50]), (129, [43, 43, 43])]:
+        sizes.clear()
+        traces = rmf.partial_sum_trace(range(n), x, x + 1)
+        assert sorted(sizes, reverse=True) == expected
+        assert [tr.final_value for tr in traces] == finals[:n]
 
 
 def test_worker_count_follows_cpu_affinity(monkeypatch):
