@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import exp, log, log1p, sqrt
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -76,23 +77,29 @@ def _outward(lower: float, upper: float, estimate: float, roundoff: float = 0.0)
     return CertifiedValue(estimate=estimate, upper=hi, lower=lo, roundoff=roundoff)
 
 
-def _certified_sum(x: np.ndarray, term, weight: float) -> tuple[float, float]:
-    """(partial, roundoff): the float sum of the non-negative terms that term(chunk, out) writes
-    into out for each chunk of x, and a bound on its distance to their exact sum.  Each term
-    must lie within a factor e^(+-weight _G) of its exact value, or within 2^-1070 of it below
-    the normal range.  Chunks of c <= 2^16 terms go through np.sum in one reused buffer, then
-    the k chunk sums do.  Whatever order np.sum adds in, that is within gamma_{c+k-2} sum t of
-    the exact sum of the float terms (Higham, Accuracy and Stability of Numerical Algorithms,
-    2nd ed., 4.2)."""
-    c = min(x.size, _CHUNK)
-    buf, sums = np.empty(c), np.empty(-(-x.size // c))
-    for j, lo in enumerate(range(0, x.size, c)):
-        sums[j] = np.sum(term(x[lo : lo + c], buf[: min(c, x.size - lo)]))
+def _certified_sum(pieces: Iterable[np.ndarray], term, weight: float) -> tuple[float, float]:
+    """(partial, roundoff): the float sum of the non-negative terms that term(x, out) writes into
+    out for the values x of pieces, and a bound on its distance to their exact sum.  Each term must
+    lie within a factor e^(+-weight _G) of its exact value, or within 2^-1070 of it below the normal
+    range.  The n terms go through np.sum in chunks of c = min(n, 2^16), across pieces, in one
+    buffer, then the k chunk sums do: in any order, within gamma_{c+k-2} sum t of the exact sum of
+    the float terms (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2)."""
+    buf, sums, fill, n = np.empty(_CHUNK), [], 0, 0
+    for x in pieces:
+        n += x.size
+        while x.size:
+            if fill == _CHUNK:  # summed once a term follows, so the last chunk is never empty
+                sums.append(np.sum(buf))
+                fill = 0
+            m = min(x.size, _CHUNK - fill)
+            term(x[:m], buf[fill : fill + m])
+            x, fill = x[m:], fill + m
+    sums.append(np.sum(buf[:fill]))
     partial = float(np.sum(sums))
     # 1.01 covers sum t <= partial / (1 - gamma), each exact term against its float one,
     # and the roundings of these two lines.
-    rel = (c + sums.size - 2) * _G + float(np.expm1(weight * _G))
-    return partial, 1.01 * rel * partial + x.size * _TINY
+    rel = (min(n, _CHUNK) + len(sums) - 2) * _G + float(np.expm1(weight * _G))
+    return partial, 1.01 * rel * partial + n * _TINY
 
 
 def _prime_power_sum(logp: np.ndarray, s: float, log_squared: bool = False) -> tuple[float, float]:
@@ -106,10 +113,9 @@ def _prime_power_sum(logp: np.ndarray, s: float, log_squared: bool = False) -> t
         if log_squared:
             out *= lp
             out *= lp
-        return out
 
     weight = 9.0 * s * float(logp[-1]) + 8.0 + (18.0 if log_squared else 0.0)
-    return _certified_sum(logp, term, weight)
+    return _certified_sum([logp], term, weight)
 
 
 def _prime_logs(n_cut: int) -> np.ndarray:
@@ -310,12 +316,12 @@ def log_weighted_sum(sigma: float, n_cut: int = 10**7, table: PrimeTable | None 
     return log_weighted_grid([sigma], n_cut)[0]
 
 
-def _euler_terms(p: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _euler_terms(p: np.ndarray, out: np.ndarray) -> None:
     """1/(p(sqrt(p)-1)) for the primes p, in out."""
     np.sqrt(p, out=out, dtype=np.float64)
     out -= 1.0
     out *= p
-    return np.divide(1.0, out, out=out)
+    np.divide(1.0, out, out=out)
 
 
 # sqrt's rounding, grown by sqrt(p)/(sqrt(p)-1) <= 2 + sqrt(2) (at p = 2) through the -1, and
@@ -324,17 +330,25 @@ _EULER_WEIGHT = 5.0 + sqrt(2.0)
 
 
 def euler_tail_constant(n_primes: int) -> CertifiedValue:
-    """Certified sum_p 1/(p(sqrt(p)-1)) using the first n_primes primes.
+    """Certified sum_p 1/(p(sqrt(p)-1)) over the first n_primes primes, as the sieve walks them.
 
-    The tail over p > P is bounded by (1 + 1/(sqrt(P)-1)) * 2/sqrt(P), an
-    integral comparison of sum_{n>P} n^(-3/2).
+    The tail over p > P, the n_primes-th prime, is bounded by (1 + 1/(sqrt(P)-1)) * 2/sqrt(P),
+    an integral comparison of sum_{n>P} n^(-3/2).
     """
     if n_primes < 1:
         raise ValueError("n_primes must be >= 1")
-    p = primes_mod.first_n_primes(n_primes)
-    partial, roundoff = _certified_sum(p, _euler_terms, _EULER_WEIGHT)
-    largest = float(p[-1])
-    tail = (1.0 + 1.0 / (sqrt(largest) - 1.0)) * 2.0 / sqrt(largest)
+    walk, last = primes_mod.segments(primes_mod.nth_prime_upper(n_primes)), []
+
+    def first_n(left: int = n_primes) -> Iterator[np.ndarray]:
+        for p in walk:
+            yield p[:left]
+            if p.size >= left:  # p holds P, where the walk stops
+                last.append(float(p[left - 1]))
+                return
+            left -= p.size
+
+    partial, roundoff = _certified_sum(first_n(), _euler_terms, _EULER_WEIGHT)
+    tail = (1.0 + 1.0 / (sqrt(last[0]) - 1.0)) * 2.0 / sqrt(last[0])
     return _outward(partial, partial + tail, estimate=partial + 0.5 * tail, roundoff=roundoff)
 
 

@@ -1,18 +1,20 @@
-"""Prime infrastructure: the odd-only segmented sieve (half the flags of a
-full one), the process-wide prime table (pi(x) is `table.upto(x).size`),
-and the Chebyshev-type check pi(x) < 2x/log(x).
+"""Prime infrastructure: the odd-only segment walk (half the flags of a full
+sieve), the process-wide prime table (pi(x) is `table.upto(x).size`), and the
+Chebyshev-type check pi(x) < 2x/log(x).
 
-`cached_primes` is the one prime source and the only caller of `sieve_primes`.
-It keeps the largest table sieved so far; smaller limits and `first_n_primes`
-are read-only views of it.  Tables are int32, exact up to the sieve's cap
-2^31 - 1: the 9.45 million primes below 1.69e8 take 38 MB.  Search a table
-with a key of its dtype, or numpy copies it to int64 on every search.
+`segments` is the one sieve.  `sieve_primes` joins its segments, and
+`cached_primes`, its only caller, keeps the largest table so far; smaller limits
+are read-only views of it.  A sum over primes it reads once, c01's 9 million,
+walks the segments and keeps no table.  Tables are int32, exact up to the cap
+2^31 - 1: the 664,579 primes below 10^7 take 2.7 MB.  Search a table with a key
+of its dtype, or numpy copies it to int64 on every search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt, log
+from typing import Iterator
 
 import numpy as np
 
@@ -24,52 +26,46 @@ def prime_count_bound(x: int) -> int:
     return int(1.25506 * x / log(x)) + 1 if x > 1 else 0
 
 
-def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending, as a read-only int32 array.
+def segments(limit: int) -> Iterator[np.ndarray]:
+    """The primes <= limit, ascending, as one int32 array per segment of DEFAULT_SEGMENT flags.
 
-    Odd-only: flag i stands for 2i + 1, and 2 is written first.  Each segment of
-    DEFAULT_SEGMENT flags is struck by the odd primes up to sqrt(limit), sieved the same
-    way, and writes its primes straight into an output sized by `prime_count_bound`,
-    so memory is one segment of flags plus the table.
+    Odd-only: flag i stands for 2i + 1, and flag 0, for 1, is written as 2.  Each segment is
+    struck by the odd primes up to sqrt(limit), walked first, once the limit is checked.
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
     if limit > np.iinfo(np.int32).max:
         raise ValueError(f"sieve limit {limit} exceeds the int32 cap 2^31 - 1")
-    return _odd_sieve(limit)
+    base = np.concatenate(list(segments(isqrt(limit))))[1:].tolist() if limit >= 9 else []
+
+    def walk(flags_total: int, segment: int) -> Iterator[np.ndarray]:
+        for lo in range(0, flags_total, segment):
+            hi = min(lo + segment, flags_total)
+            first, last = 2 * lo + 1, 2 * hi - 1
+            flags = np.ones(hi - lo, dtype=bool)
+            for p in base:
+                if p * p > last:
+                    break
+                start = max(p * p, (-(-first // p) | 1) * p)  # (| 1): the first odd multiple
+                flags[(start - first) // 2 :: p] = False
+            found = np.multiply(np.flatnonzero(flags), 2, dtype=np.int32, casting="unsafe")
+            found += first
+            found[:1] += lo == 0  # the first segment's 1 becomes 2
+            yield found
+
+    return walk((limit + 1) // 2, DEFAULT_SEGMENT)
 
 
-def _odd_sieve(limit: int) -> np.ndarray:
-    base = _odd_sieve(isqrt(limit))[1:].tolist() if limit >= 9 else []
-    primes = np.empty(prime_count_bound(limit), dtype=np.int32)
-    primes[0] = 2
-    count, flags_total = 1, (limit + 1) // 2
-    for lo in range(0, flags_total, DEFAULT_SEGMENT):
-        hi = min(lo + DEFAULT_SEGMENT, flags_total)
-        first, last = 2 * lo + 1, 2 * hi - 1
-        flags = np.ones(hi - lo, dtype=bool)
-        flags[0] = lo > 0  # flag 0 of the first segment is 1, not a prime
-        for p in base:
-            if p * p > last:
-                break
-            start = max(p * p, (-(-first // p) | 1) * p)  # (| 1): the first odd multiple
-            flags[(start - first) // 2 :: p] = False
-        found = np.flatnonzero(flags)
-        out = primes[count : count + found.size]
-        np.multiply(found, 2, out=out, casting="unsafe")
-        out += first
-        count += found.size
-    primes = primes[:count]
+def sieve_primes(limit: int) -> np.ndarray:
+    """All primes <= limit, ascending, as a read-only int32 array: the joined `segments`."""
+    primes = np.concatenate(list(segments(limit)))
     primes.flags.writeable = False
     return primes
 
 
 def nth_prime_upper(n: int) -> int:
     """Upper bound for the n-th prime (Rosser): n(log n + log log n) for n >= 6."""
-    if n < 6:
-        return 13
-    x = float(n)
-    return int(x * (log(x) + log(log(x)))) + 1
+    return 13 if n < 6 else int(n * (log(n) + log(log(n)))) + 1
 
 
 @dataclass(frozen=True)
@@ -114,9 +110,7 @@ def chebyshev_check(table: PrimeTable) -> ChebyshevReport:
     ratios = counts * np.log(p) / (2.0 * p)
     k = int(np.argmax(ratios))
     max_ratio = float(ratios[k])
-    return ChebyshevReport(
-        max_ratio=max_ratio, holds=bool(max_ratio < 1.0), worst_prime=int(table.primes[k])
-    )
+    return ChebyshevReport(max_ratio, bool(max_ratio < 1.0), int(table.primes[k]))
 
 
 _largest: PrimeTable | None = None
@@ -135,14 +129,5 @@ def cached_primes(limit: int) -> PrimeTable:
     table = _largest
     if table is None or table.limit < limit:
         table = _largest = PrimeTable(limit=limit, primes=sieve_primes(limit))
-    if table.limit == limit:
-        return table
-    return PrimeTable(limit=limit, primes=table.upto(limit))
+    return table if table.limit == limit else PrimeTable(limit=limit, primes=table.upto(limit))
 
-
-def first_n_primes(n: int) -> np.ndarray:
-    """The first n primes: a view of the cached table up to the Rosser bound,
-    which holds at least n primes by Rosser's theorem."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return cached_primes(nth_prime_upper(n)).primes[:n]

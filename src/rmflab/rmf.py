@@ -191,10 +191,10 @@ def sample_signs(seed: int, prime_limit: int) -> SignAssignment:
 
 
 def _signed_blocks(words: np.ndarray, x_max: int) -> Iterator[tuple]:
-    """Yield (lo, hi, sq, w) per block lo..hi: the offsets sq of its squarefree n and at them the
-    packed words of f, bit j set where f = -1 under assignment j.  The primes p <= sqrt(hi)
-    sieve each block: per n the XOR of their words, their product, and whether some p^2
-    divides it.  What is left of a squarefree n is 1 or its one prime factor above sqrt(hi)."""
+    """Yield (lo, squarefree, sq, w) per block lo..hi: the flags and offsets sq of its squarefree n
+    and at them the packed words of f, bit j set where f = -1 under assignment j.  The primes
+    p <= sqrt(hi) sieve each block: per n the XOR of their words, their product, and whether some
+    p^2 divides it.  What is left of a squarefree n is 1 or its one prime factor above sqrt(hi)."""
     ps = primes_mod.cached_primes(max(x_max, 2)).primes[: words.size]
     index = np.full(x_max + 1, ps.size, dtype=np.int32)  # prime -> word; 1 -> the zero word
     index[ps] = np.arange(ps.size, dtype=np.int32)
@@ -210,7 +210,7 @@ def _signed_blocks(words: np.ndarray, x_max: int) -> Iterator[tuple]:
             small[-lo % p :: p] *= p
             squarefree[-lo % (p * p) :: p * p] = False
         sq = np.flatnonzero(squarefree)
-        yield lo, hi, sq, odd[sq] ^ words[index[(sq + lo) // small[sq]]]
+        yield lo, squarefree, sq, odd[sq] ^ words[index[(sq + lo) // small[sq]]]
 
 
 def _signed_rows(words: np.ndarray, rows: int, x_max: int) -> np.ndarray:
@@ -277,11 +277,12 @@ def _traces(words: np.ndarray, rows: int, x_max: int, stride: int):
     squarefree, so a lane counts at most TRACE_SEGMENT - TRACE_SEGMENT // 4 < 2^16 signs."""
     value, last, changes = [0] * rows, [0] * rows, [[np.empty(0, np.int64)] for _ in range(rows)]
     samples = np.empty((rows, x_max // stride), np.int64)
-    for lo, hi, sq, w in _signed_blocks(words, x_max):
+    for lo, squarefree, sq, w in _signed_blocks(words, x_max):
         step, path = np.arange(1, sq.size + 1, dtype=np.int32), np.empty(sq.size + 2, np.int32)
         m = path[2:]  # path: the last nonzero M, M before the block, M at its entries (|M| < 2^31)
-        # M at n = lo + i is path[1 + the count of entries up to i]
-        at = 1 + np.searchsorted(sq, np.arange(-lo % stride, hi + 1 - lo, stride), "right")
+        at = np.empty(0, np.intp)  # M at n = lo + i is path[1 + the count of entries up to i]
+        if -lo % stride < squarefree.size:  # the block holds a sample, at offset -lo % stride
+            at = 1 + np.cumsum(squarefree, dtype=np.intp)[-lo % stride :: stride]
         first = (lo - 1) // stride  # the multiples of stride below lo
         lanes, counts = np.empty_like(w), np.empty_like(w)
         for j0 in range(min(rows, 16)):

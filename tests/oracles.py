@@ -61,9 +61,14 @@ None of this is used by `rmflab` itself:
   sum |w|;
 - the partial sum of `prime_series.euler_tail_constant` as one array
   expression through `math.fsum`, which its chunked `np.sum` must match
-  within its derived roundoff;
+  within its derived roundoff; and the table path it replaced
+  (`euler_tail_direct`: the first n primes as one view of the cached table,
+  `first_n_primes`, cut into 2^16-value chunks by `certified_sum_direct`),
+  which its walk, summing the sieve's segments as they come with chunks
+  that span segment edges, must reproduce in every field;
 - the sieve over every integer from 2 (`sieve_direct`), whose array
-  `primes.sieve_primes`, flagging odd numbers only, must equal, and the
+  `primes.segments`, flagging odd numbers only, must yield in ascending
+  int32 segments, and `primes.sieve_primes`, joining them, must equal; and the
   (log p)^2 sum of one sigma as one fresh array expression with `np.power`
   (`log_weighted_partial`, `log_weighted_direct`), which
   `prime_series.log_weighted_grid`, logging the primes once for all its sigma
@@ -548,8 +553,43 @@ def abs_mellin(signs: SignAssignment, sigma: float, x: int) -> float:
 
 def euler_tail_partial(n_primes: int) -> float:
     """sum over the first n_primes primes of 1/(p(sqrt(p)-1)), correctly rounded."""
-    p = primes_mod.first_n_primes(n_primes).astype(np.float64)
+    p = first_n_primes(n_primes).astype(np.float64)
     return fsum(1.0 / (p * (np.sqrt(p) - 1.0)))
+
+
+def first_n_primes(n: int) -> np.ndarray:
+    """The first n primes: a view of the cached table up to the Rosser bound,
+    which holds at least n primes by Rosser's theorem."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return primes_mod.cached_primes(primes_mod.nth_prime_upper(n)).primes[:n]
+
+
+def certified_sum_direct(x: np.ndarray, term, weight: float) -> tuple[float, float]:
+    """`prime_series._certified_sum` over one array: term(chunk, out) of each 2^16-value
+    chunk of x into one reused buffer, each through np.sum, then the chunk sums, with the same
+    roundoff budget."""
+    c = min(x.size, prime_series._CHUNK)
+    buf, sums = np.empty(c), np.empty(-(-x.size // c))
+    for j, lo in enumerate(range(0, x.size, c)):
+        out = buf[: min(c, x.size - lo)]
+        term(x[lo : lo + c], out)
+        sums[j] = np.sum(out)
+    partial = float(np.sum(sums))
+    rel = (c + sums.size - 2) * prime_series._G + float(np.expm1(weight * prime_series._G))
+    return partial, 1.01 * rel * partial + x.size * prime_series._TINY
+
+
+def euler_tail_direct(n_primes: int) -> prime_series.CertifiedValue:
+    """`prime_series.euler_tail_constant` from the table of `first_n_primes`, summed by
+    `certified_sum_direct`, which the segment walk must reproduce in every field."""
+    p = first_n_primes(n_primes)
+    partial, roundoff = certified_sum_direct(p, prime_series._euler_terms,
+                                             prime_series._EULER_WEIGHT)
+    largest = float(p[-1])
+    tail = (1.0 + 1.0 / (sqrt(largest) - 1.0)) * 2.0 / sqrt(largest)
+    return prime_series._outward(partial, partial + tail, estimate=partial + 0.5 * tail,
+                                 roundoff=roundoff)
 
 
 def _simple_sieve(limit: int) -> np.ndarray:

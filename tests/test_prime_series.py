@@ -237,7 +237,8 @@ def test_euler_tail_in_place_terms_match_expression_form(n):
     # the same terms, the published lower end is it padded by max(roundoff, the slack), and
     # the roundoff stays under the slack pad.
     cv = ps.euler_tail_constant(n)
-    fast, roundoff = ps._certified_sum(primes.first_n_primes(n), ps._euler_terms, ps._EULER_WEIGHT)
+    fast, roundoff = ps._certified_sum([oracles.first_n_primes(n)], ps._euler_terms,
+                                       ps._EULER_WEIGHT)
     partial = oracles.euler_tail_partial(n)
     assert cv.roundoff == roundoff
     assert cv.lower == fast - max(roundoff, fast * ps._SLACK)
@@ -245,13 +246,21 @@ def test_euler_tail_in_place_terms_match_expression_form(n):
     assert roundoff <= fast * ps._SLACK
 
 
+@pytest.mark.parametrize("segment", [997, primes.DEFAULT_SEGMENT])
+def test_euler_tail_walk_matches_the_table_path(segment, monkeypatch):
+    # 997 flags hold at most 997 primes, so every 2^16-term chunk spans segment edges.
+    monkeypatch.setattr(primes, "DEFAULT_SEGMENT", segment)
+    for n in (1, 4, 65535, 65536, 65537, 10**5):
+        assert ps.euler_tail_constant(n) == oracles.euler_tail_direct(n), n
+
+
 # mp.fsum at 30 digits of the exact terms at the float inputs: each float partial must lie
 # within its derived roundoff of it, and each published interval must contain it.
 def test_euler_tail_partial_contains_the_mpmath_sum():
-    p = primes.first_n_primes(10**4)
+    p = oracles.first_n_primes(10**4)
     with mp.workdps(30):
         exact = mp.fsum(1 / (q * (mp.sqrt(q) - 1)) for q in map(mp.mpf, p.tolist()))
-        fast, roundoff = ps._certified_sum(p, ps._euler_terms, ps._EULER_WEIGHT)
+        fast, roundoff = ps._certified_sum([p], ps._euler_terms, ps._EULER_WEIGHT)
         cv = ps.euler_tail_constant(10**4)
         assert abs(fast - exact) <= roundoff
         assert cv.lower <= exact <= cv.upper

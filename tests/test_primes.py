@@ -83,10 +83,18 @@ def test_cached_primes_serves_smaller_limits_as_views(sieved):
 
 
 def test_cached_primes_is_the_one_prime_source(sieved):
-    prime_series.euler_tail_constant(10**4)  # first_n_primes: sieves to the Rosser bound 114,306
+    prime_series.euler_tail_constant(10**4)  # walks the segments to 104,729 and keeps no table
+    assert sieved == [] and primes._largest is None
     prime_series.log_weighted_sum(0.75, n_cut=10**5)
-    assert len(sieved) == 1
+    assert sieved == [10**5]
     assert primes.cached_primes(10**5).primes.dtype == np.int32
+    tracemalloc.start()
+    try:
+        prime_series.euler_tail_constant(3 * 10**6)  # a table to the Rosser bound: 14 MB
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_log_weighted_grid_checks_every_sigma_before_sieving(sieved):
@@ -101,8 +109,10 @@ def test_log_weighted_grid_checks_every_sigma_before_sieving(sieved):
 def test_sieve_refuses_limits_past_int32_before_allocating():
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="int32 cap"):
-            primes.sieve_primes(2**31)
+        for refused in (lambda: primes.sieve_primes(2**31), lambda: primes.segments(2**31),
+                        lambda: prime_series.euler_tail_constant(2 * 10**8)):
+            with pytest.raises(ValueError, match="int32 cap"):
+                refused()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -111,10 +121,12 @@ def test_sieve_refuses_limits_past_int32_before_allocating():
 
 def test_segmented_matches_monolithic(monkeypatch):
     direct = oracles.sieve_direct(10**5)
-    assert np.array_equal(primes.sieve_primes(10**5), direct)
-    for segment in (1, 2, 997):
+    for segment in (1, 2, 997, primes.DEFAULT_SEGMENT):
         monkeypatch.setattr(primes, "DEFAULT_SEGMENT", segment)
         assert np.array_equal(primes.sieve_primes(10**5), direct), segment
+        walk = list(primes.segments(10**5))
+        assert np.array_equal(np.concatenate(walk), direct), segment
+        assert all(s.dtype == np.int32 and np.all(np.diff(s) > 0) for s in walk), segment
 
 
 def test_spf_examples():
@@ -212,6 +224,6 @@ def test_factor_exceeding_limit_raises():
 
 
 def test_first_n_primes():
-    assert list(primes.first_n_primes(5)) == [2, 3, 5, 7, 11]
-    p = primes.first_n_primes(10**4)
+    assert list(oracles.first_n_primes(5)) == [2, 3, 5, 7, 11]
+    p = oracles.first_n_primes(10**4)
     assert p.size == 10**4 and int(p[-1]) == 104729
