@@ -183,7 +183,7 @@ def oscillation_batch(
 
     Seeds are Python ints of any sign; results report them as given, ell by ell."""
     check_grid(ells, r_max, len(seeds), limit)
-    ps = primes_mod.cached_primes(limit).primes
+    ps = primes_mod.cached_primes(limit)
     p = ps.astype(np.float64)
     logp = np.log(p)
     weights = rmf_mod.sign_matrix(seeds, ps).T  # (P, seeds) +-1.0, signed per ell in place

@@ -378,7 +378,7 @@ def _check_variance_match(cfg: ExperimentConfig) -> tuple[bool, dict]:
     need = rmf.prime_sum_batch_bytes(n, primes.prime_count_bound(cfg.prime_limit), sigmas.size)
     rmf.check_memory(need, "variance-match prime sums")
     batch = rmf.random_prime_sum_batch(np.arange(n, dtype=np.uint64), sigmas, cfg.prime_limit)
-    a2 = primes.cached_primes(cfg.prime_limit).primes[:, None] ** (-2.0 * sigmas)
+    a2 = primes.cached_primes(cfg.prime_limit)[:, None] ** (-2.0 * sigmas)
     v = a2.sum(axis=0)  # the variance; its 4th moment is 3 v^2 - 2 sum_p p^(-4 sigma)
     se = np.sqrt((3 * v * v - 2 * (a2 * a2).sum(axis=0) - v * v * (n - 3) / (n - 1)) / n)
     deviations = np.abs(np.var(batch, axis=0, ddof=1) - v) / se

@@ -20,7 +20,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import primes as primes_mod
-from .primes import PrimeTable
 
 _SLACK = 1e-10
 _U = 2.0**-53  # unit roundoff of float64
@@ -120,7 +119,7 @@ def _prime_power_sum(logp: np.ndarray, s: float, log_squared: bool = False) -> t
 
 def _prime_logs(n_cut: int) -> np.ndarray:
     """log p for the primes p <= n_cut, cast and logged in one float64 array."""
-    logp = primes_mod.cached_primes(n_cut).primes.astype(np.float64)
+    logp = primes_mod.cached_primes(n_cut).astype(np.float64)
     return np.log(logp, out=logp)
 
 
@@ -181,7 +180,7 @@ def _log_zeta(s: float) -> float:
 def _mobius_upto(n: int) -> np.ndarray:
     mu = np.ones(n + 1, dtype=np.int64)
     mu[0] = 0
-    for p in primes_mod.cached_primes(max(n, 2)).upto(n).tolist():
+    for p in primes_mod.cached_primes(max(n, 2))[: n - 1].tolist():  # pi(n) <= n - 1: none at n = 1
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
     return mu
@@ -256,7 +255,7 @@ def truncated_variance(sigma: float, limit: int) -> float:
     """Exact partial sum over primes p <= limit of p^(-2 sigma)."""
     if sigma <= 0.5:
         raise DivergenceError(f"truncated variance normalization needs sigma > 1/2 (sigma={sigma})")
-    p = primes_mod.cached_primes(limit).primes.astype(np.float64)
+    p = primes_mod.cached_primes(limit).astype(np.float64)
     return float(np.sum(p ** (-2.0 * sigma)))
 
 
@@ -310,7 +309,7 @@ def log_weighted_grid(sigmas: list[float], n_cut: int = 10**7) -> list[LogWeight
     return sums
 
 
-def log_weighted_sum(sigma: float, n_cut: int = 10**7, table: PrimeTable | None = None):
+def log_weighted_sum(sigma: float, n_cut: int = 10**7, table=None):
     """The LogWeightedSum of `log_weighted_grid` at one sigma.  `table` is not read; it
     is kept for the benchmark tracer, which reads it by name."""
     return log_weighted_grid([sigma], n_cut)[0]

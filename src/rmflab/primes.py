@@ -1,5 +1,5 @@
 """Prime infrastructure: the odd-only segment walk (half the flags of a full
-sieve), the process-wide prime table (pi(x) is `table.upto(x).size`), and the
+sieve), the process-wide prime table (pi(x) is `cached_primes(x).size`), and the
 Chebyshev-type check pi(x) < 2x/log(x).
 
 `segments` is the one sieve.  `sieve_primes` joins its segments, and
@@ -69,65 +69,43 @@ def nth_prime_upper(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class PrimeTable:
-    """Ascending primes up to `limit` inclusive."""
-
-    limit: int
-    primes: np.ndarray
-
-    def __post_init__(self):
-        self.primes.flags.writeable = False
-
-    @property
-    def count(self) -> int:
-        return int(self.primes.size)
-
-    def upto(self, x: float) -> np.ndarray:
-        """View of the primes <= x."""
-        if x > self.limit:
-            raise ValueError(f"x={x} exceeds table limit {self.limit}")
-        idx = int(np.searchsorted(self.primes, self.primes.dtype.type(int(x)), side="right"))
-        return self.primes[:idx]
-
-
-@dataclass(frozen=True)
 class ChebyshevReport:
     max_ratio: float
     holds: bool
     worst_prime: int
 
 
-def chebyshev_check(table: PrimeTable) -> ChebyshevReport:
-    """Check pi(x) < 2x/log(x) at every prime x <= limit.
+def chebyshev_check(primes: np.ndarray) -> ChebyshevReport:
+    """Check pi(x) < 2x/log(x) at every prime x of `primes`, the ascending primes to some limit.
 
     max_ratio is the maximum of pi(x) * log(x) / (2x) over primes; the bound
     holds iff max_ratio < 1.
     """
-    if table.limit < 2:
-        raise ValueError("table limit must be >= 2")
-    p = table.primes.astype(np.float64)
-    counts = np.arange(1, table.count + 1, dtype=np.float64)
+    if primes.size == 0:
+        raise ValueError("chebyshev_check needs at least one prime")
+    p = primes.astype(np.float64)
+    counts = np.arange(1, p.size + 1, dtype=np.float64)
     ratios = counts * np.log(p) / (2.0 * p)
     k = int(np.argmax(ratios))
     max_ratio = float(ratios[k])
-    return ChebyshevReport(max_ratio, bool(max_ratio < 1.0), int(table.primes[k]))
+    return ChebyshevReport(max_ratio, bool(max_ratio < 1.0), int(primes[k]))
 
 
-_largest: PrimeTable | None = None
+_largest: tuple[int, np.ndarray] | None = None  # (limit, sieve_primes(limit))
 
 
-def cached_primes(limit: int) -> PrimeTable:
-    """The primes <= limit, from one table shared across the process.
+def cached_primes(limit: int) -> np.ndarray:
+    """The primes <= limit, ascending, as a read-only int32 view of one table shared across
+    the process.
 
-    The largest table sieved so far is kept; a smaller limit gets a read-only
-    view of it, so no limit is sieved twice.
+    The largest table sieved so far is kept; a smaller limit gets a view of it, so no
+    limit is sieved twice.
     """
     global _largest
     limit = int(limit)
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    table = _largest
-    if table is None or table.limit < limit:
-        table = _largest = PrimeTable(limit=limit, primes=sieve_primes(limit))
-    return table if table.limit == limit else PrimeTable(limit=limit, primes=table.upto(limit))
-
+    if _largest is None or _largest[0] < limit:
+        _largest = (limit, sieve_primes(limit))
+    table = _largest[1]
+    return table[: int(np.searchsorted(table, table.dtype.type(limit), side="right"))]

@@ -185,7 +185,7 @@ class SignAssignment:
 
 def sample_signs(seed: int, prime_limit: int) -> SignAssignment:
     """Reproducible +-1.0 assignment on the primes up to prime_limit: a sign_matrix row."""
-    ps = primes_mod.cached_primes(prime_limit).primes
+    ps = primes_mod.cached_primes(prime_limit)
     signs = sign_matrix([seed], ps)[0]
     return SignAssignment(seed=seed, prime_limit=prime_limit, primes=ps, signs=signs)
 
@@ -195,7 +195,7 @@ def _signed_blocks(words: np.ndarray, x_max: int) -> Iterator[tuple]:
     and at them the packed words of f, bit j set where f = -1 under assignment j.  The primes
     p <= sqrt(hi) sieve each block: per n the XOR of their words, their product, and whether some
     p^2 divides it.  What is left of a squarefree n is 1 or its one prime factor above sqrt(hi)."""
-    ps = primes_mod.cached_primes(max(x_max, 2)).primes[: words.size]
+    ps = primes_mod.cached_primes(max(x_max, 2))[: words.size]
     index = np.full(x_max + 1, ps.size, dtype=np.int32)  # prime -> word; 1 -> the zero word
     index[ps] = np.arange(ps.size, dtype=np.int32)
     words = np.append(words, np.uint64(0))
@@ -225,7 +225,7 @@ def _signed_rows(words: np.ndarray, rows: int, x_max: int) -> np.ndarray:
 def signed_value_rows(seeds: Sequence[int], x_max: int) -> np.ndarray:
     """Row j: f(1..x_max) under sample_signs(seeds[j], x_max) as int8 (index i holds f(i+1)),
     for at most PACKED_SIGNS seeds, from one extension pass."""
-    ps = primes_mod.cached_primes(max(x_max, 2)).upto(x_max)
+    ps = primes_mod.cached_primes(max(x_max, 2))[: max(x_max - 1, 0)]  # pi(x) <= x - 1
     return _signed_rows(sign_words(seeds, ps), len(seeds), x_max)
 
 
@@ -307,10 +307,11 @@ def partial_sum_trace(seeds: Sequence[int], x_max: int, stride: int) -> list[Par
     PACKED_SIGNS seeds, ceil(n / passes) seeds each but the last, each hashed by one sign_words
     call on one of _worker_count() threads; stride x_max + 1 samples nothing."""
     if x_max < 1:
-        raise ResourceLimitError(f"x_max={x_max} must be >= 1")
+        raise ValueError(f"x_max must be >= 1, got {x_max}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    ps = primes_mod.cached_primes(max(x_max, 2)).upto(x_max)  # sieved before the threads share it
+    # pi(x) <= x - 1, so only x = 1 empties the slice; sieved before the threads share it
+    ps = primes_mod.cached_primes(max(x_max, 2))[: x_max - 1]
     passes = -(-len(seeds) // PACKED_SIGNS)
     size = -(-len(seeds) // passes) if passes else 1  # seeds per pass
 
@@ -347,7 +348,7 @@ def random_prime_sum_batch(
     own reused block: a row's bits depend on neither its block nor the thread count."""
     if any(sigma <= 0.5 for sigma in sigmas):
         raise DivergenceError(f"P(sigma) requires sigma > 1/2, got {sigmas}")
-    ps = primes_mod.cached_primes(limit).primes
+    ps = primes_mod.cached_primes(limit)
     weights = np.empty((len(sigmas), ps.size))  # filled row by row: one temporary at a time
     for w, sigma in zip(weights, sigmas):
         w[:] = ps.astype(np.float64) ** (-sigma)

@@ -87,7 +87,7 @@ from rmflab import prime_series
 from rmflab import primes as primes_mod
 from rmflab.chaining import _GRID_CHUNK, OSCILLATION_SCHEDULE, ChainingReport, _first_violations
 from rmflab.prime_series import DivergenceError
-from rmflab.primes import DEFAULT_SEGMENT, PrimeTable
+from rmflab.primes import DEFAULT_SEGMENT
 from rmflab.rmf import (
     _MASK64, _PRIME_SALT, _T_CHUNK, PartialSumTrace, SignAssignment, SupScanResult, _signed_rows,
     _traces, abel_weights, mix64,
@@ -126,28 +126,26 @@ def _build_spf(limit: int, primes: np.ndarray) -> np.ndarray:
 def sieve_tables(
     limit: int,
     spf_cutoff: int = SPF_HARD_CAP,
-) -> tuple[PrimeTable, SpfTable | None]:
-    """Prime table plus (when limit <= spf_cutoff) a smallest-prime-factor table.
+) -> tuple[np.ndarray, SpfTable | None]:
+    """The primes <= limit plus (when limit <= spf_cutoff) a smallest-prime-factor table.
 
-    Above the cutoff only the prime list is produced; factorization then
-    falls back to trial division by the sieved primes.
+    Above the cutoff only the primes are produced; factorization then
+    falls back to trial division by them.
     """
-    if limit < 2:
-        raise ValueError(f"limit must be >= 2, got {limit}")
     primes = primes_mod.sieve_primes(limit)
-    table = PrimeTable(limit=limit, primes=primes)
     if limit > min(spf_cutoff, SPF_HARD_CAP):
-        return table, None
-    return table, SpfTable(limit=limit, spf=_build_spf(limit, primes))
+        return primes, None
+    return primes, SpfTable(limit=limit, spf=_build_spf(limit, primes))
 
 
 def factor_squarefree(
-    n: int, table: PrimeTable, spf: SpfTable | None = None
+    n: int, primes: np.ndarray, spf: SpfTable | None = None
 ) -> tuple[list[int], bool]:
     """Distinct prime factors of n and whether n is squarefree.
 
     Uses the spf table when it covers n, otherwise trial division by the
-    sieved primes.  Raises if a prime factor exceeds the table limit.
+    ascending `primes`.  Raises if a prime factor exceeds the largest of them:
+    no prime lies between it and the limit they were sieved to.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -165,7 +163,7 @@ def factor_squarefree(
             factors.append(p)
         return factors, squarefree
     m = n
-    for p in table.primes:
+    for p in primes:
         p = int(p)
         if p * p > m:
             break
@@ -177,8 +175,8 @@ def factor_squarefree(
                     m //= p
             factors.append(p)
     if m > 1:
-        if m > table.limit:
-            raise ValueError(f"prime factor {m} of {n} exceeds table limit {table.limit}")
+        if m > int(primes[-1]):
+            raise ValueError(f"prime factor {m} of {n} exceeds the largest prime {primes[-1]}")
         factors.append(m)
     return factors, squarefree
 
@@ -197,8 +195,7 @@ def f_value(signs: SignAssignment, n: int, spf: SpfTable | None = None) -> int:
         raise ValueError(f"n must be >= 1, got {n}")
     if n == 1:
         return 1
-    table = PrimeTable(limit=signs.prime_limit, primes=signs.primes)
-    factors, squarefree = factor_squarefree(n, table, spf)
+    factors, squarefree = factor_squarefree(n, signs.primes, spf)
     if not squarefree:
         return 0
     out = 1
@@ -209,8 +206,7 @@ def f_value(signs: SignAssignment, n: int, spf: SpfTable | None = None) -> int:
 
 def signs_from_dict(values: dict[int, int], prime_limit: int) -> SignAssignment:
     """Explicit assignment for chosen primes (+1 elsewhere); handy in tests."""
-    table = primes_mod.cached_primes(prime_limit)
-    ps = table.upto(prime_limit)
+    ps = primes_mod.cached_primes(prime_limit)
     signs = np.ones(ps.size, dtype=np.int8)
     for p, s in values.items():
         if s not in (-1, 1):
@@ -226,8 +222,7 @@ def signs_constant(value: int, prime_limit: int) -> SignAssignment:
     """All-(+1) or all-(-1) assignment."""
     if value not in (-1, 1):
         raise ValueError("constant sign must be +-1")
-    table = primes_mod.cached_primes(prime_limit)
-    ps = table.upto(prime_limit)
+    ps = primes_mod.cached_primes(prime_limit)
     return SignAssignment(
         seed=-1,
         prime_limit=prime_limit,
@@ -364,7 +359,7 @@ def packed(negative: np.ndarray) -> np.ndarray:
 def random_prime_sum_batch_direct(trial_seeds, sigmas, limit: int) -> np.ndarray:
     """P(sigma) of every seed at every sigma, shape (len(seeds), len(sigmas)): one einsum of the
     whole float64 `sign_matrix_direct` against the stacked weights, with no blocks or threads."""
-    ps = primes_mod.cached_primes(limit).primes
+    ps = primes_mod.cached_primes(limit)
     weights = np.array([ps.astype(np.float64) ** (-s) for s in sigmas])
     signs = sign_matrix_direct(trial_seeds, ps).astype(np.float64)
     return np.einsum("ip,sp->is", signs, weights)
@@ -375,7 +370,7 @@ def oscillation_inputs(seeds, ell: int, step: StepParams, limit: int):
     sigma_ell) of the oscillation experiment, from the int8 `sign_matrix_direct`."""
     s_ell = step_sigma_ell(ell, step)
     s_prev = step_sigma_ell(ell - 1, step)
-    ps = primes_mod.cached_primes(limit).primes
+    ps = primes_mod.cached_primes(limit)
     p = ps.astype(np.float64)
     weights = (sign_matrix_direct(seeds, ps).astype(np.float64) * p ** (-s_ell)).T
     return np.log(p), weights, s_prev - s_ell
@@ -562,7 +557,7 @@ def first_n_primes(n: int) -> np.ndarray:
     which holds at least n primes by Rosser's theorem."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return primes_mod.cached_primes(primes_mod.nth_prime_upper(n)).primes[:n]
+    return primes_mod.cached_primes(primes_mod.nth_prime_upper(n))[:n]
 
 
 def certified_sum_direct(x: np.ndarray, term, weight: float) -> tuple[float, float]:
@@ -630,7 +625,7 @@ def sieve_direct(limit: int, segment: int = DEFAULT_SEGMENT) -> np.ndarray:
 def log_weighted_partial(sigma: float, n_cut: int) -> float:
     """sum over p <= n_cut of (log p)^2 p^(-2 sigma) as one fresh array expression: np.power
     for the powers and one np.sum."""
-    p = primes_mod.cached_primes(n_cut).primes.astype(np.float64)
+    p = primes_mod.cached_primes(n_cut).astype(np.float64)
     lp = np.log(p)
     return float(np.sum(lp * lp * p ** (-2.0 * sigma)))
 
@@ -643,7 +638,7 @@ def log_weighted_direct(sigma: float, n_cut: int) -> prime_series.LogWeightedSum
     tail = min(
         prime_series._log_sq_integral_tail(sigma, float(n_cut)),
         max(prime_series._log_sq_pi_route_tail(
-            sigma, float(n_cut), primes_mod.cached_primes(n_cut).count), 0.0),
+            sigma, float(n_cut), primes_mod.cached_primes(n_cut).size), 0.0),
     )
     value = prime_series._outward(partial, partial + tail, estimate=partial + 0.5 * tail)
     bound_rhs = 4.0 / (2.0 * sigma - 1.0) ** 2

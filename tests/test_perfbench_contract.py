@@ -1,11 +1,14 @@
 """The benchmark's traced runs wrap rmflab functions by name and read some of
-their arguments by name (`perfbench/tracer.py`).  A rename in `rmflab` would
-only print "not traced", or stop a traced run, so the names are pinned here.
+their arguments by name (`perfbench/tracer.py`), and their counters read
+attributes of those arguments and results.  A rename in `rmflab` would only
+print "not traced", or stop a traced run, so the names are pinned here.
 """
 
 import importlib.util
 import inspect
 from pathlib import Path
+
+from rmflab import prime_series, rmf
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -20,10 +23,15 @@ COUNTER_ARGS = {
 }
 
 
-def test_tracer_layers_name_existing_functions_and_parameters():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)  # defines LAYERS; wraps nothing until install()
+    return tracer
+
+
+def test_tracer_layers_name_existing_functions_and_parameters():
+    tracer = _tracer()
 
     modules = {}
     for module, functions in tracer.LAYERS.items():
@@ -36,3 +44,24 @@ def test_tracer_layers_name_existing_functions_and_parameters():
         params = inspect.signature(getattr(modules[module_name], name)).parameters
         for arg in args:
             assert arg in params, f"{module_name}.{name} has no parameter {arg!r}"
+
+
+
+def test_tracer_counters_read_live_results():
+    """The live counters read sample_signs(...).signs; sup_scan's signs.primes and
+    .prime_limit and its result's grid_size; euler_tail_constant(...).upper and .lower.
+    `_terms_log_weighted`, the counter of `log_weighted_sum`, is the one that still reads a
+    prime table's `.limit` and `.primes`, which `cached_primes` no longer returns.  It runs only
+    when `log_weighted_sum` is called under trace, and no workload calls it, so it is not run
+    here."""
+    layers = _tracer().LAYERS
+    signs = rmf.sample_signs(3, 1000)
+    assert layers[rmf]["sample_signs"](signs, {"seed": 3, "prime_limit": 1000}) == 168
+    res = rmf.sup_scan(signs, 0.6, 2.0, 0.01, limit=500)  # t = 1, 1.01, ..., 2
+    count = layers[rmf]["sup_scan"]
+    assert res.grid_size == 101
+    assert count(res, {"signs": signs, "limit": 500}) == 101 * 95
+    assert count(res, {"signs": signs, "limit": None}) == 101 * 168  # None: signs.prime_limit
+    c01 = prime_series.euler_tail_constant(100)
+    assert layers[prime_series]["euler_tail_constant"](c01, {"n_primes": 100}) == (
+        100, c01.upper - c01.lower)

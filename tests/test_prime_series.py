@@ -55,6 +55,7 @@ def test_prime_zeta_known_values():
 
 def test_prime_zeta_intervals_contain_truth():
     with mp.workdps(30):
+        # 25.0 reads _mobius_upto(2) and 50.0 and 64.0 _mobius_upto(1): n <= 64 // s
         for s in [1.001, 1.05, 1.7, 2.0, 6.0, 25.0, 50.0, 64.0]:
             cv = ps.prime_zeta(s)
             ref = float(mp.primezeta(mp.mpf(s)))
@@ -64,6 +65,17 @@ def test_prime_zeta_intervals_contain_truth():
 def test_prime_zeta_dominant_term_at_64():
     cv = ps.prime_zeta(64.0)
     assert cv.estimate == pytest.approx(2.0**-64, rel=1e-6)
+
+
+def test_mobius_upto_matches_the_factor_oracle():
+    """_mobius_upto(n) slices the prime table at n, down to n = 1, where it holds no prime."""
+    ps_30, spf = oracles.sieve_tables(30)
+    mu = [0, 1]
+    for n in range(2, 31):
+        factors, squarefree = oracles.factor_squarefree(n, ps_30, spf)
+        mu.append((-1) ** len(factors) if squarefree else 0)
+    for n in range(1, 31):
+        assert ps._mobius_upto(n).tolist() == mu[: n + 1], n
 
 
 def test_prime_zeta_direct_and_accelerated_intersect():
@@ -112,8 +124,7 @@ def test_variance_sum():
 
 
 def test_truncated_variance_matches_direct_sum():
-    table = primes.cached_primes(10**4)
-    expect = sum(float(p) ** -1.5 for p in table.primes)
+    expect = sum(float(p) ** -1.5 for p in primes.cached_primes(10**4))
     assert ps.truncated_variance(0.75, 10**4) == pytest.approx(expect, rel=1e-12)
 
 
@@ -190,9 +201,8 @@ def test_pi_route_integral_identity_symbolic():
 
 
 def test_log_weighted_pi_route_numeric_tail_is_upper_bound():
-    table = primes.cached_primes(10**6)
     sigma = 0.6
-    p = table.primes.astype(float)
+    p = primes.cached_primes(10**6).astype(float)
     cut = 10**4
     inside = p[p <= cut]
     outside = p[p > cut]
@@ -205,8 +215,7 @@ def test_log_weighted_pi_route_numeric_tail_is_upper_bound():
 
 
 def test_prime_power_tail_bound_is_upper_bound():
-    table = primes.cached_primes(10**6)
-    p = table.primes.astype(float)
+    p = primes.cached_primes(10**6).astype(float)
     for s in (1.2, 1.5, 2.0):
         cut = 10**4
         n_inside = int(np.sum(p <= cut))
@@ -268,7 +277,7 @@ def test_euler_tail_partial_contains_the_mpmath_sum():
 
 def test_log_weighted_grid_partials_contain_the_mpmath_sums():
     sigmas = [0.51, 0.75, 1.0]
-    p = primes.cached_primes(10**5).primes
+    p = primes.cached_primes(10**5)
     logp = ps._prime_logs(10**5)
     with mp.workdps(30):
         logs = [mp.log(q) for q in p.tolist()]
@@ -280,7 +289,7 @@ def test_log_weighted_grid_partials_contain_the_mpmath_sums():
 
 
 def test_prime_zeta_direct_partials_contain_the_mpmath_sums():
-    p = primes.cached_primes(10**5).primes
+    p = primes.cached_primes(10**5)
     logp = ps._prime_logs(10**5)
     with mp.workdps(30):
         for s in (1.1, 2.0):

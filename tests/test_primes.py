@@ -20,19 +20,23 @@ def test_small_primes_by_definition():
     assert list(primes.sieve_primes(10)) == [2, 3, 5, 7]
 
 
-def test_prime_counts_against_trial_division():
-    table, _ = oracles.sieve_tables(1000)
-    assert table.count == len(trial_division_primes(1000)) == 168
-    assert table.upto(100).size == 25
+def test_prime_counts_against_trial_division(monkeypatch):
+    """pi(x) is cached_primes(x).size for every x in 2..300, each sieved from a fresh cache."""
+    expected = trial_division_primes(300)
+    assert len(expected) == 62
+    for x in range(2, 301):
+        monkeypatch.setattr(primes, "_largest", None)
+        pi = sum(p <= x for p in expected)
+        assert primes.cached_primes(x).tolist() == expected[:pi], x
 
 
 def test_prime_count_edges():
-    table, _ = oracles.sieve_tables(100)
-    assert table.upto(10).size == 4
-    assert table.upto(1.5).size == 0
-    assert table.upto(2).size == 1
-    with pytest.raises(ValueError):
-        table.upto(101)
+    assert primes.cached_primes(2).tolist() == [2]
+    assert primes.cached_primes(3).size == primes.cached_primes(4).size == 2
+    assert primes.cached_primes(1000).size == 168
+    for refused in (0, 1):
+        with pytest.raises(ValueError, match="must be >= 2"):
+            primes.cached_primes(refused)
 
 
 def test_sieve_rejects_bad_limits():
@@ -71,13 +75,19 @@ def test_sieve_matches_direct_across_default_segments(limit):
 
 
 def test_cached_primes_serves_smaller_limits_as_views(sieved):
+    """Every x in 2..300 and 10^4 gets a read-only int32 view of the 10^5 table, pi(x) long."""
     big = primes.cached_primes(10**5)
-    small = primes.cached_primes(10**4)
+    assert isinstance(big, np.ndarray) and big.dtype == np.int32 and not big.flags.writeable
+    expected = trial_division_primes(300)
+    for x in list(range(2, 301)) + [10**4]:
+        small = primes.cached_primes(x)
+        assert isinstance(small, np.ndarray) and small.dtype == np.int32, x
+        assert np.shares_memory(small, big) and not small.flags.writeable, x
+        assert small.size == (sum(p <= x for p in expected) if x <= 300 else 1229), x
+    assert np.array_equal(primes.cached_primes(10**4), oracles.sieve_direct(10**4))
     assert sieved == [10**5]
-    assert small.limit == 10**4
-    assert np.shares_memory(small.primes, big.primes)
-    assert not small.primes.flags.writeable
-    assert np.array_equal(small.primes, oracles.sieve_direct(10**4))
+    assert primes.cached_primes(2 * 10**5).size == 17984  # a larger limit sieves a larger table
+    assert sieved == [10**5, 2 * 10**5]
     with pytest.raises(ValueError):
         primes.cached_primes(1)
 
@@ -87,7 +97,7 @@ def test_cached_primes_is_the_one_prime_source(sieved):
     assert sieved == [] and primes._largest is None
     prime_series.log_weighted_sum(0.75, n_cut=10**5)
     assert sieved == [10**5]
-    assert primes.cached_primes(10**5).primes.dtype == np.int32
+    assert primes.cached_primes(10**5).dtype == np.int32
     tracemalloc.start()
     try:
         prime_series.euler_tail_constant(3 * 10**6)  # a table to the Rosser bound: 14 MB
@@ -137,38 +147,40 @@ def test_spf_examples():
 
 
 def test_spf_random_samples_vs_trial_division():
-    table, spf = oracles.sieve_tables(10**4)
+    ps, spf = oracles.sieve_tables(10**4)
     rng = np.random.default_rng(1)
     for n in rng.integers(2, 10**4, size=300):
         n = int(n)
         expected = next(d for d in range(2, n + 1) if n % d == 0)
         assert spf.smallest_factor(n) == expected
-    for p in table.primes[:100]:
+    for p in ps[:100]:
         assert spf.smallest_factor(int(p)) == int(p)
 
 
 def test_sieve_count_cross_check_random_x():
-    table, _ = oracles.sieve_tables(10**5)
+    ps, _ = oracles.sieve_tables(10**5)
     rng = np.random.default_rng(2)
     for x in rng.integers(2, 10**5, size=1000):
         x = int(x)
-        assert table.upto(x).size == int(np.count_nonzero(table.primes <= x))
+        assert primes.cached_primes(x).size == int(np.count_nonzero(ps <= x))
 
 
 def test_spf_skipped_above_cutoff():
-    table, spf = oracles.sieve_tables(10**4, spf_cutoff=10**3)
+    ps, spf = oracles.sieve_tables(10**4, spf_cutoff=10**3)
     assert spf is None
-    assert table.count == 1229
+    assert ps.size == 1229
 
 
 def test_chebyshev_small_cases():
-    table, _ = oracles.sieve_tables(10)
-    rep = primes.chebyshev_check(table)
+    ps = primes.sieve_primes(10)
+    rep = primes.chebyshev_check(ps)
     assert rep.holds
-    assert table.upto(10).size == 4 < 2 * 10 / np.log(10)
-    table2, _ = oracles.sieve_tables(2)
-    rep2 = primes.chebyshev_check(table2)
+    assert ps.size == 4 < 2 * 10 / np.log(10)
+    rep2 = primes.chebyshev_check(primes.sieve_primes(2))
     assert rep2.holds and rep2.max_ratio == pytest.approx(np.log(2) / 4)
+    assert rep2.worst_prime == 2
+    with pytest.raises(ValueError, match="at least one prime"):
+        primes.chebyshev_check(np.empty(0, dtype=np.int32))
 
 
 def test_chebyshev_million():
@@ -196,31 +208,31 @@ def _factor_oracle(n):
 
 
 def test_factor_squarefree_spf_path():
-    table, spf = oracles.sieve_tables(10**4)
+    ps, spf = oracles.sieve_tables(10**4)
     rng = np.random.default_rng(3)
     for n in rng.integers(2, 10**4, size=200):
         n = int(n)
-        fs, sq = oracles.factor_squarefree(n, table, spf)
+        fs, sq = oracles.factor_squarefree(n, ps, spf)
         expected, squarefree = _factor_oracle(n)
         assert sorted(fs) == expected
         assert sq == squarefree
 
 
 def test_factor_squarefree_trial_division_path():
-    table = primes.cached_primes(10**6)
+    ps = primes.cached_primes(10**6)
     rng = np.random.default_rng(4)
     for n in rng.integers(2, 10**6, size=200):
         n = int(n)
-        fs, sq = oracles.factor_squarefree(n, table, None)
+        fs, sq = oracles.factor_squarefree(n, ps, None)
         expected, squarefree = _factor_oracle(n)
         assert sorted(fs) == expected
         assert sq == squarefree
 
 
 def test_factor_exceeding_limit_raises():
-    table, spf = oracles.sieve_tables(10)
-    with pytest.raises(ValueError):
-        oracles.factor_squarefree(101, table, spf)  # prime above the table limit
+    ps, spf = oracles.sieve_tables(10)
+    with pytest.raises(ValueError, match="exceeds the largest prime 7"):
+        oracles.factor_squarefree(101, ps, spf)  # prime above the table limit
 
 
 def test_first_n_primes():

@@ -98,7 +98,7 @@ def test_f_value_random_coprime_multiplicativity():
 def test_signed_values_match_f_value_and_mobius_square():
     s = rmf.sample_signs(5, 10**4)
     f = oracles.signed_values(s, 10**4)
-    table, spf = oracles.sieve_tables(10**4)
+    ps, spf = oracles.sieve_tables(10**4)
     rng = np.random.default_rng(1)
     for n in rng.integers(1, 10**4, size=300):
         n = int(n)
@@ -106,7 +106,7 @@ def test_signed_values_match_f_value_and_mobius_square():
     # f(n) != 0 iff n squarefree
     for n in rng.integers(1, 10**4, size=300):
         n = int(n)
-        _, squarefree = oracles.factor_squarefree(n, table, spf) if n > 1 else ([], True)
+        _, squarefree = oracles.factor_squarefree(n, ps, spf) if n > 1 else ([], True)
         assert (f[n - 1] != 0) == squarefree
 
 
@@ -263,11 +263,11 @@ def test_pooled_traces_match_the_oracle_scan(threads, monkeypatch):
         assert_trace_is(tr, np.cumsum(f, dtype=np.int64))
     [tr] = rmf.partial_sum_trace([5], 1, 2)
     assert (tr.count_changes(), tr.final_value, tr.values.size) == (0, 1, 0)
-    with pytest.raises(rmf.ResourceLimitError):
+    with pytest.raises(ValueError, match="x_max must be >= 1, got 0"):
         rmf.partial_sum_trace([5], 0, 1)
 
 
-WALK_XS = (1, 2, 70_000, 131_072, 10**6)  # 70,000 and 131,072 end inside and at a block
+WALK_XS = (1, 2, 3, 70_000, 131_072, 10**6)  # 70,000 and 131,072 end inside and at a block
 
 
 @pytest.mark.parametrize("first", [0, 1000])
@@ -342,7 +342,7 @@ def test_walk_of_all_negative_words_matches_the_oracle_scan(rows, monkeypatch):
     """Words with every f(p) = -1 walk as the int64 cumsum of the Moebius function.  With the
     blocks' words then set to all ones, f(n) = -1 for every squarefree n, and every lane counts
     its block's full squarefree count, above 2^15."""
-    words = np.full(primes.cached_primes(LANE_X).upto(LANE_X).size, (1 << rows) - 1, np.uint64)
+    words = np.full(primes.cached_primes(LANE_X).size, (1 << rows) - 1, np.uint64)
     mu = oracles._signed_block(oracles.signs_constant(-1, LANE_X), 1, LANE_X)
     walked, samples = rmf._traces(words, rows, LANE_X, 1)
     assert len(walked) == rows
@@ -485,7 +485,7 @@ def test_random_prime_sum_batch_lies_within_gamma_p_of_the_exact_sum(limit, tria
     # here math.fsum of the float64 terms +-p^(-sigma); the trials span blocks of 853 and 13.
     seeds, sigmas = rmf.derive_seed(5, np.arange(trials)), [0.55, 0.75, 1.0]
     batch = rmf.random_prime_sum_batch(seeds, sigmas, limit)
-    ps = primes.cached_primes(limit).primes
+    ps = primes.cached_primes(limit)
     signs = oracles.sign_matrix_direct(seeds, ps)
     gamma = ps.size * 2.0**-53 / (1 - ps.size * 2.0**-53)
     for j, sigma in enumerate(sigmas):
@@ -509,11 +509,11 @@ def test_normalized_sums_rarely_large():
 
 
 def test_sample_variance_matches_coefficient_sum():
-    table = primes.cached_primes(10**5)
+    ps = primes.cached_primes(10**5)
     sigma = 0.75
     seeds = np.arange(500, dtype=np.uint64)
     values = rmf.random_prime_sum_batch(seeds, [sigma], 10**5)[:, 0]
-    p = table.primes.astype(np.float64)
+    p = ps.astype(np.float64)
     a2 = p ** (-2 * sigma)
     v = float(np.sum(a2))
     mu4 = 3 * v * v - 2 * float(np.sum(a2 * a2))
@@ -562,7 +562,7 @@ def test_abel_identity_trivial_and_small():
 
 def test_signed_value_rows_match_one_seed_at_a_time():
     seeds = [rmf.derive_seed(521, i) for i in range(3)] + [0, 2**64 - 1]
-    for x in (1, 2, 1000, 3 * rmf.TRACE_SEGMENT + 5):
+    for x in (1, 2, 3, 1000, 3 * rmf.TRACE_SEGMENT + 5):
         rows = rmf.signed_value_rows(seeds, x)
         assert rows.shape == (len(seeds), x) and rows.dtype == np.int8
         for row, seed in zip(rows, seeds):
@@ -638,7 +638,7 @@ def test_block_products_keep_a_row_when_every_other_row_is_zero():
     # left from an earlier block cannot change it.  Rows: first, middle, last, and in a
     # partial block.
     rng = np.random.default_rng(19)
-    n_p = primes.cached_primes(10**5).primes.size
+    n_p = primes.cached_primes(10**5).size
     right = rng.standard_normal((n_p, 20))
     for size in (_GRID_CHUNK, _GRID_CHUNK - 85):
         block = rng.uniform(-1.0, 1.0, (size, n_p))
@@ -859,7 +859,7 @@ def test_derive_seed_golden():
 
 
 def test_negative_seed_is_taken_mod_2_64():
-    ps = primes.cached_primes(10**4).primes
+    ps = primes.cached_primes(10**4)
     assert np.array_equal(rmf.sign_matrix([-1], ps), rmf.sign_matrix([2**64 - 1], ps))
     assert np.array_equal(
         rmf.random_prime_sum_batch([-1], [0.6], 100),
@@ -871,7 +871,7 @@ def test_negative_seed_is_taken_mod_2_64():
 @pytest.mark.parametrize("n_primes", [1, 168, 9592, 65535, 65537, 78498])
 def test_sign_matrix_matches_direct_bit_for_bit(n_primes):
     # Tiles of 2^16 // P rows: 65536, 390, 6, 1, 1 and 1, over 1, 5, 64 and 257 seeds.
-    ps = primes.cached_primes(10**6).primes[:n_primes]
+    ps = primes.cached_primes(10**6)[:n_primes]
     for n in (1, 5, 64, 257):
         ints = [(-1) ** i * (i << 61 | i) for i in range(n)]  # odd i: < 0; even i >= 8: >= 2^64
         for seeds in (ints, rmf.derive_seed(11, np.arange(n))):
@@ -885,7 +885,7 @@ def test_sign_matrix_matches_direct_bit_for_bit(n_primes):
 
 @pytest.mark.parametrize("n_primes", [1, 168, 9592, 78498])
 def test_sign_words_pack_the_negative_signs_of_sign_matrix_direct(n_primes):
-    ps = primes.cached_primes(10**6).primes[:n_primes]
+    ps = primes.cached_primes(10**6)[:n_primes]
     for n in (1, 5, 63, 64):
         ints = [(-1) ** i * (i << 61 | i) for i in range(n)]  # odd i: < 0; even i >= 8: >= 2^64
         for seeds in (ints, rmf.derive_seed(11, np.arange(n))):
@@ -895,7 +895,7 @@ def test_sign_words_pack_the_negative_signs_of_sign_matrix_direct(n_primes):
 
 
 def test_sign_words_refuse_more_seeds_than_a_word_has_bits():
-    ps = primes.cached_primes(10**3).primes
+    ps = primes.cached_primes(10**3)
     with pytest.raises(ValueError, match="at most 64 seeds"):
         rmf.sign_words(range(65), ps)
 
@@ -944,7 +944,7 @@ def test_sign_matrix_into_out_allocates_only_the_shift_temporary():
     # At 256 seeds x 9,592 primes the tiles have 6 rows.  The hash runs in place in `out`:
     # besides the 6-row uint64 shift temporary, only the salted primes are made, with 64 KiB
     # for the seed keys and array headers.
-    ps = primes.cached_primes(10**5).primes
+    ps = primes.cached_primes(10**5)
     seeds = rmf.derive_seed(0, np.arange(256))
     out = np.empty((256, ps.size))
     tracemalloc.start()
