@@ -34,19 +34,11 @@ from .sequences import StepParams, TheoremParams
 import mpmath as mp
 
 
-def _json_default(obj):
-    if hasattr(obj, "item"):  # numpy scalars
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def _config_digest(config: dict) -> str:
     """Digest of the config echo without `output_dir`, so the same config run
     into two directories names its result files alike."""
     hashed = {key: value for key, value in config.items() if key != "output_dir"}
-    canonical = json.dumps(
-        hashed, sort_keys=True, separators=(",", ":"), allow_nan=True, default=_json_default
-    )
+    canonical = json.dumps(hashed, sort_keys=True, separators=(",", ":"), allow_nan=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
@@ -67,7 +59,7 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 @dataclass
@@ -458,6 +450,11 @@ def cmd_verify(args, cfg: ExperimentConfig) -> Result:
     _at_least(cfg, "chebyshev_limit", 2)
     if args.target == "all":
         _at_least(cfg, "k_max")
+        _at_least(cfg, "prime_limit", 2)
+        StepParams(cfg.epsilon)
+        TheoremParams(c=cfg.c, a0=cfg.a0, a1=cfg.a1)
+        if not cfg.gamma > 0:
+            raise ValueError(f"gamma must be positive, got {cfg.gamma}")
         if cfg.trials < concentration.MIN_TRIALS:
             raise ValueError(f"need at least {concentration.MIN_TRIALS} trials, got {cfg.trials}")
         _at_least(cfg, "ell_min")

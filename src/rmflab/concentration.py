@@ -47,7 +47,7 @@ def borel_cantelli_step2(terms: int, gamma: float, step: StepParams) -> BorelCan
     `terms` on (incomplete gamma closed form)."""
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("step2 series needs gamma > 0")
     a = 1.0 + gamma
     beta = (1.0 - step.delta) * step.epsilon
@@ -117,7 +117,7 @@ def step2_experiment(
     and the asymptotic surrogate exp(-(1+gamma) ell^((1-delta) epsilon)).
     The deficit of E against the full variance sum is reported per row.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")

@@ -123,23 +123,6 @@ def _prime_logs(n_cut: int) -> np.ndarray:
     return np.log(logp, out=logp)
 
 
-def zeta(s: float) -> float:
-    """Riemann zeta for real s > 1, relative error <= 1e-12.
-
-    Euler-Maclaurin with an adaptive cutoff for s in (1, 64]; for s > 64 the
-    first correction 2^(-s) alone already meets the accuracy target.
-    """
-    if s <= 1:
-        raise ValueError(f"zeta requires s > 1, got {s}")
-    if s > 64:
-        return 1.0 + 2.0 ** (-s)
-    for n in (24, 48, 96):
-        value, err = _zeta_em(s, n)
-        if err <= 1e-13 * abs(value):
-            return value
-    return value  # pragma: no cover - n=96 always converges for s in (1, 64]
-
-
 def _zeta_em(s: float, n: int) -> tuple[float, float]:
     """One Euler-Maclaurin evaluation with cutoff n; returns (value, error bound)."""
     k = np.arange(1, n + 1, dtype=np.float64)
@@ -166,11 +149,16 @@ def _zeta_em(s: float, n: int) -> tuple[float, float]:
 
 
 def _log_zeta(s: float) -> float:
-    """log(zeta(s)) with full relative accuracy even where zeta(s) is near 1."""
+    """log(zeta(s)) with full relative accuracy even where zeta(s) is near 1.  Up to s = 32,
+    zeta(s) is one Euler-Maclaurin evaluation at cutoff 24, which meets its 1e-14 exit on all of
+    (1, 32]; an error bound above 1e-13 zeta(s) raises ArithmeticError."""
     if s <= 1:
         raise ValueError(f"log zeta requires s > 1, got {s}")
     if s <= 32:
-        return log(zeta(s))
+        value, err = _zeta_em(s, 24)
+        if not err <= 1e-13 * abs(value):
+            raise ArithmeticError(f"zeta({s}) not converged at cutoff 24: error {err}")
+        return log(value)
     # zeta(s) - 1 = sum_{k>=2} k^-s, dominated by 2^-s; six terms suffice.
     t = sum(float(k) ** (-s) for k in range(2, 9))
     t += 8.0 ** (1.0 - s) / (s - 1.0)  # integral bound on the k > 8 tail

@@ -23,9 +23,6 @@ None of this is used by `rmflab` itself:
   to PACKED_SIGNS seeds, stride and segment length;
   `trace` walks one assignment of any kind, hand-built ones included, by
   that walk (`packed_signs`: its negative signs as bit 0 of one word per prime);
-- the truncated Dirichlet series and Euler product of one assignment
-  (`series_and_product`) and the Mellin integral of |M| (`abs_mellin`),
-  which no command uses;
 - hand-built sign assignments (chosen primes, or one constant sign), and
   the sign of one prime under an assignment;
 - the pair-by-pair brute force of the chaining conclusion and its loop over
@@ -90,7 +87,7 @@ from rmflab.prime_series import DivergenceError
 from rmflab.primes import DEFAULT_SEGMENT
 from rmflab.rmf import (
     _MASK64, _PRIME_SALT, _T_CHUNK, PartialSumTrace, SignAssignment, SupScanResult, _signed_rows,
-    _traces, abel_weights, mix64,
+    _traces, mix64,
 )
 from rmflab.sequences import StepParams, step_sigma_ell
 
@@ -509,41 +506,6 @@ def _signed_block(signs: SignAssignment, lo: int, hi: int) -> np.ndarray:
     if lo == 1:
         f[0] = 1
     return f
-
-
-def series_and_product(
-    signs: SignAssignment, s: complex, limit: int
-) -> tuple[complex, complex]:
-    """Truncated Dirichlet series sum_{n<=limit} f(n) n^(-s) and truncated
-    Euler product prod_{p<=limit} (1 + sign(p) p^(-s)).
-
-    No equality is claimed at finite truncation; compare with tail estimates.
-    """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    if limit > signs.prime_limit:
-        raise ValueError(f"limit {limit} exceeds prime_limit {signs.prime_limit}")
-    s = complex(s)
-    if limit == 1:
-        return 1 + 0j, 1 + 0j
-    f = signed_values(signs, limit).astype(np.float64)
-    n = np.arange(1, limit + 1, dtype=np.float64)
-    series = complex(np.sum(f * np.exp(-s * np.log(n))))
-    ps, sg = signs.up_to(limit)
-    product = complex(np.prod(1.0 + sg * np.exp(-s * np.log(ps.astype(np.float64)))))
-    return series, product
-
-
-def abs_mellin(signs: SignAssignment, sigma: float, x: int) -> float:
-    """Exact piecewise integral of |M(u)| u^(-1-sigma) over [1, x]."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if x == 1:
-        return 0.0
-    f = signed_values(signs, x)
-    m = np.cumsum(f, dtype=np.int64)
-    weights = abel_weights(sigma, x)[1] / sigma
-    return float(np.sum(np.abs(m[:-1]).astype(np.float64) * weights))
 
 
 def euler_tail_partial(n_primes: int) -> float:

@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -256,9 +257,13 @@ def test_verify_fails_with_too_few_primes(tmp_path):
 
 # A dict stands for a config file with that content: ell_min > ell_max leaves c07
 # no rows, ell_min = 0 has no sigma_ell, c13 needs seeds, c12 an ell >= 2 and
-# c05 and c13 an x_max >= 1.
+# c05 and c13 an x_max >= 1.  The last seven used to be refused only inside the check
+# that reads them, after c01 had run: c06 and c12 read prime_limit, c07 and c09 epsilon
+# and gamma, c11 c, a0 and a1.
 @pytest.mark.parametrize("extra", [["--trials", "10"], {"ell_min": 9}, {"ell_min": 0},
-                                   {"seeds": 0}, {"ells": [1]}, {"x_max": 0}])
+                                   {"seeds": 0}, {"ells": [1]}, {"x_max": 0},
+                                   {"prime_limit": 1}, {"epsilon": 3.0}, {"gamma": -1.0},
+                                   {"gamma": math.nan}, {"c": 1.5}, {"a0": 0.5}, {"a1": 0.5}])
 def test_verify_all_rejects_too_few_trials_before_any_check(extra, tmp_path, monkeypatch, capsys):
     ran = []
     for name in cli.VERIFY_CHECKS:
@@ -288,6 +293,26 @@ def test_verify_rejects_a_bad_constant_size_before_any_check(
     assert run(["verify", target, flag, value, "--output-dir", str(out)]) == 2
     assert f"must be >= {int(value) + 1}, got {value}" in capsys.readouterr().err
     assert ran == []
+    assert not out.exists()
+
+
+# A command at small sizes, and the float fields it reads.
+NAN_FIELD_COMMANDS = [
+    (["sequences", "--k-max", "2"], ("c", "a0", "a1")),
+    (["concentration", "--trials", "100", "--prime-limit", "1000", "--ell-max", "2"],
+     ("epsilon", "gamma")),
+    (["sup-scan", "--prime-limit", "1000"], ("sigma_grid", "grid_step", "c0", "c1", "c2")),
+]
+
+
+@pytest.mark.parametrize("key", [key for key, (kind, _) in cli._KINDS.items() if kind is float])
+def test_a_nan_float_field_is_refused_with_exit_2(key, tmp_path, capsys):
+    [argv] = [argv for argv, keys in NAN_FIELD_COMMANDS if key in keys]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: [math.nan] if cli._KINDS[key][1] else math.nan}))
+    out = tmp_path / "out"
+    assert run([*argv, "--config", str(cfg), "--output-dir", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,16 +1,20 @@
 """The benchmark's traced runs wrap rmflab functions by name and read some of
 their arguments by name (`perfbench/tracer.py`), and their counters read
 attributes of those arguments and results.  A rename in `rmflab` would only
-print "not traced", or stop a traced run, so the names are pinned here.
+print "not traced", or stop a traced run, so the names are pinned here.  Those
+names are also the only `src/` functions that need no caller in `src/`.
 """
 
+import ast
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
 from rmflab import prime_series, rmf
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+SRC = Path(rmf.__file__).resolve().parent
 
 # (module, function) -> the arguments the tracer's counter for it reads.
 COUNTER_ARGS = {
@@ -45,6 +49,31 @@ def test_tracer_layers_name_existing_functions_and_parameters():
         for arg in args:
             assert arg in params, f"{module_name}.{name} has no parameter {arg!r}"
 
+
+def _names(tree: ast.AST) -> Counter:
+    """How often each identifier is read in `tree`, as an ast.Name or an ast.Attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_src_function_has_a_caller_in_src():
+    """Every module-level function and non-dunder method in `src/rmflab` is named somewhere in
+    `src/rmflab` outside its own body, so code only the tests call does not stay there.  The
+    functions the tracer's LAYERS wrap are exempt: it reads them by name."""
+    exempt = {(module.__name__.rsplit(".", 1)[-1], name)
+              for module, functions in _tracer().LAYERS.items() for name in functions}
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    names = sum((_names(tree) for tree in trees.values()), Counter())
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    uncalled = []
+    for module, tree in trees.items():
+        functions = [node for node in tree.body if isinstance(node, defs)]
+        functions += [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                      for node in cls.body if isinstance(node, defs)
+                      and not (node.name.startswith("__") and node.name.endswith("__"))]
+        uncalled += [f"{module}.{f.name}" for f in functions
+                     if names[f.name] == _names(f)[f.name] and (module, f.name) not in exempt]
+    assert uncalled == []
 
 
 def test_tracer_counters_read_live_results():

@@ -523,33 +523,6 @@ def test_sample_variance_matches_coefficient_sum():
     assert abs(sample_var - v) <= 5 * se
 
 
-def test_series_and_product_trivial():
-    s = rmf.sample_signs(0, 10)
-    assert oracles.series_and_product(s, 2.0, 1) == (1 + 0j, 1 + 0j)
-
-
-def test_series_all_plus_one_is_squarefree_sum():
-    s = oracles.signs_constant(1, 10**4)
-    series, _ = oracles.series_and_product(s, 2.0, 10**4)
-    f = oracles.signed_values(s, 10**4).astype(float)
-    n = np.arange(1, 10**4 + 1, dtype=float)
-    assert series.real == pytest.approx(float(np.sum(np.abs(f) / n**2)), rel=1e-12)
-    assert series.imag == 0
-
-
-def test_series_close_to_product_at_s2():
-    s = rmf.sample_signs(3, 10**4)
-    series, product = oracles.series_and_product(s, 2.0, 10**4)
-    tail = 10.0 * (1.0 / 10**4)  # crude bound on 10 * sum_{n > 1e4} n^-2
-    assert abs(series - product) <= tail
-
-
-def test_series_limit_validation():
-    s = rmf.sample_signs(0, 10)
-    with pytest.raises(ValueError):
-        oracles.series_and_product(s, 2.0, 100)
-
-
 def test_abel_identity_trivial_and_small():
     s = rmf.sample_signs(0, 10**4)
     f = oracles.signed_values(s, 10**4)
@@ -577,20 +550,6 @@ def test_abel_weights_are_the_direct_expressions():
             assert np.array_equal(power, n ** (-sigma))
             step = n[:-1] ** (-sigma) * (-np.expm1(-sigma * np.log1p(1.0 / n[:-1])))
             assert np.array_equal(steps, step)
-
-
-def test_abs_mellin_values():
-    s = rmf.sample_signs(0, 100)
-    assert oracles.abs_mellin(s, 0.7, 1) == 0.0
-    # M is 1 on [1, 2), so the x = 2 integral has the one-interval closed form.
-    sigma = 0.7
-    assert oracles.abs_mellin(s, sigma, 2) == pytest.approx((1 - 2**-sigma) / sigma, rel=1e-12)
-
-
-def test_abs_mellin_increases_as_sigma_decreases():
-    s = rmf.sample_signs(4, 10**5)
-    vals = [oracles.abs_mellin(s, sigma, 10**5) for sigma in (0.7, 0.6, 0.55)]
-    assert vals[0] < vals[1] < vals[2]
 
 
 def test_sup_scan_degenerate_grid():
