@@ -75,12 +75,10 @@ def _first_violations(grid_values: np.ndarray, lambdas: np.ndarray) -> list[int 
     return first
 
 
-def verify_chaining(
-    values: np.ndarray, a: float, b: float, lambdas: Sequence[float]
-) -> ChainingReport:
+def verify_chaining(values: np.ndarray, lambdas: Sequence[float]) -> ChainingReport:
     """Finite instantiation of the dyadic oscillation bound.
 
-    `values` are f on the depth-r_max grid over [a, b] (length 2^r_max + 1);
+    `values` are f on the depth-r_max grid over any interval (length 2^r_max + 1);
     `lambdas[r-1]` is the allowance at level r.  The hypothesis is checked at
     every level; the conclusion |f(s)-f(t)| <= 2 sum_{r>R} lambda_r is checked
     for every pair of grid points in one array pass, so memory is quadratic
@@ -101,7 +99,7 @@ def verify_chaining(
     suffix = np.zeros(r_max + 1)
     suffix[:-1] = np.cumsum(lambdas[::-1])[::-1]
 
-    # Points d = j - i grid steps apart lie exactly d (b-a)/2^r_max apart, so
+    # Points d = j - i grid steps apart lie exactly d / 2^r_max of the interval apart, so
     # 2^(r_max-R-1) < d <= 2^(r_max-R) fixes R = r_max - ceil(log2 d) without
     # rounding; the geometric extension adds lambda_{r_max} to every bound.
     i, j = np.triu_indices(values.size, 1)

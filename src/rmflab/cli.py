@@ -23,6 +23,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from math import log
 from pathlib import Path
 
 import numpy as np
@@ -259,12 +260,16 @@ def _check_log_weighted_bound_grid(cfg: ExperimentConfig) -> tuple[bool, dict]:
 
 
 def _check_zeta_asymptotic_ratio(cfg: ExperimentConfig) -> tuple[bool, dict]:
-    """c03: |P(x)/log(1/(x-1)) - 1| strictly decreases as x -> 1+ and ends <= 0.1."""
+    """c03: |P(x)/log(1/(x-1)) - 1| strictly decreases as x -> 1+ to <= 0.1 on P's intervals."""
     xs = [1.5, 1.1, 1.01, 1.001]
-    ratios = [prime_series.zetaasym_ratio(x)[0] for x in xs]
-    gaps = [abs(r - 1.0) for r in ratios]
-    passed = all(a > b for a, b in zip(gaps, gaps[1:])) and gaps[-1] <= 0.1
-    return passed, {"x": xs, "ratio_sum": ratios}
+    values, denoms = [prime_series.prime_zeta(x) for x in xs], [log(1.0 / (x - 1.0)) for x in xs]
+    gaps = []  # |[lower, upper] / d - 1| as (least, greatest)
+    for v, d in zip(values, denoms):
+        # 8 u outward holds the roundings of 1/(x-1), log (d >= log 2) and the division.
+        lo, hi = v.lower / d * (1 - 2.0**-50) - 1.0, v.upper / d * (1 + 2.0**-50) - 1.0
+        gaps.append((max(lo, -hi, 0.0), max(hi, -lo)))  # "- 1" is exact: ratios lie in [1/2, 2]
+    passed = all(a[0] > b[1] for a, b in zip(gaps, gaps[1:])) and gaps[-1][1] <= 0.1
+    return passed, {"x": xs, "ratio_sum": [v.estimate / d for v, d in zip(values, denoms)]}
 
 
 def _check_chebyshev(cfg: ExperimentConfig) -> tuple[bool, dict]:
@@ -310,7 +315,7 @@ def _check_borel_cantelli(cfg: ExperimentConfig) -> tuple[bool, dict]:
     bc = concentration.borel_cantelli_step2(400, cfg.gamma, step)
     bc2 = concentration.borel_cantelli_step2(800, cfg.gamma, step)
     bigterm_ok = all(
-        concentration.borel_cantelli_bigterm(300, StepParams.from_delta(d), ell).closed_bound_holds
+        concentration.borel_cantelli_bigterm(StepParams.from_delta(d), ell).closed_bound_holds
         for d in (0.25, 0.5, 0.9)
         for ell in range(1, 101)
     )
@@ -352,14 +357,9 @@ def _abel_bytes(x_max: int) -> int:
 def _check_abel_identity(cfg: ExperimentConfig) -> tuple[bool, dict]:
     """c05: the Abel-summation identity holds to relative residual <= 1e-8 for the 20
     seeds derive_seed(521, i), at x in {10^4, x_max} and sigma in {0.6, 1.5}."""
-    xs, worst = sorted({10**4, cfg.x_max}), 0.0
+    xs = sorted({10**4, cfg.x_max})
     rows = rmf.signed_value_rows([rmf.derive_seed(521, i) for i in range(20)], xs[-1])
-    for x, sigma in [(x, sigma) for x in xs for sigma in (0.6, 1.5)]:
-        w = rmf.abel_weights(sigma, x)
-        for f in rows[:, :x]:
-            scale = float(np.sum(np.abs(f) * w[0]))
-            worst = max(worst, rmf.abel_identity_residual(f, sigma, w) / scale)
-        del w  # before the next pair's weights: one pair is alive at a time
+    worst = max(float(rmf.abel_residuals(rows[:, :x], s).max()) for x in xs for s in (0.6, 1.5))
     return worst <= 1e-8, {"max_rel_residual": worst}
 
 
@@ -395,7 +395,7 @@ def _check_dyadic_property_suite(cfg: ExperimentConfig) -> tuple[bool, dict]:
             values = rng.uniform(-1, 1, size=n)
         lams = [float(np.max(np.abs(np.diff(values[:: 2 ** (r_max - r)]))))
                 for r in range(1, r_max + 1)]
-        rep = chaining.verify_chaining(values, 0.0, 1.0, lams)
+        rep = chaining.verify_chaining(values, lams)
         violations += not (rep.hypothesis_holds and rep.conclusion_holds)
     return violations == 0, {"instances": 1000, "violations": violations}
 
@@ -462,6 +462,8 @@ def cmd_verify(args, cfg: ExperimentConfig) -> Result:
             raise ValueError(f"ell_min {cfg.ell_min} exceeds ell_max {cfg.ell_max}")
         _extension_size(cfg, _at_least(cfg, "seeds"))
         rmf.check_memory(_abel_bytes(cfg.x_max), f"abel identity rows at x_max={cfg.x_max}")
+        need = rmf.prime_sum_batch_bytes(2000, primes.prime_count_bound(cfg.prime_limit), 3)
+        rmf.check_memory(need, "variance-match prime sums")  # c06's, before c01-c05 run
         chaining.check_grid(cfg.ells, cfg.r_max, 20, cfg.prime_limit)
         _step2_ells(cfg, HOEFFDING_PRIMES)
     checks, seconds = [], {}
@@ -637,7 +639,7 @@ def cmd_concentration(args, cfg: ExperimentConfig) -> Result:
     step, rows = StepParams(cfg.epsilon), _step2_rows(cfg, cfg.prime_limit)
     bc = concentration.borel_cantelli_step2(400, cfg.gamma, step)
     bigterm_ok = all(
-        concentration.borel_cantelli_bigterm(300, step, ell).closed_bound_holds
+        concentration.borel_cantelli_bigterm(step, ell).closed_bound_holds
         for ell in range(1, 101)
     )
     return Result(

@@ -20,6 +20,7 @@ from . import rmf as rmf_mod
 from .sequences import StepParams, step_sigma_ell
 
 MIN_TRIALS = 100  # fewest Monte Carlo trials a step-2 exceedance table accepts
+BIGTERM_TERMS = 300  # terms of the bigterm partial sum; its tail is summed in closed form
 
 
 def hoeffding_bound(sum_sq_coeffs: float, lam: float) -> float:
@@ -61,21 +62,19 @@ def borel_cantelli_step2(terms: int, gamma: float, step: StepParams) -> BorelCan
     return BorelCantelliPartial(partial_sum=partial, tail_estimate=tail)
 
 
-def borel_cantelli_bigterm(terms: int, step: StepParams, ell: int) -> BorelCantelliPartial:
-    """Partial sum of q^r with q = exp(-ell^(2 delta) + log 2) over r = 1..terms
+def borel_cantelli_bigterm(step: StepParams, ell: int) -> BorelCantelliPartial:
+    """Partial sum of q^r with q = exp(-ell^(2 delta) + log 2) over r = 1..BIGTERM_TERMS
     (geometric; the lambda_r schedule makes C1 cancel).  Also evaluates the
     closed bound 16 exp(-ell^(2 delta)) for 2x the full sum, which reduces to
     the ratio condition q < 3/4."""
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
     if ell < 1:
         raise ValueError("bigterm series needs ell >= 1")
     x = float(ell) ** (2.0 * step.delta)
     log_q = -x + log(2.0)
     q = exp(log_q)
-    r = np.arange(1, terms + 1, dtype=np.float64)
+    r = np.arange(1, BIGTERM_TERMS + 1, dtype=np.float64)
     partial = fsum(np.exp(log_q * r))
-    tail = 0.0 if q == 0.0 else q ** (terms + 1) / (1.0 - q)
+    tail = 0.0 if q == 0.0 else q ** (BIGTERM_TERMS + 1) / (1.0 - q)
     closed = 16.0 * exp(-x)
     # 2 * q/(1-q) <= 8 q = 16 e^-x  <=>  q <= 3/4; compare in log space.
     holds = log_q <= log(0.75) and 2.0 * (partial + tail) <= closed

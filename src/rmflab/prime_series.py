@@ -26,6 +26,7 @@ _U = 2.0**-53  # unit roundoff of float64
 _G = 1.01 * _U  # gamma_n = n u / (1 - n u) <= n _G while n u <= 0.01 (Higham, ch. 3)
 _CHUNK = 2**16  # terms per np.sum in _certified_sum
 _TINY = 2.0**-1070  # per-term allowance for a result below the normal range
+_EM_CUTOFF = 24  # _zeta_em's cutoff: its 1e-14 exit is met on all of (1, 32]
 
 # B_2 .. B_26, the even Bernoulli numbers used by the Euler-Maclaurin tail.
 _BERNOULLI = (
@@ -123,8 +124,9 @@ def _prime_logs(n_cut: int) -> np.ndarray:
     return np.log(logp, out=logp)
 
 
-def _zeta_em(s: float, n: int) -> tuple[float, float]:
-    """One Euler-Maclaurin evaluation with cutoff n; returns (value, error bound)."""
+def _zeta_em(s: float) -> tuple[float, float]:
+    """One Euler-Maclaurin evaluation with cutoff _EM_CUTOFF; returns (value, error bound)."""
+    n = _EM_CUTOFF
     k = np.arange(1, n + 1, dtype=np.float64)
     value = float(np.sum(k ** (-s)))
     value += n ** (1.0 - s) / (s - 1.0) - 0.5 * n ** (-s)
@@ -149,17 +151,16 @@ def _zeta_em(s: float, n: int) -> tuple[float, float]:
 
 
 def _log_zeta(s: float) -> float:
-    """log(zeta(s)) with full relative accuracy even where zeta(s) is near 1.  Up to s = 32,
-    zeta(s) is one Euler-Maclaurin evaluation at cutoff 24, which meets its 1e-14 exit on all of
-    (1, 32]; an error bound above 1e-13 zeta(s) raises ArithmeticError."""
+    """log(zeta(s)) with full relative accuracy even where zeta(s) is near 1.  Up to s = 32 it is
+    one _zeta_em, and an error bound above 1e-13 zeta(s) raises ArithmeticError."""
     if s <= 1:
         raise ValueError(f"log zeta requires s > 1, got {s}")
     if s <= 32:
-        value, err = _zeta_em(s, 24)
+        value, err = _zeta_em(s)
         if not err <= 1e-13 * abs(value):
-            raise ArithmeticError(f"zeta({s}) not converged at cutoff 24: error {err}")
+            raise ArithmeticError(f"zeta({s}) not converged at cutoff {_EM_CUTOFF}: error {err}")
         return log(value)
-    # zeta(s) - 1 = sum_{k>=2} k^-s, dominated by 2^-s; six terms suffice.
+    # zeta(s) - 1 = sum_{k>=2} k^-s, dominated by 2^-s; seven terms suffice.
     t = sum(float(k) ** (-s) for k in range(2, 9))
     t += 8.0 ** (1.0 - s) / (s - 1.0)  # integral bound on the k > 8 tail
     return log1p(t)

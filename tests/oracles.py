@@ -246,11 +246,11 @@ def chaining_R(a: float, b: float, s: float, t: float) -> int:
     return r
 
 
-def verify_chaining_pairs(values, a: float, b: float, lambdas) -> ChainingReport:
+def verify_chaining_pairs(values, lambdas) -> ChainingReport:
     """`chaining.verify_chaining` by brute force over every pair of grid points.
 
     Memory is quadratic in the grid size, so keep r_max small.  Points i < j
-    lie (j - i) (b - a)/2^r_max apart, so R is the integer with
+    lie (j - i)/2^r_max of the interval apart, so R is the integer with
     2^(r_max-R-1) < j - i <= 2^(r_max-R), found by halving.
     """
     values = np.asarray(values, dtype=np.float64)
@@ -278,7 +278,7 @@ def verify_chaining_pairs(values, a: float, b: float, lambdas) -> ChainingReport
     )
 
 
-def verify_chaining_loop(values, a: float, b: float, lambdas) -> ChainingReport:
+def verify_chaining_loop(values, lambdas) -> ChainingReport:
     """`chaining.verify_chaining` with the conclusion checked one grid distance
     d at a time, against bound(R) at R = r_max - ceil(log2 d)."""
     values = np.asarray(values, dtype=np.float64)

@@ -5,8 +5,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.  Each test
 runs the check that `rmflab verify all` runs, at the defaults of
 ExperimentConfig (pinned below to the acceptance sizes), then re-asserts the
 criterion's literal bounds on the check's detail (BOUNDS) and, for c01 and c03,
-a runtime limit.  The tests are made by one loop over the table; each keeps
-the name it had as a hand-written test, `test_<id>_<BOUNDS name>`.
+a runtime limit.  The tests are made by one loop over the table; each is
+named `test_<id>_<BOUNDS name>`.
 """
 
 import re
@@ -29,7 +29,7 @@ BOUNDS = {
     "c02": ("log_weighted_bound_grid", lambda d: d["worst_margin"] > 0),
     "c03": ("zeta_asymptotic_ratio_trend", lambda d: _decreases_to_a_tenth(d["ratio_sum"])),
     "c04": ("chebyshev_bound_to_1e7", lambda d: d["limit"] == 10**7 and d["max_ratio"] < 1.0),
-    "c05": ("abel_identity_residual", lambda d: d["max_rel_residual"] <= 1e-8),
+    "c05": ("abel_summation_identity", lambda d: d["max_rel_residual"] <= 1e-8),
     "c06": ("variance_match",
             lambda d: len(d["deviation_se"]) == 3 and max(d["deviation_se"]) <= 5.0),
     "c07": ("hoeffding_validity_default_grid", lambda d: d["rows"] == 8),

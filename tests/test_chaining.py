@@ -52,7 +52,7 @@ def test_chaining_R_equal_points():
 
 def test_chaining_R_matches_grid_step_formula():
     # verify_chaining reads R off the step count d = |i - j| of two points of the
-    # depth-r_max grid on [a, b] as r_max - (d - 1).bit_length().
+    # depth-r_max grid, on any [a, b], as r_max - (d - 1).bit_length().
     for r_max in range(1, 9):
         n = 2**r_max
         for i in range(n + 1):
@@ -81,7 +81,7 @@ def test_verify_chaining_linear_slope_one():
     r_max = 6
     pts = np.linspace(0, 1, 2**r_max + 1)
     lams = [2.0**-r for r in range(1, r_max + 1)]
-    rep = ch.verify_chaining(pts, 0, 1, lams)
+    rep = ch.verify_chaining(pts, lams)
     assert rep.hypothesis_holds and rep.conclusion_holds
     # For the geometric schedule the finite sum plus extension telescopes to
     # the lemma's 2^(1-R), so |s - t| <= 2^-R sits at exactly half the bound.
@@ -89,19 +89,19 @@ def test_verify_chaining_linear_slope_one():
 
 
 def test_verify_chaining_constant_function():
-    rep = ch.verify_chaining(np.full(2**5 + 1, 3.7), 0, 1, [0.0] * 5)
+    rep = ch.verify_chaining(np.full(2**5 + 1, 3.7), [0.0] * 5)
     assert rep.hypothesis_holds and rep.conclusion_holds
 
 
 def test_verify_chaining_detects_hypothesis_violation():
     values = np.zeros(2**4 + 1)
     values[7] = 10.0  # odd index: visible only on the finest level
-    rep = ch.verify_chaining(values, 0, 1, [1e-6] * 4)
+    rep = ch.verify_chaining(values, [1e-6] * 4)
     assert not rep.hypothesis_holds
     assert rep.first_hypothesis_violation_r == 4
     values2 = np.zeros(2**4 + 1)
     values2[8] = 10.0  # midpoint: already visible at the coarsest level
-    rep2 = ch.verify_chaining(values2, 0, 1, [1e-6] * 4)
+    rep2 = ch.verify_chaining(values2, [1e-6] * 4)
     assert rep2.first_hypothesis_violation_r == 1
 
 
@@ -110,27 +110,23 @@ def test_verify_chaining_random_instances():
     for _ in range(200):
         r_max = int(rng.integers(3, 8))
         values = np.cumsum(rng.normal(size=2**r_max + 1))
-        rep = ch.verify_chaining(values, 0.0, 1.0, observed_maxima(values, r_max))
+        rep = ch.verify_chaining(values, observed_maxima(values, r_max))
         assert rep.hypothesis_holds
         assert rep.conclusion_holds, rep
 
 
 def test_verify_chaining_matches_pairwise_oracle():
     rng = np.random.default_rng(7)
-    cases = [(np.linspace(0, 1, 2**6 + 1), 0.0, 1.0, [2.0**-r for r in range(1, 7)])]
+    cases = [(np.linspace(0, 1, 2**6 + 1), [2.0**-r for r in range(1, 7)])]
     for _ in range(60):
         r_max = int(rng.integers(1, 8))
-        a = float(rng.uniform(-5, 5))
-        b = a + float(rng.uniform(1e-3, 10))
         values = np.cumsum(rng.normal(size=2**r_max + 1))
         lams = observed_maxima(values, r_max)
         if rng.integers(0, 2):
             lams = list(rng.uniform(0, 2, size=r_max))  # hypothesis usually fails
-        cases.append((values, a, b, lams))
-    for values, a, b, lams in cases:
-        assert ch.verify_chaining(values, a, b, lams) == oracles.verify_chaining_pairs(
-            values, a, b, lams
-        )
+        cases.append((values, lams))
+    for values, lams in cases:
+        assert ch.verify_chaining(values, lams) == oracles.verify_chaining_pairs(values, lams)
 
 
 def test_verify_chaining_matches_the_distance_loop_on_c08(monkeypatch):
@@ -148,21 +144,22 @@ def test_verify_chaining_matches_the_distance_loop_on_c08(monkeypatch):
         assert report == oracles.verify_chaining_loop(*args)
 
 
-def test_verify_chaining_non_dyadic_interval_uses_exact_R():
-    # On [0.1, 0.7] the grid points 0 and 4 of depth 3 are exactly (b-a)/2
-    # apart, so R = 1 and the bound is 2 (lambda_2 + lambda_3 + lambda_3) = 6.
-    # Their float distance reads a hair above (b-a)/2, which would give R = 0
-    # and the looser bound 8.  Every other pair meets its bound.
+def test_verify_chaining_reads_R_off_grid_steps():
+    # The grid points 0 and 4 of depth 3 are 4 steps apart, half of any interval, so R = 1
+    # and the bound is 2 (lambda_2 + lambda_3 + lambda_3) = 6.  On [0.1, 0.7] their float
+    # distance reads a hair above (b-a)/2, which would give R = 0 and the looser bound 8.
+    # Every other pair meets its bound.
+    assert 0.4 - 0.1 > (0.7 - 0.1) / 2
     values = np.array([0.0, 2.0, 4.0, 5.5, 7.0, 7.0, 7.0, 7.0, 7.0])
-    rep = ch.verify_chaining(values, 0.1, 0.7, [1.0, 1.0, 1.0])
+    rep = ch.verify_chaining(values, [1.0, 1.0, 1.0])
     assert not rep.conclusion_holds
     assert rep.max_conclusion_excess == 1.0
-    assert rep == oracles.verify_chaining_pairs(values, 0.1, 0.7, [1.0, 1.0, 1.0])
+    assert rep == oracles.verify_chaining_pairs(values, [1.0, 1.0, 1.0])
 
 
 def test_verify_chaining_shape_validation():
     with pytest.raises(ValueError):
-        ch.verify_chaining(np.zeros(10), 0, 1, [1.0, 1.0])
+        ch.verify_chaining(np.zeros(10), [1.0, 1.0])
 
 
 def test_oscillation_experiment_basic():

@@ -529,6 +529,48 @@ def test_verify_all_refuses_c07_beyond_memory_before_any_check(tmp_path, monkeyp
     assert not out.exists()
 
 
+def test_verify_all_refuses_c06_beyond_memory_before_any_check(tmp_path, monkeypatch, capsys):
+    # On 8 threads c06's 2000 seeds at 3 sigma over pi(10^5) primes need 73.5 MB, above a
+    # machine stubbed to 64 MiB, while every other need of the preflight fits: c12's is the
+    # largest, 54.1 MB.  c06 used to be refused only once c01-c05 had run.
+    monkeypatch.setenv("RMFLAB_THREADS", "8")
+    stub_ram(monkeypatch, 64 * 2**20)
+    need = cli.rmf.prime_sum_batch_bytes(2000, cli.primes.prime_count_bound(10**5), 3)
+    assert cli.chaining.check_grid([3, 4, 5], 4, 20, 10**5) == 54_090_592 < 64 * 2**20
+    assert need == 73_504_112
+    ran = []
+    for name, check in cli.VERIFY_CHECKS.items():
+        monkeypatch.setitem(cli.VERIFY_CHECKS, name,
+                            lambda cfg, name=name, check=check: ran.append(name) or check(cfg))
+    config = tmp_path / "c06.json"
+    config.write_text(json.dumps({"prime_limit": 100000, "x_max": 10000, "trials": 100,
+                                  "seeds": 4, "r_max": 4}))
+    out = tmp_path / "c06"
+    assert run(["verify", "all", "--config", str(config), "--output-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"resource error: variance-match prime sums: {need} B > physical RAM" in err
+    assert ran == []
+    assert not out.exists()
+
+
+def test_c03_decides_on_the_certified_intervals_of_p(monkeypatch):
+    # At x = 1.01 the estimate's gap, 0.0657, is below x = 1.1's 0.0841, but an interval whose
+    # lower end reads 0.03 lower in the ratio leaves room for a gap of 0.096: the strict
+    # decrease is not certified.  The reported estimates do not change.
+    prime_zeta, cv = cli.prime_series.prime_zeta, cli.prime_series.CertifiedValue
+    passed, detail = cli._check_zeta_asymptotic_ratio(cli.ExperimentConfig())
+    assert passed
+
+    def widened(x):
+        v = prime_zeta(x)
+        if x != 1.01:
+            return v
+        return cv(estimate=v.estimate, upper=v.upper, lower=v.lower - 0.03 * math.log(100.0))
+
+    monkeypatch.setattr(cli.prime_series, "prime_zeta", widened)
+    assert cli._check_zeta_asymptotic_ratio(cli.ExperimentConfig()) == (False, detail)
+
+
 def test_sup_scan_grid_beyond_memory_is_refused_before_any_hash(tmp_path, monkeypatch, capsys):
     # sigma = 1/2 + 1e-7 scans t up to 2 log^2(10^7) = 519.6: at most 51,860 rows of
     # 24 float64 values; 30 values and five 128-row tables for each of pi(1000) <= 182

@@ -61,7 +61,7 @@ def test_borel_cantelli_step2_cauchy_doubling():
 
 
 def test_borel_cantelli_bigterm_first_value():
-    r = cc.borel_cantelli_bigterm(200, StepParams(1.0), 1)
+    r = cc.borel_cantelli_bigterm(StepParams(1.0), 1)
     assert r.partial_sum == pytest.approx(2.0 / (math.e - 2.0), rel=1e-12)
     assert r.closed_bound == pytest.approx(16.0 / math.e, rel=1e-12)
     assert r.closed_bound_holds
@@ -72,7 +72,7 @@ def test_borel_cantelli_bigterm_ratio_below_three_quarters():
     for delta in (0.25, 0.5, 0.9):
         step = StepParams.from_delta(delta)
         for ell in (1, 2, 5, 10, 100):
-            r = cc.borel_cantelli_bigterm(300, step, ell)
+            r = cc.borel_cantelli_bigterm(step, ell)
             assert r.ratio < 0.75
             assert r.closed_bound_holds
             assert 2.0 * (r.partial_sum + r.tail_estimate) <= r.closed_bound
@@ -85,7 +85,7 @@ def test_borel_cantelli_validation():
     with pytest.raises(ValueError):
         cc.borel_cantelli_step2(10, -1.0, step)
     with pytest.raises(ValueError):
-        cc.borel_cantelli_bigterm(10, step, 0)
+        cc.borel_cantelli_bigterm(step, 0)
 
 
 def test_step2_experiment_rows():

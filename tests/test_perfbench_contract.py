@@ -11,7 +11,7 @@ import inspect
 from collections import Counter
 from pathlib import Path
 
-from rmflab import prime_series, rmf
+from rmflab import cli, prime_series, rmf
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 SRC = Path(rmf.__file__).resolve().parent
@@ -74,6 +74,30 @@ def test_every_src_function_has_a_caller_in_src():
         uncalled += [f"{module}.{f.name}" for f in functions
                      if names[f.name] == _names(f)[f.name] and (module, f.name) not in exempt]
     assert uncalled == []
+
+
+def test_every_src_parameter_is_read():
+    """Every parameter of every def in `src/rmflab` is loaded as a name in that def's body, so no
+    kernel takes an input it never reads.  Exempt are the handlers and checks that
+    `cli.COMMANDS` and `cli.VERIFY_CHECKS` dispatch with one signature each, and the arguments
+    the tracer's counters read by name (COUNTER_ARGS), such as `log_weighted_sum`'s `table`."""
+    dispatched = {f.__name__ for f, _, _ in cli.COMMANDS.values()}
+    dispatched |= {f.__name__ for f in cli.VERIFY_CHECKS.values()}
+    pinned = {(module, name, arg) for (module, name), args in COUNTER_ARGS.items() for arg in args}
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for f in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                    path.stem == "cli" and f.name in dispatched):
+                continue
+            a = f.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                      if p is not None]
+            loaded = {node.id for stmt in f.body for node in ast.walk(stmt)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [f"{path.stem}.{f.name}({p})" for p in params
+                       if p not in loaded and (path.stem, f.name, p) not in pinned]
+    assert unread == []
 
 
 def test_tracer_counters_read_live_results():

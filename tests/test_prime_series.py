@@ -19,20 +19,20 @@ PRIME_ZETA = {
 
 
 def test_zeta_closed_forms():
-    assert ps._zeta_em(2.0, 24)[0] == pytest.approx(math.pi**2 / 6, rel=1e-13)
-    assert ps._zeta_em(4.0, 24)[0] == pytest.approx(math.pi**4 / 90, rel=1e-13)
+    assert ps._zeta_em(2.0)[0] == pytest.approx(math.pi**2 / 6, rel=1e-13)
+    assert ps._zeta_em(4.0)[0] == pytest.approx(math.pi**4 / 90, rel=1e-13)
 
 
 def test_zeta_near_one():
     # Independent Euler-Maclaurin oracle: mpmath at 30 digits.
-    assert ps._zeta_em(1.001, 24)[0] == pytest.approx(1000.57728848, rel=1e-10)
+    assert ps._zeta_em(1.001)[0] == pytest.approx(1000.57728848, rel=1e-10)
 
 
 def test_zeta_relative_error_grid():
     with mp.workdps(30):
         for s in [1.0005, 1.01, 1.3, 2.5, 7.0, 19.0, 33.0, 57.0, 64.0]:
             ref = float(mp.zeta(mp.mpf(s)))
-            assert abs(ps._zeta_em(s, 24)[0] - ref) <= 1e-12 * ref
+            assert abs(ps._zeta_em(s)[0] - ref) <= 1e-12 * ref
 
 
 def test_zeta_domain_error():
@@ -42,9 +42,9 @@ def test_zeta_domain_error():
 
 
 def test_zeta_em_at_cutoff_24_takes_its_convergence_exit_on_1_to_32(monkeypatch, tmp_path):
-    """_log_zeta takes one _zeta_em(s, 24) for s <= 32, so its 1e-14 exit must be taken on all
-    of (1, 32]: on a grid log-spaced near 1 and linear above, and at every s that prime-sums,
-    c03 and the step-2 table at concentration's default ell range hand to _log_zeta."""
+    """_log_zeta takes one _zeta_em(s), at cutoff 24, for s <= 32, so its 1e-14 exit must be
+    taken on all of (1, 32]: on a grid log-spaced near 1 and linear above, and at every s that
+    prime-sums, c03 and the step-2 table at concentration's default ell range hand to _log_zeta."""
     called, log_zeta = [], ps._log_zeta
     monkeypatch.setattr(ps, "_log_zeta", lambda s: called.append(s) or log_zeta(s))
     small = ["--prime-limit", "1000", "--output-dir"]
@@ -53,13 +53,14 @@ def test_zeta_em_at_cutoff_24_takes_its_convergence_exit_on_1_to_32(monkeypatch,
     assert cli._check_zeta_asymptotic_ratio(cli.ExperimentConfig())[0]
     assert 1.001 in called and 2 * sequences.step_sigma_ell(8, sequences.StepParams(1.0)) in called
     grid = np.concatenate([1.0 + np.geomspace(1e-9, 1.0, 2001), np.linspace(2.0, 32.0, 3001)])
+    assert ps._EM_CUTOFF == 24
     for s in grid.tolist() + [s for s in called if s <= 32]:
-        value, err = ps._zeta_em(s, 24)
+        value, err = ps._zeta_em(s)
         assert err <= 1e-14 * value, s
 
 
 def test_log_zeta_refuses_an_unconverged_zeta(monkeypatch):
-    monkeypatch.setattr(ps, "_zeta_em", lambda s, n: (1.5, 1e-10))
+    monkeypatch.setattr(ps, "_zeta_em", lambda s: (1.5, 1e-10))
     with pytest.raises(ArithmeticError):
         ps._log_zeta(2.0)
 

@@ -526,11 +526,26 @@ def test_sample_variance_matches_coefficient_sum():
 def test_abel_identity_trivial_and_small():
     s = rmf.sample_signs(0, 10**4)
     f = oracles.signed_values(s, 10**4)
-    assert rmf.abel_identity_residual(f[:1], 1.5, rmf.abel_weights(1.5, 1)) == 0.0
-    n = np.arange(1, 10**4 + 1, dtype=float)
+    assert rmf.abel_residuals(f[None, :1], 1.5).tolist() == [0.0]
     for sigma in (0.6, 1.5):
-        scale = float(np.sum(np.abs(f) * n**-sigma))
-        assert rmf.abel_identity_residual(f, sigma, rmf.abel_weights(sigma, 10**4)) <= 1e-9 * scale
+        assert rmf.abel_residuals(f[None, :], sigma)[0] <= 1e-9
+
+
+def test_abel_residuals_are_the_per_row_residuals_over_their_scales():
+    rows = rmf.signed_value_rows([rmf.derive_seed(521, i) for i in range(3)], 10**4)
+    for x in (1, 2, 10**4):
+        for sigma in (0.6, 1.5):
+            power, steps = rmf.abel_weights(sigma, x)
+            want = []
+            for f in rows[:, :x]:  # each row's residual over its scale, written out
+                scale = float(np.sum(np.abs(f) * power))
+                m = np.cumsum(f, dtype=np.int64)
+                lhs = float(np.sum(f * power))
+                boundary = float(m[-1]) * x ** (-sigma)
+                integral = float(np.sum(m[:-1].astype(np.float64) * steps))
+                want.append(abs(lhs - boundary - integral) / scale)
+            got = rmf.abel_residuals(rows[:, :x], sigma)
+            assert got.dtype == np.float64 and got.tolist() == want, (x, sigma)
 
 
 def test_signed_value_rows_match_one_seed_at_a_time():
