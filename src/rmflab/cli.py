@@ -489,15 +489,17 @@ def cmd_verify(args, cfg: ExperimentConfig) -> Result:
 
 
 def _quantiles(values) -> dict:
-    """Median, quartiles and range of a sample, as plain floats."""
-    arr = np.asarray(values, dtype=np.float64)
-    return {
-        "median": float(np.median(arr)),
-        "q1": float(np.percentile(arr, 25)),
-        "q3": float(np.percentile(arr, 75)),
-        "min": float(arr.min()),
-        "max": float(arr.max()),
-    }
+    """Median, quartiles and range of a nonempty sample, as plain floats, from one sort by the
+    formulas of np.median and np.percentile's linear method, which would import numpy.ma."""
+    arr = np.sort(np.asarray(values, dtype=np.float64))
+
+    def lerp(q: float) -> float:  # numpy's _lerp at the virtual index (n - 1) q
+        at = (arr.size - 1) * q
+        a, b, t = arr[int(at)], arr[min(int(at) + 1, arr.size - 1)], at - int(at)
+        return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+
+    return {"median": float(np.mean(arr[(arr.size - 1) // 2 : arr.size // 2 + 1])),  # 1 or 2
+            "q1": lerp(0.25), "q3": lerp(0.75), "min": float(arr[0]), "max": float(arr[-1])}
 
 
 def cmd_simulate(args, cfg: ExperimentConfig) -> Result:

@@ -11,9 +11,9 @@ the rows that the certified estimate of `_low_rank_grid` cannot rule out, all li
 The multiplicative extension has one path, and partial_sum_trace is its one entry for M_f:
 up to 64 seeds' negative signs are the bits of one sign_words word per prime; each
 TRACE_SEGMENT block, sieved afresh by the primes up to its square root (the one larger prime
-of a squarefree n is found in a transient 4-byte-per-integer index), yields only its
+of a squarefree n is found in a 4-byte-per-integer index built once per call), yields only its
 squarefree n, whose -1 signs one uint64 cumsum counts for four seeds at once in 16-bit lanes;
-M_f walks them in int32 and looks for sign changes only right after its zeros.
+a ramp on the counts makes M_f's zeros one uint16 compare, and sign changes follow only them.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ _SIGN_FOLD = np.uint64(0x933111EB00000000)  # _MIX2 * (2^63 + 2^32) mod 2^64
 
 TRACE_SEGMENT = 1 << 16
 PACKED_SIGNS = 64  # sign assignments per uint64 word of the multiplicative extension
+_LANES = np.uint64(0x0001000100010001)  # bit 0 of each 16-bit lane of a uint64
 _HASH_CELLS = 1 << 16  # float64 cells per sign_matrix tile, each hashed in place as uint64
 _T_CHUNK = 128  # t-grid rows per block of the sup-scan estimates
 _EXACT_LOG1P = 10**4  # sup-scan estimates take the exact log1p for primes up to here
@@ -143,8 +144,8 @@ def sign_matrix(trial_seeds: np.ndarray | Sequence[int], primes: np.ndarray,
 
 
 def sign_words(seeds: np.ndarray | Sequence[int], primes: np.ndarray) -> np.ndarray:
-    """The sign hash of at most PACKED_SIGNS seeds as one uint64 word per prime: bit j is set
-    where row j of sign_matrix(seeds, primes) is -1.0, from bit 63 of seed j's _sign_bit."""
+    """The sign hash of at most PACKED_SIGNS seeds, one uint64 per prime: bit 16 (j % 4) + j // 4
+    set where sign_matrix's row j is -1.0, so (w >> g) & _LANES holds seeds 4g..4g+3 in lanes."""
     if len(seeds) > PACKED_SIGNS:
         raise ValueError(f"at most {PACKED_SIGNS} seeds share a sign word, got {len(seeds)}")
     keys, pk = _salted(seeds, primes)
@@ -152,7 +153,7 @@ def sign_words(seeds: np.ndarray | Sequence[int], primes: np.ndarray) -> np.ndar
     for j, key in enumerate(keys):
         _sign_bit(np.bitwise_xor(pk, key, out=z), out=z, tmp=tmp)
         z >>= np.uint64(63)
-        z <<= np.uint64(j)
+        z <<= np.uint64(16 * (j % 4) + j // 4)
         words |= z
     return words
 
@@ -190,17 +191,23 @@ def sample_signs(seed: int, prime_limit: int) -> SignAssignment:
     return SignAssignment(seed=seed, prime_limit=prime_limit, primes=ps, signs=signs)
 
 
-def _signed_blocks(words: np.ndarray, x_max: int) -> Iterator[tuple]:
-    """Yield (lo, squarefree, sq, w) per block lo..hi: the flags and offsets sq of its squarefree n
-    and at them the packed words of f, bit j set where f = -1 under assignment j.  The primes
-    p <= sqrt(hi) sieve each block: per n the XOR of their words, their product, and whether some
-    p^2 divides it.  What is left of a squarefree n is 1 or its one prime factor above sqrt(hi)."""
-    ps = primes_mod.cached_primes(max(x_max, 2))[: words.size]
-    index = np.full(x_max + 1, ps.size, dtype=np.int32)  # prime -> word; 1 -> the zero word
+def _prime_index(x_max: int) -> np.ndarray:
+    """The int32 index of the walk to x_max: prime p -> its word, 1 -> the zero word after them."""
+    ps = primes_mod.cached_primes(max(x_max, 2))[: x_max - 1]  # pi(x) <= x - 1
+    index = np.full(x_max + 1, ps.size, dtype=np.int32)
     index[ps] = np.arange(ps.size, dtype=np.int32)
+    return index
+
+
+def _signed_blocks(words: np.ndarray, index: np.ndarray) -> Iterator[tuple]:
+    """Yield (lo, squarefree, sq, w) per block lo..hi <= index.size - 1: the flags and offsets sq of
+    its squarefree n and at them the packed words of f, a bit set where its assignment has f = -1.
+    The primes p <= sqrt(hi) sieve each block: per n the XOR of their words, their product, and
+    whether some p^2 divides it.  The rest of a squarefree n is 1 or a prime for `index`."""
+    ps = primes_mod.cached_primes(max(index.size - 1, 2))[: words.size]
     words = np.append(words, np.uint64(0))
-    for lo in range(1, x_max + 1, TRACE_SEGMENT):
-        hi = min(lo + TRACE_SEGMENT - 1, x_max)
+    for lo in range(1, index.size, TRACE_SEGMENT):
+        hi = min(lo + TRACE_SEGMENT - 1, index.size - 1)
         odd = np.zeros(hi - lo + 1, dtype=np.uint64)
         small = np.ones(hi - lo + 1, dtype=np.int64)
         squarefree = np.ones(hi - lo + 1, dtype=bool)
@@ -210,15 +217,18 @@ def _signed_blocks(words: np.ndarray, x_max: int) -> Iterator[tuple]:
             small[-lo % p :: p] *= p
             squarefree[-lo % (p * p) :: p * p] = False
         sq = np.flatnonzero(squarefree)
-        yield lo, squarefree, sq, odd[sq] ^ words[index[(sq + lo) // small[sq]]]
+        w = odd[sq] ^ words[index[(sq + lo) // small[sq]]]
+        del odd, small  # not kept through the block's walk
+        yield lo, squarefree, sq, w
+        del squarefree, sq, w  # nor through the next block's sieve
 
 
 def _signed_rows(words: np.ndarray, rows: int, x_max: int) -> np.ndarray:
     """f(1..x_max) of the assignments j < rows packed in `words`, one int8 row each."""
     out = np.zeros((rows, x_max), dtype=np.int8)
-    for lo, _, sq, w in _signed_blocks(words, x_max):
+    for lo, _, sq, w in _signed_blocks(words, _prime_index(x_max)):
         for j, row in enumerate(out):
-            row[lo - 1 + sq] = 1 - 2 * (w >> j & 1).astype(np.int8)
+            row[lo - 1 + sq] = 1 - 2 * (w >> (16 * (j % 4) + j // 4) & 1).astype(np.int8)
     return out
 
 
@@ -267,57 +277,66 @@ class PartialSumTrace:
         return int(np.searchsorted(self.change_points, x, side="right"))
 
 
-def _traces(words: np.ndarray, rows: int, x_max: int, stride: int):
+def _traces(words: np.ndarray, rows: int, index: np.ndarray, stride: int):
     """([(change points, M(x_max))] of the assignments j < rows packed in `words`, and their M
-    at n = stride, 2 stride, ... <= x_max as one int64 row each).
-    M walks the squarefree n in int32: after a block's k-th, the carried M + k - 2 (its -1
-    signs so far).  Its steps are +-1, so it changes sign only between a zero's neighbours.
-    One uint64 cumsum counts the -1 signs of j, j + 16, j + 32 and j + 48 in its four 16-bit
-    lanes, which never carry: none of a block's TRACE_SEGMENT // 4 multiples of 4 is
-    squarefree, so a lane counts at most TRACE_SEGMENT - TRACE_SEGMENT // 4 < 2^16 signs."""
+    at n = stride, 2 stride, ... <= x_max = index.size - 1 as one int64 row each).  In a block of
+    n squarefree entries, slot i of lane group g holds in seed 4g + k's 16-bit lane its -1 signs
+    c among the first i plus the ramp 2^15 + 1 - ceil(i/2): D_i, in 2^15 + 1 +- n/2 (no multiple
+    of 4 is squarefree, so no carry).  From the carried M = v, M_i = v + i - 2c = v + 2^16 + 2 -
+    (i & 1) - 2 D_i is 0 just where i >= |v|, i = v mod 2 and D_i = 2^15 + 1 + v // 2.  Steps
+    are +-1, so M changes sign only right after a zero, where D differs on its two sides; slot -1
+    holds the last nonzero M before the block (before the first, slot 1: M(1) is no change)."""
     value, last, changes = [0] * rows, [0] * rows, [[np.empty(0, np.int64)] for _ in range(rows)]
-    samples = np.empty((rows, x_max // stride), np.int64)
-    for lo, squarefree, sq, w in _signed_blocks(words, x_max):
-        step, path = np.arange(1, sq.size + 1, dtype=np.int32), np.empty(sq.size + 2, np.int32)
-        m = path[2:]  # path: the last nonzero M, M before the block, M at its entries (|M| < 2^31)
-        at = np.empty(0, np.intp)  # M at n = lo + i is path[1 + the count of entries up to i]
+    samples = np.empty((rows, (index.size - 1) // stride), np.int64)
+
+    def walk(lo: int, squarefree: np.ndarray, sq: np.ndarray, w: np.ndarray) -> None:
+        n, first = sq.size, (lo - 1) // stride  # first: the multiples of stride below lo
+        at = np.empty(0, np.intp)  # M at n = lo + i is at the slot of the count of entries <= i
         if -lo % stride < squarefree.size:  # the block holds a sample, at offset -lo % stride
-            at = 1 + np.cumsum(squarefree, dtype=np.intp)[-lo % stride :: stride]
-        first = (lo - 1) // stride  # the multiples of stride below lo
-        lanes, counts = np.empty_like(w), np.empty_like(w)
-        for j0 in range(min(rows, 16)):
-            np.bitwise_and(np.right_shift(w, j0, out=lanes), 0x0001000100010001, out=lanes)
-            np.cumsum(lanes, out=counts)  # not in place: an in-place cumsum holds the GIL
-            for j, count in zip(range(j0, rows, 16), counts.view(np.uint16).reshape(-1, 4).T):
-                path[:2] = last[j], value[j]
-                np.multiply(count, np.int32(-2), out=m)  # uint16 lane to int32
-                m += step
-                m += value[j]
-                z = 1 + np.flatnonzero(path[1:-1] == 0)
-                if z.size:
-                    changes[j].append(lo + sq[z[path[z + 1] * path[z - 1] < 0] - 1])
-                value[j], last[j] = int(path[-1]), int(path[-1] or path[-2])
-                samples[j, first : first + at.size] = path[at]
+            at = np.cumsum(squarefree, dtype=np.intp)[-lo % stride :: stride].copy()
+        ramp = (2**15 + 1 - (np.arange(1, n + 2, dtype=np.uint64) >> np.uint64(1))) * _LANES
+        counts, lanes = np.empty(n + 2, np.uint64), np.zeros(n + 1, np.uint64)  # slot 0: none
+        for g in range(-(-rows // 4)):
+            np.bitwise_and(np.right_shift(w, g, out=lanes[1:]), _LANES, out=lanes[1:])
+            np.cumsum(lanes, out=counts[:-1])  # not in place: an in-place cumsum holds the GIL
+            counts[:-1] += ramp
+            for j, lane in zip(range(4 * g, rows), counts.view(np.uint16).reshape(-1, 4).T):
+                v = value[j]  # slot -1: M = last[j], or M at slot 1 before there is one
+                lane[-1] = 2**15 + (last[j] < 0) if last[j] else lane[1]
+                if abs(v) < n:  # M = 0 only at slots |v|, |v| + 2, ... before n
+                    z = abs(v) + 2 * np.flatnonzero(lane[abs(v) : n : 2] == 2**15 + 1 + (v >> 1))
+                    if z.size:
+                        changes[j].append(lo + sq[z[lane[z + 1] != lane[z - 1]]])
+                if at.size:
+                    samples[j, first : first + at.size] = (
+                        v + 2**16 + 2 - (at & 1) - np.int64(2) * lane[at])
+                end = v + 2**16 + 2 - (n & 1) - 2 * int(lane[n])
+                value[j], last[j] = end, end or v + 2**16 + 1 + (n & 1) - 2 * int(lane[n - 1])
+
+    for block in _signed_blocks(words, index):
+        walk(*block)
+        del block  # the block's buffers die before the next one is sieved
     return [(np.concatenate(c), v) for c, v in zip(changes, value)], samples
 
 
 def partial_sum_trace(seeds: Sequence[int], x_max: int, stride: int) -> list[PartialSumTrace]:
     """Exact M_f up to x_max under sample_signs(seed, max(x_max, 2)), sampled at every stride-th
     n, for each seed in order.  The n seeds split into the fewest extension passes of at most
-    PACKED_SIGNS seeds, ceil(n / passes) seeds each but the last, each hashed by one sign_words
-    call on one of _worker_count() threads; stride x_max + 1 samples nothing."""
+    PACKED_SIGNS seeds, ceil(n / passes) each but the last, each hashed by one sign_words call
+    on one of _worker_count() threads that share one _prime_index; stride x_max + 1 samples none."""
     if x_max < 1:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     # pi(x) <= x - 1, so only x = 1 empties the slice; sieved before the threads share it
     ps = primes_mod.cached_primes(max(x_max, 2))[: x_max - 1]
+    index = _prime_index(x_max)
     passes = -(-len(seeds) // PACKED_SIGNS)
     size = -(-len(seeds) // passes) if passes else 1  # seeds per pass
 
     def traces(start: int) -> list[PartialSumTrace]:
         block = seeds[start : start + size]
-        walked, values = _traces(sign_words(block, ps), len(block), x_max, stride)
+        walked, values = _traces(sign_words(block, ps), len(block), index, stride)
         return [PartialSumTrace(x_max, c, m, stride, v) for (c, m), v in zip(walked, values)]
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:  # map keeps seed order
@@ -326,14 +345,13 @@ def partial_sum_trace(seeds: Sequence[int], x_max: int, stride: int) -> list[Par
 
 def extension_bytes(x_max: int, seeds: int = 1) -> int:
     """Bytes partial_sum_trace allocates at most for `seeds` seeds besides their x_max // stride
-    int64 samples each: per thread walking a pass, sign_words' four uint64 arrays per prime,
-    the int32 prime index, 64 KiB for the pool, the lists and the array headers, and 85 B an
-    integer of block buffers: the next block's sieve holds 17 B per integer and 40 B per
-    squarefree n while the last block's walk holds its own 40 B per squarefree n and its
-    sampled offsets, at most 8 B per integer; no more than 3/4 of a block is squarefree."""
-    need = 32 * primes_mod.prime_count_bound(x_max) + 4 * (x_max + 1)
-    need += 85 * min(TRACE_SEGMENT, x_max) + (1 << 16)
-    return need * min(_worker_count(), -(-seeds // PACKED_SIGNS))
+    int64 samples each: the int32 prime index its passes share and, per thread walking a pass,
+    sign_words' four uint64 arrays per prime, 64 KiB for the pool, lists and array headers, and
+    63 B an integer for one block at a time (at most 3/4 of it squarefree): its sieve holds 17 B
+    per integer and 40 B per squarefree n, its walk 1 B per integer of flags, 40 B per squarefree
+    n, and at most 8 B per integer of sampled slots and 24 B per sample of temporaries."""
+    need = 32 * primes_mod.prime_count_bound(x_max) + 63 * min(TRACE_SEGMENT, x_max) + (1 << 16)
+    return 4 * (x_max + 1) + need * min(_worker_count(), -(-seeds // PACKED_SIGNS))
 
 
 def random_prime_sum_batch(

@@ -17,12 +17,15 @@ None of this is used by `rmflab` itself:
 - the int64 cumulative sum of `_signed_block` scanned by the general
   `rmf.sign_change_points`, which no `rmflab` path calls any more: it is the
   oracle of the walk of `rmf.partial_sum_trace` over the squarefree n only,
-  in int32 from the -1 counts of four seeds per uint64 cumsum, which looks for
-  sign changes only right after the zeros of M and must give the same change
-  points, final value and M at every stride-th n for every seed, pass of up
-  to PACKED_SIGNS seeds, stride and segment length;
+  which finds the zeros of M in the ramped -1 counts of four seeds per uint64
+  cumsum and looks for sign changes only right after them, and must give the
+  same change points, final value and M at every stride-th n for every seed,
+  pass of up to PACKED_SIGNS seeds, stride and segment length;
   `trace` walks one assignment of any kind, hand-built ones included, by
   that walk (`packed_signs`: its negative signs as bit 0 of one word per prime);
+  and the walk of M itself in int32 from the same counts (`int32_walk`), which
+  `rmf._traces` must reproduce bit for bit from the same words, for any number
+  of rows, stride and segment length;
 - hand-built sign assignments (chosen primes, or one constant sign), and
   the sign of one prime under an assignment;
 - the pair-by-pair brute force of the chaining conclusion and its loop over
@@ -35,8 +38,8 @@ None of this is used by `rmflab` itself:
   that stands for bit 0 of the full `mix64` this oracle runs) into the bits of
   +-1.0, must reproduce bit for bit; and its negative signs packed by
   `np.packbits` into one uint64 per prime (`packed`), which `rmf.sign_words`,
-  hashing one seed at a time and or-ing that bit into bit j of each word, must
-  equal;
+  hashing one seed at a time and or-ing that bit into bit 16 (j % 4) + j // 4
+  of each word, must equal;
 - the truncated P(sigma) of one sign assignment, which
   `rmf.random_prime_sum_batch` must reproduce for every seed, and the batch
   in one piece (`random_prime_sum_batch_direct`: every seed hashed to int8,
@@ -86,8 +89,8 @@ from rmflab.chaining import _GRID_CHUNK, OSCILLATION_SCHEDULE, ChainingReport, _
 from rmflab.prime_series import DivergenceError
 from rmflab.primes import DEFAULT_SEGMENT
 from rmflab.rmf import (
-    _MASK64, _PRIME_SALT, _T_CHUNK, PartialSumTrace, SignAssignment, SupScanResult, _signed_rows,
-    _traces, mix64,
+    _MASK64, _PRIME_SALT, _T_CHUNK, PartialSumTrace, SignAssignment, SupScanResult, _prime_index,
+    _signed_blocks, _signed_rows, _traces, mix64,
 )
 from rmflab.sequences import StepParams, step_sigma_ell
 
@@ -347,10 +350,10 @@ def sign_matrix_direct(trial_seeds, primes: np.ndarray) -> np.ndarray:
 
 
 def packed(negative: np.ndarray) -> np.ndarray:
-    """One uint64 per prime, bit j set where boolean row j of `negative` is."""
-    words = np.zeros((negative[0].size, 8), dtype=np.uint8)
-    words[:, : (len(negative) + 7) // 8] = np.packbits(negative, axis=0, bitorder="little").T
-    return words.view("<u8").ravel()
+    """One uint64 per prime, bit 16 (j % 4) + j // 4 set where boolean row j of `negative` is."""
+    bits = np.zeros((64, negative[0].size), dtype=bool)
+    bits[[16 * (j % 4) + j // 4 for j in range(len(negative))]] = negative
+    return np.packbits(bits, axis=0, bitorder="little").T.copy().view("<u8").ravel()
 
 
 def random_prime_sum_batch_direct(trial_seeds, sigmas, limit: int) -> np.ndarray:
@@ -447,8 +450,38 @@ def packed_signs(signs: SignAssignment, x_max: int) -> np.ndarray:
 
 def trace(signs: SignAssignment, x_max: int, stride: int) -> PartialSumTrace:
     """M_f of one assignment, hand-built or sampled, by the walk of `rmf.partial_sum_trace`."""
-    [(changes, final)], values = _traces(packed_signs(signs, x_max), 1, x_max, stride)
+    [(changes, final)], values = _traces(packed_signs(signs, x_max), 1, _prime_index(x_max), stride)
     return PartialSumTrace(x_max, changes, final, stride, values[0])
+
+
+def int32_walk(words: np.ndarray, rows: int, index: np.ndarray, stride: int):
+    """`rmf._traces` as M itself, in int32: after a block's k-th squarefree entry, the carried M
+    + k - 2 (its -1 signs so far), from the same 16-bit lane counts, with every zero's two
+    neighbours multiplied and the last nonzero M ahead of the block's carried M."""
+    value, last, changes = [0] * rows, [0] * rows, [[np.empty(0, np.int64)] for _ in range(rows)]
+    samples = np.empty((rows, (index.size - 1) // stride), np.int64)
+    for lo, squarefree, sq, w in _signed_blocks(words, index):
+        step, path = np.arange(1, sq.size + 1, dtype=np.int32), np.empty(sq.size + 2, np.int32)
+        m = path[2:]  # path: the last nonzero M, M before the block, M at its entries (|M| < 2^31)
+        at = np.empty(0, np.intp)  # M at n = lo + i is path[1 + the count of entries up to i]
+        if -lo % stride < squarefree.size:  # the block holds a sample, at offset -lo % stride
+            at = 1 + np.cumsum(squarefree, dtype=np.intp)[-lo % stride :: stride]
+        first = (lo - 1) // stride  # the multiples of stride below lo
+        lanes, counts = np.empty_like(w), np.empty_like(w)
+        for g in range(-(-rows // 4)):
+            np.bitwise_and(np.right_shift(w, g, out=lanes), 0x0001000100010001, out=lanes)
+            np.cumsum(lanes, out=counts)
+            for j, count in zip(range(4 * g, rows), counts.view(np.uint16).reshape(-1, 4).T):
+                path[:2] = last[j], value[j]
+                np.multiply(count, np.int32(-2), out=m)  # uint16 lane to int32
+                m += step
+                m += value[j]
+                z = 1 + np.flatnonzero(path[1:-1] == 0)
+                if z.size:
+                    changes[j].append(lo + sq[z[path[z + 1] * path[z - 1] < 0] - 1])
+                value[j], last[j] = int(path[-1]), int(path[-1] or path[-2])
+                samples[j, first : first + at.size] = path[at]
+    return [(np.concatenate(c), v) for c, v in zip(changes, value)], samples
 
 
 def signed_values(signs: SignAssignment, x_max: int) -> np.ndarray:

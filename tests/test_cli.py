@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rmflab import cli
@@ -125,6 +126,31 @@ def test_signchanges_thread_count_independent(tmp_path, monkeypatch):
     assert run(["signchanges", "--seeds", "6", "--x-max", "10000", "--output-dir", str(out2)]) == 0
     t2 = next(out2.glob("signchanges-table-*.csv")).read_bytes()
     assert t1 == t2
+
+
+def test_quantiles_equal_numpys_median_and_percentile():
+    rng = np.random.default_rng(35)
+    for n in range(1, 400):
+        for top in (2, 300, 10**6):
+            sample = rng.integers(0, top, n)
+            q = cli._quantiles(sample)
+            values = sample.astype(np.float64)
+            assert q["median"] == float(np.median(values))
+            assert (q["q1"], q["q3"]) == (float(np.percentile(values, 25)),
+                                          float(np.percentile(values, 75)))
+            assert (q["min"], q["max"]) == (float(values.min()), float(values.max()))
+
+
+def test_signchanges_leaves_numpy_ma_unimported(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env_path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    code = ("import sys; from rmflab import cli; "
+            "assert cli.main(['signchanges', '--seeds', '3', '--x-max', '10000', "
+            "'--output-dir', 'out']) == 0; print('numpy.ma' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, check=True,
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=env_path))
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 # Small runs of the commands whose BLAS products or thread pool could make
@@ -426,19 +452,19 @@ def stub_ram(monkeypatch, ram: int) -> None:
 
 
 def test_signchanges_counts_each_threads_sign_hash_before_any_sieve(tmp_path, monkeypatch, capsys):
-    # 128 seeds on 2 threads: each hashes 64 seeds into four uint64 arrays per prime
-    # (salted primes, hash, shift temporary and packed words), and then builds its own
-    # 4 MB prime index, block buffers and 64 KiB of pool, lists and array headers.  8 MB
-    # of RAM holds one prime index but not the two passes' 25.1 MB.
+    # 128 seeds on 2 threads share one 4 MB prime index; each hashes 64 seeds into four
+    # uint64 arrays per prime (salted primes, hash, shift temporary and packed words), and
+    # then holds one block's buffers and 64 KiB of pool, lists and array headers.  8 MB of
+    # RAM holds the prime index but not the two passes' 18.2 MB.
     monkeypatch.setenv("RMFLAB_THREADS", "2")
     stub_ram(monkeypatch, 8 * 2**20)
     calls = []
     monkeypatch.setattr(cli.primes, "cached_primes", lambda *a: calls.append(a))
     out = tmp_path / "big"
     assert run(["signchanges", "--seeds", "128", "--output-dir", str(out)]) == 3
-    need = 32 * cli.primes.prime_count_bound(10**6) + 4 * (10**6 + 1)
-    need = 2 * (need + 85 * cli.rmf.TRACE_SEGMENT + 2**16)
-    assert need == 25_086_280
+    need = 32 * cli.primes.prime_count_bound(10**6) + 63 * cli.rmf.TRACE_SEGMENT + 2**16
+    need = 4 * (10**6 + 1) + 2 * need
+    assert need == 18_202_692
     assert f"sign hash: {need} B > physical RAM" in capsys.readouterr().err
     assert 4 * (10**6 + 1) < 8 * 2**20 < need
     assert calls == []

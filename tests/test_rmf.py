@@ -316,7 +316,7 @@ def test_walk_carries_zero_runs_across_blocks(segment, n, x, monkeypatch):
         assert m[n - 1] == 0 and m[end - 1] == 0  # a block ends inside the zero run
         assert_trace_is(oracles.trace(s, x, 1), m)
     words = oracles.packed(np.stack([s.signs < 0 for s in crafted]))
-    walked, samples = rmf._traces(words, len(crafted), x, 1)
+    walked, samples = rmf._traces(words, len(crafted), rmf._prime_index(x), 1)
     for (cps, final), m in zip(walked, ms):
         assert np.array_equal(cps, rmf.sign_change_points(m)) and final == int(m[-1])
     assert np.array_equal(samples, np.stack(ms))
@@ -325,6 +325,58 @@ def test_walk_carries_zero_runs_across_blocks(segment, n, x, monkeypatch):
 def test_sign_count_lanes_cannot_carry():
     # A block's multiples of 4 are not squarefree, so a 16-bit lane counts fewer than 2^16 signs.
     assert rmf.TRACE_SEGMENT - rmf.TRACE_SEGMENT // 4 < 1 << 16
+
+
+def test_ramped_count_lanes_cannot_carry():
+    # Slot i of a block of n squarefree entries holds c + 2^15 + 1 - ceil(i/2), 0 <= c <= i <= n,
+    # and slot -1 holds 2^15 or 2^15 + 1: inside [1, 2^16) for every n a block can have.
+    n = rmf.TRACE_SEGMENT - rmf.TRACE_SEGMENT // 4
+    assert 0 < 2**15 + 1 - (n + 1) // 2 and 2**15 + 1 + n // 2 < 1 << 16
+    # Words with no bit set give f = 1 on every squarefree n: c = 0, the ramp alone, at its least.
+    words = np.zeros(primes.cached_primes(LANE_X).size, np.uint64)
+    walked, samples = rmf._traces(words, 4, rmf._prime_index(LANE_X), 1)
+    mu = oracles._signed_block(oracles.signs_constant(-1, LANE_X), 1, LANE_X)
+    assert_walks_are(walked, samples, np.cumsum(np.abs(mu), dtype=np.int64))
+
+
+def assert_walks_match(got, expected):
+    """Two _traces results are equal in every change point, final M and sample."""
+    (walked, samples), (walked_ref, samples_ref) = got, expected
+    assert len(walked) == len(walked_ref)
+    for (cps, final), (cps_ref, final_ref) in zip(walked, walked_ref):
+        assert cps.dtype == cps_ref.dtype and np.array_equal(cps, cps_ref)
+        assert type(final) is int and final == final_ref
+    assert samples.dtype == samples_ref.dtype and np.array_equal(samples, samples_ref)
+
+
+INT32_ROWS = (1, 3, 4, 5, 17, 50, 64)
+# (TRACE_SEGMENT, x): x ends at, just past and inside blocks; 2-long blocks include empty ones,
+# and the non-squarefree run 242..245 straddles the edges of 242- and 243-long blocks.
+INT32_XS = [(SEGMENT, 1), (SEGMENT, 2), (SEGMENT, SEGMENT), (SEGMENT, SEGMENT + 1),
+            (SEGMENT, 2 * SEGMENT + 1000), (2, 250), (242, 3_000), (243, 3_000)]
+
+
+@pytest.mark.parametrize("segment, x", INT32_XS)
+def test_walk_reproduces_the_int32_walk_bit_for_bit(segment, x, monkeypatch):
+    """rmf._traces against oracles.int32_walk on the same words: every change point, final M
+    and sample, for 1 to 64 rows and strides 1, 7, 2^16 and x + 1."""
+    monkeypatch.setattr(rmf, "TRACE_SEGMENT", segment)
+    ps, index = primes.cached_primes(max(x, 2))[: x - 1], rmf._prime_index(x)
+    for rows in INT32_ROWS:
+        words = rmf.sign_words(rmf.derive_seed(35, np.arange(rows)), ps)
+        for stride in (1, 7, 1 << 16, x + 1):
+            assert_walks_match(rmf._traces(words, rows, index, stride),
+                               oracles.int32_walk(words, rows, index, stride))
+
+
+@pytest.mark.parametrize("segment, n, x", ZERO_RUNS)
+def test_walk_reproduces_the_int32_walk_over_zero_runs(segment, n, x, monkeypatch):
+    monkeypatch.setattr(rmf, "TRACE_SEGMENT", segment)
+    words = oracles.packed(np.stack([zero_at(seed, n, x).signs < 0 for seed in range(5)]))
+    index = rmf._prime_index(x)
+    for stride in (1, 7, 1 << 16, x + 1):
+        assert_walks_match(rmf._traces(words, 5, index, stride),
+                           oracles.int32_walk(words, 5, index, stride))
 
 
 LANE_X = 2 * rmf.TRACE_SEGMENT + 1000  # three blocks, the last one short
@@ -342,15 +394,16 @@ def test_walk_of_all_negative_words_matches_the_oracle_scan(rows, monkeypatch):
     """Words with every f(p) = -1 walk as the int64 cumsum of the Moebius function.  With the
     blocks' words then set to all ones, f(n) = -1 for every squarefree n, and every lane counts
     its block's full squarefree count, above 2^15."""
-    words = np.full(primes.cached_primes(LANE_X).size, (1 << rows) - 1, np.uint64)
+    words = oracles.packed(np.ones((rows, primes.cached_primes(LANE_X).size), bool))
     mu = oracles._signed_block(oracles.signs_constant(-1, LANE_X), 1, LANE_X)
-    walked, samples = rmf._traces(words, rows, LANE_X, 1)
+    index = rmf._prime_index(LANE_X)
+    walked, samples = rmf._traces(words, rows, index, 1)
     assert len(walked) == rows
     assert_walks_are(walked, samples, np.cumsum(mu, dtype=np.int64))
     blocks = rmf._signed_blocks
-    monkeypatch.setattr(rmf, "_signed_blocks", lambda words, x: (
-        (lo, hi, sq, np.full_like(w, ~np.uint64(0))) for lo, hi, sq, w in blocks(words, x)))
-    walked, samples = rmf._traces(words, rows, LANE_X, 1)
+    monkeypatch.setattr(rmf, "_signed_blocks", lambda words, index: (
+        (lo, hi, sq, np.full_like(w, ~np.uint64(0))) for lo, hi, sq, w in blocks(words, index)))
+    walked, samples = rmf._traces(words, rows, index, 1)
     assert_walks_are(walked, samples, np.cumsum(-np.abs(mu), dtype=np.int64))
 
 
