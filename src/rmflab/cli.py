@@ -218,10 +218,11 @@ def _at_least(cfg: ExperimentConfig, key: str, least: int = 1) -> int:
     return value
 
 
-def _extension_size(cfg: ExperimentConfig, seeds: int = 1) -> int:
-    """cfg.x_max once it is >= 1 and memory holds rmf.extension_bytes for `seeds` seeds."""
+def _extension_size(cfg: ExperimentConfig, seeds: int = 1, stride: int | None = None) -> int:
+    """cfg.x_max once it is >= 1 and memory holds rmf.extension_bytes(x_max, seeds, stride)."""
     x_max = _at_least(cfg, "x_max")
-    rmf.check_memory(rmf.extension_bytes(x_max, seeds), f"x_max={x_max} prime index and sign hash")
+    need = rmf.extension_bytes(x_max, seeds, stride or x_max + 1)  # x_max + 1: no samples
+    rmf.check_memory(need, f"x_max={x_max} prime index and sign hash")
     return x_max
 
 
@@ -350,7 +351,7 @@ def _abel_bytes(x_max: int) -> int:
     extension pass and one (x, sigma) pair's two float64 weight arrays with the residual's two
     8-byte temporaries per integer, two ufunc buffers and 64 KiB of lists and array headers."""
     x = max(10**4, x_max)
-    need = 20 * x + max(32 * x, rmf.extension_bytes(x, 20))
+    need = 20 * x + max(32 * x, rmf.extension_bytes(x, 20, x + 1))
     return need + 16 * np.getbufsize() + (1 << 16)
 
 
@@ -503,8 +504,8 @@ def _quantiles(values) -> dict:
 
 
 def cmd_simulate(args, cfg: ExperimentConfig) -> Result:
-    x_max = _extension_size(cfg)
-    stride = 1 if x_max <= 10**5 else 1 << 16  # trace.csv lists every n, or every 2^16-th
+    stride = 1 if cfg.x_max <= 10**5 else 1 << 16  # trace.csv lists every n, or every 2^16-th
+    x_max = _extension_size(cfg, 1, stride)
     [trace] = rmf.partial_sum_trace([cfg.seed], x_max, stride)
     ns = np.arange(stride, x_max + 1, stride)
 

@@ -13,6 +13,7 @@ sizes the commands use.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import exp, log, log1p, sqrt
 from typing import Iterable, Iterator
@@ -77,14 +78,15 @@ def _outward(lower: float, upper: float, estimate: float, roundoff: float = 0.0)
     return CertifiedValue(estimate=estimate, upper=hi, lower=lo, roundoff=roundoff)
 
 
-def _certified_sum(pieces: Iterable[np.ndarray], term, weight: float) -> tuple[float, float]:
+def _certified_sum(pieces: Iterable[np.ndarray], term, weight: float,
+                   buf: np.ndarray | None = None) -> tuple[float, float]:
     """(partial, roundoff): the float sum of the non-negative terms that term(x, out) writes into
     out for the values x of pieces, and a bound on its distance to their exact sum.  Each term must
     lie within a factor e^(+-weight _G) of its exact value, or within 2^-1070 of it below the normal
-    range.  The n terms go through np.sum in chunks of c = min(n, 2^16), across pieces, in one
-    buffer, then the k chunk sums do: in any order, within gamma_{c+k-2} sum t of the exact sum of
-    the float terms (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2)."""
-    buf, sums, fill, n = np.empty(_CHUNK), [], 0, 0
+    range.  The n terms go through np.sum in chunks of c = min(n, 2^16), across pieces, in `buf`
+    or a new buffer, then the k chunk sums do: in any order, within gamma_{c+k-2} sum t of the
+    exact sum of the float terms (Higham, Accuracy and Stability of Numerical Algorithms, 4.2)."""
+    buf, sums, fill, n = np.empty(_CHUNK) if buf is None else buf, [], 0, 0
     for x in pieces:
         n += x.size
         while x.size:
@@ -102,11 +104,12 @@ def _certified_sum(pieces: Iterable[np.ndarray], term, weight: float) -> tuple[f
     return partial, 1.01 * rel * partial + n * _TINY
 
 
-def _prime_power_sum(logp: np.ndarray, s: float, log_squared: bool = False) -> tuple[float, float]:
-    """_certified_sum of p^(-s), or of p^(-s) (log p)^2, as exp(-s log p) from logp = np.log(p).
-    numpy's exp and log are allowed 4 ulps (8 u) each.  x = -s log p takes log's error and its
-    own rounding, 9 u |x|, which exp turns into relative error; (log p)^2 adds 2 x 8 u for the
-    log and one rounding for each of its two products."""
+def _prime_power_sum(logp: np.ndarray, s: float, log_squared: bool = False,
+                     buf: np.ndarray | None = None) -> tuple[float, float]:
+    """_certified_sum of p^(-s), or of p^(-s) (log p)^2, as exp(-s log p) from logp = np.log(p),
+    in `buf` if given.  numpy's exp and log are allowed 4 ulps (8 u) each.  x = -s log p takes
+    log's error and its own rounding, 9 u |x|, which exp turns into relative error; (log p)^2 adds
+    2 x 8 u for the log and one rounding for each of its two products."""
 
     def term(lp, out):
         np.exp(np.multiply(lp, -s, out=out), out=out)
@@ -115,7 +118,7 @@ def _prime_power_sum(logp: np.ndarray, s: float, log_squared: bool = False) -> t
             out *= lp
 
     weight = 9.0 * s * float(logp[-1]) + 8.0 + (18.0 if log_squared else 0.0)
-    return _certified_sum([logp], term, weight)
+    return _certified_sum([logp], term, weight, buf)
 
 
 def _prime_logs(n_cut: int) -> np.ndarray:
@@ -287,14 +290,21 @@ def log_weighted_grid(sigmas: list[float], n_cut: int = 10**7) -> list[LogWeight
             raise ValueError(f"sigma must lie in (1/2, 1], got {sigma}")
         if n_cut < exp(1.0 / sigma):
             raise ValueError(f"cutoff {n_cut} below integral-comparison validity e^(1/sigma)")
-    logp, sums = _prime_logs(n_cut), []  # cast and logged once
-    for sigma in sigmas:
-        partial, roundoff = _prime_power_sum(logp, 2.0 * sigma, log_squared=True)
-        tail = min(_log_sq_integral_tail(sigma, float(n_cut)),
-                   max(_log_sq_pi_route_tail(sigma, float(n_cut), logp.size), 0.0))
-        value = _outward(partial, partial + tail, estimate=partial + 0.5 * tail, roundoff=roundoff)
-        rhs = 4.0 / (2.0 * sigma - 1.0) ** 2
-        sums.append(LogWeightedSum(value=value, bound_rhs=rhs, holds=bool(value.upper <= rhs)))
+    logp = _prime_logs(n_cut)  # cast and logged once
+    threads = max(1, min(primes_mod._worker_count(), len(sigmas)))
+    bufs, sums = np.empty((threads, _CHUNK)), [None] * len(sigmas)  # here: pool threads keep pages
+
+    def certify(k: int) -> None:  # sigmas k, k + threads, ... in bufs[k], bits the same on any k
+        for i, sigma in list(enumerate(sigmas))[k::threads]:
+            partial, roundoff = _prime_power_sum(logp, 2.0 * sigma, log_squared=True, buf=bufs[k])
+            tail = min(_log_sq_integral_tail(sigma, float(n_cut)),
+                       max(_log_sq_pi_route_tail(sigma, float(n_cut), logp.size), 0.0))
+            value = _outward(partial, partial + tail, partial + 0.5 * tail, roundoff)
+            rhs = 4.0 / (2.0 * sigma - 1.0) ** 2
+            sums[i] = LogWeightedSum(value=value, bound_rhs=rhs, holds=bool(value.upper <= rhs))
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(certify, range(threads)))
     return sums
 
 

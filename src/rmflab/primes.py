@@ -1,6 +1,6 @@
 """Prime infrastructure: the odd-only segment walk (half the flags of a full
-sieve), the process-wide prime table (pi(x) is `cached_primes(x).size`), and the
-Chebyshev-type check pi(x) < 2x/log(x).
+sieve), the process-wide prime table (pi(x) is `cached_primes(x).size`), the
+Chebyshev-type check pi(x) < 2x/log(x), and the thread count of every pool.
 
 `segments` is the one sieve.  `sieve_primes` joins its segments, and
 `cached_primes`, its only caller, keeps the largest table so far; smaller limits
@@ -12,13 +12,32 @@ of its dtype, or numpy copies it to int64 on every search.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from math import isqrt, log
 from typing import Iterator
 
 import numpy as np
 
-DEFAULT_SEGMENT = 1 << 20  # flags (1 MB); larger segments raised the sieve's peak RSS
+# Flags per segment, 1 MB.  At 2^19, 2^20, 2^21 and 2^22 flags c01's walk took 187, 176, 208 and
+# 282 ms, with traced peaks of 2.3, 4.0, 7.1 and 13.2 MB (2-CPU Xeon): larger is slower and bigger.
+DEFAULT_SEGMENT = 1 << 20
+_PERIOD = 3 * 5 * 7 * 11 * 13  # odd flags per period of the pre-struck pattern
+_WHEEL = np.ones(2 * _PERIOD, dtype=bool)  # two periods, so a period from any phase is one slice
+for _p in (3, 5, 7, 11, 13):
+    _WHEEL[_p // 2 :: _p] = False  # flag i, for 2i + 1, is a multiple of p where i = p // 2 mod p
+
+
+def _worker_count() -> int:
+    """Threads per pool in rmf and prime_series: RMFLAB_THREADS, else min(8, usable CPUs)."""
+    env = os.environ.get("RMFLAB_THREADS")
+    if env is not None:
+        try:
+            return max(1, int(env))
+        except ValueError as exc:
+            raise ValueError(f"RMFLAB_THREADS must be an integer, got {env!r}") from exc
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    return min(8, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
 def prime_count_bound(x: int) -> int:
@@ -29,27 +48,32 @@ def prime_count_bound(x: int) -> int:
 def segments(limit: int) -> Iterator[np.ndarray]:
     """The primes <= limit, ascending, as one int32 array per segment of DEFAULT_SEGMENT flags.
 
-    Odd-only: flag i stands for 2i + 1, and flag 0, for 1, is written as 2.  Each segment is
-    struck by the odd primes up to sqrt(limit), walked first, once the limit is checked.
-    """
+    Odd-only: flag i stands for 2i + 1, and flag 0, for 1, is written as 2.  A segment starts as
+    _WHEEL from its phase, with the flags 1, 2, 3, 5 and 6 of 3, 5, 7, 11 and 13 set back.  The
+    primes p from 17 to sqrt(limit), walked first once the limit is checked, whose p^2 lies below
+    its end strike it from `offsets`, their next flags counted from its first."""
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
     if limit > np.iinfo(np.int32).max:
         raise ValueError(f"sieve limit {limit} exceeds the int32 cap 2^31 - 1")
-    base = np.concatenate(list(segments(isqrt(limit))))[1:].tolist() if limit >= 9 else []
+    roots = list(segments(isqrt(limit))) if limit >= 4 else [np.zeros(0, np.int32)]
+    base = np.concatenate(roots)[6:].astype(np.int64)  # 17, 19, ...: 2 to 13 need no strikes
+    squares = base * base // 2  # the flags of p^2, ascending
+    offsets = squares.copy()
 
     def walk(flags_total: int, segment: int) -> Iterator[np.ndarray]:
         for lo in range(0, flags_total, segment):
-            hi = min(lo + segment, flags_total)
-            first, last = 2 * lo + 1, 2 * hi - 1
-            flags = np.ones(hi - lo, dtype=bool)
-            for p in base:
-                if p * p > last:
-                    break
-                start = max(p * p, (-(-first // p) | 1) * p)  # (| 1): the first odd multiple
-                flags[(start - first) // 2 :: p] = False
+            n = min(segment, flags_total - lo)
+            rows = (-(-n // _PERIOD), _PERIOD)  # flatten copies; ravel would view a single row
+            flags = np.broadcast_to(_WHEEL[lo % _PERIOD :][:_PERIOD], rows).flatten()[:n]
+            flags[[i - lo for i in (1, 2, 3, 5, 6) if lo <= i < lo + n]] = True
+            active = int(np.searchsorted(squares, lo + n))
+            for p, o in zip(base[:active].tolist(), offsets[:active].tolist()):
+                flags[o::p] = False
+            offsets[:] -= n
+            np.remainder(offsets[:active], base[:active], out=offsets[:active])
             found = np.multiply(np.flatnonzero(flags), 2, dtype=np.int32, casting="unsafe")
-            found += first
+            found += 2 * lo + 1
             found[:1] += lo == 0  # the first segment's 1 becomes 2
             yield found
 

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import primes as primes_mod
 from .prime_series import _G, _U, DivergenceError
+from .primes import _worker_count
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -72,18 +73,6 @@ def check_memory(need: int, what: str) -> None:
     if need > min(ram, cgroup):
         raise ResourceLimitError(
             f"{what}: {need} B > {'physical RAM' if ram <= cgroup else 'cgroup memory limit'}")
-
-
-def _worker_count() -> int:
-    """Threads for seed sweeps: RMFLAB_THREADS, else min(8, CPUs this process may use)."""
-    env = os.environ.get("RMFLAB_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(f"RMFLAB_THREADS must be an integer, got {env!r}") from exc
-    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
-    return min(8, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
 def _sign_bit(x, out=None, tmp=None, last=_SIGN_FOLD) -> np.ndarray:
@@ -343,15 +332,16 @@ def partial_sum_trace(seeds: Sequence[int], x_max: int, stride: int) -> list[Par
         return [tr for trs in pool.map(traces, range(0, len(seeds), size)) for tr in trs]
 
 
-def extension_bytes(x_max: int, seeds: int = 1) -> int:
-    """Bytes partial_sum_trace allocates at most for `seeds` seeds besides their x_max // stride
-    int64 samples each: the int32 prime index its passes share and, per thread walking a pass,
-    sign_words' four uint64 arrays per prime, 64 KiB for the pool, lists and array headers, and
-    63 B an integer for one block at a time (at most 3/4 of it squarefree): its sieve holds 17 B
-    per integer and 40 B per squarefree n, its walk 1 B per integer of flags, 40 B per squarefree
-    n, and at most 8 B per integer of sampled slots and 24 B per sample of temporaries."""
+def extension_bytes(x_max: int, seeds: int, stride: int) -> int:
+    """Bytes partial_sum_trace allocates at most for `seeds` seeds sampled every stride-th n: x_max
+    // stride int64 samples each, the int32 prime index its passes share and, per thread walking a
+    pass, sign_words' four uint64 arrays per prime, 64 KiB for the pool, lists and headers, and 63 B
+    an integer for one block at a time (at most 3/4 of it squarefree): its sieve holds 17 B per
+    integer and 40 B per squarefree n, its walk 1 B per integer of flags, 40 B per squarefree n,
+    and at most 8 B per integer of sampled slots and 24 B per sample of temporaries."""
     need = 32 * primes_mod.prime_count_bound(x_max) + 63 * min(TRACE_SEGMENT, x_max) + (1 << 16)
-    return 4 * (x_max + 1) + need * min(_worker_count(), -(-seeds // PACKED_SIGNS))
+    threads = min(_worker_count(), -(-seeds // PACKED_SIGNS))
+    return 4 * (x_max + 1) + need * threads + 8 * seeds * (x_max // stride)
 
 
 def random_prime_sum_batch(

@@ -154,12 +154,14 @@ def test_signchanges_leaves_numpy_ma_unimported(tmp_path):
 
 
 # Small runs of the commands whose BLAS products or thread pool could make
-# their bytes follow the thread count.  70 seeds make two chunks for the pool.
+# their bytes follow the thread count.  70 seeds make two chunks for the pool; prime-sums'
+# 50 sigma at 10^6 take two chunks each, summed on one thread or two.
 THREAD_RUNS = {
     "signchanges": ["--seeds", "70", "--x-max", "20000"],
     "sup-scan": ["--sigma-grid", "0.7,0.6", "--prime-limit", "100000"],
     "concentration": ["--trials", "200", "--prime-limit", "10000", "--ell-max", "3"],
     "chaining": ["--seeds", "4", "--ells", "3", "--prime-limit", "100000", "--r-max", "8"],
+    "prime-sums": ["--claim1-n", "1000000", "--prime-limit", "100000"],
 }
 CHAINING_GEMM = pytest.mark.xfail(
     len(os.sched_getaffinity(0)) > 1, strict=True, raises=AssertionError,
@@ -170,6 +172,7 @@ CHAINING_GEMM = pytest.mark.xfail(
 
 @pytest.mark.parametrize("command", [
     "signchanges", "sup-scan", "concentration", pytest.param("chaining", marks=CHAINING_GEMM),
+    "prime-sums",
 ])
 def test_thread_count_independent_across_processes(tmp_path, command):
     # The same --output-dir name under two parents gives the same config
@@ -497,7 +500,7 @@ def test_extension_size_bounds_the_traced_peak_of_simulate_traces(x_max, stride)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= cli.rmf.extension_bytes(x_max, 1)
+    assert peak <= cli.rmf.extension_bytes(x_max, 1, stride)
 
 
 @pytest.mark.parametrize("x_max", [10**5, 10**6])
@@ -518,7 +521,7 @@ def test_verify_all_refuses_c05_beyond_memory_before_any_check(tmp_path, monkeyp
     # arrays, 52.2 MB with its temporaries, twice the 25.1 MB of the two threads' extension passes.
     monkeypatch.setenv("RMFLAB_THREADS", "2")
     need = cli._abel_bytes(10**6)
-    assert cli.rmf.extension_bytes(10**6, 100) < 32 * 2**20 < need
+    assert cli.rmf.extension_bytes(10**6, 100, 10**6 + 1) < 32 * 2**20 < need
     stub_ram(monkeypatch, 32 * 2**20)
     calls = []
     monkeypatch.setattr(cli.primes, "cached_primes", lambda *a: calls.append(a))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -292,6 +293,23 @@ def test_euler_tail_partial_contains_the_mpmath_sum():
         cv = ps.euler_tail_constant(10**4)
         assert abs(fast - exact) <= roundoff
         assert cv.lower <= exact <= cv.upper
+
+
+def test_log_weighted_grid_bits_hold_on_more_threads_than_cores(monkeypatch):
+    # Five threads over the 50 sigma at 10^6, ten each in one reused 2^16-term buffer (78,498
+    # primes, two chunks a sigma), switching every microsecond: a lost or crossed write would
+    # move some sigma's bits off the one-thread grid.
+    sigmas = [round(0.51 + 0.01 * i, 2) for i in range(50)]
+    monkeypatch.setenv("RMFLAB_THREADS", "1")
+    one = ps.log_weighted_grid(sigmas, 10**6)
+    monkeypatch.setenv("RMFLAB_THREADS", "5")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        five = ps.log_weighted_grid(sigmas, 10**6)
+    finally:
+        sys.setswitchinterval(interval)
+    assert five == one
 
 
 def test_log_weighted_grid_partials_contain_the_mpmath_sums():

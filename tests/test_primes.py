@@ -139,6 +139,23 @@ def test_segmented_matches_monolithic(monkeypatch):
         assert all(s.dtype == np.int32 and np.all(np.diff(s) > 0) for s in walk), segment
 
 
+@pytest.mark.parametrize("limit, segment", [
+    (168, None), (169, None),  # 13^2 = 169 is the first composite that only the pattern strikes
+    (288, None), (289, None),  # 17^2 = 289 is the offsets' first strike
+    (2 * 15015 - 1, None), (2 * 15015 + 1, None),  # the first period's last flag, and one past it
+    (2 * 15015 + 1, 15015), (2 * 15015 + 1, 15014),  # segments of a period, and one flag short
+    (2**22 + 2 * 7777 + 1, None),  # three segments, ending at flags 12541, 10067 and 2830 mod 15015
+    (6 * 2**20 + 3, None),  # a last segment of 2 flags, shorter than the largest base prime 2503
+])
+def test_sieve_edges_match_direct(limit, segment, monkeypatch):
+    if segment:
+        monkeypatch.setattr(primes, "DEFAULT_SEGMENT", segment)
+    walk = list(primes.segments(limit))
+    assert len(walk) == -(-((limit + 1) // 2) // primes.DEFAULT_SEGMENT)  # not rounded to 15015
+    assert all(s.dtype == np.int32 for s in walk)
+    assert np.array_equal(np.concatenate(walk), oracles.sieve_direct(limit))
+
+
 def test_spf_examples():
     _, spf = oracles.sieve_tables(100)
     assert spf.smallest_factor(12) == 2
