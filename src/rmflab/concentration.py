@@ -110,11 +110,11 @@ def step2_experiment(
 ) -> list[Step2Row]:
     """Exceedance table for the normalized truncated prime sums at sigma_ell.
 
-    Per row: the trigger threshold sqrt(2 (1+gamma) E^epsilon) with E the
-    truncated variance, the Monte Carlo exceedance frequency of the
-    normalized sum, the matching Hoeffding bound exp(-(1+gamma) E^epsilon),
-    and the asymptotic surrogate exp(-(1+gamma) ell^((1-delta) epsilon)).
-    The deficit of E against the full variance sum is reported per row.
+    Per row: the trigger threshold sqrt(2 (1+gamma) E^epsilon) with E the truncated variance,
+    the Monte Carlo exceedance frequency of the normalized sum (rmf.prime_sum_exceedances'
+    exact count over the trials, each hashed once for every ell), the matching Hoeffding bound
+    exp(-(1+gamma) E^epsilon), and the asymptotic surrogate exp(-(1+gamma) ell^((1-delta)
+    epsilon)).  The deficit of E against the full variance sum is reported per row.
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -126,12 +126,9 @@ def step2_experiment(
     sigmas = [step_sigma_ell(ell, step) for ell in ells]
     e_trunc = [prime_series.truncated_variance(sigma, prime_limit) for sigma in sigmas]
     taus = [sqrt(2.0 * (1.0 + gamma) * e**step.epsilon) for e in e_trunc]
-    # Raw thresholds realizing the normalized events.
-    lams = [tau * sqrt(e) for tau, e in zip(taus, e_trunc)]
-    # Every ell reads the same hashed signs, one trial seed per row.
-    seeds = rmf_mod.derive_seed(base_seed, np.arange(trials))
-    values = rmf_mod.random_prime_sum_batch(seeds, sigmas, prime_limit)
-    freqs = [float(np.mean(values[:, j] >= lam)) for j, lam in enumerate(lams)]
+    lams = [tau * sqrt(e) for tau, e in zip(taus, e_trunc)]  # raw thresholds of the events
+    seeds = rmf_mod.derive_seed(base_seed, np.arange(trials))  # every ell reads one hash per seed
+    freqs = (rmf_mod.prime_sum_exceedances(seeds, sigmas, lams, prime_limit) / trials).tolist()
     return [
         Step2Row(
             ell=ell,

@@ -2,10 +2,10 @@
 
 Signs on primes come from a counter-based keyed hash of (seed, prime), so an
 assignment is reproducible from (seed, prime_limit) alone, independent of
-evaluation order and thread count.  The multiplicative extension, partial
-sums M_f with sign-change events, the random prime sum P(sigma) over many
-seeds at once with no BLAS, the exact Abel-summation identity, and grid scans of sup_t of
-cosine-weighted prime sums, summed exactly by numpy one t row at a time and only on
+evaluation order and thread count.  The multiplicative extension, partial sums M_f with
+sign-change events, the random prime sum P(sigma) over many seeds at once with no BLAS bit (a
+gemm only screens its exceedance counts), the exact Abel-summation identity, and grid scans of
+sup_t of cosine-weighted prime sums, summed exactly by numpy one t row at a time and only on
 the rows that the certified estimate of `_low_rank_grid` cannot rule out, all live here.
 
 The multiplicative extension has one path, and partial_sum_trace is its one entry for M_f:
@@ -47,6 +47,8 @@ _T_CHUNK = 128  # t-grid rows per block of the sup-scan estimates
 _EXACT_LOG1P = 10**4  # sup-scan estimates take the exact log1p for primes up to here
 _LOW_RANK_CELLS = 1 << 20  # float64 cells per prime chunk or grid chunk of _low_rank_grid
 _SUM_CELLS = 1 << 20  # float64 cells per sign block of random_prime_sum_batch
+_SCREEN_ROWS = 8  # rows per screening np.dot (np.matmul's did not overlap across threads): at
+# P = 9,592 and OPENBLAS_NUM_THREADS=2, 8 rows ran on the calling thread; 1 and 27 rows did not
 
 
 class ResourceLimitError(RuntimeError):
@@ -344,40 +346,66 @@ def extension_bytes(x_max: int, seeds: int, stride: int) -> int:
     return 4 * (x_max + 1) + need * threads + 8 * seeds * (x_max // stride)
 
 
-def random_prime_sum_batch(
-    trial_seeds: np.ndarray | Sequence[int],
-    sigmas: Sequence[float],
-    limit: int,
-) -> np.ndarray:
-    """Truncated P(sigma) for many seeds at once at every sigma, shape (len(seeds), len(sigmas)).
-
-    Blocks of max(1, _SUM_CELLS // P) seeds are hashed once and summed at every sigma by one
-    einsum, numpy's own loop with no BLAS, on min(_worker_count(), blocks) threads, each in its
-    own reused block: a row's bits depend on neither its block nor the thread count."""
+def _prime_sum_blocks(seeds, sigmas: Sequence[float], limit: int, reduce) -> None:
+    """reduce(start, signs, weights) per block of max(1, _SUM_CELLS // P) seeds from seeds[start],
+    hashed by sign_matrix on min(_worker_count(), blocks) threads, each into its own block, with
+    weights[j] = p^(-sigmas[j]) over the P primes p <= limit."""
     if any(sigma <= 0.5 for sigma in sigmas):
         raise DivergenceError(f"P(sigma) requires sigma > 1/2, got {sigmas}")
     ps = primes_mod.cached_primes(limit)
     weights = np.empty((len(sigmas), ps.size))  # filled row by row: one temporary at a time
     for w, sigma in zip(weights, sigmas):
         w[:] = ps.astype(np.float64) ** (-sigma)
-    n, rows = len(trial_seeds), max(1, _SUM_CELLS // max(1, ps.size))
+    n, rows = len(seeds), max(1, _SUM_CELLS // max(1, ps.size))
     threads = max(1, min(_worker_count(), -(-n // rows)))
-    out = np.empty((n, len(sigmas)))
     blocks = np.empty((threads, min(rows, n), ps.size))  # allocated here: pool threads keep pages
 
-    def sums(k: int) -> None:  # blocks k, k + threads, ... in blocks[k]
+    def run(k: int) -> None:  # blocks k, k + threads, ... in blocks[k]
         for start in range(k * rows, n, threads * rows):
-            signs = sign_matrix(trial_seeds[start : start + rows], ps, out=blocks[k, : n - start])
-            np.einsum("ip,sp->is", signs, weights, out=out[start : start + rows])
+            signs = sign_matrix(seeds[start : start + rows], ps, out=blocks[k, : n - start])
+            reduce(start, signs, weights)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(sums, range(threads)))
+        list(pool.map(run, range(threads)))
+
+
+def random_prime_sum_batch(trial_seeds: np.ndarray | Sequence[int], sigmas: Sequence[float],
+                           limit: int) -> np.ndarray:
+    """Truncated P(sigma) for many seeds at once at every sigma, shape (len(seeds), len(sigmas)):
+    one einsum per block of _prime_sum_blocks, numpy's own loop with no BLAS, so a row's bits
+    depend on neither its block nor the thread count."""
+    out = np.empty((len(trial_seeds), len(sigmas)))
+    _prime_sum_blocks(trial_seeds, sigmas, limit, lambda start, signs, weights: np.einsum(
+        "ip,sp->is", signs, weights, out=out[start : start + len(signs)]))
     return out
 
 
+def prime_sum_exceedances(trial_seeds: np.ndarray | Sequence[int], sigmas: Sequence[float],
+                          lams: Sequence[float], limit: int) -> np.ndarray:
+    """Per sigma, how many seeds have a random_prime_sum_batch value >= lams[sigma], exactly.
+
+    Gemms of _SCREEN_ROWS rows only screen each block.  A row's terms +-w_p are exact, so its einsum
+    and any BLAS order lie within gamma_(P-1) sum_p w_p of the exact sum (Higham, 4.2), and within
+    twice that of each other; 1.01 covers the rounding of sum w and of gemm - lam.  A row within
+    that of lam at some sigma, or NaN, is decided by its einsum, whose bits no block changes."""
+    lams, hits = np.asarray(lams, dtype=np.float64), np.zeros((len(trial_seeds), len(sigmas)), bool)
+
+    def count(start: int, signs: np.ndarray, weights: np.ndarray) -> None:
+        eps = 2.02 * weights.shape[1] * _G * weights.sum(axis=1)  # S P adds: under 1% of the hash
+        d, rows = np.empty((len(signs), len(lams))), hits[start : start + len(signs)]
+        for i in range(0, len(signs), _SCREEN_ROWS):
+            np.dot(signs[i : i + _SCREEN_ROWS], weights.T, out=d[i : i + _SCREEN_ROWS])
+        np.greater(d, lams, out=rows)
+        for j in np.flatnonzero(~np.all(np.abs(d - lams) > eps, axis=1)):
+            rows[j] = np.einsum("ip,sp->is", signs[j : j + 1], weights)[0] >= lams
+
+    _prime_sum_blocks(trial_seeds, sigmas, limit, count)
+    return np.count_nonzero(hits, axis=0)
+
+
 def prime_sum_batch_bytes(n_seeds: int, n_primes: int, n_sigmas: int) -> int:
-    """Bytes random_prime_sum_batch allocates at most: n_sigmas + 2 float64 per seed and per
-    prime, 64 KiB of headers, and per thread a block, its salted primes and _hash_tile_bytes."""
+    """Bytes prime_sum_exceedances or random_prime_sum_batch takes at most: n_sigmas + 2 float64
+    per seed and prime, 64 KiB of headers, per thread a block, salted primes, _hash_tile_bytes."""
     rows = min(max(1, _SUM_CELLS // max(1, n_primes)), n_seeds)
     threads = max(1, min(_worker_count(), -(-n_seeds // max(1, rows))))
     need = 8 * (n_sigmas + 2) * (n_seeds + n_primes) + (1 << 16)

@@ -45,7 +45,8 @@ None of this is used by `rmflab` itself:
   in one piece (`random_prime_sum_batch_direct`: every seed hashed to int8,
   cast to float64 and summed by one einsum against all sigmas), which it must
   reproduce bit for bit from its blocks of 2^20 // P seeds on any number of
-  threads;
+  threads, and whose count of values >= a threshold per sigma
+  `rmf.prime_sum_exceedances`, screening each block by gemm, must equal;
 - the sigma grid of the oscillation experiment evaluated block by block on
   every row (`oscillation_grid`, `oscillation_direct`), whose max_osc and
   first violations `chaining.oscillation_batch` must reproduce bit for bit

@@ -680,6 +680,22 @@ def test_chaining_oscillation_bytes_are_pinned(tmp_path):
     assert table.read_bytes() == GOLDEN_OSCILLATION
 
 
+# sha256 of step2.csv from `concentration --trials 2000 --prime-limit 100000` at two seeds
+# besides perfbench's seed 0, as the einsum over every trial wrote them.
+STEP2_SHA256 = {
+    1: "3ed03e254da83e20cb3280dc0524df160825a91fc382835484a3d0c8a1fc62ff",
+    2: "9f8dd005ff2ea0d63c28847fa52816cbb4b15f8ed80f0b597b1d707687122806",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(STEP2_SHA256))
+def test_concentration_step2_bytes_are_pinned_beyond_seed_0(tmp_path, seed):
+    assert run(["concentration", "--trials", "2000", "--prime-limit", "100000", "--seed",
+                str(seed), "--output-dir", str(tmp_path)]) == 0
+    [path] = tmp_path.glob("concentration-step2-*.csv")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == STEP2_SHA256[seed]
+
+
 def test_concentration_command(tmp_path):
     out = tmp_path / "cc"
     assert run(

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -552,6 +553,65 @@ def test_random_prime_sum_batch_of_no_seeds_is_empty():
         assert rmf.random_prime_sum_batch(seeds, [0.6, 0.8], 10**3).shape == (0, 2)
 
 
+def oracle_exceedances(seeds, sigmas, lams, limit):
+    return (oracles.random_prime_sum_batch_direct(seeds, sigmas, limit) >= lams).sum(axis=0)
+
+
+@pytest.mark.parametrize("trials, limit", [(100, 10**3), (6300, 10**3), (500, 10**4),
+                                           (2000, 10**4), (50, 10**5), (257, 10**5)])
+def test_prime_sum_exceedances_match_the_oracle_count(trials, limit):
+    # Blocks hold 6241, 853 and 109 seeds at 10^3, 10^4 and 10^5: 6300, 2000 and 257 trials end
+    # on partial blocks of 59, 294 and 39 seeds, and 100, 500 and 50 fit in one block.
+    seeds = np.random.default_rng(trials).integers(0, 2**64, trials, dtype=np.uint64)
+    sigmas, lams = [0.55, 0.7, 1.3, 0.9], [1.0, 0.0, -0.3, 0.6]
+    got = rmf.prime_sum_exceedances(seeds, sigmas, lams, limit)
+    assert np.array_equal(got, oracle_exceedances(seeds, sigmas, lams, limit))
+    ints = list(range(-(trials // 2), trials - trials // 2))
+    assert np.array_equal(rmf.prime_sum_exceedances(ints, [0.6], [0.25], limit),
+                          oracle_exceedances(ints, [0.6], [0.25], limit))
+
+
+def test_prime_sum_exceedances_are_exact_at_and_next_to_a_trials_value():
+    # A threshold at a trial's exact sum, or one ulp either side, lies inside the screen's band
+    # (the gemm differs from the einsum in most cells), so only the exact recount decides it.
+    seeds, sigmas = rmf.derive_seed(11, np.arange(300)), [0.55, 0.75, 1.0]
+    values = oracles.random_prime_sum_batch_direct(seeds, sigmas, 10**5)
+    for t in range(0, 300, 15):
+        for lams in (values[t], np.nextafter(values[t], -np.inf), np.nextafter(values[t], np.inf)):
+            assert np.array_equal(rmf.prime_sum_exceedances(seeds, sigmas, lams, 10**5),
+                                  (values >= lams).sum(axis=0)), (t, lams)
+
+
+def test_prime_sum_exceedances_at_infinite_and_nan_thresholds():
+    seeds = rmf.derive_seed(2, np.arange(400))
+    got = rmf.prime_sum_exceedances(seeds, [0.6, 0.8, 1.1], [-np.inf, np.inf, np.nan], 10**4)
+    assert got.tolist() == [400, 0, 0]
+
+
+def test_prime_sum_exceedances_of_no_seeds_are_zero():
+    for seeds in (np.empty(0, dtype=np.uint64), []):
+        assert rmf.prime_sum_exceedances(seeds, [0.6, 0.8], [0.0, -1.0], 10**3).tolist() == [0, 0]
+    with pytest.raises(DivergenceError):
+        rmf.prime_sum_exceedances([1], [0.7, 0.5], [0.0, 0.0], 10**3)
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "5"])
+def test_prime_sum_exceedances_hold_on_any_thread_count(monkeypatch, threads):
+    # Ten 109-seed blocks at 10^5, switching every microsecond; thresholds at trials' exact
+    # values send rows through the exact recount on every thread.
+    monkeypatch.setenv("RMFLAB_THREADS", threads)
+    seeds, sigmas = rmf.derive_seed(7, np.arange(1000)), [0.6, 0.9]
+    values = oracles.random_prime_sum_batch_direct(seeds, sigmas, 10**5)
+    lams = [values[3, 0], values[998, 1]]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = rmf.prime_sum_exceedances(seeds, sigmas, lams, 10**5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, (values >= lams).sum(axis=0))
+
+
 def test_normalized_sums_rarely_large():
     seeds = np.arange(1000, dtype=np.uint64)
     values = rmf.random_prime_sum_batch(seeds, [0.6], 10**6)[:, 0]
@@ -767,21 +827,26 @@ def test_sup_scan_bytes_bounds_the_traced_peak():
 
 @pytest.mark.parametrize("trials, limit, n_sigmas", [(1, 2, 1), (5, 10**3, 1), (257, 10**3, 8),
                                                      (600, 10**5, 3), (2000, 10**5, 8),
-                                                     (2000, 10**6, 3)])
+                                                     (2000, 10**6, 3), (150, 10**5, 3),
+                                                     (10000, 10**5, 8)])
 def test_prime_sum_batch_bytes_bounds_the_traced_peak(monkeypatch, trials, limit, n_sigmas):
-    # At 1 and 2 threads; each thread hashes into its own block.  (2000, 10^6, 3) is c06's.
+    # Both the values and the exceedance counts, at 1 and 2 threads; each thread hashes into its
+    # own block.  (2000, 10^6, 3) is c06's, (10000, 10^5, 8) concentration's and c07's, and at
+    # (150, 10^5, 3) two threads hold 109-row blocks for 150 seeds.
     primes.cached_primes(limit)  # the prime table exists before the call
-    seeds = rmf.derive_seed(0, np.arange(trials))
-    for threads in ("1", "2"):
+    seeds, sigmas = rmf.derive_seed(0, np.arange(trials)), np.linspace(0.6, 1.0, n_sigmas)
+    calls = {"values": lambda: rmf.random_prime_sum_batch(seeds, sigmas, limit),
+             "counts": lambda: rmf.prime_sum_exceedances(seeds, sigmas, 0.5 - sigmas, limit)}
+    for (kind, call), threads in itertools.product(calls.items(), ("1", "2")):
         monkeypatch.setenv("RMFLAB_THREADS", threads)
         tracemalloc.start()
         try:
-            rmf.random_prime_sum_batch(seeds, np.linspace(0.6, 1.0, n_sigmas), limit)
+            call()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         need = rmf.prime_sum_batch_bytes(trials, primes.prime_count_bound(limit), n_sigmas)
-        assert peak <= need, threads
+        assert peak <= need, (kind, threads)
 
 
 def test_cgroup_limit_reads_v2_and_v1_files(tmp_path):
