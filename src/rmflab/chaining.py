@@ -124,7 +124,7 @@ class OscillationResult:
     truncation_std: float
 
 
-def check_grid(ells: Sequence[int], r_max: int, n_seeds: int, limit: int = 10**6) -> int:
+def check_grid(ells: Sequence[int], r_max: int, n_seeds: int, limit: int) -> int:
     """Raise ValueError unless every ell is >= 2 and r_max lies in [1, 30], and ResourceLimitError
     unless memory holds the bytes oscillation_batch allocates, returned: 4 n_seeds + 4 float64 per
     grid row, 3 n_seeds + 8 + _GRID_CHUNK float64 per prime, _hash_tile_bytes and 3 buffers."""
@@ -172,8 +172,8 @@ def oscillation_batch(
     seeds: Sequence[int],
     ells: Sequence[int],
     step: StepParams,
-    r_max: int = 12,
-    limit: int = 10**6,
+    r_max: int,
+    limit: int,
 ) -> list[OscillationResult]:
     """max over the depth-r_max dyadic grid of |P(sigma) - P(sigma_ell)| at every ell, with
     P truncated at the primes <= `limit`, against the chaining constant of OSCILLATION_SCHEDULE,

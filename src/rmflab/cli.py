@@ -218,7 +218,7 @@ def _at_least(cfg: ExperimentConfig, key: str, least: int = 1) -> int:
     return value
 
 
-def _extension_size(cfg: ExperimentConfig, seeds: int = 1, stride: int | None = None) -> int:
+def _extension_size(cfg: ExperimentConfig, seeds: int, stride: int | None = None) -> int:
     """cfg.x_max once it is >= 1 and memory holds rmf.extension_bytes(x_max, seeds, stride)."""
     x_max = _at_least(cfg, "x_max")
     need = rmf.extension_bytes(x_max, seeds, stride or x_max + 1)  # x_max + 1: no samples
@@ -228,10 +228,10 @@ def _extension_size(cfg: ExperimentConfig, seeds: int = 1, stride: int | None = 
 
 # ---------------------------------------------------------------- verify --
 #
-# One check per acceptance criterion c01-c13, each a function check(cfg) ->
-# (passed, detail) whose docstring starts with the criterion's id.  The
-# acceptance suite runs each of them with ExperimentConfig(), whose defaults
-# are the acceptance sizes; other sizes are literals, or constants that verify's preflight reads.
+# One check per acceptance criterion c01-c13, each a function check(cfg) -> (passed, detail)
+# whose docstring starts with the criterion's id.  The acceptance suite runs each with
+# ExperimentConfig(), whose defaults are the acceptance sizes.  What a check refuses is one need
+# that it or its kernel calls first and `verify all`'s preflight calls before any check runs.
 HOEFFDING_PRIMES = 10**5  # c07's prime limit
 
 
@@ -325,17 +325,10 @@ def _check_borel_cantelli(cfg: ExperimentConfig) -> tuple[bool, dict]:
     return passed, {"partial_400": bc.partial_sum, "tail_400": bc.tail_estimate}
 
 
-def _step2_ells(cfg: ExperimentConfig, prime_limit: int) -> range:
-    """ell_min..ell_max once memory holds the step-2 sums of cfg.trials seeds at each of them."""
-    ells, n_primes = range(cfg.ell_min, cfg.ell_max + 1), primes.prime_count_bound(prime_limit)
-    rmf.check_memory(rmf.prime_sum_batch_bytes(cfg.trials, n_primes, len(ells)), "step-2 sums")
-    return ells
-
-
 def _step2_rows(cfg: ExperimentConfig, prime_limit: int) -> list[concentration.Step2Row]:
     """The step-2 exceedance table at ell_min..ell_max over cfg.trials seeds derived from seed."""
     return concentration.step2_experiment(
-        StepParams(cfg.epsilon), cfg.gamma, _step2_ells(cfg, prime_limit),
+        StepParams(cfg.epsilon), cfg.gamma, range(cfg.ell_min, cfg.ell_max + 1),
         trials=cfg.trials, prime_limit=prime_limit, base_seed=cfg.seed)
 
 
@@ -364,12 +357,19 @@ def _check_abel_identity(cfg: ExperimentConfig) -> tuple[bool, dict]:
     return worst <= 1e-8, {"max_rel_residual": worst}
 
 
+def _variance_need(cfg: ExperimentConfig) -> tuple[np.ndarray, int]:
+    """c06's sigmas and seed count, once prime_limit >= 2 and memory holds their prime sums."""
+    sigmas, n = np.array([0.6, 0.75, 1.0]), 2000
+    limit = _at_least(cfg, "prime_limit", 2)
+    need = rmf.prime_sum_batch_bytes(n, primes.prime_count_bound(limit), sigmas.size)
+    rmf.check_memory(need, "variance-match prime sums")
+    return sigmas, n
+
+
 def _check_variance_match(cfg: ExperimentConfig) -> tuple[bool, dict]:
     """c06: for sigma in {0.6, 0.75, 1.0} the sample variance of P(sigma) on the primes
     <= prime_limit over seeds 0..1999 lies within 5 standard errors of sum_p p^(-2 sigma)."""
-    sigmas, n = np.array([0.6, 0.75, 1.0]), 2000
-    need = rmf.prime_sum_batch_bytes(n, primes.prime_count_bound(cfg.prime_limit), sigmas.size)
-    rmf.check_memory(need, "variance-match prime sums")
+    sigmas, n = _variance_need(cfg)
     batch = rmf.random_prime_sum_batch(np.arange(n, dtype=np.uint64), sigmas, cfg.prime_limit)
     a2 = primes.cached_primes(cfg.prime_limit)[:, None] ** (-2.0 * sigmas)
     v = a2.sum(axis=0)  # the variance; its 4th moment is 3 v^2 - 2 sum_p p^(-4 sigma)
@@ -451,22 +451,14 @@ def cmd_verify(args, cfg: ExperimentConfig) -> Result:
     _at_least(cfg, "chebyshev_limit", 2)
     if args.target == "all":
         _at_least(cfg, "k_max")
-        _at_least(cfg, "prime_limit", 2)
         StepParams(cfg.epsilon)
         TheoremParams(c=cfg.c, a0=cfg.a0, a1=cfg.a1)
-        if not cfg.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {cfg.gamma}")
-        if cfg.trials < concentration.MIN_TRIALS:
-            raise ValueError(f"need at least {concentration.MIN_TRIALS} trials, got {cfg.trials}")
-        _at_least(cfg, "ell_min")
-        if cfg.ell_min > cfg.ell_max:
-            raise ValueError(f"ell_min {cfg.ell_min} exceeds ell_max {cfg.ell_max}")
         _extension_size(cfg, _at_least(cfg, "seeds"))
         rmf.check_memory(_abel_bytes(cfg.x_max), f"abel identity rows at x_max={cfg.x_max}")
-        need = rmf.prime_sum_batch_bytes(2000, primes.prime_count_bound(cfg.prime_limit), 3)
-        rmf.check_memory(need, "variance-match prime sums")  # c06's, before c01-c05 run
+        _variance_need(cfg)
         chaining.check_grid(cfg.ells, cfg.r_max, 20, cfg.prime_limit)
-        _step2_ells(cfg, HOEFFDING_PRIMES)
+        concentration.step2_need(cfg.gamma, cfg.trials, range(cfg.ell_min, cfg.ell_max + 1),
+                                 HOEFFDING_PRIMES)
     checks, seconds = [], {}
     for name in VERIFY_TARGETS[args.target]:
         t0 = time.perf_counter()
@@ -563,6 +555,7 @@ def cmd_signchanges(args, cfg: ExperimentConfig) -> Result:
 
 
 def cmd_prime_sums(args, cfg: ExperimentConfig) -> Result:
+    _at_least(cfg, "prime_limit", 2)  # before the 50-sigma grid sieves to claim1_n
     logsq_rows = [[s, r.value.estimate, r.value.upper, r.bound_rhs, r.holds]
                   for s, r in _logsq_grid(cfg.claim1_n)]
 
@@ -789,7 +782,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_report(args, cfg)
         result = args.func(args, cfg)
         _write_run(echo, result)
-    except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, FileNotFoundError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MemoryError, ResourceLimitError) as exc:

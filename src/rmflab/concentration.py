@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import exp, fsum, log, sqrt
-from typing import Sequence
 
 import mpmath as mp
 import numpy as np
 
 from . import prime_series
 from . import rmf as rmf_mod
+from .primes import prime_count_bound
 from .sequences import StepParams, step_sigma_ell
 
 MIN_TRIALS = 100  # fewest Monte Carlo trials a step-2 exceedance table accepts
@@ -100,14 +100,23 @@ class Step2Row:
     asymptotic_surrogate: float
 
 
-def step2_experiment(
-    step: StepParams,
-    gamma: float,
-    ell_range: Sequence[int],
-    trials: int,
-    prime_limit: int,
-    base_seed: int,
-) -> list[Step2Row]:
+def step2_need(gamma: float, trials: int, ell_range: range, prime_limit: int) -> list[int]:
+    """The ells of ell_range once gamma > 0, trials >= MIN_TRIALS, the range is non-empty and >= 1,
+    and memory holds the step-2 sums of `trials` seeds at each over the primes <= prime_limit.
+    A range's least item is one of its ends, so nothing is listed before memory is checked."""
+    if not gamma > 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
+    if not ell_range or min(ell_range[0], ell_range[-1]) < 1:
+        raise ValueError(f"ells must be a non-empty range of integers >= 1, got {ell_range}")
+    need = rmf_mod.prime_sum_batch_bytes(trials, prime_count_bound(prime_limit), len(ell_range))
+    rmf_mod.check_memory(need, "step-2 sums")
+    return list(ell_range)
+
+
+def step2_experiment(step: StepParams, gamma: float, ell_range: range, trials: int,
+                     prime_limit: int, base_seed: int) -> list[Step2Row]:
     """Exceedance table for the normalized truncated prime sums at sigma_ell.
 
     Per row: the trigger threshold sqrt(2 (1+gamma) E^epsilon) with E the truncated variance,
@@ -116,13 +125,7 @@ def step2_experiment(
     exp(-(1+gamma) E^epsilon), and the asymptotic surrogate exp(-(1+gamma) ell^((1-delta)
     epsilon)).  The deficit of E against the full variance sum is reported per row.
     """
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if trials < MIN_TRIALS:
-        raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
-    ells = [int(ell) for ell in ell_range]
-    if not ells:
-        raise ValueError("ell range is empty")
+    ells = step2_need(gamma, trials, ell_range, prime_limit)  # before truncated_variance sieves
     sigmas = [step_sigma_ell(ell, step) for ell in ells]
     e_trunc = [prime_series.truncated_variance(sigma, prime_limit) for sigma in sigmas]
     taus = [sqrt(2.0 * (1.0 + gamma) * e**step.epsilon) for e in e_trunc]

@@ -281,7 +281,7 @@ class LogWeightedSum:
     holds: bool
 
 
-def log_weighted_grid(sigmas: list[float], n_cut: int = 10**7) -> list[LogWeightedSum]:
+def log_weighted_grid(sigmas: list[float], n_cut: int) -> list[LogWeightedSum]:
     """Certified sum_p (log p)^2 p^(-2 sigma) against 4/(2 sigma - 1)^2 at each sigma, all checked
     before the sieve.  The tail is the smaller of the integer-comparison bound (valid once
     n_cut >= e^(1/sigma)) and the prime-counting route, both explicit antiderivatives."""

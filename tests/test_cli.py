@@ -845,9 +845,16 @@ def test_csv_float_cells_are_plain_numbers(prime_sums_out, tmp_path):
          "--chebyshev-limit", "1000", "--trials", "100"],
         ["concentration", "--ell-min", "5", "--ell-max", "3", "--trials", "100",
          "--prime-limit", "1000"],
+        # Invalid fields are refused before a step-2 table that memory cannot hold.
+        ["concentration", "--trials", "2000000000", "--gamma", "-1"],
+        ["concentration", "--trials", "2000000000", "--ell-min", "5", "--ell-max", "3"],
+        ["concentration", "--trials", "2000000000", "--ell-min", "0"],
     ],
 )
-def test_invalid_input_exits_2_before_any_work(argv, tmp_path, capsys):
+def test_invalid_input_exits_2_before_any_work(argv, tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli.primes, "cached_primes", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli.primes, "segments", lambda *a: calls.append(a))
     out = tmp_path / "out"
     cfg = tmp_path / "cfg.json"
     for i, arg in enumerate(argv):
@@ -856,6 +863,7 @@ def test_invalid_input_exits_2_before_any_work(argv, tmp_path, capsys):
             argv = argv[:i] + ["--config", str(cfg)] + argv[i + 1:]
     assert run(argv + ["--output-dir", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
+    assert calls == []
     assert not out.exists()
 
 

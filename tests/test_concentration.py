@@ -111,6 +111,8 @@ def test_step2_experiment_validation():
         cc.step2_experiment(step, 1.0, range(1, 3), trials=0, prime_limit=100, base_seed=0)
     with pytest.raises(ValueError):
         cc.step2_experiment(step, 0.0, range(1, 3), trials=200, prime_limit=100, base_seed=0)
+    with pytest.raises(ValueError):
+        cc.step2_experiment(step, 1.0, range(0, 3), trials=200, prime_limit=100, base_seed=0)
 
 
 def test_step2_hashes_each_trial_once(monkeypatch):

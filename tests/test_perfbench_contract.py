@@ -100,6 +100,14 @@ def test_every_src_parameter_is_read():
     assert unread == []
 
 
+def test_verify_preflight_restates_no_refusal():
+    """`cli.cmd_verify` raises nothing itself: its preflight is a list of calls to the needs that
+    the checks and their kernels call first, so no refusal is written twice."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    [verify] = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "cmd_verify"]
+    assert [node.lineno for node in ast.walk(verify) if isinstance(node, ast.Raise)] == []
+
+
 def test_tracer_counters_read_live_results():
     """The live counters read sample_signs(...).signs; sup_scan's signs.primes and
     .prime_limit and its result's grid_size; euler_tail_constant(...).upper and .lower.
