@@ -218,14 +218,6 @@ def _at_least(cfg: ExperimentConfig, key: str, least: int = 1) -> int:
     return value
 
 
-def _extension_size(cfg: ExperimentConfig, seeds: int, stride: int | None = None) -> int:
-    """cfg.x_max once it is >= 1 and memory holds rmf.extension_bytes(x_max, seeds, stride)."""
-    x_max = _at_least(cfg, "x_max")
-    need = rmf.extension_bytes(x_max, seeds, stride or x_max + 1)  # x_max + 1: no samples
-    rmf.check_memory(need, f"x_max={x_max} prime index and sign hash")
-    return x_max
-
-
 # ---------------------------------------------------------------- verify --
 #
 # One check per acceptance criterion c01-c13, each a function check(cfg) -> (passed, detail)
@@ -339,18 +331,21 @@ def _check_hoeffding(cfg: ExperimentConfig) -> tuple[bool, dict]:
     return _hoeffding_valid(rows), {"rows": len(rows)}
 
 
-def _abel_bytes(x_max: int) -> int:
-    """Bytes c05 allocates at most at x = max(10^4, x_max): 20 int8 rows of f, the larger of the
-    extension pass and one (x, sigma) pair's two float64 weight arrays with the residual's two
-    8-byte temporaries per integer, two ufunc buffers and 64 KiB of lists and array headers."""
-    x = max(10**4, x_max)
-    need = 20 * x + max(32 * x, rmf.extension_bytes(x, 20, x + 1))
-    return need + 16 * np.getbufsize() + (1 << 16)
+def _abel_need(cfg: ExperimentConfig) -> int:
+    """Bytes c05 allocates at most at x = max(10^4, x_max), once memory holds them: 20 int8 rows
+    of f, the larger of the extension pass and one (x, sigma) pair's two float64 weight arrays with
+    the residual's two 8-byte temporaries per integer, two ufunc buffers and 64 KiB of lists and
+    array headers."""
+    x = max(10**4, cfg.x_max)
+    need = 20 * x + max(32 * x, rmf.extension_need(x, 20, x + 1)) + 16 * np.getbufsize() + (1 << 16)
+    rmf.check_memory(need, f"abel identity rows at x_max={cfg.x_max}")
+    return need
 
 
 def _check_abel_identity(cfg: ExperimentConfig) -> tuple[bool, dict]:
     """c05: the Abel-summation identity holds to relative residual <= 1e-8 for the 20
     seeds derive_seed(521, i), at x in {10^4, x_max} and sigma in {0.6, 1.5}."""
+    _abel_need(cfg)
     xs = sorted({10**4, cfg.x_max})
     rows = rmf.signed_value_rows([rmf.derive_seed(521, i) for i in range(20)], xs[-1])
     worst = max(float(rmf.abel_residuals(rows[:, :x], s).max()) for x in xs for s in (0.6, 1.5))
@@ -453,8 +448,8 @@ def cmd_verify(args, cfg: ExperimentConfig) -> Result:
         _at_least(cfg, "k_max")
         StepParams(cfg.epsilon)
         TheoremParams(c=cfg.c, a0=cfg.a0, a1=cfg.a1)
-        _extension_size(cfg, _at_least(cfg, "seeds"))
-        rmf.check_memory(_abel_bytes(cfg.x_max), f"abel identity rows at x_max={cfg.x_max}")
+        rmf.extension_need(cfg.x_max, _at_least(cfg, "seeds"), cfg.x_max + 1)  # c13's sweep
+        _abel_need(cfg)
         _variance_need(cfg)
         chaining.check_grid(cfg.ells, cfg.r_max, 20, cfg.prime_limit)
         concentration.step2_need(cfg.gamma, cfg.trials, range(cfg.ell_min, cfg.ell_max + 1),
@@ -496,8 +491,8 @@ def _quantiles(values) -> dict:
 
 
 def cmd_simulate(args, cfg: ExperimentConfig) -> Result:
-    stride = 1 if cfg.x_max <= 10**5 else 1 << 16  # trace.csv lists every n, or every 2^16-th
-    x_max = _extension_size(cfg, 1, stride)
+    x_max = cfg.x_max
+    stride = 1 if x_max <= 10**5 else 1 << 16  # trace.csv lists every n, or every 2^16-th
     [trace] = rmf.partial_sum_trace([cfg.seed], x_max, stride)
     ns = np.arange(stride, x_max + 1, stride)
 
@@ -528,8 +523,7 @@ def cmd_simulate(args, cfg: ExperimentConfig) -> Result:
 
 
 def cmd_signchanges(args, cfg: ExperimentConfig) -> Result:
-    n_seeds = _at_least(cfg, "seeds")
-    x_max = _extension_size(cfg, n_seeds)
+    n_seeds, x_max = _at_least(cfg, "seeds"), cfg.x_max
     seeds = range(cfg.seed, cfg.seed + n_seeds)
     traces = rmf.partial_sum_trace(seeds, x_max, x_max + 1)  # stride x_max + 1: no samples
     counts = np.array([tr.count_changes() for tr in traces])

@@ -103,14 +103,16 @@ class Step2Row:
 def step2_need(gamma: float, trials: int, ell_range: range, prime_limit: int) -> list[int]:
     """The ells of ell_range once gamma > 0, trials >= MIN_TRIALS, the range is non-empty and >= 1,
     and memory holds the step-2 sums of `trials` seeds at each over the primes <= prime_limit.
-    A range's least item is one of its ends, so nothing is listed before memory is checked."""
+    The range's least item and length come from its ends: nothing is listed before memory is
+    checked, and a range too long for len() is refused by its memory."""
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
     if not ell_range or min(ell_range[0], ell_range[-1]) < 1:
         raise ValueError(f"ells must be a non-empty range of integers >= 1, got {ell_range}")
-    need = rmf_mod.prime_sum_batch_bytes(trials, prime_count_bound(prime_limit), len(ell_range))
+    n_ells = (ell_range[-1] - ell_range[0]) // ell_range.step + 1
+    need = rmf_mod.prime_sum_batch_bytes(trials, prime_count_bound(prime_limit), n_ells)
     rmf_mod.check_memory(need, "step-2 sums")
     return list(ell_range)
 
@@ -137,7 +139,7 @@ def step2_experiment(step: StepParams, gamma: float, ell_range: range, trials: i
             ell=ell,
             sigma=sigma,
             variance_trunc=e,
-            variance_deficit=prime_series.variance_sum(sigma).estimate - e,
+            variance_deficit=prime_series.prime_zeta(2.0 * sigma).estimate - e,
             threshold=tau,
             empirical_freq=freq,
             std_err=sqrt(freq * (1.0 - freq) / trials),

@@ -1,7 +1,7 @@
 """Certified evaluation of the deterministic prime series used throughout: prime
-zeta values P(s) = sum_p p^(-s), the variance sum at 2*sigma, the (log p)^2-weighted
-sums against their 4/(2s-1)^2 bound on a sigma grid that casts and logs the primes
-once, the Euler-product tail constant sum_p 1/(p(sqrt(p)-1)), near-1 asymptotic ratios.
+zeta values P(s) = sum_p p^(-s), which at s = 2 sigma are the variance of P(sigma), the
+(log p)^2-weighted sums against their 4/(2s-1)^2 bound on a sigma grid that casts and logs the
+primes once, the Euler-product tail constant sum_p 1/(p(sqrt(p)-1)), near-1 asymptotic ratios.
 
 Every truncated sum comes back as a CertifiedValue whose interval accounts
 for the truncation tail (explicit integral comparisons) and for the roundoff
@@ -231,16 +231,6 @@ def prime_zeta_direct(s: float, n_cut: int) -> CertifiedValue:
     partial, roundoff = _prime_power_sum(logp, s)
     tail = prime_power_tail_bound(s, n_cut, pi_cut=logp.size)
     return _outward(partial, partial + tail, estimate=partial + 0.5 * tail, roundoff=roundoff)
-
-
-def variance_sum(sigma: float) -> CertifiedValue:
-    """E[P(sigma)^2] = sum_p p^(-2 sigma), certified; requires sigma > 1/2."""
-    if sigma <= 0.5:
-        raise DivergenceError(
-            f"variance sum diverges for sigma <= 1/2 (sigma={sigma}); "
-            "this is the three-series boundary"
-        )
-    return prime_zeta(2.0 * sigma)
 
 
 def truncated_variance(sigma: float, limit: int) -> float:

