@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,8 +53,7 @@ class LambdaSchedule:
 OSCILLATION_SCHEDULE = LambdaSchedule(c1=4.0)  # the lambda_r of the oscillation experiment
 
 
-@dataclass(frozen=True)
-class ChainingReport:
+class ChainingReport(NamedTuple):
     hypothesis_holds: bool
     conclusion_holds: bool
     first_hypothesis_violation_r: int | None
@@ -113,8 +112,7 @@ def verify_chaining(values: np.ndarray, lambdas: Sequence[float]) -> ChainingRep
     )
 
 
-@dataclass(frozen=True)
-class OscillationResult:
+class OscillationResult(NamedTuple):
     seed: int
     ell: int
     sigma_ell: float

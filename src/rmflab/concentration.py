@@ -8,8 +8,8 @@ series that feed Borel-Cantelli.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import exp, fsum, log, sqrt
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -33,13 +33,9 @@ def hoeffding_bound(sum_sq_coeffs: float, lam: float) -> float:
     return exp(-(lam * lam) / (2.0 * sum_sq_coeffs))
 
 
-@dataclass(frozen=True)
-class BorelCantelliPartial:
+class BorelCantelliPartial(NamedTuple):
     partial_sum: float
     tail_estimate: float
-    closed_bound: float | None = None
-    closed_bound_holds: bool | None = None
-    ratio: float | None = None
 
 
 def borel_cantelli_step2(terms: int, gamma: float, step: StepParams) -> BorelCantelliPartial:
@@ -62,11 +58,10 @@ def borel_cantelli_step2(terms: int, gamma: float, step: StepParams) -> BorelCan
     return BorelCantelliPartial(partial_sum=partial, tail_estimate=tail)
 
 
-def borel_cantelli_bigterm(step: StepParams, ell: int) -> BorelCantelliPartial:
-    """Partial sum of q^r with q = exp(-ell^(2 delta) + log 2) over r = 1..BIGTERM_TERMS
-    (geometric; the lambda_r schedule makes C1 cancel).  Also evaluates the
-    closed bound 16 exp(-ell^(2 delta)) for 2x the full sum, which reduces to
-    the ratio condition q < 3/4."""
+def borel_cantelli_bigterm(step: StepParams, ell: int) -> bool:
+    """Whether twice the geometric sum of q^r over r >= 1, q = exp(-ell^(2 delta) + log 2) (the
+    lambda_r schedule makes C1 cancel), summed to BIGTERM_TERMS with its tail in closed form, meets
+    the closed bound 16 exp(-ell^(2 delta)), and q <= 3/4, the ratio condition it reduces to."""
     if ell < 1:
         raise ValueError("bigterm series needs ell >= 1")
     x = float(ell) ** (2.0 * step.delta)
@@ -75,20 +70,11 @@ def borel_cantelli_bigterm(step: StepParams, ell: int) -> BorelCantelliPartial:
     r = np.arange(1, BIGTERM_TERMS + 1, dtype=np.float64)
     partial = fsum(np.exp(log_q * r))
     tail = 0.0 if q == 0.0 else q ** (BIGTERM_TERMS + 1) / (1.0 - q)
-    closed = 16.0 * exp(-x)
     # 2 * q/(1-q) <= 8 q = 16 e^-x  <=>  q <= 3/4; compare in log space.
-    holds = log_q <= log(0.75) and 2.0 * (partial + tail) <= closed
-    return BorelCantelliPartial(
-        partial_sum=partial,
-        tail_estimate=tail,
-        closed_bound=closed,
-        closed_bound_holds=bool(holds),
-        ratio=q,
-    )
+    return bool(log_q <= log(0.75) and 2.0 * (partial + tail) <= 16.0 * exp(-x))
 
 
-@dataclass(frozen=True)
-class Step2Row:
+class Step2Row(NamedTuple):
     ell: int
     sigma: float
     variance_trunc: float

@@ -16,7 +16,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import exp, log, log1p, sqrt
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -264,8 +264,7 @@ def _log_sq_pi_route_tail(sigma: float, n_cut: float, pi_cut: int) -> float:
     return 2.0 * integral - pi_cut * ln * ln * n_cut ** (-a)
 
 
-@dataclass(frozen=True)
-class LogWeightedSum:
+class LogWeightedSum(NamedTuple):
     value: CertifiedValue
     bound_rhs: float
     holds: bool

@@ -13,9 +13,8 @@ of its dtype, or numpy copies it to int64 on every search.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from math import isqrt, log
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -92,8 +91,7 @@ def nth_prime_upper(n: int) -> int:
     return 13 if n < 6 else int(n * (log(n) + log(log(n)))) + 1
 
 
-@dataclass(frozen=True)
-class ChebyshevReport:
+class ChebyshevReport(NamedTuple):
     max_ratio: float
     holds: bool
     worst_prime: int

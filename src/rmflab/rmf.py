@@ -26,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -547,8 +547,7 @@ def sup_scan_bytes(n_t: int, n_primes: int) -> int:
     return 8 * (30 * n_primes + 24 * n_t + 6 * _LOW_RANK_CELLS + small)
 
 
-@dataclass(frozen=True)
-class SupScanResult:
+class SupScanResult(NamedTuple):
     sup_cos: float
     argmax_t: float
     sup_abs_f: float

@@ -10,6 +10,8 @@ exceed 1, where loglog is increasing, so comparing loglogs compares endpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import log
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -49,8 +51,7 @@ class StepParams:
         return cls(epsilon=2.0 * delta)
 
 
-@dataclass(frozen=True)
-class SigmaK:
+class SigmaK(NamedTuple):
     sigma: float
     log_inv_gap: float  # log(1/(sigma - 1/2)) = exp(k^c), exact side value
     underflow: bool
@@ -65,7 +66,7 @@ def sigma_k(k: int, params: TheoremParams) -> SigmaK:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    kc = float(k) ** params.c
+    kc = float(k) ** params.c if params.c * log(k) < 700.0 else float("inf")  # k^c > e^700 > 709
     log_inv_gap = float("inf") if kc > 709.0 else float(mp.exp(kc))
     gap = 0.0
     if log_inv_gap < 746.0:
@@ -97,15 +98,9 @@ def step_sigma_ell(ell: int, step: StepParams) -> float:
     return 0.5 + gap
 
 
-@dataclass(frozen=True)
-class SubtractionScan:
-    ell1: int | None
-    holds_at_ell_max: bool
-
-
-def subtraction_bound_scan(step: StepParams, ell_max: int) -> SubtractionScan:
+def subtraction_bound_scan(step: StepParams, ell_max: int) -> int | None:
     """Smallest ell1 with sigma_{ell-1} - sigma_ell <= (2 sigma_ell - 1)/ell^delta
-    for every ell in [ell1, ell_max].
+    for every ell in [ell1, ell_max], or None if the inequality fails at ell_max.
 
     The difference is evaluated through the cancellation-safe form
     (1/2) e^(-ell^(1-delta)) expm1(Delta) with Delta = ell^(1-delta) - (ell-1)^(1-delta),
@@ -121,14 +116,12 @@ def subtraction_bound_scan(step: StepParams, ell_max: int) -> SubtractionScan:
     rhs = ell ** (-step.delta)
     ok = lhs <= rhs
     if not ok[-1]:
-        return SubtractionScan(ell1=None, holds_at_ell_max=False)
+        return None
     bad = np.flatnonzero(~ok)
-    ell1 = 2 if bad.size == 0 else int(ell[bad[-1]]) + 1
-    return SubtractionScan(ell1=ell1, holds_at_ell_max=True)
+    return 2 if bad.size == 0 else int(ell[bad[-1]]) + 1
 
 
-@dataclass(frozen=True)
-class HarperBound:
+class HarperBound(NamedTuple):
     lower: float  # L(sigma) = C0 log(1/(sigma-1/2)) - C1 loglog(1/(sigma-1/2)) + C2
     t_max: float  # T(sigma) = 2 log^2(1/(sigma - 1/2))
 

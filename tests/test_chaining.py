@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -193,7 +192,7 @@ def test_oscillation_batch_accepts_negative_seed():
     step = StepParams(1.0)
     (row,) = ch.oscillation_batch([-1], [3], step, r_max=6, limit=10**4)
     single = ch.oscillation_batch([2**64 - 1], [3], step, r_max=6, limit=10**4)[0]
-    assert row == dataclasses.replace(single, seed=-1)
+    assert row == single._replace(seed=-1)
     assert row.seed == -1
 
 

@@ -368,6 +368,15 @@ def test_sequences_table_text(tmp_path):
     )
 
 
+@pytest.mark.parametrize("argv", [["--c", "250"], ["--c", "1000", "--k-max", "3"]])
+def test_sequences_where_k_to_the_c_passes_the_float_range(argv, tmp_path):
+    # k^c passes the float range at k = 20 for c >= 237 and at k = 3 for c = 1000.
+    out = tmp_path / "s"
+    assert run(["sequences", *argv, "--output-dir", str(out)]) == 0
+    rows = next(out.glob("sequences-table-*.csv")).read_text().splitlines()
+    assert rows[-1].split(",")[1:3] == ["0.5", "True"]
+
+
 def test_sup_scan_command(tmp_path):
     out = tmp_path / "scan"
     assert run(
@@ -570,22 +579,27 @@ def test_verify_all_refuses_c07_beyond_memory_before_any_check(tmp_path, monkeyp
 
 def test_an_ell_range_too_long_for_len_is_refused_by_its_memory(tmp_path, monkeypatch, capsys):
     # 10^20 ells are more than len() takes; the step-2 need counts them from the range's ends and
-    # refuses their sums with exit 3, where len() raised OverflowError out of `main`.
+    # refuses their sums, where len() raised OverflowError.  The CLI refuses an ell_max past int64
+    # with exit 2, so there the longest range, 2^63 - 1 ells, is refused with exit 3.
     calls = []
     monkeypatch.setattr(cli.primes, "cached_primes", lambda *a: calls.append(a))
     for name in cli.VERIFY_CHECKS:
         monkeypatch.setitem(cli.VERIFY_CHECKS, name, lambda cfg: calls.append(cfg) or (True, {}))
-    config = tmp_path / "ells.json"
-    config.write_text(json.dumps({"ell_max": 10**20, "x_max": 10**4, "prime_limit": 1000,
-                                  "r_max": 4}))
     bound = cli.primes.prime_count_bound
+    need = cli.rmf.prime_sum_batch_bytes(100, bound(1000), 10**20)
+    with pytest.raises(cli.ResourceLimitError, match=f"step-2 sums: {need} B > "):
+        cli.concentration.step2_need(1.0, 100, range(1, 10**20 + 1), 1000)
+    ell_max = 2**63 - 1
+    config = tmp_path / "ells.json"
+    config.write_text(json.dumps({"ell_max": ell_max, "x_max": 10**4, "prime_limit": 1000,
+                                  "r_max": 4}))
     for argv, trials, limit in (
-            (["concentration", "--ell-max", str(10**20), "--trials", "100",
+            (["concentration", "--ell-max", str(ell_max), "--trials", "100",
               "--prime-limit", "1000"], 100, 1000),
             (["verify", "all", "--config", str(config)], 10**4, cli.HOEFFDING_PRIMES)):
         out = tmp_path / argv[0]
         assert run(argv + ["--output-dir", str(out)]) == 3
-        need = cli.rmf.prime_sum_batch_bytes(trials, bound(limit), 10**20)
+        need = cli.rmf.prime_sum_batch_bytes(trials, bound(limit), ell_max)
         assert f"resource error: step-2 sums: {need} B > " in capsys.readouterr().err
         assert not out.exists()
     assert calls == []
@@ -843,6 +857,9 @@ def test_csv_float_cells_are_plain_numbers(prime_sums_out, tmp_path):
             float(cell)  # a numpy repr such as 'np.float64(1.5)' raises here
 
 
+HUGE = str(10**400)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -882,6 +899,23 @@ def test_csv_float_cells_are_plain_numbers(prime_sums_out, tmp_path):
         ["concentration", "--trials", "2000000000", "--gamma", "-1"],
         ["concentration", "--trials", "2000000000", "--ell-min", "5", "--ell-max", "3"],
         ["concentration", "--trials", "2000000000", "--ell-min", "0"],
+        # The schema refuses a float that is not finite and an int beyond int64 (but the seed).
+        ["sup-scan", "--prime-limit", HUGE],
+        ["chaining", "--prime-limit", HUGE],
+        ["concentration", "--prime-limit", HUGE],
+        ["simulate", "--x-max", HUGE],
+        ["signchanges", "--x-max", HUGE],
+        ["verify", "all", "--n-primes", HUGE],
+        ["chaining", "--ells", HUGE],
+        ["signchanges", "--seeds", HUGE],
+        ["chaining", "--seeds", HUGE],
+        ["chaining", "--ells", f"3,{2**63}", "--prime-limit", "1000"],
+        ["concentration", "--ell-max", str(10**20), "--trials", "100", "--prime-limit", "1000"],
+        ["concentration", {"gamma": math.inf}, "--prime-limit", "1000"],
+        ["sup-scan", {"c1": math.inf}, "--prime-limit", "1000"],
+        ["sequences", {"c": math.inf}],
+        ["sequences", {"a1": math.inf}],
+        ["sequences", {"a1": 10**400}],
     ],
 )
 def test_invalid_input_exits_2_before_any_work(argv, tmp_path, monkeypatch, capsys):

@@ -60,22 +60,30 @@ def test_borel_cantelli_step2_cauchy_doubling():
         assert abs(b.partial_sum - a.partial_sum) <= a.tail_estimate
 
 
+def _bigterm_series(delta: float, ell: int) -> tuple[float, float, float]:
+    """(q, the sum of q^r over r = 1..BIGTERM_TERMS, 16 e^(-ell^(2 delta))) with
+    q = 2 e^(-ell^(2 delta)): what borel_cantelli_bigterm compares, from the definitions."""
+    x = float(ell) ** (2.0 * delta)
+    q = 2.0 * math.exp(-x)
+    return q, math.fsum(q**r for r in range(1, cc.BIGTERM_TERMS + 1)), 16.0 * math.exp(-x)
+
+
 def test_borel_cantelli_bigterm_first_value():
-    r = cc.borel_cantelli_bigterm(StepParams(1.0), 1)
-    assert r.partial_sum == pytest.approx(2.0 / (math.e - 2.0), rel=1e-12)
-    assert r.closed_bound == pytest.approx(16.0 / math.e, rel=1e-12)
-    assert r.closed_bound_holds
-    assert r.ratio == pytest.approx(2.0 / math.e, rel=1e-12)
+    q, partial, closed = _bigterm_series(0.5, 1)
+    assert q == pytest.approx(2.0 / math.e, rel=1e-12)
+    assert partial == pytest.approx(2.0 / (math.e - 2.0), rel=1e-12)
+    assert closed == pytest.approx(16.0 / math.e, rel=1e-12)
+    assert cc.borel_cantelli_bigterm(StepParams(1.0), 1) is True
 
 
 def test_borel_cantelli_bigterm_ratio_below_three_quarters():
     for delta in (0.25, 0.5, 0.9):
         step = StepParams.from_delta(delta)
         for ell in (1, 2, 5, 10, 100):
-            r = cc.borel_cantelli_bigterm(step, ell)
-            assert r.ratio < 0.75
-            assert r.closed_bound_holds
-            assert 2.0 * (r.partial_sum + r.tail_estimate) <= r.closed_bound
+            q, partial, closed = _bigterm_series(delta, ell)
+            assert q < 0.75
+            assert 2.0 * partial <= 2.0 * q / (1.0 - q) <= closed
+            assert cc.borel_cantelli_bigterm(step, ell) is True
 
 
 def test_borel_cantelli_validation():

@@ -76,6 +76,21 @@ def test_every_src_function_has_a_caller_in_src():
     assert uncalled == []
 
 
+def _method_or_field(node: ast.AST) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+        isinstance(node, ast.Call) and getattr(node.func, "id", None) == "field")
+
+
+def test_every_src_dataclass_has_a_method_or_a_field():
+    """Every `@dataclass` in `src/rmflab` defines a method (`__post_init__` counts) or calls
+    `field(...)`: a plain record with neither is a `typing.NamedTuple`, which imports faster."""
+    plain = [f"{path.stem}.{cls.name}" for path in sorted(SRC.glob("*.py"))
+             for cls in ast.parse(path.read_text()).body if isinstance(cls, ast.ClassDef)
+             and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+             and not any(map(_method_or_field, ast.walk(cls)))]
+    assert plain == []
+
+
 def test_every_src_parameter_is_read():
     """Every parameter of every def in `src/rmflab` is loaded as a name in that def's body, so no
     kernel takes an input it never reads.  Exempt are the handlers and checks that

@@ -43,6 +43,13 @@ def test_sigma_k_underflow_levels():
         sq.sigma_k(0, p)
 
 
+def test_sigma_k_where_k_to_the_c_passes_the_float_range():
+    # 20^237 and 3^1000 exceed the largest float; sigma_k is then 1/2 as at k = 10 above.
+    boundary = sq.SigmaK(sigma=0.5, log_inv_gap=math.inf, underflow=True)
+    for k, c in ((20, 237.0), (20, 250.0), (3, 1000.0)):
+        assert sq.sigma_k(k, sq.TheoremParams(c=c)) == boundary
+
+
 def test_sigma_k_side_value_consistency():
     # Where the gap is representable the side value matches -log(sigma - 1/2).
     r = sq.sigma_k(1, sq.TheoremParams())
@@ -98,15 +105,13 @@ def test_subtraction_bound_scan_small_ell_oracle():
         lhs = s1 - s2
         rhs = (2 * s2 - 1) / mp.mpf(2) ** delta
         assert lhs <= rhs  # the inequality already holds at ell = 2
-    scan = sq.subtraction_bound_scan(sq.StepParams.from_delta(delta), 100)
-    assert scan.ell1 == 2 and scan.holds_at_ell_max
+    assert sq.subtraction_bound_scan(sq.StepParams.from_delta(delta), 100) == 2
 
 
 def test_subtraction_bound_scan_large():
     for delta in (0.25, 0.5, 0.75):
-        scan = sq.subtraction_bound_scan(sq.StepParams.from_delta(delta), 10**5)
-        assert scan.holds_at_ell_max
-        assert scan.ell1 is not None and scan.ell1 <= 100
+        ell1 = sq.subtraction_bound_scan(sq.StepParams.from_delta(delta), 10**5)
+        assert ell1 is not None and ell1 <= 100
     with pytest.raises(ValueError):
         sq.subtraction_bound_scan(sq.StepParams(1.0), 1)
 
