@@ -336,9 +336,9 @@ def _check_hoeffding(cfg: ExperimentConfig) -> tuple[bool, dict]:
 
 def _abel_need(cfg: ExperimentConfig) -> int:
     """Bytes c05 allocates at most at x = max(10^4, x_max), once memory holds them: 20 int8 rows
-    of f, the larger of the extension pass and one (x, sigma) pair's two float64 weight arrays with
-    the residual's two 8-byte temporaries per integer, two ufunc buffers and 64 KiB of lists and
-    array headers."""
+    of f, the larger of the extension pass and 32 B per integer (one (x, sigma) pair's two float64
+    weight arrays, 24 B while they are made, a residual's 9 B at most, and under 7 B of the factor
+    table the pass keeps), two ufunc buffers and 64 KiB of lists and array headers."""
     x = max(10**4, cfg.x_max)
     need = 20 * x + max(32 * x, rmf.extension_need(x, 20, x + 1)) + 16 * np.getbufsize() + (1 << 16)
     rmf.check_memory(need, f"abel identity rows at x_max={cfg.x_max}")
@@ -666,6 +666,7 @@ def _nested_log_text(loglog: mp.mpf) -> str:
 def cmd_sequences(args, cfg: ExperimentConfig) -> Result:
     k_max = _at_least(cfg, "k_max")
     params = TheoremParams(c=cfg.c, a0=cfg.a0, a1=cfg.a1)
+    sequences.interval_endpoints(k_max + 1, params)  # the largest, refused before the first row
     rows = []
     for k in range(1, k_max + 1):
         sk = sequences.sigma_k(k, params)

@@ -8,14 +8,12 @@ gemm only screens its exceedance counts), the exact Abel-summation identity, and
 sup_t of cosine-weighted prime sums, summed exactly by numpy one t row at a time and only on
 the rows that the certified estimate of `_low_rank_grid` cannot rule out, all live here.
 
-The multiplicative extension has one path, and partial_sum_trace is its one entry for M_f;
-its first call, extension_need, refuses a request beyond memory before anything is sieved, for
-the commands and library callers alike.  Up to 64 seeds' negative signs are the bits of one
-sign_words word per prime; each TRACE_SEGMENT block, sieved afresh by the primes up to its square
-root (the one larger prime of a squarefree n is found in a 4-byte-per-integer index built once
-per call), yields only its squarefree n, whose -1 signs one uint64 cumsum counts for four seeds
-at once in 16-bit lanes; a ramp on the counts makes M_f's zeros one uint16 compare, and sign
-changes follow only them.
+The multiplicative extension has one path, and partial_sum_trace is its one entry for M_f; its
+first call, extension_need, refuses a request beyond memory before anything is sieved, for every
+caller.  Up to 64 seeds' negative signs are the bits of one sign_words word per prime; a factor
+table sieved once per process gives each TRACE_SEGMENT block w(n) = w(q) ^ w(n / q), q the least
+prime of n, by two gathers at its squarefree n, whose -1 signs one uint64 cumsum counts for four
+seeds in 16-bit lanes; a ramp makes M_f's zeros one uint16 compare; sign changes follow only them.
 """
 
 from __future__ import annotations
@@ -51,6 +49,7 @@ _LOW_RANK_CELLS = 1 << 20  # float64 cells per prime chunk or grid chunk of _low
 _SUM_CELLS = 1 << 20  # float64 cells per sign block of random_prime_sum_batch
 _SCREEN_ROWS = 8  # rows per screening np.dot (np.matmul's did not overlap across threads): at
 # P = 9,592 and OPENBLAS_NUM_THREADS=2, 8 rows ran on the calling thread; 1 and 27 rows did not
+_factors: tuple | None = None  # (x_max, flags, least, rest) of the largest _factor_table built
 
 
 class ResourceLimitError(RuntimeError):
@@ -184,42 +183,62 @@ def sample_signs(seed: int, prime_limit: int) -> SignAssignment:
     return SignAssignment(seed=seed, prime_limit=prime_limit, primes=ps, signs=signs)
 
 
-def _prime_index(x_max: int) -> np.ndarray:
-    """The int32 index of the walk to x_max: prime p -> its word, 1 -> the zero word after them."""
-    ps = primes_mod.cached_primes(max(x_max, 2))[: x_max - 1]  # pi(x) <= x - 1
-    index = np.full(x_max + 1, ps.size, dtype=np.int32)
-    index[ps] = np.arange(ps.size, dtype=np.int32)
-    return index
+def _factor_table(x_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(flags, least, rest) to at least x_max, the largest built so far: bit n - 1 of the packed
+    flags is set where n is squarefree, and at such an n's rank r (1 has rank 0) least[r] is the
+    word of its least prime q (the k-th prime's is k, 1's is 0) and rest[r] the rank of n / q."""
+    global _factors
+    if (table := _factors) is None or table[0] < x_max:  # one read: no concurrent swap
+        ps = primes_mod.cached_primes(max(x_max, 2))
+        small = ps[: np.searchsorted(ps, ps.dtype.type(isqrt(x_max)), side="right")].tolist()
+        squarefree = np.append(False, np.ones(x_max, bool))  # squarefree[n], with 0 not counted
+        for p in small:
+            squarefree[p * p :: p * p] = False
+        ranks = np.cumsum(squarefree[: x_max // 2 + 1], dtype=np.int32)  # m's rank at m - 1
+        least, rest = np.empty((2, int(np.count_nonzero(squarefree))), np.int32)
+        word_prime, start, b = np.append(np.int32(1), ps), 0, 0  # 1 has the zero word 0
+        for lo in range(1, x_max + 1, TRACE_SEGMENT):
+            hi = min(lo + TRACE_SEGMENT - 1, x_max)
+            k = np.zeros(hi - lo + 1, np.int32)  # the word of the least prime dividing n, or 0
+            for i, p in reversed(list(enumerate(small, 1))):
+                k[-lo % p :: p] = i
+            a, b = b, int(np.searchsorted(ps, ps.dtype.type(hi), side="right"))
+            k[ps[a:b] - lo] = np.arange(a + 1, b + 1, dtype=np.int32)  # the block's primes
+            n = lo + np.flatnonzero(squarefree[lo : hi + 1])
+            least[start : start + n.size] = k = k[n - lo]
+            rest[start : start + n.size] = ranks[n // word_prime[k] - 1]
+            start += n.size
+        _factors = table = (x_max, np.packbits(squarefree[1:], bitorder="little"), least, rest)
+    return table[1:]
 
 
-def _signed_blocks(words: np.ndarray, index: np.ndarray) -> Iterator[tuple]:
-    """Yield (lo, squarefree, sq, w) per block lo..hi <= index.size - 1: the flags and offsets sq of
-    its squarefree n and at them the packed words of f, a bit set where its assignment has f = -1.
-    The primes p <= sqrt(hi) sieve each block: per n the XOR of their words, their product, and
-    whether some p^2 divides it.  The rest of a squarefree n is 1 or a prime for `index`."""
-    ps = primes_mod.cached_primes(max(index.size - 1, 2))[: words.size]
-    words = np.append(words, np.uint64(0))
-    for lo in range(1, index.size, TRACE_SEGMENT):
-        hi = min(lo + TRACE_SEGMENT - 1, index.size - 1)
-        odd = np.zeros(hi - lo + 1, dtype=np.uint64)
-        small = np.ones(hi - lo + 1, dtype=np.int64)
-        squarefree = np.ones(hi - lo + 1, dtype=bool)
-        root = ps.dtype.type(isqrt(hi))
-        for p, word in zip(ps[: np.searchsorted(ps, root, side="right")].tolist(), words):
-            odd[-lo % p :: p] ^= word
-            small[-lo % p :: p] *= p
-            squarefree[-lo % (p * p) :: p * p] = False
+def _signed_blocks(words: np.ndarray, x_max: int) -> Iterator[tuple]:
+    """Yield (lo, squarefree, sq, w) per block lo..hi <= x_max: the flags and offsets sq of its
+    squarefree n and at them the packed words of f, a bit set where its assignment has f = -1:
+    w(n) = word(q) ^ w(n / q) by _factor_table, with the words of n <= x_max / 2 kept by rank.
+    Every n / q <= n / 2 lies below its block, but in the first, taken in ranges [a, 2a) of n."""
+    flags, least, rest = _factor_table(x_max)
+    words, start = np.append(np.uint64(0), words), 0  # word 0 is 1's; start: a block's first rank
+    kept = np.zeros(np.unpackbits(flags, count=x_max // 2 + 1, bitorder="little").sum(), np.uint64)
+    for lo in range(1, x_max + 1, TRACE_SEGMENT):
+        hi, skip = min(lo + TRACE_SEGMENT - 1, x_max), (lo - 1) % 8
+        squarefree = np.unpackbits(flags[(lo - 1) // 8 :], count=skip + hi - lo + 1,
+                                   bitorder="little")[skip:].view(bool)
         sq = np.flatnonzero(squarefree)
-        w = odd[sq] ^ words[index[(sq + lo) // small[sq]]]
-        del odd, small  # not kept through the block's walk
+        w = words[least[start : start + sq.size]]
+        cuts = np.searchsorted(sq, (2 << np.arange(hi.bit_length())) - 1) if lo == 1 else [sq.size]
+        for a, b in zip([0, *cuts], cuts):
+            w[a:b] ^= kept[rest[start + a : start + b]]
+            kept[start + a : start + b] = w[a:b][: max(0, kept.size - start - a)]
         yield lo, squarefree, sq, w
-        del squarefree, sq, w  # nor through the next block's sieve
+        start += sq.size
+        del squarefree, sq, w  # not kept through the next block
 
 
 def _signed_rows(words: np.ndarray, rows: int, x_max: int) -> np.ndarray:
     """f(1..x_max) of the assignments j < rows packed in `words`, one int8 row each."""
     out = np.zeros((rows, x_max), dtype=np.int8)
-    for lo, _, sq, w in _signed_blocks(words, _prime_index(x_max)):
+    for lo, _, sq, w in _signed_blocks(words, x_max):
         for j, row in enumerate(out):
             row[lo - 1 + sq] = 1 - 2 * (w >> (16 * (j % 4) + j // 4) & 1).astype(np.int8)
     return out
@@ -264,9 +283,9 @@ class PartialSumTrace:
         return int(np.searchsorted(self.change_points, x, side="right"))
 
 
-def _traces(words: np.ndarray, rows: int, index: np.ndarray, stride: int):
+def _traces(words: np.ndarray, rows: int, x_max: int, stride: int):
     """([(change points, M(x_max))] of the assignments j < rows packed in `words`, and their M
-    at n = stride, 2 stride, ... <= x_max = index.size - 1 as one int64 row each).  In a block of
+    at n = stride, 2 stride, ... <= x_max as one int64 row each).  In a block of
     n squarefree entries, slot i of lane group g holds in seed 4g + k's 16-bit lane its -1 signs
     c among the first i plus the ramp 2^15 + 1 - ceil(i/2): D_i, in 2^15 + 1 +- n/2 (no multiple
     of 4 is squarefree, so no carry).  From the carried M = v, M_i = v + i - 2c = v + 2^16 + 2 -
@@ -274,7 +293,7 @@ def _traces(words: np.ndarray, rows: int, index: np.ndarray, stride: int):
     are +-1, so M changes sign only right after a zero, where D differs on its two sides; slot -1
     holds the last nonzero M before the block (before the first, slot 1: M(1) is no change)."""
     value, last, changes = [0] * rows, [0] * rows, [[np.empty(0, np.int64)] for _ in range(rows)]
-    samples = np.empty((rows, (index.size - 1) // stride), np.int64)
+    samples = np.empty((rows, x_max // stride), np.int64)
 
     def walk(lo: int, squarefree: np.ndarray, sq: np.ndarray, w: np.ndarray) -> None:
         n, first = sq.size, (lo - 1) // stride  # first: the multiples of stride below lo
@@ -300,28 +319,30 @@ def _traces(words: np.ndarray, rows: int, index: np.ndarray, stride: int):
                 end = v + 2**16 + 2 - (n & 1) - 2 * int(lane[n])
                 value[j], last[j] = end, end or v + 2**16 + 1 + (n & 1) - 2 * int(lane[n - 1])
 
-    for block in _signed_blocks(words, index):
+    for block in _signed_blocks(words, x_max):
         walk(*block)
-        del block  # the block's buffers die before the next one is sieved
+        del block  # the block's buffers die before the next one is formed
     return [(np.concatenate(c), v) for c, v in zip(changes, value)], samples
 
 
 def extension_need(x_max: int, seeds: int, stride: int) -> int:
     """Bytes partial_sum_trace allocates at most for `seeds` seeds sampled every stride-th n, once
-    x_max >= 1, stride >= 1 and memory holds them: x_max // stride int64 samples each, the int32
-    prime index its passes share and, per thread walking a pass, sign_words' four uint64 arrays per
-    prime, 64 KiB for the pool, lists and headers, and 63 B an integer for one block at a time (at
-    most 3/4 of it squarefree): its sieve holds 17 B per integer and 40 B per squarefree n, its
-    walk 1 B per integer of flags, 40 B per squarefree n, and at most 8 B per integer of sampled
-    slots and 24 B per sample of temporaries."""
+    x_max >= 1, stride >= 1 and memory holds them: x_max // stride int64 samples each, a new
+    _factor_table's build (4 B per integer, 8 B per squarefree n, 4 B per prime, 32 B per integer
+    of a block) and, per thread walking a pass, sign_words' four uint64 arrays per prime, 8 B per
+    squarefree n <= x_max / 2, 64 KiB for the pool, lists and headers, and 63 B an integer for one
+    block at a time (under m - m // 4 + 1 squarefree n up to m): its walk holds 1 B per integer of
+    flags, 40 B per squarefree n, at most 8 B per integer of sampled slots and 24 B per sample."""
     if x_max < 1:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    need = 32 * primes_mod.prime_count_bound(x_max) + 63 * min(TRACE_SEGMENT, x_max) + (1 << 16)
-    threads = min(_worker_count(), -(-seeds // PACKED_SIGNS))
-    need = 4 * (x_max + 1) + need * threads + 8 * seeds * (x_max // stride)
-    check_memory(need, f"x_max={x_max} prime index and sign hash")
+    block, primes = min(TRACE_SEGMENT, x_max), primes_mod.prime_count_bound(x_max)
+    need = 32 * primes + 8 * (x_max // 2 - x_max // 8 + 1) + 63 * block + (1 << 16)
+    need = need * min(_worker_count(), -(-seeds // PACKED_SIGNS)) + 8 * seeds * (x_max // stride)
+    if _factors is None or _factors[0] < x_max:
+        need += 4 * x_max + 8 * (x_max - x_max // 4 + 1) + 4 * primes + 32 * block
+    check_memory(need, f"x_max={x_max} factor table and sign hash")
     return need
 
 
@@ -329,17 +350,16 @@ def partial_sum_trace(seeds: Sequence[int], x_max: int, stride: int) -> list[Par
     """Exact M_f up to x_max under sample_signs(seed, max(x_max, 2)), sampled at every stride-th
     n, for each seed in order.  The n seeds split into the fewest extension passes of at most
     PACKED_SIGNS seeds, ceil(n / passes) each but the last, each hashed by one sign_words call
-    on one of _worker_count() threads that share one _prime_index; stride x_max + 1 samples none."""
+    on one of _worker_count() threads sharing one _factor_table; stride x_max + 1 samples none."""
     extension_need(x_max, len(seeds), stride)  # before anything is sieved or allocated
-    # pi(x) <= x - 1, so only x = 1 empties the slice; sieved before the threads share it
-    ps = primes_mod.cached_primes(max(x_max, 2))[: x_max - 1]
-    index = _prime_index(x_max)
+    # pi(x) <= x - 1, so only x = 1 empties the slice; both tables exist before the threads start
+    ps, _ = primes_mod.cached_primes(max(x_max, 2))[: x_max - 1], _factor_table(x_max)
     passes = -(-len(seeds) // PACKED_SIGNS)
     size = -(-len(seeds) // passes) if passes else 1  # seeds per pass
 
     def traces(start: int) -> list[PartialSumTrace]:
         block = seeds[start : start + size]
-        walked, values = _traces(sign_words(block, ps), len(block), index, stride)
+        walked, values = _traces(sign_words(block, ps), len(block), x_max, stride)
         return [PartialSumTrace(x_max, c, m, stride, v) for (c, m), v in zip(walked, values)]
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:  # map keeps seed order
@@ -425,13 +445,14 @@ def abel_residuals(rows: np.ndarray, sigma: float) -> np.ndarray:
     floating-point noise, since summation by parts is exact for every real sigma."""
     x = rows.shape[1]
     power, steps = abel_weights(sigma, x)
+    scale = float(np.sum(np.abs(rows[:1]) * power))  # every row's |f| is the squarefree indicator
 
     def residual(f: np.ndarray) -> float:  # one row's M dies with its call
-        scale = float(np.sum(np.abs(f) * power))  # before M: 16 bytes per n alive at most
-        m = np.cumsum(f, dtype=np.int64)
-        lhs = float(np.sum(f * power))
-        integral = float(np.sum(m[:-1].astype(np.float64) * steps))
-        return abs(lhs - float(m[-1]) * x ** (-sigma) - integral) / scale
+        lhs = float(np.sum(f * power))  # before M: 8 bytes per n alive at most
+        m = f.astype(np.float64)
+        np.cumsum(m, out=m)  # M in place, exact as |M| <= x < 2^53
+        m[:-1] *= steps
+        return abs(lhs - m[-1] * x ** (-sigma) - float(np.sum(m[:-1]))) / scale
 
     return np.array([residual(f) for f in rows])
 

@@ -80,7 +80,10 @@ def interval_endpoints(k: int, params: TheoremParams) -> tuple[mp.mpf, mp.mpf]:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     kc = mp.mpf(k) ** params.c
-    e_kc = mp.exp(kc)
+    try:
+        e_kc = mp.exp(kc)
+    except OverflowError as exc:  # mpmath shifts a Python int by about k^c bits
+        raise ValueError(f"e^(k^c) at k={k}, c={params.c} is beyond mpmath's range") from exc
     return params.a0 * e_kc - params.a1 * kc, 2 * e_kc
 
 

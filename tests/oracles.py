@@ -8,12 +8,16 @@ None of this is used by `rmflab` itself:
 - `_signed_block`, the extension of one assignment over a block of n by
   strided sign flips of the primes up to min(block length, 10^4) and flips
   of the multiples k p of every larger prime, one multiplier k at a time,
-  which must equal `f_value` at every n.  `rmf` instead
-  sieves each block by the primes up to its square root and finds the at
-  most one larger prime of a squarefree n in a transient 4-byte-per-integer
-  index, keeping no cache but the prime table; `signed_values`, one
+  which must equal `f_value` at every n.  `rmf` instead XORs the word of
+  each squarefree n's least prime into the word of its cofactor, both read
+  from a factor table kept for the process; `signed_values`, one
   assignment through the kernel of `rmf.signed_value_rows`, must
   reproduce `_signed_block` bit for bit for every seed and segment length;
+- the per-block sieve the extension ran before (`sieved_blocks`): each
+  block sieved afresh by the primes up to its square root, the at most one
+  larger prime of a squarefree n found in a 4-byte-per-integer index,
+  whose every yielded block `rmf._signed_blocks` must reproduce bit for
+  bit, from a fresh factor table or from a prefix of a larger one;
 - the int64 cumulative sum of `_signed_block` scanned by the general
   `rmf.sign_change_points`, which no `rmflab` path calls any more: it is the
   oracle of the walk of `rmf.partial_sum_trace` over the squarefree n only,
@@ -86,12 +90,13 @@ import numpy as np
 
 from rmflab import prime_series
 from rmflab import primes as primes_mod
+from rmflab import rmf as rmf_mod
 from rmflab.chaining import _GRID_CHUNK, OSCILLATION_SCHEDULE, ChainingReport, _first_violations
 from rmflab.prime_series import DivergenceError
 from rmflab.primes import DEFAULT_SEGMENT
 from rmflab.rmf import (
-    _MASK64, _PRIME_SALT, _T_CHUNK, PartialSumTrace, SignAssignment, SupScanResult, _prime_index,
-    _signed_blocks, _signed_rows, _traces, mix64,
+    _MASK64, _PRIME_SALT, _T_CHUNK, PartialSumTrace, SignAssignment, SupScanResult, _signed_blocks,
+    _signed_rows, _traces, mix64,
 )
 from rmflab.sequences import StepParams, step_sigma_ell
 
@@ -451,17 +456,17 @@ def packed_signs(signs: SignAssignment, x_max: int) -> np.ndarray:
 
 def trace(signs: SignAssignment, x_max: int, stride: int) -> PartialSumTrace:
     """M_f of one assignment, hand-built or sampled, by the walk of `rmf.partial_sum_trace`."""
-    [(changes, final)], values = _traces(packed_signs(signs, x_max), 1, _prime_index(x_max), stride)
+    [(changes, final)], values = _traces(packed_signs(signs, x_max), 1, x_max, stride)
     return PartialSumTrace(x_max, changes, final, stride, values[0])
 
 
-def int32_walk(words: np.ndarray, rows: int, index: np.ndarray, stride: int):
+def int32_walk(words: np.ndarray, rows: int, x_max: int, stride: int):
     """`rmf._traces` as M itself, in int32: after a block's k-th squarefree entry, the carried M
     + k - 2 (its -1 signs so far), from the same 16-bit lane counts, with every zero's two
     neighbours multiplied and the last nonzero M ahead of the block's carried M."""
     value, last, changes = [0] * rows, [0] * rows, [[np.empty(0, np.int64)] for _ in range(rows)]
-    samples = np.empty((rows, (index.size - 1) // stride), np.int64)
-    for lo, squarefree, sq, w in _signed_blocks(words, index):
+    samples = np.empty((rows, x_max // stride), np.int64)
+    for lo, squarefree, sq, w in _signed_blocks(words, x_max):
         step, path = np.arange(1, sq.size + 1, dtype=np.int32), np.empty(sq.size + 2, np.int32)
         m = path[2:]  # path: the last nonzero M, M before the block, M at its entries (|M| < 2^31)
         at = np.empty(0, np.intp)  # M at n = lo + i is path[1 + the count of entries up to i]
@@ -483,6 +488,29 @@ def int32_walk(words: np.ndarray, rows: int, index: np.ndarray, stride: int):
                 value[j], last[j] = int(path[-1]), int(path[-1] or path[-2])
                 samples[j, first : first + at.size] = path[at]
     return [(np.concatenate(c), v) for c, v in zip(changes, value)], samples
+
+
+def sieved_blocks(words: np.ndarray, x_max: int):
+    """`rmf._signed_blocks` as it sieved each block afresh: the primes p <= sqrt(hi) sieve each
+    block, per n the XOR of their words, their product, and whether some p^2 divides it.  The
+    rest of a squarefree n is 1 or a prime, whose word an int32 index of every n <= x_max holds
+    (1 takes the zero word after the primes')."""
+    ps = primes_mod.cached_primes(max(x_max, 2))[: words.size]
+    index = np.full(x_max + 1, ps.size, dtype=np.int32)
+    index[ps] = np.arange(ps.size, dtype=np.int32)
+    words = np.append(words, np.uint64(0))
+    for lo in range(1, x_max + 1, rmf_mod.TRACE_SEGMENT):
+        hi = min(lo + rmf_mod.TRACE_SEGMENT - 1, x_max)
+        odd = np.zeros(hi - lo + 1, dtype=np.uint64)
+        small = np.ones(hi - lo + 1, dtype=np.int64)
+        squarefree = np.ones(hi - lo + 1, dtype=bool)
+        root = ps.dtype.type(isqrt(hi))
+        for p, word in zip(ps[: np.searchsorted(ps, root, side="right")].tolist(), words):
+            odd[-lo % p :: p] ^= word
+            small[-lo % p :: p] *= p
+            squarefree[-lo % (p * p) :: p * p] = False
+        sq = np.flatnonzero(squarefree)
+        yield lo, squarefree, sq, odd[sq] ^ words[index[(sq + lo) // small[sq]]]
 
 
 def signed_values(signs: SignAssignment, x_max: int) -> np.ndarray:

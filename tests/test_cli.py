@@ -195,6 +195,25 @@ def test_thread_count_independent_across_processes(tmp_path, command):
     assert results[0] == results[1]
 
 
+def test_simulate_after_signchanges_writes_the_files_of_a_fresh_process(tmp_path, monkeypatch):
+    # signchanges leaves its factor table to 10^6 in the process; simulate reads a prefix of it,
+    # and must write the bytes that simulate writes from a fresh interpreter's own table.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env_path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    argv = ["simulate", "--seed", "5", "--x-max", "200003", "--output-dir", "out"]
+    for parent in ("fresh", "after"):
+        (tmp_path / parent).mkdir()
+    subprocess.run([sys.executable, "-m", "rmflab.cli", *argv], cwd=tmp_path / "fresh", check=True,
+                   capture_output=True, timeout=300, env=dict(os.environ, PYTHONPATH=env_path))
+    monkeypatch.chdir(tmp_path / "after")
+    monkeypatch.setattr(cli.rmf, "_factors", None)
+    assert run(["signchanges", "--seeds", "2", "--output-dir", "out"]) == 0
+    assert run(argv) == 0 and cli.rmf._factors[0] == 10**6
+    fresh, after = ({p.name: p.read_bytes() for p in (tmp_path / parent / "out").glob("simulate-*")}
+                    for parent in ("fresh", "after"))
+    assert len(fresh) == 5 and fresh == after  # the config echo and four result files
+
+
 def test_report_without_manifests(tmp_path):
     empty = tmp_path / "nothing"
     empty.mkdir()
@@ -437,8 +456,8 @@ def test_chaining_refuses_a_grid_beyond_memory_with_exit_3(tmp_path, monkeypatch
     assert not out.exists()
 
 
-# Each run would build a prime index of 4 * (x_max + 1) bytes, 4 MB at the
-# default x_max = 10^6, on a machine stubbed to 1 MB of RAM.
+# Each run would build a factor table of 12.5 MB at the default x_max = 10^6, on a machine
+# stubbed to 1 MB of RAM.
 @pytest.mark.parametrize("argv", [["simulate"], ["signchanges", "--seeds", "2"], ["verify", "all"]])
 def test_extension_beyond_memory_is_refused_with_exit_3_before_any_sieve(
         argv, tmp_path, monkeypatch, capsys):
@@ -450,7 +469,7 @@ def test_extension_beyond_memory_is_refused_with_exit_3_before_any_sieve(
     out = tmp_path / "big"
     assert run(argv + ["--output-dir", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "resource error: x_max=1000000 prime index and sign hash: " in err
+    assert "resource error: x_max=1000000 factor table and sign hash: " in err
     assert "B > physical RAM" in err
     assert calls == []
     assert not out.exists()
@@ -464,21 +483,25 @@ def stub_ram(monkeypatch, ram: int) -> None:
 
 
 def test_signchanges_counts_each_threads_sign_hash_before_any_sieve(tmp_path, monkeypatch, capsys):
-    # 128 seeds on 2 threads share one 4 MB prime index; each hashes 64 seeds into four
-    # uint64 arrays per prime (salted primes, hash, shift temporary and packed words), and
-    # then holds one block's buffers and 64 KiB of pool, lists and array headers.  8 MB of
-    # RAM holds the prime index but not the two passes' 18.2 MB.
+    # 128 seeds on 2 threads share one factor table, built first at 12.5 MB; each hashes 64
+    # seeds into four uint64 arrays per prime (salted primes, hash, shift temporary and packed
+    # words), keeps the words of the squarefree n <= 5 * 10^5, and then holds one block's
+    # buffers and 64 KiB of pool, lists and array headers.  24 MiB of RAM holds the table and
+    # one pass, 22.6 MB, but not both passes' 32.7 MB.
     monkeypatch.setenv("RMFLAB_THREADS", "2")
-    stub_ram(monkeypatch, 8 * 2**20)
+    monkeypatch.setattr(cli.rmf, "_factors", None)
+    stub_ram(monkeypatch, 24 * 2**20)
     calls = []
     monkeypatch.setattr(cli.primes, "cached_primes", lambda *a: calls.append(a))
     out = tmp_path / "big"
     assert run(["signchanges", "--seeds", "128", "--output-dir", str(out)]) == 3
-    need = 32 * cli.primes.prime_count_bound(10**6) + 63 * cli.rmf.TRACE_SEGMENT + 2**16
-    need = 4 * (10**6 + 1) + 2 * need
-    assert need == 18_202_692
+    x, primes, block = 10**6, cli.primes.prime_count_bound(10**6), cli.rmf.TRACE_SEGMENT
+    table = 4 * x + 8 * (x - x // 4 + 1) + 4 * primes + 32 * block
+    one = 32 * primes + 8 * (x // 2 - x // 8 + 1) + 63 * block + 2**16
+    need = table + 2 * one
+    assert need == 32_663_244
     assert f"sign hash: {need} B > physical RAM" in capsys.readouterr().err
-    assert 4 * (10**6 + 1) < 8 * 2**20 < need
+    assert table + one < 24 * 2**20 < need
     assert calls == []
     assert not out.exists()
 
@@ -500,6 +523,7 @@ def test_extension_size_bounds_the_traced_peak_of_sign_change_counts(x_max, seed
 @pytest.mark.parametrize("x_max, stride", [(10**5, 1), (10**6, 1 << 16)])
 def test_extension_size_bounds_the_traced_peak_of_simulate_traces(x_max, stride):
     # simulate's two strides: every n up to 10^5, every 2^16-th n beyond.
+    need = cli.rmf.extension_need(x_max, 1, stride)  # with the factor table if it is not kept
     cli.primes.cached_primes(10**6)  # the prime table exists before the call
     tracemalloc.start()
     try:
@@ -507,7 +531,7 @@ def test_extension_size_bounds_the_traced_peak_of_simulate_traces(x_max, stride)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= cli.rmf.extension_need(x_max, 1, stride)
+    assert peak <= need
 
 
 @pytest.mark.parametrize("x_max", [10**5, 10**6])
@@ -525,7 +549,8 @@ def test_abel_bytes_bound_the_traced_peak_of_c05(x_max):
 
 def test_verify_all_refuses_c05_beyond_memory_before_any_check(tmp_path, monkeypatch, capsys):
     # At x_max = 10^6 c05 holds 20 int8 rows of f and one (x, sigma) pair's two float64 weight
-    # arrays, 52.2 MB with its temporaries, twice the 25.1 MB of the two threads' extension passes.
+    # arrays, 52.2 MB with its temporaries and the factor table, above the 32.7 MB of the table's
+    # build and the two threads' extension passes.
     monkeypatch.setenv("RMFLAB_THREADS", "2")
     need = cli._abel_need(cli.ExperimentConfig())
     assert cli.rmf.extension_need(10**6, 100, 10**6 + 1) < 32 * 2**20 < need
@@ -916,6 +941,8 @@ HUGE = str(10**400)
         ["sequences", {"c": math.inf}],
         ["sequences", {"a1": math.inf}],
         ["sequences", {"a1": 10**400}],
+        # mpmath cannot shift a Python int by the k^c bits of e^(k^c) at c = 10^308.
+        ["sequences", "--c", "1e308"],
     ],
 )
 def test_invalid_input_exits_2_before_any_work(argv, tmp_path, monkeypatch, capsys):

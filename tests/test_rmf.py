@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import mpmath as mp
@@ -317,7 +318,7 @@ def test_walk_carries_zero_runs_across_blocks(segment, n, x, monkeypatch):
         assert m[n - 1] == 0 and m[end - 1] == 0  # a block ends inside the zero run
         assert_trace_is(oracles.trace(s, x, 1), m)
     words = oracles.packed(np.stack([s.signs < 0 for s in crafted]))
-    walked, samples = rmf._traces(words, len(crafted), rmf._prime_index(x), 1)
+    walked, samples = rmf._traces(words, len(crafted), x, 1)
     for (cps, final), m in zip(walked, ms):
         assert np.array_equal(cps, rmf.sign_change_points(m)) and final == int(m[-1])
     assert np.array_equal(samples, np.stack(ms))
@@ -335,7 +336,7 @@ def test_ramped_count_lanes_cannot_carry():
     assert 0 < 2**15 + 1 - (n + 1) // 2 and 2**15 + 1 + n // 2 < 1 << 16
     # Words with no bit set give f = 1 on every squarefree n: c = 0, the ramp alone, at its least.
     words = np.zeros(primes.cached_primes(LANE_X).size, np.uint64)
-    walked, samples = rmf._traces(words, 4, rmf._prime_index(LANE_X), 1)
+    walked, samples = rmf._traces(words, 4, LANE_X, 1)
     mu = oracles._signed_block(oracles.signs_constant(-1, LANE_X), 1, LANE_X)
     assert_walks_are(walked, samples, np.cumsum(np.abs(mu), dtype=np.int64))
 
@@ -362,22 +363,21 @@ def test_walk_reproduces_the_int32_walk_bit_for_bit(segment, x, monkeypatch):
     """rmf._traces against oracles.int32_walk on the same words: every change point, final M
     and sample, for 1 to 64 rows and strides 1, 7, 2^16 and x + 1."""
     monkeypatch.setattr(rmf, "TRACE_SEGMENT", segment)
-    ps, index = primes.cached_primes(max(x, 2))[: x - 1], rmf._prime_index(x)
+    ps = primes.cached_primes(max(x, 2))[: x - 1]
     for rows in INT32_ROWS:
         words = rmf.sign_words(rmf.derive_seed(35, np.arange(rows)), ps)
         for stride in (1, 7, 1 << 16, x + 1):
-            assert_walks_match(rmf._traces(words, rows, index, stride),
-                               oracles.int32_walk(words, rows, index, stride))
+            assert_walks_match(rmf._traces(words, rows, x, stride),
+                               oracles.int32_walk(words, rows, x, stride))
 
 
 @pytest.mark.parametrize("segment, n, x", ZERO_RUNS)
 def test_walk_reproduces_the_int32_walk_over_zero_runs(segment, n, x, monkeypatch):
     monkeypatch.setattr(rmf, "TRACE_SEGMENT", segment)
     words = oracles.packed(np.stack([zero_at(seed, n, x).signs < 0 for seed in range(5)]))
-    index = rmf._prime_index(x)
     for stride in (1, 7, 1 << 16, x + 1):
-        assert_walks_match(rmf._traces(words, 5, index, stride),
-                           oracles.int32_walk(words, 5, index, stride))
+        assert_walks_match(rmf._traces(words, 5, x, stride),
+                           oracles.int32_walk(words, 5, x, stride))
 
 
 LANE_X = 2 * rmf.TRACE_SEGMENT + 1000  # three blocks, the last one short
@@ -397,15 +397,75 @@ def test_walk_of_all_negative_words_matches_the_oracle_scan(rows, monkeypatch):
     its block's full squarefree count, above 2^15."""
     words = oracles.packed(np.ones((rows, primes.cached_primes(LANE_X).size), bool))
     mu = oracles._signed_block(oracles.signs_constant(-1, LANE_X), 1, LANE_X)
-    index = rmf._prime_index(LANE_X)
-    walked, samples = rmf._traces(words, rows, index, 1)
+    walked, samples = rmf._traces(words, rows, LANE_X, 1)
     assert len(walked) == rows
     assert_walks_are(walked, samples, np.cumsum(mu, dtype=np.int64))
     blocks = rmf._signed_blocks
-    monkeypatch.setattr(rmf, "_signed_blocks", lambda words, index: (
-        (lo, hi, sq, np.full_like(w, ~np.uint64(0))) for lo, hi, sq, w in blocks(words, index)))
-    walked, samples = rmf._traces(words, rows, index, 1)
+    monkeypatch.setattr(rmf, "_signed_blocks", lambda words, x_max: (
+        (lo, hi, sq, np.full_like(w, ~np.uint64(0))) for lo, hi, sq, w in blocks(words, x_max)))
+    walked, samples = rmf._traces(words, rows, LANE_X, 1)
     assert_walks_are(walked, samples, np.cumsum(-np.abs(mu), dtype=np.int64))
+
+
+# Block edges at 2^16: x ends before, at and after one, and 10^6 ends inside the sixteenth block.
+BLOCK_XS = [1, 2, 3, 4, 10, 243, 1000, 65535, 65536, 65537, 131073, 200003, 10**6]
+
+
+@pytest.mark.parametrize("x", BLOCK_XS)
+def test_signed_blocks_reproduce_the_sieved_blocks_bit_for_bit(x, monkeypatch):
+    """Every (lo, squarefree, sq, w) of rmf._signed_blocks against the per-block sieve it replaced,
+    for 1, 50 and 64 seeds, from a fresh factor table and from a prefix of a larger one."""
+    ps = primes.cached_primes(max(x, 2))[: x - 1]
+    monkeypatch.setattr(rmf, "_factors", None)
+    for limit in (x, 10**6 + 1):
+        rmf._factor_table(limit)
+        assert rmf._factors[0] == limit
+        for rows in (1, 50, 64):
+            words = rmf.sign_words(rmf.derive_seed(42, np.arange(rows)), ps)
+            expected = oracles.sieved_blocks(words, x)
+            for got, ref in itertools.zip_longest(rmf._signed_blocks(words, x), expected):
+                assert got[0] == ref[0]
+                for a, b in zip(got[1:], ref[1:]):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_traces_do_not_depend_on_the_cached_factor_table(monkeypatch):
+    """A trace to 10^5 from the prefix of a 10^6 table, built for an earlier call, has the bytes
+    of one from a fresh 10^5 table, and so has the table itself."""
+    monkeypatch.setattr(rmf, "_factors", None)
+    fresh = rmf.partial_sum_trace(range(3), 10**5, 1)
+    table = [a.copy() for a in rmf._factor_table(10**5)]
+    rmf.partial_sum_trace([0], 10**6, 1 << 16)
+    assert rmf._factors[0] == 10**6
+    prefix = rmf.partial_sum_trace(range(3), 10**5, 1)
+    assert rmf._factors[0] == 10**6  # read, not rebuilt
+    for a, b in zip(fresh, prefix, strict=True):
+        assert a.change_points.tobytes() == b.change_points.tobytes()
+        assert a.values.tobytes() == b.values.tobytes() and a.final_value == b.final_value
+    for a, b in zip(table, rmf._factor_table(10**5), strict=True):
+        assert a.tobytes() == b[: a.size].tobytes()
+
+
+def test_concurrent_calls_each_walk_a_table_to_their_own_x(monkeypatch):
+    """Eight threads build and replace factor tables of six sizes at once, switching every
+    microsecond: each call still walks a table at least as large as its x_max, so its trace
+    equals that of the same call made alone."""
+    monkeypatch.setenv("RMFLAB_THREADS", "1")
+    xs = [3000, 20_000, 1000, 65_537, 7000, 40_000] * 3
+
+    def final(x: int) -> int:
+        return rmf.partial_sum_trace([x], x, x + 1)[0].final_value
+
+    alone = {x: final(x) for x in xs}
+    monkeypatch.setattr(rmf, "_factors", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            together = list(pool.map(final, xs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert together == [alone[x] for x in xs]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -876,13 +936,17 @@ def test_check_memory_honours_a_cgroup_limit_below_physical_memory(monkeypatch):
 
 
 def test_partial_sum_trace_refuses_beyond_memory_before_any_sieve(monkeypatch):
-    # One seed at 10^6 needs its 4 MB prime index, above a cgroup limit of 1 MiB.
+    # One seed at 10^6 needs its 12.5 MB factor table, above a cgroup limit of 1 MiB.
     monkeypatch.setattr(rmf, "cgroup_limit", lambda: 2**20)
+    monkeypatch.setattr(rmf, "_factors", None)
     calls = []
     monkeypatch.setattr(rmf.primes_mod, "cached_primes", lambda *a: calls.append(a))
-    need = 4 * (10**6 + 1) + 32 * primes.prime_count_bound(10**6) + 63 * 2**16 + 2**16
+    x, n_primes = 10**6, primes.prime_count_bound(10**6)
+    need = (4 * x + 8 * (x - x // 4 + 1) + 4 * n_primes + 32 * 2**16  # the table's build
+            + 32 * n_primes + 8 * (x // 2 - x // 8 + 1) + 63 * 2**16 + 2**16)  # and its pass
+    assert need == 22_561_892
     with pytest.raises(rmf.ResourceLimitError,
-                       match=f"x_max=1000000 prime index and sign hash: {need} B > cgroup"):
+                       match=f"x_max=1000000 factor table and sign hash: {need} B > cgroup"):
         rmf.partial_sum_trace([0], 10**6, 10**6 + 1)
     with pytest.raises(ValueError, match="stride must be >= 1, got 0"):
         rmf.partial_sum_trace([0], 10, 0)
