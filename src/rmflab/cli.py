@@ -297,6 +297,7 @@ def _check_intervals(cfg: ExperimentConfig) -> tuple[bool, dict]:
     """c11: [y_k, X_k] and [y_{k+1}, X_{k+1}] are disjoint and loglog X_k = 2 exp(k^c)
     to 1e-12, for k = 1..k_max."""
     params = TheoremParams(c=cfg.c, a0=cfg.a0, a1=cfg.a1)
+    sequences.table_need(cfg.k_max, params)
     ks = range(1, cfg.k_max + 1)
     disjoint = all(sequences.intervals_disjoint(k, params) for k in ks)
     loglog_xs = [sequences.interval_endpoints(k, params)[1] for k in ks]
@@ -358,9 +359,7 @@ def _check_abel_identity(cfg: ExperimentConfig) -> tuple[bool, dict]:
 def _variance_need(cfg: ExperimentConfig) -> tuple[np.ndarray, int]:
     """c06's sigmas and seed count, once prime_limit >= 2 and memory holds their prime sums."""
     sigmas, n = np.array([0.6, 0.75, 1.0]), 2000
-    limit = _at_least(cfg, "prime_limit", 2)
-    need = rmf.prime_sum_batch_bytes(n, primes.prime_count_bound(limit), sigmas.size)
-    rmf.check_memory(need, "variance-match prime sums")
+    rmf.prime_sum_need(n, _at_least(cfg, "prime_limit", 2), sigmas.size)
     return sigmas, n
 
 
@@ -450,7 +449,7 @@ def cmd_verify(args, cfg: ExperimentConfig) -> Result:
     if args.target == "all":
         _at_least(cfg, "k_max")
         StepParams(cfg.epsilon)
-        TheoremParams(c=cfg.c, a0=cfg.a0, a1=cfg.a1)
+        sequences.table_need(cfg.k_max, TheoremParams(c=cfg.c, a0=cfg.a0, a1=cfg.a1))  # c11
         rmf.extension_need(cfg.x_max, _at_least(cfg, "seeds"), cfg.x_max + 1)  # c13's sweep
         _abel_need(cfg)
         _variance_need(cfg)
@@ -586,20 +585,14 @@ def cmd_prime_sums(args, cfg: ExperimentConfig) -> Result:
 
 
 def cmd_sup_scan(args, cfg: ExperimentConfig) -> Result:
-    if not all(sigma > 0.5 for sigma in cfg.sigma_grid):
-        raise ValueError(f"every sigma in sigma_grid must exceed 1/2, got {cfg.sigma_grid}")
-    if not 0 < cfg.grid_step <= 0.01 + 1e-12:
-        raise ValueError("grid_step must lie in (0, 0.01]")
-    log_inv_gaps = [float(mp.log(1.0 / (mp.mpf(sigma) - 0.5))) for sigma in cfg.sigma_grid]
-    bounds = [sequences.harper_lower_bound(g, cfg.c0, cfg.c1, cfg.c2) for g in log_inv_gaps]
-    n_t = max(int((max(1.0, hb.t_max) - 1.0) / cfg.grid_step) + 2 for hb in bounds)
-    need = rmf.sup_scan_bytes(n_t, primes.prime_count_bound(cfg.prime_limit))
-    rmf.check_memory(need, f"sup-scan t grid of {n_t} rows")  # before any hashing
+    bounds = [sequences.harper_lower_bound(s, cfg.c0, cfg.c1, cfg.c2) for s in cfg.sigma_grid]
+    t_max = max(1.0, *(hb.t_max for hb in bounds))  # the largest grid, refused before any hash
+    rmf.sup_scan_need(min(cfg.sigma_grid), t_max, cfg.grid_step, cfg.prime_limit)
     signs = rmf.sample_signs(cfg.seed, cfg.prime_limit)
     rows = []
-    for sigma, log_inv_gap, hb in zip(cfg.sigma_grid, log_inv_gaps, bounds):
+    for sigma, hb in zip(cfg.sigma_grid, bounds):
         res = rmf.sup_scan(signs, sigma, max(1.0, hb.t_max), cfg.grid_step, limit=cfg.prime_limit)
-        ek_threshold = log_inv_gap - cfg.c1 * float(mp.log(log_inv_gap))
+        ek_threshold = hb.log_inv_gap - cfg.c1 * float(mp.log(hb.log_inv_gap))
         rows.append(
             [sigma, hb.t_max, res.sup_cos, res.argmax_t, res.sup_abs_f, ek_threshold,
              res.sup_cos >= ek_threshold, hb.lower, float(mp.exp(hb.lower))]
@@ -666,7 +659,7 @@ def _nested_log_text(loglog: mp.mpf) -> str:
 def cmd_sequences(args, cfg: ExperimentConfig) -> Result:
     k_max = _at_least(cfg, "k_max")
     params = TheoremParams(c=cfg.c, a0=cfg.a0, a1=cfg.a1)
-    sequences.interval_endpoints(k_max + 1, params)  # the largest, refused before the first row
+    sequences.table_need(k_max, params)  # before the first row
     rows = []
     for k in range(1, k_max + 1):
         sk = sequences.sigma_k(k, params)

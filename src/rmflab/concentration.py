@@ -16,7 +16,6 @@ import numpy as np
 
 from . import prime_series
 from . import rmf as rmf_mod
-from .primes import prime_count_bound
 from .sequences import StepParams, step_sigma_ell
 
 MIN_TRIALS = 100  # fewest Monte Carlo trials a step-2 exceedance table accepts
@@ -98,8 +97,7 @@ def step2_need(gamma: float, trials: int, ell_range: range, prime_limit: int) ->
     if not ell_range or min(ell_range[0], ell_range[-1]) < 1:
         raise ValueError(f"ells must be a non-empty range of integers >= 1, got {ell_range}")
     n_ells = (ell_range[-1] - ell_range[0]) // ell_range.step + 1
-    need = rmf_mod.prime_sum_batch_bytes(trials, prime_count_bound(prime_limit), n_ells)
-    rmf_mod.check_memory(need, "step-2 sums")
+    rmf_mod.prime_sum_need(trials, prime_limit, n_ells)
     return list(ell_range)
 
 

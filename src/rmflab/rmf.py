@@ -8,12 +8,13 @@ gemm only screens its exceedance counts), the exact Abel-summation identity, and
 sup_t of cosine-weighted prime sums, summed exactly by numpy one t row at a time and only on
 the rows that the certified estimate of `_low_rank_grid` cannot rule out, all live here.
 
-The multiplicative extension has one path, and partial_sum_trace is its one entry for M_f; its
-first call, extension_need, refuses a request beyond memory before anything is sieved, for every
-caller.  Up to 64 seeds' negative signs are the bits of one sign_words word per prime; a factor
-table sieved once per process gives each TRACE_SEGMENT block w(n) = w(q) ^ w(n / q), q the least
-prime of n, by two gathers at its squarefree n, whose -1 signs one uint64 cumsum counts for four
-seeds in 16-bit lanes; a ramp makes M_f's zeros one uint16 compare; sign changes follow only them.
+Each kernel first calls its need (extension_need, prime_sum_need, sup_scan_need), which refuses bad
+values, then memory, before any sieve, hash or allocation.  The multiplicative extension has one
+path, and partial_sum_trace is its one entry for M_f.  Up to 64 seeds' negative signs are the bits
+of one sign_words word per prime; a factor table sieved once per process gives each TRACE_SEGMENT
+block w(n) = w(q) ^ w(n / q), q the least prime of n, by two gathers at its squarefree n, whose -1
+signs one uint64 cumsum counts for four seeds in 16-bit lanes; a ramp makes M_f's zeros one uint16
+compare; sign changes follow only them.
 """
 
 from __future__ import annotations
@@ -366,13 +367,27 @@ def partial_sum_trace(seeds: Sequence[int], x_max: int, stride: int) -> list[Par
         return [tr for trs in pool.map(traces, range(0, len(seeds), size)) for tr in trs]
 
 
-def _prime_sum_blocks(seeds, sigmas: Sequence[float], limit: int, reduce) -> None:
-    """reduce(start, signs, weights) per block of max(1, _SUM_CELLS // P) seeds from seeds[start],
-    hashed by sign_matrix on min(_worker_count(), blocks) threads, each into its own block, with
-    weights[j] = p^(-sigmas[j]) over the P primes p <= limit."""
-    if any(sigma <= 0.5 for sigma in sigmas):
+def prime_sum_need(n_seeds: int, limit: int, n_sigmas: int) -> int:
+    """Bytes either prime-sum batch takes at most, once memory holds them: n_sigmas + 2 float64 per
+    seed and per prime <= limit, 64 KiB of headers, per thread a block, salted primes and tiles."""
+    n_primes = primes_mod.prime_count_bound(limit)
+    rows = min(max(1, _SUM_CELLS // max(1, n_primes)), n_seeds)
+    threads = max(1, min(_worker_count(), -(-n_seeds // max(1, rows))))
+    need = 8 * (n_sigmas + 2) * (n_seeds + n_primes) + (1 << 16)
+    need += threads * (8 * (rows + 1) * n_primes + _hash_tile_bytes(rows, n_primes))
+    check_memory(need, f"prime sums of {n_seeds} seeds at {n_sigmas} sigmas")
+    return need
+
+
+def _prime_sum_blocks(seeds, sigmas: Sequence[float], limit: int, dtype, reduce) -> np.ndarray:
+    """A new (len(seeds), len(sigmas)) dtype array, once prime_sum_need passes and every sigma >
+    1/2, filled by reduce(signs, weights, out) per block of max(1, _SUM_CELLS // P) seeds and out
+    their rows: signs hashed by sign_matrix on min(_worker_count(), blocks) threads, each into its
+    own block, and weights[j] = p^(-sigmas[j]) over the P primes p <= limit."""
+    prime_sum_need(len(seeds), limit, len(sigmas))  # before anything is sieved or allocated
+    if not all(sigma > 0.5 for sigma in sigmas):
         raise DivergenceError(f"P(sigma) requires sigma > 1/2, got {sigmas}")
-    ps = primes_mod.cached_primes(limit)
+    ps, out = primes_mod.cached_primes(limit), np.empty((len(seeds), len(sigmas)), dtype)
     weights = np.empty((len(sigmas), ps.size))  # filled row by row: one temporary at a time
     for w, sigma in zip(weights, sigmas):
         w[:] = ps.astype(np.float64) ** (-sigma)
@@ -383,10 +398,11 @@ def _prime_sum_blocks(seeds, sigmas: Sequence[float], limit: int, reduce) -> Non
     def run(k: int) -> None:  # blocks k, k + threads, ... in blocks[k]
         for start in range(k * rows, n, threads * rows):
             signs = sign_matrix(seeds[start : start + rows], ps, out=blocks[k, : n - start])
-            reduce(start, signs, weights)
+            reduce(signs, weights, out[start : start + len(signs)])
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(run, range(threads)))
+    return out
 
 
 def random_prime_sum_batch(trial_seeds: np.ndarray | Sequence[int], sigmas: Sequence[float],
@@ -394,10 +410,8 @@ def random_prime_sum_batch(trial_seeds: np.ndarray | Sequence[int], sigmas: Sequ
     """Truncated P(sigma) for many seeds at once at every sigma, shape (len(seeds), len(sigmas)):
     one einsum per block of _prime_sum_blocks, numpy's own loop with no BLAS, so a row's bits
     depend on neither its block nor the thread count."""
-    out = np.empty((len(trial_seeds), len(sigmas)))
-    _prime_sum_blocks(trial_seeds, sigmas, limit, lambda start, signs, weights: np.einsum(
-        "ip,sp->is", signs, weights, out=out[start : start + len(signs)]))
-    return out
+    return _prime_sum_blocks(trial_seeds, sigmas, limit, np.float64, lambda signs, weights, out:
+                             np.einsum("ip,sp->is", signs, weights, out=out))
 
 
 def prime_sum_exceedances(trial_seeds: np.ndarray | Sequence[int], sigmas: Sequence[float],
@@ -408,28 +422,18 @@ def prime_sum_exceedances(trial_seeds: np.ndarray | Sequence[int], sigmas: Seque
     and any BLAS order lie within gamma_(P-1) sum_p w_p of the exact sum (Higham, 4.2), and within
     twice that of each other; 1.01 covers the rounding of sum w and of gemm - lam.  A row within
     that of lam at some sigma, or NaN, is decided by its einsum, whose bits no block changes."""
-    lams, hits = np.asarray(lams, dtype=np.float64), np.zeros((len(trial_seeds), len(sigmas)), bool)
+    lams = np.asarray(lams, dtype=np.float64)
 
-    def count(start: int, signs: np.ndarray, weights: np.ndarray) -> None:
+    def count(signs: np.ndarray, weights: np.ndarray, hits: np.ndarray) -> None:
         eps = 2.02 * weights.shape[1] * _G * weights.sum(axis=1)  # S P adds: under 1% of the hash
-        d, rows = np.empty((len(signs), len(lams))), hits[start : start + len(signs)]
+        d = np.empty((len(signs), len(lams)))
         for i in range(0, len(signs), _SCREEN_ROWS):
             np.dot(signs[i : i + _SCREEN_ROWS], weights.T, out=d[i : i + _SCREEN_ROWS])
-        np.greater(d, lams, out=rows)
+        np.greater(d, lams, out=hits)
         for j in np.flatnonzero(~np.all(np.abs(d - lams) > eps, axis=1)):
-            rows[j] = np.einsum("ip,sp->is", signs[j : j + 1], weights)[0] >= lams
+            hits[j] = np.einsum("ip,sp->is", signs[j : j + 1], weights)[0] >= lams
 
-    _prime_sum_blocks(trial_seeds, sigmas, limit, count)
-    return np.count_nonzero(hits, axis=0)
-
-
-def prime_sum_batch_bytes(n_seeds: int, n_primes: int, n_sigmas: int) -> int:
-    """Bytes prime_sum_exceedances or random_prime_sum_batch takes at most: n_sigmas + 2 float64
-    per seed and prime, 64 KiB of headers, per thread a block, salted primes, _hash_tile_bytes."""
-    rows = min(max(1, _SUM_CELLS // max(1, n_primes)), n_seeds)
-    threads = max(1, min(_worker_count(), -(-n_seeds // max(1, rows))))
-    need = 8 * (n_sigmas + 2) * (n_seeds + n_primes) + (1 << 16)
-    return need + threads * (8 * (rows + 1) * n_primes + _hash_tile_bytes(rows, n_primes))
+    return np.count_nonzero(_prime_sum_blocks(trial_seeds, sigmas, limit, bool, count), axis=0)
 
 
 def abel_weights(sigma: float, x: int) -> tuple[np.ndarray, np.ndarray]:
@@ -560,12 +564,23 @@ def _sup_scan_estimates(ts, logp, w, amp) -> tuple[np.ndarray, np.ndarray]:
     return est, 1.01 * np.array([[eps_cos], [eps_log]])
 
 
-def sup_scan_bytes(n_t: int, n_primes: int) -> int:
-    """Bytes sup_scan allocates at most for n_t t rows over n_primes primes: 30 float64 values
-    per prime (one exact row with its temporaries among them), 24 per t, six _LOW_RANK_CELLS
+def sup_scan_need(sigma: float, t_max: float, grid_step: float, limit: int) -> int:
+    """Bytes sup_scan allocates at most, once sigma > 1/2, t_max >= 1, grid_step lies in (2^-52,
+    0.01] (a smaller one leaves t at 1) and memory holds 30 float64 per prime <= limit (an exact
+    row and temporaries), 24 per t row (counted in floats, as 2^63 beyond), six _LOW_RANK_CELLS
     buffers of the estimate and five _T_CHUNK-row tables of the primes up to _EXACT_LOG1P."""
+    if not sigma > 0.5:
+        raise DivergenceError(f"sup scan requires sigma > 1/2, got {sigma}")
+    if not t_max >= 1.0:
+        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    if not 2 * _U < grid_step <= 0.01 + 1e-12:
+        raise ValueError(f"grid_step must lie in (2^-52, 0.01], got {grid_step}")
+    n_t = int(min((t_max - 1.0) / grid_step, 2.0**63)) + 2
+    n_primes = primes_mod.prime_count_bound(limit)
     small = 5 * _T_CHUNK * min(n_primes, primes_mod.prime_count_bound(_EXACT_LOG1P))
-    return 8 * (30 * n_primes + 24 * n_t + 6 * _LOW_RANK_CELLS + small)
+    need = 8 * (30 * n_primes + 24 * n_t + 6 * _LOW_RANK_CELLS + small)
+    check_memory(need, f"sup-scan t grid of {n_t} rows")
+    return need
 
 
 class SupScanResult(NamedTuple):
@@ -575,13 +590,8 @@ class SupScanResult(NamedTuple):
     grid_size: int
 
 
-def sup_scan(
-    signs: SignAssignment,
-    sigma: float,
-    t_max: float,
-    grid_step: float,
-    limit: int,
-) -> SupScanResult:
+def sup_scan(signs: SignAssignment, sigma: float, t_max: float, grid_step: float,
+             limit: int) -> SupScanResult:
     """Grid maxima over t in {1, 1+step, ..., t_max} of the truncated sums
     sum_p sign(p) cos(t log p) p^(-sigma) and |prod_p (1 + sign(p) p^(-sigma-it))|.
 
@@ -590,12 +600,7 @@ def sup_scan(
     at a time by np.sum with no BLAS, and log1p only on such rows of log|F|: the maxima keep
     every row's bits, at any thread count.
     """
-    if sigma <= 0.5:
-        raise DivergenceError(f"sup scan requires sigma > 1/2, got {sigma}")
-    if t_max < 1.0:
-        raise ValueError("t_max must be >= 1")
-    if not 0 < grid_step <= 0.01 + 1e-12:
-        raise ValueError("grid_step must lie in (0, 0.01]")
+    sup_scan_need(sigma, t_max, grid_step, limit)  # before the t grid or anything is allocated
     ps, sg = signs.up_to(limit)
     p = ps.astype(np.float64)
     logp = np.log(p)
@@ -611,9 +616,5 @@ def sup_scan(
         if keep[1, i]:  # log|1 + sign(p) p^(-sigma-it)|^2
             log_f[i] = 0.5 * np.sum(np.log1p(c * (2.0 * w) + amp * amp))
     i = int(np.argmax(cos_vals))
-    return SupScanResult(
-        sup_cos=float(cos_vals[i]),
-        argmax_t=float(ts[i]),
-        sup_abs_f=float(np.exp(np.max(log_f))),
-        grid_size=int(ts.size),
-    )
+    return SupScanResult(sup_cos=float(cos_vals[i]), argmax_t=float(ts[i]),
+                         sup_abs_f=float(np.exp(np.max(log_f))), grid_size=ts.size)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -482,6 +483,12 @@ def stub_ram(monkeypatch, ram: int) -> None:
                         if name == "SC_PHYS_PAGES" else sysconf(name))
 
 
+def prime_sum_bytes(n_seeds: int, limit: int, n_sigmas: int) -> int:
+    """The bytes of rmf.prime_sum_need, read with its memory check stubbed out."""
+    with mock.patch.object(cli.rmf, "check_memory", lambda need, what: None):
+        return cli.rmf.prime_sum_need(n_seeds, limit, n_sigmas)
+
+
 def test_signchanges_counts_each_threads_sign_hash_before_any_sieve(tmp_path, monkeypatch, capsys):
     # 128 seeds on 2 threads share one factor table, built first at 12.5 MB; each hashes 64
     # seeds into four uint64 arrays per prime (salted primes, hash, shift temporary and packed
@@ -596,8 +603,9 @@ def test_verify_all_refuses_c07_beyond_memory_before_any_check(tmp_path, monkeyp
     out = tmp_path / "c07"
     assert run(["verify", "all", "--config", str(config), "--trials", "2000000000",
                 "--output-dir", str(out)]) == 3
-    need = cli.rmf.prime_sum_batch_bytes(2 * 10**9, cli.primes.prime_count_bound(10**5), 8)
-    assert f"resource error: step-2 sums: {need} B > physical RAM" in capsys.readouterr().err
+    need = prime_sum_bytes(2 * 10**9, 10**5, 8)
+    err = capsys.readouterr().err
+    assert f"resource error: prime sums of 2000000000 seeds at 8 sigmas: {need} B > physical" in err
     assert ran == []
     assert not out.exists()
 
@@ -610,9 +618,8 @@ def test_an_ell_range_too_long_for_len_is_refused_by_its_memory(tmp_path, monkey
     monkeypatch.setattr(cli.primes, "cached_primes", lambda *a: calls.append(a))
     for name in cli.VERIFY_CHECKS:
         monkeypatch.setitem(cli.VERIFY_CHECKS, name, lambda cfg: calls.append(cfg) or (True, {}))
-    bound = cli.primes.prime_count_bound
-    need = cli.rmf.prime_sum_batch_bytes(100, bound(1000), 10**20)
-    with pytest.raises(cli.ResourceLimitError, match=f"step-2 sums: {need} B > "):
+    need = prime_sum_bytes(100, 1000, 10**20)
+    with pytest.raises(cli.ResourceLimitError, match=f"seeds at {10**20} sigmas: {need} B > "):
         cli.concentration.step2_need(1.0, 100, range(1, 10**20 + 1), 1000)
     ell_max = 2**63 - 1
     config = tmp_path / "ells.json"
@@ -624,8 +631,9 @@ def test_an_ell_range_too_long_for_len_is_refused_by_its_memory(tmp_path, monkey
             (["verify", "all", "--config", str(config)], 10**4, cli.HOEFFDING_PRIMES)):
         out = tmp_path / argv[0]
         assert run(argv + ["--output-dir", str(out)]) == 3
-        need = cli.rmf.prime_sum_batch_bytes(trials, bound(limit), ell_max)
-        assert f"resource error: step-2 sums: {need} B > " in capsys.readouterr().err
+        need = prime_sum_bytes(trials, limit, ell_max)
+        assert f"prime sums of {trials} seeds at {ell_max} sigmas: {need} B > " in (
+            capsys.readouterr().err)
         assert not out.exists()
     assert calls == []
 
@@ -636,7 +644,7 @@ def test_verify_all_refuses_c06_beyond_memory_before_any_check(tmp_path, monkeyp
     # largest, 54.1 MB.  c06 used to be refused only once c01-c05 had run.
     monkeypatch.setenv("RMFLAB_THREADS", "8")
     stub_ram(monkeypatch, 64 * 2**20)
-    need = cli.rmf.prime_sum_batch_bytes(2000, cli.primes.prime_count_bound(10**5), 3)
+    need = prime_sum_bytes(2000, 10**5, 3)
     assert cli.chaining.check_grid([3, 4, 5], 4, 20, 10**5) == 54_090_592 < 64 * 2**20
     assert need == 73_504_112
     ran = []
@@ -649,7 +657,7 @@ def test_verify_all_refuses_c06_beyond_memory_before_any_check(tmp_path, monkeyp
     out = tmp_path / "c06"
     assert run(["verify", "all", "--config", str(config), "--output-dir", str(out)]) == 3
     err = capsys.readouterr().err
-    assert f"resource error: variance-match prime sums: {need} B > physical RAM" in err
+    assert f"resource error: prime sums of 2000 seeds at 3 sigmas: {need} B > physical RAM" in err
     assert ran == []
     assert not out.exists()
 
@@ -702,12 +710,38 @@ def test_prime_sums_beyond_memory_are_refused_before_any_sieve_or_hash(
     monkeypatch.setattr(cli.rmf, "sign_matrix", lambda *a, **kw: calls.append(a))
     out = tmp_path / "cc"
     assert run(["concentration", "--output-dir", str(out)]) == 3
-    assert "resource error: step-2 sums: 27291040 B > physical RAM" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "resource error: prime sums of 10000 seeds at 8 sigmas: 27291040 B > physical RAM" in err
     for check in (cli._check_variance_match, cli._check_hoeffding):
         with pytest.raises(cli.ResourceLimitError, match="B > physical RAM"):
             check(cli.ExperimentConfig())
     assert calls == []
     assert not out.exists()
+
+
+def test_the_prime_sum_kernels_refuse_beyond_memory_before_any_sieve_or_hash(monkeypatch):
+    # concentration's 10^4 seeds at 8 sigma over the primes <= 10^6, called on the library.
+    monkeypatch.setenv("RMFLAB_THREADS", "2")
+    stub_ram(monkeypatch, 2**20)
+    calls = []
+    monkeypatch.setattr(cli.primes, "cached_primes", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli.rmf, "sign_matrix", lambda *a, **kw: calls.append(a))
+    seeds, sigmas = np.arange(10**4, dtype=np.uint64), np.linspace(0.6, 1.0, 8)
+    for kernel in (lambda: cli.rmf.random_prime_sum_batch(seeds, sigmas, 10**6),
+                   lambda: cli.rmf.prime_sum_exceedances(seeds, sigmas, sigmas, 10**6)):
+        with pytest.raises(cli.ResourceLimitError,
+                           match="prime sums of 10000 seeds at 8 sigmas: 27291040 B > physical"):
+            kernel()
+    assert calls == []
+
+
+def test_sup_scan_refuses_a_grid_beyond_memory_before_forming_it(monkeypatch):
+    # t_max = 10^12 at step 0.01 is 10^14 rows, 1.9 * 10^16 B: refused by its need before np.arange
+    # is asked for 800 TB.
+    signs = cli.rmf.sample_signs(0, 1000)
+    stub_ram(monkeypatch, 2**20)
+    with pytest.raises(cli.ResourceLimitError, match="sup-scan t grid of 99999999999902 rows: "):
+        cli.rmf.sup_scan(signs, 0.6, 1e12, 0.01, limit=1000)
 
 
 def test_step2_preflight_bounds_the_traced_peak_of_the_step2_table(monkeypatch):
@@ -941,8 +975,17 @@ HUGE = str(10**400)
         ["sequences", {"c": math.inf}],
         ["sequences", {"a1": math.inf}],
         ["sequences", {"a1": 10**400}],
-        # mpmath cannot shift a Python int by the k^c bits of e^(k^c) at c = 10^308.
+        # A table whose (k_max + 1)^c has more than TABLE_BITS bits: mpmath cannot shift a
+        # Python int by the k^c bits of e^(k^c) at c = 10^308, and 20 rows at c = 2000 print
+        # endpoints of up to 8,650 bits of k^c, beyond 100 s.
         ["sequences", "--c", "1e308"],
+        ["sequences", "--c", "2000"],
+        ["verify", "all", {"c": 1e308}],  # c11's table, refused before any check
+        # A grid step whose rows overflow a float, or that cannot move t off 1 (sigma = 1.2
+        # scans t up to 1 alone), is refused by the sup-scan need.
+        ["sup-scan", "--grid-step", "1e-308", "--prime-limit", "1000"],
+        ["sup-scan", "--grid-step", "5e-324", "--prime-limit", "1000"],
+        ["sup-scan", "--sigma-grid", "1.2", "--grid-step", "1e-17", "--prime-limit", "1000"],
     ],
 )
 def test_invalid_input_exits_2_before_any_work(argv, tmp_path, monkeypatch, capsys):

@@ -115,16 +115,34 @@ def test_every_src_parameter_is_read():
     assert unread == []
 
 
+def _called(node: ast.AST) -> str | None:
+    """The name a call node calls, as `f` or `mod.f`, or None for any other node."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "attr", getattr(node.func, "id", None))
+    return None
+
+
 def test_verify_preflight_restates_no_refusal():
-    """`cli.cmd_verify` raises nothing and checks no memory itself: its preflight is a list of
-    calls to the needs that the checks and their kernels call first, so no refusal is written
-    twice."""
+    """No `cli.cmd_*` raises or checks memory itself, but `cmd_report`, whose "no manifests found"
+    refuses its own input: the commands and verify's preflight call the needs that the kernels
+    call first, so no refusal is written twice.  Every `check_memory` call in `src/` sits in a
+    need, a function named `*_need`, or in `chaining.check_grid`."""
     tree = ast.parse((SRC / "cli.py").read_text())
-    [verify] = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "cmd_verify"]
-    assert [node.lineno for node in ast.walk(verify) if isinstance(node, ast.Raise)] == []
-    called = [getattr(node.func, "attr", getattr(node.func, "id", None))
-              for node in ast.walk(verify) if isinstance(node, ast.Call)]
-    assert "check_memory" not in called
+    commands = [f for f in tree.body if isinstance(f, ast.FunctionDef)
+                and f.name.startswith("cmd_") and f.name != "cmd_report"]
+    assert len(commands) == len(cli.COMMANDS) - 1
+    restated = [f"{f.name}:{node.lineno}" for f in commands for node in ast.walk(f)
+                if isinstance(node, ast.Raise) or _called(node) == "check_memory"]
+    assert restated == []
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        needs = [range(f.lineno, f.end_lineno + 1) for f in ast.walk(tree)
+                 if isinstance(f, ast.FunctionDef)
+                 and (f.name.endswith("_need") or f.name == "check_grid")]
+        outside += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                    if _called(node) == "check_memory" and not any(node.lineno in r for r in needs)]
+    assert outside == []
 
 
 def test_tracer_counters_read_live_results():

@@ -882,7 +882,7 @@ def test_sup_scan_bytes_bounds_the_traced_peak():
     finally:
         tracemalloc.stop()
     assert res.grid_size == 1696
-    assert peak <= rmf.sup_scan_bytes(res.grid_size, primes.prime_count_bound(10**5))
+    assert peak <= rmf.sup_scan_need(0.55, 17.95, 0.01, 10**5)
 
 
 @pytest.mark.parametrize("trials, limit, n_sigmas", [(1, 2, 1), (5, 10**3, 1), (257, 10**3, 8),
@@ -905,8 +905,7 @@ def test_prime_sum_batch_bytes_bounds_the_traced_peak(monkeypatch, trials, limit
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        need = rmf.prime_sum_batch_bytes(trials, primes.prime_count_bound(limit), n_sigmas)
-        assert peak <= need, (kind, threads)
+        assert peak <= rmf.prime_sum_need(trials, limit, n_sigmas), (kind, threads)
 
 
 def test_cgroup_limit_reads_v2_and_v1_files(tmp_path):

@@ -117,22 +117,23 @@ def test_subtraction_bound_scan_large():
 
 
 def test_harper_lower_bound_values():
-    log_inv_gap1 = sq.sigma_k(1, sq.TheoremParams()).log_inv_gap
-    hb = sq.harper_lower_bound(log_inv_gap1, 0.25, 1.5, -1.5)
+    hb = sq.harper_lower_bound(sq.sigma_k(1, sq.TheoremParams()).sigma, 0.25, 1.5, -1.5)
+    assert hb.log_inv_gap == pytest.approx(math.e, rel=1e-15)
     assert hb.t_max == pytest.approx(2 * math.e**2, rel=1e-9)
-    hb2 = sq.harper_lower_bound(10.0, 0.25, 1.5, -1.5)
+    hb2 = sq.harper_lower_bound(0.5 + math.exp(-10.0), 0.25, 1.5, -1.5)
     assert hb2.lower == pytest.approx(2.5 - 1.5 * math.log(10.0) - 1.5, rel=1e-12)
     # substitution identity: log gap = e gives C0 e - C1 + C2
-    hb3 = sq.harper_lower_bound(math.e, 0.25, 1.5, -1.5)
+    hb3 = sq.harper_lower_bound(0.5 + math.exp(-math.e), 0.25, 1.5, -1.5)
     assert hb3.lower == pytest.approx(0.25 * math.e - 1.5 - 1.5, rel=1e-12)
 
 
 def test_harper_lower_bound_validation():
     with pytest.raises(ValueError):
-        sq.harper_lower_bound(1.0, 0.6, 1.5, -1.5)
+        sq.harper_lower_bound(0.6, 0.6, 1.5, -1.5)
     with pytest.raises(ValueError):
-        sq.harper_lower_bound(1.0, 0.25, 0.9, -1.5)
+        sq.harper_lower_bound(0.6, 0.25, 0.9, -1.5)
     with pytest.raises(ValueError):
-        sq.harper_lower_bound(1.0, 0.25, 1.5, -2.0)
-    with pytest.raises(ValueError):
-        sq.harper_lower_bound(0.0, 0.25, 1.5, -1.5)
+        sq.harper_lower_bound(0.6, 0.25, 1.5, -2.0)
+    for sigma in (0.5, 0.4, 1.5, 1.6, math.nan):  # refused before log(1/(sigma - 1/2))
+        with pytest.raises(ValueError, match="sigma must lie in"):
+            sq.harper_lower_bound(sigma, 0.25, 1.5, -1.5)
