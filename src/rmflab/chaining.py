@@ -1,16 +1,16 @@
 """Dyadic chaining: the deterministic oscillation bound |f(s) - f(t)| <= 2 sum_{r > R} lambda_r
 checked on the depth-r_max dyadic grid of an interval, the lambda_r^2 = 2 C1 r / 4^r schedule
 with its chaining constant, and the empirical oscillation experiment max |P(sigma) - P(sigma_ell)|
-over [sigma_ell, sigma_{ell-1}] at every ell from one sign hash.  Per ell, only the grid rows that
-rmf's low-rank estimate of sum_p w_p e^(f x_p), with its derived error bound, cannot rule out are
-exact, each in its _GRID_CHUNK-row block's gemm: a gemm row reads only its own input row, in an
-order that the fixed block shape fixes, so no other row, zero or stale, changes a selected row.
+over [sigma_ell, sigma_{ell-1}] at every ell from one sign hash and one rmf low-rank basis in log p,
+built at the widest interval's degree.  Per ell, only the grid rows that its estimate and derived
+bound cannot rule out are exact, each in its _GRID_CHUNK-row block's gemm: a gemm row reads only
+its own input row, in an order the fixed block shape fixes, so no other row changes a selected row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import log, sqrt
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -125,27 +125,29 @@ class OscillationResult(NamedTuple):
 def check_grid(ells: Sequence[int], r_max: int, n_seeds: int, limit: int) -> int:
     """Raise ValueError unless every ell is >= 2 and r_max lies in [1, 30], and ResourceLimitError
     unless memory holds the bytes oscillation_batch allocates, returned: 4 n_seeds + 4 float64 per
-    grid row, 3 n_seeds + 8 + _GRID_CHUNK float64 per prime, _hash_tile_bytes and 3 buffers."""
+    grid row, 3 n_seeds + 9 + n + _GRID_CHUNK per prime, _hash_tile_bytes and 2 buffers, n the
+    basis degree at k r < log(limit) / 10, as every Delta sigma < 1/(2e) and r < log(limit) / 2."""
     if any(ell < 2 for ell in ells):
         raise ValueError(f"ell must be >= 2, got {min(ells)}")
     if not 1 <= r_max <= 30:
         raise ValueError(f"r_max must lie in [1, 30], got {r_max}")
     n_primes = primes_mod.prime_count_bound(limit)
-    rows = (2**r_max + 1) * (4 * n_seeds + 4) + 3 * rmf_mod._LOW_RANK_CELLS
+    n = rmf_mod._degree(log(max(limit, 2)) / 10, False, _G)[0]
+    rows = (2**r_max + 1) * (4 * n_seeds + 4) + 2 * rmf_mod._LOW_RANK_CELLS
     need = rmf_mod._hash_tile_bytes(n_seeds, n_primes)
-    need += 8 * (rows + n_primes * (3 * n_seeds + 8 + _GRID_CHUNK))
+    need += 8 * (rows + n_primes * (3 * n_seeds + 9 + n + _GRID_CHUNK))
     rmf_mod.check_memory(need, f"r_max={r_max}, {n_seeds} seeds")
     return need
 
 
-def _grid_estimate(weights: np.ndarray, x: np.ndarray, frac: np.ndarray):
-    """(approx, eps): sum_p w_p exp(f x_p) at every f in `frac` by rmf's low-rank evaluator, and
-    per seed a bound on its distance to every exact row: the evaluator's eps, the exact block's
-    two exponent roundings, exp to 4 ulps, gamma_P for its gemm, and 4 u for comparisons."""
-    approx, eps = rmf_mod._low_rank_grid(x, weights, frac, False)
-    basis = np.expm1(2 * _G * float(np.max(np.abs(x), initial=0.0))) + 9 * _U
-    scale = np.sum(np.abs(weights), axis=0) * np.exp(max(0.0, float(np.max(x, initial=0.0))))
-    return approx, eps + scale * (basis + x.size * _G * (1 + basis) + 4 * _U)
+def _grid_estimate(estimate, weights, dsig: np.ndarray, amp: np.ndarray, logp: np.ndarray):
+    """(approx, eps): sum_p w_p p^(-d) at each d >= 0 of rising `dsig` by rmf's low-rank `estimate`
+    in log p, and per seed a bound on its distance to every exact row: its eps at k = -d, sum |w_p|
+    = sum amp_p; (-d) log p's rounding, exp to 4 ulps, gamma_P for the gemm; 4 u for comparisons."""
+    scale = np.full(weights.shape[1], np.sum(amp))
+    approx, eps = estimate(weights, -dsig, scale)
+    kernel = np.expm1(_G * float(dsig[-1] * np.max(logp, initial=0.0))) + 9 * _U
+    return approx, eps + scale * (kernel + amp.size * _G * (1 + kernel) + 4 * _U)
 
 
 def _rows_to_recompute(approx: np.ndarray, eps: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
@@ -187,12 +189,14 @@ def oscillation_batch(
     frac = np.arange(n_grid, dtype=np.float64) / (2.0**r_max)
     lambdas = np.array([OSCILLATION_SCHEDULE(r) for r in range(1, r_max + 1)])
     paper_c = OSCILLATION_SCHEDULE.chaining_constant()
+    gap = max((step_sigma_ell(e - 1, step) - step_sigma_ell(e, step) for e in ells), default=0)
+    estimate = rmf_mod._low_rank(logp, gap, False, False, True)  # one basis for every ell
     results = []
     for ell in ells:
         s_ell, s_prev = step_sigma_ell(ell, step), step_sigma_ell(ell - 1, step)
-        np.copysign((p ** (-s_ell))[:, None], weights, out=weights)  # the bits of +-1.0 * p^-s
-        rows = _rows_to_recompute(*_grid_estimate(weights, -(s_prev - s_ell) * logp, frac), lambdas)
+        np.copysign((amp := p ** (-s_ell))[:, None], weights, out=weights)  # +-1.0 * p^-s
         dsig = frac * (s_prev - s_ell)
+        rows = _rows_to_recompute(*_grid_estimate(estimate, weights, dsig, amp, logp), lambdas)
         p_vals = np.full((n_grid, weights.shape[1]), np.nan)  # rows outside `rows` decide nothing
         # zeroed once per ell: untouched pages stay free
         block = np.zeros((min(_GRID_CHUNK, n_grid), ps.size))

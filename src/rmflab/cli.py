@@ -296,16 +296,9 @@ def _check_sigma_difference_scan(cfg: ExperimentConfig) -> tuple[bool, dict]:
 def _check_intervals(cfg: ExperimentConfig) -> tuple[bool, dict]:
     """c11: [y_k, X_k] and [y_{k+1}, X_{k+1}] are disjoint and loglog X_k = 2 exp(k^c)
     to 1e-12, for k = 1..k_max."""
-    params = TheoremParams(c=cfg.c, a0=cfg.a0, a1=cfg.a1)
-    sequences.table_need(cfg.k_max, params)
-    ks = range(1, cfg.k_max + 1)
-    disjoint = all(sequences.intervals_disjoint(k, params) for k in ks)
-    loglog_xs = [sequences.interval_endpoints(k, params)[1] for k in ks]
-    identity = all(
-        abs(float(loglog_x / mp.exp(mp.mpf(k) ** cfg.c)) - 2.0) <= 1e-12
-        for k, loglog_x in zip(ks, loglog_xs)
-    )
-    return disjoint and identity, {"k_max": cfg.k_max}
+    rows = sequences.interval_rows(cfg.k_max, TheoremParams(c=cfg.c, a0=cfg.a0, a1=cfg.a1))
+    return all(disjoint and abs(float(loglog_x / mp.exp(mp.mpf(k) ** cfg.c)) - 2.0) <= 1e-12
+               for k, _, loglog_x, disjoint in rows), {"k_max": cfg.k_max}
 
 
 def _check_borel_cantelli(cfg: ExperimentConfig) -> tuple[bool, dict]:
@@ -659,15 +652,9 @@ def _nested_log_text(loglog: mp.mpf) -> str:
 def cmd_sequences(args, cfg: ExperimentConfig) -> Result:
     k_max = _at_least(cfg, "k_max")
     params = TheoremParams(c=cfg.c, a0=cfg.a0, a1=cfg.a1)
-    sequences.table_need(k_max, params)  # before the first row
-    rows = []
-    for k in range(1, k_max + 1):
-        sk = sequences.sigma_k(k, params)
-        loglog_y, loglog_x = sequences.interval_endpoints(k, params)
-        rows.append(
-            [k, sk.sigma, sk.underflow, _nested_log_text(loglog_y), _nested_log_text(loglog_x),
-             sequences.intervals_disjoint(k, params)]
-        )
+    rows = [[k, sk.sigma, sk.underflow, _nested_log_text(y), _nested_log_text(x), disjoint]
+            for k, y, x, disjoint in sequences.interval_rows(k_max, params)
+            for sk in [sequences.sigma_k(k, params)]]
     header = ["k", "sigma_k", "sigma_underflow", "y_k_mantissa", "X_k_mantissa",
               "disjoint_with_next"]
     return Result(files={"table.csv": (header, rows)}, message=f"sequences: {len(rows)} rows")

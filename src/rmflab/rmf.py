@@ -6,7 +6,7 @@ evaluation order and thread count.  The multiplicative extension, partial sums M
 sign-change events, the random prime sum P(sigma) over many seeds at once with no BLAS bit (a
 gemm only screens its exceedance counts), the exact Abel-summation identity, and grid scans of
 sup_t of cosine-weighted prime sums, summed exactly by numpy one t row at a time and only on
-the rows that the certified estimate of `_low_rank_grid` cannot rule out, all live here.
+the rows that the certified estimate of `_low_rank` cannot rule out, all live here.
 
 Each kernel first calls its need (extension_need, prime_sum_need, sup_scan_need), which refuses bad
 values, then memory, before any sieve, hash or allocation.  The multiplicative extension has one
@@ -44,9 +44,9 @@ TRACE_SEGMENT = 1 << 16
 PACKED_SIGNS = 64  # sign assignments per uint64 word of the multiplicative extension
 _LANES = np.uint64(0x0001000100010001)  # bit 0 of each 16-bit lane of a uint64
 _HASH_CELLS = 1 << 16  # float64 cells per sign_matrix tile, each hashed in place as uint64
-_T_CHUNK = 128  # t-grid rows per block of the sup-scan estimates
+_T_CHUNK = 32  # t-grid rows per block of the sup-scan estimates
 _EXACT_LOG1P = 10**4  # sup-scan estimates take the exact log1p for primes up to here
-_LOW_RANK_CELLS = 1 << 20  # float64 cells per prime chunk or grid chunk of _low_rank_grid
+_LOW_RANK_CELLS = 1 << 20  # float64 cells per prime chunk or grid chunk of _low_rank
 _SUM_CELLS = 1 << 20  # float64 cells per sign block of random_prime_sum_batch
 _SCREEN_ROWS = 8  # rows per screening np.dot (np.matmul's did not overlap across threads): at
 # P = 9,592 and OPENBLAS_NUM_THREADS=2, 8 rows ran on the calling thread; 1 and 27 rows did not
@@ -461,61 +461,89 @@ def abel_residuals(rows: np.ndarray, sigma: float) -> np.ndarray:
     return np.array([residual(f) for f in rows])
 
 
-def _degree(a: float, osc: bool, floor: float) -> tuple[int, float, float]:
-    """(n, E, Lambda): the least degree n with (1 + Lambda) E <= floor.  E = min over rho of 4 M
-    rho^-n / (rho - 1) bounds |f - p_n| / max|f| on [-1, 1] for f(x) = e^(z k r x), |k| r <= a,
-    p_n its interpolant in n + 1 Chebyshev points, M = e^(a (rho - 1/rho) / 2) (osc) or e^(a
-    ((rho + 1/rho) / 2 - 1)); Lambda bounds the Lebesgue constant (ATAP Thms 8.2, 15.2)."""
+def _interp_error(a: float, n: int, osc: bool) -> float:
+    """min over rho of 4 M rho^-n / (rho - 1) >= |f - p_n| / max|f| on [-1, 1] for f = e^(z k r x),
+    |k| r <= a, p_n in n + 1 Chebyshev points, M = e^(a (rho - 1/rho) / 2) (osc) or e^(a ((rho +
+    1/rho) / 2 - 1)) (ATAP Thm 8.2)."""
     rho = 1.0 + np.logspace(-3.0, 3.0, 241)
     log_m = a * ((rho - 1 / rho) / 2 if osc else (rho + 1 / rho) / 2 - 1) + np.log(4 / (rho - 1))
+    return float(np.exp(np.min(log_m - n * np.log(rho))))
+
+
+def _degree(a: float, osc: bool, floor: float) -> tuple[int, float, float]:
+    """(n, E, Lambda): the least n with (1 + Lambda) E <= floor, Lambda >= the Lebesgue constant."""
     for n in range(1, 2 * int(a) + 100):
-        lam = 1.02 * (2 / np.pi * np.log(n + 1) + 1)
-        e = float(np.exp(np.min(log_m - n * np.log(rho))))
+        lam, e = 1.02 * (2 / np.pi * np.log(n + 1) + 1), _interp_error(a, n, osc)  # ATAP Thm 15.2
         if (1.0 + lam) * e <= floor:
             break
     return n, e, lam
 
 
-def _low_rank_grid(theta, coef, ks, osc: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(values, eps): values[i, s] ~ sum_p coef[p, s] e^(z ks[i] theta_p), z = i (osc) or 1,
-    for real or complex (P, S) coef, and eps[s] >= its error on these float inputs.  With
-    theta_p = c + r x_p, x_p in [-1, 1], the kernel is interpolated in n + 1 Chebyshev points
-    x_j, so b_j = sum_p coef_p l_j(x_p) over a barycentric basis built in chunks of primes.
-    Per unit of G sum_p |coef_p|, G >= |e^(z k theta)|, eps adds (1 + Lambda_n) E of _degree,
-    n the least degree to bring it under gamma_{P+1}; the barycentric roundoff 2 alpha Lambda_n
-    max|p_n|, alpha = gamma_{3n+6} (Higham, IMA J. Numer. Anal. 24, 2004); gamma_{P+1} and
-    2 gamma_{n+3} for the sums; and the kernel at the nodes and the rounding of x_p."""
+def _low_rank(theta, kmax: float, osc: bool, complex_coef: bool, held: bool):
+    """estimate(coef, ks, scale) -> (values, eps): values[i, s] ~ sum_p coef[p, s] e^(z ks[i]
+    theta_p), z = i (integer ks) or 1, |ks| <= kmax, within eps[s] if scale[s] >= sum_p |coef[p,
+    s]|: the kernel interpolated in theta = c + r x at n + 1 Chebyshev points x_j, n of _degree at
+    gamma_{P+1} (2 gamma_{P+1} for complex coef), b_j = sum_p coef_p l_j(x_p) on a barycentric
+    basis held (`held`) or built per estimate in chunks of primes.  Per unit of G scale, G >= |e^(z
+    k theta)|, eps adds (1 + Lambda_n) E of _interp_error at the estimate's max |k| r; the
+    barycentric roundoff 2 alpha Lambda_n max|p_n|, alpha = gamma_{3n+6} (Higham, IMA J. Numer.
+    Anal. 24, 2004); gamma_{P+1} and 2 gamma_{n+3} for the sums; x_p's rounding; the kernel at the
+    nodes, e^(i k z) = e^(i 64 a z) e^(i m z) for k = 64 a + m, 0 <= m < 64, from two rounded
+    arguments (|64 a| + m <= |k| + 126), two cis to 4 sqrt(2) u, a product to sqrt(2) gamma_2."""
     lo, hi = (float(theta.min()), float(theta.max())) if theta.size else (0.0, 0.0)
     c, r = (lo + hi) / 2, (hi - lo) / 2
-    kmax = float(np.max(np.abs(ks), initial=0.0))
-    g = 1.0 if osc else float(np.exp(np.max(np.multiply.outer([ks.min(), ks.max()], [lo, hi]))))
-    gam_p = (theta.size + 1) * _G * (2 if np.iscomplexobj(coef) else 1)
-    n, interp, lam_n = _degree(kmax * r, osc, gam_p)
+    gam_p = (theta.size + 1) * _G * (2 if complex_coef else 1)
+    n, _, lam_n = _degree(kmax * r, osc, gam_p)
     x_j = np.sin(np.pi * np.arange(n, -n - 1, -2) / (2 * n))  # Chebyshev points, symmetric
     lam = 1.0 / np.prod(2.0 * np.subtract.outer(x_j, x_j) + np.eye(n + 1), axis=1)  # weights
-    ab = coef.view(np.float64) if np.iscomplexobj(coef) else coef
-    b = np.zeros((n + 1, ab.shape[1]))
-    rows = max(1, _LOW_RANK_CELLS // (n + 1))
-    buf = np.empty((n + 1, min(rows, theta.size)))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    z_j, rows = c + r * x_j, max(1, _LOW_RANK_CELLS // (n + 1))
+    steps = np.exp(1j * np.multiply.outer(np.arange(64.0), z_j)) if osc else None  # e^(i m z)
+
+    # (first prime, lam_j / (x_p - x_j), s_p) per chunk of primes, fresh or in one reused buffer;
+    # l_j(x_p) = lam_j / (x_p - x_j) / s_p, the division by s_p in a held basis or on coef_p
+    def blocks(reuse: bool):
+        out = np.empty((n + 1, min(rows, theta.size))) if reuse else None
         for i in range(0, theta.size, rows):
             x = np.clip((theta[i : i + rows] - c) / (r or 1.0), -1.0, 1.0)
-            q = np.subtract(x, x_j[:, None], out=buf[:, : x.size])
-            s = lam @ np.divide(1.0, q, out=q)
+            q = np.subtract(x, x_j[:, None], out=None if out is None else out[:, : x.size])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s = np.sum(np.divide(lam[:, None], q, out=q), axis=0)
             hit = np.flatnonzero(~np.isfinite(s))  # x_p on a node: l_j(x_p) = [x_j == x_p]
-            q[:, hit] = np.isinf(q[:, hit]) / lam[:, None]
-            s[hit] = 1.0
-            b += q @ (ab[i : i + rows] / s[:, None])
-    b = (b * lam[:, None]).view(coef.dtype)
-    z_j, values = (c + r * x_j) * (1j if osc else 1), np.empty((ks.size, b.shape[1]), b.dtype)
-    for i in range(0, ks.size, rows):  # values[i] = sum_j e^(z ks[i] theta_j) b_j
-        values[i : i + rows] = np.exp(np.multiply.outer(ks[i : i + rows], z_j)) @ b
-    alpha, node = (3 * n + 6) * _G, 1.01 * _U * (kmax * (2 * abs(c) + 3 * r) + (6 if osc else 9))
-    bary = 2 * alpha * lam_n * (1 + interp) / (1 - alpha * lam_n)
-    sums = (1 + node) * lam_n * (gam_p + 2 * (n + 3) * _G * (1 + gam_p))
-    shift = 3.03 * _U * kmax * (r + abs(lo) + abs(hi))
-    unit = (1 + lam_n) * interp + lam_n * node + bary + sums + shift
-    return values, 1.01 * g * np.sum(np.abs(coef), axis=0) * unit
+            q[:, hit], s[hit] = np.isinf(q[:, hit]), 1.0
+            yield i, q, s
+
+    kept = [(i, np.divide(q, s, out=q), None) for i, q, s in blocks(False)] if held else []
+
+    def estimate(coef, ks, scale) -> tuple[np.ndarray, np.ndarray]:
+        ab = coef.view(np.float64) if np.iscomplexobj(coef) else coef
+        b = sum((q @ (ab[i : i + rows] if s is None else ab[i : i + rows] / s[:, None])
+                 for i, q, s in kept or blocks(True)), np.zeros((n + 1, ab.shape[1])))
+        b, k = b.view(coef.dtype), float(np.max(np.abs(ks), initial=0.0))
+        values = np.empty((ks.size, b.shape[1]), b.dtype)
+        for i in range(0, ks.size, rows):  # values[i] = sum_j e^(z ks[i] theta_j) b_j
+            if osc:  # e^(i 64 a z), a = k // 64, from a table of this chunk's a, times steps
+                a, at = np.unique(ks[i : i + rows] // 64, return_inverse=True)
+                kernel = np.exp(1j * np.multiply.outer(64.0 * a, z_j))[at]
+                kernel *= steps[(ks[i : i + rows] % 64).astype(np.intp)]
+            else:
+                kernel = np.exp(np.multiply.outer(ks[i : i + rows], z_j))
+            values[i : i + rows] = kernel @ b
+        g = 1.0 if osc else float(np.exp(np.max(np.multiply.outer([ks.min(), ks.max()], [lo, hi]))))
+        interp, alpha = _interp_error(k * r, n, osc), (3 * n + 6) * _G
+        node = 1.01 * _U * ((k + 126 if osc else k) * (2 * abs(c) + 3 * r) + (15 if osc else 9))
+        bary = 2 * alpha * lam_n * (1 + interp) / (1 - alpha * lam_n)
+        sums = (1 + node) * lam_n * (gam_p + 2 * (n + 3) * _G * (1 + gam_p))
+        shift = 3.03 * _U * k * (r + abs(lo) + abs(hi))
+        unit = (1 + lam_n) * interp + lam_n * node + bary + sums + shift
+        return values, 1.01 * g * scale * unit
+
+    return estimate
+
+
+def _low_rank_grid(theta, coef, ks, osc: bool) -> tuple[np.ndarray, np.ndarray]:
+    """_low_rank's estimate for real or complex (P, S) coef, its basis built in chunks of primes."""
+    k = float(np.max(np.abs(ks), initial=0.0))
+    return _low_rank(theta, k, osc, np.iscomplexobj(coef), False)(coef, ks, np.sum(np.abs(coef), 0))
 
 
 def _sup_scan_estimates(ts, logp, w, amp) -> tuple[np.ndarray, np.ndarray]:

@@ -87,15 +87,22 @@ def interval_endpoints(k: int, params: TheoremParams) -> tuple[mp.mpf, mp.mpf]:
 
 
 def table_need(k_max: int, params: TheoremParams) -> None:
-    """Refuse a table to k_max whose last power (k_max + 1)^c has over TABLE_BITS bits: a row's
-    two endpoints, near e^(k^c), print in 0.08 s at 1,100 bits of k^c and 0.3 s at 2,000."""
-    if params.c * log2(k_max + 1) > TABLE_BITS:
+    """Refuse a table to k_max whose last power (k_max + 1)^c has over TABLE_BITS bits, or whose
+    k_max rows at b = c log2(k_max + 1) bits of k^c take over 10 s at 1e-4 + 3e-8 b^2 s a
+    row (on a 2.0 GHz Xeon a row printed in 0.1 ms at 43 bits, 20 ms at 1,100, 0.1 s at 2,047)."""
+    bits = params.c * log2(k_max + 1)
+    if bits > TABLE_BITS:
         raise ValueError(f"(k_max + 1)^c = {k_max + 1}^{params.c} has more than {TABLE_BITS} bits")
+    if k_max * (1e-4 + 3e-8 * bits * bits) > 10.0:
+        raise ValueError(f"{k_max} rows at c = {params.c} would take over 10 s")
 
 
-def intervals_disjoint(k: int, params: TheoremParams) -> bool:
-    """True iff X_k < y_{k+1}, that is loglog X_k < loglog y_{k+1}."""
-    return interval_endpoints(k, params)[1] < interval_endpoints(k + 1, params)[0]
+def interval_rows(k_max: int, params: TheoremParams) -> list[tuple[int, mp.mpf, mp.mpf, bool]]:
+    """(k, loglog y_k, loglog X_k, X_k < y_{k+1}) for k = 1..k_max, once table_need passes: each
+    row computes one new endpoint pair, as the pair for k + 1 is row k + 1's own."""
+    table_need(k_max, params)
+    pairs = [interval_endpoints(k, params) for k in range(1, k_max + 2)]
+    return [(k, *pairs[k - 1], pairs[k - 1][1] < pairs[k][0]) for k in range(1, k_max + 1)]
 
 
 def step_sigma_ell(ell: int, step: StepParams) -> float:

@@ -215,7 +215,8 @@ def estimate_inputs(seeds, ell, r_max, limit):
     step = StepParams(1.0)
     logp, weights, gap = oracles.oscillation_inputs(seeds, ell, step, limit)
     frac = np.arange(2**r_max + 1, dtype=np.float64) / 2.0**r_max
-    approx, eps = ch._grid_estimate(weights, -gap * logp, frac)
+    estimate = rmf._low_rank(logp, gap, False, False, True)
+    approx, eps = ch._grid_estimate(estimate, weights, frac * gap, np.abs(weights[:, 0]), logp)
     return approx, eps, oracles.oscillation_grid(seeds, ell, step, r_max, limit)
 
 
@@ -282,6 +283,28 @@ def test_grid_estimate_bound_dominates_measured_error():
         assert np.all(eps < 1e-6)  # small enough to decide
     approx, eps, exact = estimate_inputs(SEEDS[:4], 2, 10, 10**6)  # the widest |x| of ell >= 2
     assert np.all(np.abs(approx - exact) <= eps)
+
+
+@pytest.mark.parametrize("ells", [[3], [2, 3, 4, 6]])
+def test_oscillation_batch_builds_one_basis_for_every_ell(ells, monkeypatch):
+    # _low_rank builds a held basis when called, and its estimates only read it.
+    built, low_rank = [], rmf._low_rank
+    monkeypatch.setattr(ch.rmf_mod, "_low_rank", lambda *a: built.append(a[2:]) or low_rank(*a))
+    ch.oscillation_batch(SEEDS[:4], ells, StepParams(1.0), r_max=6, limit=10**4)
+    assert built == [(False, False, True)]
+
+
+def test_shared_basis_eps_dominates_every_ells_error(monkeypatch):
+    # One batch at 10^6: ell 2, the widest |x| (its degree serves all), ell 5 and the degenerate
+    # ell 10^6, each estimated on the basis built for ell 2, against the oracle's exact grid.
+    seen, pick = [], ch._rows_to_recompute
+    monkeypatch.setattr(ch, "_rows_to_recompute", lambda *a: seen.append(a[:2]) or pick(*a))
+    ells, step = [2, 5, 10**6], StepParams(1.0)
+    ch.oscillation_batch(SEEDS[:4], ells, step, r_max=8, limit=10**6)
+    for ell, (approx, eps) in zip(ells, seen, strict=True):
+        exact = oracles.oscillation_grid(SEEDS[:4], ell, step, 8, 10**6)
+        assert np.all(np.abs(approx - exact) <= eps), ell
+        assert np.all(eps < 1e-6)
 
 
 def test_filter_recomputes_increments_near_lambda_and_keeps_first_violations():

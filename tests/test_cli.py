@@ -641,11 +641,11 @@ def test_an_ell_range_too_long_for_len_is_refused_by_its_memory(tmp_path, monkey
 def test_verify_all_refuses_c06_beyond_memory_before_any_check(tmp_path, monkeypatch, capsys):
     # On 8 threads c06's 2000 seeds at 3 sigma over pi(10^5) primes need 73.5 MB, above a
     # machine stubbed to 64 MiB, while every other need of the preflight fits: c12's is the
-    # largest, 54.1 MB.  c06 used to be refused only once c01-c05 had run.
+    # largest, 47.2 MB.  c06 used to be refused only once c01-c05 had run.
     monkeypatch.setenv("RMFLAB_THREADS", "8")
     stub_ram(monkeypatch, 64 * 2**20)
     need = prime_sum_bytes(2000, 10**5, 3)
-    assert cli.chaining.check_grid([3, 4, 5], 4, 20, 10**5) == 54_090_592 < 64 * 2**20
+    assert cli.chaining.check_grid([3, 4, 5], 4, 20, 10**5) == 47_184_656 < 64 * 2**20
     assert need == 73_504_112
     ran = []
     for name, check in cli.VERIFY_CHECKS.items():
@@ -682,8 +682,8 @@ def test_c03_decides_on_the_certified_intervals_of_p(monkeypatch):
 
 def test_sup_scan_grid_beyond_memory_is_refused_before_any_hash(tmp_path, monkeypatch, capsys):
     # sigma = 1/2 + 1e-7 scans t up to 2 log^2(10^7) = 519.6: at most 51,860 rows of
-    # 24 float64 values; 30 values and five 128-row tables for each of pi(1000) <= 182
-    # primes; and six 2^20-cell buffers of the estimate, 61.3 MB.
+    # 24 float64 values; 30 values and five 32-row tables for each of pi(1000) <= 182
+    # primes; and six 2^20-cell buffers of the estimate, 60.6 MB.
     stub_ram(monkeypatch, 2**20)
     calls = []
     monkeypatch.setattr(cli.primes, "cached_primes", lambda *a: calls.append(a))
@@ -692,7 +692,7 @@ def test_sup_scan_grid_beyond_memory_is_refused_before_any_hash(tmp_path, monkey
     assert run(["sup-scan", "--sigma-grid", "0.7,0.5000001", "--prime-limit", "1000",
                 "--output-dir", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "resource error: sup-scan t grid of 51860 rows: 61264288 B > physical RAM" in err
+    assert "resource error: sup-scan t grid of 51860 rows: 60565408 B > physical RAM" in err
     assert calls == []
     assert not out.exists()
 
@@ -986,6 +986,10 @@ HUGE = str(10**400)
         ["sup-scan", "--grid-step", "1e-308", "--prime-limit", "1000"],
         ["sup-scan", "--grid-step", "5e-324", "--prime-limit", "1000"],
         ["sup-scan", "--sigma-grid", "1.2", "--grid-step", "1e-17", "--prime-limit", "1000"],
+        # Rows whose summed cost the table need bounds: 291 rows at c = 250 took 38 s, and at
+        # the default c = 3 an int64 k_max used to pass.
+        ["sequences", "--c", "250", "--k-max", "291"],
+        ["sequences", "--k-max", str(2**63 - 1)],
     ],
 )
 def test_invalid_input_exits_2_before_any_work(argv, tmp_path, monkeypatch, capsys):
@@ -1002,6 +1006,42 @@ def test_invalid_input_exits_2_before_any_work(argv, tmp_path, monkeypatch, caps
     assert "error:" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
+
+
+class Sieved(Exception):
+    """Raised by the stubbed sieve: the command reached its work."""
+
+
+@pytest.mark.parametrize("command", [["verify", "all"], ["verify", "constants"]]
+                         + [[c] for c in cli.COMMANDS if c not in ("verify", "report")],
+                         ids=" ".join)
+def test_every_flag_at_an_extreme_value_exits_0_2_or_3(command, tmp_path, monkeypatch, capsys):
+    # Each flag alone at 0, -1, +-(2^63 - 1), nan, inf and 1e308 (-inf reads as an option):
+    # a valid value reaches the stubbed sieve, which stops the command before any work; the
+    # rest exit 2 (argparse's exit too) or 3 with nothing sieved, or 0 (sequences, which
+    # sieves nothing, prints its 20 default rows).
+    calls = []
+
+    def sieve(*args):
+        calls.append(args)
+        raise Sieved
+
+    monkeypatch.setattr(cli.primes, "cached_primes", sieve)
+    monkeypatch.setattr(cli.primes, "segments", sieve)
+    out = str(tmp_path / "out")
+    for key in ("seed",) + cli.COMMANDS[command[0]][2]:
+        for value in ("0", "-1", str(2**63 - 1), str(1 - 2**63), "nan", "inf", "1e308"):
+            argv = command + ["--" + key.replace("_", "-"), value, "--output-dir", out]
+            calls.clear()
+            try:
+                code = run(argv)
+            except Sieved:
+                continue
+            except SystemExit as exc:  # a value argparse's int cannot read
+                code = exc.code
+            assert code in (0, 2, 3) and (code == 0 or calls == []), argv
+            assert code != 0 or command == ["sequences"], argv
+    capsys.readouterr()
 
 
 def test_config_integral_float_for_int_field_runs(tmp_path):

@@ -872,6 +872,26 @@ def test_low_rank_eps_holds_where_interpolation_dominates(osc, monkeypatch):
     assert np.all(eps < 1e-9 * scale)
 
 
+@pytest.mark.parametrize("cells", [rmf._LOW_RANK_CELLS, 5000])
+def test_split_kernel_eps_holds_for_integer_k_of_either_sign(cells, monkeypatch):
+    # e^(i k z) = e^(i 64 a z) e^(i m z) for k = 64 a + m: k from -1400 to 1400 spans 44
+    # periods of the 64-entry table, in sup-scan's order m then 2 m, on theta near 0 and near
+    # 100, where the rounding of k z grows; 5000 cells cut the 4,202 rows into chunks of 25
+    # (degree 196), each with its own table of a.  The exact sums take the phases in long
+    # double, with a 64-bit mantissa.
+    monkeypatch.setattr(rmf, "_LOW_RANK_CELLS", cells)
+    rng = np.random.default_rng(23)
+    m = np.arange(-700.0, 701.0)
+    ks = np.concatenate([m, 2 * m])
+    for c in (0.0, 100.0):
+        theta = c + np.sort(rng.uniform(0.0, 0.2, 500))
+        coef = rng.standard_normal((500, 2)) + 1j * rng.standard_normal((500, 2))
+        values, eps = rmf._low_rank_grid(theta, coef, ks, True)
+        phase = np.multiply.outer(ks.astype(np.longdouble), theta.astype(np.longdouble))
+        exact = (np.cos(phase) + 1j * np.sin(phase)) @ coef.astype(np.clongdouble)
+        assert np.all(np.max(np.abs(values - exact), axis=0) <= eps), c
+
+
 def test_sup_scan_bytes_bounds_the_traced_peak():
     # sigma = 0.55 scans t up to 17.95; the prime table and the signs exist before.
     signs = rmf.sample_signs(0, 10**5)

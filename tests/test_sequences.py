@@ -77,13 +77,36 @@ def test_loglog_identity_exact_through_k20():
 
 def test_intervals_disjoint_defaults():
     p = sq.TheoremParams()
-    assert all(sq.intervals_disjoint(k, p) for k in range(1, 21))
+    assert all(row[3] for row in sq.interval_rows(20, p))
 
 
 def test_intervals_disjoint_degenerate_a0():
     p = sq.TheoremParams(c=3.0, a0=1e-4, a1=1.1)
     # loglog y_2 = 1e-4 e^8 - 1.1*8 < 0, so y_2 is tiny and X_1 exceeds it.
-    assert not sq.intervals_disjoint(1, p)
+    assert not sq.interval_rows(1, p)[0][3]
+
+
+@pytest.mark.parametrize("params", [sq.TheoremParams(), sq.TheoremParams(c=2.5, a1=5.0),
+                                    sq.TheoremParams(c=3.0, a0=1e-4, a1=1.1)])
+def test_interval_rows_compute_one_endpoint_pair_per_row(params, monkeypatch):
+    # Each row's pair and verdict equal the endpoints taken afresh for k and k + 1.
+    direct = [(k, *sq.interval_endpoints(k, params),
+               sq.interval_endpoints(k, params)[1] < sq.interval_endpoints(k + 1, params)[0])
+              for k in range(1, 21)]
+    calls, endpoints = [], sq.interval_endpoints
+    monkeypatch.setattr(sq, "interval_endpoints", lambda k, p: calls.append(k) or endpoints(k, p))
+    assert sq.interval_rows(20, params) == direct
+    assert calls == list(range(1, 22))
+
+
+def test_table_need_bounds_the_rows_summed_cost():
+    # 113 rows at c = 250 pass and 114 are modelled at over 10 s; at the default c = 3 the
+    # row count alone is bounded; 21^466 has more than 2,048 bits.
+    sq.table_need(113, sq.TheoremParams(c=250.0))
+    sq.table_need(59548, sq.TheoremParams())
+    for k_max, c in ((114, 250.0), (291, 250.0), (59549, 3.0), (2**63 - 1, 3.0), (21, 466.0)):
+        with pytest.raises(ValueError, match="rows at c|bits"):
+            sq.table_need(k_max, sq.TheoremParams(c=c))
 
 
 def test_step_sigma_values():
