@@ -136,7 +136,7 @@ def check_grid(ells: Sequence[int], r_max: int, n_seeds: int, limit: int) -> int
     rows = (2**r_max + 1) * (4 * n_seeds + 4) + 2 * rmf_mod._LOW_RANK_CELLS
     need = rmf_mod._hash_tile_bytes(n_seeds, n_primes)
     need += 8 * (rows + n_primes * (3 * n_seeds + 9 + n + _GRID_CHUNK))
-    rmf_mod.check_memory(need, f"r_max={r_max}, {n_seeds} seeds")
+    primes_mod.check_memory(need, f"r_max={r_max}, {n_seeds} seeds")
     return need
 
 

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, chaining, concentration, primes, prime_series, rmf, sequences
-from .rmf import ResourceLimitError
+from .primes import ResourceLimitError
 from .sequences import StepParams, TheoremParams
 
 import mpmath as mp
@@ -335,7 +335,7 @@ def _abel_need(cfg: ExperimentConfig) -> int:
     table the pass keeps), two ufunc buffers and 64 KiB of lists and array headers."""
     x = max(10**4, cfg.x_max)
     need = 20 * x + max(32 * x, rmf.extension_need(x, 20, x + 1)) + 16 * np.getbufsize() + (1 << 16)
-    rmf.check_memory(need, f"abel identity rows at x_max={cfg.x_max}")
+    primes.check_memory(need, f"abel identity rows at x_max={cfg.x_max}")
     return need
 
 
@@ -449,6 +449,7 @@ def cmd_verify(args, cfg: ExperimentConfig) -> Result:
         chaining.check_grid(cfg.ells, cfg.r_max, 20, cfg.prime_limit)
         concentration.step2_need(cfg.gamma, cfg.trials, range(cfg.ell_min, cfg.ell_max + 1),
                                  HOEFFDING_PRIMES)
+    primes.table_need(max(cfg.claim1_n, cfg.chebyshev_limit))  # c02's and c04's prime tables
     checks, seconds = [], {}
     for name in VERIFY_TARGETS[args.target]:
         t0 = time.perf_counter()

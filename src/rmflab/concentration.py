@@ -20,6 +20,10 @@ from .sequences import StepParams, step_sigma_ell
 
 MIN_TRIALS = 100  # fewest Monte Carlo trials a step-2 exceedance table accepts
 BIGTERM_TERMS = 300  # terms of the bigterm partial sum; its tail is summed in closed form
+# Step 2's largest gamma: E < sum_(p < 2^63) 1/p < 4.04 (Rosser and Schoenfeld, Thm 5) and
+# epsilon < 2 keep 2 (1 + gamma) E^epsilon, and beta = (1 - epsilon / 2) epsilon <= 1/2 the
+# series' (1 + gamma) ell^beta for ell <= 800, below 33 (1 + gamma).
+MAX_GAMMA = float(np.finfo(np.float64).max) / 33
 
 
 def hoeffding_bound(sum_sq_coeffs: float, lam: float) -> float:
@@ -86,12 +90,12 @@ class Step2Row(NamedTuple):
 
 
 def step2_need(gamma: float, trials: int, ell_range: range, prime_limit: int) -> list[int]:
-    """The ells of ell_range once gamma > 0, trials >= MIN_TRIALS, the range is non-empty and >= 1,
-    and memory holds the step-2 sums of `trials` seeds at each over the primes <= prime_limit.
-    The range's least item and length come from its ends: nothing is listed before memory is
-    checked, and a range too long for len() is refused by its memory."""
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    """The ells of ell_range once 0 < gamma <= MAX_GAMMA, trials >= MIN_TRIALS, the range is
+    non-empty and >= 1, and memory holds the step-2 sums of `trials` seeds at each over the primes
+    <= prime_limit.  The range's least item and length come from its ends: nothing is listed
+    before memory is checked, and a range too long for len() is refused by its memory."""
+    if not 0 < gamma <= MAX_GAMMA:
+        raise ValueError(f"gamma must lie in (0, {MAX_GAMMA!r}], got {gamma}")
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
     if not ell_range or min(ell_range[0], ell_range[-1]) < 1:

@@ -1,7 +1,7 @@
 """Certified evaluation of the deterministic prime series used throughout: prime
 zeta values P(s) = sum_p p^(-s), which at s = 2 sigma are the variance of P(sigma), the
-(log p)^2-weighted sums against their 4/(2s-1)^2 bound on a sigma grid that casts and logs the
-primes once, the Euler-product tail constant sum_p 1/(p(sqrt(p)-1)), near-1 asymptotic ratios.
+(log p)^2-weighted sums against their 4/(2s-1)^2 bound on a sigma grid, each thread logging a chunk
+of primes once for all its sigma, the Euler-product tail sum_p 1/(p(sqrt(p)-1)), near-1 ratios.
 
 Every truncated sum comes back as a CertifiedValue whose interval accounts
 for the truncation tail (explicit integral comparisons) and for the roundoff
@@ -21,11 +21,11 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from . import primes as primes_mod
+from .primes import _CHUNK
 
 _SLACK = 1e-10
 _U = 2.0**-53  # unit roundoff of float64
 _G = 1.01 * _U  # gamma_n = n u / (1 - n u) <= n _G while n u <= 0.01 (Higham, ch. 3)
-_CHUNK = 2**16  # terms per np.sum in _certified_sum
 _TINY = 2.0**-1070  # per-term allowance for a result below the normal range
 _EM_CUTOFF = 24  # _zeta_em's cutoff: its 1e-14 exit is met on all of (1, 32]
 
@@ -78,38 +78,44 @@ def _outward(lower: float, upper: float, estimate: float, roundoff: float = 0.0)
     return CertifiedValue(estimate=estimate, upper=hi, lower=lo, roundoff=roundoff)
 
 
-def _certified_sum(pieces: Iterable[np.ndarray], term, weight: float,
-                   buf: np.ndarray | None = None) -> tuple[float, float]:
-    """(partial, roundoff): the float sum of the non-negative terms that term(x, out) writes into
-    out for the values x of pieces, and a bound on its distance to their exact sum.  Each term must
-    lie within a factor e^(+-weight _G) of its exact value, or within 2^-1070 of it below the normal
-    range.  The n terms go through np.sum in chunks of c = min(n, 2^16), across pieces, in `buf`
-    or a new buffer, then the k chunk sums do: in any order, within gamma_{c+k-2} sum t of the
-    exact sum of the float terms (Higham, Accuracy and Stability of Numerical Algorithms, 4.2)."""
-    buf, sums, fill, n = np.empty(_CHUNK) if buf is None else buf, [], 0, 0
+def _certified_sum(pieces: Iterable[np.ndarray], terms: list[tuple], transform=np.positive,
+                   buf: np.ndarray | None = None) -> list[tuple[float, float]]:
+    """(partial, roundoff) per (term, weight): the float sum of the non-negative terms term(t, out)
+    writes into out for the values t = transform(x) (x by default) of pieces, and a bound on its
+    distance to their exact sum; each term within e^(+-weight _G) of its exact value, or 2^-1070 of
+    it below the normal range.  The n values are transformed once, in chunks of c = min(n, 2^16)
+    across pieces, into buf[0]; each term's chunk goes through np.sum in buf[1], then its k chunk
+    sums do: in any order, within gamma_{c+k-2} sum t (Higham, Accuracy and Stability, 4.2)."""
+    buf, sums, fill, n = np.empty((2, _CHUNK)) if buf is None else buf, [[] for _ in terms], 0, 0
+
+    def add(t: np.ndarray) -> None:  # each term's sum over the chunk t
+        for (term, _), chunk_sums in zip(terms, sums):
+            term(t, buf[1, : t.size])
+            chunk_sums.append(np.sum(buf[1, : t.size]))
+
     for x in pieces:
         n += x.size
         while x.size:
-            if fill == _CHUNK:  # summed once a term follows, so the last chunk is never empty
-                sums.append(np.sum(buf))
+            if fill == _CHUNK:  # summed once a value follows, so the last chunk is never empty
+                add(buf[0])
                 fill = 0
             m = min(x.size, _CHUNK - fill)
-            term(x[:m], buf[fill : fill + m])
+            transform(x[:m], buf[0, fill : fill + m])
             x, fill = x[m:], fill + m
-    sums.append(np.sum(buf[:fill]))
-    partial = float(np.sum(sums))
+    add(buf[0, :fill])
     # 1.01 covers sum t <= partial / (1 - gamma), each exact term against its float one,
-    # and the roundings of these two lines.
-    rel = (min(n, _CHUNK) + len(sums) - 2) * _G + float(np.expm1(weight * _G))
-    return partial, 1.01 * rel * partial + n * _TINY
+    # and the roundings of these lines.
+    partials = [float(np.sum(chunk_sums)) for chunk_sums in sums]
+    rels = [(min(n, _CHUNK) + len(chunk_sums) - 2) * _G + float(np.expm1(w * _G))
+            for chunk_sums, (_, w) in zip(sums, terms)]
+    return [(p, 1.01 * rel * p + n * _TINY) for p, rel in zip(partials, rels)]
 
 
-def _prime_power_sum(logp: np.ndarray, s: float, log_squared: bool = False,
-                     buf: np.ndarray | None = None) -> tuple[float, float]:
-    """_certified_sum of p^(-s), or of p^(-s) (log p)^2, as exp(-s log p) from logp = np.log(p),
-    in `buf` if given.  numpy's exp and log are allowed 4 ulps (8 u) each.  x = -s log p takes
-    log's error and its own rounding, 9 u |x|, which exp turns into relative error; (log p)^2 adds
-    2 x 8 u for the log and one rounding for each of its two products."""
+def _prime_power_term(s: float, table: np.ndarray, log_squared: bool = False) -> tuple:
+    """(term, weight) of p^(-s), or p^(-s) (log p)^2, as exp(-s log p) from t = np.log(p) for
+    _certified_sum over table.  numpy's exp and log are allowed 4 ulps (8 u) each.  x = -s log p
+    takes log's error and its own rounding, 9 u |x|, which exp turns into relative error; (log p)^2
+    adds 2 x 8 u for the log and one rounding for each of its two products."""
 
     def term(lp, out):
         np.exp(np.multiply(lp, -s, out=out), out=out)
@@ -117,14 +123,8 @@ def _prime_power_sum(logp: np.ndarray, s: float, log_squared: bool = False,
             out *= lp
             out *= lp
 
-    weight = 9.0 * s * float(logp[-1]) + 8.0 + (18.0 if log_squared else 0.0)
-    return _certified_sum([logp], term, weight, buf)
-
-
-def _prime_logs(n_cut: int) -> np.ndarray:
-    """log p for the primes p <= n_cut, cast and logged in one float64 array."""
-    logp = primes_mod.cached_primes(n_cut).astype(np.float64)
-    return np.log(logp, out=logp)
+    top = float(np.log(table[-1:], dtype=np.float64)[0])  # the largest log p, as np.log takes it
+    return term, 9.0 * s * top + 8.0 + (18.0 if log_squared else 0.0)
 
 
 def _zeta_em(s: float) -> tuple[float, float]:
@@ -227,9 +227,9 @@ def prime_zeta_direct(s: float, n_cut: int) -> CertifiedValue:
     that of prime_zeta(s)."""
     if s <= 1:
         raise ValueError(f"prime zeta requires s > 1, got {s}")
-    logp = _prime_logs(n_cut)
-    partial, roundoff = _prime_power_sum(logp, s)
-    tail = prime_power_tail_bound(s, n_cut, pi_cut=logp.size)
+    table = primes_mod.cached_primes(n_cut)
+    [(partial, roundoff)] = _certified_sum([table], [_prime_power_term(s, table)], np.log)
+    tail = prime_power_tail_bound(s, n_cut, pi_cut=table.size)
     return _outward(partial, partial + tail, estimate=partial + 0.5 * tail, roundoff=roundoff)
 
 
@@ -279,15 +279,17 @@ def log_weighted_grid(sigmas: list[float], n_cut: int) -> list[LogWeightedSum]:
             raise ValueError(f"sigma must lie in (1/2, 1], got {sigma}")
         if n_cut < exp(1.0 / sigma):
             raise ValueError(f"cutoff {n_cut} below integral-comparison validity e^(1/sigma)")
-    logp = _prime_logs(n_cut)  # cast and logged once
+    table = primes_mod.cached_primes(n_cut)
     threads = max(1, min(primes_mod._worker_count(), len(sigmas)))
-    bufs, sums = np.empty((threads, _CHUNK)), [None] * len(sigmas)  # here: pool threads keep pages
+    bufs, sums = np.empty((threads, 2, _CHUNK)), [None] * len(sigmas)  # here: threads keep pages
 
     def certify(k: int) -> None:  # sigmas k, k + threads, ... in bufs[k], bits the same on any k
-        for i, sigma in list(enumerate(sigmas))[k::threads]:
-            partial, roundoff = _prime_power_sum(logp, 2.0 * sigma, log_squared=True, buf=bufs[k])
+        mine = list(enumerate(sigmas))[k::threads]
+        terms = [_prime_power_term(2.0 * sigma, table, log_squared=True) for _, sigma in mine]
+        partials = _certified_sum([table], terms, np.log, bufs[k])  # each chunk logged once
+        for (i, sigma), (partial, roundoff) in zip(mine, partials):
             tail = min(_log_sq_integral_tail(sigma, float(n_cut)),
-                       max(_log_sq_pi_route_tail(sigma, float(n_cut), logp.size), 0.0))
+                       max(_log_sq_pi_route_tail(sigma, float(n_cut), table.size), 0.0))
             value = _outward(partial, partial + tail, partial + 0.5 * tail, roundoff)
             rhs = 4.0 / (2.0 * sigma - 1.0) ** 2
             sums[i] = LogWeightedSum(value=value, bound_rhs=rhs, holds=bool(value.upper <= rhs))
@@ -334,7 +336,7 @@ def euler_tail_constant(n_primes: int) -> CertifiedValue:
                 return
             left -= p.size
 
-    partial, roundoff = _certified_sum(first_n(), _euler_terms, _EULER_WEIGHT)
+    [(partial, roundoff)] = _certified_sum(first_n(), [(_euler_terms, _EULER_WEIGHT)])
     tail = (1.0 + 1.0 / (sqrt(last[0]) - 1.0)) * 2.0 / sqrt(last[0])
     return _outward(partial, partial + tail, estimate=partial + 0.5 * tail, roundoff=roundoff)
 

@@ -1,19 +1,21 @@
-"""Prime infrastructure: the odd-only segment walk (half the flags of a full
-sieve), the process-wide prime table (pi(x) is `cached_primes(x).size`), the
-Chebyshev-type check pi(x) < 2x/log(x), and the thread count of every pool.
+"""Prime infrastructure: the odd-only segment walk (half the flags of a full sieve), the
+process-wide prime table (pi(x) is `cached_primes(x).size`), the Chebyshev-type check
+pi(x) < 2x/log(x), the thread count of every pool, and the memory check of every need.
 
-`segments` is the one sieve.  `sieve_primes` joins its segments, and
-`cached_primes`, its only caller, keeps the largest table so far; smaller limits
-are read-only views of it.  A sum over primes it reads once, c01's 9 million,
-walks the segments and keeps no table.  Tables are int32, exact up to the cap
-2^31 - 1: the 664,579 primes below 10^7 take 2.7 MB.  Search a table with a key
-of its dtype, or numpy copies it to int64 on every search.
+`segments` is the one sieve.  `sieve_primes` joins its segments, and `cached_primes`, its only
+caller, keeps the largest table so far; smaller limits are read-only views of it.  A sum over
+primes it reads once, c01's 9 million, walks the segments and keeps no table.  Tables are int32,
+exact up to the cap 2^31 - 1: the 664,579 primes below 10^7 take 2.7 MB, and a pass over a table
+takes _CHUNK primes at a time.  Search a table with a key of its dtype, or numpy copies it to
+int64 on every search.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 from math import isqrt, log
+from pathlib import Path
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -21,6 +23,7 @@ import numpy as np
 # Flags per segment, 1 MB.  At 2^19, 2^20, 2^21 and 2^22 flags c01's walk took 187, 176, 208 and
 # 282 ms, with traced peaks of 2.3, 4.0, 7.1 and 13.2 MB (2-CPU Xeon): larger is slower and bigger.
 DEFAULT_SEGMENT = 1 << 20
+_CHUNK = 1 << 16  # primes per pass over a table, in chebyshev_check and prime_series
 _PERIOD = 3 * 5 * 7 * 11 * 13  # odd flags per period of the pre-struck pattern
 _WHEEL = np.ones(2 * _PERIOD, dtype=bool)  # two periods, so a period from any phase is one slice
 for _p in (3, 5, 7, 11, 13):
@@ -39,9 +42,52 @@ def _worker_count() -> int:
     return min(8, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
+class ResourceLimitError(RuntimeError):
+    """Requested computation exceeds the configured support limits."""
+
+
+def cgroup_limit(proc: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup") -> float:
+    """This process's cgroup memory limit in bytes, from memory.max (v2) or memory.limit_in_bytes
+    (v1) under `root`; files are only read, and "max" or a missing file mean inf."""
+    files, limits = {"": "memory.max", "memory": "memory.limit_in_bytes"}, []
+    with contextlib.suppress(OSError):
+        for line in Path(proc).read_text().splitlines():
+            _, kinds, path = line.split(":", 2)
+            kind = "memory" if "memory" in kinds.split(",") else kinds
+            if kind in files:
+                with contextlib.suppress(OSError, ValueError):
+                    limits.append(int(Path(root, kind, path.lstrip("/"), files[kind]).read_text()))
+    return float(min(limits, default=float("inf")))
+
+
+def check_memory(need: int, what: str) -> None:
+    """Raise ResourceLimitError if `need` bytes for `what` exceed physical or cgroup memory."""
+    ram, cgroup = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), cgroup_limit()
+    if need > min(ram, cgroup):
+        raise ResourceLimitError(
+            f"{what}: {need} B > {'physical RAM' if ram <= cgroup else 'cgroup memory limit'}")
+
+
 def prime_count_bound(x: int) -> int:
     """An integer >= pi(x): Rosser and Schoenfeld's pi(x) < 1.25506 x / log x for x > 1."""
     return int(1.25506 * x / log(x)) + 1 if x > 1 else 0
+
+
+def _sieve_limit(limit: int) -> int:
+    """limit, once it lies in [2, 2^31 - 1]: tables are int32."""
+    if not 2 <= limit <= np.iinfo(np.int32).max:
+        raise ValueError(f"sieve limit must be >= 2 and within the int32 cap 2^31 - 1, got {limit}")
+    return limit
+
+
+def table_need(limit: int) -> int:
+    """Bytes of the primes <= limit at most, once limit is a sieve limit and memory holds them:
+    8 B per prime_count_bound(limit) prime (segments, then their join), one segment (flags, and 12 B
+    a prime, at most 2y/log y in y integers by Brun-Titchmarsh) and 4 _CHUNK float64 a thread."""
+    segment = DEFAULT_SEGMENT + _PERIOD + 12 * int(4 * DEFAULT_SEGMENT / log(2 * DEFAULT_SEGMENT))
+    need = 8 * prime_count_bound(_sieve_limit(limit)) + segment + 32 * _CHUNK * _worker_count()
+    check_memory(need, f"prime table to {limit}")
+    return need
 
 
 def segments(limit: int) -> Iterator[np.ndarray]:
@@ -51,10 +97,7 @@ def segments(limit: int) -> Iterator[np.ndarray]:
     _WHEEL from its phase, with the flags 1, 2, 3, 5 and 6 of 3, 5, 7, 11 and 13 set back.  The
     primes p from 17 to sqrt(limit), walked first once the limit is checked, whose p^2 lies below
     its end strike it from `offsets`, their next flags counted from its first."""
-    if limit < 2:
-        raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    if limit > np.iinfo(np.int32).max:
-        raise ValueError(f"sieve limit {limit} exceeds the int32 cap 2^31 - 1")
+    _sieve_limit(limit)
     roots = list(segments(isqrt(limit))) if limit >= 4 else [np.zeros(0, np.int32)]
     base = np.concatenate(roots)[6:].astype(np.int64)  # 17, 19, ...: 2 to 13 need no strikes
     squares = base * base // 2  # the flags of p^2, ascending
@@ -81,6 +124,7 @@ def segments(limit: int) -> Iterator[np.ndarray]:
 
 def sieve_primes(limit: int) -> np.ndarray:
     """All primes <= limit, ascending, as a read-only int32 array: the joined `segments`."""
+    table_need(limit)  # before anything is sieved
     primes = np.concatenate(list(segments(limit)))
     primes.flags.writeable = False
     return primes
@@ -100,16 +144,18 @@ class ChebyshevReport(NamedTuple):
 def chebyshev_check(primes: np.ndarray) -> ChebyshevReport:
     """Check pi(x) < 2x/log(x) at every prime x of `primes`, the ascending primes to some limit.
 
-    max_ratio is the maximum of pi(x) * log(x) / (2x) over primes; the bound
-    holds iff max_ratio < 1.
+    max_ratio is the maximum of pi(x) * log(x) / (2x) over primes, taken _CHUNK primes at a time
+    (worst_prime is its first prime); the bound holds iff max_ratio < 1.
     """
     if primes.size == 0:
         raise ValueError("chebyshev_check needs at least one prime")
-    p = primes.astype(np.float64)
-    counts = np.arange(1, p.size + 1, dtype=np.float64)
-    ratios = counts * np.log(p) / (2.0 * p)
-    k = int(np.argmax(ratios))
-    max_ratio = float(ratios[k])
+    max_ratio, k = -np.inf, 0
+    for lo in range(0, primes.size, _CHUNK):
+        p = primes[lo : lo + _CHUNK].astype(np.float64)
+        ratios = np.arange(lo + 1, lo + p.size + 1, dtype=np.float64) * np.log(p) / (2.0 * p)
+        j = int(np.argmax(ratios))
+        if ratios[j] > max_ratio:  # strictly: an equal ratio later names a later prime
+            max_ratio, k = float(ratios[j]), lo + j
     return ChebyshevReport(max_ratio, bool(max_ratio < 1.0), int(primes[k]))
 
 
@@ -124,9 +170,7 @@ def cached_primes(limit: int) -> np.ndarray:
     limit is sieved twice.
     """
     global _largest
-    limit = int(limit)
-    if limit < 2:
-        raise ValueError(f"sieve limit must be >= 2, got {limit}")
+    limit = _sieve_limit(int(limit))
     if _largest is None or _largest[0] < limit:
         _largest = (limit, sieve_primes(limit))
     table = _largest[1]

@@ -19,19 +19,17 @@ compare; sign changes follow only them.
 
 from __future__ import annotations
 
-import contextlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
-from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import primes as primes_mod
 from .prime_series import _G, _U, DivergenceError
-from .primes import _worker_count
+from .primes import _worker_count, check_memory
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -51,32 +49,6 @@ _SUM_CELLS = 1 << 20  # float64 cells per sign block of random_prime_sum_batch
 _SCREEN_ROWS = 8  # rows per screening np.dot (np.matmul's did not overlap across threads): at
 # P = 9,592 and OPENBLAS_NUM_THREADS=2, 8 rows ran on the calling thread; 1 and 27 rows did not
 _factors: tuple | None = None  # (x_max, flags, least, rest) of the largest _factor_table built
-
-
-class ResourceLimitError(RuntimeError):
-    """Requested computation exceeds the configured support limits."""
-
-
-def cgroup_limit(proc: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup") -> float:
-    """This process's cgroup memory limit in bytes, from memory.max (v2) or memory.limit_in_bytes
-    (v1) under `root`; files are only read, and "max" or a missing file mean inf."""
-    files, limits = {"": "memory.max", "memory": "memory.limit_in_bytes"}, []
-    with contextlib.suppress(OSError):
-        for line in Path(proc).read_text().splitlines():
-            _, kinds, path = line.split(":", 2)
-            kind = "memory" if "memory" in kinds.split(",") else kinds
-            if kind in files:
-                with contextlib.suppress(OSError, ValueError):
-                    limits.append(int(Path(root, kind, path.lstrip("/"), files[kind]).read_text()))
-    return float(min(limits, default=float("inf")))
-
-
-def check_memory(need: int, what: str) -> None:
-    """Raise ResourceLimitError if `need` bytes for `what` exceed physical or cgroup memory."""
-    ram, cgroup = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), cgroup_limit()
-    if need > min(ram, cgroup):
-        raise ResourceLimitError(
-            f"{what}: {need} B > {'physical RAM' if ram <= cgroup else 'cgroup memory limit'}")
 
 
 def _sign_bit(x, out=None, tmp=None, last=_SIGN_FOLD) -> np.ndarray:
@@ -461,13 +433,16 @@ def abel_residuals(rows: np.ndarray, sigma: float) -> np.ndarray:
     return np.array([residual(f) for f in rows])
 
 
+_RHO = 1.0 + np.logspace(-3.0, 3.0, 241)  # _interp_error's grid, and its terms set by rho alone
+_LOG_M = {True: (_RHO - 1 / _RHO) / 2, False: (_RHO + 1 / _RHO) / 2 - 1}  # log M / a, by osc
+_LOG_4_GAP, _LOG_RHO = np.log(4 / (_RHO - 1)), np.log(_RHO)
+
+
 def _interp_error(a: float, n: int, osc: bool) -> float:
     """min over rho of 4 M rho^-n / (rho - 1) >= |f - p_n| / max|f| on [-1, 1] for f = e^(z k r x),
     |k| r <= a, p_n in n + 1 Chebyshev points, M = e^(a (rho - 1/rho) / 2) (osc) or e^(a ((rho +
     1/rho) / 2 - 1)) (ATAP Thm 8.2)."""
-    rho = 1.0 + np.logspace(-3.0, 3.0, 241)
-    log_m = a * ((rho - 1 / rho) / 2 if osc else (rho + 1 / rho) / 2 - 1) + np.log(4 / (rho - 1))
-    return float(np.exp(np.min(log_m - n * np.log(rho))))
+    return float(np.exp(np.min(a * _LOG_M[osc] + _LOG_4_GAP - n * _LOG_RHO)))
 
 
 def _degree(a: float, osc: bool, floor: float) -> tuple[int, float, float]:
@@ -477,6 +452,19 @@ def _degree(a: float, osc: bool, floor: float) -> tuple[int, float, float]:
         if (1.0 + lam) * e <= floor:
             break
     return n, e, lam
+
+
+def _split_kernel(ks: np.ndarray, z: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """e^(i k z) for integer ks at the points z, as e^(i 64 a z) steps[m], k = 64 a + m, m < 64."""
+    a, at = np.unique(ks // 64, return_inverse=True)
+    kernel = np.exp(1j * np.multiply.outer(64.0 * a, z))[at]
+    kernel *= steps[(ks % 64).astype(np.intp)]
+    return kernel
+
+
+def _node_error(k, c: float, r: float, osc: bool):
+    """_low_rank's node term per unit of G: the kernel's error for |ks| <= k at z_j = c + r x_j."""
+    return 1.01 * _U * ((k + 126 if osc else k) * (2 * abs(c) + 3 * r) + (15 if osc else 9))
 
 
 def _low_rank(theta, kmax: float, osc: bool, complex_coef: bool, held: bool):
@@ -521,16 +509,12 @@ def _low_rank(theta, kmax: float, osc: bool, complex_coef: bool, held: bool):
         b, k = b.view(coef.dtype), float(np.max(np.abs(ks), initial=0.0))
         values = np.empty((ks.size, b.shape[1]), b.dtype)
         for i in range(0, ks.size, rows):  # values[i] = sum_j e^(z ks[i] theta_j) b_j
-            if osc:  # e^(i 64 a z), a = k // 64, from a table of this chunk's a, times steps
-                a, at = np.unique(ks[i : i + rows] // 64, return_inverse=True)
-                kernel = np.exp(1j * np.multiply.outer(64.0 * a, z_j))[at]
-                kernel *= steps[(ks[i : i + rows] % 64).astype(np.intp)]
-            else:
-                kernel = np.exp(np.multiply.outer(ks[i : i + rows], z_j))
+            kernel = (_split_kernel(ks[i : i + rows], z_j, steps) if osc
+                      else np.exp(np.multiply.outer(ks[i : i + rows], z_j)))
             values[i : i + rows] = kernel @ b
         g = 1.0 if osc else float(np.exp(np.max(np.multiply.outer([ks.min(), ks.max()], [lo, hi]))))
         interp, alpha = _interp_error(k * r, n, osc), (3 * n + 6) * _G
-        node = 1.01 * _U * ((k + 126 if osc else k) * (2 * abs(c) + 3 * r) + (15 if osc else 9))
+        node = _node_error(k, c, r, osc)
         bary = 2 * alpha * lam_n * (1 + interp) / (1 - alpha * lam_n)
         sums = (1 + node) * lam_n * (gam_p + 2 * (n + 3) * _G * (1 + gam_p))
         shift = 3.03 * _U * k * (r + abs(lo) + abs(hi))

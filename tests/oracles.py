@@ -76,9 +76,17 @@ None of this is used by `rmflab` itself:
   int32 segments, and `primes.sieve_primes`, joining them, must equal; and the
   (log p)^2 sum of one sigma as one fresh array expression with `np.power`
   (`log_weighted_partial`, `log_weighted_direct`), which
-  `prime_series.log_weighted_grid`, logging the primes once for all its sigma
-  and taking exp(-2 sigma log p) chunk by chunk, must match within its derived
-  roundoff plus this sum's own budget, with the same bound and verdict.
+  `prime_series.log_weighted_grid`, logging each chunk of primes once for all
+  its thread's sigma and taking exp(-2 sigma log p) chunk by chunk, must match
+  within its derived roundoff plus this sum's own budget, with the same bound
+  and verdict;
+- the passes over a whole table that the chunked ones replaced: the table cast
+  and logged in one float64 array (`prime_logs`), each sum of p^(-s) or
+  p^(-s) (log p)^2 over it (`prime_power_sum`) and the grid from them
+  (`log_weighted_table`), which `prime_series.log_weighted_grid` and
+  `prime_zeta_direct` must reproduce bit for bit, and the Chebyshev ratios as
+  one array expression (`chebyshev_direct`), which `primes.chebyshev_check`,
+  taking 2^16 primes at a time, must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -597,6 +605,51 @@ def certified_sum_direct(x: np.ndarray, term, weight: float) -> tuple[float, flo
     partial = float(np.sum(sums))
     rel = (c + sums.size - 2) * prime_series._G + float(np.expm1(weight * prime_series._G))
     return partial, 1.01 * rel * partial + x.size * prime_series._TINY
+
+
+def prime_logs(n_cut: int) -> np.ndarray:
+    """log p for the primes p <= n_cut, cast and logged in one float64 array of the whole table."""
+    logp = primes_mod.cached_primes(n_cut).astype(np.float64)
+    return np.log(logp, out=logp)
+
+
+def prime_power_sum(logp: np.ndarray, s: float, log_squared: bool = False) -> tuple[float, float]:
+    """(partial, roundoff) of p^(-s), or of p^(-s) (log p)^2, as exp(-s log p) over the whole
+    array logp = `prime_logs(n)`, summed by `certified_sum_direct` with the weight of
+    `prime_series._prime_power_term`, which the grid and `prime_zeta_direct`, logging one chunk of
+    the table at a time, must reproduce bit for bit."""
+
+    def term(lp, out):
+        np.exp(np.multiply(lp, -s, out=out), out=out)
+        if log_squared:
+            out *= lp
+            out *= lp
+
+    weight = 9.0 * s * float(logp[-1]) + 8.0 + (18.0 if log_squared else 0.0)
+    return certified_sum_direct(logp, term, weight)
+
+
+def log_weighted_table(sigmas: list[float], n_cut: int) -> list[prime_series.LogWeightedSum]:
+    """`prime_series.log_weighted_grid` from one whole-table `prime_logs`, one sigma at a time
+    through `prime_power_sum`, with the grid's tails, padding and verdict."""
+    logp, rows = prime_logs(n_cut), []
+    for sigma in sigmas:
+        partial, roundoff = prime_power_sum(logp, 2.0 * sigma, log_squared=True)
+        tail = min(prime_series._log_sq_integral_tail(sigma, float(n_cut)),
+                   max(prime_series._log_sq_pi_route_tail(sigma, float(n_cut), logp.size), 0.0))
+        value = prime_series._outward(partial, partial + tail, partial + 0.5 * tail, roundoff)
+        rhs = 4.0 / (2.0 * sigma - 1.0) ** 2
+        rows.append(prime_series.LogWeightedSum(value, rhs, bool(value.upper <= rhs)))
+    return rows
+
+
+def chebyshev_direct(primes: np.ndarray) -> primes_mod.ChebyshevReport:
+    """`primes.chebyshev_check` as one array expression over the whole table, which its passes
+    of _CHUNK primes must reproduce bit for bit."""
+    p = primes.astype(np.float64)
+    ratios = np.arange(1, p.size + 1, dtype=np.float64) * np.log(p) / (2.0 * p)
+    k = int(np.argmax(ratios))
+    return primes_mod.ChebyshevReport(float(ratios[k]), bool(ratios[k] < 1.0), int(primes[k]))
 
 
 def euler_tail_direct(n_primes: int) -> prime_series.CertifiedValue:

@@ -354,6 +354,6 @@ def test_check_grid_bounds_the_traced_peak_of_oscillation_batch():
 
 
 def test_check_grid_refuses_a_grid_beyond_physical_memory():
-    with pytest.raises(rmf.ResourceLimitError):
+    with pytest.raises(primes.ResourceLimitError):
         ch.check_grid([3], 30, 20, 10**6)
     ch.check_grid([3, 4, 5], 12, 20, 10**6)

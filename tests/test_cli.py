@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -719,6 +720,59 @@ def test_prime_sums_beyond_memory_are_refused_before_any_sieve_or_hash(
     assert not out.exists()
 
 
+# The prime table to a limit takes 8 B per prime_count_bound(limit) prime (its segments and their
+# join), one segment (2^20 flags, a 15,015-flag period and 12 B for each of at most 288,147
+# primes) and four 2^16-value float64 buffers on each of two threads: 14,944,987 B at 10^7
+# (778,666 primes) and 1,012,169,011 B at the int32 cap (125,431,669), above a 1 MiB machine.
+# `verify constants` refuses it before c01 walks; `prime-sums` refuses it in the sieve.
+@pytest.mark.parametrize("argv, limit, need", [
+    (["verify", "constants"], 10**7, 14_944_987),
+    (["verify", "constants", "--chebyshev-limit", "2147483647"], 2**31 - 1, 1_012_169_011),
+    (["prime-sums"], 10**7, 14_944_987),
+])
+def test_prime_tables_beyond_memory_are_refused_with_exit_3_before_any_sieve(
+        argv, limit, need, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("RMFLAB_THREADS", "2")
+    monkeypatch.setattr(cli.primes, "_largest", None)
+    stub_ram(monkeypatch, 2**20)
+    calls = []
+    monkeypatch.setattr(cli.primes, "segments", lambda *a: calls.append(a))
+    out = tmp_path / "t"
+    assert run(argv + ["--output-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"resource error: prime table to {limit}: {need} B > physical RAM" in err
+    with pytest.raises(cli.ResourceLimitError, match=f"prime table to {limit}: {need} B > "):
+        cli.primes.sieve_primes(limit)
+    assert calls == []
+    assert not out.exists()
+
+
+def test_verify_refuses_a_table_past_the_int32_cap_before_any_check(tmp_path, monkeypatch, capsys):
+    ran = []
+    for name in cli.VERIFY_CHECKS:
+        monkeypatch.setitem(cli.VERIFY_CHECKS, name, lambda cfg: ran.append(cfg) or (True, {}))
+    out = tmp_path / "v"
+    argv = ["verify", "constants", "--chebyshev-limit", str(2**31), "--output-dir", str(out)]
+    assert run(argv) == 2
+    assert "within the int32 cap 2^31 - 1, got 2147483648" in capsys.readouterr().err
+    assert ran == []
+    assert not out.exists()
+
+
+def test_the_prime_table_need_bounds_the_traced_peak_of_its_sieve_and_passes(monkeypatch):
+    # Sieving 10^7 afresh, then c04's check and the 50-sigma grid on two threads over the table.
+    monkeypatch.setenv("RMFLAB_THREADS", "2")
+    monkeypatch.setattr(cli.primes, "_largest", None)
+    tracemalloc.start()
+    try:
+        cli._check_chebyshev(cli.ExperimentConfig())
+        cli._check_log_weighted_bound_grid(cli.ExperimentConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cli.primes.table_need(10**7)
+
+
 def test_the_prime_sum_kernels_refuse_beyond_memory_before_any_sieve_or_hash(monkeypatch):
     # concentration's 10^4 seeds at 8 sigma over the primes <= 10^6, called on the library.
     monkeypatch.setenv("RMFLAB_THREADS", "2")
@@ -971,6 +1025,8 @@ HUGE = str(10**400)
         ["chaining", "--ells", f"3,{2**63}", "--prime-limit", "1000"],
         ["concentration", "--ell-max", str(10**20), "--trials", "100", "--prime-limit", "1000"],
         ["concentration", {"gamma": math.inf}, "--prime-limit", "1000"],
+        # A threshold 2 (1 + gamma) E^epsilon, or a series term, that overflows a float.
+        ["concentration", "--gamma", "1e308", "--trials", "100", "--prime-limit", "1000"],
         ["sup-scan", {"c1": math.inf}, "--prime-limit", "1000"],
         ["sequences", {"c": math.inf}],
         ["sequences", {"a1": math.inf}],
@@ -1006,6 +1062,22 @@ def test_invalid_input_exits_2_before_any_work(argv, tmp_path, monkeypatch, caps
     assert "error:" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
+
+
+def test_concentration_at_the_largest_gamma_writes_only_finite_numbers(tmp_path):
+    out, gamma = tmp_path / "g", cli.concentration.MAX_GAMMA
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warns
+        assert run(["concentration", "--gamma", repr(gamma), "--trials", "100", "--prime-limit",
+                    "1000", "--output-dir", str(out)]) == 0
+    [table] = out.glob("concentration-step2-*.csv")
+    rows = list(csv.reader(table.read_text().splitlines()))[1:]
+    assert len(rows) == 8 and all(math.isfinite(float(v)) for row in rows for v in row)
+    assert min(float(row[3]) for row in rows) > 1e153  # sqrt(2 (1 + gamma) E^epsilon) each
+    [series] = out.glob("concentration-series-*.json")
+    assert all(math.isfinite(v) for v in json.loads(series.read_text()).values())
+    assert run(["concentration", "--gamma", repr(gamma * (1 + 2**-52)), "--trials", "100",
+                "--prime-limit", "1000", "--output-dir", str(out)]) == 2
 
 
 class Sieved(Exception):

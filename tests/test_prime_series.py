@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -169,10 +170,10 @@ def test_log_weighted_grid_matches_direct_sum(n_cut):
     # published lower end is that partial padded by max(roundoff, the slack), and the
     # roundoff stays under the slack pad, so the endpoints move only in their last bits.
     sigmas = [round(0.51 + 0.01 * i, 2) for i in range(50)]
-    logp = ps._prime_logs(n_cut)
+    logp = oracles.prime_logs(n_cut)
     for sigma, grid in zip(sigmas, ps.log_weighted_grid(sigmas, n_cut)):
         direct = oracles.log_weighted_direct(sigma, n_cut)
-        fast, roundoff = ps._prime_power_sum(logp, 2.0 * sigma, log_squared=True)
+        fast, roundoff = oracles.prime_power_sum(logp, 2.0 * sigma, log_squared=True)
         assert grid.value.roundoff == roundoff, sigma
         assert grid.value.lower == fast - max(roundoff, fast * ps._SLACK), sigma
         slow = oracles.log_weighted_partial(sigma, n_cut)
@@ -263,8 +264,8 @@ def test_euler_tail_in_place_terms_match_expression_form(n):
     # the same terms, the published lower end is it padded by max(roundoff, the slack), and
     # the roundoff stays under the slack pad.
     cv = ps.euler_tail_constant(n)
-    fast, roundoff = ps._certified_sum([oracles.first_n_primes(n)], ps._euler_terms,
-                                       ps._EULER_WEIGHT)
+    [(fast, roundoff)] = ps._certified_sum([oracles.first_n_primes(n)],
+                                           [(ps._euler_terms, ps._EULER_WEIGHT)])
     partial = oracles.euler_tail_partial(n)
     assert cv.roundoff == roundoff
     assert cv.lower == fast - max(roundoff, fast * ps._SLACK)
@@ -286,7 +287,7 @@ def test_euler_tail_partial_contains_the_mpmath_sum():
     p = oracles.first_n_primes(10**4)
     with mp.workdps(30):
         exact = mp.fsum(1 / (q * (mp.sqrt(q) - 1)) for q in map(mp.mpf, p.tolist()))
-        fast, roundoff = ps._certified_sum([p], ps._euler_terms, ps._EULER_WEIGHT)
+        [(fast, roundoff)] = ps._certified_sum([p], [(ps._euler_terms, ps._EULER_WEIGHT)])
         cv = ps.euler_tail_constant(10**4)
         assert abs(fast - exact) <= roundoff
         assert cv.lower <= exact <= cv.upper
@@ -309,26 +310,69 @@ def test_log_weighted_grid_bits_hold_on_more_threads_than_cores(monkeypatch):
     assert five == one
 
 
+# Tables that end one prime before, on and one prime after the first and second 2^16-prime chunk
+# edges: the streamed passes equal their whole-table oracles in every bit, on one thread and two.
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_streamed_passes_match_the_whole_table_oracles_at_chunk_edges(threads, monkeypatch):
+    monkeypatch.setenv("RMFLAB_THREADS", threads)
+    sigmas = [round(0.51 + 0.01 * i, 2) for i in range(50)]
+    table = primes.cached_primes(2 * 10**6)
+    for size in (65535, 65536, 65537, 131071, 131072, 131073):
+        n_cut = int(table[size - 1])
+        assert primes.chebyshev_check(table[:size]) == oracles.chebyshev_direct(table[:size])
+        assert ps.log_weighted_grid(sigmas, n_cut) == oracles.log_weighted_table(sigmas, n_cut)
+        logp = oracles.prime_logs(n_cut)
+        for s in (1.1, 2.0, 64.0):
+            partial, roundoff = oracles.prime_power_sum(logp, s)
+            d = ps.prime_zeta_direct(s, n_cut)
+            assert (d.lower, d.roundoff) == (partial - max(roundoff, partial * ps._SLACK), roundoff)
+
+
+def test_chebyshev_check_keeps_the_first_maximum_across_chunks(monkeypatch):
+    # Chunks of 7 primes put the maximum, at 113 (the 30th prime), in the fifth chunk.
+    table = primes.cached_primes(10**4)
+    for chunk in (1, 7, 29, 30):
+        monkeypatch.setattr(primes, "_CHUNK", chunk)
+        rep = primes.chebyshev_check(table)
+        assert rep == oracles.chebyshev_direct(table) and rep.worst_prime == 113, chunk
+
+
+def test_streamed_passes_hold_no_table_sized_float_array(monkeypatch):
+    # With the 10^7 table (664,579 primes, 2.7 MB) cached, c04's check and the 50-sigma grid on
+    # two threads each peak below 4 MiB; as whole-table float64 passes they took 20.3 and 6.1 MB.
+    monkeypatch.setenv("RMFLAB_THREADS", "2")
+    table = primes.cached_primes(10**7)
+    sigmas = [round(0.51 + 0.01 * i, 2) for i in range(50)]
+    for run in (lambda: primes.chebyshev_check(table), lambda: ps.log_weighted_grid(sigmas, 10**7)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+
 def test_log_weighted_grid_partials_contain_the_mpmath_sums():
     sigmas = [0.51, 0.75, 1.0]
     p = primes.cached_primes(10**5)
-    logp = ps._prime_logs(10**5)
+    logp = oracles.prime_logs(10**5)
     with mp.workdps(30):
         logs = [mp.log(q) for q in p.tolist()]
         for sigma, grid in zip(sigmas, ps.log_weighted_grid(sigmas, 10**5)):
             exact = mp.fsum(lq * lq * mp.exp(-2 * mp.mpf(sigma) * lq) for lq in logs)
-            fast, roundoff = ps._prime_power_sum(logp, 2.0 * sigma, log_squared=True)
+            fast, roundoff = oracles.prime_power_sum(logp, 2.0 * sigma, log_squared=True)
             assert abs(fast - exact) <= roundoff, sigma
             assert grid.value.lower <= exact <= grid.value.upper, sigma
 
 
 def test_prime_zeta_direct_partials_contain_the_mpmath_sums():
     p = primes.cached_primes(10**5)
-    logp = ps._prime_logs(10**5)
+    logp = oracles.prime_logs(10**5)
     with mp.workdps(30):
         for s in (1.1, 2.0):
             exact = mp.fsum(mp.mpf(q) ** -mp.mpf(s) for q in p.tolist())
-            fast, roundoff = ps._prime_power_sum(logp, s)
+            fast, roundoff = oracles.prime_power_sum(logp, s)
             d = ps.prime_zeta_direct(s, 10**5)
             assert abs(fast - exact) <= roundoff, s
             assert d.lower <= exact <= d.upper, s

@@ -892,6 +892,22 @@ def test_split_kernel_eps_holds_for_integer_k_of_either_sign(cells, monkeypatch)
         assert np.all(np.max(np.abs(values - exact), axis=0) <= eps), c
 
 
+@pytest.mark.parametrize("lo", [0.0, 100.0])
+def test_split_kernel_cells_stay_within_the_node_term(lo):
+    # Each cell of e^(i k z) = e^(i 64 a z) e^(i m z), |k| <= 1400, at the 61 Chebyshev nodes
+    # z = c + r x_j of [lo, lo + 0.2], against the long-double cis of k z, which is exact there
+    # (11 bits of k and 53 of z fill the 64-bit mantissa): each lies within the node term
+    # 1.01 u ((|k| + 126)(2|c| + 3r) + 15) of _low_rank's eps, and some cell beyond a tenth of
+    # it (0.35 of it near 0, 0.47 near 100), so the term cannot shrink tenfold.
+    ks, c, r = np.arange(-1400.0, 1401.0), lo + 0.1, 0.1
+    z = c + r * np.sin(np.pi * np.arange(60, -61, -2) / 120)
+    steps = np.exp(1j * np.multiply.outer(np.arange(64.0), z))  # e^(i m z), as _low_rank's
+    phase = np.multiply.outer(ks.astype(np.longdouble), z.astype(np.longdouble))
+    err = np.abs(rmf._split_kernel(ks, z, steps) - (np.cos(phase) + 1j * np.sin(phase)))
+    node = rmf._node_error(np.abs(ks)[:, None], c, r, True)
+    assert np.all(err <= node) and np.max(err / node) > 0.1
+
+
 def test_sup_scan_bytes_bounds_the_traced_peak():
     # sigma = 0.55 scans t up to 17.95; the prime table and the signs exist before.
     signs = rmf.sample_signs(0, 10**5)
@@ -934,29 +950,29 @@ def test_cgroup_limit_reads_v2_and_v1_files(tmp_path):
     limit = tmp_path / "user.slice" / "job" / "memory.max"
     limit.parent.mkdir(parents=True)
     limit.write_text("1048576\n")
-    assert rmf.cgroup_limit(str(proc), str(tmp_path)) == 1048576
+    assert primes.cgroup_limit(str(proc), str(tmp_path)) == 1048576
     limit.write_text("max\n")
-    assert rmf.cgroup_limit(str(proc), str(tmp_path)) == math.inf
+    assert primes.cgroup_limit(str(proc), str(tmp_path)) == math.inf
     limit.unlink()
-    assert rmf.cgroup_limit(str(proc), str(tmp_path)) == math.inf
+    assert primes.cgroup_limit(str(proc), str(tmp_path)) == math.inf
     proc.write_text("4:memory:/job\n1:cpu:/\n0::/\n")  # v1 memory controller
     v1 = tmp_path / "memory" / "job" / "memory.limit_in_bytes"
     v1.parent.mkdir(parents=True)
     v1.write_text("2097152\n")
-    assert rmf.cgroup_limit(str(proc), str(tmp_path)) == 2097152
-    assert rmf.cgroup_limit(str(tmp_path / "missing"), str(tmp_path)) == math.inf
+    assert primes.cgroup_limit(str(proc), str(tmp_path)) == 2097152
+    assert primes.cgroup_limit(str(tmp_path / "missing"), str(tmp_path)) == math.inf
 
 
 def test_check_memory_honours_a_cgroup_limit_below_physical_memory(monkeypatch):
-    monkeypatch.setattr(rmf, "cgroup_limit", lambda: 2**20)
-    with pytest.raises(rmf.ResourceLimitError, match="B > cgroup memory limit"):
-        rmf.check_memory(2**20 + 1, "test")
-    rmf.check_memory(2**20, "test")
+    monkeypatch.setattr(primes, "cgroup_limit", lambda: 2**20)
+    with pytest.raises(primes.ResourceLimitError, match="B > cgroup memory limit"):
+        primes.check_memory(2**20 + 1, "test")
+    primes.check_memory(2**20, "test")
 
 
 def test_partial_sum_trace_refuses_beyond_memory_before_any_sieve(monkeypatch):
     # One seed at 10^6 needs its 12.5 MB factor table, above a cgroup limit of 1 MiB.
-    monkeypatch.setattr(rmf, "cgroup_limit", lambda: 2**20)
+    monkeypatch.setattr(primes, "cgroup_limit", lambda: 2**20)
     monkeypatch.setattr(rmf, "_factors", None)
     calls = []
     monkeypatch.setattr(rmf.primes_mod, "cached_primes", lambda *a: calls.append(a))
@@ -964,7 +980,7 @@ def test_partial_sum_trace_refuses_beyond_memory_before_any_sieve(monkeypatch):
     need = (4 * x + 8 * (x - x // 4 + 1) + 4 * n_primes + 32 * 2**16  # the table's build
             + 32 * n_primes + 8 * (x // 2 - x // 8 + 1) + 63 * 2**16 + 2**16)  # and its pass
     assert need == 22_561_892
-    with pytest.raises(rmf.ResourceLimitError,
+    with pytest.raises(primes.ResourceLimitError,
                        match=f"x_max=1000000 factor table and sign hash: {need} B > cgroup"):
         rmf.partial_sum_trace([0], 10**6, 10**6 + 1)
     with pytest.raises(ValueError, match="stride must be >= 1, got 0"):
