@@ -13,6 +13,7 @@ sizes the commands use.
 
 from __future__ import annotations
 
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import exp, log, log1p, sqrt
@@ -270,16 +271,25 @@ class LogWeightedSum(NamedTuple):
     holds: bool
 
 
+_grid: tuple | None = None  # the last grid: (sigmas, n_cut, weakref to its table buffer, sums)
+
+
 def log_weighted_grid(sigmas: list[float], n_cut: int) -> list[LogWeightedSum]:
     """Certified sum_p (log p)^2 p^(-2 sigma) against 4/(2 sigma - 1)^2 at each sigma, all checked
     before the sieve.  The tail is the smaller of the integer-comparison bound (valid once
-    n_cut >= e^(1/sigma)) and the prime-counting route, both explicit antiderivatives."""
+    n_cut >= e^(1/sigma)) and the prime-counting route, both explicit antiderivatives.  The last
+    grid is kept: the same sigmas and n_cut over the same cached table buffer are not summed again
+    (c02 and `prime-sums` ask for one grid); the key leaves out the thread count, as no bit moves,
+    and holds the buffer weakly, so a table that a larger sieve replaced is not kept alive."""
+    global _grid
     for sigma in sigmas:
         if not 0.5 < sigma <= 1.0:
             raise ValueError(f"sigma must lie in (1/2, 1], got {sigma}")
         if n_cut < exp(1.0 / sigma):
             raise ValueError(f"cutoff {n_cut} below integral-comparison validity e^(1/sigma)")
-    table = primes_mod.cached_primes(n_cut)
+    table, key = primes_mod.cached_primes(n_cut), (tuple(sigmas), n_cut)
+    if (kept := _grid) is not None and kept[:2] == key and kept[2]() is table.base:
+        return list(kept[3])
     threads = max(1, min(primes_mod._worker_count(), len(sigmas)))
     bufs, sums = np.empty((threads, 2, _CHUNK)), [None] * len(sigmas)  # here: threads keep pages
 
@@ -296,7 +306,8 @@ def log_weighted_grid(sigmas: list[float], n_cut: int) -> list[LogWeightedSum]:
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(certify, range(threads)))
-    return sums
+    _grid = (*key, weakref.ref(table.base), sums)
+    return list(sums)
 
 
 def log_weighted_sum(sigma: float, n_cut: int = 10**7, table=None):

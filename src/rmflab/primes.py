@@ -2,12 +2,12 @@
 process-wide prime table (pi(x) is `cached_primes(x).size`), the Chebyshev-type check
 pi(x) < 2x/log(x), the thread count of every pool, and the memory check of every need.
 
-`segments` is the one sieve.  `sieve_primes` joins its segments, and `cached_primes`, its only
-caller, keeps the largest table so far; smaller limits are read-only views of it.  A sum over
-primes it reads once, c01's 9 million, walks the segments and keeps no table.  Tables are int32,
-exact up to the cap 2^31 - 1: the 664,579 primes below 10^7 take 2.7 MB, and a pass over a table
-takes _CHUNK primes at a time.  Search a table with a key of its dtype, or numpy copies it to
-int64 on every search.
+`segments` is the one sieve.  `sieve_primes` writes its segments into one array, and
+`cached_primes`, its only caller, keeps the largest table so far; smaller limits are read-only
+views of it.  A sum over primes it reads once, c01's 9 million, walks the segments and keeps no
+table.  Tables are int32, exact up to the cap 2^31 - 1: the 664,579 primes below 10^7 take 2.7 MB,
+and a pass over a table takes _CHUNK primes at a time.  Search a table with a key of its dtype, or
+numpy copies it to int64 on every search.
 """
 
 from __future__ import annotations
@@ -82,10 +82,10 @@ def _sieve_limit(limit: int) -> int:
 
 def table_need(limit: int) -> int:
     """Bytes of the primes <= limit at most, once limit is a sieve limit and memory holds them:
-    8 B per prime_count_bound(limit) prime (segments, then their join), one segment (flags, and 12 B
-    a prime, at most 2y/log y in y integers by Brun-Titchmarsh) and 4 _CHUNK float64 a thread."""
+    4 B per prime_count_bound(limit) prime (the one table), one segment (flags, and 12 B a prime,
+    at most 2y/log y in y integers by Brun-Titchmarsh) and 4 _CHUNK float64 a thread."""
     segment = DEFAULT_SEGMENT + _PERIOD + 12 * int(4 * DEFAULT_SEGMENT / log(2 * DEFAULT_SEGMENT))
-    need = 8 * prime_count_bound(_sieve_limit(limit)) + segment + 32 * _CHUNK * _worker_count()
+    need = 4 * prime_count_bound(_sieve_limit(limit)) + segment + 32 * _CHUNK * _worker_count()
     check_memory(need, f"prime table to {limit}")
     return need
 
@@ -123,11 +123,14 @@ def segments(limit: int) -> Iterator[np.ndarray]:
 
 
 def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending, as a read-only int32 array: the joined `segments`."""
+    """All primes <= limit, ascending, as a read-only int32 view: the `segments`, each written
+    into one array of prime_count_bound(limit) primes as it comes, and its filled prefix."""
     table_need(limit)  # before anything is sieved
-    primes = np.concatenate(list(segments(limit)))
-    primes.flags.writeable = False
-    return primes
+    table, n = np.empty(prime_count_bound(limit), np.int32), 0
+    for found in segments(limit):
+        table[n : n + found.size], n = found, n + found.size
+    table.flags.writeable = False
+    return table[:n]
 
 
 def nth_prime_upper(n: int) -> int:

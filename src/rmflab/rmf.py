@@ -179,7 +179,8 @@ def _factor_table(x_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             k[ps[a:b] - lo] = np.arange(a + 1, b + 1, dtype=np.int32)  # the block's primes
             n = lo + np.flatnonzero(squarefree[lo : hi + 1])
             least[start : start + n.size] = k = k[n - lo]
-            rest[start : start + n.size] = ranks[n // word_prime[k] - 1]
+            # q divides n < 2^31, so the float64 quotient, faster than int64 //, is exact
+            rest[start : start + n.size] = ranks[(n / word_prime[k]).astype(np.int32) - 1]
             start += n.size
         _factors = table = (x_max, np.packbits(squarefree[1:], bitorder="little"), least, rest)
     return table[1:]

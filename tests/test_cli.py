@@ -720,15 +720,15 @@ def test_prime_sums_beyond_memory_are_refused_before_any_sieve_or_hash(
     assert not out.exists()
 
 
-# The prime table to a limit takes 8 B per prime_count_bound(limit) prime (its segments and their
-# join), one segment (2^20 flags, a 15,015-flag period and 12 B for each of at most 288,147
-# primes) and four 2^16-value float64 buffers on each of two threads: 14,944,987 B at 10^7
-# (778,666 primes) and 1,012,169,011 B at the int32 cap (125,431,669), above a 1 MiB machine.
+# The prime table to a limit takes 4 B per prime_count_bound(limit) prime (the one array its
+# segments are written into), one segment (2^20 flags, a 15,015-flag period and 12 B for each of
+# at most 288,147 primes) and four 2^16-value float64 buffers on each of two threads: 11,830,323 B
+# at 10^7 (778,666 primes) and 510,442,335 B at the int32 cap (125,431,669), above a 1 MiB machine.
 # `verify constants` refuses it before c01 walks; `prime-sums` refuses it in the sieve.
 @pytest.mark.parametrize("argv, limit, need", [
-    (["verify", "constants"], 10**7, 14_944_987),
-    (["verify", "constants", "--chebyshev-limit", "2147483647"], 2**31 - 1, 1_012_169_011),
-    (["prime-sums"], 10**7, 14_944_987),
+    (["verify", "constants"], 10**7, 11_830_323),
+    (["verify", "constants", "--chebyshev-limit", "2147483647"], 2**31 - 1, 510_442_335),
+    (["prime-sums"], 10**7, 11_830_323),
 ])
 def test_prime_tables_beyond_memory_are_refused_with_exit_3_before_any_sieve(
         argv, limit, need, tmp_path, monkeypatch, capsys):

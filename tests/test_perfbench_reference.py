@@ -39,6 +39,25 @@ def test_prime_sums_match_the_benchmark_reference(tmp_path):
     assert_matches_reference("prime-sums", tmp_path)
 
 
+def test_certify_sums_its_grid_once_and_matches_the_benchmark_reference(tmp_path, monkeypatch):
+    # The workload's commands in its order in one process: c02 sums the 50-sigma grid and
+    # `prime-sums` writes the kept one, each sigma's term built once.
+    assert workloads.commands("certify", 0) == [["verify", "constants"], ["prime-sums"]]
+    summed, term = [], cli.prime_series._prime_power_term
+
+    def spy(s, table, log_squared=False):
+        summed.append((s, log_squared))
+        return term(s, table, log_squared)
+
+    monkeypatch.setattr(cli.prime_series, "_prime_power_term", spy)
+    monkeypatch.setattr(cli.prime_series, "_grid", None)
+    for args in workloads.commands("certify", 0):
+        assert cli.main([*args, "--output-dir", str(tmp_path / args[0])]) == 0
+        assert_matches_reference(args[0], tmp_path / args[0])
+    grid = sorted(s for s, log_squared in summed if log_squared)
+    assert grid == [2.0 * round(0.51 + 0.01 * i, 2) for i in range(50)]
+
+
 @pytest.mark.parametrize("args", workloads.commands("sweep", 0), ids=lambda args: args[0])
 def test_sweep_matches_the_benchmark_reference(args, tmp_path):
     assert cli.main([*args, "--output-dir", str(tmp_path)]) == 0

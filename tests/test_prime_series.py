@@ -301,6 +301,7 @@ def test_log_weighted_grid_bits_hold_on_more_threads_than_cores(monkeypatch):
     monkeypatch.setenv("RMFLAB_THREADS", "1")
     one = ps.log_weighted_grid(sigmas, 10**6)
     monkeypatch.setenv("RMFLAB_THREADS", "5")
+    monkeypatch.setattr(ps, "_grid", None)  # so the five threads sum it afresh
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -328,6 +329,34 @@ def test_streamed_passes_match_the_whole_table_oracles_at_chunk_edges(threads, m
             assert (d.lower, d.roundoff) == (partial - max(roundoff, partial * ps._SLACK), roundoff)
 
 
+def test_log_weighted_grid_is_summed_again_only_for_another_table_cutoff_or_sigma(monkeypatch):
+    # The grid kept from the last call is returned only for the same sigmas and n_cut over the
+    # same table buffer: a fresh sieve (a reset of the prime table), another n_cut or other sigmas
+    # each sum it again, and every call's values equal a fresh sum's.  The buffer is held weakly,
+    # so a larger sieve that replaces the table frees it.
+    sigmas, summed, term = [0.51, 0.75, 1.0], [], ps._prime_power_term
+
+    def spy(s, table, log_squared=False):
+        summed.append(s)
+        return term(s, table, log_squared)
+
+    monkeypatch.setattr(ps, "_prime_power_term", spy)
+    monkeypatch.setattr(ps, "_grid", None)
+    first = ps.log_weighted_grid(sigmas, 10**5)
+    again = ps.log_weighted_grid(sigmas, 10**5)
+    assert again == first and again is not first and len(summed) == 3
+    for change in (lambda: monkeypatch.setattr(primes, "_largest", None),
+                   lambda: ps.log_weighted_grid(sigmas, 10**5 + 3),
+                   lambda: ps.log_weighted_grid(sigmas[:2], 10**5)):
+        change()
+        before = len(summed)
+        assert ps.log_weighted_grid(sigmas, 10**5) == first
+        assert len(summed) == before + 3
+    assert ps._grid[2]() is primes._largest[1].base
+    primes.cached_primes(2 * 10**5)
+    assert ps._grid[2]() is None
+
+
 def test_chebyshev_check_keeps_the_first_maximum_across_chunks(monkeypatch):
     # Chunks of 7 primes put the maximum, at 113 (the 30th prime), in the fifth chunk.
     table = primes.cached_primes(10**4)
@@ -343,6 +372,7 @@ def test_streamed_passes_hold_no_table_sized_float_array(monkeypatch):
     monkeypatch.setenv("RMFLAB_THREADS", "2")
     table = primes.cached_primes(10**7)
     sigmas = [round(0.51 + 0.01 * i, 2) for i in range(50)]
+    monkeypatch.setattr(ps, "_grid", None)  # so the grid is summed, not read from a kept one
     for run in (lambda: primes.chebyshev_check(table), lambda: ps.log_weighted_grid(sigmas, 10**7)):
         tracemalloc.start()
         try:
