@@ -342,7 +342,8 @@ def euler_tail_constant(n_primes: int) -> CertifiedValue:
     def first_n(left: int = n_primes) -> Iterator[np.ndarray]:
         for p in walk:
             yield p[:left]
-            if p.size >= left:  # p holds P, where the walk stops
+            if p.size >= left:  # p holds P: the walk is closed, and its helper joined
+                walk.close()
                 last.append(float(p[left - 1]))
                 return
             left -= p.size

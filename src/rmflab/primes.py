@@ -2,26 +2,28 @@
 process-wide prime table (pi(x) is `cached_primes(x).size`), the Chebyshev-type check
 pi(x) < 2x/log(x), the thread count of every pool, and the memory check of every need.
 
-`segments` is the one sieve.  `sieve_primes` writes its segments into one array, and
-`cached_primes`, its only caller, keeps the largest table so far; smaller limits are read-only
-views of it.  A sum over primes it reads once, c01's 9 million, walks the segments and keeps no
-table.  Tables are int32, exact up to the cap 2^31 - 1: the 664,579 primes below 10^7 take 2.7 MB,
-and a pass over a table takes _CHUNK primes at a time.  Search a table with a key of its dtype, or
-numpy copies it to int64 on every search.
+`segments` is the one sieve, and strikes a segment ahead on a helper thread.  `sieve_primes` keeps
+a lone segment or writes the segments into one array; `cached_primes` keeps the largest table so
+far, and smaller limits are read-only views of it.  A sum over primes it reads once, c01's 9
+million, walks the segments and keeps no table.  Tables are int32, exact up to the cap 2^31 - 1:
+the 664,579 primes below 10^7 take 2.7 MB, and a pass over a table takes _CHUNK primes at a time.
+Search a table with a key of its dtype, or numpy copies it to int64 on every search.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import queue
+import threading
 from math import isqrt, log
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-# Flags per segment, 1 MB.  At 2^19, 2^20, 2^21 and 2^22 flags c01's walk took 187, 176, 208 and
-# 282 ms, with traced peaks of 2.3, 4.0, 7.1 and 13.2 MB (2-CPU Xeon): larger is slower and bigger.
+# Flags per segment, 1 MB.  Struck on a helper thread, c01's walk took 228, 205 and 264 ms (medians
+# of 5) at 2^19, 2^20 and 2^21 flags, with traced peaks of 3.4, 5.6 and 9.8 MB (2-CPU Xeon).
 DEFAULT_SEGMENT = 1 << 20
 _CHUNK = 1 << 16  # primes per pass over a table, in chebyshev_check and prime_series
 _PERIOD = 3 * 5 * 7 * 11 * 13  # odd flags per period of the pre-struck pattern
@@ -82,9 +84,10 @@ def _sieve_limit(limit: int) -> int:
 
 def table_need(limit: int) -> int:
     """Bytes of the primes <= limit at most, once limit is a sieve limit and memory holds them:
-    4 B per prime_count_bound(limit) prime (the one table), one segment (flags, and 12 B a prime,
-    at most 2y/log y in y integers by Brun-Titchmarsh) and 4 _CHUNK float64 a thread."""
-    segment = DEFAULT_SEGMENT + _PERIOD + 12 * int(4 * DEFAULT_SEGMENT / log(2 * DEFAULT_SEGMENT))
+    4 B per prime_count_bound(limit) prime (the one table), a segment's flags on each of up to two
+    threads, 12 B a prime of it (at most 2y/log y in y integers) and 4 _CHUNK float64 a thread."""
+    flags = min(2, _worker_count()) * (DEFAULT_SEGMENT + _PERIOD)  # the strike and extract stages
+    segment = flags + 12 * int(4 * DEFAULT_SEGMENT / log(2 * DEFAULT_SEGMENT))  # Brun-Titchmarsh
     need = 4 * prime_count_bound(_sieve_limit(limit)) + segment + 32 * _CHUNK * _worker_count()
     check_memory(need, f"prime table to {limit}")
     return need
@@ -93,41 +96,77 @@ def table_need(limit: int) -> int:
 def segments(limit: int) -> Iterator[np.ndarray]:
     """The primes <= limit, ascending, as one int32 array per segment of DEFAULT_SEGMENT flags.
 
-    Odd-only: flag i stands for 2i + 1, and flag 0, for 1, is written as 2.  A segment starts as
-    _WHEEL from its phase, with the flags 1, 2, 3, 5 and 6 of 3, 5, 7, 11 and 13 set back.  The
-    primes p from 17 to sqrt(limit), walked first once the limit is checked, whose p^2 lies below
-    its end strike it from `offsets`, their next flags counted from its first."""
+    Odd-only: flag i stands for 2i + 1, and flag 0, for 1, is written as 2.  `strike` starts a
+    segment as _WHEEL from its phase, sets back the flags 1, 2, 3, 5 and 6 of 3, 5, 7, 11 and 13,
+    and lets the primes p from 17 to sqrt(limit), walked first once the limit is checked, whose p^2
+    lies below its end strike it from `offsets`.  A walk of several segments on more than one
+    thread strikes on a helper thread (joined at the end, on close or on an error) into two
+    buffers, each handed back once extracted, while the caller extracts; else both run inline."""
     _sieve_limit(limit)
     roots = list(segments(isqrt(limit))) if limit >= 4 else [np.zeros(0, np.int32)]
     base = np.concatenate(roots)[6:].astype(np.int64)  # 17, 19, ...: 2 to 13 need no strikes
     squares = base * base // 2  # the flags of p^2, ascending
     offsets = squares.copy()
+    los = range(0, (limit + 1) // 2, DEFAULT_SEGMENT)  # the segments' first flags
+    pipelined = len(los) > 1 and _worker_count() > 1
 
-    def walk(flags_total: int, segment: int) -> Iterator[np.ndarray]:
-        for lo in range(0, flags_total, segment):
-            n = min(segment, flags_total - lo)
-            rows = (-(-n // _PERIOD), _PERIOD)  # flatten copies; ravel would view a single row
-            flags = np.broadcast_to(_WHEEL[lo % _PERIOD :][:_PERIOD], rows).flatten()[:n]
-            flags[[i - lo for i in (1, 2, 3, 5, 6) if lo <= i < lo + n]] = True
-            active = int(np.searchsorted(squares, lo + n))
-            for p, o in zip(base[:active].tolist(), offsets[:active].tolist()):
-                flags[o::p] = False
-            offsets[:] -= n
-            np.remainder(offsets[:active], base[:active], out=offsets[:active])
-            found = np.multiply(np.flatnonzero(flags), 2, dtype=np.int32, casting="unsafe")
-            found += 2 * lo + 1
-            found[:1] += lo == 0  # the first segment's 1 becomes 2
-            yield found
+    def strike(lo: int, buf: np.ndarray) -> np.ndarray:  # the flags of segment lo, in buf
+        n = min(los.step, los.stop - lo)
+        buf.reshape(-1, _PERIOD)[:] = _WHEEL[lo % _PERIOD :][:_PERIOD]  # whole periods
+        flags = buf[:n]
+        flags[[i - lo for i in (1, 2, 3, 5, 6) if lo <= i < lo + n]] = True
+        active = int(np.searchsorted(squares, lo + n))
+        for p, o in zip(base[:active].tolist(), offsets[:active].tolist()):
+            flags[o::p] = False
+        offsets[:] -= n
+        np.remainder(offsets[:active], base[:active], out=offsets[:active])
+        return flags
 
-    return walk((limit + 1) // 2, DEFAULT_SEGMENT)
+    def walk() -> Iterator[np.ndarray]:
+        free, ready, stop = queue.SimpleQueue(), queue.SimpleQueue(), threading.Event()
+        for _ in range(1 + pipelined):  # the flag buffers, of whole periods
+            free.put(np.empty(-(-min(los.step, los.stop) // _PERIOD) * _PERIOD, bool))
+
+        def helper() -> None:  # the strike stage, until the walk runs out or is stopped
+            try:
+                for lo in los:
+                    buf = free.get()
+                    if stop.is_set():
+                        return
+                    ready.put(strike(lo, buf))
+            except BaseException as exc:  # re-raised by the caller
+                ready.put(exc)
+
+        striker = threading.Thread(target=helper, daemon=True)  # an unclosed walk cannot block exit
+        if pipelined:
+            striker.start()
+        try:
+            for lo in los:  # the extract stage
+                flags = ready.get() if pipelined else strike(lo, free.get())
+                if isinstance(flags, BaseException):
+                    raise flags
+                found = np.multiply(np.flatnonzero(flags), 2, dtype=np.int32, casting="unsafe")
+                free.put(flags.base)  # handed back once extracted
+                found += 2 * lo + 1
+                found[:1] += lo == 0  # the first segment's 1 becomes 2
+                yield found
+        finally:
+            if pipelined:
+                stop.set()
+                free.put(None)  # wakes a helper that waits for a buffer
+                striker.join()
+
+    return walk()
 
 
 def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending, as a read-only int32 view: the `segments`, each written
-    into one array of prime_count_bound(limit) primes as it comes, and its filled prefix."""
+    """All primes <= limit, ascending, as a read-only int32 view of a lone segment's array, or of
+    the filled prefix of one array of prime_count_bound(limit) primes that the `segments` fill."""
     table_need(limit)  # before anything is sieved
-    table, n = np.empty(prime_count_bound(limit), np.int32), 0
-    for found in segments(limit):
+    lone, walk = (limit + 1) // 2 <= DEFAULT_SEGMENT, segments(limit)
+    table = next(walk) if lone else np.empty(prime_count_bound(limit), np.int32)
+    n = table.size if lone else 0
+    for found in walk:
         table[n : n + found.size], n = found, n + found.size
     table.flags.writeable = False
     return table[:n]

@@ -157,13 +157,17 @@ def test_signchanges_leaves_numpy_ma_unimported(tmp_path):
 
 # Small runs of the commands whose BLAS products or thread pool could make
 # their bytes follow the thread count.  70 seeds make two chunks for the pool; prime-sums'
-# 50 sigma at 10^6 take two chunks each, summed on one thread or two.
+# 50 sigma at 10^6 take two chunks each, summed on one thread or two.  verify constants walks
+# c01's 10^6 primes in 8 segments and sieves c02's and c04's 10^7 in 5, inline on one thread and
+# pipelined on two; its timings go to the manifest, which no case compares.
 THREAD_RUNS = {
     "signchanges": ["--seeds", "70", "--x-max", "20000"],
     "sup-scan": ["--sigma-grid", "0.7,0.6", "--prime-limit", "100000"],
     "concentration": ["--trials", "200", "--prime-limit", "10000", "--ell-max", "3"],
     "chaining": ["--seeds", "4", "--ells", "3", "--prime-limit", "100000", "--r-max", "8"],
     "prime-sums": ["--claim1-n", "1000000", "--prime-limit", "100000"],
+    "verify": ["constants", "--n-primes", "1000000", "--claim1-n", "10000000",
+               "--chebyshev-limit", "10000000"],
 }
 CHAINING_GEMM = pytest.mark.xfail(
     len(os.sched_getaffinity(0)) > 1, strict=True, raises=AssertionError,
@@ -174,7 +178,7 @@ CHAINING_GEMM = pytest.mark.xfail(
 
 @pytest.mark.parametrize("command", [
     "signchanges", "sup-scan", "concentration", pytest.param("chaining", marks=CHAINING_GEMM),
-    "prime-sums",
+    "prime-sums", "verify",
 ])
 def test_thread_count_independent_across_processes(tmp_path, command):
     # The same --output-dir name under two parents gives the same config
@@ -721,14 +725,16 @@ def test_prime_sums_beyond_memory_are_refused_before_any_sieve_or_hash(
 
 
 # The prime table to a limit takes 4 B per prime_count_bound(limit) prime (the one array its
-# segments are written into), one segment (2^20 flags, a 15,015-flag period and 12 B for each of
-# at most 288,147 primes) and four 2^16-value float64 buffers on each of two threads: 11,830,323 B
-# at 10^7 (778,666 primes) and 510,442,335 B at the int32 cap (125,431,669), above a 1 MiB machine.
+# segments are written into), two flag buffers of a segment (2^20 flags and a 15,015-flag period
+# each: on two threads the walk strikes one segment while it extracts another), 12 B for each of
+# at most 288,147 primes of a segment, and four 2^16-value float64 buffers on each of two threads:
+# 12,893,914 B at 10^7 (778,666 primes) and 511,505,926 B at the int32 cap (125,431,669), above a
+# 1 MiB machine.
 # `verify constants` refuses it before c01 walks; `prime-sums` refuses it in the sieve.
 @pytest.mark.parametrize("argv, limit, need", [
-    (["verify", "constants"], 10**7, 11_830_323),
-    (["verify", "constants", "--chebyshev-limit", "2147483647"], 2**31 - 1, 510_442_335),
-    (["prime-sums"], 10**7, 11_830_323),
+    (["verify", "constants"], 10**7, 12_893_914),
+    (["verify", "constants", "--chebyshev-limit", "2147483647"], 2**31 - 1, 511_505_926),
+    (["prime-sums"], 10**7, 12_893_914),
 ])
 def test_prime_tables_beyond_memory_are_refused_with_exit_3_before_any_sieve(
         argv, limit, need, tmp_path, monkeypatch, capsys):

@@ -281,6 +281,22 @@ def test_euler_tail_walk_matches_the_table_path(segment, monkeypatch):
         assert ps.euler_tail_constant(n) == oracles.euler_tail_direct(n), n
 
 
+@pytest.mark.parametrize("threads", ["1", "2", "5"])
+def test_euler_tail_walk_matches_the_table_path_on_any_thread_count(threads, monkeypatch):
+    # 997-flag segments, walked inline on one thread and pipelined on more; five threads switch
+    # every microsecond, so a strike that crossed the buffer being extracted would move a bit.
+    expected = {n: oracles.euler_tail_direct(n) for n in (1, 65537, 10**5)}
+    monkeypatch.setenv("RMFLAB_THREADS", threads)
+    monkeypatch.setattr(primes, "DEFAULT_SEGMENT", 997)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6 if threads == "5" else interval)
+    try:
+        for n, value in expected.items():
+            assert ps.euler_tail_constant(n) == value, n
+    finally:
+        sys.setswitchinterval(interval)
+
+
 # mp.fsum at 30 digits of the exact terms at the float inputs: each float partial must lie
 # within its derived roundoff of it, and each published interval must contain it.
 def test_euler_tail_partial_contains_the_mpmath_sum():

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -139,14 +141,17 @@ def test_segmented_matches_monolithic(monkeypatch):
         assert all(s.dtype == np.int32 and np.all(np.diff(s) > 0) for s in walk), segment
 
 
-@pytest.mark.parametrize("limit, segment", [
+EDGES = [
     (168, None), (169, None),  # 13^2 = 169 is the first composite that only the pattern strikes
     (288, None), (289, None),  # 17^2 = 289 is the offsets' first strike
     (2 * 15015 - 1, None), (2 * 15015 + 1, None),  # the first period's last flag, and one past it
     (2 * 15015 + 1, 15015), (2 * 15015 + 1, 15014),  # segments of a period, and one flag short
     (2**22 + 2 * 7777 + 1, None),  # three segments, ending at flags 12541, 10067 and 2830 mod 15015
     (6 * 2**20 + 3, None),  # a last segment of 2 flags, shorter than the largest base prime 2503
-])
+]
+
+
+@pytest.mark.parametrize("limit, segment", EDGES)
 def test_sieve_edges_match_direct(limit, segment, monkeypatch):
     if segment:
         monkeypatch.setattr(primes, "DEFAULT_SEGMENT", segment)
@@ -154,6 +159,72 @@ def test_sieve_edges_match_direct(limit, segment, monkeypatch):
     assert len(walk) == -(-((limit + 1) // 2) // primes.DEFAULT_SEGMENT)  # not rounded to 15015
     assert all(s.dtype == np.int32 for s in walk)
     assert np.array_equal(np.concatenate(walk), oracles.sieve_direct(limit))
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "5"])
+def test_pipelined_walk_matches_direct_on_any_thread_count(threads, monkeypatch):
+    # Every edge that walks more than one segment: inline on one thread, and on more the helper
+    # strikes into one buffer while the caller extracts the other; five threads switch every
+    # microsecond.
+    monkeypatch.setenv("RMFLAB_THREADS", threads)
+    default, walked, interval = primes.DEFAULT_SEGMENT, 0, sys.getswitchinterval()
+    sys.setswitchinterval(1e-6 if threads == "5" else interval)
+    try:
+        for limit, segment in EDGES:
+            monkeypatch.setattr(primes, "DEFAULT_SEGMENT", segment or default)
+            if (limit + 1) // 2 > primes.DEFAULT_SEGMENT:
+                walk, walked = list(primes.segments(limit)), walked + 1
+                assert np.array_equal(np.concatenate(walk), oracles.sieve_direct(limit)), limit
+    finally:
+        sys.setswitchinterval(interval)
+    assert walked == 4
+
+
+def test_a_walk_leaves_no_thread_behind(monkeypatch):
+    # 50,000 flags in 51 segments of 997: the helper starts at the first segment and is joined
+    # when the walk is closed or runs out; one thread walks inline.
+    monkeypatch.setattr(primes, "DEFAULT_SEGMENT", 997)
+    before = threading.active_count()
+    for threads, helpers in (("2", 1), ("1", 0)):
+        monkeypatch.setenv("RMFLAB_THREADS", threads)
+        walk = primes.segments(10**5)
+        assert threading.active_count() == before  # nothing runs before the first item
+        assert next(walk).tolist()[:3] == [2, 3, 5]
+        assert threading.active_count() == before + helpers
+        walk.close()
+        assert threading.active_count() == before
+        assert np.array_equal(np.concatenate(list(primes.segments(10**5))),
+                              oracles.sieve_direct(10**5))
+        assert threading.active_count() == before
+
+
+def test_an_error_in_the_strike_stage_reaches_the_caller(monkeypatch):
+    # The third strike fails on the helper; the reader gets the error, and the helper is joined.
+    monkeypatch.setenv("RMFLAB_THREADS", "2")
+    monkeypatch.setattr(primes, "DEFAULT_SEGMENT", 997)
+    before, wheel, strikers, got = threading.active_count(), primes._WHEEL, [], []
+    walk = primes.segments(10**5)  # the base primes are walked here, with the true wheel
+
+    class FailingWheel:
+        def __getitem__(self, key):
+            strikers.append(threading.current_thread())
+            if len(strikers) == 3:
+                raise RuntimeError("strike failed")
+            return wheel[key]
+
+    def read() -> None:
+        try:
+            got.extend(walk)
+        except RuntimeError as exc:
+            got.append(exc)
+
+    monkeypatch.setattr(primes, "_WHEEL", FailingWheel())
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    reader.join(timeout=60)
+    assert not reader.is_alive()  # no hang
+    assert len(got) == 3 and str(got[2]) == "strike failed"  # two segments, then the error
+    assert reader not in strikers and threading.active_count() == before
 
 
 def test_spf_examples():
