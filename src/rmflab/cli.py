@@ -74,14 +74,14 @@ class Result:
     status: int = 0
 
 
-def _write_run(echo: dict, result: Result) -> None:
-    """The one writer of a command's output: its result files and config echo,
-    then a timestamped manifest with the sha256 checksums of the bytes written.
+def _write_run(echo: dict, result: Result, target: str | None = None) -> None:
+    """The one writer of a command's output: its result files and config echo, named by a digest
+    that also holds a verify `target`, then a timestamped manifest of their sha256 checksums.
 
     Commands only compute, so a run that fails writes nothing.
     """
     command = echo["command"]
-    digest = _config_digest(echo)
+    digest = _config_digest(echo if target is None else {**echo, "target": target})
     out = Path(echo["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     checksums = {}
@@ -580,12 +580,12 @@ def cmd_prime_sums(args, cfg: ExperimentConfig) -> Result:
 
 def cmd_sup_scan(args, cfg: ExperimentConfig) -> Result:
     bounds = [sequences.harper_lower_bound(s, cfg.c0, cfg.c1, cfg.c2) for s in cfg.sigma_grid]
-    t_max = max(1.0, *(hb.t_max for hb in bounds))  # the largest grid, refused before any hash
-    rmf.sup_scan_need(min(cfg.sigma_grid), t_max, cfg.grid_step, cfg.prime_limit)
+    t_maxes = [max(1.0, hb.t_max) for hb in bounds]
+    rmf.sup_scan_need(cfg.sigma_grid, t_maxes, cfg.grid_step, cfg.prime_limit)  # before any hash
     signs = rmf.sample_signs(cfg.seed, cfg.prime_limit)
+    scans = rmf.sup_scan_batch(signs, cfg.sigma_grid, t_maxes, cfg.grid_step, cfg.prime_limit)
     rows = []
-    for sigma, hb in zip(cfg.sigma_grid, bounds):
-        res = rmf.sup_scan(signs, sigma, max(1.0, hb.t_max), cfg.grid_step, limit=cfg.prime_limit)
+    for sigma, hb, res in zip(cfg.sigma_grid, bounds, scans):
         ek_threshold = hb.log_inv_gap - cfg.c1 * float(mp.log(hb.log_inv_gap))
         rows.append(
             [sigma, hb.t_max, res.sup_cos, res.argmax_t, res.sup_abs_f, ek_threshold,
@@ -757,7 +757,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "report":
             return cmd_report(args, cfg)
         result = args.func(args, cfg)
-        _write_run(echo, result)
+        _write_run(echo, result, vars(args).get("target"))
     except (ValueError, KeyError, FileNotFoundError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import isqrt
+from math import ceil, isqrt
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -44,7 +44,7 @@ _LANES = np.uint64(0x0001000100010001)  # bit 0 of each 16-bit lane of a uint64
 _HASH_CELLS = 1 << 16  # float64 cells per sign_matrix tile, each hashed in place as uint64
 _T_CHUNK = 32  # t-grid rows per block of the sup-scan estimates
 _EXACT_LOG1P = 10**4  # sup-scan estimates take the exact log1p for primes up to here
-_LOW_RANK_CELLS = 1 << 20  # float64 cells per prime chunk or grid chunk of _low_rank
+_LOW_RANK_CELLS = 1 << 19  # float64 cells per prime chunk or grid chunk of _low_rank
 _SUM_CELLS = 1 << 20  # float64 cells per sign block of random_prime_sum_batch
 _SCREEN_ROWS = 8  # rows per screening np.dot (np.matmul's did not overlap across threads): at
 # P = 9,592 and OPENBLAS_NUM_THREADS=2, 8 rows ran on the calling thread; 1 and 27 rows did not
@@ -488,12 +488,12 @@ def _low_rank(theta, kmax: float, osc: bool, complex_coef: bool, held: bool):
     z_j, rows = c + r * x_j, max(1, _LOW_RANK_CELLS // (n + 1))
     steps = np.exp(1j * np.multiply.outer(np.arange(64.0), z_j)) if osc else None  # e^(i m z)
 
-    # (first prime, lam_j / (x_p - x_j), s_p) per chunk of primes, fresh or in one reused buffer;
-    # l_j(x_p) = lam_j / (x_p - x_j) / s_p, the division by s_p in a held basis or on coef_p
-    def blocks(reuse: bool):
-        out = np.empty((n + 1, min(rows, theta.size))) if reuse else None
-        for i in range(0, theta.size, rows):
-            x = np.clip((theta[i : i + rows] - c) / (r or 1.0), -1.0, 1.0)
+    # (first prime, lam_j / (x_p - x_j), s_p) per chunk of `size` primes, fresh when held, else in
+    # one reused buffer; l_j(x_p) = lam_j / (x_p - x_j) / s_p, the division by s_p held or on coef_p
+    def blocks(size: int):
+        out = None if held else np.empty((n + 1, min(size, theta.size)))
+        for i in range(0, theta.size, size):
+            x = np.clip((theta[i : i + size] - c) / (r or 1.0), -1.0, 1.0)
             q = np.subtract(x, x_j[:, None], out=None if out is None else out[:, : x.size])
             with np.errstate(divide="ignore", invalid="ignore"):
                 s = np.sum(np.divide(lam[:, None], q, out=q), axis=0)
@@ -501,18 +501,25 @@ def _low_rank(theta, kmax: float, osc: bool, complex_coef: bool, held: bool):
             q[:, hit], s[hit] = np.isinf(q[:, hit]), 1.0
             yield i, q, s
 
-    kept = [(i, np.divide(q, s, out=q), None) for i, q, s in blocks(False)] if held else []
+    kept = [(i, np.divide(q, s, out=q), None) for i, q, s in blocks(rows)] if held else []
 
-    def estimate(coef, ks, scale) -> tuple[np.ndarray, np.ndarray]:
-        ab = coef.view(np.float64) if np.iscomplexobj(coef) else coef
-        b = sum((q @ (ab[i : i + rows] if s is None else ab[i : i + rows] / s[:, None])
-                 for i, q, s in kept or blocks(True)), np.zeros((n + 1, ab.shape[1])))
-        b, k = b.view(coef.dtype), float(np.max(np.abs(ks), initial=0.0))
+    # coef: (P, S), or part(i, j) -> its rows i..j-1 made per chunk; scale None: sum_p |coef[p, s]|
+    def estimate(coef, ks, scale=None) -> tuple[np.ndarray, np.ndarray]:
+        part, head = (coef, coef(0, 0)) if callable(coef) else (lambda i, j: coef[i:j], coef)
+        b, sums = np.zeros((n + 1, head.shape[1]), head.dtype), np.zeros(head.shape[1])
+        width = n + 1 + 2 * b.view(np.float64).shape[1]  # basis, coef and coef / s per prime
+        for i, q, s in kept or blocks(max(1, _LOW_RANK_CELLS // width)):
+            a = part(i, i + q.shape[1])
+            sums += np.sum(np.abs(a), axis=0) if scale is None else 0.0
+            ab = a.view(np.float64) if np.iscomplexobj(a) else a
+            b.view(np.float64)[:] += q @ (ab if s is None else ab / s[:, None])
+        q = a = ab = None  # the last chunk's buffers die before the kernel products
+        scale, k = sums if scale is None else scale, float(np.max(np.abs(ks), initial=0.0))
         values = np.empty((ks.size, b.shape[1]), b.dtype)
         for i in range(0, ks.size, rows):  # values[i] = sum_j e^(z ks[i] theta_j) b_j
             kernel = (_split_kernel(ks[i : i + rows], z_j, steps) if osc
                       else np.exp(np.multiply.outer(ks[i : i + rows], z_j)))
-            values[i : i + rows] = kernel @ b
+            np.matmul(kernel, b, out=values[i : i + rows])
         g = 1.0 if osc else float(np.exp(np.max(np.multiply.outer([ks.min(), ks.max()], [lo, hi]))))
         interp, alpha = _interp_error(k * r, n, osc), (3 * n + 6) * _G
         node = _node_error(k, c, r, osc)
@@ -525,73 +532,88 @@ def _low_rank(theta, kmax: float, osc: bool, complex_coef: bool, held: bool):
     return estimate
 
 
-def _low_rank_grid(theta, coef, ks, osc: bool) -> tuple[np.ndarray, np.ndarray]:
-    """_low_rank's estimate for real or complex (P, S) coef, its basis built in chunks of primes."""
-    k = float(np.max(np.abs(ks), initial=0.0))
-    return _low_rank(theta, k, osc, np.iscomplexobj(coef), False)(coef, ks, np.sum(np.abs(coef), 0))
-
-
-def _sup_scan_estimates(ts, logp, w, amp) -> tuple[np.ndarray, np.ndarray]:
-    """(est, eps): est[0] the cos sum and est[1] log|F| = 0.5 sum_p log1p(x_p), x = 2 w c +
-    amp^2, c = cos(t log p), at every t, each within eps[i, 0] of sup_scan's exact row.  On
-    the centred grid t = t0 + m h, primes p <= _EXACT_LOG1P take the exact log1p of cells
-    Re e^(i (t0 + (start - mid) h) log p) e^(i j h log p).  Above, one _low_rank_grid call in
-    theta = h log p at k = m and 2 m gives the cos sum and 0.5 (x - x^2/2) = w (1 - amp^2) c -
-    amp^2 cos(2 t log p) / 2 - amp^4 / 4, within sum |x|^3 / (3 (1 - |x|)) of log|F|.  eps adds
-    the distance of an exact cell (rounding of t log p, np.cos at 2 ulps, the gap of ts from
-    t0 + m h) and of an estimated cell or phase from cos(t log p) through Lipschitz bounds of
-    log1p, np.log1p at 2 ulps, the rounding of x, and gamma_n sum_p |term_p| (Higham, ch. 3)."""
+def _sup_scan_estimates(ts, sizes, logp, sg, amps) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per amp = p^(-sigma), (est, eps) on its rows ts[:size]: est[0] the cos sum and est[1]
+    log|F| = 0.5 sum_p log1p(x_p), x = 2 w c + amp^2, w = sg amp, c = cos(t log p), at every t,
+    each within eps[i, 0] of sup_scan_batch's exact row.  On the centred grid t = t0 + m h of all
+    of ts, primes p <= _EXACT_LOG1P take the exact log1p of cells Re e^(i (t0 + (start - mid) h)
+    log p) e^(i j h log p), built once per block for every sigma.  Above, one _low_rank pass in
+    theta = h log p at k = m and 2 m, forming three columns per sigma chunk by chunk, gives the cos
+    sum and 0.5 (x - x^2/2) = w (1 - amp^2) c - amp^2 cos(2 t log p) / 2 - amp^4 / 4, within sum
+    |x|^3 / (3 (1 - |x|)) of log|F|.  eps adds, over the sigma's rows and t0, the distance of an
+    exact cell (rounding of t log p, np.cos at 2 ulps, the gap of ts from t0 + m h) and of an
+    estimated cell or phase from cos(t log p) through Lipschitz bounds of log1p, np.log1p at 2
+    ulps, the rounding of x, and gamma_n sum_p |term_p| (Higham, ch. 3)."""
     h, mid = (ts[1] - ts[0] if ts.size > 1 else 0.0), (ts.size - 1) // 2
     m = np.arange(ts.size, dtype=np.float64) - mid
-    aa, ns = amp * amp, int(np.searchsorted(logp, np.log(_EXACT_LOG1P)))
-    est, jh = np.empty((2, ts.size)), np.multiply.outer(np.arange(_T_CHUNK) * h, logp[:ns])
-    step_re, step_im = np.cos(jh), np.sin(jh)  # e^(i j h log p)
+    ns = int(np.searchsorted(logp, np.log(_EXACT_LOG1P)))
+    jh = np.multiply.outer(np.arange(_T_CHUNK) * h, logp[:ns])
+    step_re, step_im, x = np.cos(jh), np.sin(jh), jh  # e^(i j h log p); jh's cells then hold x
+    small = [(np.empty((2, n)), sg[:ns] * a[:ns], a[:ns] * a[:ns]) for n, a in zip(sizes, amps)]
     for start in range(0, ts.size, _T_CHUNK):  # in place: fresh temporaries cost page faults
         base = np.exp(1j * (ts[mid] + (start - mid) * h) * logp[:ns])
         c = step_re[: ts.size - start] * base.real
         c -= step_im[: ts.size - start] * base.imag
-        est[0, start : start + len(c)] = c @ w[:ns]
-        c *= 2.0 * w[:ns]
-        c += aa[:ns]
-        est[1, start : start + len(c)] = 0.5 * np.sum(np.log1p(c, out=c), axis=1)
-    big, turn = slice(ns, None), np.exp(1j * ts[mid] * logp[ns:])
-    lin = w[big] * (1.0 - aa[big])
-    coef = np.stack([w[big] * turn, lin * turn, -0.5 * aa[big] * turn * turn], axis=1)
-    values, ev = _low_rank_grid(h * logp[big], coef, np.concatenate([m, 2 * m]), True)
-    const = np.sum(aa[big] * aa[big]) / 4
-    est[0] += values[: ts.size, 0].real
-    est[1] += values[: ts.size, 1].real + values[ts.size :, 2].real - const
-    tmax, theta = 1.01 * float(np.max(np.abs(ts))), float(np.max(logp, initial=0.0))
-    gap = float(np.max(np.abs(ts - (ts[mid] + m * h)))) + 4 * _U * tmax
-    cell = 4 * _U + _U * tmax * theta + theta * gap  # an exact cell against cos(t log p)
-    phase = 5.05 * _U * tmax * theta + 17 * _U  # an estimated cell or coefficient phase
-    a1 = amp * (1.0 + cell + phase)  # bounds |w c| on exact and estimated cells
-    xb, lam, lip = 2.0 * a1 + aa, -2.02 * np.log1p(-a1), 1.01 / (1.0 - a1) ** 2
-    gam = (amp.size + 8) * _G
-    rest = np.sum(xb[big] ** 3 / (3.0 * (1.0 - xb[big])))  # log1p(x) - (x - x^2/2)
-    eps_cos = np.sum(amp) * (cell + phase) + 2 * gam * np.sum(a1) + ev[0]
-    eps_log = (rest / 2 + (cell + phase) * np.sum(amp * lip) + gam * np.sum(lam)
-               + _U * np.sum(4 * lam + lip * (4 * a1 + 2 * aa))
-               + (np.sum(np.abs(lin)) + np.sum(aa[big])) * phase
-               + ev[1] + ev[2] + const * (gam + 3 * _U))
-    return est, 1.01 * np.array([[eps_cos], [eps_log]])
+        for est, w, aa in small:  # each sigma's rows of the block, if any
+            rows = c[: max(0, est.shape[1] - start)]
+            est[0, start : start + len(rows)] = rows @ w
+            xs = np.multiply(rows, 2.0 * w, out=x[: len(rows)])
+            xs += aa
+            est[1, start : start + len(rows)] = 0.5 * np.sum(np.log1p(xs, out=xs), axis=1)
+
+    lp = logp[ns:]
+
+    def coef(i: int, j: int) -> np.ndarray:  # w turn, w (1 - amp^2) turn, -amp^2 turn^2 / 2
+        out, turn = np.empty((j - i, 3 * len(amps)), complex), np.exp(1j * ts[mid] * lp[i:j])
+        for s, amp in enumerate(amps):
+            a = amp[ns + i : ns + j]
+            w, aa = sg[ns + i : ns + j] * a, a * a
+            out[:, 3 * s], out[:, 3 * s + 1] = w * turn, w * (1.0 - aa) * turn
+            out[:, 3 * s + 2] = -0.5 * aa * turn * turn
+        return out
+
+    ks = np.concatenate([m, 2 * m])  # |ks| <= 2 (ts.size - 1 - mid), as mid <= ts.size - 1 - mid
+    values, ev = _low_rank(h * lp, 2.0 * (ts.size - 1 - mid), True, True, False)(coef, ks)
+    theta, gam, out = float(np.max(logp, initial=0.0)), (logp.size + 8) * _G, []
+    for s, ((est, _, _), amp) in enumerate(zip(small, amps)):
+        size, aa = est.shape[1], amp * amp
+        const = np.sum(aa[ns:] * aa[ns:]) / 4
+        est[0] += values[:size, 3 * s].real
+        est[1] += values[:size, 3 * s + 1].real + values[ts.size :][:size, 3 * s + 2].real - const
+        tmax = 1.01 * max(float(np.max(np.abs(ts[:size]))), abs(float(ts[mid])))
+        gap = float(np.max(np.abs(ts[:size] - (ts[mid] + m[:size] * h)))) + 4 * _U * tmax
+        cell = 4 * _U + _U * tmax * theta + theta * gap  # an exact cell against cos(t log p)
+        phase = 5.05 * _U * tmax * theta + 17 * _U  # an estimated cell or coefficient phase
+        a1 = amp * (1.0 + cell + phase)  # bounds |w c| on exact and estimated cells
+        xb, lam, lip = 2.0 * a1 + aa, -2.02 * np.log1p(-a1), 1.01 / (1.0 - a1) ** 2
+        rest = np.sum(xb[ns:] ** 3 / (3.0 * (1.0 - xb[ns:])))  # log1p(x) - (x - x^2/2)
+        eps_cos = np.sum(amp) * (cell + phase) + 2 * gam * np.sum(a1) + ev[3 * s]
+        eps_log = (rest / 2 + (cell + phase) * np.sum(amp * lip) + gam * np.sum(lam)
+                   + _U * np.sum(4 * lam + lip * (4 * a1 + 2 * aa))
+                   + (np.sum(amp[ns:] * (1.0 - aa[ns:])) + np.sum(aa[ns:])) * phase
+                   + ev[3 * s + 1] + ev[3 * s + 2] + const * (gam + 3 * _U))
+        out.append((est, 1.01 * np.array([[eps_cos], [eps_log]])))
+    return out
 
 
-def sup_scan_need(sigma: float, t_max: float, grid_step: float, limit: int) -> int:
-    """Bytes sup_scan allocates at most, once sigma > 1/2, t_max >= 1, grid_step lies in (2^-52,
-    0.01] (a smaller one leaves t at 1) and memory holds 30 float64 per prime <= limit (an exact
-    row and temporaries), 24 per t row (counted in floats, as 2^63 beyond), six _LOW_RANK_CELLS
-    buffers of the estimate and five _T_CHUNK-row tables of the primes up to _EXACT_LOG1P."""
-    if not sigma > 0.5:
-        raise DivergenceError(f"sup scan requires sigma > 1/2, got {sigma}")
-    if not t_max >= 1.0:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
+def sup_scan_need(sigmas: Sequence[float], t_maxes: Sequence[float], grid_step: float,
+                  limit: int) -> int:
+    """Bytes sup_scan_batch allocates at most, once there is one t_max >= 1 per sigma > 1/2 and at
+    least one, grid_step lies in (2^-52, 0.01] (a smaller one leaves t at 1) and memory holds for
+    S sigma 12 + S float64 per prime <= limit (each p^(-sigma), an exact row, the eps terms), 10 +
+    14 S per row of the largest t grid (counted in floats, as 2^63 beyond; the estimates and 2 x 3
+    S complex values), seven _LOW_RANK_CELLS buffers and five _T_CHUNK-row exact-cell tables."""
+    for sigma, t_max in zip(sigmas, t_maxes, strict=True):
+        if not sigma > 0.5:
+            raise DivergenceError(f"sup scan requires sigma > 1/2, got {sigma}")
+        if not t_max >= 1.0:
+            raise ValueError(f"t_max must be >= 1, got {t_max}")
     if not 2 * _U < grid_step <= 0.01 + 1e-12:
         raise ValueError(f"grid_step must lie in (2^-52, 0.01], got {grid_step}")
-    n_t = int(min((t_max - 1.0) / grid_step, 2.0**63)) + 2
+    n_t, s = int(min((max(t_maxes) - 1.0) / grid_step, 2.0**63)) + 2, len(sigmas)
     n_primes = primes_mod.prime_count_bound(limit)
     small = 5 * _T_CHUNK * min(n_primes, primes_mod.prime_count_bound(_EXACT_LOG1P))
-    need = 8 * (30 * n_primes + 24 * n_t + 6 * _LOW_RANK_CELLS + small)
+    need = 8 * ((12 + s) * n_primes + (10 + 14 * s) * n_t + 7 * _LOW_RANK_CELLS + small)
     check_memory(need, f"sup-scan t grid of {n_t} rows")
     return need
 
@@ -603,31 +625,39 @@ class SupScanResult(NamedTuple):
     grid_size: int
 
 
-def sup_scan(signs: SignAssignment, sigma: float, t_max: float, grid_step: float,
-             limit: int) -> SupScanResult:
-    """Grid maxima over t in {1, 1+step, ..., t_max} of the truncated sums
+def sup_scan_batch(signs: SignAssignment, sigmas: Sequence[float], t_maxes: Sequence[float],
+                   grid_step: float, limit: int) -> list[SupScanResult]:
+    """Per sigma, grid maxima over t in {1, 1+step, ..., its t_max} of the truncated sums
     sum_p sign(p) cos(t log p) p^(-sigma) and |prod_p (1 + sign(p) p^(-sigma-it))|.
 
-    Grid maxima are lower bounds for the true suprema; ties go to the earliest t.  Only rows
-    whose _sup_scan_estimates + eps reaches the best estimate - eps are summed exactly, one row
-    at a time by np.sum with no BLAS, and log1p only on such rows of log|F|: the maxima keep
-    every row's bits, at any thread count.
+    Grid maxima are lower bounds for the true suprema; ties go to the earliest t.  np.arange
+    fills t_i = 1 + i step whatever its end, so each sigma reads its own grid as a prefix of the
+    largest, and one _sup_scan_estimates call serves every sigma.  Only rows whose estimate + eps
+    reaches the best estimate - eps are summed exactly, one row at a time by np.sum with no BLAS,
+    and log1p only on such rows of log|F|: the maxima keep every row's bits, at any thread count.
     """
-    sup_scan_need(sigma, t_max, grid_step, limit)  # before the t grid or anything is allocated
+    sup_scan_need(sigmas, t_maxes, grid_step, limit)  # before the t grid or anything is allocated
     ps, sg = signs.up_to(limit)
-    p = ps.astype(np.float64)
-    logp = np.log(p)
-    amp = p ** (-sigma)
-    w = sg * amp
-    ts = np.arange(1.0, t_max + grid_step * 0.5, grid_step)
-    est, eps = _sup_scan_estimates(ts, logp, w, amp)
-    keep = ~(est + eps < np.max(est - eps, axis=1, keepdims=True))  # rows that may decide; NaN: all
-    cos_vals, log_f = np.full((2, ts.size), -np.inf)  # rows outside `keep` decide nothing
-    c = np.empty_like(logp)  # cos(t log p) of one row
-    for i in np.flatnonzero(keep[0] | keep[1]):
-        cos_vals[i] = np.sum(np.cos(np.multiply(ts[i], logp, out=c), out=c) * w)
-        if keep[1, i]:  # log|1 + sign(p) p^(-sigma-it)|^2
-            log_f[i] = 0.5 * np.sum(np.log1p(c * (2.0 * w) + amp * amp))
-    i = int(np.argmax(cos_vals))
-    return SupScanResult(sup_cos=float(cos_vals[i]), argmax_t=float(ts[i]),
-                         sup_abs_f=float(np.exp(np.max(log_f))), grid_size=ts.size)
+    logp = np.log(p := ps.astype(np.float64))
+    amps = [p ** (-sigma) for sigma in sigmas]
+    ts = np.arange(1.0, max(t_maxes) + grid_step * 0.5, grid_step)
+    sizes = [ceil((t_max + grid_step * 0.5 - 1.0) / grid_step) for t_max in t_maxes]  # arange's
+    c, results = np.empty_like(logp), []  # c: cos(t log p) of one row
+    for amp, (est, eps) in zip(amps, _sup_scan_estimates(ts, sizes, logp, sg, amps)):
+        w = sg * amp
+        keep = ~(est + eps < np.max(est - eps, axis=1, keepdims=True))  # may decide; NaN: all
+        cos_vals, log_f = np.full((2, est.shape[1]), -np.inf)  # rows outside `keep` decide nothing
+        for i in np.flatnonzero(keep[0] | keep[1]):
+            cos_vals[i] = np.sum(np.cos(np.multiply(ts[i], logp, out=c), out=c) * w)
+            if keep[1, i]:  # log|1 + sign(p) p^(-sigma-it)|^2
+                log_f[i] = 0.5 * np.sum(np.log1p(c * (2.0 * w) + amp * amp))
+        i = int(np.argmax(cos_vals))
+        results.append(SupScanResult(float(cos_vals[i]), float(ts[i]),
+                                     float(np.exp(np.max(log_f))), cos_vals.size))
+    return results
+
+
+def sup_scan(signs: SignAssignment, sigma: float, t_max: float, grid_step: float,
+             limit: int) -> SupScanResult:
+    """sup_scan_batch at one sigma."""
+    return sup_scan_batch(signs, [sigma], [t_max], grid_step, limit)[0]

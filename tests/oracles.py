@@ -58,12 +58,14 @@ None of this is used by `rmflab` itself:
   at Chebyshev points, with a four-part eps) selects;
 - the sup-scan t grid as fresh array expressions on every row of every
   _T_CHUNK-row block, with numpy's row sums (`sup_scan_blocks`), and a
-  running best (`sup_scan_direct`), which `rmf.sup_scan`, summing exactly
-  only the cos and log|F| rows that the same low-rank estimate (the kernel
-  e^(i k theta)) selects, one row at a time, must reproduce bit for bit; and
-  the cos sums as each block's BLAS gemv took them before
-  (`sup_scan_cos_gemv`), which those row sums must match within 2 gamma_P
-  sum |w|;
+  running best (`sup_scan_direct`), which `rmf.sup_scan_batch`, summing
+  exactly only the cos and log|F| rows that the same low-rank estimate (the
+  kernel e^(i k theta)) selects, one row at a time, must reproduce bit for bit
+  at every sigma of a batch, each on its own grid; the cos sums as each
+  block's BLAS gemv took them before (`sup_scan_cos_gemv`), which those row
+  sums must match within 2 gamma_P sum |w|; and the low-rank estimate of a
+  whole (P, S) coefficient array at once (`low_rank_grid`), whose eps the
+  tests hold against sums taken with more precision;
 - the partial sum of `prime_series.euler_tail_constant` as one array
   expression through `math.fsum`, which its chunked `np.sum` must match
   within its derived roundoff; and the table path it replaced
@@ -455,6 +457,13 @@ def sup_scan_direct(
         best_logf = max(best_logf, float(np.max(log_f)))
         size += tc.size
     return SupScanResult(best_cos, best_t, float(np.exp(best_logf)), size)
+
+
+def low_rank_grid(theta, coef, ks, osc: bool) -> tuple[np.ndarray, np.ndarray]:
+    """`rmf._low_rank`'s estimate for real or complex (P, S) coef at every k of `ks`, its basis
+    built in chunks of primes and its scale sum_p |coef[p, s]| summed chunk by chunk."""
+    k = float(np.max(np.abs(ks), initial=0.0))
+    return rmf_mod._low_rank(theta, k, osc, np.iscomplexobj(coef), False)(coef, ks)
 
 
 def packed_signs(signs: SignAssignment, x_max: int) -> np.ndarray:

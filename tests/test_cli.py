@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -271,6 +272,30 @@ def run_scaled_verify_all(tmp_path, **overrides):
     out = tmp_path / "va"
     code = run(["verify", "all", "--config", str(cfg), "--output-dir", str(out)])
     return code, json.loads(next(out.glob("verify-checks-*.json")).read_text())["checks"]
+
+
+def test_verify_targets_run_into_one_directory_keep_both_runs_files(tmp_path):
+    # The config echo holds no target, so verify's target joins the digest: each run keeps its
+    # checks and its config echo, whose bytes are the same for both targets.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SCALED_VERIFY_ALL))
+    out = tmp_path / "both"
+    for target in ("constants", "all"):
+        assert run(["verify", target, "--config", str(cfg), "--output-dir", str(out)]) == 0
+    names = sorted(p.name for p in out.glob("verify-*"))
+    assert len(names) == 6
+    assert all(re.fullmatch(r"verify-(checks|config)-[0-9a-f]{12}\.(csv|json)", n) for n in names)
+    runs = [json.loads(p.read_text()) for p in sorted(out.glob("manifest-*.json"))]
+    assert len({r["config_digest"] for r in runs}) == 2
+    for r in runs:
+        checks = out / f"verify-checks-{r['config_digest']}.json"
+        assert json.loads(checks.read_text())["target"] in ("constants", "all")
+        assert sorted(r["results"]) == sorted(n for n in names if r["config_digest"] in n)
+    targets = {json.loads(p.read_text())["target"] for p in out.glob("verify-checks-*.json")}
+    assert targets == {"constants", "all"}
+    echoes = {p.read_bytes() for p in out.glob("verify-config-*.json")}
+    assert echoes == {cli._json_text(runs[0]["config"]).encode()}
+    assert "target" not in runs[0]["config"]
 
 
 def test_verify_all_scaled_down(tmp_path):
@@ -646,11 +671,11 @@ def test_an_ell_range_too_long_for_len_is_refused_by_its_memory(tmp_path, monkey
 def test_verify_all_refuses_c06_beyond_memory_before_any_check(tmp_path, monkeypatch, capsys):
     # On 8 threads c06's 2000 seeds at 3 sigma over pi(10^5) primes need 73.5 MB, above a
     # machine stubbed to 64 MiB, while every other need of the preflight fits: c12's is the
-    # largest, 47.2 MB.  c06 used to be refused only once c01-c05 had run.
+    # largest, 38.8 MB.  c06 used to be refused only once c01-c05 had run.
     monkeypatch.setenv("RMFLAB_THREADS", "8")
     stub_ram(monkeypatch, 64 * 2**20)
     need = prime_sum_bytes(2000, 10**5, 3)
-    assert cli.chaining.check_grid([3, 4, 5], 4, 20, 10**5) == 47_184_656 < 64 * 2**20
+    assert cli.chaining.check_grid([3, 4, 5], 4, 20, 10**5) == 38_796_048 < 64 * 2**20
     assert need == 73_504_112
     ran = []
     for name, check in cli.VERIFY_CHECKS.items():
@@ -686,9 +711,9 @@ def test_c03_decides_on_the_certified_intervals_of_p(monkeypatch):
 
 
 def test_sup_scan_grid_beyond_memory_is_refused_before_any_hash(tmp_path, monkeypatch, capsys):
-    # sigma = 1/2 + 1e-7 scans t up to 2 log^2(10^7) = 519.6: at most 51,860 rows of
-    # 24 float64 values; 30 values and five 32-row tables for each of pi(1000) <= 182
-    # primes; and six 2^20-cell buffers of the estimate, 60.6 MB.
+    # sigma = 1/2 + 1e-7 scans t up to 2 log^2(10^7) = 519.6: for the two sigma, at most
+    # 51,860 rows of 10 + 14 * 2 float64 values; 12 + 2 values and five 32-row tables for each
+    # of pi(1000) <= 182 primes; and seven 2^19-cell buffers of the estimate, 45.4 MB.
     stub_ram(monkeypatch, 2**20)
     calls = []
     monkeypatch.setattr(cli.primes, "cached_primes", lambda *a: calls.append(a))
@@ -697,7 +722,7 @@ def test_sup_scan_grid_beyond_memory_is_refused_before_any_hash(tmp_path, monkey
     assert run(["sup-scan", "--sigma-grid", "0.7,0.5000001", "--prime-limit", "1000",
                 "--output-dir", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "resource error: sup-scan t grid of 51860 rows: 60565408 B > physical RAM" in err
+    assert "resource error: sup-scan t grid of 51860 rows: 45378912 B > physical RAM" in err
     assert calls == []
     assert not out.exists()
 

@@ -778,6 +778,50 @@ def test_sup_scan_matches_direct_bit_for_bit(limit, rows):
             assert res == oracles.sup_scan_direct(signs, sigma, t_max, 0.01, limit)
 
 
+# The CLI's t_max of each default sigma (sequences.harper_lower_bound).
+HARPER_T_MAX = {0.7: 5.180580787960471, 0.65: 7.198128474106813, 0.6: 10.603796220956799,
+                0.55: 17.948823709625916}
+# One sigma, dense's three and the CLI's default four.
+SUP_SCAN_BATCHES = [(0.55,), (0.7, 0.6, 0.55), (0.7, 0.65, 0.6, 0.55)]
+
+
+@pytest.mark.parametrize("limit, grid_step, scale", [
+    (1, 0.01, 1.0), (1, 0.003, 1.0), (10**3, 0.01, 1.0), (10**3, 0.003, 1.0),
+    (10**5, 0.01, 1.0), (10**5, 0.003, 0.2), (10**6, 0.01, 0.1), (10**6, 0.003, 0.03)])
+def test_sup_scan_batch_matches_direct_at_every_sigma(limit, grid_step, scale):
+    # Every sigma of a batch on its own grid, t up to 1 + scale (t_max - 1) so that the exact
+    # oracle stays cheap; the t_max differ, so the smaller grids are prefixes of the largest.
+    # No prime at limit 1; at 10^3 none lies above _EXACT_LOG1P, so the low-rank pass is empty.
+    signs, direct = rmf.sample_signs(0, max(limit, 2)), {}
+    for sigmas in SUP_SCAN_BATCHES:
+        t_maxes = [1.0 + scale * (HARPER_T_MAX[sigma] - 1.0) for sigma in sigmas]
+        results = rmf.sup_scan_batch(signs, sigmas, t_maxes, grid_step, limit)
+        assert len(results) == len(sigmas)
+        for sigma, t_max, res in zip(sigmas, t_maxes, results):
+            if sigma not in direct:
+                direct[sigma] = oracles.sup_scan_direct(signs, sigma, t_max, grid_step, limit)
+            assert res == direct[sigma], (sigmas, sigma)
+            assert res == rmf.sup_scan(signs, sigma, t_max, grid_step, limit)
+
+
+@pytest.mark.parametrize("grid_step", [0.01, 0.003])
+def test_sup_scan_batch_grids_are_prefixes_of_the_largest(grid_step):
+    # np.arange fills 1 + i step whatever its end, so each sigma's own grid is a prefix of the
+    # largest bit for bit, and the batch's grid sizes are np.arange's lengths, also where t_max
+    # lies half a step from a grid point, or one ulp either side of that.
+    rng = np.random.default_rng(50)
+    edges = [1.0 + (k - 0.5) * grid_step for k in (1, 7, 100)]
+    t_maxes = [1.0, *HARPER_T_MAX.values(), *edges, *(np.nextafter(e, 0.0) for e in edges),
+               *(np.nextafter(e, 2.0 * e) for e in edges), *rng.uniform(1.0, 30.0, 8).tolist()]
+    grids = [np.arange(1.0, t_max + grid_step * 0.5, grid_step) for t_max in t_maxes]
+    largest = max(grids, key=len)
+    for grid in grids:
+        assert largest[: grid.size].tobytes() == grid.tobytes()
+    signs = rmf.sample_signs(0, 2)
+    results = rmf.sup_scan_batch(signs, [0.6] * len(t_maxes), t_maxes, grid_step, 1)
+    assert [res.grid_size for res in results] == [grid.size for grid in grids]
+
+
 def test_block_products_keep_a_row_when_every_other_row_is_zero():
     # The bit argument of chaining's exact blocks: a row of a BLAS gemm reads only its own
     # input row, in an order that the block's shape and the row's place fix, so the row keeps
@@ -820,19 +864,26 @@ SUP_SCAN_EPS_GRIDS = [(0.01, 1.0), (0.01, 4.0), (0.003, 1.0), (0.003, 1.9), (0.0
 
 @pytest.mark.parametrize("grid_step, t_max", SUP_SCAN_EPS_GRIDS)
 def test_sup_scan_eps_dominates_the_estimates_error(grid_step, t_max):
-    limit = 10**5  # exact log1p up to 10^4 and the low-rank polynomials above
+    # Each sigma alone on the whole grid, then the four as one batch on prefixes of it, whose
+    # smaller grids end before the largest grid's centre t0.
+    limit, sigmas = 10**5, (0.501, 0.55, 0.7, 1.0)  # exact log1p up to 10^4, low rank above
     for seed in np.random.default_rng(15).integers(0, 2**32, size=2).tolist():
         signs = rmf.sample_signs(seed, limit)
         p = signs.primes.astype(np.float64)
         logp = np.log(p)
         ts = np.arange(1.0, t_max + grid_step * 0.5, grid_step)
-        for sigma in (0.501, 0.55, 0.7, 1.0):
-            amp = p ** (-sigma)
-            est, eps = rmf._sup_scan_estimates(ts, logp, signs.signs * amp, amp)
+        exact = {}  # cos sums, then log|F|
+        for sigma in sigmas:
             blocks = list(oracles.sup_scan_blocks(signs, sigma, t_max, grid_step, limit))
-            for i in (0, 1):  # cos sums, then log|F|
-                exact = np.concatenate([b[i + 1] for b in blocks])
-                assert np.max(np.abs(est[i] - exact)) <= eps[i, 0]
+            exact[sigma] = [np.concatenate([b[i + 1] for b in blocks]) for i in (0, 1)]
+        sizes = [ts.size, (ts.size + 1) // 2, (ts.size + 2) // 3, 1]
+        for batch, batch_sizes in [*(([s], [ts.size]) for s in sigmas), (sigmas, sizes)]:
+            out = rmf._sup_scan_estimates(ts, batch_sizes, logp, signs.signs,
+                                          [p ** (-sigma) for sigma in batch])
+            for sigma, size, (est, eps) in zip(batch, batch_sizes, out):
+                assert est.shape == (2, size)
+                for i in (0, 1):
+                    assert np.max(np.abs(est[i] - exact[sigma][i][:size])) <= eps[i, 0]
     # The stated allowances: numpy's cos, sin and complex exp within 4u of the cosine and
     # sine of their float argument, exp within 4 ulps, and log1p within 4u relative, on a
     # sample of the cells' arguments.
@@ -862,12 +913,12 @@ def test_low_rank_eps_holds_where_interpolation_dominates(osc, monkeypatch):
     degree, scale = rmf._degree, np.sum(np.abs(coef), axis=0)
     for floor in (1e-4, 1.0):
         monkeypatch.setattr(rmf, "_degree", lambda a, osc, _: degree(a, osc, floor))
-        values, eps = rmf._low_rank_grid(theta, coef, ks, osc)
+        values, eps = oracles.low_rank_grid(theta, coef, ks, osc)
         err = np.max(np.abs(values - exact), axis=0)
         assert np.all(err <= eps)
         assert np.all(err > 1e-10 * scale)
     monkeypatch.setattr(rmf, "_degree", degree)
-    values, eps = rmf._low_rank_grid(theta, coef, ks, osc)  # the chosen degree
+    values, eps = oracles.low_rank_grid(theta, coef, ks, osc)  # the chosen degree
     assert np.all(np.max(np.abs(values - exact), axis=0) <= eps)
     assert np.all(eps < 1e-9 * scale)
 
@@ -886,7 +937,7 @@ def test_split_kernel_eps_holds_for_integer_k_of_either_sign(cells, monkeypatch)
     for c in (0.0, 100.0):
         theta = c + np.sort(rng.uniform(0.0, 0.2, 500))
         coef = rng.standard_normal((500, 2)) + 1j * rng.standard_normal((500, 2))
-        values, eps = rmf._low_rank_grid(theta, coef, ks, True)
+        values, eps = oracles.low_rank_grid(theta, coef, ks, True)
         phase = np.multiply.outer(ks.astype(np.longdouble), theta.astype(np.longdouble))
         exact = (np.cos(phase) + 1j * np.sin(phase)) @ coef.astype(np.clongdouble)
         assert np.all(np.max(np.abs(values - exact), axis=0) <= eps), c
@@ -918,7 +969,21 @@ def test_sup_scan_bytes_bounds_the_traced_peak():
     finally:
         tracemalloc.stop()
     assert res.grid_size == 1696
-    assert peak <= rmf.sup_scan_need(0.55, 17.95, 0.01, 10**5)
+    assert peak <= rmf.sup_scan_need([0.55], [17.95], 0.01, 10**5)
+
+
+def test_sup_scan_batch_bytes_bound_the_traced_peak():
+    # The CLI's four default sigma at 10^5, one batch on the 0.55 grid of 1,696 rows.
+    signs = rmf.sample_signs(0, 10**5)
+    sigmas, t_maxes = list(HARPER_T_MAX), list(HARPER_T_MAX.values())
+    tracemalloc.start()
+    try:
+        results = rmf.sup_scan_batch(signs, sigmas, t_maxes, 0.01, limit=10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [res.grid_size for res in results] == [419, 621, 961, 1696]
+    assert peak <= rmf.sup_scan_need(sigmas, t_maxes, 0.01, 10**5)
 
 
 @pytest.mark.parametrize("trials, limit, n_sigmas", [(1, 2, 1), (5, 10**3, 1), (257, 10**3, 8),
