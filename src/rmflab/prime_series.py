@@ -14,7 +14,6 @@ sizes the commands use.
 from __future__ import annotations
 
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import exp, log, log1p, sqrt
 from typing import Iterable, Iterator, NamedTuple
@@ -290,7 +289,7 @@ def log_weighted_grid(sigmas: list[float], n_cut: int) -> list[LogWeightedSum]:
     table, key = primes_mod.cached_primes(n_cut), (tuple(sigmas), n_cut)
     if (kept := _grid) is not None and kept[:2] == key and kept[2]() is table.base:
         return list(kept[3])
-    threads = max(1, min(primes_mod._worker_count(), len(sigmas)))
+    threads = primes_mod._worker_count(len(sigmas))
     bufs, sums = np.empty((threads, 2, _CHUNK)), [None] * len(sigmas)  # here: threads keep pages
 
     def certify(k: int) -> None:  # sigmas k, k + threads, ... in bufs[k], bits the same on any k
@@ -304,8 +303,7 @@ def log_weighted_grid(sigmas: list[float], n_cut: int) -> list[LogWeightedSum]:
             rhs = 4.0 / (2.0 * sigma - 1.0) ** 2
             sums[i] = LogWeightedSum(value=value, bound_rhs=rhs, holds=bool(value.upper <= rhs))
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(certify, range(threads)))
+    primes_mod.fan_out(range(threads), certify)
     _grid = (*key, weakref.ref(table.base), sums)
     return list(sums)
 

@@ -1,6 +1,6 @@
 """Prime infrastructure: the odd-only segment walk (half the flags of a full sieve), the
 process-wide prime table (pi(x) is `cached_primes(x).size`), the Chebyshev-type check
-pi(x) < 2x/log(x), the thread count of every pool, and the memory check of every need.
+pi(x) < 2x/log(x), the width rule and fan_out behind every thread, and every need's memory check.
 
 `segments` is the one sieve, and strikes a segment ahead on a helper thread.  `sieve_primes` keeps
 a lone segment or writes the segments into one array; `cached_primes` keeps the largest table so
@@ -16,9 +16,11 @@ import contextlib
 import os
 import queue
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 from math import isqrt, log
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,16 +34,24 @@ for _p in (3, 5, 7, 11, 13):
     _WHEEL[_p // 2 :: _p] = False  # flag i, for 2i + 1, is a multiple of p where i = p // 2 mod p
 
 
-def _worker_count() -> int:
-    """Threads per pool in rmf and prime_series: RMFLAB_THREADS, else min(8, usable CPUs)."""
+def _worker_count(tasks: float = float("inf")) -> int:
+    """The width rule: RMFLAB_THREADS, else min(8, usable CPUs), at most tasks and at least 1."""
     env = os.environ.get("RMFLAB_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(f"RMFLAB_THREADS must be an integer, got {env!r}") from exc
-    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
-    return min(8, len(affinity(0)) if affinity else os.cpu_count() or 1)
+    if env is None:
+        affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+        env = min(8, len(affinity(0)) if affinity else os.cpu_count() or 1)
+    try:
+        return max(1, min(int(env), tasks))
+    except ValueError as exc:
+        raise ValueError(f"RMFLAB_THREADS must be an integer, got {env!r}") from exc
+
+
+def fan_out(items: Sequence, work: Callable) -> list:
+    """[work(item) for item in items] on the width rule's threads, the first error raised once all
+    stop; each call in its own copy of the caller's context, as no Context runs on two threads."""
+    contexts = [copy_context() for _ in items]  # in the caller: a worker's own context is empty
+    with ThreadPoolExecutor(max_workers=_worker_count(len(contexts))) as pool:
+        return list(pool.map(lambda context, item: context.run(work, item), contexts, items))
 
 
 class ResourceLimitError(RuntimeError):
@@ -86,7 +96,7 @@ def table_need(limit: int) -> int:
     """Bytes of the primes <= limit at most, once limit is a sieve limit and memory holds them:
     4 B per prime_count_bound(limit) prime (the one table), a segment's flags on each of up to two
     threads, 12 B a prime of it (at most 2y/log y in y integers) and 4 _CHUNK float64 a thread."""
-    flags = min(2, _worker_count()) * (DEFAULT_SEGMENT + _PERIOD)  # the strike and extract stages
+    flags = _worker_count(2) * (DEFAULT_SEGMENT + _PERIOD)  # the strike and extract stages
     segment = flags + 12 * int(4 * DEFAULT_SEGMENT / log(2 * DEFAULT_SEGMENT))  # Brun-Titchmarsh
     need = 4 * prime_count_bound(_sieve_limit(limit)) + segment + 32 * _CHUNK * _worker_count()
     check_memory(need, f"prime table to {limit}")
@@ -99,16 +109,16 @@ def segments(limit: int) -> Iterator[np.ndarray]:
     Odd-only: flag i stands for 2i + 1, and flag 0, for 1, is written as 2.  `strike` starts a
     segment as _WHEEL from its phase, sets back the flags 1, 2, 3, 5 and 6 of 3, 5, 7, 11 and 13,
     and lets the primes p from 17 to sqrt(limit), walked first once the limit is checked, whose p^2
-    lies below its end strike it from `offsets`.  A walk of several segments on more than one
-    thread strikes on a helper thread (joined at the end, on close or on an error) into two
-    buffers, each handed back once extracted, while the caller extracts; else both run inline."""
+    lies below its end strike it from `offsets`.  A walk of several segments given two threads by
+    the width rule strikes on a helper thread in the caller's context (joined at the end, on close
+    or on an error) into two buffers, each handed back once extracted, while the caller extracts."""
     _sieve_limit(limit)
     roots = list(segments(isqrt(limit))) if limit >= 4 else [np.zeros(0, np.int32)]
     base = np.concatenate(roots)[6:].astype(np.int64)  # 17, 19, ...: 2 to 13 need no strikes
     squares = base * base // 2  # the flags of p^2, ascending
     offsets = squares.copy()
     los = range(0, (limit + 1) // 2, DEFAULT_SEGMENT)  # the segments' first flags
-    pipelined = len(los) > 1 and _worker_count() > 1
+    pipelined = _worker_count(min(2, len(los))) > 1  # the strike and extract stages
 
     def strike(lo: int, buf: np.ndarray) -> np.ndarray:  # the flags of segment lo, in buf
         n = min(los.step, los.stop - lo)
@@ -137,8 +147,8 @@ def segments(limit: int) -> Iterator[np.ndarray]:
             except BaseException as exc:  # re-raised by the caller
                 ready.put(exc)
 
-        striker = threading.Thread(target=helper, daemon=True)  # an unclosed walk cannot block exit
-        if pipelined:
+        striker = threading.Thread(target=copy_context().run, args=(helper,), daemon=True)
+        if pipelined:  # a daemon: an unclosed walk cannot block exit
             striker.start()
         try:
             for lo in los:  # the extract stage

@@ -19,8 +19,6 @@ compare; sign changes follow only them.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import ceil, isqrt
 from typing import Iterator, NamedTuple, Sequence
@@ -29,7 +27,7 @@ import numpy as np
 
 from . import primes as primes_mod
 from .prime_series import _G, _U, DivergenceError
-from .primes import _worker_count, check_memory
+from .primes import check_memory
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -313,7 +311,8 @@ def extension_need(x_max: int, seeds: int, stride: int) -> int:
         raise ValueError(f"stride must be >= 1, got {stride}")
     block, primes = min(TRACE_SEGMENT, x_max), primes_mod.prime_count_bound(x_max)
     need = 32 * primes + 8 * (x_max // 2 - x_max // 8 + 1) + 63 * block + (1 << 16)
-    need = need * min(_worker_count(), -(-seeds // PACKED_SIGNS)) + 8 * seeds * (x_max // stride)
+    need *= primes_mod._worker_count(-(-seeds // PACKED_SIGNS))  # the threads walking a pass
+    need += 8 * seeds * (x_max // stride)
     if _factors is None or _factors[0] < x_max:
         need += 4 * x_max + 8 * (x_max - x_max // 4 + 1) + 4 * primes + 32 * block
     check_memory(need, f"x_max={x_max} factor table and sign hash")
@@ -324,7 +323,7 @@ def partial_sum_trace(seeds: Sequence[int], x_max: int, stride: int) -> list[Par
     """Exact M_f up to x_max under sample_signs(seed, max(x_max, 2)), sampled at every stride-th
     n, for each seed in order.  The n seeds split into the fewest extension passes of at most
     PACKED_SIGNS seeds, ceil(n / passes) each but the last, each hashed by one sign_words call
-    on one of _worker_count() threads sharing one _factor_table; stride x_max + 1 samples none."""
+    under primes.fan_out, sharing one _factor_table; stride x_max + 1 samples none."""
     extension_need(x_max, len(seeds), stride)  # before anything is sieved or allocated
     # pi(x) <= x - 1, so only x = 1 empties the slice; both tables exist before the threads start
     ps, _ = primes_mod.cached_primes(max(x_max, 2))[: x_max - 1], _factor_table(x_max)
@@ -336,8 +335,7 @@ def partial_sum_trace(seeds: Sequence[int], x_max: int, stride: int) -> list[Par
         walked, values = _traces(sign_words(block, ps), len(block), x_max, stride)
         return [PartialSumTrace(x_max, c, m, stride, v) for (c, m), v in zip(walked, values)]
 
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:  # map keeps seed order
-        return [tr for trs in pool.map(traces, range(0, len(seeds), size)) for tr in trs]
+    return [tr for trs in primes_mod.fan_out(range(0, len(seeds), size), traces) for tr in trs]
 
 
 def prime_sum_need(n_seeds: int, limit: int, n_sigmas: int) -> int:
@@ -345,7 +343,7 @@ def prime_sum_need(n_seeds: int, limit: int, n_sigmas: int) -> int:
     seed and per prime <= limit, 64 KiB of headers, per thread a block, salted primes and tiles."""
     n_primes = primes_mod.prime_count_bound(limit)
     rows = min(max(1, _SUM_CELLS // max(1, n_primes)), n_seeds)
-    threads = max(1, min(_worker_count(), -(-n_seeds // max(1, rows))))
+    threads = primes_mod._worker_count(-(-n_seeds // max(1, rows)))
     need = 8 * (n_sigmas + 2) * (n_seeds + n_primes) + (1 << 16)
     need += threads * (8 * (rows + 1) * n_primes + _hash_tile_bytes(rows, n_primes))
     check_memory(need, f"prime sums of {n_seeds} seeds at {n_sigmas} sigmas")
@@ -355,8 +353,8 @@ def prime_sum_need(n_seeds: int, limit: int, n_sigmas: int) -> int:
 def _prime_sum_blocks(seeds, sigmas: Sequence[float], limit: int, dtype, reduce) -> np.ndarray:
     """A new (len(seeds), len(sigmas)) dtype array, once prime_sum_need passes and every sigma >
     1/2, filled by reduce(signs, weights, out) per block of max(1, _SUM_CELLS // P) seeds and out
-    their rows: signs hashed by sign_matrix on min(_worker_count(), blocks) threads, each into its
-    own block, and weights[j] = p^(-sigmas[j]) over the P primes p <= limit."""
+    their rows: signs hashed by sign_matrix under primes.fan_out, task k of T into blocks[k] for
+    blocks k, k + T, ..., and weights[j] = p^(-sigmas[j]) over the P primes p <= limit."""
     prime_sum_need(len(seeds), limit, len(sigmas))  # before anything is sieved or allocated
     if not all(sigma > 0.5 for sigma in sigmas):
         raise DivergenceError(f"P(sigma) requires sigma > 1/2, got {sigmas}")
@@ -365,7 +363,7 @@ def _prime_sum_blocks(seeds, sigmas: Sequence[float], limit: int, dtype, reduce)
     for w, sigma in zip(weights, sigmas):
         w[:] = ps.astype(np.float64) ** (-sigma)
     n, rows = len(seeds), max(1, _SUM_CELLS // max(1, ps.size))
-    threads = max(1, min(_worker_count(), -(-n // rows)))
+    threads = primes_mod._worker_count(-(-n // rows))
     blocks = np.empty((threads, min(rows, n), ps.size))  # allocated here: pool threads keep pages
 
     def run(k: int) -> None:  # blocks k, k + threads, ... in blocks[k]
@@ -373,8 +371,7 @@ def _prime_sum_blocks(seeds, sigmas: Sequence[float], limit: int, dtype, reduce)
             signs = sign_matrix(seeds[start : start + rows], ps, out=blocks[k, : n - start])
             reduce(signs, weights, out[start : start + len(signs)])
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run, range(threads)))
+    primes_mod.fan_out(range(threads), run)
     return out
 
 
@@ -516,10 +513,10 @@ def _low_rank(theta, kmax: float, osc: bool, complex_coef: bool, held: bool):
         q = a = ab = None  # the last chunk's buffers die before the kernel products
         scale, k = sums if scale is None else scale, float(np.max(np.abs(ks), initial=0.0))
         values = np.empty((ks.size, b.shape[1]), b.dtype)
+        kernel = ((lambda chunk: _split_kernel(chunk, z_j, steps)) if osc
+                  else lambda chunk: np.exp(np.multiply.outer(chunk, z_j)))  # one alive at a time
         for i in range(0, ks.size, rows):  # values[i] = sum_j e^(z ks[i] theta_j) b_j
-            kernel = (_split_kernel(ks[i : i + rows], z_j, steps) if osc
-                      else np.exp(np.multiply.outer(ks[i : i + rows], z_j)))
-            np.matmul(kernel, b, out=values[i : i + rows])
+            np.matmul(kernel(ks[i : i + rows]), b, out=values[i : i + rows])
         g = 1.0 if osc else float(np.exp(np.max(np.multiply.outer([ks.min(), ks.max()], [lo, hi]))))
         interp, alpha = _interp_error(k * r, n, osc), (3 * n + 6) * _G
         node = _node_error(k, c, r, osc)

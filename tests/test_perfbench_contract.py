@@ -145,6 +145,30 @@ def test_verify_preflight_restates_no_refusal():
     assert outside == []
 
 
+def _identifier(node: ast.AST) -> str | None:
+    """The name an import names, or a name or attribute reads, at `node`; else None."""
+    if isinstance(node, ast.alias):
+        return node.name
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def test_only_primes_starts_threads_and_every_import_is_read():
+    """`ThreadPoolExecutor` and `threading.Thread` appear in `src/rmflab` only in `primes.py`,
+    whose `fan_out` and segment walk start every thread in the caller's context; and every name a
+    `src/rmflab` module imports, `rmf.py`'s included, is read in that module."""
+    starters, found, unread = {"ThreadPoolExecutor", "Thread"}, set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found |= {(path.stem, _identifier(node)) for node in ast.walk(tree)
+                  if _identifier(node) in starters}
+        unread += [f"{path.stem}:{alias.asname or alias.name}" for node in tree.body
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__" for alias in node.names
+                   if not _names(tree)[(alias.asname or alias.name).split(".")[0]]]
+    assert found == {("primes", name) for name in starters}
+    assert unread == []
+
+
 def test_tracer_counters_read_live_results():
     """The live counters read sample_signs(...).signs; sup_scan's signs.primes and
     .prime_limit and its result's grid_size; euler_tail_constant(...).upper and .lower.

@@ -1,3 +1,4 @@
+import contextvars
 import sys
 import threading
 import tracemalloc
@@ -5,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rmflab import prime_series, primes
+from rmflab import prime_series, primes, rmf
 
 import oracles
 
@@ -225,6 +226,72 @@ def test_an_error_in_the_strike_stage_reaches_the_caller(monkeypatch):
     assert not reader.is_alive()  # no hang
     assert len(got) == 3 and str(got[2]) == "strike failed"  # two segments, then the error
     assert reader not in strikers and threading.active_count() == before
+
+
+_STAGE = contextvars.ContextVar("stage")
+
+
+@pytest.mark.parametrize("threads", ["2", "5"])
+def test_every_thread_runs_in_the_callers_context(threads, monkeypatch):
+    # A context variable set by the caller reads back inside each pool's work and in the segment
+    # walk's strike stage, on threads other than the caller's, and no call runs on more threads
+    # than the width rule gives its tasks: 3 passes, 3 blocks of at most 853 seeds, 3 sigma, and
+    # 2 stages, of which the caller runs one.
+    monkeypatch.setenv("RMFLAB_THREADS", threads)
+    seen = {}  # kernel -> [(stage, thread)]
+
+    def spy(name, f):
+        def wrapped(*args, **kwargs):
+            seen.setdefault(name, []).append((_STAGE.get(None), threading.get_ident()))
+            return f(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(rmf, "sign_words", spy("trace", rmf.sign_words))
+    monkeypatch.setattr(rmf, "sign_matrix", spy("sums", rmf.sign_matrix))
+    monkeypatch.setattr(prime_series, "_prime_power_term",
+                        spy("grid", prime_series._prime_power_term))
+    monkeypatch.setattr(prime_series, "_grid", None)
+    strike = spy("strike", primes._WHEEL.__getitem__)
+
+    class Wheel:  # the true wheel, read by the strike stage alone once the base primes are walked
+        def __getitem__(self, key):
+            return strike(key)
+
+    token = _STAGE.set("caller")
+    try:
+        rmf.partial_sum_trace(range(129), 2000, 2001)
+        rmf.random_prime_sum_batch(range(2000), [0.6, 0.8], 10**4)
+        prime_series.log_weighted_grid([0.6, 0.7, 0.8], 10**4)
+        monkeypatch.setattr(primes, "DEFAULT_SEGMENT", 997)
+        walk = primes.segments(10**5)
+        monkeypatch.setattr(primes, "_WHEEL", Wheel())
+        assert np.array_equal(np.concatenate(list(walk)), oracles.sieve_direct(10**5))
+    finally:
+        _STAGE.reset(token)
+    widths = {"trace": 3, "sums": 3, "grid": 3, "strike": 2}
+    assert sorted(seen) == sorted(widths)
+    for name, calls in seen.items():
+        stages, idents = zip(*calls)
+        assert set(stages) == {"caller"}, name
+        assert threading.get_ident() not in idents, name
+        assert len(set(idents)) <= primes._worker_count(widths[name]) - (name == "strike"), name
+
+
+def test_fan_out_keeps_order_raises_the_first_error_and_joins_its_threads(monkeypatch):
+    monkeypatch.setenv("RMFLAB_THREADS", "3")
+    before = threading.active_count()
+    assert primes.fan_out(range(10), lambda i: i * i) == [i * i for i in range(10)]
+    assert primes.fan_out([], lambda i: i) == []
+    assert threading.active_count() == before
+
+    def work(i: int) -> int:
+        if i == 1:
+            raise RuntimeError(f"item {i} failed")
+        return i
+
+    with pytest.raises(RuntimeError, match="item 1 failed"):
+        primes.fan_out(range(7), work)
+    assert threading.active_count() == before
 
 
 def test_spf_examples():

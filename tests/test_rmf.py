@@ -488,14 +488,17 @@ def test_worker_count_follows_cpu_affinity(monkeypatch):
     monkeypatch.delenv("RMFLAB_THREADS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert rmf._worker_count() == 2  # two CPUs allowed on a 64-core host
+    assert primes._worker_count() == 2  # two CPUs allowed on a 64-core host
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert rmf._worker_count() == 8
+    assert primes._worker_count() == 8
+    assert primes._worker_count(0) == primes._worker_count(1) == 1  # capped at the tasks, >= 1
     monkeypatch.setenv("RMFLAB_THREADS", "3")
-    assert rmf._worker_count() == 3
+    assert primes._worker_count() == 3
+    monkeypatch.setenv("RMFLAB_THREADS", "5")
+    assert primes._worker_count(2) == 2 and primes._worker_count(7) == 5
     monkeypatch.setenv("RMFLAB_THREADS", "two")
     with pytest.raises(ValueError, match="RMFLAB_THREADS"):
-        rmf._worker_count()
+        primes._worker_count()
 
 
 def test_trace_checkpoints():
