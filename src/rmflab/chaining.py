@@ -1,16 +1,17 @@
 """Dyadic chaining: the deterministic oscillation bound |f(s) - f(t)| <= 2 sum_{r > R} lambda_r
 checked on the depth-r_max dyadic grid of an interval, the lambda_r^2 = 2 C1 r / 4^r schedule
 with its chaining constant, and the empirical oscillation experiment max |P(sigma) - P(sigma_ell)|
-over [sigma_ell, sigma_{ell-1}] at every ell from one sign hash and one rmf low-rank basis in log p,
-built at the widest interval's degree.  Per ell, only the grid rows that its estimate and derived
-bound cannot rule out are exact, each in its _GRID_CHUNK-row block's gemm: a gemm row reads only
-its own input row, in an order the fixed block shape fixes, so no other row changes a selected row.
+over [sigma_ell, sigma_{ell-1}] at every ell from one sign hash and rmf low-rank estimates in log
+p, all at the widest interval's degree, each streaming its basis.  Per ell, only the grid rows that
+its estimate and derived bound cannot rule out are exact, each in its _GRID_CHUNK-row block's gemm:
+a gemm row reads only its own input row, in an order the fixed block shape fixes, so no other row
+changes a selected row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log, sqrt
+from math import sqrt
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -125,17 +126,16 @@ class OscillationResult(NamedTuple):
 def check_grid(ells: Sequence[int], r_max: int, n_seeds: int, limit: int) -> int:
     """Raise ValueError unless every ell is >= 2 and r_max lies in [1, 30], and ResourceLimitError
     unless memory holds the bytes oscillation_batch allocates, returned: 4 n_seeds + 4 float64 per
-    grid row, 3 n_seeds + 9 + n + _GRID_CHUNK per prime, _hash_tile_bytes and 2 buffers, n the
-    basis degree at k r < log(limit) / 10, as every Delta sigma < 1/(2e) and r < log(limit) / 2."""
+    grid row, 3 n_seeds + 9 + _GRID_CHUNK per prime, _hash_tile_bytes and two _LOW_RANK_CELLS
+    buffers, one for a chunk of the streamed basis and then two for the estimate's kernel."""
     if any(ell < 2 for ell in ells):
         raise ValueError(f"ell must be >= 2, got {min(ells)}")
     if not 1 <= r_max <= 30:
         raise ValueError(f"r_max must lie in [1, 30], got {r_max}")
     n_primes = primes_mod.prime_count_bound(limit)
-    n = rmf_mod._degree(log(max(limit, 2)) / 10, False, _G)[0]
     rows = (2**r_max + 1) * (4 * n_seeds + 4) + 2 * rmf_mod._LOW_RANK_CELLS
     need = rmf_mod._hash_tile_bytes(n_seeds, n_primes)
-    need += 8 * (rows + n_primes * (3 * n_seeds + 9 + n + _GRID_CHUNK))
+    need += 8 * (rows + n_primes * (3 * n_seeds + 9 + _GRID_CHUNK))
     primes_mod.check_memory(need, f"r_max={r_max}, {n_seeds} seeds")
     return need
 
@@ -177,7 +177,8 @@ def oscillation_batch(
 ) -> list[OscillationResult]:
     """max over the depth-r_max dyadic grid of |P(sigma) - P(sigma_ell)| at every ell, with
     P truncated at the primes <= `limit`, against the chaining constant of OSCILLATION_SCHEDULE,
-    for many seeds: one sign hash serves every ell, one grid evaluation every seed.
+    for many seeds: one sign hash and one _low_rank degree serve every ell, whose estimate streams
+    its basis in chunks of primes, and one grid evaluation serves every seed.
 
     Seeds are Python ints of any sign; results report them as given, ell by ell."""
     check_grid(ells, r_max, len(seeds), limit)
@@ -190,7 +191,7 @@ def oscillation_batch(
     lambdas = np.array([OSCILLATION_SCHEDULE(r) for r in range(1, r_max + 1)])
     paper_c = OSCILLATION_SCHEDULE.chaining_constant()
     gap = max((step_sigma_ell(e - 1, step) - step_sigma_ell(e, step) for e in ells), default=0)
-    estimate = rmf_mod._low_rank(logp, gap, False, False, True)  # one basis for every ell
+    estimate = rmf_mod._low_rank(logp, gap, False, False)  # one degree for every ell
     results = []
     for ell in ells:
         s_ell, s_prev = step_sigma_ell(ell, step), step_sigma_ell(ell - 1, step)
@@ -209,21 +210,9 @@ def oscillation_batch(
         max_osc = np.fmax.reduce(np.abs(p_vals - p_vals[0]), axis=0)
         first_violation = _first_violations(p_vals, lambdas)
         del block, p_vals  # one ell's grid at a time
+        trunc_std = float("inf")  # where sigma underflowed to the divergence boundary
         if s_ell > 0.5:
-            tail_var = prime_series.prime_power_tail_bound(2.0 * s_ell, limit, pi_cut=ps.size)
-            trunc_std = sqrt(tail_var)
-        else:
-            trunc_std = float("inf")  # sigma underflowed to the divergence boundary
-        results += [
-            OscillationResult(
-                seed=seed,
-                ell=ell,
-                sigma_ell=s_ell,
-                max_osc=float(max_osc[j]),
-                paper_c=paper_c,
-                first_violation_r=first_violation[j],
-                truncation_std=trunc_std,
-            )
-            for j, seed in enumerate(seeds)
-        ]
+            trunc_std = sqrt(prime_series.prime_power_tail_bound(2 * s_ell, limit, ps.size))
+        results += [OscillationResult(seed, ell, s_ell, float(osc), paper_c, first, trunc_std)
+                    for seed, osc, first in zip(seeds, max_osc, first_violation)]
     return results

@@ -449,7 +449,7 @@ def cmd_verify(args, cfg: ExperimentConfig) -> Result:
         chaining.check_grid(cfg.ells, cfg.r_max, 20, cfg.prime_limit)
         concentration.step2_need(cfg.gamma, cfg.trials, range(cfg.ell_min, cfg.ell_max + 1),
                                  HOEFFDING_PRIMES)
-    primes.table_need(max(cfg.claim1_n, cfg.chebyshev_limit))  # c02's and c04's prime tables
+    prime_series.log_weighted_need(50, max(cfg.claim1_n, cfg.chebyshev_limit))  # c02, c04
     checks, seconds = [], {}
     for name in VERIFY_TARGETS[args.target]:
         t0 = time.perf_counter()

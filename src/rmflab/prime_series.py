@@ -273,6 +273,14 @@ class LogWeightedSum(NamedTuple):
 _grid: tuple | None = None  # the last grid: (sigmas, n_cut, weakref to its table buffer, sums)
 
 
+def log_weighted_need(n_sigmas: int, n_cut: int) -> int:
+    """Bytes log_weighted_grid takes at most, once memory holds the table to n_cut (table_need) and
+    it: the table's bytes and two _CHUNK float64 on each thread of a grid of n_sigmas sigma."""
+    need = primes_mod.table_need(n_cut) + 16 * _CHUNK * primes_mod._worker_count(n_sigmas)
+    primes_mod.check_memory(need, f"log-weighted grid of {n_sigmas} sigmas to {n_cut}")
+    return need
+
+
 def log_weighted_grid(sigmas: list[float], n_cut: int) -> list[LogWeightedSum]:
     """Certified sum_p (log p)^2 p^(-2 sigma) against 4/(2 sigma - 1)^2 at each sigma, all checked
     before the sieve.  The tail is the smaller of the integer-comparison bound (valid once
@@ -286,6 +294,7 @@ def log_weighted_grid(sigmas: list[float], n_cut: int) -> list[LogWeightedSum]:
             raise ValueError(f"sigma must lie in (1/2, 1], got {sigma}")
         if n_cut < exp(1.0 / sigma):
             raise ValueError(f"cutoff {n_cut} below integral-comparison validity e^(1/sigma)")
+    log_weighted_need(len(sigmas), n_cut)  # before the sieve
     table, key = primes_mod.cached_primes(n_cut), (tuple(sigmas), n_cut)
     if (kept := _grid) is not None and kept[:2] == key and kept[2]() is table.base:
         return list(kept[3])

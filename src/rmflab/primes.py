@@ -95,10 +95,10 @@ def _sieve_limit(limit: int) -> int:
 def table_need(limit: int) -> int:
     """Bytes of the primes <= limit at most, once limit is a sieve limit and memory holds them:
     4 B per prime_count_bound(limit) prime (the one table), a segment's flags on each of up to two
-    threads, 12 B a prime of it (at most 2y/log y in y integers) and 4 _CHUNK float64 a thread."""
+    threads, 12 B a prime of it (at most 2y/log y in y integers) and one pass's 4 _CHUNK float64."""
     flags = _worker_count(2) * (DEFAULT_SEGMENT + _PERIOD)  # the strike and extract stages
     segment = flags + 12 * int(4 * DEFAULT_SEGMENT / log(2 * DEFAULT_SEGMENT))  # Brun-Titchmarsh
-    need = 4 * prime_count_bound(_sieve_limit(limit)) + segment + 32 * _CHUNK * _worker_count()
+    need = 4 * prime_count_bound(_sieve_limit(limit)) + segment + 32 * _CHUNK
     check_memory(need, f"prime table to {limit}")
     return need
 

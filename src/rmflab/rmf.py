@@ -43,7 +43,7 @@ _HASH_CELLS = 1 << 16  # float64 cells per sign_matrix tile, each hashed in plac
 _T_CHUNK = 32  # t-grid rows per block of the sup-scan estimates
 _EXACT_LOG1P = 10**4  # sup-scan estimates take the exact log1p for primes up to here
 _LOW_RANK_CELLS = 1 << 19  # float64 cells per prime chunk or grid chunk of _low_rank
-_SUM_CELLS = 1 << 20  # float64 cells per sign block of random_prime_sum_batch
+_SUM_CELLS = 1 << 18  # float64 cells per sign block of the prime-sum batches, on each thread
 _SCREEN_ROWS = 8  # rows per screening np.dot (np.matmul's did not overlap across threads): at
 # P = 9,592 and OPENBLAS_NUM_THREADS=2, 8 rows ran on the calling thread; 1 and 27 rows did not
 _factors: tuple | None = None  # (x_max, flags, least, rest) of the largest _factor_table built
@@ -88,15 +88,19 @@ def _salted(trial_seeds: np.ndarray | Sequence[int], primes: np.ndarray) -> tupl
     return mix64(np.asarray(trial_seeds, dtype=np.uint64)), pk
 
 
-def sign_matrix(trial_seeds: np.ndarray | Sequence[int], primes: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """The sign hash: row t holds the +-1.0 signs of `primes` under trial_seeds[t], in `out`, a
-    C-contiguous float64 (len(trial_seeds), primes.size) array, or in a new one.  Tiles of
-    max(1, _HASH_CELLS // P) rows go through _sign_bit in place, bit 63 set where f(p) = -1."""
+def sign_matrix(trial_seeds: np.ndarray | Sequence[int], primes: np.ndarray) -> np.ndarray:
+    """The sign hash: row t holds the +-1.0 signs of `primes` under trial_seeds[t], by _sign_tiles
+    into a new float64 (len(trial_seeds), primes.size) array."""
     keys, pk = _salted(trial_seeds, primes)
-    out = np.empty((keys.size, primes.size)) if out is None else out
-    rows = max(1, _HASH_CELLS // max(1, primes.size))
-    tmp = np.empty((min(rows, keys.size), primes.size), dtype=np.uint64)  # shift temporary
+    return _sign_tiles(keys, pk, np.empty((keys.size, primes.size)))
+
+
+def _sign_tiles(keys: np.ndarray, pk: np.ndarray, out: np.ndarray, tmp=None) -> np.ndarray:
+    """The sign hash of _salted's keys and salted primes pk into `out`, a C-contiguous float64
+    (len(keys), P) array: tiles of max(1, _HASH_CELLS // P) rows go through _sign_bit in place, bit
+    63 set where f(p) = -1, shifts in `tmp` (None: a new one) of min(tile rows, len(keys)) rows."""
+    rows = max(1, _HASH_CELLS // max(1, pk.size))
+    tmp = np.empty((min(rows, keys.size), pk.size), dtype=np.uint64) if tmp is None else tmp
     for start in range(0, keys.size, rows):
         key = keys[start : start + rows, None]
         z = out[start : start + key.size].view(np.uint64)
@@ -340,36 +344,39 @@ def partial_sum_trace(seeds: Sequence[int], x_max: int, stride: int) -> list[Par
 
 def prime_sum_need(n_seeds: int, limit: int, n_sigmas: int) -> int:
     """Bytes either prime-sum batch takes at most, once memory holds them: n_sigmas + 2 float64 per
-    seed and per prime <= limit, 64 KiB of headers, per thread a block, salted primes and tiles."""
+    seed and n_sigmas + 3 per prime <= limit, 64 KiB of headers, per thread a block and tiles."""
     n_primes = primes_mod.prime_count_bound(limit)
     rows = min(max(1, _SUM_CELLS // max(1, n_primes)), n_seeds)
     threads = primes_mod._worker_count(-(-n_seeds // max(1, rows)))
-    need = 8 * (n_sigmas + 2) * (n_seeds + n_primes) + (1 << 16)
-    need += threads * (8 * (rows + 1) * n_primes + _hash_tile_bytes(rows, n_primes))
+    need = 8 * (n_sigmas + 2) * (n_seeds + n_primes) + 8 * n_primes + (1 << 16)
+    need += threads * (8 * rows * n_primes + _hash_tile_bytes(rows, n_primes))
     check_memory(need, f"prime sums of {n_seeds} seeds at {n_sigmas} sigmas")
     return need
 
 
-def _prime_sum_blocks(seeds, sigmas: Sequence[float], limit: int, dtype, reduce) -> np.ndarray:
+def _prime_sum_blocks(seeds, sigmas: Sequence[float], limit: int, dtype, reducer) -> np.ndarray:
     """A new (len(seeds), len(sigmas)) dtype array, once prime_sum_need passes and every sigma >
-    1/2, filled by reduce(signs, weights, out) per block of max(1, _SUM_CELLS // P) seeds and out
-    their rows: signs hashed by sign_matrix under primes.fan_out, task k of T into blocks[k] for
-    blocks k, k + T, ..., and weights[j] = p^(-sigmas[j]) over the P primes p <= limit."""
+    1/2, filled by reduce(signs, out), reduce = reducer(weights), per block of max(1, _SUM_CELLS
+    // P) seeds and out their rows: signs hashed by _sign_tiles under primes.fan_out, task k of T
+    into blocks[k] and tiles[k] for blocks k, k + T, ..., and weights[j] = p^(-sigmas[j]) over the
+    P primes p <= limit.  The keys, salted primes and weights are made once, in the caller."""
     prime_sum_need(len(seeds), limit, len(sigmas))  # before anything is sieved or allocated
     if not all(sigma > 0.5 for sigma in sigmas):
         raise DivergenceError(f"P(sigma) requires sigma > 1/2, got {sigmas}")
-    ps, out = primes_mod.cached_primes(limit), np.empty((len(seeds), len(sigmas)), dtype)
+    ps = primes_mod.cached_primes(limit)
+    (keys, pk), out = _salted(seeds, ps), np.empty((len(seeds), len(sigmas)), dtype)
     weights = np.empty((len(sigmas), ps.size))  # filled row by row: one temporary at a time
     for w, sigma in zip(weights, sigmas):
         w[:] = ps.astype(np.float64) ** (-sigma)
-    n, rows = len(seeds), max(1, _SUM_CELLS // max(1, ps.size))
+    n, rows, reduce = len(seeds), max(1, _SUM_CELLS // max(1, ps.size)), reducer(weights)
     threads = primes_mod._worker_count(-(-n // rows))
     blocks = np.empty((threads, min(rows, n), ps.size))  # allocated here: pool threads keep pages
+    tiles = np.empty((threads, min(n, _HASH_CELLS // ps.size or 1), ps.size), np.uint64)  # shifts
 
     def run(k: int) -> None:  # blocks k, k + threads, ... in blocks[k]
         for start in range(k * rows, n, threads * rows):
-            signs = sign_matrix(seeds[start : start + rows], ps, out=blocks[k, : n - start])
-            reduce(signs, weights, out[start : start + len(signs)])
+            signs = _sign_tiles(keys[start : start + rows], pk, blocks[k, : n - start], tiles[k])
+            reduce(signs, out[start : start + len(signs)])
 
     primes_mod.fan_out(range(threads), run)
     return out
@@ -380,8 +387,8 @@ def random_prime_sum_batch(trial_seeds: np.ndarray | Sequence[int], sigmas: Sequ
     """Truncated P(sigma) for many seeds at once at every sigma, shape (len(seeds), len(sigmas)):
     one einsum per block of _prime_sum_blocks, numpy's own loop with no BLAS, so a row's bits
     depend on neither its block nor the thread count."""
-    return _prime_sum_blocks(trial_seeds, sigmas, limit, np.float64, lambda signs, weights, out:
-                             np.einsum("ip,sp->is", signs, weights, out=out))
+    return _prime_sum_blocks(trial_seeds, sigmas, limit, np.float64, lambda weights: lambda
+                             signs, out: np.einsum("ip,sp->is", signs, weights, out=out))
 
 
 def prime_sum_exceedances(trial_seeds: np.ndarray | Sequence[int], sigmas: Sequence[float],
@@ -394,16 +401,18 @@ def prime_sum_exceedances(trial_seeds: np.ndarray | Sequence[int], sigmas: Seque
     that of lam at some sigma, or NaN, is decided by its einsum, whose bits no block changes."""
     lams = np.asarray(lams, dtype=np.float64)
 
-    def count(signs: np.ndarray, weights: np.ndarray, hits: np.ndarray) -> None:
-        eps = 2.02 * weights.shape[1] * _G * weights.sum(axis=1)  # S P adds: under 1% of the hash
-        d = np.empty((len(signs), len(lams)))
-        for i in range(0, len(signs), _SCREEN_ROWS):
-            np.dot(signs[i : i + _SCREEN_ROWS], weights.T, out=d[i : i + _SCREEN_ROWS])
-        np.greater(d, lams, out=hits)
-        for j in np.flatnonzero(~np.all(np.abs(d - lams) > eps, axis=1)):
-            hits[j] = np.einsum("ip,sp->is", signs[j : j + 1], weights)[0] >= lams
+    def screen(weights: np.ndarray):  # count(signs, hits) per block, under one eps
+        eps = 2.02 * weights.shape[1] * _G * weights.sum(axis=1)  # S P adds, once per call
+        def count(signs: np.ndarray, hits: np.ndarray) -> None:
+            d = np.empty((len(signs), len(lams)))
+            for i in range(0, len(signs), _SCREEN_ROWS):
+                np.dot(signs[i : i + _SCREEN_ROWS], weights.T, out=d[i : i + _SCREEN_ROWS])
+            np.greater(d, lams, out=hits)
+            for j in np.flatnonzero(~np.all(np.abs(d - lams) > eps, axis=1)):
+                hits[j] = np.einsum("ip,sp->is", signs[j : j + 1], weights)[0] >= lams
+        return count
 
-    return np.count_nonzero(_prime_sum_blocks(trial_seeds, sigmas, limit, bool, count), axis=0)
+    return np.count_nonzero(_prime_sum_blocks(trial_seeds, sigmas, limit, bool, screen), axis=0)
 
 
 def abel_weights(sigma: float, x: int) -> tuple[np.ndarray, np.ndarray]:
@@ -465,13 +474,13 @@ def _node_error(k, c: float, r: float, osc: bool):
     return 1.01 * _U * ((k + 126 if osc else k) * (2 * abs(c) + 3 * r) + (15 if osc else 9))
 
 
-def _low_rank(theta, kmax: float, osc: bool, complex_coef: bool, held: bool):
+def _low_rank(theta, kmax: float, osc: bool, complex_coef: bool):
     """estimate(coef, ks, scale) -> (values, eps): values[i, s] ~ sum_p coef[p, s] e^(z ks[i]
     theta_p), z = i (integer ks) or 1, |ks| <= kmax, within eps[s] if scale[s] >= sum_p |coef[p,
     s]|: the kernel interpolated in theta = c + r x at n + 1 Chebyshev points x_j, n of _degree at
-    gamma_{P+1} (2 gamma_{P+1} for complex coef), b_j = sum_p coef_p l_j(x_p) on a barycentric
-    basis held (`held`) or built per estimate in chunks of primes.  Per unit of G scale, G >= |e^(z
-    k theta)|, eps adds (1 + Lambda_n) E of _interp_error at the estimate's max |k| r; the
+    gamma_{P+1} (2 gamma_{P+1} for complex coef) for every estimate, b_j = sum_p coef_p l_j(x_p)
+    on a barycentric basis each estimate streams in chunks of primes.  Per unit of G scale, G >=
+    |e^(z k theta)|, eps adds (1 + Lambda_n) E of _interp_error at the estimate's max |k| r; the
     barycentric roundoff 2 alpha Lambda_n max|p_n|, alpha = gamma_{3n+6} (Higham, IMA J. Numer.
     Anal. 24, 2004); gamma_{P+1} and 2 gamma_{n+3} for the sums; x_p's rounding; the kernel at the
     nodes, e^(i k z) = e^(i 64 a z) e^(i m z) for k = 64 a + m, 0 <= m < 64, from two rounded
@@ -485,32 +494,26 @@ def _low_rank(theta, kmax: float, osc: bool, complex_coef: bool, held: bool):
     z_j, rows = c + r * x_j, max(1, _LOW_RANK_CELLS // (n + 1))
     steps = np.exp(1j * np.multiply.outer(np.arange(64.0), z_j)) if osc else None  # e^(i m z)
 
-    # (first prime, lam_j / (x_p - x_j), s_p) per chunk of `size` primes, fresh when held, else in
-    # one reused buffer; l_j(x_p) = lam_j / (x_p - x_j) / s_p, the division by s_p held or on coef_p
-    def blocks(size: int):
-        out = None if held else np.empty((n + 1, min(size, theta.size)))
-        for i in range(0, theta.size, size):
-            x = np.clip((theta[i : i + size] - c) / (r or 1.0), -1.0, 1.0)
-            q = np.subtract(x, x_j[:, None], out=None if out is None else out[:, : x.size])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                s = np.sum(np.divide(lam[:, None], q, out=q), axis=0)
-            hit = np.flatnonzero(~np.isfinite(s))  # x_p on a node: l_j(x_p) = [x_j == x_p]
-            q[:, hit], s[hit] = np.isinf(q[:, hit]), 1.0
-            yield i, q, s
-
-    kept = [(i, np.divide(q, s, out=q), None) for i, q, s in blocks(rows)] if held else []
-
     # coef: (P, S), or part(i, j) -> its rows i..j-1 made per chunk; scale None: sum_p |coef[p, s]|
     def estimate(coef, ks, scale=None) -> tuple[np.ndarray, np.ndarray]:
         part, head = (coef, coef(0, 0)) if callable(coef) else (lambda i, j: coef[i:j], coef)
         b, sums = np.zeros((n + 1, head.shape[1]), head.dtype), np.zeros(head.shape[1])
-        width = n + 1 + 2 * b.view(np.float64).shape[1]  # basis, coef and coef / s per prime
-        for i, q, s in kept or blocks(max(1, _LOW_RANK_CELLS // width)):
-            a = part(i, i + q.shape[1])
+        floats = b.view(np.float64).shape[1]
+        size = max(1, _LOW_RANK_CELLS // (n + 1 + 2 * floats))  # basis, coef and coef / s per prime
+        basis = np.empty((n + 1, min(size, theta.size)))  # a chunk's l_j(x_p) s_p, reused
+        for i in range(0, theta.size, size):
+            x = np.clip((theta[i : i + size] - c) / (r or 1.0), -1.0, 1.0)
+            q = np.subtract(x, x_j[:, None], out=basis[:, : x.size])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s = np.sum(np.divide(lam[:, None], q, out=q), axis=0)  # l_j(x_p) = q_j / s_p
+            hit = np.flatnonzero(~np.isfinite(s))  # x_p on a node: l_j(x_p) = [x_j == x_p]
+            q[:, hit], s[hit] = np.isinf(q[:, hit]), 1.0
+            a = part(i, i + x.size)
             sums += np.sum(np.abs(a), axis=0) if scale is None else 0.0
-            ab = a.view(np.float64) if np.iscomplexobj(a) else a
-            b.view(np.float64)[:] += q @ (ab if s is None else ab / s[:, None])
-        q = a = ab = None  # the last chunk's buffers die before the kernel products
+            ab = a.view(np.float64) if np.iscomplexobj(a) else a  # 1/s_p: the side of fewer floats
+            q, ab = (np.divide(q, s, out=q), ab) if n + 1 <= floats else (q, ab / s[:, None])
+            b.view(np.float64)[:] += q @ ab
+        basis = q = a = ab = None  # the last chunk's buffers die before the kernel products
         scale, k = sums if scale is None else scale, float(np.max(np.abs(ks), initial=0.0))
         values = np.empty((ks.size, b.shape[1]), b.dtype)
         kernel = ((lambda chunk: _split_kernel(chunk, z_j, steps)) if osc
@@ -570,7 +573,7 @@ def _sup_scan_estimates(ts, sizes, logp, sg, amps) -> list[tuple[np.ndarray, np.
         return out
 
     ks = np.concatenate([m, 2 * m])  # |ks| <= 2 (ts.size - 1 - mid), as mid <= ts.size - 1 - mid
-    values, ev = _low_rank(h * lp, 2.0 * (ts.size - 1 - mid), True, True, False)(coef, ks)
+    values, ev = _low_rank(h * lp, 2.0 * (ts.size - 1 - mid), True, True)(coef, ks)
     theta, gam, out = float(np.max(logp, initial=0.0)), (logp.size + 8) * _G, []
     for s, ((est, _, _), amp) in enumerate(zip(small, amps)):
         size, aa = est.shape[1], amp * amp

@@ -48,7 +48,7 @@ None of this is used by `rmflab` itself:
   `rmf.random_prime_sum_batch` must reproduce for every seed, and the batch
   in one piece (`random_prime_sum_batch_direct`: every seed hashed to int8,
   cast to float64 and summed by one einsum against all sigmas), which it must
-  reproduce bit for bit from its blocks of 2^20 // P seeds on any number of
+  reproduce bit for bit from its blocks of 2^18 // P seeds on any number of
   threads, and whose count of values >= a threshold per sigma
   `rmf.prime_sum_exceedances`, screening each block by gemm, must equal;
 - the sigma grid of the oscillation experiment evaluated block by block on
@@ -463,7 +463,7 @@ def low_rank_grid(theta, coef, ks, osc: bool) -> tuple[np.ndarray, np.ndarray]:
     """`rmf._low_rank`'s estimate for real or complex (P, S) coef at every k of `ks`, its basis
     built in chunks of primes and its scale sum_p |coef[p, s]| summed chunk by chunk."""
     k = float(np.max(np.abs(ks), initial=0.0))
-    return rmf_mod._low_rank(theta, k, osc, np.iscomplexobj(coef), False)(coef, ks)
+    return rmf_mod._low_rank(theta, k, osc, np.iscomplexobj(coef))(coef, ks)
 
 
 def packed_signs(signs: SignAssignment, x_max: int) -> np.ndarray:

@@ -215,7 +215,7 @@ def estimate_inputs(seeds, ell, r_max, limit):
     step = StepParams(1.0)
     logp, weights, gap = oracles.oscillation_inputs(seeds, ell, step, limit)
     frac = np.arange(2**r_max + 1, dtype=np.float64) / 2.0**r_max
-    estimate = rmf._low_rank(logp, gap, False, False, True)
+    estimate = rmf._low_rank(logp, gap, False, False)
     approx, eps = ch._grid_estimate(estimate, weights, frac * gap, np.abs(weights[:, 0]), logp)
     return approx, eps, oracles.oscillation_grid(seeds, ell, step, r_max, limit)
 
@@ -285,13 +285,36 @@ def test_grid_estimate_bound_dominates_measured_error():
     assert np.all(np.abs(approx - exact) <= eps)
 
 
+@pytest.mark.parametrize("edge", [-1, 0, 1])
+def test_oscillation_batch_matches_direct_across_streamed_basis_chunks(edge, monkeypatch):
+    # With _LOW_RANK_CELLS cut to 100 primes' cells (n + 1 basis rows, and the weights and their
+    # quotients by s_p, for 20 seeds), the basis of the 1200 + edge primes to about 10^4 streams
+    # in 12 or 13 chunks, the last prime one before, at or one past a chunk's edge.  The estimate
+    # stays within its eps of the exact grid, and the selected rows give the oracle's bits.
+    ell, step, r_max = 3, StepParams(1.0), 8
+    limit = int(primes.cached_primes(10**4)[1199 + edge])  # pi(limit) = 1200 + edge
+    logp, _, gap = oracles.oscillation_inputs(SEEDS, ell, step, limit)
+    n = rmf._degree(gap * (logp[-1] - logp[0]) / 2, False, (logp.size + 1) * rmf._G)[0]
+    monkeypatch.setattr(rmf, "_LOW_RANK_CELLS", 100 * (n + 1 + 2 * len(SEEDS)))
+    seen, pick = [], ch._rows_to_recompute
+    monkeypatch.setattr(ch, "_rows_to_recompute", lambda *a: seen.append(a[:2]) or pick(*a))
+    max_osc, first = oracles.oscillation_direct(SEEDS, ell, step, r_max, limit)
+    res = ch.oscillation_batch(SEEDS, [ell], step, r_max=r_max, limit=limit)
+    assert [r.max_osc for r in res] == max_osc.tolist()
+    assert [r.first_violation_r for r in res] == first
+    (approx, eps), = seen
+    assert np.all(np.abs(approx - oracles.oscillation_grid(SEEDS, ell, step, r_max, limit)) <= eps)
+    assert np.all(eps < 1e-6)
+
+
 @pytest.mark.parametrize("ells", [[3], [2, 3, 4, 6]])
-def test_oscillation_batch_builds_one_basis_for_every_ell(ells, monkeypatch):
-    # _low_rank builds a held basis when called, and its estimates only read it.
+def test_oscillation_batch_fixes_one_degree_for_every_ell(ells, monkeypatch):
+    # _low_rank fixes the basis degree when called, and every ell's estimate streams its basis at
+    # that degree: one call serves every ell.
     built, low_rank = [], rmf._low_rank
     monkeypatch.setattr(ch.rmf_mod, "_low_rank", lambda *a: built.append(a[2:]) or low_rank(*a))
     ch.oscillation_batch(SEEDS[:4], ells, StepParams(1.0), r_max=6, limit=10**4)
-    assert built == [(False, False, True)]
+    assert built == [(False, False)]
 
 
 def test_shared_basis_eps_dominates_every_ells_error(monkeypatch):

@@ -669,14 +669,16 @@ def test_an_ell_range_too_long_for_len_is_refused_by_its_memory(tmp_path, monkey
 
 
 def test_verify_all_refuses_c06_beyond_memory_before_any_check(tmp_path, monkeypatch, capsys):
-    # On 8 threads c06's 2000 seeds at 3 sigma over pi(10^5) primes need 73.5 MB, above a
-    # machine stubbed to 64 MiB, while every other need of the preflight fits: c12's is the
-    # largest, 38.8 MB.  c06 used to be refused only once c01-c05 had run.
+    # On 8 threads c06's 2000 seeds at 3 sigma over pi(10^5) primes need 22.7 MB, above a
+    # machine stubbed to 16 MiB, while every need the preflight checks before c06's fits: c05's
+    # is the largest, 1.6 MB.  c12's 37.4 MB would not fit, but the preflight reaches c06 first.
+    # c06 used to be refused only once c01-c05 had run.
     monkeypatch.setenv("RMFLAB_THREADS", "8")
-    stub_ram(monkeypatch, 64 * 2**20)
+    stub_ram(monkeypatch, 16 * 2**20)
     need = prime_sum_bytes(2000, 10**5, 3)
-    assert cli.chaining.check_grid([3, 4, 5], 4, 20, 10**5) == 38_796_048 < 64 * 2**20
-    assert need == 73_504_112
+    small = cli.ExperimentConfig(prime_limit=10**5, x_max=10**4, trials=100, seeds=4, r_max=4)
+    assert cli.rmf.extension_need(10**4, 4, 10**4 + 1) < cli._abel_need(small) < 16 * 2**20
+    assert need == 22_657_184
     ran = []
     for name, check in cli.VERIFY_CHECKS.items():
         monkeypatch.setitem(cli.VERIFY_CHECKS, name,
@@ -730,18 +732,18 @@ def test_sup_scan_grid_beyond_memory_is_refused_before_any_hash(tmp_path, monkey
 def test_prime_sums_beyond_memory_are_refused_before_any_sieve_or_hash(
         tmp_path, monkeypatch, capsys):
     # concentration's 10^4 trials x 8 sigma over pi(10^6) <= 90,845 primes on 2 threads:
-    # 10 float64 per prime and per trial and 64 KiB, and per thread an 11-row float64 block,
-    # its salted primes, a one-row shift temporary and two 8192-element ufunc buffers,
-    # 27.3 MB; c06 and c07 hold 2000 seeds at 10^6 and 10^4 at 10^5.
+    # 10 float64 per prime and per trial, the salted primes and 64 KiB, and per thread a 2-row
+    # float64 block, a one-row shift temporary and two 8192-element ufunc buffers, 13.5 MB;
+    # c06 and c07 hold 2000 seeds at 10^6 and 10^4 at 10^5.
     monkeypatch.setenv("RMFLAB_THREADS", "2")
     stub_ram(monkeypatch, 2**20)
     calls = []
     monkeypatch.setattr(cli.primes, "cached_primes", lambda *a: calls.append(a))
-    monkeypatch.setattr(cli.rmf, "sign_matrix", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(cli.rmf, "_sign_tiles", lambda *a, **kw: calls.append(a))
     out = tmp_path / "cc"
     assert run(["concentration", "--output-dir", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "resource error: prime sums of 10000 seeds at 8 sigmas: 27291040 B > physical RAM" in err
+    assert "resource error: prime sums of 10000 seeds at 8 sigmas: 13482600 B > physical RAM" in err
     for check in (cli._check_variance_match, cli._check_hoeffding):
         with pytest.raises(cli.ResourceLimitError, match="B > physical RAM"):
             check(cli.ExperimentConfig())
@@ -752,14 +754,14 @@ def test_prime_sums_beyond_memory_are_refused_before_any_sieve_or_hash(
 # The prime table to a limit takes 4 B per prime_count_bound(limit) prime (the one array its
 # segments are written into), two flag buffers of a segment (2^20 flags and a 15,015-flag period
 # each: on two threads the walk strikes one segment while it extracts another), 12 B for each of
-# at most 288,147 primes of a segment, and four 2^16-value float64 buffers on each of two threads:
-# 12,893,914 B at 10^7 (778,666 primes) and 511,505,926 B at the int32 cap (125,431,669), above a
+# at most 288,147 primes of a segment, and one pass's four 2^16-value float64 buffers:
+# 10,796,762 B at 10^7 (778,666 primes) and 509,408,774 B at the int32 cap (125,431,669), above a
 # 1 MiB machine.
-# `verify constants` refuses it before c01 walks; `prime-sums` refuses it in the sieve.
+# `verify constants` refuses it before c01 walks; `prime-sums` refuses it in its grid's need.
 @pytest.mark.parametrize("argv, limit, need", [
-    (["verify", "constants"], 10**7, 12_893_914),
-    (["verify", "constants", "--chebyshev-limit", "2147483647"], 2**31 - 1, 511_505_926),
-    (["prime-sums"], 10**7, 12_893_914),
+    (["verify", "constants"], 10**7, 10_796_762),
+    (["verify", "constants", "--chebyshev-limit", "2147483647"], 2**31 - 1, 509_408_774),
+    (["prime-sums"], 10**7, 10_796_762),
 ])
 def test_prime_tables_beyond_memory_are_refused_with_exit_3_before_any_sieve(
         argv, limit, need, tmp_path, monkeypatch, capsys):
@@ -774,6 +776,26 @@ def test_prime_tables_beyond_memory_are_refused_with_exit_3_before_any_sieve(
     assert f"resource error: prime table to {limit}: {need} B > physical RAM" in err
     with pytest.raises(cli.ResourceLimitError, match=f"prime table to {limit}: {need} B > "):
         cli.primes.sieve_primes(limit)
+    assert calls == []
+    assert not out.exists()
+
+
+# At RMFLAB_THREADS=8 the 50-sigma grid to 10^7 sums on 8 threads, two 2^16-value float64 buffers
+# each, beside the table's 10,796,762 B: 19,185,370 B, above a 16 MiB machine that holds the table.
+@pytest.mark.parametrize("argv", [["verify", "constants"], ["prime-sums"]])
+def test_a_grid_beyond_memory_on_eight_threads_is_refused_with_exit_3_before_any_sieve(
+        argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("RMFLAB_THREADS", "8")
+    monkeypatch.setattr(cli.primes, "_largest", None)
+    monkeypatch.setattr(cli.prime_series, "_grid", None)
+    stub_ram(monkeypatch, 16 * 2**20)
+    calls = []
+    monkeypatch.setattr(cli.primes, "segments", lambda *a: calls.append(a))
+    assert cli.primes.table_need(10**7) == 10_796_762
+    out = tmp_path / "g"
+    assert run(argv + ["--output-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "resource error: log-weighted grid of 50 sigmas to 10000000: 19185370 B > physical" in err
     assert calls == []
     assert not out.exists()
 
@@ -810,12 +832,12 @@ def test_the_prime_sum_kernels_refuse_beyond_memory_before_any_sieve_or_hash(mon
     stub_ram(monkeypatch, 2**20)
     calls = []
     monkeypatch.setattr(cli.primes, "cached_primes", lambda *a: calls.append(a))
-    monkeypatch.setattr(cli.rmf, "sign_matrix", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(cli.rmf, "_sign_tiles", lambda *a, **kw: calls.append(a))
     seeds, sigmas = np.arange(10**4, dtype=np.uint64), np.linspace(0.6, 1.0, 8)
     for kernel in (lambda: cli.rmf.random_prime_sum_batch(seeds, sigmas, 10**6),
                    lambda: cli.rmf.prime_sum_exceedances(seeds, sigmas, sigmas, 10**6)):
         with pytest.raises(cli.ResourceLimitError,
-                           match="prime sums of 10000 seeds at 8 sigmas: 27291040 B > physical"):
+                           match="prime sums of 10000 seeds at 8 sigmas: 13482600 B > physical"):
             kernel()
     assert calls == []
 

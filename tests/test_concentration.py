@@ -125,14 +125,14 @@ def test_step2_experiment_validation():
 
 def test_step2_hashes_each_trial_once(monkeypatch):
     hashed_rows = []
-    original = rmf.sign_matrix
+    original = rmf._sign_tiles  # the tile loop under every sign_matrix and prime-sum block
 
-    def counting(trial_seeds, ps, out=None):
-        out = original(trial_seeds, ps, out=out)
+    def counting(keys, pk, out, tmp=None):
+        out = original(keys, pk, out, tmp)
         hashed_rows.append(out.shape[0])
         return out
 
-    monkeypatch.setattr(rmf, "sign_matrix", counting)
+    monkeypatch.setattr(rmf, "_sign_tiles", counting)
     rows = cc.step2_experiment(StepParams(1.0), 1.0, range(1, 9), trials=600, prime_limit=10**4,
                                base_seed=0)
     assert len(rows) == 8

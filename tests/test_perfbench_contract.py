@@ -145,6 +145,16 @@ def test_verify_preflight_restates_no_refusal():
     assert outside == []
 
 
+def test_every_width_rule_call_passes_a_task_count():
+    """Every `_worker_count` call in `src/rmflab` passes its task count, so no pool, and no need
+    that charges a pool's buffers, counts more threads than it has tasks."""
+    uncapped = []
+    for path in sorted(SRC.glob("*.py")):
+        uncapped += [f"{path.stem}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+                     if _called(node) == "_worker_count" and not (node.args or node.keywords)]
+    assert uncapped == []
+
+
 def _identifier(node: ast.AST) -> str | None:
     """The name an import names, or a name or attribute reads, at `node`; else None."""
     if isinstance(node, ast.alias):

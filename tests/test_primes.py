@@ -235,7 +235,7 @@ _STAGE = contextvars.ContextVar("stage")
 def test_every_thread_runs_in_the_callers_context(threads, monkeypatch):
     # A context variable set by the caller reads back inside each pool's work and in the segment
     # walk's strike stage, on threads other than the caller's, and no call runs on more threads
-    # than the width rule gives its tasks: 3 passes, 3 blocks of at most 853 seeds, 3 sigma, and
+    # than the width rule gives its tasks: 3 passes, 3 blocks of at most 213 seeds, 3 sigma, and
     # 2 stages, of which the caller runs one.
     monkeypatch.setenv("RMFLAB_THREADS", threads)
     seen = {}  # kernel -> [(stage, thread)]
@@ -247,7 +247,7 @@ def test_every_thread_runs_in_the_callers_context(threads, monkeypatch):
         return wrapped
 
     monkeypatch.setattr(rmf, "sign_words", spy("trace", rmf.sign_words))
-    monkeypatch.setattr(rmf, "sign_matrix", spy("sums", rmf.sign_matrix))
+    monkeypatch.setattr(rmf, "_sign_tiles", spy("sums", rmf._sign_tiles))
     monkeypatch.setattr(prime_series, "_prime_power_term",
                         spy("grid", prime_series._prime_power_term))
     monkeypatch.setattr(prime_series, "_grid", None)
@@ -260,7 +260,7 @@ def test_every_thread_runs_in_the_callers_context(threads, monkeypatch):
     token = _STAGE.set("caller")
     try:
         rmf.partial_sum_trace(range(129), 2000, 2001)
-        rmf.random_prime_sum_batch(range(2000), [0.6, 0.8], 10**4)
+        rmf.random_prime_sum_batch(range(600), [0.6, 0.8], 10**4)
         prime_series.log_weighted_grid([0.6, 0.7, 0.8], 10**4)
         monkeypatch.setattr(primes, "DEFAULT_SEGMENT", 997)
         walk = primes.segments(10**5)

@@ -560,8 +560,8 @@ def test_random_prime_sum_batch_matches_single():
                                            (13000, 10**3), (100, 10**5), (257, 10**5),
                                            (600, 10**5)])
 def test_random_prime_sum_batch_matches_direct_bit_for_bit(trials, limit):
-    # A block holds 2^20 // P seeds: 6241 at 10^3, so 13,000 trials take blocks of 6241, 6241
-    # and 518, and 109 at 10^5, so 257 and 600 trials end on partial blocks of 39 and 55 seeds.
+    # A block holds 2^18 // P seeds: 1560 at 10^3, so 13,000 trials take eight blocks of 1560 and
+    # one of 520, and 27 at 10^5, so 257 and 600 trials end on partial blocks of 14 and 6 seeds.
     seeds, sigmas = rmf.derive_seed(3, np.arange(trials)), [0.55, 0.7, 1.3]
     assert np.array_equal(rmf.random_prime_sum_batch(seeds, sigmas, limit),
                           oracles.random_prime_sum_batch_direct(seeds, sigmas, limit))
@@ -570,8 +570,26 @@ def test_random_prime_sum_batch_matches_direct_bit_for_bit(trials, limit):
                           oracles.random_prime_sum_batch_direct(ints, [0.6], limit))
 
 
+@pytest.mark.parametrize("threads", ["1", "2", "5"])
+def test_prime_sum_batches_match_the_oracle_around_the_block_and_the_thread_stride(
+        monkeypatch, threads):
+    # A block holds 27 seeds at 10^5 (2^18 // 9,592 primes), and T threads stride over 27 T seeds:
+    # one seed below, at and above either edge ends on a short, a full or a one-seed block.  The
+    # thresholds are a middle trial's exact values, so the exact recount decides some rows.
+    monkeypatch.setenv("RMFLAB_THREADS", threads)
+    assert rmf._SUM_CELLS // primes.cached_primes(10**5).size == 27
+    sigmas, stride = [0.55, 0.8], 27 * int(threads)
+    for n in sorted({26, 27, 28, stride - 1, stride, stride + 1}):
+        seeds = rmf.derive_seed(n, np.arange(n))
+        direct = oracles.random_prime_sum_batch_direct(seeds, sigmas, 10**5)
+        assert np.array_equal(rmf.random_prime_sum_batch(seeds, sigmas, 10**5), direct), n
+        lams = direct[n // 2]
+        assert np.array_equal(rmf.prime_sum_exceedances(seeds, sigmas, lams, 10**5),
+                              (direct >= lams).sum(axis=0)), n
+
+
 def test_random_prime_sum_batch_bits_hold_on_more_threads_than_cores(monkeypatch):
-    # Five threads over ten 109-seed blocks at 10^5, each reusing its block for a second one,
+    # Five threads over 38 blocks of 27 seeds at 10^5, each reusing its block for seven or more,
     # switching every microsecond: a lost or crossed write would break equality with the oracle.
     monkeypatch.setenv("RMFLAB_THREADS", "5")
     seeds, sigmas = rmf.derive_seed(7, np.arange(1000)), [0.6, 0.9]
@@ -585,7 +603,7 @@ def test_random_prime_sum_batch_bits_hold_on_more_threads_than_cores(monkeypatch
 
 
 def test_random_prime_sum_batch_sigma_vector_matches_scalar():
-    seeds = np.arange(2000, dtype=np.uint64)  # spans three 853-seed blocks at 10^4
+    seeds = np.arange(2000, dtype=np.uint64)  # spans ten 213-seed blocks at 10^4
     sigmas = [0.55, 0.7, 1.3]
     batch = rmf.random_prime_sum_batch(seeds, sigmas, 10**4)
     assert batch.shape == (2000, 3)
@@ -599,7 +617,7 @@ def test_random_prime_sum_batch_sigma_vector_matches_scalar():
 @pytest.mark.parametrize("limit, trials", [(10**4, 2000), (10**6, 30)])
 def test_random_prime_sum_batch_lies_within_gamma_p_of_the_exact_sum(limit, trials):
     # Any order of summing P terms is within gamma_P sum |w| of their exact sum (Higham, ch. 3),
-    # here math.fsum of the float64 terms +-p^(-sigma); the trials span blocks of 853 and 13.
+    # here math.fsum of the float64 terms +-p^(-sigma); the trials span blocks of 213 and 3.
     seeds, sigmas = rmf.derive_seed(5, np.arange(trials)), [0.55, 0.75, 1.0]
     batch = rmf.random_prime_sum_batch(seeds, sigmas, limit)
     ps = primes.cached_primes(limit)
@@ -623,8 +641,9 @@ def oracle_exceedances(seeds, sigmas, lams, limit):
 @pytest.mark.parametrize("trials, limit", [(100, 10**3), (6300, 10**3), (500, 10**4),
                                            (2000, 10**4), (50, 10**5), (257, 10**5)])
 def test_prime_sum_exceedances_match_the_oracle_count(trials, limit):
-    # Blocks hold 6241, 853 and 109 seeds at 10^3, 10^4 and 10^5: 6300, 2000 and 257 trials end
-    # on partial blocks of 59, 294 and 39 seeds, and 100, 500 and 50 fit in one block.
+    # Blocks hold 1560, 213 and 27 seeds at 10^3, 10^4 and 10^5: 6300, 2000 and 257 trials end
+    # on partial blocks of 60, 83 and 14 seeds, 100 fit in one block, and 500 and 50 in three and
+    # two.
     seeds = np.random.default_rng(trials).integers(0, 2**64, trials, dtype=np.uint64)
     sigmas, lams = [0.55, 0.7, 1.3, 0.9], [1.0, 0.0, -0.3, 0.6]
     got = rmf.prime_sum_exceedances(seeds, sigmas, lams, limit)
@@ -660,7 +679,7 @@ def test_prime_sum_exceedances_of_no_seeds_are_zero():
 
 @pytest.mark.parametrize("threads", ["1", "2", "5"])
 def test_prime_sum_exceedances_hold_on_any_thread_count(monkeypatch, threads):
-    # Ten 109-seed blocks at 10^5, switching every microsecond; thresholds at trials' exact
+    # 38 blocks of 27 seeds at 10^5, switching every microsecond; thresholds at trials' exact
     # values send rows through the exact recount on every thread.
     monkeypatch.setenv("RMFLAB_THREADS", threads)
     seeds, sigmas = rmf.derive_seed(7, np.arange(1000)), [0.6, 0.9]
@@ -996,7 +1015,7 @@ def test_sup_scan_batch_bytes_bound_the_traced_peak():
 def test_prime_sum_batch_bytes_bounds_the_traced_peak(monkeypatch, trials, limit, n_sigmas):
     # Both the values and the exceedance counts, at 1 and 2 threads; each thread hashes into its
     # own block.  (2000, 10^6, 3) is c06's, (10000, 10^5, 8) concentration's and c07's, and at
-    # (150, 10^5, 3) two threads hold 109-row blocks for 150 seeds.
+    # (150, 10^5, 3) two threads hold 27-row blocks for 150 seeds.
     primes.cached_primes(limit)  # the prime table exists before the call
     seeds, sigmas = rmf.derive_seed(0, np.arange(trials)), np.linspace(0.6, 1.0, n_sigmas)
     calls = {"values": lambda: rmf.random_prime_sum_batch(seeds, sigmas, limit),
@@ -1151,8 +1170,9 @@ def test_sign_matrix_matches_direct_bit_for_bit(n_primes):
             direct = oracles.sign_matrix_direct(seeds, ps)
             signs = rmf.sign_matrix(seeds, ps)
             assert signs.dtype == np.float64 and np.array_equal(signs, direct)
-            out = np.full((n, n_primes), np.nan)
-            assert rmf.sign_matrix(seeds, ps, out=out) is out
+            out = np.full((n, n_primes), np.nan)  # the prime-sum blocks' call, with their tiles
+            tmp = np.empty((min(n, rmf._HASH_CELLS // n_primes or 1), n_primes), np.uint64)
+            assert rmf._sign_tiles(*rmf._salted(seeds, ps), out, tmp) is out
             assert np.array_equal(out, direct)
 
 
@@ -1208,13 +1228,13 @@ def test_random_prime_sum_batch_bytes_across_blas_thread_counts(batch_digests, n
 
 
 def test_random_prime_sum_batch_bytes_are_pinned(batch_digests):
-    # The 1-thread digest of the einsum sums over 109-seed blocks (2^20 // 9,592 primes).
+    # The 1-thread digest of the einsum sums over 27-seed blocks (2^18 // 9,592 primes).
     assert batch_digests["1"]["2000"] == (
         "0bcd73123025ad5d996138990b048d5971522bc976d3a68e2e22da25c8a47d20")
 
 
 def test_sign_matrix_into_out_allocates_only_the_shift_temporary():
-    # At 256 seeds x 9,592 primes the tiles have 6 rows.  The hash runs in place in `out`:
+    # At 256 seeds x 9,592 primes the tiles have 6 rows.  The tile loop hashes in place in `out`:
     # besides the 6-row uint64 shift temporary, only the salted primes are made, with 64 KiB
     # for the seed keys and array headers.
     ps = primes.cached_primes(10**5)
@@ -1222,7 +1242,7 @@ def test_sign_matrix_into_out_allocates_only_the_shift_temporary():
     out = np.empty((256, ps.size))
     tracemalloc.start()
     try:
-        rmf.sign_matrix(seeds, ps, out=out)
+        rmf._sign_tiles(*rmf._salted(seeds, ps), out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
